@@ -17,11 +17,12 @@
 //!   (budgeted refinement with an inert checkpoint config vs snapshots
 //!   every 8 rounds, and cold pipeline restart vs resume from a
 //!   checkpoint taken at 50% of the pipeline's units);
-//! * **thread_series** — PR 3's scaling sweep: the τ-ladder refinement,
-//!   the 3^N exploration and the wide-parallel-composition build, each
-//!   at 1/2/4/8 worker threads. Cold-construction series use tagged
-//!   (structurally fresh) terms per sample so the successor memos cannot
-//!   serve the work the threads are supposed to do. `host_cpus` records
+//! * **thread_series** — the thread-scaling sweep: the 3^N exploration
+//!   and the wide-parallel-composition build, each at 1/2/4/8 worker
+//!   threads (refinement is sequential, so it has no series).
+//!   Cold-construction series use tagged (structurally fresh) terms per
+//!   sample so the successor memos cannot serve the work the threads are
+//!   supposed to do. `host_cpus` records
 //!   the machine's actual parallelism — on a single-core host the series
 //!   measures the overhead floor of the parallel paths, not speedup;
 //! * **reliability** — PR 6's B13 curves: the Monte-Carlo convergence
@@ -74,8 +75,8 @@ use bpi_bench::{
 };
 use bpi_core::syntax::Defs;
 use bpi_equiv::{
-    build_composed, refine, refine_budgeted, refine_parallel, refine_partition, refine_worklist,
-    shared_pool, Checker, Checkpoint, Graph, Opts, RefineCheckpoint, Variant,
+    build_composed, refine, refine_budgeted, refine_partition, refine_worklist, shared_pool,
+    Checker, Checkpoint, Graph, Opts, RefineCheckpoint, Variant,
 };
 use bpi_semantics::{
     explore, explore_parallel, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan,
@@ -301,22 +302,17 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
     for _ in 0..s.reps.max(1) {
         let t = Instant::now();
         assert!(
-            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, 1, &unlimited, &inert)
+            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, &unlimited, &inert)
                 .expect("unlimited budget cannot interrupt")
                 .holds(0, 0)
         );
         inert_samples.push(t.elapsed().as_secs_f64() * 1e6);
         let t = Instant::now();
-        assert!(refine_budgeted(
-            Variant::StrongLabelled,
-            &lg1,
-            &lg2,
-            1,
-            &unlimited,
-            &periodic8
-        )
-        .expect("unlimited budget cannot interrupt")
-        .holds(0, 0));
+        assert!(
+            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, &unlimited, &periodic8)
+                .expect("unlimited budget cannot interrupt")
+                .holds(0, 0)
+        );
         every_samples.push(t.elapsed().as_secs_f64() * 1e6);
         assert!(slot.take().is_some(), "periodic cfg published a snapshot");
     }
@@ -381,30 +377,8 @@ fn inert_pipeline() -> CheckpointCfg<Checkpoint> {
 /// B10 — the PR 3 thread-scaling sweep.
 fn measure_thread_series(s: &Sizes, wide_n: usize) -> Vec<Series> {
     let defs = Defs::new();
-    let mut series: Vec<Series> = Vec::new();
-
-    // Refinement: one pair of prebuilt τ-ladder graphs, refined with the
-    // round-synchronous parallel engine at each thread count. The
-    // relation is identical at every count (the oracle tests pin that);
-    // only the wall clock may move.
-    let ladder = tau_chain(s.ladder_n);
     let opts = Opts::default();
-    let pool = shared_pool(&ladder, &ladder, opts.fresh_inputs);
-    let g1 = Graph::build(&ladder, &defs, &pool, opts).expect("ladder fits");
-    let g2 = Graph::build(&ladder, &defs, &pool, opts).expect("ladder fits");
-    series.push(Series {
-        id: "bisim/refine-parallel/tau-ladder/weak-labelled",
-        points: THREADS
-            .iter()
-            .map(|&t| {
-                let us = median_us(s.reps, || {
-                    assert!(refine_parallel(Variant::WeakLabelled, &g1, &g2, t).holds(0, 0));
-                });
-                (t, us)
-            })
-            .collect(),
-        note: "round-synchronous refinement of the 49-state ladder (2401 pairs)",
-    });
+    let mut series: Vec<Series> = Vec::new();
 
     // Exploration: tagged terms per sample, so every run is cold and the
     // workers have real derivations to share.

@@ -20,41 +20,39 @@
 //!
 //! * the naive global sweep [`refine`] (the reference oracle, and the
 //!   fastest choice on small products — no index construction);
-//! * the predecessor-indexed worklist [`refine_worklist`] (Gauss–Seidel:
-//!   killing a pair re-examines only the pairs with an edge into it);
-//! * the round-synchronous parallel engine [`refine_parallel`]
-//!   (Jacobi / Kanellakis–Smolka-signature style: each round re-checks
-//!   the dirty pairs against an immutable snapshot, split across
-//!   crossbeam workers with per-chunk kill buffers merged
-//!   deterministically);
+//! * the pairwise round engine [`refine_budgeted`] (Jacobi /
+//!   Kanellakis–Smolka-signature style: each round re-checks only the
+//!   pairs with an edge into last round's kills; [`refine_worklist`] is
+//!   its unbudgeted entry above the naive cutover);
 //! * the block/splitter partition refiner of [`crate::partition`], which
 //!   abandons the pair table entirely and refines a partition of the
 //!   disjoint union of the two graphs.
 //!
-//! [`refine_auto`] picks between naive, partition and worklist by pair
-//! count and partition safety (never the parallel engine, which is
-//! opt-in); the `BPI_ENGINE` env var overrides the choice. The
-//! [`Checker`] runs that, with its thread count defaulting to the
-//! `BPI_THREADS` policy of [`bpi_semantics::threads`].
+//! One dispatch picks between them by pair count and partition safety,
+//! for [`refine_auto`] and for the checkpointed pipeline behind
+//! [`Checker::run_slice`] (and so every served check) alike; the
+//! `BPI_ENGINE` env var overrides the choice. The [`Checker`] runs it
+//! over graphs built with the `BPI_THREADS` policy of
+//! [`bpi_semantics::threads`].
 
 use crate::checkpoint::RefineCheckpoint;
 use crate::graph::{shared_pool, Graph, Opts};
+use crate::partition::Partition;
 use bpi_core::action::Action;
 use bpi_core::name::Name;
 use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::{Arc, LazyLock};
 
 // Refinement metrics. The deterministic set is *result-derived*: all
 // three engines converge to the same greatest fixpoint over the same
 // graphs, so the initial pair count and the surviving/killed split are
 // engine- and thread-independent. How the engines get there — sweeps,
-// worklist pops, rounds, chunk schedules — is process-derived and
-// advisory by contract (metrics_oracle.rs enforces the split).
+// rounds — is process-derived and advisory by contract
+// (metrics_oracle.rs enforces the split).
 static REFINE_RUNS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.runs", Det::Deterministic));
 static REFINE_PAIRS: LazyLock<&Counter> =
@@ -65,14 +63,6 @@ static REFINE_KILLS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.kills", Det::Deterministic));
 static NAIVE_SWEEPS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.naive.sweeps", Det::Advisory));
-static WORKLIST_POPS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.worklist.pops", Det::Advisory));
-static PARALLEL_ROUNDS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.parallel.rounds", Det::Advisory));
-static PARALLEL_CHUNKS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.parallel.chunks", Det::Advisory));
-static PARALLEL_ROUND_RETRIES: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.parallel.round_retries", Det::Advisory));
 static BUDGETED_ROUNDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.budgeted.rounds", Det::Advisory));
 
@@ -160,11 +150,14 @@ pub struct Checker<'d> {
     /// are polled during the build; the state ceiling composes with
     /// `opts.max_states` by taking the minimum).
     pub budget: Budget,
-    /// Worker-thread count for graph construction and refinement.
-    /// Defaults to [`bpi_semantics::default_threads`] (`1` unless
-    /// `BPI_THREADS` opts in); `1` keeps everything on the calling
-    /// thread. Every thread count produces bit-identical graphs,
-    /// relations and errors, so this is purely a performance knob.
+    /// Worker-thread count for graph construction only (the
+    /// frontier-parallel build of [`Checker::try_fixpoint`] and
+    /// compose's component builds); refinement and the checkpointed
+    /// pipeline are sequential. Defaults to
+    /// [`bpi_semantics::default_threads`] (`1` unless `BPI_THREADS`
+    /// opts in); `1` keeps everything on the calling thread. Every
+    /// thread count produces bit-identical graphs, relations and
+    /// errors, so this is purely a performance knob.
     pub threads: usize,
 }
 
@@ -286,7 +279,7 @@ impl<'d> Checker<'d> {
     /// variants of [`all_variants`] and the congruence/diagnostic layers
     /// share one build per *(process, pool)*) and computes the greatest
     /// bisimulation between them for the chosen variant with the engine
-    /// [`refine_auto`] picks for `self.threads` and the product size.
+    /// [`refine_auto`] picks for the product.
     /// `Err` when either graph exceeds the state budget
     /// (`opts.max_states` ∧ `budget`) or the budget's
     /// deadline/cancellation fires — the same `Err` at every thread
@@ -313,7 +306,7 @@ impl<'d> Checker<'d> {
                 &self.budget,
                 self.threads,
             )? {
-                let rel = refine_auto(v, &g1, &g2, self.threads);
+                let rel = refine_auto(v, &g1, &g2, 1);
                 return Ok((g1, g2, rel));
             }
         }
@@ -333,7 +326,7 @@ impl<'d> Checker<'d> {
             &self.budget,
             self.threads,
         )?;
-        let rel = refine_auto(v, &g1, &g2, self.threads);
+        let rel = refine_auto(v, &g1, &g2, 1);
         Ok((g1, g2, rel))
     }
 
@@ -399,245 +392,38 @@ pub fn refine(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
     }
 }
 
-/// Per-state dependency sets for the worklist engine: `deps[x]` is the
-/// set of states `i` such that the transfer check of a pair at `i` can
-/// reference a pair at `x` — so a kill at `x` must re-examine `i`.
-///
-/// For the strong variants a check at `i` only references direct
-/// successors of `i` (plus `i` itself, through the input-or-discard
-/// self-moves), so `deps` is the direct predecessor relation plus the
-/// diagonal. For the weak variants the match sets are built from
-/// τ-closures (`⇒ —α→ ⇒`), which reach arbitrarily far, so `deps[x]` is
-/// the inverse *transitive* reachability over all edges — a sound
-/// over-approximation of "can appear in some weak match set".
-pub(crate) type DepSets = Vec<Vec<usize>>;
-
-pub(crate) fn dependents(g: &Graph, weak: bool) -> Arc<DepSets> {
-    g.dependents(weak)
-}
-
-/// Pair-count threshold below which the indexed engines fall back to the
-/// naive sweep: on small products, building the predecessor index and
-/// the queued bitmap costs more than it saves (the BENCH_2 `scaled-sums`
+/// Pair-count threshold at or below which the dispatch runs the naive
+/// sweep: on small products, building the dependency index and the
+/// queued bitmap costs more than it saves (the BENCH_2 `scaled-sums`
 /// family sits at ~289 pairs and regressed to 0.72× under the worklist
 /// before this cutover). The crossover is recorded in `DESIGN.md` §8.
 pub(crate) const NAIVE_MAX_PAIRS: usize = 1024;
 
-/// Dirty-set size below which a [`refine_parallel`] round runs inline on
-/// the calling thread instead of spawning workers — late rounds usually
-/// re-check a handful of pairs, and a scope spawn per tiny round would
-/// swamp them.
-const PAR_ROUND_MIN: usize = 2048;
-
-/// Predecessor-indexed worklist refinement: computes the same greatest
-/// fixpoint as [`refine`], but killing a pair `(x, y)` re-enqueues only
-/// the pairs in `deps₁(x) × deps₂(y)` whose checks could have referenced
-/// it, instead of re-sweeping all `n₁·n₂` pairs.
+/// The pairwise refinement with no budget: the same greatest fixpoint
+/// as [`refine`], but killing a pair `(x, y)` re-examines only the pairs
+/// in `deps₁(x) × deps₂(y)` whose checks could have referenced it,
+/// instead of re-sweeping all `n₁·n₂` pairs.
 ///
-/// Below [`NAIVE_MAX_PAIRS`] pairs this dispatches to [`refine`]: the
-/// fixpoints are identical, and the naive sweep wins once index
-/// construction can't amortise.
+/// At or below [`NAIVE_MAX_PAIRS`] pairs this runs [`refine`]: the
+/// fixpoints are identical, and the naive sweep wins once the index
+/// can't amortise. Above it, this is the round engine of
+/// [`refine_budgeted`] under an unlimited budget.
 pub fn refine_worklist(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
     if g1.len() * g2.len() <= NAIVE_MAX_PAIRS {
         refine(v, g1, g2)
     } else {
-        refine_worklist_indexed(v, g1, g2)
+        refine_pairwise(v, g1, g2)
     }
 }
 
-/// The worklist engine proper, with no small-product cutover — exposed
-/// within the crate so the oracle tests can exercise the indexed path on
-/// graphs of every size.
-pub(crate) fn refine_worklist_indexed(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
-    let (n1, n2) = (g1.len(), g2.len());
-    let mut pr = PairRelation::full(n1, n2);
-    if n1 == 0 || n2 == 0 {
-        record_refine("worklist", &pr, n1, n2);
-        return pr;
-    }
-    let dep1 = dependents(g1, v.is_weak());
-    let dep2 = dependents(g2, v.is_weak());
-    let mut queued = vec![vec![true; n2]; n1];
-    let mut work: VecDeque<(usize, usize)> =
-        (0..n1).flat_map(|i| (0..n2).map(move |j| (i, j))).collect();
-    let mut pops = 0u64;
-    while let Some((i, j)) = work.pop_front() {
-        pops += 1;
-        queued[i][j] = false;
-        if !pr.rel[i][j] {
-            continue;
-        }
-        let fwd = RelView::new(&pr.rel, false);
-        let bwd = RelView::new(&pr.rel, true);
-        let ok = direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd);
-        if ok {
-            continue;
-        }
-        pr.rel[i][j] = false;
-        for &pi in &dep1[i] {
-            for &pj in &dep2[j] {
-                if pr.rel[pi][pj] && !queued[pi][pj] {
-                    queued[pi][pj] = true;
-                    work.push_back((pi, pj));
-                }
-            }
-        }
-    }
-    WORKLIST_POPS.add(pops);
-    record_refine("worklist", &pr, n1, n2);
-    pr
+/// The pairwise round engine with no small-product cutover and nothing
+/// to interrupt it.
+fn refine_pairwise(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
+    refine_budgeted(v, g1, g2, &Budget::unlimited(), &CheckpointCfg::default())
+        .expect("inert config and unlimited budget cannot interrupt")
 }
 
-/// Round-synchronous parallel refinement (Jacobi iteration in the
-/// Kanellakis–Smolka signature style): each round re-checks the current
-/// dirty pairs against an immutable snapshot of the relation, kills the
-/// violators, and seeds the next dirty set from the predecessor
-/// dependencies of the kills.
-///
-/// Large rounds are split into contiguous chunks across crossbeam scoped
-/// workers, each filling a private kill buffer; buffers are concatenated
-/// in chunk order. **Determinism:** a round's kill set is
-/// `{(i,j) ∈ dirty : rel[i][j] ∧ ¬transfer((i,j), rel)}` — a pure
-/// function of `(dirty, rel)` independent of the partitioning — and the
-/// next dirty set is sorted before use, so the relation after every
-/// round, and hence the final fixpoint, is bit-identical at every thread
-/// count. Equality with [`refine`] / [`refine_worklist`] follows from
-/// the chaotic-iteration argument: all three schedules re-examine every
-/// pair whose check might have changed, so all converge to the same
-/// greatest fixpoint of the monotone transfer operator.
-pub fn refine_parallel(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
-    let threads = threads.max(1);
-    let (n1, n2) = (g1.len(), g2.len());
-    let mut pr = PairRelation::full(n1, n2);
-    if n1 == 0 || n2 == 0 {
-        record_refine("parallel", &pr, n1, n2);
-        return pr;
-    }
-    let mut rounds = 0u64;
-    let mut dirty: Vec<(u32, u32)> = (0..n1 as u32)
-        .flat_map(|i| (0..n2 as u32).map(move |j| (i, j)))
-        .collect();
-    // Dependency sets are only needed once something dies; bisimilar
-    // pairs of graphs never pay for them.
-    let mut deps: Option<(Arc<DepSets>, Arc<DepSets>)> = None;
-    let mut queued = vec![false; n1 * n2];
-    while !dirty.is_empty() {
-        rounds += 1;
-        let kills = match check_round(v, g1, g2, &pr, &dirty, threads) {
-            Ok(kills) => kills,
-            Err(_) => {
-                // A chunk worker panicked (in practice only the chaos
-                // harness does this — the workers otherwise only read the
-                // graphs and the snapshot). The round's kill set is a pure
-                // function of `(dirty, rel)`, so re-running it on the
-                // calling thread yields the identical round result and the
-                // engine stays total; the budgeted engine surfaces the
-                // typed error instead.
-                PARALLEL_ROUND_RETRIES.inc();
-                bpi_obs::emit("equiv.refine", "round_retried", || {
-                    vec![("dirty", Value::from(dirty.len()))]
-                });
-                check_round(v, g1, g2, &pr, &dirty, 1)
-                    .expect("sequential round re-run cannot panic")
-            }
-        };
-        if kills.is_empty() {
-            break;
-        }
-        for &(i, j) in &kills {
-            pr.rel[i as usize][j as usize] = false;
-        }
-        let (dep1, dep2) =
-            deps.get_or_insert_with(|| (dependents(g1, v.is_weak()), dependents(g2, v.is_weak())));
-        let mut next: Vec<(u32, u32)> = Vec::new();
-        for &(i, j) in &kills {
-            for &pi in &dep1[i as usize] {
-                for &pj in &dep2[j as usize] {
-                    if pr.rel[pi][pj] && !queued[pi * n2 + pj] {
-                        queued[pi * n2 + pj] = true;
-                        next.push((pi as u32, pj as u32));
-                    }
-                }
-            }
-        }
-        for &(i, j) in &next {
-            queued[i as usize * n2 + j as usize] = false;
-        }
-        next.sort_unstable();
-        dirty = next;
-    }
-    PARALLEL_ROUNDS.add(rounds);
-    record_refine("parallel", &pr, n1, n2);
-    pr
-}
-
-/// One refinement round: the pairs of `dirty` that are still in the
-/// relation but now violate the transfer property. Chunked across
-/// crossbeam workers when the round is large enough to amortise the
-/// scope; the sequential and chunked paths filter the same slice in the
-/// same order, so the result is identical either way.
-///
-/// A panicking chunk worker is contained by the crossbeam scope and
-/// surfaces as `Err(EngineError::WorkerPanicked)` — never an abort. The
-/// sequential path (`threads <= 1` or a small round) cannot fail.
-fn check_round(
-    v: Variant,
-    g1: &Graph,
-    g2: &Graph,
-    pr: &PairRelation,
-    dirty: &[(u32, u32)],
-    threads: usize,
-) -> Result<Vec<(u32, u32)>, EngineError> {
-    let check = |i: usize, j: usize| {
-        let fwd = RelView::new(&pr.rel, false);
-        let bwd = RelView::new(&pr.rel, true);
-        pr.rel[i][j] && !(direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd))
-    };
-    if threads <= 1 || dirty.len() < PAR_ROUND_MIN {
-        return Ok(dirty
-            .iter()
-            .copied()
-            .filter(|&(i, j)| check(i as usize, j as usize))
-            .collect());
-    }
-    let chunk = dirty.len().div_ceil(threads);
-    let slots: Vec<Mutex<Vec<(u32, u32)>>> = dirty
-        .chunks(chunk)
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    PARALLEL_CHUNKS.add(slots.len() as u64);
-    bpi_obs::histogram("equiv.refine.parallel.chunk_size").record(chunk as u64);
-    let joined = crossbeam::scope(|s| {
-        for (part, slot) in dirty.chunks(chunk).zip(&slots) {
-            let check = &check;
-            s.spawn(move |_| {
-                // Chaos injection point: may panic under an installed
-                // `BPI_CHAOS` plan; the scope contains the unwind.
-                bpi_semantics::chaos::worker_tick("equiv.refine.chunk");
-                let mut local = Vec::new();
-                for &(i, j) in part {
-                    if check(i as usize, j as usize) {
-                        local.push((i, j));
-                    }
-                }
-                *slot.lock() = local;
-            });
-        }
-    });
-    // The workers only read the graphs and the snapshot; outside the
-    // chaos harness a panic here is a bug in `direction` that would have
-    // unwound sequentially too. Either way it becomes a typed error.
-    if joined.is_err() {
-        return Err(EngineError::WorkerPanicked);
-    }
-    let mut kills = Vec::new();
-    for slot in slots {
-        kills.extend(slot.into_inner());
-    }
-    Ok(kills)
-}
-
-/// The engine [`refine_auto`] resolves to for one product.
+/// The engine [`engine_for`] resolves to for one product.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Engine {
     Naive,
@@ -649,10 +435,8 @@ pub(crate) enum Engine {
 /// pin it: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
 /// partition refiner above it whenever the product is partition-safe
 /// (uniform input arities — see [`crate::partition::partition_safe`]),
-/// the pairwise worklist otherwise. Deliberately *not* a function of the
-/// thread count: the round-parallel engine never beat 1.0× at any
-/// thread count in the ≤ ~2500-pair regime the BENCH_5 thread series
-/// measured, so it is opt-in only via [`refine_parallel`].
+/// the pairwise round engine otherwise. Deliberately *not* a function
+/// of the thread count: refinement is sequential.
 pub(crate) fn auto_engine(pairs: usize, partition_safe: bool) -> Engine {
     if pairs <= NAIVE_MAX_PAIRS {
         Engine::Naive
@@ -688,37 +472,49 @@ pub(crate) fn engine_override() -> Option<Engine> {
     }
 }
 
-/// Engine dispatch used by the [`Checker`] and every relation-producing
-/// caller: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
-/// block/splitter partition refiner ([`crate::partition`]) above it, the
-/// pairwise worklist when the product mixes input arities on a channel
-/// (where no partition agrees with the pairwise relation — see
-/// `partition_safe`). All engines return the same relation, so the
-/// choice is invisible to callers; `BPI_ENGINE` overrides it.
-///
-/// The `threads` argument no longer selects an engine: dispatching the
-/// round-synchronous parallel refiner by thread count made the answer's
-/// *cost* depend on `BPI_THREADS` without ever improving it (BENCH_5
-/// `thread_series` never beat 1.0×), and pushed small products through
-/// per-round scope spawns. It is kept so the signature stays stable and
-/// the dispatch is pinned thread-independent by regression test.
-pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
-    let _ = threads;
+/// The one refinement dispatch, shared by [`refine_auto`] and the
+/// checkpointed pipeline ([`Checker::run_slice`], hence every served
+/// check): the `BPI_ENGINE` override when set, [`auto_engine`]
+/// otherwise. A forced partition on a product mixing input arities on a
+/// channel (where no partition agrees with the pairwise relation — see
+/// `partition_safe`) falls back to the pairwise engine.
+pub(crate) fn engine_for(g1: &Graph, g2: &Graph) -> Engine {
     let safe = crate::partition::partition_safe(g1, g2);
-    let choice = engine_override().unwrap_or_else(|| auto_engine(g1.len() * g2.len(), safe));
-    match choice {
-        Engine::Naive => refine(v, g1, g2),
-        Engine::Partition if safe => {
-            let part = crate::partition::refine_partition(v, g1, g2);
-            let pr = crate::partition::partition_to_relation(&part);
-            record_refine("partition", &pr, g1.len(), g2.len());
-            pr
-        }
-        Engine::Worklist | Engine::Partition => refine_worklist(v, g1, g2),
+    match engine_override().unwrap_or_else(|| auto_engine(g1.len() * g2.len(), safe)) {
+        Engine::Partition if !safe => Engine::Worklist,
+        e => e,
     }
 }
 
-/// Per-round interruption poll of the budgeted refinement engine: chaos
+/// The cross-pair relation of a finished partition, recorded like every
+/// other engine's exit.
+pub(crate) fn partition_relation(part: &Partition) -> PairRelation {
+    let pr = crate::partition::partition_to_relation(part);
+    record_refine("partition", &pr, part.n1, part.n2);
+    pr
+}
+
+/// Engine dispatch used by the [`Checker`] and every relation-producing
+/// caller: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
+/// block/splitter partition refiner ([`crate::partition`]) above it, the
+/// pairwise round engine when the product mixes input arities on a
+/// channel. All engines return the same relation, so the choice is
+/// invisible to callers; `BPI_ENGINE` overrides it. The checkpointed
+/// pipeline behind [`Checker::run_slice`] dispatches the same way.
+///
+/// `threads` is ignored: refinement is sequential. The argument stays
+/// only so the benchmark harness, which calls `refine_auto(v, g1, g2,
+/// 1)`, keeps compiling.
+pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
+    let _ = threads;
+    match engine_for(g1, g2) {
+        Engine::Naive => refine(v, g1, g2),
+        Engine::Partition => partition_relation(&crate::partition::refine_partition(v, g1, g2)),
+        Engine::Worklist => refine_pairwise(v, g1, g2),
+    }
+}
+
+/// Per-round interruption poll of the pairwise round engine: chaos
 /// budget pressure (armed supervisors only), the real budget's
 /// deadline/cancellation, then the checkpoint fuel countdown.
 fn poll_round<C>(cfg: &CheckpointCfg<C>, budget: &Budget) -> Result<(), EngineError> {
@@ -727,20 +523,22 @@ fn poll_round<C>(cfg: &CheckpointCfg<C>, budget: &Budget) -> Result<(), EngineEr
     cfg.burn_fuel()
 }
 
-/// The round-synchronous engine of [`refine_parallel`] under a [`Budget`]
-/// and a [`CheckpointCfg`]: identical fixpoint, but the engine polls the
-/// budget at every round boundary and any interruption — deadline,
-/// cancellation, chaos pressure, fuel exhaustion, or a panicked chunk
-/// worker — returns [`Interrupted`] carrying a [`RefineCheckpoint`]
-/// instead of aborting or discarding the rounds already run.
+/// The pairwise round engine (Jacobi iteration in the
+/// Kanellakis–Smolka signature style) under a [`Budget`] and a
+/// [`CheckpointCfg`]: each round re-checks the current dirty pairs
+/// against the relation as the previous round left it, kills the
+/// violators, and seeds the next dirty set from the dependency sets of
+/// the kills (built lazily — bisimilar graphs never pay for them). The
+/// engine polls the budget at every round boundary, and any
+/// interruption — deadline, cancellation, chaos pressure, fuel
+/// exhaustion — returns [`Interrupted`] carrying a [`RefineCheckpoint`]
+/// instead of discarding the rounds already run.
 ///
 /// **Why a checkpoint is just the relation.** All engines here are
 /// chaotic iterations of the same monotone transfer operator, so every
 /// intermediate relation is a superset of the greatest fixpoint.
 /// [`refine_resume`] therefore only needs the relation snapshot: it
-/// re-seeds the dirty set with *all* surviving pairs and iterates on —
-/// sound for a snapshot taken by any of the three engines, at any round
-/// boundary, at any thread count.
+/// re-seeds the dirty set with *all* surviving pairs and iterates on.
 ///
 /// Deterministic refinement metrics ([`record_refine`]) are recorded
 /// exactly once, on completion — an interrupted run records nothing, so
@@ -750,22 +548,20 @@ pub fn refine_budgeted(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
-    threads: usize,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
     let pr = PairRelation::full(g1.len(), g2.len());
-    refine_rounds(v, g1, g2, threads, budget, cfg, pr, 0)
+    refine_rounds(v, g1, g2, budget, cfg, pr, 0)
 }
 
-/// Continues [`refine_budgeted`] from a snapshot taken by any refinement
-/// engine at a round boundary (see there for why the relation alone
-/// suffices). The snapshot's dimensions must match the graphs.
+/// Continues [`refine_budgeted`] from a snapshot taken at a round
+/// boundary (see there for why the relation alone suffices). The
+/// snapshot's dimensions must match the graphs.
 pub fn refine_resume(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
-    threads: usize,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
     ckpt: RefineCheckpoint,
@@ -781,7 +577,6 @@ pub fn refine_resume(
         v,
         g1,
         g2,
-        threads,
         budget,
         cfg,
         PairRelation { rel: ckpt.rel },
@@ -789,18 +584,15 @@ pub fn refine_resume(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn refine_rounds(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
-    threads: usize,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
     mut pr: PairRelation,
     mut rounds: u64,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
-    let threads = threads.max(1);
     let (n1, n2) = (g1.len(), g2.len());
     if n1 == 0 || n2 == 0 {
         record_refine("budgeted", &pr, n1, n2);
@@ -817,7 +609,7 @@ fn refine_rounds(
         .flat_map(|i| (0..n2 as u32).map(move |j| (i, j)))
         .filter(|&(i, j)| pr.rel[i as usize][j as usize])
         .collect();
-    let mut deps: Option<(Arc<DepSets>, Arc<DepSets>)> = None;
+    let mut deps = None;
     let mut queued = vec![false; n1 * n2];
     while !dirty.is_empty() {
         if let Err(e) = poll_round(cfg, budget) {
@@ -827,19 +619,20 @@ fn refine_rounds(
                 checkpoint: snapshot(&pr, rounds),
             });
         }
-        let kills = match check_round(v, g1, g2, &pr, &dirty, threads) {
-            Ok(kills) => kills,
-            Err(e) => {
-                // A panicked chunk worker: the relation is untouched (the
-                // round's kills were never applied), so the snapshot is a
-                // valid round boundary and the caller can resume — or
-                // retry under a supervisor — without losing rounds.
-                record_snapshot("interrupt");
-                return Err(Interrupted {
-                    error: e,
-                    checkpoint: snapshot(&pr, rounds),
-                });
-            }
+        // The round's kill set: the dirty pairs still related that now
+        // violate the transfer property against this round's relation.
+        let kills: Vec<(u32, u32)> = {
+            let fwd = RelView::new(&pr.rel, false);
+            let bwd = RelView::new(&pr.rel, true);
+            dirty
+                .iter()
+                .copied()
+                .filter(|&(i, j)| {
+                    let (i, j) = (i as usize, j as usize);
+                    fwd.holds(i, j)
+                        && !(direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd))
+                })
+                .collect()
         };
         rounds += 1;
         if kills.is_empty() {
@@ -849,7 +642,7 @@ fn refine_rounds(
             pr.rel[i as usize][j as usize] = false;
         }
         let (dep1, dep2) =
-            deps.get_or_insert_with(|| (dependents(g1, v.is_weak()), dependents(g2, v.is_weak())));
+            deps.get_or_insert_with(|| (g1.dependents(v.is_weak()), g2.dependents(v.is_weak())));
         let mut next: Vec<(u32, u32)> = Vec::new();
         for &(i, j) in &kills {
             for &pi in &dep1[i as usize] {
@@ -1310,9 +1103,11 @@ mod tests {
     }
 
     #[test]
-    fn worklist_agrees_with_naive_refine_on_paper_witnesses() {
+    fn pairwise_engine_agrees_with_naive_refine_on_paper_witnesses() {
         // Full-relation agreement (not just the root pair) on the
-        // paper's distinguishing witnesses, across all six variants.
+        // paper's distinguishing witnesses, across all six variants —
+        // the round engine with no cutover, so it really runs on these
+        // small products.
         let d = defs();
         let [a, b, c, x] = names(["a", "b", "c", "x"]);
         let pairs: Vec<(bpi_core::syntax::P, bpi_core::syntax::P)> = vec![
@@ -1338,15 +1133,8 @@ mod tests {
                 Variant::WeakLabelled,
             ] {
                 let naive = refine(v, &g1, &g2);
-                let fast = refine_worklist_indexed(v, &g1, &g2);
-                assert_eq!(naive.rel, fast.rel, "{v:?} diverged on {p} vs {q}");
-                for threads in [1, 2, 4] {
-                    let par = refine_parallel(v, &g1, &g2, threads);
-                    assert_eq!(
-                        naive.rel, par.rel,
-                        "{v:?} parallel({threads}) diverged on {p} vs {q}"
-                    );
-                }
+                let rounds = refine_pairwise(v, &g1, &g2);
+                assert_eq!(naive.rel, rounds.rel, "{v:?} diverged on {p} vs {q}");
             }
         }
     }
@@ -1364,46 +1152,14 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_never_picks_parallel_and_is_thread_independent() {
-        // Satellite regression for the BENCH_5 thread-series finding:
-        // the round-synchronous parallel engine never beat 1.0× in the
-        // ≤ ~2500-pair regime, so the automatic dispatch must never
-        // select it — at any pair count or thread count.
-        //
-        // Pin the pure decision table first: the 49-state tau-ladder
-        // (2401 pairs) lands on the partition refiner when safe and the
-        // pairwise worklist when not; the naive cutover is unchanged.
+    fn dispatch_table_is_pinned() {
+        // The 49-state tau-ladder (2401 pairs) lands on the partition
+        // refiner when safe and the pairwise engine when not; the naive
+        // cutover is unchanged.
         assert_eq!(auto_engine(NAIVE_MAX_PAIRS, true), Engine::Naive);
         assert_eq!(auto_engine(NAIVE_MAX_PAIRS, false), Engine::Naive);
         assert_eq!(auto_engine(2401, true), Engine::Partition);
         assert_eq!(auto_engine(2401, false), Engine::Worklist);
         assert_eq!(auto_engine(1_000_000, true), Engine::Partition);
-
-        // Then drive the tau-ladder through `refine_auto` at a high
-        // thread count and check the parallel engine's round counter
-        // never moves while the relation matches the worklist oracle.
-        let d = defs();
-        let [a] = names(["a"]);
-        let mut p = out_(a, []);
-        for _ in 0..48 {
-            p = tau(p);
-        }
-        let pool = shared_pool(&p, &p, 1);
-        let g = Graph::build(&p, &d, &pool, Opts::default()).unwrap();
-        assert!(
-            g.len() * g.len() > NAIVE_MAX_PAIRS,
-            "ladder must be above the naive cutover to exercise dispatch"
-        );
-        let want = refine_worklist_indexed(Variant::WeakBarbed, &g, &g);
-        let before = PARALLEL_ROUNDS.get();
-        for threads in [1, 8] {
-            let got = refine_auto(Variant::WeakBarbed, &g, &g, threads);
-            assert_eq!(got.rel, want.rel, "threads={threads} changed the answer");
-        }
-        assert_eq!(
-            PARALLEL_ROUNDS.get(),
-            before,
-            "auto dispatch must never reach the parallel engine"
-        );
     }
 }

@@ -11,18 +11,23 @@
 //!   build: committed states/edges/discards plus the pending queue.
 //!   Resumed by [`Graph::resume_from`]; completed builds are bit-identical
 //!   to straight [`Graph::build`]s.
-//! * [`RefineCheckpoint`] — a refinement relation at a round boundary.
-//!   Because all refinement engines are chaotic iterations of the same
-//!   monotone transfer operator, any intermediate relation is a superset
-//!   of the greatest fixpoint, so the relation (plus a round count for
-//!   reporting) is the *whole* resumable state — valid for snapshots from
-//!   any engine at any thread count. Resumed by
-//!   [`crate::bisim::refine_resume`].
+//! * [`RefineSnapshot`] — a refinement run at a round boundary, on
+//!   whichever engine the dispatch picked for the product: a
+//!   [`PartitionCheckpoint`] (block array and dirty worklist, linear in
+//!   the state count; resumed by
+//!   [`crate::partition::refine_partition_resume`]) on partition-safe
+//!   products, a [`RefineCheckpoint`] otherwise. Because all refinement
+//!   engines are chaotic iterations of the same monotone transfer
+//!   operator, any intermediate pair relation is a superset of the
+//!   greatest fixpoint, so the relation (plus a round count for
+//!   reporting) is the pairwise engine's *whole* resumable state;
+//!   resumed by [`crate::bisim::refine_resume`]. Products at or below the
+//!   naive cutover refine in one unbudgeted sweep and never park here.
 //! * [`Checkpoint`] — which phase the pipeline was in, with the completed
 //!   prefix embedded, so [`Checker::resume_from`] is self-contained given
 //!   the same defs/options/variant.
 //!
-//! All three serialise through a versioned line-based text format (and
+//! All of them serialise through a versioned line-based text format (and
 //! serde, via the same concrete syntax as `bpi-core`'s impls), so
 //! checkpoints survive process restarts and interner re-seeding.
 //!
@@ -33,8 +38,12 @@
 //! returns a [`SupervisedVerdict::Inconclusive`] that still carries the
 //! final checkpoint as a partial verdict.
 
-use crate::bisim::{refine_budgeted, refine_resume, Checker, PairRelation, Variant};
+use crate::bisim::{
+    engine_for, partition_relation, refine, refine_budgeted, refine_resume, Checker, Engine,
+    PairRelation, Variant,
+};
 use crate::graph::{shared_pool, Graph};
+use crate::partition::{refine_partition_budgeted, refine_partition_resume};
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::P;
@@ -227,6 +236,11 @@ impl std::str::FromStr for GraphCheckpoint {
                 return Err(format!("unrecognised record {line:?}"));
             }
         }
+        // Every build holds its root state from the first snapshot on;
+        // a section without one would resume into an empty graph.
+        if states.is_empty() {
+            return Err("graph checkpoint without a state record".into());
+        }
         let n = states.len();
         let mut edges: Vec<Vec<(Action, usize)>> = vec![Vec::new(); n];
         for (src, act, dst) in edge_lines {
@@ -267,14 +281,6 @@ pub struct RefineCheckpoint {
 }
 
 impl RefineCheckpoint {
-    /// Surviving pairs (diagnostics).
-    pub fn survivors(&self) -> usize {
-        self.rel
-            .iter()
-            .map(|row| row.iter().filter(|&&b| b).count())
-            .sum()
-    }
-
     pub fn to_text(&self) -> String {
         self.to_string()
     }
@@ -499,6 +505,55 @@ impl std::str::FromStr for PartitionCheckpoint {
     }
 }
 
+/// The refine phase's snapshot, from whichever engine ran: each variant
+/// keeps its own versioned text format, and the header line names it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RefineSnapshot {
+    /// The pairwise round engine (partition-unsafe products).
+    Pairwise(RefineCheckpoint),
+    /// The partition refiner (partition-safe products).
+    Partition(PartitionCheckpoint),
+}
+
+impl RefineSnapshot {
+    /// Rounds completed when the snapshot was taken.
+    pub fn rounds(&self) -> u64 {
+        match self {
+            RefineSnapshot::Pairwise(c) => c.rounds,
+            RefineSnapshot::Partition(c) => c.rounds,
+        }
+    }
+
+    /// The state counts of the two graphs the snapshot refines.
+    fn dims(&self) -> (usize, usize) {
+        match self {
+            RefineSnapshot::Pairwise(c) => (c.rel.len(), c.rel.first().map_or(0, Vec::len)),
+            RefineSnapshot::Partition(c) => (c.n1, c.n2),
+        }
+    }
+}
+
+impl std::fmt::Display for RefineSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RefineSnapshot::Pairwise(c) => write!(f, "{c}"),
+            RefineSnapshot::Partition(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+impl std::str::FromStr for RefineSnapshot {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<RefineSnapshot, String> {
+        if s.lines().next() == Some("bpi-partition-checkpoint/v1") {
+            s.parse().map(RefineSnapshot::Partition)
+        } else {
+            s.parse().map(RefineSnapshot::Pairwise)
+        }
+    }
+}
+
 /// Where the [`Checker`] pipeline was interrupted, with the completed
 /// prefix embedded — self-contained given the same defs, options and
 /// variant.
@@ -520,7 +575,7 @@ pub enum Checkpoint {
     Refine {
         left: GraphCheckpoint,
         right: GraphCheckpoint,
-        refine: RefineCheckpoint,
+        refine: RefineSnapshot,
     },
 }
 
@@ -547,7 +602,7 @@ impl Checkpoint {
     /// Refinement rounds completed (0 before the refine phase).
     pub fn rounds(&self) -> u64 {
         match self {
-            Checkpoint::Refine { refine, .. } => refine.rounds,
+            Checkpoint::Refine { refine, .. } => refine.rounds(),
             _ => 0,
         }
     }
@@ -572,7 +627,7 @@ impl Checkpoint {
 /// bpi-graph-checkpoint/v1
 /// …
 /// #section refine                            (refine only)
-/// bpi-refine-checkpoint/v1
+/// bpi-partition-checkpoint/v1                 (or bpi-refine-checkpoint/v1)
 /// …
 /// ```
 impl std::fmt::Display for Checkpoint {
@@ -671,14 +726,11 @@ impl std::str::FromStr for Checkpoint {
                 if !left.complete() || !right.complete() {
                     return Err("refine checkpoint with incomplete graph section".into());
                 }
-                let refine: RefineCheckpoint = section("refine")?.parse()?;
-                let n2 = refine.rel.first().map_or(0, |r| r.len());
-                if refine.rel.len() != left.states.len()
-                    || (!refine.rel.is_empty() && n2 != right.states.len())
-                {
+                let refine: RefineSnapshot = section("refine")?.parse()?;
+                let (n1, n2) = refine.dims();
+                if (n1, n2) != (left.states.len(), right.states.len()) {
                     return Err(format!(
-                        "refine relation is {}x{n2} over {}x{} graphs",
-                        refine.rel.len(),
+                        "refine section is {n1}x{n2} over {}x{} graphs",
                         left.states.len(),
                         right.states.len()
                     ));
@@ -763,27 +815,37 @@ impl<C> Drop for Relay<'_, C> {
     }
 }
 
-/// Derives a per-phase [`CheckpointCfg`] from the pipeline-level one:
-/// same cadence, the *same shared* fuel cell (fuel counts pipeline units,
-/// not per-phase units), and a fresh slot when the outer cfg has one.
-fn inner_cfg<C>(outer: &CheckpointCfg<Checkpoint>, slot: &CheckpointSlot<C>) -> CheckpointCfg<C> {
-    CheckpointCfg {
-        every: outer.every,
-        fuel: outer.fuel.clone(),
-        slot: outer.slot.as_ref().map(|_| slot.clone()),
-    }
-}
-
-/// Publishes an interruption's checkpoint to the pipeline slot (the
-/// freshest snapshot always wins) and passes the error through.
-fn publish_err(
-    outer: &CheckpointCfg<Checkpoint>,
-    i: Interrupted<Checkpoint>,
-) -> Interrupted<Checkpoint> {
-    if let Some(slot) = &outer.slot {
-        slot.publish(i.checkpoint.clone());
-    }
-    i
+/// Runs one resumable phase engine under a per-phase config derived from
+/// `cfg` — same cadence, the *same shared* fuel cell (fuel counts
+/// pipeline units, not per-phase units), a fresh slot when `cfg` has one
+/// — relaying its periodic snapshots into the pipeline slot and wrapping
+/// an interruption's snapshot into an umbrella [`Checkpoint`].
+fn relayed<C, T>(
+    cfg: &CheckpointCfg<Checkpoint>,
+    wrap: &dyn Fn(C) -> Checkpoint,
+    run: impl FnOnce(&CheckpointCfg<C>) -> Result<T, Interrupted<C>>,
+) -> Result<T, Interrupted<Checkpoint>> {
+    let slot: CheckpointSlot<C> = CheckpointSlot::new();
+    let inner = CheckpointCfg {
+        every: cfg.every,
+        fuel: cfg.fuel.clone(),
+        slot: cfg.slot.as_ref().map(|_| slot.clone()),
+    };
+    let relay = Relay {
+        inner: slot,
+        outer: cfg.slot.clone(),
+        wrap,
+    };
+    run(&inner).map_err(|i| {
+        // Drain the relay before publishing so the freshest (error)
+        // snapshot wins in the pipeline slot.
+        drop(relay);
+        let i = i.map(wrap);
+        if let Some(slot) = &cfg.slot {
+            slot.publish(i.checkpoint.clone());
+        }
+        i
+    })
 }
 
 /// Anytime answer of [`Checker::check_supervised`]: like
@@ -857,7 +919,10 @@ impl<'d> Checker<'d> {
     /// * the global graph memo is **bypassed** (a memo hit would skip the
     ///   states a checkpoint must contain), and
     /// * graph builds run sequentially (the canonical FIFO order *is* the
-    ///   checkpoint format); refinement still uses `self.threads`.
+    ///   checkpoint format), and `BPI_COMPOSE` is not consulted.
+    ///
+    /// Refinement runs on the engine [`crate::refine_auto`] picks for the
+    /// product.
     ///
     /// Deterministic metrics are recorded once per completed phase, so an
     /// interrupted-and-resumed run leaves the same deterministic counter
@@ -951,30 +1016,50 @@ impl<'d> Checker<'d> {
                 (g1, g2, left, right, Some(refine))
             }
         };
-        let wrap = |rck: RefineCheckpoint| Checkpoint::Refine {
+        let rel = self.refine_phase(v, &g1, &g2, refine_ck, cfg, &|refine| Checkpoint::Refine {
             left: left_done.clone(),
             right: right_done.clone(),
-            refine: rck,
-        };
-        let slot: CheckpointSlot<RefineCheckpoint> = CheckpointSlot::new();
-        let inner = inner_cfg(cfg, &slot);
-        let relay = Relay {
-            inner: slot,
-            outer: cfg.slot.clone(),
-            wrap: &wrap,
-        };
-        let r = match refine_ck {
-            Some(rck) => refine_resume(v, &g1, &g2, self.threads, &self.budget, &inner, rck),
-            None => refine_budgeted(v, &g1, &g2, self.threads, &self.budget, &inner),
-        };
-        match r {
-            Ok(rel) => Ok((g1, g2, rel)),
-            Err(i) => {
-                // Drain the relay before publishing so the freshest
-                // (error) snapshot wins in the pipeline slot.
-                drop(relay);
-                Err(publish_err(cfg, i.map(wrap)))
-            }
+            refine,
+        })?;
+        Ok((g1, g2, rel))
+    }
+
+    /// Runs (or finishes) the refine phase. A fresh phase refines on the
+    /// engine [`crate::refine_auto`] picks: the naive sweep at or below
+    /// the cutover (unbudgeted — the cutover bounds its work), the
+    /// partition refiner on partition-safe products, the pairwise round
+    /// engine otherwise. A resumed phase continues on the engine whose
+    /// snapshot it carries.
+    fn refine_phase(
+        &self,
+        v: Variant,
+        g1: &Graph,
+        g2: &Graph,
+        from: Option<RefineSnapshot>,
+        cfg: &CheckpointCfg<Checkpoint>,
+        wrap: &dyn Fn(RefineSnapshot) -> Checkpoint,
+    ) -> Result<PairRelation, Interrupted<Checkpoint>> {
+        let budget = &self.budget;
+        let pairwise = |c| wrap(RefineSnapshot::Pairwise(c));
+        let partition = |c| wrap(RefineSnapshot::Partition(c));
+        match from {
+            None => match engine_for(g1, g2) {
+                Engine::Naive => Ok(refine(v, g1, g2)),
+                Engine::Worklist => relayed(cfg, &pairwise, |inner| {
+                    refine_budgeted(v, g1, g2, budget, inner)
+                }),
+                Engine::Partition => relayed(cfg, &partition, |inner| {
+                    refine_partition_budgeted(v, g1, g2, budget, inner)
+                })
+                .map(|part| partition_relation(&part)),
+            },
+            Some(RefineSnapshot::Pairwise(ck)) => relayed(cfg, &pairwise, |inner| {
+                refine_resume(v, g1, g2, budget, inner, ck)
+            }),
+            Some(RefineSnapshot::Partition(ck)) => relayed(cfg, &partition, |inner| {
+                refine_partition_resume(v, g1, g2, budget, inner, ck)
+            })
+            .map(|part| partition_relation(&part)),
         }
     }
 
@@ -989,25 +1074,16 @@ impl<'d> Checker<'d> {
         if ck.complete() {
             return Ok(Graph::from_complete_checkpoint(ck));
         }
-        let slot: CheckpointSlot<GraphCheckpoint> = CheckpointSlot::new();
-        let inner = inner_cfg(cfg, &slot);
-        let relay = Relay {
-            inner: slot,
-            outer: cfg.slot.clone(),
-            wrap,
-        };
-        match Graph::continue_build(ck, self.defs, self.opts, &self.budget, &inner) {
-            Ok(g) => Ok(g),
-            Err(i) => {
-                drop(relay);
-                Err(publish_err(cfg, i.map(wrap)))
-            }
-        }
+        relayed(cfg, wrap, |inner| {
+            Graph::continue_build(ck, self.defs, self.opts, &self.budget, inner)
+        })
     }
 
     /// Runs at most `fuel` pipeline units (states committed in the
-    /// build phases, refinement rounds) of a check, starting fresh
-    /// (`from = None`) or from a parked snapshot. Returns
+    /// build phases, partition or pairwise refinement rounds — a product
+    /// at or below the naive cutover refines in one unbudgeted sweep) of
+    /// a check, starting fresh (`from = None`) or from a parked
+    /// snapshot. Returns
     /// [`SliceOutcome::Parked`] when the fuel runs out,
     /// [`SliceOutcome::Done`] when the fixpoint lands, and passes
     /// through any *other* interruption (deadline, budget, external
@@ -1164,7 +1240,6 @@ mod tests {
         };
         let back = RefineCheckpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(ck, back);
-        assert_eq!(back.survivors(), 3);
     }
 
     #[test]
@@ -1221,10 +1296,22 @@ mod tests {
             Checkpoint::Refine {
                 left: left.clone(),
                 right: left.clone(),
-                refine: RefineCheckpoint {
+                refine: RefineSnapshot::Pairwise(RefineCheckpoint {
                     rel: vec![vec![true; left.states.len()]; left.states.len()],
                     rounds: 2,
-                },
+                }),
+            },
+            Checkpoint::Refine {
+                left: left.clone(),
+                right: left.clone(),
+                refine: RefineSnapshot::Partition(PartitionCheckpoint {
+                    n1: left.states.len(),
+                    n2: left.states.len(),
+                    blocks: vec![0; 2 * left.states.len()],
+                    worklist: std::collections::VecDeque::from([1]),
+                    rounds: 3,
+                    splits: 0,
+                }),
             },
         ];
         for ck in cks {
@@ -1249,6 +1336,20 @@ mod tests {
                         && RefineCheckpoint::from_text(bad).is_err(),
                 "accepted malformed document {bad:?}"
             );
+        }
+        // Every build holds its root state: a graph section without a
+        // `state` record is malformed on its own and inside an umbrella
+        // (resuming one indexed the root pair of an empty relation).
+        let stateless = "bpi-graph-checkpoint/v1\npool\t\npending\t\n";
+        assert!(GraphCheckpoint::from_text(stateless).is_err());
+        for doc in [
+            format!("bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\t0\n#section left\n{stateless}"),
+            format!(
+                "bpi-equiv-checkpoint/v1\nphase\trefine\n#section left\n{stateless}#section right\n\
+                 {stateless}#section refine\nbpi-refine-checkpoint/v1\nrounds\t0\ndims\t0\t0\n"
+            ),
+        ] {
+            assert!(Checkpoint::from_text(&doc).is_err(), "accepted {doc:?}");
         }
     }
 

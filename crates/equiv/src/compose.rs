@@ -61,7 +61,7 @@
 
 use crate::bisim::Variant;
 use crate::graph::Graph;
-use crate::partition::quotient_threads;
+use crate::partition::quotient;
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::{Defs, P};
@@ -200,7 +200,7 @@ struct Class {
 /// (order of first occurrence) and minimizes one graph per class by
 /// the strong labelled quotient — the finest variant, sound for
 /// checking any of the six afterwards.
-fn classes_of(comps: &[P], graphs: &[Arc<Graph>], threads: usize) -> Vec<Class> {
+fn classes_of(comps: &[P], graphs: &[Arc<Graph>]) -> Vec<Class> {
     let mut ids: Vec<Consed> = Vec::new();
     let mut classes: Vec<Class> = Vec::new();
     for (c, g) in comps.iter().zip(graphs) {
@@ -210,7 +210,7 @@ fn classes_of(comps: &[P], graphs: &[Arc<Graph>], threads: usize) -> Vec<Class> 
         } else {
             ids.push(id);
             classes.push(Class {
-                g: Arc::new(quotient_threads(Variant::StrongLabelled, g, threads)),
+                g: Arc::new(quotient(Variant::StrongLabelled, g)),
                 count: 1,
             });
         }
@@ -487,7 +487,6 @@ fn composed_graph(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-    threads: usize,
 ) -> Result<Arc<Graph>, EngineError> {
     let cap = opts.max_states.min(budget.max_states());
     let key = (bpi_core::cons(p), defs.generation(), pool.to_vec());
@@ -497,7 +496,7 @@ fn composed_graph(
         }
         return Ok(g.clone());
     }
-    let classes = classes_of(&side.comps, &side.graphs, threads);
+    let classes = classes_of(&side.comps, &side.graphs);
     let num_classes = classes.len();
     let g = if side.is_product() {
         Arc::new(product(&classes, pool, cap, budget)?)
@@ -563,8 +562,8 @@ pub fn try_compose_pair(
     if !gate_ok(&[&s1, &s2]) {
         return Ok(None);
     }
-    let g1 = composed_graph(p, &s1, defs, pool, opts, budget, threads)?;
-    let g2 = composed_graph(q, &s2, defs, pool, opts, budget, threads)?;
+    let g1 = composed_graph(p, &s1, defs, pool, opts, budget)?;
+    let g2 = composed_graph(q, &s2, defs, pool, opts, budget)?;
     Ok(Some((g1, g2)))
 }
 
@@ -584,7 +583,7 @@ pub fn build_composed(
     if !side.is_product() || !gate_ok(&[&side]) {
         return Ok(None);
     }
-    composed_graph(p, &side, defs, pool, opts, budget, threads).map(Some)
+    composed_graph(p, &side, defs, pool, opts, budget).map(Some)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! `ε` (to a tolerance) at which the roots stay related — `0` exactly
 //! on bisimilar pairs, `1` when an observable separates them.
 
-use crate::bisim::{dependents, PairRelation, RelView, Variant, NAIVE_MAX_PAIRS};
+use crate::bisim::{PairRelation, RelView, Variant, NAIVE_MAX_PAIRS};
 use crate::graph::{shared_pool, Graph, Opts};
 use bpi_core::action::Action;
 use bpi_core::syntax::{Defs, P};
@@ -349,8 +349,8 @@ pub fn refine_epsilon(v: Variant, g1: &Graph, g2: &Graph, eps: f64) -> PairRelat
         record_epsilon("worklist", &pr, n1, n2, eps);
         return pr;
     }
-    let dep1 = dependents(g1, v.is_weak());
-    let dep2 = dependents(g2, v.is_weak());
+    let dep1 = g1.dependents(v.is_weak());
+    let dep2 = g2.dependents(v.is_weak());
     let mut queued = vec![vec![true; n2]; n1];
     let mut work: VecDeque<(usize, usize)> =
         (0..n1).flat_map(|i| (0..n2).map(move |j| (i, j))).collect();

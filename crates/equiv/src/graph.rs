@@ -1259,7 +1259,7 @@ impl Graph {
         })
     }
 
-    /// Dependency sets shared by the worklist refiners: `deps[x]` is the
+    /// Dependency sets shared by the refiners: `deps[x]` is the
     /// set of states whose transfer check can reference state `x`. For
     /// the strong variants that is the direct predecessors plus the
     /// diagonal (input-or-discard self-moves); for the weak variants the

@@ -48,14 +48,13 @@ pub mod testing;
 pub mod upto;
 
 pub use bisim::{
-    all_variants, refine, refine_auto, refine_budgeted, refine_parallel, refine_resume,
-    refine_worklist, strong_barbed_bisimilar, strong_bisimilar, strong_step_bisimilar,
-    weak_barbed_bisimilar, weak_bisimilar, weak_step_bisimilar, Checker, PairRelation, Variant,
-    Verdict,
+    all_variants, refine, refine_auto, refine_budgeted, refine_resume, refine_worklist,
+    strong_barbed_bisimilar, strong_bisimilar, strong_step_bisimilar, weak_barbed_bisimilar,
+    weak_bisimilar, weak_step_bisimilar, Checker, PairRelation, Variant, Verdict,
 };
 pub use checkpoint::{
-    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, SliceOutcome,
-    SupervisedVerdict,
+    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
+    SliceOutcome, SupervisedVerdict,
 };
 pub use compose::{build_composed, compose_enabled, try_compose_pair};
 pub use congruence::{
@@ -71,9 +70,8 @@ pub use epsilon::{
 pub use graph::{identification_substs, shared_pool, Csr, Graph, Opts, PredCsr};
 pub use logic::{sat, satisfies, try_satisfies, Formula};
 pub use partition::{
-    partition_safe, partition_to_relation, quotient, quotient_threads, refine_partition,
-    refine_partition_budgeted, refine_partition_parallel, refine_partition_resume,
-    refine_partition_self, refine_partition_self_threads, Partition,
+    partition_safe, partition_to_relation, quotient, refine_partition, refine_partition_budgeted,
+    refine_partition_resume, refine_partition_self, Partition,
 };
 pub use sensors::{sensor_context, sensors_separate, SensorBarbs};
 pub use testing::{may_equivalent_sampled, may_pass, trace_equivalent, traces, Test};

@@ -35,7 +35,7 @@
 //! signature class keeps the block id, so only the members of the
 //! smaller classes change block — and only *their* dependents (inverse
 //! edges for the strong variants, inverse reachability for the weak
-//! ones, shared with the worklist engines via the per-graph dependency
+//! ones, shared with the pairwise engine via the per-graph dependency
 //! cache) are re-examined. Work is proportional to what actually moved,
 //! never to the size of the block that stayed.
 //!
@@ -62,7 +62,10 @@
 //! the snapshot stays linear in the state count. [`refine_partition_resume`]
 //! rebuilds the signature buckets from the block array (signatures of
 //! clean states are pure functions of the partition) and continues
-//! bit-for-bit: same final partition, same round and split counts.
+//! bit-for-bit: same final partition, same round and split counts. The
+//! checkpointed [`crate::Checker`] pipeline refines partition-safe
+//! products above the naive cutover with this pair — served checks park
+//! and resume here.
 
 use crate::bisim::{PairRelation, Variant};
 use crate::checkpoint::PartitionCheckpoint;
@@ -72,15 +75,14 @@ use bpi_core::name::Name;
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::Budget;
 use bpi_semantics::checkpoint::{record_resume, record_snapshot, CheckpointCfg, Interrupted};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, LazyLock};
 
 // All three are result-derived and deterministic: the engine is
-// sequential with a fixed processing order, the dispatch is
-// thread-independent, and an interrupted-and-resumed run replays the
-// same rounds and splits as an uninterrupted one (counters are recorded
-// once, on completion, from totals carried through the checkpoint).
+// sequential with a fixed processing order, and an interrupted-and-
+// resumed run replays the same rounds and splits as an uninterrupted one
+// (counters are recorded once, on completion, from totals carried
+// through the checkpoint).
 static PARTITION_BLOCKS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.partition.blocks", Det::Deterministic));
 static PARTITION_SPLITS: LazyLock<&Counter> =
@@ -170,11 +172,6 @@ pub fn partition_safe(g1: &Graph, g2: &Graph) -> bool {
         }
     }
     true
-}
-
-/// [`partition_safe`] for a single graph (self-partition / quotient).
-pub fn partition_safe_self(g: &Graph) -> bool {
-    partition_safe(g, g)
 }
 
 /// A state's signature: sorted `(component key, sorted data)` pairs.
@@ -316,17 +313,7 @@ struct Refiner<'a> {
     deps2: Option<Arc<Vec<Vec<usize>>>>,
     rounds: u64,
     splits: u64,
-    /// Worker threads for the signature recomputation inside a round.
-    /// `1` (the default everywhere except the explicitly parallel entry
-    /// points) keeps the whole round on the calling thread.
-    threads: usize,
 }
-
-/// Dirty-queue size below which a round recomputes signatures inline:
-/// late rounds touch a handful of states and a crossbeam scope spawn
-/// would swamp them (same reasoning as the pairwise engine's
-/// `PAR_ROUND_MIN`).
-const PAR_SIG_MIN: usize = 1024;
 
 impl<'a> Refiner<'a> {
     fn new(v: Variant, g1: &'a Graph, g2: Option<&'a Graph>) -> Refiner<'a> {
@@ -345,7 +332,6 @@ impl<'a> Refiner<'a> {
             in_dirty: vec![true; n],
             rounds: 0,
             splits: 0,
-            threads: 1,
         }
     }
 
@@ -529,17 +515,14 @@ impl<'a> Refiner<'a> {
     ///
     /// A signature is a pure function of the block array and the graph
     /// caches — neither changes before [`Refiner::split`] runs — so the
-    /// signatures of the whole drained queue can be computed up front
-    /// (and, above [`PAR_SIG_MIN`], across crossbeam workers) and then
-    /// applied in drain order. The rebucketing and the splits stay
-    /// sequential; the partition after every round is bit-identical at
-    /// every thread count.
+    /// signatures of the whole drained queue are computed up front and
+    /// then applied in drain order.
     fn round(&mut self) {
         let drained: Vec<u32> = self.dirty.drain(..).collect();
         for &u in &drained {
             self.in_dirty[u as usize] = false;
         }
-        let sigs = self.signatures_of(&drained);
+        let sigs: Vec<Sig> = drained.iter().map(|&u| self.signature(u)).collect();
         let mut affected: BTreeSet<u32> = BTreeSet::new();
         for (&u, s) in drained.iter().zip(sigs) {
             if self.sigs[u as usize].as_ref() == Some(&s) {
@@ -562,42 +545,6 @@ impl<'a> Refiner<'a> {
             self.split(b as usize);
         }
         self.rounds += 1;
-    }
-
-    /// The signatures of `dirty`, in order. Sequential below
-    /// [`PAR_SIG_MIN`] or at one thread; otherwise chunked across a
-    /// crossbeam scope. The workers only read the partition and the
-    /// graph caches, so a contained chunk panic (chaos injection) simply
-    /// falls back to the sequential recomputation of the same values.
-    fn signatures_of(&self, dirty: &[u32]) -> Vec<Sig> {
-        let sequential = || dirty.iter().map(|&u| self.signature(u)).collect();
-        if self.threads <= 1 || dirty.len() < PAR_SIG_MIN {
-            return sequential();
-        }
-        let chunk = dirty.len().div_ceil(self.threads);
-        let slots: Vec<Mutex<Vec<Sig>>> = dirty
-            .chunks(chunk)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let joined = crossbeam::scope(|s| {
-            for (part, slot) in dirty.chunks(chunk).zip(&slots) {
-                s.spawn(move |_| {
-                    // Chaos injection point: may panic under an
-                    // installed `BPI_CHAOS` plan; the scope contains
-                    // the unwind.
-                    bpi_semantics::chaos::worker_tick("equiv.partition.chunk");
-                    *slot.lock() = part.iter().map(|&u| self.signature(u)).collect();
-                });
-            }
-        });
-        if joined.is_err() {
-            return sequential();
-        }
-        let mut out = Vec::with_capacity(dirty.len());
-        for slot in slots {
-            out.extend(slot.into_inner());
-        }
-        out
     }
 
     /// Splits block `b` if its members' signatures diverged: the
@@ -728,40 +675,15 @@ fn poll(
 /// [`partition_to_relation`] (or just [`crate::bisim::refine_auto`],
 /// which dispatches here on partition-safe products).
 pub fn refine_partition(v: Variant, g1: &Graph, g2: &Graph) -> Partition {
-    refine_partition_parallel(v, g1, g2, 1)
-}
-
-/// [`refine_partition`] with the per-round signature recomputation
-/// spread across `threads` crossbeam workers (ROADMAP's work-parallel
-/// round over the dirty queue). Opt-in like [`crate::refine_parallel`]
-/// — the dispatch never picks it — and bit-identical to the sequential
-/// engine at every thread count: signatures are pure functions of the
-/// round's partition and are applied in drain order either way.
-pub fn refine_partition_parallel(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> Partition {
-    let budget = Budget::unlimited();
-    let cfg = CheckpointCfg::default();
-    let mut r = Refiner::new(v, g1, Some(g2));
-    r.threads = threads.max(1);
-    r.run(&budget, &cfg)
-        .expect("inert config and unlimited budget cannot interrupt");
-    r.finish()
+    refine_partition_budgeted(v, g1, g2, &Budget::unlimited(), &CheckpointCfg::default())
+        .expect("inert config and unlimited budget cannot interrupt")
 }
 
 /// The coarsest `v`-stable self-partition of one graph — the input to
 /// [`quotient`].
 pub fn refine_partition_self(v: Variant, g: &Graph) -> Partition {
-    refine_partition_self_threads(v, g, 1)
-}
-
-/// [`refine_partition_self`] with round-parallel signature
-/// recomputation — the self-partition flavour of
-/// [`refine_partition_parallel`], used by [`quotient_threads`].
-pub fn refine_partition_self_threads(v: Variant, g: &Graph, threads: usize) -> Partition {
-    let budget = Budget::unlimited();
-    let cfg = CheckpointCfg::default();
     let mut r = Refiner::new(v, g, None);
-    r.threads = threads.max(1);
-    r.run(&budget, &cfg)
+    r.run(&Budget::unlimited(), &CheckpointCfg::default())
         .expect("inert config and unlimited budget cannot interrupt");
     r.finish()
 }
@@ -812,15 +734,8 @@ pub fn refine_partition_resume(
 /// meaningful, so the graph is rebuilt unchanged under the identity
 /// partition.
 pub fn quotient(v: Variant, g: &Graph) -> Graph {
-    quotient_threads(v, g, 1)
-}
-
-/// [`quotient`] with round-parallel signature recomputation in the
-/// underlying self-partition — what the compositional engine calls with
-/// the checker's thread count.
-pub fn quotient_threads(v: Variant, g: &Graph, threads: usize) -> Graph {
-    let part = if partition_safe_self(g) {
-        refine_partition_self_threads(v, g, threads)
+    let part = if partition_safe(g, g) {
+        refine_partition_self(v, g)
     } else {
         Partition {
             n1: g.len(),

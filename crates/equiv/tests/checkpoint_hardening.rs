@@ -4,15 +4,15 @@
 //! daemon replays persisted checkpoints on restart, so the decode path
 //! is attacker-adjacent: whatever is on disk after a crash gets parsed.
 
+use bpi_core::builder::*;
+use bpi_core::syntax::{Defs, P};
 use bpi_equiv::checkpoint::{
-    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint,
+    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
 };
 use bpi_equiv::graph::{shared_pool, Graph, Opts};
-use bpi_equiv::{Checker, SliceOutcome, Variant, Verdict};
-use bpi_core::builder::*;
-use bpi_core::syntax::Defs;
+use bpi_equiv::{refine_budgeted, Checker, SliceOutcome, Variant, Verdict};
 use bpi_semantics::prob::McCheckpoint;
-use bpi_semantics::{ExploreCheckpoint, FaultLog};
+use bpi_semantics::{Budget, CheckpointCfg, ExploreCheckpoint, FaultLog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn sample_graph_ckpt() -> GraphCheckpoint {
@@ -26,14 +26,15 @@ fn sample_graph_ckpt() -> GraphCheckpoint {
 
 fn sample_docs() -> Vec<(&'static str, String)> {
     let left = sample_graph_ckpt();
+    let n = left.states.len();
     let refine = RefineCheckpoint {
-        rel: vec![vec![true; left.states.len()]; left.states.len()],
+        rel: vec![vec![true; n]; n],
         rounds: 2,
     };
     let umbrella = Checkpoint::Refine {
         left: left.clone(),
         right: left.clone(),
-        refine: refine.clone(),
+        refine: RefineSnapshot::Pairwise(refine.clone()),
     };
     let partition = PartitionCheckpoint {
         n1: 3,
@@ -42,6 +43,22 @@ fn sample_docs() -> Vec<(&'static str, String)> {
         worklist: std::collections::VecDeque::from([4, 0]),
         rounds: 5,
         splits: 2,
+    };
+    let umbrella_partition = Checkpoint::Refine {
+        left: left.clone(),
+        right: left.clone(),
+        refine: RefineSnapshot::Partition(PartitionCheckpoint {
+            n1: n,
+            n2: n,
+            blocks: (0..2 * n as u32).map(|u| u % 2).collect(),
+            worklist: std::collections::VecDeque::from([0, n as u32]),
+            rounds: 1,
+            splits: 1,
+        }),
+    };
+    let build_left = Checkpoint::BuildLeft {
+        left: left.clone(),
+        right_seed: tau(nil()),
     };
     let mc = McCheckpoint {
         done: 40,
@@ -52,6 +69,8 @@ fn sample_docs() -> Vec<(&'static str, String)> {
         ("refine", refine.to_text()),
         ("partition", partition.to_text()),
         ("equiv", umbrella.to_text()),
+        ("equiv", umbrella_partition.to_text()),
+        ("equiv", build_left.to_text()),
         ("mc", mc.to_string()),
         ("faultlog", FaultLog::default().to_string()),
     ]
@@ -59,18 +78,25 @@ fn sample_docs() -> Vec<(&'static str, String)> {
 
 /// Decoding `s` through every codec must return (not panic); we don't
 /// care which codec accepts what, only that nothing unwinds or hangs.
+/// An umbrella document that decodes must also resume without a panic —
+/// the daemon resumes whatever its journal decodes.
 fn decode_all_typed(s: &str) {
     let owned = s.to_string();
     let r = catch_unwind(AssertUnwindSafe(|| {
         let _ = GraphCheckpoint::from_text(&owned);
         let _ = RefineCheckpoint::from_text(&owned);
         let _ = PartitionCheckpoint::from_text(&owned);
-        let _ = Checkpoint::from_text(&owned);
         let _ = owned.parse::<McCheckpoint>();
         let _ = owned.parse::<FaultLog>();
         let _ = owned.parse::<ExploreCheckpoint>();
+        if let Ok(ck) = Checkpoint::from_text(&owned) {
+            let d = Defs::new();
+            let _ = Checker::new(&d)
+                .with_budget(Budget::states(64))
+                .resume_from(Variant::WeakLabelled, ck, &CheckpointCfg::default());
+        }
     }));
-    assert!(r.is_ok(), "decoder panicked on {s:?}");
+    assert!(r.is_ok(), "decoder or resume panicked on {s:?}");
 }
 
 #[test]
@@ -104,7 +130,10 @@ fn every_truncation_of_every_codec_is_a_typed_error_or_valid() {
 fn corrupted_bytes_are_typed_errors_never_panics() {
     for (_, doc) in sample_docs() {
         for (i, repl) in [(doc.len() / 3, "\u{7f}"), (doc.len() / 2, "99999999999")] {
-            let i = (0..=i).rev().find(|&k| doc.is_char_boundary(k)).unwrap_or(0);
+            let i = (0..=i)
+                .rev()
+                .find(|&k| doc.is_char_boundary(k))
+                .unwrap_or(0);
             let mut bad = String::new();
             bad.push_str(&doc[..i]);
             bad.push_str(repl);
@@ -159,10 +188,10 @@ fn umbrella_cross_section_invariants_are_checked() {
     let refine_doc = Checkpoint::Refine {
         left: complete.clone(),
         right: complete.clone(),
-        refine: RefineCheckpoint {
+        refine: RefineSnapshot::Pairwise(RefineCheckpoint {
             rel: vec![vec![true; n]; n],
             rounds: 0,
-        },
+        }),
     }
     .to_text()
     .replace(&format!("dims\t{n}\t{n}"), &format!("dims\t{n}\t{}", n + 1));
@@ -178,27 +207,112 @@ fn umbrella_cross_section_invariants_are_checked() {
     };
     let doc = Checkpoint::Refine {
         left: complete.clone(),
-        right: complete,
-        refine: small,
+        right: complete.clone(),
+        refine: RefineSnapshot::Pairwise(small),
     }
     .to_text();
     let err = Checkpoint::from_text(&doc).unwrap_err();
     assert!(err.contains("over"), "got {err:?}");
+
+    // A partition section over the wrong union: `Refiner::restore`
+    // asserts on its dims, so the codec must reject it first.
+    for (n1, n2) in [(n, n + 1), (n + 1, n), (1, 2 * n - 1)] {
+        let doc = Checkpoint::Refine {
+            left: complete.clone(),
+            right: complete.clone(),
+            refine: RefineSnapshot::Partition(PartitionCheckpoint {
+                n1,
+                n2,
+                blocks: vec![0; n1 + n2],
+                worklist: std::collections::VecDeque::new(),
+                rounds: 0,
+                splits: 0,
+            }),
+        }
+        .to_text();
+        let err = Checkpoint::from_text(&doc).unwrap_err();
+        assert!(err.contains("over"), "{n1}+{n2}: got {err:?}");
+    }
+}
+
+/// `k` τ-prefixes in front of `end`.
+fn ladder(k: usize, end: P) -> P {
+    (0..k).fold(end, |p, _| tau(p))
+}
+
+/// Journals written before the refine phase could park in the partition
+/// refiner hold pairwise `bpi-refine-checkpoint/v1` sections, even for
+/// partition-safe products. Such a document still decodes and resumes —
+/// on the pairwise engine that wrote it — to the straight verdict.
+#[test]
+fn pairwise_refine_sections_on_partition_safe_products_still_resume() {
+    let d = Defs::new();
+    let [a] = names(["a"]);
+    let p = ladder(39, out_(a, []));
+    let q = ladder(39, sum(out_(a, []), out_(a, [])));
+    let opts = Opts::default();
+    let pool = shared_pool(&p, &q, opts.fresh_inputs);
+    let g1 = Graph::build(&p, &d, &pool, opts).unwrap();
+    let g2 = Graph::build(&q, &d, &pool, opts).unwrap();
+    assert!(bpi_equiv::partition_safe(&g1, &g2));
+    for v in [Variant::StrongLabelled, Variant::WeakLabelled] {
+        // A mid-run pairwise snapshot, spliced into the umbrella format
+        // exactly as the pairwise-only pipeline wrote it.
+        let rck = refine_budgeted(
+            v,
+            &g1,
+            &g2,
+            &Budget::unlimited(),
+            &CheckpointCfg::fuelled(3),
+        )
+        .err()
+        .expect("fuel 3 interrupts the pairwise engine")
+        .checkpoint;
+        let text = format!(
+            "bpi-equiv-checkpoint/v1\nphase\trefine\n#section left\n{}#section right\n{}\
+             #section refine\n{}",
+            GraphCheckpoint::of_graph(&g1),
+            GraphCheckpoint::of_graph(&g2),
+            rck
+        );
+        let ck = Checkpoint::from_text(&text).expect("a pairwise section decodes");
+        let c = Checker::new(&d);
+        let holds = match c
+            .run_slice(v, &p, &q, Some(ck), usize::MAX)
+            .expect("no budget")
+        {
+            SliceOutcome::Done { holds, .. } => holds,
+            SliceOutcome::Parked(_) => panic!("unbounded fuel cannot park"),
+        };
+        assert_eq!(holds, c.check(v, &p, &q) == Verdict::Holds, "{v:?}");
+    }
 }
 
 /// The park/unpark primitive: a check chopped into fuel slices reaches
 /// the same verdict as the straight run, through checkpoints that
 /// survive serialisation between every slice — the invariant the
-/// daemon's preemptive scheduler and crash recovery both lean on.
+/// daemon's preemptive scheduler and crash recovery both lean on. The
+/// last pair is partition-safe and above the naive cutover, so at the
+/// default dispatch its refine phase parks inside the partition
+/// refiner: a block array, with no n₁×n₂ relation in the text.
 #[test]
 fn run_slice_parks_resumes_and_agrees_with_straight_check() {
     let d = Defs::new();
     let [a, b] = names(["a", "b"]);
     let pairs = [
         (out(a, [b], tau(out_(b, []))), out(a, [b], out_(b, []))),
-        (out(a, [b], tau(out_(b, []))), out(a, [b], tau(tau(out_(b, []))))),
+        (
+            out(a, [b], tau(out_(b, []))),
+            out(a, [b], tau(tau(out_(b, [])))),
+        ),
         (out_(a, [b]), out_(b, [a])),
+        (
+            ladder(39, out_(a, [])),
+            ladder(39, sum(out_(a, []), out_(a, []))),
+        ),
     ];
+    let default_dispatch = std::env::var("BPI_ENGINE").is_err();
+    let mut refine_parks = 0;
     for (p, q) in pairs {
         for v in [Variant::StrongLabelled, Variant::WeakLabelled] {
             let c = Checker::new(&d);
@@ -209,12 +323,20 @@ fn run_slice_parks_resumes_and_agrees_with_straight_check() {
                 let holds = loop {
                     slices += 1;
                     assert!(slices < 10_000, "slice loop diverged at fuel {fuel}");
-                    match c.run_slice(v, &p, &q, parked.take(), fuel).expect("no budget set") {
+                    match c
+                        .run_slice(v, &p, &q, parked.take(), fuel)
+                        .expect("no budget set")
+                    {
                         SliceOutcome::Done { holds, .. } => break holds,
                         SliceOutcome::Parked(ck) => {
                             // Round-trip through the wire format, as the
                             // daemon's journal does between slices.
                             let text = ck.to_text();
+                            if ck.phase() == "refine" && default_dispatch {
+                                refine_parks += 1;
+                                assert!(text.contains("bpi-partition-checkpoint/v1"), "{text}");
+                                assert!(!text.contains("\nrow\t"), "{text}");
+                            }
                             parked = Some(Checkpoint::from_text(&text).expect("own output parses"));
                         }
                     }
@@ -229,4 +351,8 @@ fn run_slice_parks_resumes_and_agrees_with_straight_check() {
             }
         }
     }
+    assert!(
+        refine_parks > 0 || !default_dispatch,
+        "no slice parked inside the partition refiner"
+    );
 }

@@ -9,12 +9,12 @@
 //!   the serialised checkpoint yields the same fixpoint relation and the
 //!   same deterministic `bpi-obs` counter deltas as the uninterrupted
 //!   run, across all six variants and threads 1/2/4, including for
-//!   processes wrapped in PR 1's fault combinators.
-//! * **Panics are typed, never aborts.** A poisoned refinement chunk
-//!   (chaos `panic_prob = 1`) surfaces as
-//!   [`EngineError::WorkerPanicked`] with a usable checkpoint from the
-//!   budgeted engine, and the total parallel engine transparently
-//!   recovers on its sequential path.
+//!   processes wrapped in the fault combinators — and above the
+//!   naive cutover, where the refine phase parks inside the partition
+//!   refiner or the pairwise round engine.
+//! * **One dispatch.** A check sliced by [`Checker::run_slice`] refines
+//!   on the engine [`refine_auto`] picks, so both leave the same
+//!   relation and the same deterministic refinement counters.
 //! * **Chaos is invisible too.** A seeded [`ChaosPlan`] perturbs
 //!   scheduling and injects recoverable faults, but verdicts and
 //!   deterministic counters match a quiet run, and the injection log
@@ -29,8 +29,8 @@ use bpi_core::name::Name;
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{Gen, GenCfg};
 use bpi_equiv::{
-    refine, refine_budgeted, refine_parallel, refine_resume, shared_pool, Checker, Checkpoint,
-    Graph, Opts, Variant,
+    refine_auto, refine_worklist, shared_pool, Checker, Checkpoint, Graph, Opts, SliceOutcome,
+    Variant,
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::chaos::{self, ChaosPlan};
@@ -84,10 +84,43 @@ fn variants() -> Vec<(P, P)> {
 }
 
 /// A chain of `n` output prefixes: an `n + 1`-state deterministic graph.
-/// Two of these give a pair product large enough (≥ `PAR_ROUND_MIN`)
-/// for the refinement chunk workers to actually spawn.
+/// Two of these give a product well above the naive cutover.
 fn chain(n: usize, a: Name, b: Name) -> P {
     (0..n).fold(nil(), |p, _| out(a, [b], p))
+}
+
+/// `k` τ-prefixes in front of `end`.
+fn ladder(k: usize, end: P) -> P {
+    (0..k).fold(end, |p, _| tau(p))
+}
+
+/// Pairs whose products lie above the naive cutover, one per refining
+/// engine: a 41-state τ-ladder against the same ladder ending in a
+/// duplicated output (partition-safe, so the partition refiner runs),
+/// and a τ-ladder beside a monadic listener against one beside a
+/// dyadic listener on the same channel (mixed input arities, so the
+/// pairwise round engine runs).
+fn above_cutover_pairs() -> Vec<(P, P)> {
+    let [a, b, c, x, y] = names(["a", "b", "c", "x", "y"]);
+    vec![
+        (
+            ladder(39, out_(a, [])),
+            ladder(39, sum(out_(a, []), out_(a, []))),
+        ),
+        (
+            par(ladder(5, nil()), inp(a, [x], out_(b, [x]))),
+            par(ladder(5, nil()), inp(a, [x, y], out_(c, [y]))),
+        ),
+    ]
+}
+
+/// The products of `p` and `q` over their shared pool, unmemoized.
+fn build_pair(p: &P, q: &P, d: &Defs) -> (Graph, Graph) {
+    let opts = Opts::default();
+    let pool = shared_pool(p, q, opts.fresh_inputs);
+    let g1 = Graph::build(p, d, &pool, opts).expect("finite");
+    let g2 = Graph::build(q, d, &pool, opts).expect("finite");
+    (g1, g2)
 }
 
 /// Runs `f` and returns the deterministic-counter delta it produced.
@@ -99,39 +132,54 @@ fn det_delta(f: impl FnOnce()) -> CounterDelta {
 
 /// Runs the checkpointed pipeline under `cfg`, resuming once through the
 /// serialised checkpoint if interrupted, and returns the final relation
-/// plus whether an interruption happened. The codec round-trip is
-/// deliberate: it proves the resume would also work in a fresh process.
+/// plus the phase of the interruption, if one happened. The codec
+/// round-trip is deliberate: it proves the resume would also work in a
+/// fresh process.
 fn run_and_resume(
     c: &Checker,
     v: Variant,
     p: &P,
     q: &P,
     cfg: &CheckpointCfg<Checkpoint>,
-) -> (Vec<Vec<bool>>, bool) {
+) -> (Vec<Vec<bool>>, Option<&'static str>) {
     match c.run_with_checkpoint(v, p, q, cfg) {
-        Ok((_, _, rel)) => (rel.rel, false),
+        Ok((_, _, rel)) => (rel.rel, None),
         Err(i) => {
             assert_eq!(i.error, EngineError::Cancelled, "fuel stops are Cancelled");
+            let phase = i.checkpoint.phase();
             let ck = Checkpoint::from_text(&i.checkpoint.to_text())
                 .unwrap_or_else(|e| panic!("checkpoint codec round-trip failed: {e}"));
             let (_, _, rel) = c
                 .resume_from(v, ck, &CheckpointCfg::default())
                 .unwrap_or_else(|i| panic!("unlimited resume interrupted: {}", i.error));
-            (rel.rel, true)
+            (rel.rel, Some(phase))
         }
     }
 }
 
-/// The tentpole differential, exhaustively on small structured pairs:
-/// interrupting at **every** feasible pipeline boundary (fuel = 1, 2, …
-/// until the run completes) and resuming from the serialised checkpoint
-/// yields the same relation and the same deterministic counter delta as
-/// the straight run, for all six variants at threads 1/2/4.
+/// Whether `BPI_ENGINE` forces the naive sweep, which refines in one
+/// unbudgeted pass and so never parks inside the refine phase.
+fn naive_forced() -> bool {
+    std::env::var("BPI_ENGINE").is_ok_and(|e| e.trim().eq_ignore_ascii_case("naive"))
+}
+
+/// The tentpole differential, exhaustively on small structured pairs
+/// and on pairs above the naive cutover: interrupting at **every**
+/// feasible pipeline boundary (fuel = 1, 2, … until the run completes)
+/// and resuming from the serialised checkpoint yields the same relation
+/// and the same deterministic counter delta as the straight run, for
+/// all six variants at threads 1/2/4. Above the cutover the refine phase
+/// is budgeted too, and the sweep must land inside it: the
+/// partition-safe pair parks inside the partition refiner, the
+/// mixed-arity pair inside the pairwise round engine (its only coverage
+/// past the cutover — no benchmark workload reaches that engine).
 #[test]
 fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
     let _g = lock();
     let d = Defs::new();
-    for (p, q) in variants() {
+    for (p, q) in variants().into_iter().chain(above_cutover_pairs()) {
+        let (g1, g2) = build_pair(&p, &q, &d);
+        let above_cutover = g1.len() * g2.len() > 1024;
         for v in ALL {
             let c = Checker::new(&d);
             let mut reference = None;
@@ -145,6 +193,7 @@ fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
             assert_eq!(ref_delta.get("equiv.refine.runs"), Some(&1));
             for threads in THREADS {
                 let ct = Checker::new(&d).with_threads(threads);
+                let mut refine_parks = 0;
                 let mut completed = false;
                 for fuel in 1..FUEL_CAP {
                     let mut outcome = None;
@@ -157,7 +206,7 @@ fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
                             &CheckpointCfg::fuelled(fuel),
                         ));
                     });
-                    let (got, interrupted) = outcome.unwrap();
+                    let (got, phase) = outcome.unwrap();
                     assert_eq!(
                         got, reference,
                         "fuel={fuel} threads={threads} {v:?} changed the fixpoint on {p} vs {q}"
@@ -167,16 +216,102 @@ fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
                         "fuel={fuel} threads={threads} {v:?} perturbed deterministic \
                          counters on {p} vs {q}"
                     );
-                    if !interrupted {
-                        completed = true;
-                        break;
+                    match phase {
+                        Some("refine") => refine_parks += 1,
+                        Some(_) => {}
+                        None => {
+                            completed = true;
+                            break;
+                        }
                     }
                 }
                 assert!(
                     completed,
                     "{v:?} on {p} vs {q} never completed within {FUEL_CAP} fuel"
                 );
+                assert!(
+                    !above_cutover || refine_parks > 0 || naive_forced(),
+                    "{v:?} on {p} vs {q} never parked inside refinement"
+                );
             }
+        }
+    }
+}
+
+/// The deterministic refinement counters of a run: the keys every
+/// refining engine and the partition refiner record on completion.
+fn refinement_counters(delta: CounterDelta) -> CounterDelta {
+    delta
+        .into_iter()
+        .filter(|(k, _)| k.starts_with("equiv.refine.") || k.starts_with("equiv.partition."))
+        .collect()
+}
+
+/// One dispatch for in-process and served checks: a check chopped into
+/// [`Checker::run_slice`] slices of small fuel, parked checkpoints
+/// round-tripped through the text codec between slices as the daemon's
+/// journal does, refines on the engine [`refine_auto`] picks — the
+/// partition refiner on a partition-safe product above the cutover, the
+/// pairwise round engine on a mixed-arity one, the naive sweep below
+/// the cutover — so both leave the same relation, verdict and
+/// deterministic `equiv.refine.*` / `equiv.partition.*` deltas.
+#[test]
+fn run_slice_refines_on_the_engine_refine_auto_picks() {
+    let _g = lock();
+    let d = Defs::new();
+    let c = Checker::new(&d);
+    let [a] = names(["a"]);
+    let mut pairs = above_cutover_pairs();
+    pairs.push((ladder(3, out_(a, [])), ladder(4, out_(a, []))));
+    for (p, q) in pairs {
+        let (g1, g2) = build_pair(&p, &q, &d);
+        for v in ALL {
+            let mut want = None;
+            let want_delta = refinement_counters(det_delta(|| {
+                want = Some(refine_auto(v, &g1, &g2, 1));
+            }));
+            let want = want.unwrap();
+            assert!(
+                want_delta.contains_key("equiv.refine.pairs"),
+                "refine_auto left no trace on {p} vs {q}"
+            );
+
+            let mut holds = None;
+            let mut slices = 0usize;
+            let delta = refinement_counters(det_delta(|| {
+                let mut parked: Option<Checkpoint> = None;
+                holds = loop {
+                    slices += 1;
+                    match c
+                        .run_slice(v, &p, &q, parked.take(), 7)
+                        .expect("no budget set")
+                    {
+                        SliceOutcome::Done { holds, .. } => break Some(holds),
+                        SliceOutcome::Parked(ck) => {
+                            parked = Some(Checkpoint::from_text(&ck.to_text()).expect("codec"));
+                        }
+                    }
+                };
+            }));
+            assert!(slices > 1, "fuel 7 must park {p} vs {q} at least once");
+            assert_eq!(holds, Some(want.holds(0, 0)), "{v:?} verdict on {p} vs {q}");
+            assert_eq!(
+                delta, want_delta,
+                "{v:?}: run_slice and refine_auto refined {p} vs {q} differently"
+            );
+
+            // The relation itself, through the same fuelled pipeline.
+            let mut r = c.run_with_checkpoint(v, &p, &q, &CheckpointCfg::fuelled(7));
+            let rel = loop {
+                match r {
+                    Ok((_, _, rel)) => break rel,
+                    Err(i) => {
+                        let ck = Checkpoint::from_text(&i.checkpoint.to_text()).expect("codec");
+                        r = c.resume_from(v, ck, &CheckpointCfg::fuelled(7));
+                    }
+                }
+            };
+            assert_eq!(rel.rel, want.rel, "{v:?}: sliced relation on {p} vs {q}");
         }
     }
 }
@@ -317,7 +452,7 @@ proptest! {
                 let delta = det_delta(|| {
                     outcome = Some(run_and_resume(&ct, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
                 });
-                let (got, interrupted) = outcome.unwrap();
+                let (got, phase) = outcome.unwrap();
                 prop_assert_eq!(
                     &got, &reference,
                     "seed={} fuel={} threads={} {:?}: fixpoint diverged",
@@ -328,7 +463,7 @@ proptest! {
                     "seed={} fuel={} threads={} {:?}: deterministic counters diverged",
                     seed, fuel, threads, v
                 );
-                if !interrupted {
+                if phase.is_none() {
                     completed = true;
                     break;
                 }
@@ -338,76 +473,15 @@ proptest! {
     }
 }
 
-/// Satellite 1 regression: a deliberately poisoned refinement chunk
-/// (chaos `panic_prob = 1` at `equiv.refine.chunk`) yields the typed
-/// [`EngineError::WorkerPanicked`] with a usable checkpoint from the
-/// budgeted engine — never an abort — and the total parallel engine
-/// recovers by re-running the round on its sequential path.
+/// The supervisor turns repeated injected faults into a verdict: with
+/// chaos injecting budget pressure (bounded) into the builds and the
+/// partition refiner of a product above the cutover,
+/// `check_supervised` resumes from checkpoints until the injection
+/// budget runs dry and still answers `Holds` — the analysis never
+/// aborts and never answers wrongly. (Panic isolation itself is pinned
+/// by `supervise`'s own `raw_panic_is_isolated_and_resumes_from_the_slot`.)
 #[test]
-fn poisoned_chunk_is_typed_error_with_usable_checkpoint_not_abort() {
-    let _g = lock();
-    let d = Defs::new();
-    let [a, b] = names(["a", "b"]);
-    let p = chain(45, a, b);
-    let opts = Opts::default();
-    let pool = shared_pool(&p, &p, opts.fresh_inputs);
-    let g1 = Graph::build(&p, &d, &pool, opts).expect("finite");
-    let g2 = Graph::build(&p, &d, &pool, opts).expect("finite");
-    assert!(
-        g1.len() * g2.len() >= 2048,
-        "need a product big enough for chunk workers to spawn, got {}",
-        g1.len() * g2.len()
-    );
-    let want = refine(Variant::StrongBarbed, &g1, &g2);
-
-    chaos::clear();
-    chaos::install(
-        ChaosPlan::new(42)
-            .panic_prob(1.0)
-            .delay_prob(0.0)
-            .pressure_prob(0.0)
-            .max_injections(64),
-    );
-    // Budgeted engine: the panic surfaces typed, with a checkpoint.
-    let err = refine_budgeted(
-        Variant::StrongBarbed,
-        &g1,
-        &g2,
-        4,
-        &Budget::unlimited(),
-        &CheckpointCfg::default(),
-    )
-    .err()
-    .expect("probability-1 chunk panics must interrupt the budgeted engine");
-    assert_eq!(err.error, EngineError::WorkerPanicked);
-    // Total engine: chunk panics are absorbed by the sequential re-run.
-    let recovered = refine_parallel(Variant::StrongBarbed, &g1, &g2, 4);
-    let log = chaos::clear();
-    assert!(log.panics() >= 1, "the chunk site never fired: {log:?}");
-    assert_eq!(
-        recovered.rel, want.rel,
-        "parallel engine diverged while recovering from chunk panics"
-    );
-    // The checkpoint is usable: a quiet resume reaches the true fixpoint.
-    let resumed = refine_resume(
-        Variant::StrongBarbed,
-        &g1,
-        &g2,
-        4,
-        &Budget::unlimited(),
-        &CheckpointCfg::default(),
-        err.checkpoint,
-    )
-    .unwrap_or_else(|i| panic!("quiet resume interrupted: {}", i.error));
-    assert_eq!(resumed.rel, want.rel, "resumed fixpoint diverged");
-}
-
-/// The supervisor turns repeated chunk panics into a verdict: with chaos
-/// injecting worker panics (bounded), `check_supervised` retries from
-/// checkpoints until the injection budget runs dry and still answers
-/// `Holds` — the analysis never aborts and never answers wrongly.
-#[test]
-fn supervised_check_absorbs_injected_worker_panics() {
+fn supervised_check_absorbs_injected_budget_pressure() {
     let _g = lock();
     let d = Defs::new();
     let [a, b] = names(["a", "b"]);
@@ -415,18 +489,18 @@ fn supervised_check_absorbs_injected_worker_panics() {
     chaos::clear();
     chaos::install(
         ChaosPlan::new(7)
-            .panic_prob(1.0)
+            .panic_prob(0.0)
             .delay_prob(0.0)
-            .pressure_prob(0.0)
+            .pressure_prob(1.0)
             .max_injections(6),
     );
     let c = Checker::new(&d).with_threads(4);
     let verdict = c.check_supervised(Variant::StrongBarbed, &p, &p, 8);
     let log = chaos::clear();
-    assert!(log.panics() >= 1, "chaos never fired: {log:?}");
+    assert!(log.pressures() >= 1, "chaos never fired: {log:?}");
     assert!(
         verdict.holds(),
-        "a reflexive pair must still hold under injected panics: {verdict:?}"
+        "a reflexive pair must still hold under injected pressure: {verdict:?}"
     );
 }
 
@@ -476,7 +550,7 @@ fn supervised_fails_verdict_carries_an_experiment() {
 }
 
 /// Chaos invisibility: a workload that exercises the frontier workers,
-/// the refinement chunk workers and the checkpointed pipeline produces
+/// the pairwise refinement and the checkpointed pipeline produces
 /// identical verdicts and identical deterministic counter deltas with a
 /// seeded chaos plan installed as it does on a quiet run.
 #[test]
@@ -489,12 +563,12 @@ fn chaos_run_matches_quiet_run_bit_for_bit() {
     let pool = shared_pool(&big, &big, opts.fresh_inputs);
     let workload = || {
         let mut verdicts: Vec<Vec<Vec<bool>>> = Vec::new();
-        // Parallel build (frontier worker_tick sites) + parallel
-        // refinement (chunk worker_tick sites) on the big product.
+        // Parallel build (frontier worker_tick sites) + pairwise
+        // refinement on the big product.
         let g1 =
             Graph::build_parallel(&big, &d, &pool, opts, &Budget::unlimited(), 4).expect("finite");
         let g2 = Graph::build(&big, &d, &pool, opts).expect("finite");
-        verdicts.push(refine_parallel(Variant::StrongBarbed, &g1, &g2, 4).rel);
+        verdicts.push(refine_worklist(Variant::StrongBarbed, &g1, &g2).rel);
         // The checkpointed pipeline on the structured pairs.
         let c = Checker::new(&d).with_threads(2);
         for (p, q) in variants() {

@@ -3,21 +3,21 @@
 //! The metrics registry splits counters into **deterministic** ones —
 //! pure functions of the engines' deterministic *results* (graph sizes,
 //! fixpoint relations, typed budget errors) — and **advisory** ones that
-//! may legitimately vary with scheduling (memo hit rates, sweep/pop/
-//! round counts, chunk shapes). The contract locked down here: the
-//! deterministic counter *deltas* of a run are pointwise bit-identical
-//! across all three refinement engines and across thread counts 1/2/4
-//! (the values `BPI_THREADS` takes in CI), including runs that end in
-//! budget exhaustion, and an active trace sink never perturbs either
-//! the counters or the typed error semantics.
+//! may legitimately vary with scheduling (memo hit rates, sweep and
+//! round counts). The contract locked down here: the deterministic
+//! counter *deltas* of a run are pointwise bit-identical across the
+//! pairwise refinement engines and, for graph builds, across thread
+//! counts 1/2/4 (the values `BPI_THREADS` takes in CI), including runs
+//! that end in budget exhaustion, and an active trace sink never
+//! perturbs either the counters or the typed error semantics.
 //!
 //! The registry is process-global, so every test serialises on [`LOCK`].
 
 use bpi_core::builder::*;
 use bpi_core::syntax::{Defs, Ident, P};
-use bpi_equiv::{refine, refine_parallel, refine_worklist, shared_pool, Graph, Opts, Variant};
+use bpi_equiv::{refine, refine_budgeted, refine_worklist, shared_pool, Graph, Opts, Variant};
 use bpi_obs::{CounterDelta, MemorySink};
-use bpi_semantics::{Budget, EngineError};
+use bpi_semantics::{Budget, CheckpointCfg, EngineError};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -80,9 +80,9 @@ fn det_delta(f: impl FnOnce()) -> CounterDelta {
 /// The tentpole differential: for each process pair and each of the six
 /// bisimilarity variants, the deterministic counter delta of a
 /// refinement run is pointwise identical across the naive sweep, the
-/// worklist engine and the parallel engine at threads 1, 2 and 4.
+/// worklist entry and the pairwise round engine with no cutover.
 #[test]
-fn deterministic_counters_identical_across_engines_and_threads() {
+fn deterministic_counters_identical_across_engines() {
     let _g = lock();
     let defs = Defs::new();
     for (p, q) in variants() {
@@ -100,15 +100,14 @@ fn deterministic_counters_identical_across_engines_and_threads() {
                 worklist, reference,
                 "worklist {v:?} counter delta diverged on {p} vs {q}"
             );
-            for threads in THREADS {
-                let parallel = det_delta(|| {
-                    refine_parallel(v, &g1, &g2, threads);
-                });
-                assert_eq!(
-                    parallel, reference,
-                    "parallel({threads}) {v:?} counter delta diverged on {p} vs {q}"
-                );
-            }
+            let rounds = det_delta(|| {
+                refine_budgeted(v, &g1, &g2, &Budget::unlimited(), &CheckpointCfg::default())
+                    .expect("an unlimited run completes");
+            });
+            assert_eq!(
+                rounds, reference,
+                "round engine {v:?} counter delta diverged on {p} vs {q}"
+            );
         }
     }
 }
@@ -186,8 +185,8 @@ fn budget_exhaustion_replays_identical_counters() {
 
 /// Satellite 3: an active [`MemorySink`] must not perturb the engines —
 /// the typed budget error from `build_parallel` and the fixpoint from
-/// `refine_parallel` are identical with tracing on, and the sink
-/// actually observes the failure event.
+/// the pairwise round engine are identical with tracing on, and the
+/// sink actually observes the failure event.
 #[test]
 fn tracing_does_not_perturb_error_semantics() {
     let _g = lock();
@@ -221,7 +220,14 @@ fn tracing_does_not_perturb_error_semantics() {
     let want = refine(Variant::WeakLabelled, &g1, &g2);
     let sink = MemorySink::new();
     bpi_obs::install_sink(sink.clone());
-    let got = refine_parallel(Variant::WeakLabelled, &g1, &g2, 4);
+    let got = refine_budgeted(
+        Variant::WeakLabelled,
+        &g1,
+        &g2,
+        &Budget::unlimited(),
+        &CheckpointCfg::default(),
+    )
+    .expect("an unlimited run completes");
     bpi_obs::clear_sink();
     assert_eq!(got.rel, want.rel, "trace sink perturbed the fixpoint");
     assert!(

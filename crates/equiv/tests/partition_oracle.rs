@@ -15,8 +15,9 @@
 //!   `bpi-partition-checkpoint/v1` codec is invisible: same blocks, same
 //!   canonical numbering, same deterministic counter deltas.
 //!
-//! The metrics registry is process-global, so the counter-comparing
-//! tests serialise on [`LOCK`].
+//! The metrics registry is process-global and every test here records
+//! deterministic counters, so every test serialises on [`LOCK`] — an
+//! unserialised test would leak its counters into another's delta.
 
 use bpi_core::builder::*;
 use bpi_core::syntax::{Defs, P};
@@ -89,6 +90,7 @@ fn assert_partition_matches_oracle(p: &P, q: &P) {
 /// ε-engine oracle.
 #[test]
 fn partition_matches_oracle_on_seed_891_blocks() {
+    let _g = lock();
     let ns = names(["a", "b", "c"]).to_vec();
     let mut cfg = GenCfg::sequential(ns);
     cfg.max_depth = 2;
@@ -106,6 +108,7 @@ fn partition_matches_oracle_on_seed_891_blocks() {
 /// historically disagreed across variants.
 #[test]
 fn partition_matches_oracle_on_seed_1624_shuffle() {
+    let _g = lock();
     let seed = 1624u64;
     let cfg = GenCfg::finite_monadic(names(["a", "b"]).to_vec());
     let mut g = Gen::new(cfg, seed);
@@ -121,6 +124,7 @@ fn partition_matches_oracle_on_seed_1624_shuffle() {
 /// partition-unsafe fallback path of `refine_auto` as well.
 #[test]
 fn partition_matches_oracle_on_parser_corpus_seeds() {
+    let _g = lock();
     let cfg = GenCfg {
         names: names(["a", "b", "c"]).to_vec(),
         max_depth: 4,
@@ -144,6 +148,7 @@ proptest! {
     // naive oracle (the ISSUE acceptance floor).
     #[test]
     fn partition_agrees_with_naive_refine(seed in 0u64..1_000_000) {
+        let _g = lock();
         let cfg = GenCfg::finite_monadic(names(["a", "b", "c"]).to_vec());
         let mut gen = Gen::new(cfg, seed);
         let (p, q) = gen.related_pair();

@@ -2,8 +2,9 @@
 //!
 //! Two oracles anchor the optimisations to the unoptimised code paths:
 //!
-//! * the predecessor-indexed worklist engine ([`refine_worklist`]) must
-//!   compute exactly the relation of the naive global-sweep fixpoint
+//! * the pairwise round engine ([`refine_budgeted`], which
+//!   [`refine_worklist`] runs above the naive cutover) must compute
+//!   exactly the relation of the naive global-sweep fixpoint
 //!   ([`refine`]), for every variant — both are chaotic iterations of
 //!   the same monotone transfer operator, so their greatest fixpoints
 //!   coincide pointwise, not just at the root pair;
@@ -14,7 +15,8 @@ use bpi_core::builder::names;
 use bpi_core::syntax::Defs;
 use bpi_core::{cached_canon, cached_free_names, canon};
 use bpi_equiv::arbitrary::{Gen, GenCfg};
-use bpi_equiv::{refine, refine_worklist, shared_pool, Graph, Opts, Variant};
+use bpi_equiv::{refine, refine_budgeted, refine_worklist, shared_pool, Graph, Opts, Variant};
+use bpi_semantics::{Budget, CheckpointCfg};
 use proptest::prelude::*;
 
 const ALL: [Variant; 6] = [
@@ -47,6 +49,13 @@ proptest! {
             prop_assert_eq!(
                 &naive.rel, &fast.rel,
                 "{:?} diverged on {} vs {}", v, p, q
+            );
+            // The round engine itself, below the cutover too.
+            let rounds = refine_budgeted(v, &g1, &g2, &Budget::unlimited(), &CheckpointCfg::default())
+                .expect("an unlimited run completes");
+            prop_assert_eq!(
+                &naive.rel, &rounds.rel,
+                "round engine {:?} diverged on {} vs {}", v, p, q
             );
         }
     }

@@ -13,7 +13,7 @@
 //!
 //! * **panics** fire only inside parallel workers whose death the engine
 //!   already converts to [`EngineError::WorkerPanicked`] (the frontier's
-//!   `ActiveGuard`, the refiner's chunk scope) — and with chaos active
+//!   `ActiveGuard`, the congruence sweep's scope) — and with chaos active
 //!   those engines transparently retry on their deterministic sequential
 //!   path, so results are unchanged;
 //! * **delays** are sub-millisecond sleeps and never change any result;

@@ -66,8 +66,11 @@ pub struct SchedCfg {
     pub state_budget: usize,
     /// Fraction of `state_budget` above which `Low` jobs are shed.
     pub shed_fraction: f64,
-    /// Slice size in engine units (states/rounds for checks, samples
-    /// for reliability runs) — the preemption quantum.
+    /// Slice size in engine units — the preemption quantum. For checks
+    /// a unit is a state committed by a graph build or a refinement
+    /// round of the partition or pairwise engine (products at or below
+    /// the naive cutover refine in one unbounded sweep); for
+    /// reliability runs it is a sample.
     pub fuel: usize,
     /// `max_states` applied when a request names none.
     pub default_max_states: usize,

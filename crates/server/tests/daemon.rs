@@ -265,3 +265,37 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A journaled checkpoint whose graph section has no `state` record is
+/// corrupt, not a complete empty build: recovery must rerun the job
+/// from scratch and serve the straight verdict, not a journaled panic.
+#[test]
+fn stateless_checkpoint_reruns_cleanly_on_recovery() {
+    let dir = tmpdir("stateless");
+    {
+        let j = bpi_server::Journal::open(&dir).unwrap();
+        let req = Json::obj(vec![
+            ("op", Json::str("check")),
+            ("id", Json::str("s-1")),
+            ("session", Json::str("")),
+            ("variant", Json::str("weak-labelled")),
+            ("left", Json::str("tau.a<>")),
+            ("right", Json::str("a<>")),
+            ("priority", Json::str("normal")),
+        ]);
+        j.record_admitted("s-1", &req).unwrap();
+        j.save_checkpoint(
+            "s-1",
+            "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
+             #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t\n",
+        )
+        .unwrap();
+    }
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let r = c.wait_result("s-1", Duration::from_secs(30)).unwrap();
+    assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
