@@ -81,6 +81,7 @@ use bpi_equiv::{
 use bpi_semantics::{
     explore, explore_parallel, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan,
 };
+use bpi_server::{json, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,6 +121,36 @@ impl Series {
             _ => f64::NAN,
         }
     }
+}
+
+/// One JSON object per item, built by `row`.
+fn rows<T>(items: &[T], row: impl Fn(&T) -> Vec<(&'static str, Json)>) -> Json {
+    Json::Arr(items.iter().map(|x| Json::obj(row(x))).collect())
+}
+
+/// `x` rounded to `places` decimals, as a JSON number.
+fn fixed(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::num((x * scale).round() / scale)
+}
+
+/// A BENCH document: one top-level field per line, and one item per
+/// line in arrays of objects, so recorded files diff line by line.
+fn render(fields: &[(&str, Json)]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (k, v)) in fields.iter().enumerate() {
+        out.push_str(&format!("  {}: ", Json::str(*k)));
+        match v.as_arr() {
+            Some(xs) if matches!(xs.first(), Some(Json::Obj(_))) => {
+                let lines: Vec<String> = xs.iter().map(|x| format!("    {x}")).collect();
+                out.push_str(&format!("[\n{}\n  ]", lines.join(",\n")));
+            }
+            _ => out.push_str(&v.to_string()),
+        }
+        out.push_str(if i + 1 == fields.len() { "\n" } else { ",\n" });
+    }
+    out.push_str("}\n");
+    out
 }
 
 fn median_us(repeats: usize, mut f: impl FnMut()) -> f64 {
@@ -620,23 +651,34 @@ fn run_compose_gate() -> bool {
     false
 }
 
-/// Extracts the recorded `speedup` of the ladder rung with the given
-/// state count from a `bpi-bench-ladder/v1` file (one rung per line,
-/// the format this bin writes).
+/// A recorded BENCH file, parsed; `None` when it is missing or not
+/// JSON.
+fn read_bench(path: &str) -> Option<Json> {
+    json::parse(&std::fs::read_to_string(path).ok()?).ok()
+}
+
+/// The items of the array field `key` of a recorded BENCH document.
+fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or_default()
+}
+
+/// The first item of `list` whose `key` field is the count `value`.
+fn item_with<'a>(
+    list: impl IntoIterator<Item = &'a Json>,
+    key: &str,
+    value: usize,
+) -> Option<&'a Json> {
+    list.into_iter()
+        .find(|x| x.get(key).and_then(Json::as_usize) == Some(value))
+}
+
+/// The recorded `speedup` of the ladder rung with the given state count
+/// in a `bpi-bench-ladder/v1` file.
 fn read_ladder_speedup(path: &str, states: usize) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let needle = format!("\"states\": {states},");
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.contains(&needle) {
-            continue;
-        }
-        let sp_at = line.find("\"speedup\": ")?;
-        let rest = &line[sp_at + 11..];
-        let end = rest.find([',', ' ', '}']).unwrap_or(rest.len());
-        return rest[..end].parse::<f64>().ok();
-    }
-    None
+    let doc = read_bench(path)?;
+    item_with(items(&doc, "ladder"), "states", states)?
+        .get("speedup")?
+        .as_f64()
 }
 
 /// Recorded-file gating of the BENCH_7 ladder: re-measure the
@@ -667,24 +709,16 @@ fn run_bench7_gate() -> bool {
     false
 }
 
-/// Extracts the recorded `speedup` of the compose-ladder rung with the
-/// given component count from a `bpi-bench-compose/v1` file (one rung
-/// per line). Only the identical-stations ladder has an `n = 8` rung,
-/// so matching on `n` alone is unambiguous for the gate's rung.
+/// The recorded `speedup` of the compose-ladder rung with the given
+/// component count in a `bpi-bench-compose/v1` file. Only the
+/// identical-stations ladder has an `n = 8` rung, so matching on `n`
+/// alone is unambiguous for the gate's rung.
 fn read_compose_speedup(path: &str, n: usize) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let needle = format!("\"n\": {n},");
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.contains(&needle) {
-            continue;
-        }
-        let sp_at = line.find("\"speedup\": ")?;
-        let rest = &line[sp_at + 11..];
-        let end = rest.find([',', ' ', '}']).unwrap_or(rest.len());
-        return rest[..end].parse::<f64>().ok();
-    }
-    None
+    let doc = read_bench(path)?;
+    let points = items(&doc, "ladders")
+        .iter()
+        .flat_map(|l| items(l, "points"));
+    item_with(points, "n", n)?.get("speedup")?.as_f64()
 }
 
 /// Recorded-file gating of the BENCH_8 compositional ladder: re-measure
@@ -716,34 +750,16 @@ fn run_bench8_gate() -> bool {
     false
 }
 
-/// Minimal extraction of `(id, speedup)` pairs from a
-/// `bpi-bench-report/v1` JSON file (the format this bin writes — one
-/// entry object per line — so a full JSON parser is not needed).
+/// The recorded `(id, speedup)` entries of a `bpi-bench-report/v1`
+/// file.
 fn read_recorded_speedups(path: &str) -> Vec<(String, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Some(doc) = read_bench(path) else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        let Some(id_at) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_at + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let Some(sp_at) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let sp_rest = &line[sp_at + 11..];
-        let sp_end = sp_rest.find([',', ' ', '}']).unwrap_or(sp_rest.len());
-        if let Ok(sp) = sp_rest[..sp_end].parse::<f64>() {
-            out.push((id, sp));
-        }
-    }
-    out
+    items(&doc, "entries")
+        .iter()
+        .filter_map(|e| Some((e.str_field("id")?.to_string(), e.get("speedup")?.as_f64()?)))
+        .collect()
 }
 
 /// Per-entry gate factor: steady-state measurements must reach 0.9× of
@@ -986,27 +1002,14 @@ fn measure_glomers_reliability() -> Vec<GlomersRelPoint> {
     out
 }
 
-/// Extracts the recorded rung ids from a `bpi-bench-glomers/v1` file
-/// (one rung per line, the format this bin writes).
+/// The recorded rung ids (those with a verdict) of a
+/// `bpi-bench-glomers/v1` file.
 fn read_glomers_ids(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Some(doc) = read_bench(path) else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.contains("\"holds\":") {
-            continue;
-        }
-        let Some(id_at) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_at + 7..];
-        if let Some(id_end) = rest.find('"') {
-            out.push(rest[..id_end].to_string());
-        }
-    }
-    out
+    let with_verdict = |r: &Json| Some(r.get("holds").and(r.str_field("id"))?.to_string());
+    items(&doc, "ladder").iter().filter_map(with_verdict).collect()
 }
 
 /// The B16 gate: replay the Glomers ladder and fail if any rung
@@ -1147,78 +1150,87 @@ fn main() {
 
     // Render.
     let (ptr_hits, hash_hits, misses) = bpi_core::store::store_stats();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"bpi-bench-report/v1\",\n");
-    json.push_str("  \"pr\": 9,\n");
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!(
-        "  \"pinned\": {{ \"tau_ladder\": {}, \"scaled_sums\": {}, \"explore_components\": {}, \"wide_par\": {wide_n}, \"term_depth\": {}, \"repeats\": {} }},\n",
-        sizes.ladder_n, sizes.scaled_n, sizes.explore_n, sizes.depth, sizes.reps
-    ));
-    json.push_str(&format!(
-        "  \"store\": {{ \"ptr_hits\": {ptr_hits}, \"hash_hits\": {hash_hits}, \"misses\": {misses} }},\n"
-    ));
-    json.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"baseline_us\": {:.1}, \"optimized_us\": {:.1}, \"speedup\": {:.2}, \"note\": \"{}\" }}{}\n",
-            e.id,
-            e.baseline_us,
-            e.optimized_us,
-            e.speedup(),
-            e.note,
-            if i + 1 == entries.len() { "" } else { "," }
+    let count = |n: usize| Json::num(n as f64);
+    let mut report = vec![
+        ("schema", Json::str("bpi-bench-report/v1")),
+        ("pr", Json::num(9)),
+        ("host_cpus", count(host_cpus)),
+        (
+            "pinned",
+            Json::obj(vec![
+                ("tau_ladder", count(sizes.ladder_n)),
+                ("scaled_sums", count(sizes.scaled_n)),
+                ("explore_components", count(sizes.explore_n)),
+                ("wide_par", count(wide_n)),
+                ("term_depth", count(sizes.depth)),
+                ("repeats", count(sizes.reps)),
+            ]),
+        ),
+        (
+            "store",
+            Json::obj(vec![
+                ("ptr_hits", Json::num(ptr_hits as f64)),
+                ("hash_hits", Json::num(hash_hits as f64)),
+                ("misses", Json::num(misses as f64)),
+            ]),
+        ),
+        (
+            "entries",
+            rows(&entries, |e| {
+                vec![
+                    ("id", Json::str(e.id)),
+                    ("baseline_us", fixed(e.baseline_us, 1)),
+                    ("optimized_us", fixed(e.optimized_us, 1)),
+                    ("speedup", fixed(e.speedup(), 2)),
+                    ("note", Json::str(e.note)),
+                ]
+            }),
+        ),
+        (
+            "thread_series",
+            rows(&series, |s| {
+                let pts = s.points.iter().map(|&(t, us)| {
+                    Json::obj(vec![("threads", count(t)), ("us", fixed(us, 1))])
+                });
+                vec![
+                    ("id", Json::str(s.id)),
+                    ("points", Json::Arr(pts.collect())),
+                    ("speedup_at_4", fixed(s.speedup_at(4), 2)),
+                    ("note", Json::str(s.note)),
+                ]
+            }),
+        ),
+        (
+            "reliability",
+            rows(&reliability, |r| {
+                vec![
+                    ("system", Json::str(r.system)),
+                    ("size", count(r.size)),
+                    ("loss", fixed(r.loss, 2)),
+                    ("probability", fixed(r.probability, 4)),
+                    ("ci", Json::Arr(vec![fixed(r.ci.0, 4), fixed(r.ci.1, 4)])),
+                    ("samples", count(r.samples)),
+                ]
+            }),
+        ),
+    ];
+    if let Some(m) = &metrics {
+        let deterministic = m.iter().map(|(name, v)| (*name, Json::num(*v as f64)));
+        report.push((
+            "metrics",
+            Json::obj(vec![
+                (
+                    "workload",
+                    Json::str(
+                        "build+refine tau-ladder/4 and scaled-sums over all six variants, \
+                         one budget exhaustion",
+                    ),
+                ),
+                ("deterministic", Json::obj(deterministic.collect())),
+            ]),
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"thread_series\": [\n");
-    for (i, s) in series.iter().enumerate() {
-        let pts: Vec<String> = s
-            .points
-            .iter()
-            .map(|(t, us)| format!("{{ \"threads\": {t}, \"us\": {us:.1} }}"))
-            .collect();
-        json.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"points\": [{}], \"speedup_at_4\": {:.2}, \"note\": \"{}\" }}{}\n",
-            s.id,
-            pts.join(", "),
-            s.speedup_at(4),
-            s.note,
-            if i + 1 == series.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"reliability\": [\n");
-    for (i, r) in reliability.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"system\": \"{}\", \"size\": {}, \"loss\": {:.2}, \"probability\": {:.4}, \"ci\": [{:.4}, {:.4}], \"samples\": {} }}{}\n",
-            r.system,
-            r.size,
-            r.loss,
-            r.probability,
-            r.ci.0,
-            r.ci.1,
-            r.samples,
-            if i + 1 == reliability.len() { "" } else { "," }
-        ));
-    }
-    match &metrics {
-        None => json.push_str("  ]\n}\n"),
-        Some(m) => {
-            json.push_str("  ],\n");
-            json.push_str("  \"metrics\": {\n");
-            json.push_str("    \"workload\": \"build+refine tau-ladder/4 and scaled-sums over all six variants, one budget exhaustion\",\n");
-            json.push_str("    \"deterministic\": {\n");
-            for (i, (name, value)) in m.iter().enumerate() {
-                json.push_str(&format!(
-                    "      \"{name}\": {value}{}\n",
-                    if i + 1 == m.len() { "" } else { "," }
-                ));
-            }
-            json.push_str("    }\n  }\n}\n");
-        }
-    }
+    let json = render(&report);
 
     for e in &entries {
         eprintln!(
@@ -1259,34 +1271,33 @@ fn main() {
 
     // BENCH_7 — the partition-ladder series, in its own file so the
     // asymptotic story diffs independently of the pinned-size entries.
-    let mut b7 = String::new();
-    b7.push_str("{\n");
-    b7.push_str("  \"schema\": \"bpi-bench-ladder/v1\",\n");
-    b7.push_str("  \"pr\": 9,\n");
-    b7.push_str("  \"bench\": \"partition-vs-worklist tau-ladder\",\n");
-    b7.push_str("  \"variant\": \"strong-labelled\",\n");
-    b7.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    b7.push_str("  \"ladder\": [\n");
-    for (i, pt) in ladder_pts.iter().enumerate() {
-        let wl = pt
-            .worklist_us
-            .map_or("null".to_string(), |w| format!("{w:.1}"));
-        let sp = pt
-            .speedup()
-            .map_or("null".to_string(), |s| format!("{s:.2}"));
-        b7.push_str(&format!(
-            "    {{ \"states\": {}, \"partition_us\": {:.1}, \"worklist_us\": {wl}, \"speedup\": {sp} }}{}\n",
-            pt.states,
-            pt.partition_us,
-            if i + 1 == ladder_pts.len() { "" } else { "," }
-        ));
-    }
-    b7.push_str("  ],\n");
-    b7.push_str(
-        "  \"note\": \"worklist_us is null above 3200 states (the O(pairs) engine is the cost \
-         being avoided); partition time across the series demonstrates sub-quadratic scaling\"\n",
-    );
-    b7.push_str("}\n");
+    let opt = |x: Option<f64>, places| x.map_or(Json::Null, |x| fixed(x, places));
+    let b7 = render(&[
+        ("schema", Json::str("bpi-bench-ladder/v1")),
+        ("pr", Json::num(9)),
+        ("bench", Json::str("partition-vs-worklist tau-ladder")),
+        ("variant", Json::str("strong-labelled")),
+        ("host_cpus", count(host_cpus)),
+        (
+            "ladder",
+            rows(&ladder_pts, |pt| {
+                vec![
+                    ("states", count(pt.states)),
+                    ("partition_us", fixed(pt.partition_us, 1)),
+                    ("worklist_us", opt(pt.worklist_us, 1)),
+                    ("speedup", opt(pt.speedup(), 2)),
+                ]
+            }),
+        ),
+        (
+            "note",
+            Json::str(
+                "worklist_us is null above 3200 states (the O(pairs) engine is the cost \
+                 being avoided); partition time across the series demonstrates sub-quadratic \
+                 scaling",
+            ),
+        ),
+    ]);
     for pt in &ladder_pts {
         eprintln!(
             "partition-ladder n={:<6} partition {:>10.1}us  worklist {:>12}  ({})",
@@ -1303,45 +1314,51 @@ fn main() {
     // BENCH_8 — the compositional ladders: monolithic build vs
     // minimize-then-compose with symmetry reduction, one file so the
     // exponential-to-polynomial story diffs independently.
-    let mut b8 = String::new();
-    b8.push_str("{\n");
-    b8.push_str("  \"schema\": \"bpi-bench-compose/v1\",\n");
-    b8.push_str("  \"pr\": 9,\n");
-    b8.push_str("  \"bench\": \"minimize-then-compose vs monolithic build\",\n");
-    b8.push_str("  \"variant\": \"strong-labelled quotient per component\",\n");
-    b8.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    b8.push_str("  \"ladders\": [\n");
-    for (li, (id, pts, note)) in compose_ladders.iter().enumerate() {
-        b8.push_str(&format!("    {{ \"id\": \"{id}\", \"points\": [\n"));
-        for (i, pt) in pts.iter().enumerate() {
-            let ms = pt.mono_states.map_or("null".to_string(), |s| s.to_string());
-            let mu = pt.mono_us.map_or("null".to_string(), |u| format!("{u:.1}"));
-            let sp = pt
-                .speedup()
-                .map_or("null".to_string(), |s| format!("{s:.2}"));
-            b8.push_str(&format!(
-                "      {{ \"n\": {}, \"mono_states\": {ms}, \"mono_us\": {mu}, \"comp_states\": {}, \"comp_us\": {:.1}, \"speedup\": {sp} }}{}\n",
-                pt.n,
-                pt.comp_states,
-                pt.comp_us,
-                if i + 1 == pts.len() { "" } else { "," }
-            ));
-        }
-        b8.push_str(&format!(
-            "    ], \"note\": \"{note}\" }}{}\n",
-            if li + 1 == compose_ladders.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    b8.push_str("  ],\n");
-    b8.push_str(
-        "  \"note\": \"mono_us is null where the monolithic build exceeds the default 20k state \
-         cap: those rungs were previously infeasible and complete only compositionally\"\n",
-    );
-    b8.push_str("}\n");
+    let b8 = render(&[
+        ("schema", Json::str("bpi-bench-compose/v1")),
+        ("pr", Json::num(9)),
+        (
+            "bench",
+            Json::str("minimize-then-compose vs monolithic build"),
+        ),
+        (
+            "variant",
+            Json::str("strong-labelled quotient per component"),
+        ),
+        ("host_cpus", count(host_cpus)),
+        (
+            "ladders",
+            Json::Arr(
+                compose_ladders
+                    .iter()
+                    .map(|(id, pts, note)| {
+                        let points = pts.iter().map(|pt| {
+                            Json::obj(vec![
+                                ("n", count(pt.n)),
+                                ("mono_states", pt.mono_states.map_or(Json::Null, count)),
+                                ("mono_us", opt(pt.mono_us, 1)),
+                                ("comp_states", count(pt.comp_states)),
+                                ("comp_us", fixed(pt.comp_us, 1)),
+                                ("speedup", opt(pt.speedup(), 2)),
+                            ])
+                        });
+                        Json::obj(vec![
+                            ("id", Json::str(*id)),
+                            ("points", Json::Arr(points.collect())),
+                            ("note", Json::str(*note)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "note",
+            Json::str(
+                "mono_us is null where the monolithic build exceeds the default 20k state \
+                 cap: those rungs were previously infeasible and complete only compositionally",
+            ),
+        ),
+    ]);
     for (id, pts, _) in &compose_ladders {
         for pt in pts {
             eprintln!(
@@ -1364,44 +1381,43 @@ fn main() {
     // in its own file so the workload story diffs independently.
     let glomers_pts = measure_glomers();
     let glomers_rel = measure_glomers_reliability();
-    let mut b9 = String::new();
-    b9.push_str("{\n");
-    b9.push_str("  \"schema\": \"bpi-bench-glomers/v1\",\n");
-    b9.push_str("  \"pr\": 9,\n");
-    b9.push_str("  \"bench\": \"gossip-glomers challenge ladder\",\n");
-    b9.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    b9.push_str("  \"ladder\": [\n");
-    for (i, p) in glomers_pts.iter().enumerate() {
-        b9.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"holds\": {}, \"us\": {:.1} }}{}\n",
-            p.id,
-            p.holds,
-            p.us,
-            if i + 1 == glomers_pts.len() { "" } else { "," }
-        ));
-    }
-    b9.push_str("  ],\n");
-    b9.push_str("  \"reliability\": [\n");
-    for (i, r) in glomers_rel.iter().enumerate() {
-        b9.push_str(&format!(
-            "    {{ \"system\": \"{}\", \"mode\": \"{}\", \"loss\": {:.2}, \"probability\": {:.4}, \"ci\": [{:.4}, {:.4}], \"samples\": {} }}{}\n",
-            r.system,
-            r.mode,
-            r.loss,
-            r.probability,
-            r.ci.0,
-            r.ci.1,
-            r.samples,
-            if i + 1 == glomers_rel.len() { "" } else { "," }
-        ));
-    }
-    b9.push_str("  ],\n");
-    b9.push_str(
-        "  \"note\": \"verdicts are engine-deterministic (the differential suites pin that); \
-         us tracks the cost trajectory; the retrying reliability curves staying near 1 while \
-         one-shot decays with loss is the fault-tolerance acceptance story\"\n",
-    );
-    b9.push_str("}\n");
+    let b9 = render(&[
+        ("schema", Json::str("bpi-bench-glomers/v1")),
+        ("pr", Json::num(9)),
+        ("bench", Json::str("gossip-glomers challenge ladder")),
+        ("host_cpus", count(host_cpus)),
+        (
+            "ladder",
+            rows(&glomers_pts, |p| {
+                vec![
+                    ("id", Json::str(p.id)),
+                    ("holds", Json::Bool(p.holds)),
+                    ("us", fixed(p.us, 1)),
+                ]
+            }),
+        ),
+        (
+            "reliability",
+            rows(&glomers_rel, |r| {
+                vec![
+                    ("system", Json::str(r.system)),
+                    ("mode", Json::str(r.mode)),
+                    ("loss", fixed(r.loss, 2)),
+                    ("probability", fixed(r.probability, 4)),
+                    ("ci", Json::Arr(vec![fixed(r.ci.0, 4), fixed(r.ci.1, 4)])),
+                    ("samples", count(r.samples)),
+                ]
+            }),
+        ),
+        (
+            "note",
+            Json::str(
+                "verdicts are engine-deterministic (the differential suites pin that); \
+                 us tracks the cost trajectory; the retrying reliability curves staying near 1 \
+                 while one-shot decays with loss is the fault-tolerance acceptance story",
+            ),
+        ),
+    ]);
     for p in &glomers_pts {
         eprintln!(
             "glomers {:<40} {}  ({:>10.1}us)",
@@ -1425,39 +1441,48 @@ fn main() {
     // (recovery wall-clock plus the bit-identical-verdicts invariant).
     let server_phases = measure_server_phases();
     let recovery = measure_server_recovery();
-    let mut b10 = String::new();
-    b10.push_str("{\n");
-    b10.push_str("  \"schema\": \"bpi-bench-server/v1\",\n");
-    b10.push_str("  \"pr\": 10,\n");
-    b10.push_str("  \"bench\": \"bpi-server daemon under load\",\n");
-    b10.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    b10.push_str("  \"phases\": [\n");
-    for (i, p) in server_phases.iter().enumerate() {
-        b10.push_str(&format!(
-            "    {{ \"phase\": \"{}\", \"jobs\": {}, \"ok\": {}, \"rejected\": {}, \"wall_us\": {:.1}, \"jobs_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1} }}{}\n",
-            p.phase,
-            p.jobs,
-            p.ok,
-            p.rejected,
-            p.wall_us,
-            p.jobs_per_sec(),
-            p.p50_us,
-            p.p99_us,
-            if i + 1 == server_phases.len() { "" } else { "," }
-        ));
-    }
-    b10.push_str("  ],\n");
-    b10.push_str(&format!(
-        "  \"recovery\": {{ \"jobs\": {}, \"kills\": {}, \"verdicts_identical\": {}, \"recovery_us\": {:.1} }},\n",
-        recovery.jobs, recovery.kills, recovery.verdicts_identical, recovery.recovery_us
-    ));
-    b10.push_str(
-        "  \"note\": \"steady p99 tracks the admitted-job latency promise; overload records \
-         typed shedding (rejected is load the daemon refused, not load it lost); recovery \
-         restarts on the same journal after SIGKILL and verdicts_identical is the process-level \
-         resume-invisibility invariant — it must never read false\"\n",
-    );
-    b10.push_str("}\n");
+    let b10 = render(&[
+        ("schema", Json::str("bpi-bench-server/v1")),
+        ("pr", Json::num(10)),
+        ("bench", Json::str("bpi-server daemon under load")),
+        ("host_cpus", count(host_cpus)),
+        (
+            "phases",
+            rows(&server_phases, |p| {
+                vec![
+                    ("phase", Json::str(p.phase)),
+                    ("jobs", count(p.jobs)),
+                    ("ok", count(p.ok)),
+                    ("rejected", count(p.rejected)),
+                    ("wall_us", fixed(p.wall_us, 1)),
+                    ("jobs_per_sec", fixed(p.jobs_per_sec(), 1)),
+                    ("p50_us", fixed(p.p50_us, 1)),
+                    ("p99_us", fixed(p.p99_us, 1)),
+                ]
+            }),
+        ),
+        (
+            "recovery",
+            Json::obj(vec![
+                ("jobs", count(recovery.jobs)),
+                ("kills", count(recovery.kills)),
+                (
+                    "verdicts_identical",
+                    Json::Bool(recovery.verdicts_identical),
+                ),
+                ("recovery_us", fixed(recovery.recovery_us, 1)),
+            ]),
+        ),
+        (
+            "note",
+            Json::str(
+                "steady p99 tracks the admitted-job latency promise; overload records \
+                 typed shedding (rejected is load the daemon refused, not load it lost); recovery \
+                 restarts on the same journal after SIGKILL and verdicts_identical is the \
+                 process-level resume-invisibility invariant — it must never read false",
+            ),
+        ),
+    ]);
     for p in &server_phases {
         eprintln!(
             "server {:<10} {:>3} jobs  {:>3} ok {:>3} rejected  {:>10.1} jobs/s  p99 {:>9.1}us",

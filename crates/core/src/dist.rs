@@ -8,14 +8,15 @@
 //! remainder is reported separately), so `total_mass() ≤ 1` is a state
 //! the callers care about, not an error.
 //!
-//! Serialisation follows the workspace's versioned-text-codec idiom
-//! (`bpi-dist/v1`): a header line followed by one `o\t<weight>\t<value>`
-//! record per outcome, with the value rendered through `Display` and
-//! recovered through `FromStr`. Weights use Rust's shortest-round-trip
-//! `f64` formatting, so decode∘encode is the identity bit-for-bit. The
-//! serde impls wrap the same codec via `collect_str`/`visit_str`, like
-//! every other checkpoint/record type in the workspace.
+//! Serialisation is a [`crate::record`] document (`bpi-dist/v1`): a
+//! header line followed by one `o\t<weight>\t<value>` record per
+//! outcome, with the value rendered through `Display` and recovered
+//! through `FromStr`. Weights use Rust's shortest-round-trip `f64`
+//! formatting, so decode∘encode is the identity bit-for-bit. The serde
+//! impls carry the same text, like every other record type in the
+//! workspace.
 
+use crate::record::{fields, parse, Reader, Writer};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -142,90 +143,48 @@ impl std::error::Error for DistParseError {}
 
 const DIST_HEADER: &str = "bpi-dist/v1";
 
+/// The `bpi-dist/v1` text format:
+///
+/// ```text
+/// bpi-dist/v1
+/// o<TAB><weight><TAB><value>                 (one per outcome, in order)
+/// ```
 impl<T: fmt::Display> fmt::Display for Dist<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{DIST_HEADER}")?;
-        for (t, w) in &self.outcomes {
-            writeln!(f, "o\t{w}\t{t}")?;
+        let mut w = Writer::new(f, DIST_HEADER)?;
+        for (t, wt) in &self.outcomes {
+            w.field("o", format_args!("{wt}\t{t}"))?;
         }
         Ok(())
     }
 }
 
-impl<T: FromStr> FromStr for Dist<T>
-where
-    T::Err: fmt::Display,
-{
+impl<T: FromStr<Err: fmt::Display>> FromStr for Dist<T> {
     type Err = DistParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut lines = s.lines();
-        match lines.next() {
-            Some(DIST_HEADER) => {}
-            other => {
-                return Err(DistParseError(format!(
-                    "bad header {other:?}, expected {DIST_HEADER:?}"
-                )))
+        let decode = || -> Result<Self, String> {
+            let mut r = Reader::new(s, DIST_HEADER)?;
+            let mut outcomes = Vec::new();
+            for rec in r.records() {
+                let (tag, rest) = rec?;
+                if tag != "o" {
+                    return Err(format!("unknown record {tag:?}"));
+                }
+                let [w, t] = fields(rest)?;
+                let w: f64 = parse(w, "weight")?;
+                if w.is_nan() || w < 0.0 {
+                    return Err(format!("weight {w} out of range"));
+                }
+                outcomes.push((parse(t, "value")?, w));
             }
-        }
-        let mut outcomes = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, '\t');
-            let (tag, w, t) = (parts.next(), parts.next(), parts.next());
-            let (Some("o"), Some(w), Some(t)) = (tag, w, t) else {
-                return Err(DistParseError(format!(
-                    "malformed record {}: {line:?}",
-                    i + 1
-                )));
-            };
-            let w: f64 = w
-                .parse()
-                .map_err(|e| DistParseError(format!("record {}: bad weight: {e}", i + 1)))?;
-            if w.is_nan() || w < 0.0 {
-                return Err(DistParseError(format!(
-                    "record {}: weight {w} out of range",
-                    i + 1
-                )));
-            }
-            let t = t
-                .parse()
-                .map_err(|e| DistParseError(format!("record {}: bad value: {e}", i + 1)))?;
-            outcomes.push((t, w));
-        }
-        Ok(Dist { outcomes })
+            Ok(Dist { outcomes })
+        };
+        decode().map_err(DistParseError)
     }
 }
 
-impl<T: fmt::Display> serde::Serialize for Dist<T> {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-impl<'de, T: FromStr> serde::Deserialize<'de> for Dist<T>
-where
-    T::Err: fmt::Display,
-{
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct V<T>(std::marker::PhantomData<T>);
-        impl<T: FromStr> serde::de::Visitor<'_> for V<T>
-        where
-            T::Err: fmt::Display,
-        {
-            type Value = Dist<T>;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a bpi-dist/v1 text blob")
-            }
-            fn visit_str<E: serde::de::Error>(self, v: &str) -> Result<Dist<T>, E> {
-                v.parse().map_err(E::custom)
-            }
-        }
-        d.deserialize_str(V(std::marker::PhantomData))
-    }
-}
+crate::text_serde!(<T> Dist<T>, "a bpi-dist/v1 text blob");
 
 #[cfg(test)]
 mod tests {

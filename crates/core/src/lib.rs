@@ -17,7 +17,9 @@
 //! * [`builder`] — ergonomic term constructors;
 //! * [`dist`] — finite weighted outcome distributions, the value type of
 //!   the probabilistic fault layer;
-//! * [`parser`] / [`pretty`] — a concrete syntax.
+//! * [`parser`] / [`pretty`] — a concrete syntax;
+//! * [`record`] — the line-record codec every versioned text format
+//!   (checkpoints, fault logs, distributions) is written in.
 //!
 //! The operational semantics lives in `bpi-semantics`, behavioural
 //! equivalences in `bpi-equiv`, and the Section-5 axiomatisation in
@@ -31,6 +33,7 @@ pub mod encode;
 pub mod name;
 pub mod parser;
 pub mod pretty;
+pub mod record;
 pub mod serde_impls;
 pub mod simplify;
 pub mod store;

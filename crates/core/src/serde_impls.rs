@@ -1,10 +1,11 @@
-//! Serde support for the syntactic types.
-//!
-//! Terms serialize through the concrete syntax (the pretty-printer) and
-//! deserialize through the parser, so any serde format carries
-//! human-readable, version-stable process text rather than interner ids:
+//! Serde support for the syntactic types, through
+//! [`text_serde!`](crate::text_serde): each type's `Display` and
+//! `FromStr` carry the concrete syntax (the pretty-printer and the
+//! parser), so any serde format carries human-readable, version-stable
+//! process text rather than interner ids:
 //!
 //! * [`Name`], [`Ident`] — their spelling;
+//! * [`Action`] — its label syntax;
 //! * [`Process`] — the [`crate::pretty`] rendering;
 //! * [`Defs`] — a definition file in [`crate::parser::parse_defs`]
 //!   syntax.
@@ -14,160 +15,82 @@
 
 use crate::action::Action;
 use crate::name::Name;
-use crate::parser::{parse_defs, parse_process};
+use crate::parser::{parse_defs, parse_process, ParseError};
 use crate::syntax::{Defs, Ident, Process};
-use serde::de::{Deserialize, Deserializer, Error as DeError, Visitor};
-use serde::ser::{Serialize, Serializer};
 use std::fmt;
+use std::str::FromStr;
 
-impl Serialize for Name {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
+impl FromStr for Name {
+    type Err = &'static str;
 
-struct NameVisitor;
-
-impl Visitor<'_> for NameVisitor {
-    type Value = Name;
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a channel name")
-    }
-    fn visit_str<E: DeError>(self, v: &str) -> Result<Name, E> {
-        if v.is_empty() {
-            return Err(E::custom("empty channel name"));
+    fn from_str(s: &str) -> Result<Name, &'static str> {
+        if s.is_empty() {
+            return Err("empty channel name");
         }
-        Ok(Name::intern_raw(v))
+        Ok(Name::intern_raw(s))
     }
 }
 
-impl<'de> Deserialize<'de> for Name {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Name, D::Error> {
-        d.deserialize_str(NameVisitor)
-    }
-}
+impl FromStr for Ident {
+    type Err = &'static str;
 
-impl Serialize for Ident {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-struct IdentVisitor;
-
-impl Visitor<'_> for IdentVisitor {
-    type Value = Ident;
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a process identifier")
-    }
-    fn visit_str<E: DeError>(self, v: &str) -> Result<Ident, E> {
-        if v.is_empty() {
-            return Err(E::custom("empty identifier"));
+    fn from_str(s: &str) -> Result<Ident, &'static str> {
+        if s.is_empty() {
+            return Err("empty identifier");
         }
-        Ok(Ident::new(v))
+        Ok(Ident::new(s))
     }
 }
 
-impl<'de> Deserialize<'de> for Ident {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Ident, D::Error> {
-        d.deserialize_str(IdentVisitor)
+impl FromStr for Process {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Process, ParseError> {
+        parse_process(s).map(|p| (*p).clone())
     }
 }
 
-impl Serialize for Action {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-struct ActionVisitor;
-
-impl Visitor<'_> for ActionVisitor {
-    type Value = Action;
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a transition label (tau, a(x), a<x>, new x a<x>, a:)")
-    }
-    fn visit_str<E: DeError>(self, v: &str) -> Result<Action, E> {
-        v.parse().map_err(E::custom)
-    }
-}
-
-impl<'de> Deserialize<'de> for Action {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Action, D::Error> {
-        d.deserialize_str(ActionVisitor)
-    }
-}
-
-impl Serialize for Process {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-struct ProcessVisitor;
-
-impl Visitor<'_> for ProcessVisitor {
-    type Value = Process;
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a bπ process in concrete syntax")
-    }
-    fn visit_str<E: DeError>(self, v: &str) -> Result<Process, E> {
-        parse_process(v)
-            .map(|p| (*p).clone())
-            .map_err(|e| E::custom(e))
-    }
-}
-
-impl<'de> Deserialize<'de> for Process {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Process, D::Error> {
-        d.deserialize_str(ProcessVisitor)
-    }
-}
-
-impl Serialize for Defs {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut text = String::new();
+/// A definition file in [`parse_defs`] syntax, one definition per line.
+impl fmt::Display for Defs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (id, def) in self.iter() {
-            text.push_str(&id.to_string());
-            text.push('(');
+            write!(f, "{id}(")?;
             for (i, p) in def.params.iter().enumerate() {
                 if i > 0 {
-                    text.push(',');
+                    f.write_str(",")?;
                 }
-                text.push_str(&p.to_string());
+                write!(f, "{p}")?;
             }
-            text.push_str(") = ");
-            text.push_str(&def.body.to_string());
-            text.push_str(";\n");
+            writeln!(f, ") = {};", def.body)?;
         }
-        s.serialize_str(&text)
+        Ok(())
     }
 }
 
-struct DefsVisitor;
+impl FromStr for Defs {
+    type Err = ParseError;
 
-impl Visitor<'_> for DefsVisitor {
-    type Value = Defs;
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a bπ definition file")
-    }
-    fn visit_str<E: DeError>(self, v: &str) -> Result<Defs, E> {
-        parse_defs(v).map_err(E::custom)
+    fn from_str(s: &str) -> Result<Defs, ParseError> {
+        parse_defs(s)
     }
 }
 
-impl<'de> Deserialize<'de> for Defs {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Defs, D::Error> {
-        d.deserialize_str(DefsVisitor)
-    }
-}
+crate::text_serde!(Name, "a channel name");
+crate::text_serde!(Ident, "a process identifier");
+crate::text_serde!(
+    Action,
+    "a transition label (tau, a(x), a<x>, new x a<x>, a:)"
+);
+crate::text_serde!(Process, "a bπ process in concrete syntax");
+crate::text_serde!(Defs, "a bπ definition file");
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
     use serde::de::value::{Error as ValueError, StrDeserializer};
-    use serde::de::IntoDeserializer;
+    use serde::de::{Deserialize, IntoDeserializer};
+    use serde::ser::Serialize;
 
     /// A minimal serializer that captures exactly one string — enough to
     /// exercise the `collect_str`-based impls without a format crate.

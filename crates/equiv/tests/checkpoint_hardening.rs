@@ -5,6 +5,7 @@
 //! is attacker-adjacent: whatever is on disk after a crash gets parsed.
 
 use bpi_core::builder::*;
+use bpi_core::dist::Dist;
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
@@ -24,6 +25,53 @@ fn sample_graph_ckpt() -> GraphCheckpoint {
     GraphCheckpoint::of_graph(&g)
 }
 
+/// One small document per text format and umbrella phase, written by
+/// the codecs before they moved onto the shared `bpi_core::record`
+/// codec (engine snapshots parked mid-run, every fault event kind).
+const FIXTURES: [(&str, &str); 11] = [
+    ("graph", include_str!("fixtures/graph.txt")),
+    ("refine", include_str!("fixtures/refine.txt")),
+    ("partition", include_str!("fixtures/partition.txt")),
+    ("equiv", include_str!("fixtures/equiv-build-left.txt")),
+    ("equiv", include_str!("fixtures/equiv-build-right.txt")),
+    ("equiv", include_str!("fixtures/equiv-refine-pairwise.txt")),
+    ("equiv", include_str!("fixtures/equiv-refine-partition.txt")),
+    ("explore", include_str!("fixtures/explore.txt")),
+    ("mc", include_str!("fixtures/mc.txt")),
+    ("faultlog", include_str!("fixtures/fault-log.txt")),
+    ("dist", include_str!("fixtures/dist.txt")),
+];
+
+/// Decodes `doc` with the codec of `kind` and encodes it again.
+fn reencode(kind: &str, doc: &str) -> Result<String, String> {
+    Ok(match kind {
+        "graph" => GraphCheckpoint::from_text(doc)?.to_text(),
+        "refine" => RefineCheckpoint::from_text(doc)?.to_text(),
+        "partition" => PartitionCheckpoint::from_text(doc)?.to_text(),
+        "equiv" => Checkpoint::from_text(doc)?.to_text(),
+        "explore" => ExploreCheckpoint::from_text(doc)?.to_text(),
+        "mc" => doc.parse::<McCheckpoint>()?.to_string(),
+        "faultlog" => doc
+            .parse::<FaultLog>()
+            .map_err(|e| e.to_string())?
+            .to_string(),
+        "dist" => doc
+            .parse::<Dist<String>>()
+            .map_err(|e| e.to_string())?
+            .to_string(),
+        other => panic!("no codec {other}"),
+    })
+}
+
+/// Byte identity with the old codecs, and round trips of every umbrella
+/// phase with either engine's refine section.
+#[test]
+fn fixtures_round_trip_byte_for_byte() {
+    for (kind, doc) in FIXTURES {
+        assert_eq!(reencode(kind, doc).as_deref(), Ok(doc), "{kind}");
+    }
+}
+
 fn sample_docs() -> Vec<(&'static str, String)> {
     let left = sample_graph_ckpt();
     let n = left.states.len();
@@ -36,44 +84,19 @@ fn sample_docs() -> Vec<(&'static str, String)> {
         right: left.clone(),
         refine: RefineSnapshot::Pairwise(refine.clone()),
     };
-    let partition = PartitionCheckpoint {
-        n1: 3,
-        n2: 2,
-        blocks: vec![0, 1, 0, 2, 1],
-        worklist: std::collections::VecDeque::from([4, 0]),
-        rounds: 5,
-        splits: 2,
-    };
-    let umbrella_partition = Checkpoint::Refine {
-        left: left.clone(),
-        right: left.clone(),
-        refine: RefineSnapshot::Partition(PartitionCheckpoint {
-            n1: n,
-            n2: n,
-            blocks: (0..2 * n as u32).map(|u| u % 2).collect(),
-            worklist: std::collections::VecDeque::from([0, n as u32]),
-            rounds: 1,
-            splits: 1,
-        }),
-    };
-    let build_left = Checkpoint::BuildLeft {
-        left: left.clone(),
-        right_seed: tau(nil()),
-    };
     let mc = McCheckpoint {
         done: 40,
         successes: 17,
     };
-    vec![
+    let mut docs = vec![
         ("graph", left.to_text()),
         ("refine", refine.to_text()),
-        ("partition", partition.to_text()),
         ("equiv", umbrella.to_text()),
-        ("equiv", umbrella_partition.to_text()),
-        ("equiv", build_left.to_text()),
         ("mc", mc.to_string()),
         ("faultlog", FaultLog::default().to_string()),
-    ]
+    ];
+    docs.extend(FIXTURES.map(|(kind, doc)| (kind, doc.to_string())));
+    docs
 }
 
 /// Decoding `s` through every codec must return (not panic); we don't
@@ -89,6 +112,7 @@ fn decode_all_typed(s: &str) {
         let _ = owned.parse::<McCheckpoint>();
         let _ = owned.parse::<FaultLog>();
         let _ = owned.parse::<ExploreCheckpoint>();
+        let _ = owned.parse::<Dist<String>>();
         if let Ok(ck) = Checkpoint::from_text(&owned) {
             let d = Defs::new();
             let _ = Checker::new(&d)
@@ -110,19 +134,10 @@ fn every_truncation_of_every_codec_is_a_typed_error_or_valid() {
             }
             decode_all_typed(&doc[..cut]);
         }
-        // A strict truncation must never be accepted as the original
-        // *complete* document by its own codec (the header line alone
-        // can legitimately parse for list-shaped codecs like the empty
-        // fault log, so compare semantics, not acceptance).
-        let reparsed_ok = match name {
-            "graph" => GraphCheckpoint::from_text(&doc).is_ok(),
-            "refine" => RefineCheckpoint::from_text(&doc).is_ok(),
-            "partition" => PartitionCheckpoint::from_text(&doc).is_ok(),
-            "equiv" => Checkpoint::from_text(&doc).is_ok(),
-            "mc" => doc.parse::<McCheckpoint>().is_ok(),
-            _ => doc.parse::<FaultLog>().is_ok(),
-        };
-        assert!(reparsed_ok, "{name}: pristine document must round-trip");
+        assert!(
+            reencode(name, &doc).is_ok(),
+            "{name}: pristine document must round-trip"
+        );
     }
 }
 
@@ -159,6 +174,30 @@ fn partition_block_ids_are_bounded() {
                worklist\t\n";
     let err = PartitionCheckpoint::from_text(bad).unwrap_err();
     assert!(err.contains("out of range"), "got {err:?}");
+}
+
+/// A declared count never sizes an allocation: a refine section
+/// declaring 10¹² rows once reserved 24 TB before reading one (an
+/// abort, not an error), and `n1 + n2` on partition dims overflowed.
+#[test]
+fn hostile_dims_are_typed_errors() {
+    let rows = "bpi-refine-checkpoint/v1\nrounds\t0\ndims\t1000000000000\t0\n";
+    let err = RefineCheckpoint::from_text(rows).unwrap_err();
+    assert!(err.contains("rows"), "got {err:?}");
+    let overflow = "bpi-partition-checkpoint/v1\ndims\t18446744073709551615\t1\n\
+                    rounds\t0\nsplits\t0\nblocks\t\nworklist\t\n";
+    let err = PartitionCheckpoint::from_text(overflow).unwrap_err();
+    assert!(err.contains("overflow"), "got {err:?}");
+    // The same sections inside a parked umbrella, as the daemon decodes
+    // them from its journal on restart.
+    let pairwise = include_str!("fixtures/equiv-refine-pairwise.txt");
+    let partition = include_str!("fixtures/equiv-refine-partition.txt");
+    for doc in [
+        pairwise.replace("dims\t16\t12", "dims\t1000000000000\t0"),
+        partition.replace("dims\t16\t12", "dims\t18446744073709551615\t1"),
+    ] {
+        assert!(Checkpoint::from_text(&doc).is_err(), "accepted {doc}");
+    }
 }
 
 #[test]

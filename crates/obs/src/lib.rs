@@ -16,6 +16,9 @@
 //! * [`trace`] — a [`trace::TraceSink`] trait with JSON-lines and
 //!   in-memory collectors, a process-global sink slot behind an atomic
 //!   fast flag, and span-scoped timers feeding advisory histograms.
+//! * [`json`] — the workspace's one JSON codec (value, depth-capped
+//!   linear-time parser, writer): trace events, the daemon's protocol
+//!   and journal, and the bench reports all go through it.
 //!
 //! The resilience layer (PR 5) reports exclusively through **advisory**
 //! channels: `semantics.checkpoint` (snapshot/resume counters),
@@ -33,9 +36,11 @@
 //! sink on stderr at first use, so any binary in the workspace can be
 //! traced without code changes.
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
+pub use json::Json;
 pub use metrics::{
     counter, deterministic_counters, gauge, histogram, metrics_enabled, reset_for_tests,
     set_metrics_enabled, snapshot, Counter, CounterDelta, Det, Gauge, Histogram, HistogramSnapshot,

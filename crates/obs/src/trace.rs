@@ -9,8 +9,10 @@
 //! so every binary in the workspace (tests included) can be traced via
 //! the environment alone.
 
+use crate::json;
 use crate::metrics::histogram;
 use parking_lot::{Mutex, RwLock};
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, OnceLock};
@@ -27,36 +29,15 @@ pub enum Value {
 }
 
 impl Value {
-    /// Renders the value as a JSON fragment.
-    fn write_json(&self, out: &mut String) {
+    /// Renders the value as a JSON fragment (non-finite floats as
+    /// `null`).
+    fn write_json(&self, out: &mut String) -> fmt::Result {
         match self {
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&v.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Value::U64(v) => write!(out, "{v}"),
+            Value::I64(v) => write!(out, "{v}"),
+            Value::F64(v) => json::write_num(out, *v),
+            Value::Bool(v) => write!(out, "{v}"),
+            Value::Str(s) => json::write_escaped(out, s),
         }
     }
 }
@@ -113,22 +94,28 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// One JSON object, no trailing newline.
+    /// One JSON object, no trailing newline, written field by field
+    /// through the [`json`] codec's writers.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
-        out.push_str("{\"target\":\"");
-        out.push_str(self.target);
-        out.push_str("\",\"event\":\"");
-        out.push_str(self.name);
-        out.push('"');
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        out.push_str("{\"target\":");
+        json::write_escaped(out, self.target)?;
+        out.push_str(",\"event\":");
+        json::write_escaped(out, self.name)?;
         for (k, v) in &self.fields {
-            out.push_str(",\"");
-            out.push_str(k);
-            out.push_str("\":");
-            v.write_json(&mut out);
+            out.push(',');
+            json::write_escaped(out, k)?;
+            out.push(':');
+            v.write_json(out)?;
         }
         out.push('}');
-        out
+        Ok(())
     }
 
     /// The value of the named field, if present.

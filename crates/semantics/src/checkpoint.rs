@@ -18,9 +18,8 @@
 //!   and a [`CheckpointSlot`] that always holds the latest snapshot for
 //!   a supervisor to grab after a crash;
 //! * [`ExploreCheckpoint`] — the serializable frozen state of a
-//!   step-move exploration, with a versioned text codec (and serde
-//!   impls on top of it) in the same human-readable style as the
-//!   process serde in `bpi-core`.
+//!   step-move exploration, a `bpi_core::record` document (with serde
+//!   impls carrying the same text).
 //!
 //! Snapshot/resume events surface as **advisory** `bpi-obs` counters —
 //! deterministic counters stay functions of the final result, which is
@@ -29,6 +28,7 @@
 use crate::budget::{Budget, EngineError};
 use bpi_core::action::Action;
 use bpi_core::name::Name;
+use bpi_core::record::{Reader, Writer};
 use bpi_core::syntax::P;
 use bpi_obs::{counter, Counter, Det, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -261,17 +261,6 @@ impl ExploreCheckpoint {
     }
 }
 
-fn join_csv<T: std::fmt::Display>(xs: impl IntoIterator<Item = T>) -> String {
-    let mut out = String::new();
-    for (i, x) in xs.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.to_string());
-    }
-    out
-}
-
 /// The checkpoint text format, one record per line, tab-separated:
 ///
 /// ```text
@@ -285,26 +274,19 @@ fn join_csv<T: std::fmt::Display>(xs: impl IntoIterator<Item = T>) -> String {
 /// edge<TAB><src><TAB><label><TAB><dst>       (one per edge, in order)
 /// ```
 ///
-/// Processes and labels serialise through their concrete syntax (the
-/// same convention as the serde impls in `bpi-core`), so checkpoints are
-/// human-readable and survive interner re-seeding across processes.
+/// A `bpi_core::record` document: processes and labels serialise
+/// through their concrete syntax, so checkpoints are human-readable and
+/// survive interner re-seeding across processes.
 impl std::fmt::Display for ExploreCheckpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "bpi-explore-checkpoint/v1")?;
-        writeln!(f, "normalize_extruded\t{}", self.normalize_extruded)?;
-        writeln!(f, "expanded\t{}", self.expanded)?;
-        writeln!(f, "fault_cursor\t{}", self.fault_cursor)?;
-        writeln!(f, "protected\t{}", join_csv(self.protected.iter()))?;
-        writeln!(f, "frontier\t{}", join_csv(self.frontier.iter()))?;
-        for p in &self.states {
-            writeln!(f, "state\t{p}")?;
-        }
-        for (i, es) in self.edges.iter().enumerate() {
-            for (act, j) in es {
-                writeln!(f, "edge\t{i}\t{act}\t{j}")?;
-            }
-        }
-        Ok(())
+        let mut w = Writer::new(f, "bpi-explore-checkpoint/v1")?;
+        w.field("normalize_extruded", self.normalize_extruded)?;
+        w.field("expanded", self.expanded)?;
+        w.field("fault_cursor", self.fault_cursor)?;
+        w.list("protected", &self.protected)?;
+        w.list("frontier", &self.frontier)?;
+        w.states(&self.states)?;
+        w.edges(&self.edges)
     }
 }
 
@@ -312,84 +294,14 @@ impl std::str::FromStr for ExploreCheckpoint {
     type Err = String;
 
     fn from_str(s: &str) -> Result<ExploreCheckpoint, String> {
-        let mut lines = s.lines();
-        if lines.next() != Some("bpi-explore-checkpoint/v1") {
-            return Err("not a bpi-explore-checkpoint/v1 document".into());
-        }
-        fn field<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-            let line = line.ok_or_else(|| format!("missing {key} record"))?;
-            line.strip_prefix(key)
-                .and_then(|r| r.strip_prefix('\t'))
-                .ok_or_else(|| format!("expected {key} record, got {line:?}"))
-        }
-        fn csv<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            if s.is_empty() {
-                return Ok(Vec::new());
-            }
-            s.split(',')
-                .map(|x| x.parse().map_err(|e| format!("bad {what} {x:?}: {e}")))
-                .collect()
-        }
-        let normalize_extruded = field(lines.next(), "normalize_extruded")?
-            .parse::<bool>()
-            .map_err(|e| format!("bad normalize_extruded: {e}"))?;
-        let expanded = field(lines.next(), "expanded")?
-            .parse::<usize>()
-            .map_err(|e| format!("bad expanded: {e}"))?;
-        let fault_cursor = field(lines.next(), "fault_cursor")?
-            .parse::<usize>()
-            .map_err(|e| format!("bad fault_cursor: {e}"))?;
-        let protected: Vec<Name> = field(lines.next(), "protected")?
-            .split(',')
-            .filter(|x| !x.is_empty())
-            .map(Name::intern_raw)
-            .collect();
-        let frontier: Vec<usize> = csv(field(lines.next(), "frontier")?, "frontier index")?;
-        let mut states: Vec<P> = Vec::new();
-        let mut edge_lines: Vec<(usize, Action, usize)> = Vec::new();
-        for line in lines {
-            if let Some(text) = line.strip_prefix("state\t") {
-                if !edge_lines.is_empty() {
-                    return Err("state record after edge records".into());
-                }
-                states.push(
-                    bpi_core::parser::parse_process(text)
-                        .map_err(|e| format!("bad state {text:?}: {e}"))?,
-                );
-            } else if let Some(rest) = line.strip_prefix("edge\t") {
-                let mut parts = rest.splitn(3, '\t');
-                let src: usize = parts
-                    .next()
-                    .ok_or("edge missing source")?
-                    .parse()
-                    .map_err(|e| format!("bad edge source: {e}"))?;
-                let act: Action = parts
-                    .next()
-                    .ok_or("edge missing label")?
-                    .parse()
-                    .map_err(|e| format!("bad edge label: {e}"))?;
-                let dst: usize = parts
-                    .next()
-                    .ok_or("edge missing target")?
-                    .parse()
-                    .map_err(|e| format!("bad edge target: {e}"))?;
-                edge_lines.push((src, act, dst));
-            } else if !line.is_empty() {
-                return Err(format!("unrecognised record {line:?}"));
-            }
-        }
-        let n = states.len();
-        let mut edges: Vec<Vec<(Action, usize)>> = vec![Vec::new(); n];
-        for (src, act, dst) in edge_lines {
-            if src >= n || dst >= n {
-                return Err(format!("edge {src}->{dst} out of range ({n} states)"));
-            }
-            edges[src].push((act, dst));
-        }
-        if frontier.iter().any(|&i| i >= n) {
+        let mut r = Reader::new(s, "bpi-explore-checkpoint/v1")?;
+        let normalize_extruded = r.value("normalize_extruded")?;
+        let expanded = r.value("expanded")?;
+        let fault_cursor = r.value("fault_cursor")?;
+        let protected = r.list("protected")?;
+        let frontier: Vec<usize> = r.list("frontier")?;
+        let (states, edges) = r.graph(|_, _| Ok(false))?;
+        if frontier.iter().any(|&i| i >= states.len()) {
             return Err("frontier index out of range".into());
         }
         Ok(ExploreCheckpoint {
@@ -404,29 +316,7 @@ impl std::str::FromStr for ExploreCheckpoint {
     }
 }
 
-impl serde::ser::Serialize for ExploreCheckpoint {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-struct ExploreCkptVisitor;
-
-impl serde::de::Visitor<'_> for ExploreCkptVisitor {
-    type Value = ExploreCheckpoint;
-    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a bpi-explore-checkpoint/v1 document")
-    }
-    fn visit_str<E: serde::de::Error>(self, v: &str) -> Result<ExploreCheckpoint, E> {
-        v.parse().map_err(E::custom)
-    }
-}
-
-impl<'de> serde::de::Deserialize<'de> for ExploreCheckpoint {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<ExploreCheckpoint, D::Error> {
-        d.deserialize_str(ExploreCkptVisitor)
-    }
-}
+bpi_core::text_serde!(ExploreCheckpoint, "a bpi-explore-checkpoint/v1 document");
 
 /// Per-unit budget-and-interruption poll shared by the checkpoint-aware
 /// sequential engines: chaos pressure (armed supervisors only), the real

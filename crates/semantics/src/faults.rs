@@ -44,6 +44,7 @@ use crate::sim::Trace;
 use bpi_core::action::Action;
 use bpi_core::builder::{components, inp, par_of, rec, var};
 use bpi_core::name::Name;
+use bpi_core::record::{fields, parse, Reader, Writer};
 use bpi_core::syntax::{Defs, Ident, Prefix, Process, RecDef, P};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,18 +183,24 @@ const FAULT_LOG_HEADER: &str = "bpi-fault-log/v1";
 
 impl fmt::Display for FaultLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{FAULT_LOG_HEADER}")?;
+        let mut w = Writer::new(f, FAULT_LOG_HEADER)?;
         for ev in &self.events {
             match ev {
                 FaultEvent::MessageLost { step, chan, node } => {
-                    writeln!(f, "lost\t{step}\t{node}\t{chan}")?
+                    w.field("lost", format_args!("{step}\t{node}\t{chan}"))?
                 }
                 FaultEvent::DeliveryRefused { step, chan, node } => {
-                    writeln!(f, "refused\t{step}\t{node}\t{chan}")?
+                    w.field("refused", format_args!("{step}\t{node}\t{chan}"))?
                 }
-                FaultEvent::Crashed { step, node } => writeln!(f, "crashed\t{step}\t{node}")?,
-                FaultEvent::Stopped { step, node } => writeln!(f, "stopped\t{step}\t{node}")?,
-                FaultEvent::Resumed { step, node } => writeln!(f, "resumed\t{step}\t{node}")?,
+                FaultEvent::Crashed { step, node } => {
+                    w.field("crashed", format_args!("{step}\t{node}"))?
+                }
+                FaultEvent::Stopped { step, node } => {
+                    w.field("stopped", format_args!("{step}\t{node}"))?
+                }
+                FaultEvent::Resumed { step, node } => {
+                    w.field("resumed", format_args!("{step}\t{node}"))?
+                }
             }
         }
         Ok(())
@@ -216,79 +223,42 @@ impl FromStr for FaultLog {
     type Err = FaultLogParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut lines = s.lines();
-        match lines.next() {
-            Some(FAULT_LOG_HEADER) => {}
-            other => {
-                return Err(FaultLogParseError(format!(
-                    "bad header {other:?}, expected {FAULT_LOG_HEADER:?}"
-                )))
+        let decode = || -> Result<FaultLog, String> {
+            let mut r = Reader::new(s, FAULT_LOG_HEADER)?;
+            let mut events = Vec::new();
+            for rec in r.records() {
+                let (tag, rest) = rec?;
+                let ev = match tag {
+                    "lost" | "refused" => {
+                        let [step, node, chan] = fields(rest)?;
+                        let (step, node) = (parse(step, "step")?, parse(node, "node")?);
+                        let chan = parse(chan, "channel")?;
+                        if tag == "lost" {
+                            FaultEvent::MessageLost { step, chan, node }
+                        } else {
+                            FaultEvent::DeliveryRefused { step, chan, node }
+                        }
+                    }
+                    "crashed" | "stopped" | "resumed" => {
+                        let [step, node] = fields(rest)?;
+                        let (step, node) = (parse(step, "step")?, parse(node, "node")?);
+                        match tag {
+                            "crashed" => FaultEvent::Crashed { step, node },
+                            "stopped" => FaultEvent::Stopped { step, node },
+                            _ => FaultEvent::Resumed { step, node },
+                        }
+                    }
+                    _ => return Err(format!("unknown event {tag:?}")),
+                };
+                events.push(ev);
             }
-        }
-        let mut events = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let bad = || FaultLogParseError(format!("malformed record {}: {line:?}", i + 1));
-            let mut parts = line.split('\t');
-            let tag = parts.next().ok_or_else(bad)?;
-            let step: usize = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-            let node: usize = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-            let chan = parts.next();
-            let chan_name = || -> Result<Name, FaultLogParseError> {
-                match chan {
-                    Some(c) if !c.is_empty() => Ok(Name::intern_raw(c)),
-                    _ => Err(bad()),
-                }
-            };
-            let trailing_ok = parts.next().is_none();
-            let ev = match tag {
-                "lost" => FaultEvent::MessageLost {
-                    step,
-                    chan: chan_name()?,
-                    node,
-                },
-                "refused" => FaultEvent::DeliveryRefused {
-                    step,
-                    chan: chan_name()?,
-                    node,
-                },
-                "crashed" if chan.is_none() => FaultEvent::Crashed { step, node },
-                "stopped" if chan.is_none() => FaultEvent::Stopped { step, node },
-                "resumed" if chan.is_none() => FaultEvent::Resumed { step, node },
-                _ => return Err(bad()),
-            };
-            if !trailing_ok {
-                return Err(bad());
-            }
-            events.push(ev);
-        }
-        Ok(FaultLog { events })
+            Ok(FaultLog { events })
+        };
+        decode().map_err(FaultLogParseError)
     }
 }
 
-impl serde::Serialize for FaultLog {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for FaultLog {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct V;
-        impl serde::de::Visitor<'_> for V {
-            type Value = FaultLog;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a bpi-fault-log/v1 text blob")
-            }
-            fn visit_str<E: serde::de::Error>(self, v: &str) -> Result<FaultLog, E> {
-                v.parse().map_err(E::custom)
-            }
-        }
-        d.deserialize_str(V)
-    }
-}
+bpi_core::text_serde!(FaultLog, "a bpi-fault-log/v1 text blob");
 
 /// Rejected [`FaultPlan`] configuration. Probabilities outside `[0, 1]`
 /// (or NaN) used to be silently clamped; they are now surfaced at

@@ -54,6 +54,7 @@ use bpi_core::action::Action;
 use bpi_core::builder::{components, par_of};
 use bpi_core::dist::Dist;
 use bpi_core::name::Name;
+use bpi_core::record::{Reader, Writer};
 use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use std::collections::HashMap;
@@ -407,10 +408,9 @@ const MC_HEADER: &str = "bpi-mc-checkpoint/v1";
 
 impl fmt::Display for McCheckpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{MC_HEADER}")?;
-        writeln!(f, "done\t{}", self.done)?;
-        writeln!(f, "successes\t{}", self.successes)?;
-        Ok(())
+        let mut w = Writer::new(f, MC_HEADER)?;
+        w.field("done", self.done)?;
+        w.field("successes", self.successes)
     }
 }
 
@@ -418,30 +418,10 @@ impl FromStr for McCheckpoint {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut lines = s.lines();
-        match lines.next() {
-            Some(MC_HEADER) => {}
-            other => return Err(format!("bad header {other:?}, expected {MC_HEADER:?}")),
-        }
-        let mut done = None;
-        let mut successes = None;
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let Some((k, v)) = line.split_once('\t') else {
-                return Err(format!("malformed line {line:?}"));
-            };
-            let v: usize = v.parse().map_err(|e| format!("{k}: {e}"))?;
-            match k {
-                "done" => done = Some(v),
-                "successes" => successes = Some(v),
-                other => return Err(format!("unknown key {other:?}")),
-            }
-        }
-        let (Some(done), Some(successes)) = (done, successes) else {
-            return Err("missing done/successes".into());
-        };
+        let mut r = Reader::new(s, MC_HEADER)?;
+        let done = r.value("done")?;
+        let successes = r.value("successes")?;
+        r.end()?;
         if successes > done {
             return Err(format!("successes {successes} exceeds done {done}"));
         }
@@ -449,27 +429,7 @@ impl FromStr for McCheckpoint {
     }
 }
 
-impl serde::Serialize for McCheckpoint {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for McCheckpoint {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct V;
-        impl serde::de::Visitor<'_> for V {
-            type Value = McCheckpoint;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a bpi-mc-checkpoint/v1 text blob")
-            }
-            fn visit_str<E: serde::de::Error>(self, v: &str) -> Result<McCheckpoint, E> {
-                v.parse().map_err(E::custom)
-            }
-        }
-        d.deserialize_str(V)
-    }
-}
+bpi_core::text_serde!(McCheckpoint, "a bpi-mc-checkpoint/v1 text blob");
 
 /// Monte-Carlo estimate of the probability that the faulty walk from
 /// `p` broadcasts on `watch` within `max_steps` steps.

@@ -29,11 +29,13 @@
 
 pub mod client;
 pub mod journal;
-pub mod json;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
 pub mod store;
+
+/// The wire format: `bpi-obs`'s JSON codec.
+pub use bpi_obs::json;
 
 pub use client::Client;
 pub use journal::{Journal, Recovered};

@@ -14,9 +14,10 @@
 //! * the daemon is above its shed threshold and the job is `Low`
 //!   priority — graceful degradation sheds the cheapest work first.
 //!
-//! An admitted job is journaled **before** it is enqueued (write-ahead:
-//! a crash after the journal sync but before the verdict re-admits the
-//! job at recovery).
+//! An admitted job is journaled **before** `result` reports it pending
+//! and before it is enqueued (write-ahead: a crash after the journal
+//! sync but before the verdict re-admits the job at recovery, and a
+//! crash before the sync loses only a job no client has seen).
 //!
 //! ## Fair scheduling by checkpoint preemption
 //!
@@ -48,7 +49,7 @@ use bpi_semantics::{
     FaultPlan, McCheckpoint,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -160,8 +161,10 @@ struct Shared {
     queues: Queues,
     /// Summed cost of admitted-but-unfinished jobs.
     inflight_cost: AtomicUsize,
-    /// Ids currently admitted (duplicate detection + `pending` answers).
-    inflight_ids: Mutex<HashSet<String>>,
+    /// Ids currently in flight, for duplicate detection. The flag is
+    /// set once the admission is journaled: only then does `result`
+    /// answer `pending`, so a client never sees a job a crash can lose.
+    inflight_ids: Mutex<HashMap<String, bool>>,
     /// Final responses by id, served by the `result` op byte-identically.
     completed: Mutex<HashMap<String, Json>>,
     draining: AtomicBool,
@@ -215,7 +218,7 @@ impl Scheduler {
                 parked_rx: into3r(prx),
             },
             inflight_cost: AtomicUsize::new(0),
-            inflight_ids: Mutex::new(HashSet::new()),
+            inflight_ids: Mutex::new(HashMap::new()),
             completed: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
         });
@@ -267,7 +270,7 @@ impl Scheduler {
                         slices: 0,
                         reply: None,
                     };
-                    sh.inflight_ids.lock().unwrap().insert(id);
+                    sh.inflight_ids.lock().unwrap().insert(id, true);
                     sh.inflight_cost.fetch_add(cost, Ordering::SeqCst);
                     bpi_obs::counter("server.recovered", bpi_obs::Det::Advisory).inc();
                     enqueue(sh, job, false);
@@ -306,14 +309,15 @@ impl Scheduler {
         {
             let done = sh.completed.lock().unwrap();
             let mut live = sh.inflight_ids.lock().unwrap();
-            if done.contains_key(id) || live.contains(id) {
+            if done.contains_key(id) || live.contains_key(id) {
                 return Submit::Immediate(reject(
                     RejectReason::DuplicateId,
                     "a job with this id already exists",
                 ));
             }
-            // Reserve the id while still holding the lock.
-            live.insert(id.to_string());
+            // Reserve the id while still holding the lock, unpublished:
+            // `result` does not report it until it is journaled.
+            live.insert(id.to_string(), false);
         }
         let unreserve = || {
             sh.inflight_ids.lock().unwrap().remove(id);
@@ -336,10 +340,14 @@ impl Scheduler {
                 "admitting this job would exceed the in-flight state budget",
             ));
         }
-        // Write-ahead: journal, then enqueue.
+        // Write-ahead: journal, then publish the id, then enqueue.
+        bpi_semantics::chaos::delay("server.submit.journal");
         if let Err(e) = sh.journal.record_admitted(id, req) {
             unreserve();
             return Submit::Immediate(error("journal", &e.to_string()));
+        }
+        if let Some(published) = sh.inflight_ids.lock().unwrap().get_mut(id) {
+            *published = true;
         }
         let (tx, rx) = bounded::<Json>(1);
         let job = Job {
@@ -366,9 +374,9 @@ impl Scheduler {
                 // too — journal it as the job's final response.
                 let resp = reject(RejectReason::QueueFull, "priority queue at capacity");
                 sh.inflight_cost.fetch_sub(job.cost, Ordering::SeqCst);
-                unreserve();
                 let _ = sh.journal.record_done(id, &resp);
                 sh.completed.lock().unwrap().insert(id.to_string(), resp.clone());
+                unreserve();
                 Submit::Immediate(resp)
             }
             Err(TrySendError::Disconnected(job)) => {
@@ -385,7 +393,7 @@ impl Scheduler {
         if let Some(resp) = self.shared.completed.lock().unwrap().get(id) {
             return resp.clone();
         }
-        if self.shared.inflight_ids.lock().unwrap().contains(id) {
+        if self.shared.inflight_ids.lock().unwrap().get(id) == Some(&true) {
             return Json::obj(vec![("status", Json::str("pending"))]);
         }
         error("unknown-id", "no such job in this journal")

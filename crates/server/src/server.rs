@@ -154,11 +154,15 @@ fn serve_conn(
     let mut input = stream.try_clone()?;
     let mut out = stream;
     let mut acc: Vec<u8> = Vec::new();
+    // `acc[..scanned]` holds no newline: each byte is searched once, so
+    // a long line costs its length, not its length squared.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         // Serve every complete line already buffered.
-        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = acc.drain(..=pos).collect();
+        while let Some(off) = acc[scanned..].iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = acc.drain(..=scanned + off).collect();
+            scanned = 0;
             let text = String::from_utf8_lossy(&line);
             let text = text.trim();
             if text.is_empty() {
@@ -171,6 +175,7 @@ fn serve_conn(
             out.write_all(format!("{resp}\n").as_bytes())?;
             out.flush()?;
         }
+        scanned = acc.len();
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }

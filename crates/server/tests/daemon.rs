@@ -266,12 +266,11 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A journaled checkpoint whose graph section has no `state` record is
-/// corrupt, not a complete empty build: recovery must rerun the job
-/// from scratch and serve the straight verdict, not a journaled panic.
-#[test]
-fn stateless_checkpoint_reruns_cleanly_on_recovery() {
-    let dir = tmpdir("stateless");
+/// Journals a weak-labelled `tau.a<>` vs `a<>` check as admitted with
+/// `checkpoint` as its parked snapshot, starts a daemon on the journal,
+/// and asserts that recovery serves the straight verdict.
+fn recovers_to_the_straight_verdict(tag: &str, checkpoint: &str) {
+    let dir = tmpdir(tag);
     {
         let j = bpi_server::Journal::open(&dir).unwrap();
         let req = Json::obj(vec![
@@ -284,18 +283,66 @@ fn stateless_checkpoint_reruns_cleanly_on_recovery() {
             ("priority", Json::str("normal")),
         ]);
         j.record_admitted("s-1", &req).unwrap();
-        j.save_checkpoint(
-            "s-1",
-            "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
-             #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t\n",
-        )
-        .unwrap();
+        j.save_checkpoint("s-1", checkpoint).unwrap();
     }
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
     let r = c.wait_result("s-1", Duration::from_secs(30)).unwrap();
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journaled checkpoint whose graph section has no `state` record is
+/// corrupt, not a complete empty build: recovery must rerun the job
+/// from scratch and serve the straight verdict, not a journaled panic.
+#[test]
+fn stateless_checkpoint_reruns_cleanly_on_recovery() {
+    recovers_to_the_straight_verdict(
+        "stateless",
+        "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
+         #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t\n",
+    );
+}
+
+/// A journaled checkpoint whose refine section declares 10¹² rows once
+/// reserved 24 TB before reading a row, aborting the daemon on every
+/// restart. The decoder sizes nothing from a declared count, so the
+/// section is a typed decode error and recovery reruns the job.
+#[test]
+fn hostile_refine_dims_rerun_cleanly_on_recovery() {
+    recovers_to_the_straight_verdict(
+        "dims",
+        "bpi-equiv-checkpoint/v1\nphase\trefine\n\
+         #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t\nstate\ttau.a<>\n\
+         #section right\nbpi-graph-checkpoint/v1\npool\t\npending\t\nstate\ta<>\n\
+         #section refine\nbpi-refine-checkpoint/v1\nrounds\t0\ndims\t1000000000000\t0\n",
+    );
+}
+
+/// A request line carrying a 4 MiB string is read and parsed in time
+/// linear in its length: the connection loop once rescanned the whole
+/// buffer per 4 KiB read, and the parser re-validated the rest of the
+/// line per character (27.6 s for 1 MiB).
+#[test]
+fn four_mib_request_line_is_served_promptly() {
+    let dir = tmpdir("big-line");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let req = Json::obj(vec![
+        ("op", Json::str("result")),
+        ("id", Json::str("absent")),
+        ("pad", Json::str("x".repeat(4 << 20))),
+    ]);
+    let t = std::time::Instant::now();
+    let r = c.roundtrip(&req).unwrap();
+    assert_eq!(r.str_field("error"), Some("unknown-id"), "{r}");
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        t.elapsed()
+    );
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

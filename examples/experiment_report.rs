@@ -5,68 +5,30 @@
 //! cargo run --example experiment_report > report.json
 //! ```
 //!
-//! The JSON is hand-emitted (the workspace deliberately has no JSON
-//! dependency); process terms inside it use the concrete syntax, the
-//! same renderer the serde impls serialize through.
+//! The JSON goes through the workspace's one JSON codec
+//! (`bpi::obs::json`); process terms inside it use the concrete syntax,
+//! the same renderer the serde impls serialize through.
 
 use bpi::axioms::{Axiom, Blocks, Prover, ALL_AXIOMS};
 use bpi::core::builder::*;
 use bpi::core::syntax::{Defs, P};
 use bpi::encodings::cycle::{detect_by_exploration, has_cycle_dfs, Graph, Verdict};
 use bpi::equiv::{all_variants, congruent_strong, Opts};
+use bpi::obs::Json;
 
-struct Report {
-    out: String,
-    first: bool,
-}
-
-impl Report {
-    fn new() -> Report {
-        Report {
-            out: String::from("{\n  \"paper\": \"A Broadcast-based Calculus for Communicating Systems (Ene & Muntean, 2001)\",\n  \"experiments\": [\n"),
-            first: true,
-        }
-    }
-
-    fn entry(&mut self, id: &str, statement: &str, verdict: bool, detail: &str) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        self.out.push_str(&format!(
-            "    {{\"id\": {}, \"statement\": {}, \"reproduced\": {}, \"detail\": {}}}",
-            json_str(id),
-            json_str(statement),
-            verdict,
-            json_str(detail)
-        ));
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push_str("\n  ]\n}\n");
-        self.out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// One experiment's record in the report.
+fn entry(id: &str, statement: &str, verdict: bool, detail: &str) -> Json {
+    Json::obj(vec![
+        ("id", Json::str(id)),
+        ("statement", Json::str(statement)),
+        ("reproduced", Json::Bool(verdict)),
+        ("detail", Json::str(detail)),
+    ])
 }
 
 fn main() {
     let defs = Defs::new();
-    let mut report = Report::new();
+    let mut report = Vec::new();
 
     // E5 / Remark 1.
     {
@@ -75,12 +37,12 @@ fn main() {
         let q = out(a, [b], out_(c, [e]));
         let before = bpi::equiv::strong_barbed_bisimilar(&p, &q, &defs);
         let after = bpi::equiv::strong_barbed_bisimilar(&new(a, p), &new(a, q), &defs);
-        report.entry(
+        report.push(entry(
             "E5",
             "Remark 1: ~b holds before, fails after restriction",
             before && !after,
             &format!("p1 ~b q1: {before}; nu a separates: {}", !after),
-        );
+        ));
     }
 
     // E10 / Theorem 1 on a curated pair.
@@ -90,12 +52,12 @@ fn main() {
         let q = out_(a, [b]);
         let all_agree = all_variants(&p, &q, &defs).iter().all(|(_, r)| *r);
         let _ = x;
-        report.entry(
+        report.push(entry(
             "E10",
             "Theorem 1: the equivalences agree on a congruent pair",
             all_agree,
             "all six variants returned true",
-        );
+        ));
     }
 
     // E15/E16 — axioms vs semantics on the standard blocks.
@@ -123,24 +85,24 @@ fn main() {
                 }
             }
         }
-        report.entry(
+        report.push(entry(
             "E15",
             "Theorem 6: axiom soundness against the semantic ~c",
             sound == total,
             &format!("{sound}/{total} instantiated schemas verified"),
-        );
+        ));
         // Completeness spot-check: prover == semantics on a noisy pair.
         let lhs: P = out(a, [], out_(b, []));
         let rhs: P = out(a, [], sum(out_(b, []), inp(c, [w], out_(b, []))));
         let sem = congruent_strong(&lhs, &rhs, &defs, Opts::default());
         let syn = Prover::new().congruent(&lhs, &rhs);
         let indep = !Prover::without_noisy().congruent(&lhs, &rhs);
-        report.entry(
+        report.push(entry(
             "E16",
             "Theorem 7 + (H) independence on a noisy instance",
             sem && syn && indep,
             &format!("semantic={sem} prover={syn} prover-without-H-fails={indep}"),
-        );
+        ));
     }
 
     // E20 — Example 1 against the DFS baseline.
@@ -165,13 +127,18 @@ fn main() {
             ok &= agreed;
             detail.push_str(&format!("{name}: {verdict:?}; "));
         }
-        report.entry(
+        report.push(entry(
             "E20",
             "Example 1: distributed cycle detection agrees with DFS",
             ok,
             detail.trim_end(),
-        );
+        ));
     }
 
-    println!("{}", report.finish());
+    let paper = "A Broadcast-based Calculus for Communicating Systems (Ene & Muntean, 2001)";
+    let doc = Json::obj(vec![
+        ("paper", Json::str(paper)),
+        ("experiments", Json::Arr(report)),
+    ]);
+    println!("{doc}");
 }
