@@ -9,9 +9,12 @@
 use crate::name::{Name, NameSet};
 use crate::syntax::{Prefix, Process, RecDef, P};
 
-struct Canonizer {
+/// The renaming state of one canonicalisation. The term store walks its
+/// cells with the same state (`crate::store`), so a cached canonical form
+/// renames exactly as [`canon`] does.
+pub(crate) struct Canonizer {
     /// Scoped bindings, innermost last.
-    env: Vec<(Name, Name)>,
+    pub(crate) env: Vec<(Name, Name)>,
     /// Next canonical index to try.
     next: usize,
     /// Canonical names occurring *free* in the whole input term; these
@@ -21,7 +24,16 @@ struct Canonizer {
 }
 
 impl Canonizer {
-    fn lookup(&self, n: Name) -> Name {
+    /// A renaming for a term whose free names are `free`.
+    pub(crate) fn new(free: &NameSet) -> Canonizer {
+        Canonizer {
+            env: Vec::new(),
+            next: 0,
+            taken: NameSet::from_iter(free.iter().filter(|n| n.is_canonical())),
+        }
+    }
+
+    pub(crate) fn lookup(&self, n: Name) -> Name {
         self.env
             .iter()
             .rev()
@@ -40,7 +52,11 @@ impl Canonizer {
         }
     }
 
-    fn with_binders<T>(&mut self, binders: &[Name], f: impl FnOnce(&mut Self, &[Name]) -> T) -> T {
+    pub(crate) fn with_binders<T>(
+        &mut self,
+        binders: &[Name],
+        f: impl FnOnce(&mut Self, &[Name]) -> T,
+    ) -> T {
         let depth = self.env.len();
         let fresh: Vec<Name> = binders
             .iter()
@@ -110,13 +126,7 @@ impl Canonizer {
 /// The α-canonical form of `p`: all binders renamed to `#0, #1, …` in
 /// pre-order. `canon(p) == canon(q)` iff `p =α q`.
 pub fn canon(p: &P) -> P {
-    let taken = NameSet::from_iter(p.free_names().iter().filter(|n| n.is_canonical()));
-    let mut c = Canonizer {
-        env: Vec::new(),
-        next: 0,
-        taken,
-    };
-    c.go(p)
+    Canonizer::new(&p.free_names()).go(p)
 }
 
 /// α-equivalence of process terms.

@@ -30,7 +30,7 @@ use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
 use bpi_semantics::frontier::{expand_frontier, renumber_bfs, Expansion};
 use bpi_semantics::lts::{tuples, Lts};
-use bpi_semantics::{input_transitions_cached, normalize_state_cached, step_transitions_cached};
+use bpi_semantics::{input_transitions_cached, step_transitions_cached};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock, OnceLock};
@@ -483,6 +483,40 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
     )
 }
 
+/// One state's expansion, shared by the sequential, checkpointed and
+/// parallel builds: its `τ`/output/input successors in derivation order,
+/// each normalised ([`Consed::normal_form`]) and bound outputs renamed
+/// by [`normalize_bound_output`], and the pool channels it discards. A
+/// pure function of the state.
+fn expand_state(
+    lts: &Lts<'_>,
+    src: &P,
+    pool: &[Name],
+    pool_set: &NameSet,
+) -> (Vec<(Action, Consed)>, NameSet) {
+    let consed = bpi_core::cons(src);
+    let src_free = consed.free_names();
+    // Dynamic pool: global pool plus extruded representatives that
+    // became free in this state (so later inputs can mention them).
+    let mut dyn_pool = pool.to_vec();
+    dyn_pool.extend(
+        src_free
+            .iter()
+            .filter(|&n| !pool_set.contains(n) && n.spelling().starts_with("#b")),
+    );
+    let avoid = src_free.union(pool_set);
+    let mut succs = Vec::new();
+    for (act, cont) in step_transitions_cached(lts, src).iter() {
+        let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
+        succs.push((act, bpi_core::cons(&cont).normal_form()));
+    }
+    for (act, cont) in input_transitions_cached(lts, src, &dyn_pool).iter() {
+        succs.push((act.clone(), bpi_core::cons(cont).normal_form()));
+    }
+    let disc = NameSet::from_iter(dyn_pool.iter().copied().filter(|&a| lts.discards(src, a)));
+    (succs, disc)
+}
+
 /// Global memo of completed graph builds, keyed by
 /// *(consed seed, defs generation, pool)*. The `Consed` handle in the key
 /// pins the term's interned identity (see `bpi_core::store`). Cleared
@@ -537,37 +571,18 @@ impl Graph {
         let mut edges: Vec<Vec<(Action, usize)>> = Vec::new();
         let mut discarding = Vec::new();
 
-        let s0 = normalize_state_cached(seed, None);
-        index.insert(bpi_core::cons(&s0), 0);
-        states.push(s0);
+        let s0 = bpi_core::cons(seed).normal_form();
+        states.push(s0.term().clone());
+        index.insert(s0, 0);
         // FIFO expansion: state numbering is then canonical breadth-first
         // discovery order, the same order `build_parallel` renumbers to.
         let mut work = VecDeque::from([0usize]);
 
         while let Some(i) = work.pop_front() {
             budget.check(0)?;
-            let src = states[i].clone();
-            let src_free = bpi_core::cached_free_names(&src);
-            // Dynamic pool: global pool plus extruded representatives that
-            // became free in this state (so later inputs can mention them).
-            let mut dyn_pool = pool.to_vec();
-            for n in &src_free {
-                if !pool_set.contains(n) && n.spelling().starts_with("#b") {
-                    dyn_pool.push(n);
-                }
-            }
-            let avoid = src_free.union(&pool_set);
-
-            let mut out = Vec::new();
-            let push = |act: Action,
-                        cont: P,
-                        states: &mut Vec<P>,
-                        index: &mut HashMap<Consed, usize>,
-                        work: &mut VecDeque<usize>,
-                        out: &mut Vec<(Action, usize)>|
-             -> Result<(), EngineError> {
-                let state = normalize_state_cached(&cont, None);
-                let key = bpi_core::cons(&state);
+            let (succs, disc) = expand_state(&lts, &states[i], pool, &pool_set);
+            let mut out = Vec::with_capacity(succs.len());
+            for (act, key) in succs {
                 let j = match index.get(&key) {
                     Some(&j) => j,
                     None => {
@@ -575,35 +590,13 @@ impl Graph {
                             return Err(EngineError::StateBudgetExceeded { limit: cap });
                         }
                         let j = states.len();
+                        states.push(key.term().clone());
                         index.insert(key, j);
-                        states.push(state);
                         work.push_back(j);
                         j
                     }
                 };
                 out.push((act, j));
-                Ok(())
-            };
-
-            for (act, cont) in step_transitions_cached(&lts, &src).iter() {
-                let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-                push(act, cont, &mut states, &mut index, &mut work, &mut out)?;
-            }
-            for (act, cont) in input_transitions_cached(&lts, &src, &dyn_pool).iter() {
-                push(
-                    act.clone(),
-                    cont.clone(),
-                    &mut states,
-                    &mut index,
-                    &mut work,
-                    &mut out,
-                )?;
-            }
-            let mut disc = NameSet::new();
-            for &a in &dyn_pool {
-                if lts.discards(&src, a) {
-                    disc.insert(a);
-                }
             }
             while edges.len() < states.len() {
                 edges.push(Vec::new());
@@ -725,45 +718,25 @@ impl Graph {
                     checkpoint: snapshot!(),
                 });
             }
-            let src = states[i].clone();
-            let src_free = bpi_core::cached_free_names(&src);
-            let mut dyn_pool = pool.to_vec();
-            for n in &src_free {
-                if !pool_set.contains(n) && n.spelling().starts_with("#b") {
-                    dyn_pool.push(n);
-                }
-            }
-            let avoid = src_free.union(&pool_set);
-
+            let (succs, disc) = expand_state(&lts, &states[i], &pool, &pool_set);
             // Stage the expansion: fresh states are numbered as the
             // sequential build would number them, but inserted only if
             // the whole batch fits under the ceiling.
-            let mut out: Vec<(Action, usize)> = Vec::new();
-            let mut fresh: Vec<P> = Vec::new();
+            let mut out: Vec<(Action, usize)> = Vec::with_capacity(succs.len());
+            let mut fresh: Vec<Consed> = Vec::new();
             #[allow(clippy::mutable_key_type)]
             let mut fresh_index: HashMap<Consed, usize> = HashMap::new();
-            {
-                let mut stage = |act: Action, cont: P| {
-                    let state = normalize_state_cached(&cont, None);
-                    let key = bpi_core::cons(&state);
-                    let j = match index.get(&key).or_else(|| fresh_index.get(&key)) {
-                        Some(&j) => j,
-                        None => {
-                            let j = states.len() + fresh.len();
-                            fresh_index.insert(key, j);
-                            fresh.push(state);
-                            j
-                        }
-                    };
-                    out.push((act, j));
+            for (act, key) in succs {
+                let j = match index.get(&key).or_else(|| fresh_index.get(&key)) {
+                    Some(&j) => j,
+                    None => {
+                        let j = states.len() + fresh.len();
+                        fresh_index.insert(key.clone(), j);
+                        fresh.push(key);
+                        j
+                    }
                 };
-                for (act, cont) in step_transitions_cached(&lts, &src).iter() {
-                    let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-                    stage(act, cont);
-                }
-                for (act, cont) in input_transitions_cached(&lts, &src, &dyn_pool).iter() {
-                    stage(act.clone(), cont.clone());
-                }
+                out.push((act, j));
             }
             if states.len() + fresh.len() > cap {
                 // Same ceiling as the sequential build (committed states
@@ -775,20 +748,12 @@ impl Graph {
                     checkpoint: snapshot!(),
                 });
             }
-            let mut disc = NameSet::new();
-            for &a in &dyn_pool {
-                if lts.discards(&src, a) {
-                    disc.insert(a);
-                }
-            }
             // Commit.
             pending.pop_front();
-            for (key, &j) in &fresh_index {
-                index.insert(key.clone(), j);
-            }
             for state in fresh {
                 pending.push_back(states.len());
-                states.push(state);
+                states.push(state.term().clone());
+                index.insert(state, states.len() - 1);
                 edges.push(Vec::new());
                 discarding.push(NameSet::new());
             }
@@ -895,7 +860,7 @@ impl Graph {
         let _span = bpi_obs::span("equiv.graph", "build_parallel");
         let pool_set = NameSet::from_iter(pool.iter().copied());
         let cap = opts.max_states.min(budget.max_states());
-        let s0 = normalize_state_cached(seed, None);
+        let s0 = bpi_core::cons(seed).normal_form().term().clone();
         let outcome = expand_frontier(
             s0,
             cap,
@@ -903,30 +868,12 @@ impl Graph {
             threads,
             /* stop_on_cap */ true,
             |src| {
-                let lts = Lts::new(defs);
-                let src_free = bpi_core::cached_free_names(src);
-                let mut dyn_pool = pool.to_vec();
-                for n in &src_free {
-                    if !pool_set.contains(n) && n.spelling().starts_with("#b") {
-                        dyn_pool.push(n);
-                    }
-                }
-                let avoid = src_free.union(&pool_set);
-                let mut succs = Vec::new();
-                for (act, cont) in step_transitions_cached(&lts, src).iter() {
-                    let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-                    succs.push((act, normalize_state_cached(&cont, None)));
-                }
-                for (act, cont) in input_transitions_cached(&lts, src, &dyn_pool).iter() {
-                    succs.push((act.clone(), normalize_state_cached(cont, None)));
-                }
-                let mut disc = NameSet::new();
-                for &a in &dyn_pool {
-                    if lts.discards(src, a) {
-                        disc.insert(a);
-                    }
-                }
-                Expansion { succs, meta: disc }
+                let (succs, meta) = expand_state(&Lts::new(defs), src, pool, &pool_set);
+                let succs = succs
+                    .into_iter()
+                    .map(|(act, state)| (act, state.term().clone()))
+                    .collect();
+                Expansion { succs, meta }
             },
         );
         if let Some(e) = outcome.interrupted {

@@ -42,13 +42,37 @@ const CACHE_CAP: usize = 1 << 20;
 // a miss).
 type StepKey = (Consed, u64);
 type InputKey = (Consed, u64, Vec<Name>);
-type NormKey = (Consed, Option<NameSet>);
+type NormKey = (Consed, NameSet);
 
-type TransMemo<K> = RwLock<HashMap<K, Arc<Vec<(Action, P)>>>>;
+/// A memoized derivation: the successors as the canonical allocations of
+/// their consed classes, and the handles that keep those cells, with the
+/// normal forms cached in them, live for as long as the entry.
+struct Derived {
+    succs: Arc<Vec<(Action, P)>>,
+    _cells: Vec<Consed>,
+}
+
+impl Derived {
+    fn new(succs: Vec<(Action, P)>) -> Derived {
+        let (succs, _cells) = succs
+            .into_iter()
+            .map(|(act, q)| {
+                let c = bpi_core::cons(&q);
+                ((act, c.term().clone()), c)
+            })
+            .unzip();
+        Derived {
+            succs: Arc::new(succs),
+            _cells,
+        }
+    }
+}
+
+type TransMemo<K> = RwLock<HashMap<K, Derived>>;
 
 static STEP_MEMO: LazyLock<TransMemo<StepKey>> = LazyLock::new(|| RwLock::new(HashMap::new()));
 static INPUT_MEMO: LazyLock<TransMemo<InputKey>> = LazyLock::new(|| RwLock::new(HashMap::new()));
-static NORM_MEMO: LazyLock<RwLock<HashMap<NormKey, P>>> =
+static NORM_MEMO: LazyLock<RwLock<HashMap<NormKey, Consed>>> =
     LazyLock::new(|| RwLock::new(HashMap::new()));
 
 // Hit/miss rates are *advisory*: the memos are process-global and
@@ -76,21 +100,22 @@ fn insert_capped<K: std::hash::Hash + Eq, V>(map: &RwLock<HashMap<K, V>>, k: K, 
 
 /// `lts.step_transitions(p)`, derived once per (term, defs generation).
 ///
-/// The returned successor allocations are shared across calls, so
-/// downstream per-allocation caches (consing's pointer fast path, the
-/// normalisation memo) hit on every revisit.
+/// The returned successors are the canonical allocations of their consed
+/// classes, kept live by the entry, so consing one is a pointer probe and
+/// the normal form cached in its cell is served on every revisit.
 pub fn step_transitions_cached(lts: &Lts<'_>, p: &P) -> Arc<Vec<(Action, P)>> {
     // Chaos delay site: memo caches must tolerate arbitrary scheduling
     // between probe and fill without changing any result.
     crate::chaos::delay("semantics.cache.step");
     let key = (bpi_core::cons(p), lts.defs.generation());
-    if let Some(v) = STEP_MEMO.read().get(&key) {
+    if let Some(d) = STEP_MEMO.read().get(&key) {
         STEP_HITS.inc();
-        return v.clone();
+        return d.succs.clone();
     }
     STEP_MISSES.inc();
-    let v = Arc::new(lts.step_transitions(p));
-    insert_capped(&STEP_MEMO, key, v.clone());
+    let d = Derived::new(lts.step_transitions(p));
+    let v = d.succs.clone();
+    insert_capped(&STEP_MEMO, key, d);
     v
 }
 
@@ -98,37 +123,46 @@ pub fn step_transitions_cached(lts: &Lts<'_>, p: &P) -> Arc<Vec<(Action, P)>> {
 /// pool).
 pub fn input_transitions_cached(lts: &Lts<'_>, p: &P, pool: &[Name]) -> Arc<Vec<(Action, P)>> {
     let key = (bpi_core::cons(p), lts.defs.generation(), pool.to_vec());
-    if let Some(v) = INPUT_MEMO.read().get(&key) {
+    if let Some(d) = INPUT_MEMO.read().get(&key) {
         INPUT_HITS.inc();
-        return v.clone();
+        return d.succs.clone();
     }
     INPUT_MISSES.inc();
-    let v = Arc::new(lts.input_transitions(p, pool));
-    insert_capped(&INPUT_MEMO, key, v.clone());
+    let d = Derived::new(lts.input_transitions(p, pool));
+    let v = d.succs.clone();
+    insert_capped(&INPUT_MEMO, key, d);
     v
 }
 
-/// [`crate::explore::normalize_state`] memoized per (term, protected
-/// set); `protected = None` memoizes the plain `canon ∘ prune`
-/// normalisation used when extruded-name folding is off.
+/// [`crate::explore::normalize_state`] through the term's consed cell;
+/// `protected = None` is the plain `canon ∘ prune` normalisation used
+/// when extruded-name folding is off.
 ///
-/// Because [`step_transitions_cached`] replays the same successor
-/// allocations on every revisit, the consing pointer probe makes repeat
-/// normalisations of a successor O(1).
+/// The cell serves `canon ∘ prune` itself ([`Consed::normal_form`]): an
+/// already-normal term comes back as it is, and otherwise only the nodes
+/// that change are rebuilt. That is also the answer for a protected set
+/// holding every free name, since there is nothing to rename; only the
+/// renaming of unprotected free names is memoized per (term, protected
+/// set). Every answer is the canonical allocation of its class, so
+/// consing it is a pointer probe.
 pub fn normalize_state_cached(p: &P, protected: Option<&NameSet>) -> P {
     crate::chaos::delay("semantics.cache.norm");
-    let key = (bpi_core::cons(p), protected.cloned());
+    let c = bpi_core::cons(p);
+    let n = c.normal_form();
+    let prot = match protected {
+        Some(prot) if !n.free_names().iter().all(|x| prot.contains(x)) => prot,
+        _ => return n.term().clone(),
+    };
+    let key = (c, prot.clone());
     if let Some(v) = NORM_MEMO.read().get(&key) {
         NORM_HITS.inc();
-        return v.clone();
+        return v.term().clone();
     }
     NORM_MISSES.inc();
-    let v = match protected {
-        Some(prot) => crate::explore::normalize_state(p, prot),
-        None => bpi_core::cached_canon(&bpi_core::prune(p)),
-    };
-    insert_capped(&NORM_MEMO, key, v.clone());
-    v
+    let v = bpi_core::cons(&crate::explore::normalize_state(p, prot));
+    let t = v.term().clone();
+    insert_capped(&NORM_MEMO, key, v);
+    t
 }
 
 #[cfg(test)]
