@@ -44,12 +44,6 @@ pub struct Prover {
     /// counts one unit against the state budget, and the deadline/
     /// cancellation flag are polled at the same point.
     pub budget: Budget,
-    /// Worker-thread count for the complete-condition fan-out (the
-    /// partitions of `fn(p, q)` are independent proof obligations).
-    /// Parallelism only engages for untraced, unlimited-budget runs —
-    /// a budget counts *cumulative* decide steps in partition order, so
-    /// its typed errors are reproducible only sequentially.
-    pub threads: usize,
     memo: HashMap<(P, P, bool), bool>,
     /// When tracing, the justification log (and memoisation is disabled
     /// so every step is recorded).
@@ -72,7 +66,6 @@ impl Prover {
         Prover {
             use_noisy: true,
             budget: Budget::unlimited(),
-            threads: bpi_semantics::default_threads(),
             memo: HashMap::new(),
             trace: None,
             depth: 0,
@@ -90,13 +83,6 @@ impl Prover {
     /// Replaces the prover's resource envelope.
     pub fn with_budget(mut self, budget: Budget) -> Prover {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the worker-thread count for the complete-condition fan-out
-    /// (clamped to at least 1). Verdicts are identical at every count.
-    pub fn with_threads(mut self, threads: usize) -> Prover {
-        self.threads = threads.max(1);
         self
     }
 
@@ -144,10 +130,9 @@ impl Prover {
     pub fn try_congruent(&mut self, p: &P, q: &P) -> Result<bool, EngineError> {
         let _span = bpi_obs::span("axioms.prover", "try_congruent");
         let r = self.try_congruent_inner(p, q);
-        // The verdict is a pure conjunction over the complete conditions,
-        // identical at every thread count: runs and verdict counters are
-        // deterministic. The step count depends on per-instance memo
-        // history and parallel early-exit, so it stays advisory.
+        // The verdict is a pure conjunction over the complete conditions:
+        // runs and verdict counters are deterministic. The step count
+        // depends on the prover's memo history, so it stays advisory.
         if bpi_obs::metrics_enabled() {
             bpi_obs::counter("axioms.prover.runs", bpi_obs::Det::Deterministic).inc();
             match &r {
@@ -187,15 +172,7 @@ impl Prover {
         );
         self.steps = 0;
         let fns = p.free_names().union(&q.free_names());
-        let parts = Partition::enumerate(&fns);
-        // The partitions are independent obligations; fan them out when
-        // allowed. Tracing needs the ordered log and a budget needs the
-        // sequential cumulative step count, so both force one thread.
-        if self.threads > 1 && parts.len() > 1 && self.trace.is_none() && self.budget.is_unlimited()
-        {
-            return Ok(self.conditions_parallel(p, q, &parts));
-        }
-        for part in parts {
+        for part in Partition::enumerate(&fns) {
             let s = part.collapse();
             let ps = s.apply_process(p);
             let qs = s.apply_process(q);
@@ -207,46 +184,6 @@ impl Prover {
             }
         }
         Ok(true)
-    }
-
-    /// Checks the complete conditions across crossbeam workers, one
-    /// fresh single-threaded [`Prover`] per worker (the memo is cheap to
-    /// regrow per worker and sharing it would serialise them). The
-    /// verdict is a pure conjunction over the partitions, so it is
-    /// identical at every thread count; a shared flag lets workers stop
-    /// early once any partition refutes.
-    fn conditions_parallel(&self, p: &P, q: &P, parts: &[Partition]) -> bool {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let refuted = AtomicBool::new(false);
-        let use_noisy = self.use_noisy;
-        crossbeam::scope(|s| {
-            let chunk = parts.len().div_ceil(self.threads);
-            for part_chunk in parts.chunks(chunk) {
-                let refuted = &refuted;
-                s.spawn(move |_| {
-                    let mut prover = Prover {
-                        use_noisy,
-                        ..Prover::new()
-                    }
-                    .with_threads(1);
-                    for part in part_chunk {
-                        if refuted.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let sub = part.collapse();
-                        let ps = sub.apply_process(p);
-                        let qs = sub.apply_process(q);
-                        // Unlimited budget: decide cannot Err here.
-                        if !prover.decide(&ps, &qs, true).unwrap_or(false) {
-                            refuted.store(true, Ordering::Release);
-                            return;
-                        }
-                    }
-                });
-            }
-        })
-        .expect("prover worker panicked");
-        !refuted.into_inner()
     }
 
     /// Decides the bisimulation layer: `p ~ q` for concrete names
@@ -601,35 +538,6 @@ mod tests {
             cancelled.try_congruent(&sys, &expanded),
             Err(EngineError::Cancelled)
         );
-    }
-
-    #[test]
-    fn parallel_conditions_match_sequential_verdicts() {
-        // Multi-name pairs so Partition::enumerate yields several
-        // obligations; verdicts must agree at every thread count, on
-        // both provable and refutable instances.
-        let [a, b, c, x] = names(["a", "b", "c", "x"]);
-        let cases: Vec<(P, P)> = vec![
-            (
-                par(out_(a, [b]), inp(b, [x], out_(c, []))),
-                par(out_(a, [b]), inp(b, [x], out_(c, []))),
-            ),
-            (mat_(a, b, out_(c, [])), nil()),
-            (
-                sum(out(a, [b], nil()), out_(c, [])),
-                sum(out_(c, []), out(a, [b], nil())),
-            ),
-        ];
-        for (p, q) in &cases {
-            let seq = Prover::new().with_threads(1).congruent(p, q);
-            for threads in [2, 4, 8] {
-                assert_eq!(
-                    Prover::new().with_threads(threads).congruent(p, q),
-                    seq,
-                    "prover diverged at {threads} threads on {p} vs {q}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,22 +1,14 @@
-//! B5 — state-space exploration: sequential vs crossbeam-parallel.
+//! State-space exploration cost.
 //!
 //! The subject family `Πᴺ (āᵢ.b̄ᵢ)` has 3^N reachable states (each
 //! component independently in one of three phases), giving a clean
-//! scaling series; the parallel explorer should show speedup once
-//! per-state work dominates the shared-table contention.
+//! scaling series.
 
+use bpi_bench::independent_components;
 use bpi_core::builder::*;
-use bpi_core::syntax::{Defs, P};
-use bpi_semantics::{explore, explore_parallel, ExploreOpts};
+use bpi_core::syntax::Defs;
+use bpi_semantics::{explore, ExploreOpts};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-fn independent_components(n: usize) -> P {
-    par_of((0..n).map(|i| {
-        let a = bpi_core::Name::intern_raw(&format!("ea{i}"));
-        let b = bpi_core::Name::intern_raw(&format!("eb{i}"));
-        out(a, [], out_(b, []))
-    }))
-}
 
 fn bench_explore(c: &mut Criterion) {
     let defs = Defs::new();
@@ -32,19 +24,6 @@ fn bench_explore(c: &mut Criterion) {
                 g.len()
             })
         });
-        for threads in [2usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel-{threads}"), n),
-                &p,
-                |b, p| {
-                    b.iter(|| {
-                        let g = explore_parallel(std::hint::black_box(p), &defs, opts, threads);
-                        assert!(!g.truncated);
-                        g.len()
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

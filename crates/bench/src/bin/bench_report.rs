@@ -17,14 +17,6 @@
 //!   (budgeted refinement with an inert checkpoint config vs snapshots
 //!   every 8 rounds, and cold pipeline restart vs resume from a
 //!   checkpoint taken at 50% of the pipeline's units);
-//! * **thread_series** — the thread-scaling sweep: the 3^N exploration
-//!   and the wide-parallel-composition build, each at 1/2/4/8 worker
-//!   threads (refinement is sequential, so it has no series).
-//!   Cold-construction series use tagged (structurally fresh) terms per
-//!   sample so the successor memos cannot serve the work the threads are
-//!   supposed to do. `host_cpus` records
-//!   the machine's actual parallelism — on a single-core host the series
-//!   measures the overhead floor of the parallel paths, not speedup;
 //! * **reliability** — PR 6's B13 curves: the Monte-Carlo convergence
 //!   probability of the cycle-detection ring (signal on `o`) and the
 //!   leader election (a follower appears, the loss-sensitive barb) at
@@ -33,7 +25,7 @@
 //!   across PRs like every other recorded number;
 //! * **metrics** (with `--metrics`) — the deterministic counter set of a
 //!   pinned build+refine workload, measured from a reset registry. These
-//!   values are bit-identical across engines and thread counts (the
+//!   values are bit-identical across engines (the
 //!   `metrics_oracle` suite pins that), so they can be diffed across
 //!   PRs like any other recorded number;
 //! * **BENCH_9.json** — PR 9's B16 Glomers ladder: every Maelstrom
@@ -71,22 +63,18 @@
 
 use bpi_bench::{
     deep_term, identical_stations_tagged, independent_components_tagged, scaled_pair,
-    shared_components_tagged, tau_chain, wide_par_tagged,
+    shared_components_tagged, tau_chain,
 };
 use bpi_core::syntax::Defs;
 use bpi_equiv::{
     build_composed, refine, refine_budgeted, refine_partition, refine_worklist, shared_pool,
     Checker, Checkpoint, Graph, Opts, RefineCheckpoint, Variant,
 };
-use bpi_semantics::{
-    explore, explore_parallel, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan,
-};
+use bpi_semantics::{explore, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan};
 use bpi_server::{json, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 struct Entry {
     id: &'static str,
@@ -101,24 +89,6 @@ impl Entry {
             self.baseline_us / self.optimized_us
         } else {
             f64::INFINITY
-        }
-    }
-}
-
-struct Series {
-    id: &'static str,
-    /// `(threads, median_us)` per sweep point.
-    points: Vec<(usize, f64)>,
-    note: &'static str,
-}
-
-impl Series {
-    fn speedup_at(&self, threads: usize) -> f64 {
-        let base = self.points.iter().find(|(t, _)| *t == 1);
-        let here = self.points.iter().find(|(t, _)| *t == threads);
-        match (base, here) {
-            (Some((_, b)), Some((_, h))) if *h > 0.0 => b / h,
-            _ => f64::NAN,
         }
     }
 }
@@ -366,7 +336,7 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
     // error. The checkpointed path bypasses the graph memo, so both
     // sides redo real construction work; the probe warms the semantic
     // successor caches for both sides equally.
-    let checker = Checker::new(&defs).with_threads(1);
+    let checker = Checker::new(&defs);
     let tank = Arc::new(AtomicUsize::new(1 << 30));
     let probe: CheckpointCfg<Checkpoint> = CheckpointCfg::default().with_fuel(tank.clone());
     checker
@@ -403,60 +373,6 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
 
 fn inert_pipeline() -> CheckpointCfg<Checkpoint> {
     CheckpointCfg::default()
-}
-
-/// B10 — the PR 3 thread-scaling sweep.
-fn measure_thread_series(s: &Sizes, wide_n: usize) -> Vec<Series> {
-    let defs = Defs::new();
-    let opts = Opts::default();
-    let mut series: Vec<Series> = Vec::new();
-
-    // Exploration: tagged terms per sample, so every run is cold and the
-    // workers have real derivations to share.
-    let mut tag_no = 0usize;
-    series.push(Series {
-        id: "explore/independent-3^N/cold-parallel",
-        points: THREADS
-            .iter()
-            .map(|&t| {
-                let us = median_us(s.reps, || {
-                    tag_no += 1;
-                    let sys = independent_components_tagged(s.explore_n, &format!("x{tag_no}#"));
-                    std::hint::black_box(
-                        explore_parallel(&sys, &defs, ExploreOpts::default(), t).len(),
-                    );
-                });
-                (t, us)
-            })
-            .collect(),
-        note: "cold frontier exploration of 3^8 states, fresh channel names per sample",
-    });
-
-    // Construction: the wide-parallel-composition family through the
-    // full equivalence-graph builder (input pool, discard sets, canonical
-    // BFS renumbering).
-    let budget = Budget::unlimited();
-    series.push(Series {
-        id: "graph/build-parallel/wide-par",
-        points: THREADS
-            .iter()
-            .map(|&t| {
-                let us = median_us(s.reps, || {
-                    tag_no += 1;
-                    let sys = wide_par_tagged(wide_n, &format!("w{tag_no}#"));
-                    let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-                    std::hint::black_box(
-                        Graph::build_parallel(&sys, &defs, &pool, opts, &budget, t)
-                            .expect("wide-par fits")
-                            .len(),
-                    );
-                });
-                (t, us)
-            })
-            .collect(),
-        note: "equivalence-graph construction of the wide composition, fresh names per sample",
-    });
-    series
 }
 
 /// One rung of the BENCH_7 state-size ladder.
@@ -577,7 +493,7 @@ fn measure_compose_ladder(
             sample_no += 1;
             let sys = family(n, &format!("{tag}{sample_no}#"));
             let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-            let g = build_composed(&sys, &defs, &pool, opts, &budget, 1)
+            let g = build_composed(&sys, &defs, &pool, opts, &budget)
                 .expect("identical-component families are finite")
                 .expect("identical-component families pass the compose gate");
             comp_states = g.len();
@@ -1056,7 +972,7 @@ fn run_glomers_gate() -> bool {
 /// The `--metrics` workload: reset the registry, run a pinned
 /// build+refine (τ-ladder and scaled-sums across all six variants, plus
 /// one tight-budget exhaustion), and read back the deterministic
-/// counters. Every value here is engine- and thread-count-independent.
+/// counters. Every value here is engine-independent.
 fn measure_metrics(s: &Sizes) -> Vec<(&'static str, u64)> {
     const ALL: [Variant; 6] = [
         Variant::StrongBarbed,
@@ -1110,7 +1026,6 @@ fn main() {
         depth: 12,
         reps: if check { 5 } else { 9 },
     };
-    let wide_n = 7; // 3^7 = 2187 states per build
 
     if check {
         if run_check(&sizes)
@@ -1143,7 +1058,6 @@ fn main() {
              vs C(N+2,2) orbit states",
         ),
     ];
-    let series = measure_thread_series(&sizes, wide_n);
     let reliability = measure_reliability();
     let metrics = with_metrics.then(|| measure_metrics(&sizes));
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1161,7 +1075,6 @@ fn main() {
                 ("tau_ladder", count(sizes.ladder_n)),
                 ("scaled_sums", count(sizes.scaled_n)),
                 ("explore_components", count(sizes.explore_n)),
-                ("wide_par", count(wide_n)),
                 ("term_depth", count(sizes.depth)),
                 ("repeats", count(sizes.reps)),
             ]),
@@ -1183,20 +1096,6 @@ fn main() {
                     ("optimized_us", fixed(e.optimized_us, 1)),
                     ("speedup", fixed(e.speedup(), 2)),
                     ("note", Json::str(e.note)),
-                ]
-            }),
-        ),
-        (
-            "thread_series",
-            rows(&series, |s| {
-                let pts = s.points.iter().map(|&(t, us)| {
-                    Json::obj(vec![("threads", count(t)), ("us", fixed(us, 1))])
-                });
-                vec![
-                    ("id", Json::str(s.id)),
-                    ("points", Json::Arr(pts.collect())),
-                    ("speedup_at_4", fixed(s.speedup_at(4), 2)),
-                    ("note", Json::str(s.note)),
                 ]
             }),
         ),
@@ -1239,19 +1138,6 @@ fn main() {
             e.baseline_us,
             e.optimized_us,
             e.speedup()
-        );
-    }
-    for s in &series {
-        let pts: Vec<String> = s
-            .points
-            .iter()
-            .map(|(t, us)| format!("{t}t:{us:.0}us"))
-            .collect();
-        eprintln!(
-            "{:<48} {}  ({:.2}x @4t, host_cpus={host_cpus})",
-            s.id,
-            pts.join("  "),
-            s.speedup_at(4)
         );
     }
     for r in &reliability {

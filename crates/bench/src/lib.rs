@@ -9,7 +9,7 @@
 //! * `normalize` — head-normal-form computation and the prover;
 //! * `broadcast_vs_p2p` — 1→N broadcast vs the π-encoded multicast
 //!   emulation (sender-side cost: constant vs linear);
-//! * `explore` — sequential vs crossbeam-parallel state-space search;
+//! * `explore` — state-space search on the 3^N family, cold and warm;
 //! * `examples` — the paper's worked examples end-to-end vs their
 //!   direct Rust baselines.
 
@@ -55,34 +55,14 @@ pub fn independent_components(n: usize) -> bpi_core::syntax::P {
 /// [`independent_components`] with `tag`-prefixed channel names: a fresh
 /// tag per measurement yields structurally fresh terms, defeating the
 /// cross-run successor memos so each sample pays genuinely cold
-/// construction (thread-scaling measurements need this — a memo hit
-/// parallelises nothing).
+/// construction (cold-exploration measurements need this — a memo hit
+/// does none of the work being timed).
 pub fn independent_components_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {
     use bpi_core::builder::*;
     par_of((0..n).map(|i| {
         let a = bpi_core::Name::intern_raw(&format!("{tag}ea{i}"));
         let b = bpi_core::Name::intern_raw(&format!("{tag}eb{i}"));
         out(a, [], out_(b, []))
-    }))
-}
-
-/// `Πᴺ (āᵢ + τ.b̄ᵢ)` — a wide parallel composition: every component
-/// contributes an independent branch at every depth, so the state graph
-/// (3^N states) has a frontier that stays wide from the first level.
-/// The stress shape for concurrent graph construction, where a
-/// τ-ladder's chain-shaped frontier (width 1) leaves workers idle.
-pub fn wide_par(n: usize) -> bpi_core::syntax::P {
-    wide_par_tagged(n, "")
-}
-
-/// [`wide_par`] with `tag`-prefixed channel names (see
-/// [`independent_components_tagged`] for why).
-pub fn wide_par_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {
-    use bpi_core::builder::*;
-    par_of((0..n).map(|i| {
-        let a = bpi_core::Name::intern_raw(&format!("{tag}wa{i}"));
-        let b = bpi_core::Name::intern_raw(&format!("{tag}wb{i}"));
-        sum(out_(a, []), tau(out_(b, [])))
     }))
 }
 

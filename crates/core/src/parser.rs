@@ -24,6 +24,10 @@
 //! occurrence of `X<..>` is a recursion variable; elsewhere uppercase
 //! identifiers are definition calls. A definition file is a sequence of
 //! `Ident(params) = proc ;` items parsed by [`parse_defs`].
+//!
+//! Terms are trees that every later pass walks recursively, so input
+//! that would build a term taller than [`MAX_DEPTH`] is rejected with a
+//! [`ParseError`] before the tall term is built.
 
 use crate::builder;
 use crate::name::Name;
@@ -44,6 +48,18 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The tallest term [`parse_process`] and [`parse_defs`] build. A
+/// term's height is the most nodes on one path from its root down to a
+/// `0`, call or recursion variable: each prefix, each name of a
+/// restriction `new x̃`, each match, `rec`, `|` and `+` is one node.
+/// Input is refused as soon as it would build a node past the cap. The
+/// parser's own recursion (a parenthesised process, a match branch, a
+/// `rec` body, the process after a run of prefixes) nests at most this
+/// deep too, since parentheses build no node. A term at the cap parses,
+/// conses, canonicalises, prints and drops within a 2 MiB thread stack,
+/// the stack of the daemon's connection threads.
+pub const MAX_DEPTH: usize = 4096;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -157,14 +173,41 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// A prefix or restriction read ahead of its continuation
+/// ([`Parser::seq`]).
+enum Guard {
+    Act(Prefix),
+    New(Vec<Name>),
+}
+
+/// The parser's result type. The error is boxed so that the results
+/// held across its recursion are two words wide, which keeps the frames
+/// on the recursion path small (see [`MAX_DEPTH`]).
+type PResult<T> = Result<T, Box<ParseError>>;
+
+/// A parsed term with its height (see [`MAX_DEPTH`]).
+type Parsed = PResult<(P, usize)>;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     i: usize,
     /// Recursion variables currently in scope (`rec X(..){ here }`).
     rec_scope: Vec<Ident>,
+    /// [`Parser::seq`] levels open around the current position: the
+    /// parser's recursion depth (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<(usize, Tok)>) -> Parser {
+        Parser {
+            toks,
+            i: 0,
+            rec_scope: Vec::new(),
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.i).map(|(_, t)| t)
     }
@@ -181,14 +224,17 @@ impl Parser {
         t
     }
 
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
+    #[cold]
+    #[inline(never)]
+    fn err<T>(&self, message: impl Into<String>) -> PResult<T> {
+        Err(Box::new(ParseError {
             pos: self.pos(),
             message: message.into(),
-        })
+        }))
     }
 
-    fn expect(&mut self, want: Tok, what: &str) -> Result<(), ParseError> {
+    #[inline(never)]
+    fn expect(&mut self, want: Tok, what: &str) -> PResult<()> {
         match self.bump() {
             Some(t) if t == want => Ok(()),
             Some(t) => {
@@ -199,7 +245,8 @@ impl Parser {
         }
     }
 
-    fn name(&mut self) -> Result<Name, ParseError> {
+    #[inline(never)]
+    fn name(&mut self) -> PResult<Name> {
         match self.bump() {
             // Raw interning: the parser must accept canonical (`#i`) and
             // fresh (`x~n`) names produced by our own printer.
@@ -213,7 +260,8 @@ impl Parser {
     }
 
     /// Comma-separated names, possibly empty, up to (not including) `close`.
-    fn name_list(&mut self, close: &Tok) -> Result<Vec<Name>, ParseError> {
+    #[inline(never)]
+    fn name_list(&mut self, close: &Tok) -> PResult<Vec<Name>> {
         let mut out = Vec::new();
         if self.peek() == Some(close) {
             return Ok(out);
@@ -226,157 +274,305 @@ impl Parser {
         Ok(out)
     }
 
-    fn proc(&mut self) -> Result<P, ParseError> {
-        self.par()
-    }
-
-    fn par(&mut self) -> Result<P, ParseError> {
-        let mut p = self.sum()?;
-        while self.peek() == Some(&Tok::Bar) {
-            self.bump();
-            let q = self.sum()?;
-            p = builder::par(p, q);
+    /// A whole input that is one process.
+    fn process(&mut self) -> PResult<P> {
+        let (out, _) = self.proc()?;
+        if self.i != self.toks.len() {
+            return self.err("trailing input after process");
         }
-        Ok(p)
+        Ok(out)
     }
 
-    fn sum(&mut self) -> Result<P, ParseError> {
-        let mut p = self.seq()?;
-        while self.peek() == Some(&Tok::Plus) {
-            self.bump();
-            let q = self.seq()?;
-            p = builder::sum(p, q);
+    /// A whole input that is a sequence of `Ident(params) = proc ;`.
+    fn defs(&mut self) -> PResult<Defs> {
+        let mut defs = Defs::new();
+        while self.peek().is_some() {
+            let id = match self.bump() {
+                Some(Tok::Ident(s)) => Ident::new(&s),
+                _ => {
+                    self.i -= 1;
+                    return self.err("expected a definition name (uppercase identifier)");
+                }
+            };
+            self.expect(Tok::LParen, "'(' opening definition parameters")?;
+            let params = self.name_list(&Tok::RParen)?;
+            self.expect(Tok::RParen, "')' closing definition parameters")?;
+            self.expect(Tok::Eq, "'=' in definition")?;
+            let (body, _) = self.proc()?;
+            self.expect(Tok::Semi, "';' terminating definition")?;
+            defs.define(id, params, body);
         }
-        Ok(p)
+        Ok(defs)
     }
 
-    fn opt_continuation(&mut self) -> Result<P, ParseError> {
-        if self.peek() == Some(&Tok::Dot) {
+    /// `par := sum ('|' sum)*` with `sum := seq ('+' seq)*`, in one
+    /// frame. Both chains nest to the left, so each further operand
+    /// raises the chain's height by at least one.
+    fn proc(&mut self) -> Parsed {
+        let mut par = None;
+        loop {
+            let mut sum = self.seq()?;
+            while self.peek() == Some(&Tok::Plus) {
+                self.bump();
+                let q = self.seq()?;
+                sum = self.join(Process::Sum, sum, q)?;
+            }
+            par = Some(match par {
+                Some(p) => self.join(Process::Par, p, sum)?,
+                None => sum,
+            });
+            if self.peek() != Some(&Tok::Bar) {
+                break;
+            }
             self.bump();
-            self.seq()
-        } else {
-            Ok(builder::nil())
         }
+        Ok(par.expect("the loop parses at least one operand"))
     }
 
-    fn seq(&mut self) -> Result<P, ParseError> {
-        match self.peek().cloned() {
+    /// One level of the parser's recursion: a run of prefixes, a match,
+    /// `rec`, call, `0` or parenthesised process, refused past
+    /// [`MAX_DEPTH`]. Each production has its own non-inlined function,
+    /// so a level costs only the small frames on its recursion path and
+    /// the cap fits a 2 MiB stack in unoptimised builds too.
+    fn seq(&mut self) -> Parsed {
+        if self.depth >= MAX_DEPTH {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let p = match self.peek() {
+            Some(Tok::KwTau | Tok::KwNew | Tok::Name(_)) => self.guarded(),
             Some(Tok::Zero) => {
                 self.bump();
-                Ok(builder::nil())
+                Ok((builder::nil(), 0))
             }
-            Some(Tok::KwTau) => {
-                self.bump();
-                let cont = self.opt_continuation()?;
-                Ok(builder::tau(cont))
-            }
-            Some(Tok::KwNew) => {
-                self.bump();
-                let mut xs = vec![self.name()?];
-                while self.peek() == Some(&Tok::Comma) {
-                    self.bump();
-                    xs.push(self.name()?);
+            Some(Tok::LBracket) => self.matching(),
+            Some(Tok::KwRec) => self.rec(),
+            Some(Tok::Ident(_)) => self.call(),
+            Some(Tok::LParen) => self.parens(),
+            _ => self.unexpected(),
+        };
+        self.depth -= 1;
+        p
+    }
+
+    fn at_guard(&self) -> bool {
+        matches!(self.peek(), Some(Tok::KwTau | Tok::KwNew | Tok::Name(_)))
+    }
+
+    /// A run of prefixes and restrictions `π₁.….πₙ.rest`, read in a loop
+    /// and folded onto `rest` — the deepest common shape (τ-ladders,
+    /// checkpointed states) costs no recursion. Each prefix and each
+    /// restricted name adds one node of height.
+    #[inline(never)]
+    fn guarded(&mut self) -> Parsed {
+        let mut guards = Vec::new();
+        let mut height = 0;
+        let (rest, rest_height) = loop {
+            match self.peek() {
+                Some(Tok::KwNew) => {
+                    let xs = self.restriction_head()?;
+                    height += xs.len();
+                    guards.push(Guard::New(xs));
                 }
-                self.expect(Tok::Dot, "'.' after restricted names")?;
-                let body = self.seq()?;
-                Ok(builder::new_many(xs, body))
-            }
-            Some(Tok::LBracket) => {
-                self.bump();
-                let x = self.name()?;
-                self.expect(Tok::Eq, "'=' in match")?;
-                let y = self.name()?;
-                self.expect(Tok::RBracket, "']' closing match")?;
-                self.expect(Tok::LBrace, "'{' opening then-branch")?;
-                let then = self.proc()?;
-                self.expect(Tok::RBrace, "'}' closing then-branch")?;
-                let els = if self.peek() == Some(&Tok::LBrace) {
+                Some(Tok::KwTau) => {
                     self.bump();
-                    let e = self.proc()?;
-                    self.expect(Tok::RBrace, "'}' closing else-branch")?;
-                    e
-                } else {
-                    builder::nil()
-                };
-                Ok(builder::mat(x, y, then, els))
-            }
-            Some(Tok::KwRec) => {
-                self.bump();
-                let id = match self.bump() {
-                    Some(Tok::Ident(s)) => Ident::new(&s),
-                    _ => {
-                        self.i -= 1;
-                        return self.err("expected an uppercase identifier after 'rec'");
-                    }
-                };
-                self.expect(Tok::LParen, "'(' opening rec parameters")?;
-                let params = self.name_list(&Tok::RParen)?;
-                self.expect(Tok::RParen, "')' closing rec parameters")?;
-                self.expect(Tok::LBrace, "'{' opening rec body")?;
-                self.rec_scope.push(id);
-                let body = self.proc();
-                self.rec_scope.pop();
-                let body = body?;
-                self.expect(Tok::RBrace, "'}' closing rec body")?;
-                let args = if self.peek() == Some(&Tok::LAngle) {
-                    self.bump();
-                    let a = self.name_list(&Tok::RAngle)?;
-                    self.expect(Tok::RAngle, "'>' closing rec arguments")?;
-                    a
-                } else {
-                    params.clone()
-                };
-                Ok(Process::Rec(
-                    RecDef {
-                        ident: id,
-                        params,
-                        body,
-                    },
-                    args,
-                )
-                .rc())
-            }
-            Some(Tok::Ident(s)) => {
-                self.bump();
-                let id = Ident::new(&s);
-                self.expect(Tok::LAngle, "'<' opening call arguments")?;
-                let args = self.name_list(&Tok::RAngle)?;
-                self.expect(Tok::RAngle, "'>' closing call arguments")?;
-                if self.rec_scope.contains(&id) {
-                    Ok(Process::Var(id, args).rc())
-                } else {
-                    Ok(Process::Call(id, args).rc())
+                    height += 1;
+                    guards.push(Guard::Act(Prefix::Tau));
+                }
+                _ => {
+                    height += 1;
+                    guards.push(Guard::Act(self.prefix_head()?));
                 }
             }
-            Some(Tok::Name(_)) => {
-                let a = self.name()?;
-                match self.peek() {
-                    Some(Tok::LParen) => {
-                        self.bump();
-                        let xs = self.name_list(&Tok::RParen)?;
-                        self.expect(Tok::RParen, "')' closing input objects")?;
-                        let cont = self.opt_continuation()?;
-                        Ok(Process::Act(Prefix::Input(a, xs), cont).rc())
-                    }
-                    Some(Tok::LAngle) => {
-                        self.bump();
-                        let ys = self.name_list(&Tok::RAngle)?;
-                        self.expect(Tok::RAngle, "'>' closing output objects")?;
-                        let cont = self.opt_continuation()?;
-                        Ok(Process::Act(Prefix::Output(a, ys), cont).rc())
-                    }
-                    _ => self.err("expected '(' or '<' after channel name"),
+            if height > MAX_DEPTH {
+                return self.too_deep();
+            }
+            // A restriction's body is mandatory, an action's continuation
+            // optional.
+            if matches!(guards.last(), Some(Guard::Act(_))) {
+                if self.peek() != Some(&Tok::Dot) {
+                    break (builder::nil(), 0);
                 }
-            }
-            Some(Tok::LParen) => {
                 self.bump();
-                let p = self.proc()?;
-                self.expect(Tok::RParen, "')' closing parenthesised process")?;
-                Ok(p)
             }
+            if !self.at_guard() {
+                break self.seq()?;
+            }
+        };
+        if height + rest_height > MAX_DEPTH {
+            return self.too_deep();
+        }
+        let p = guards.into_iter().rev().fold(rest, |cont, g| match g {
+            Guard::Act(prefix) => Process::Act(prefix, cont).rc(),
+            Guard::New(xs) => builder::new_many(xs, cont),
+        });
+        Ok((p, height + rest_height))
+    }
+
+    /// The height of a node over a child `child` tall, refused past
+    /// [`MAX_DEPTH`] before the node is built.
+    fn above(&self, child: usize) -> PResult<usize> {
+        if child >= MAX_DEPTH {
+            return self.too_deep();
+        }
+        Ok(child + 1)
+    }
+
+    /// `op(p, q)`, refused when it would stand taller than [`MAX_DEPTH`].
+    /// Out of line, keeping the node temporary off the frames that stay
+    /// live across the parser's recursion.
+    #[inline(never)]
+    fn join(&self, op: fn(P, P) -> Process, (p, hp): (P, usize), (q, hq): (P, usize)) -> Parsed {
+        let height = self.above(hp.max(hq))?;
+        Ok((op(p, q).rc(), height))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn too_deep<T>(&self) -> PResult<T> {
+        self.err(format!("process nested deeper than {MAX_DEPTH} levels"))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&self) -> Parsed {
+        match self.peek() {
             Some(t) => self.err(format!("unexpected token {t:?}")),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// `new x̃.`
+    #[inline(never)]
+    fn restriction_head(&mut self) -> PResult<Vec<Name>> {
+        self.bump();
+        let mut xs = vec![self.name()?];
+        while self.peek() == Some(&Tok::Comma) {
+            self.bump();
+            xs.push(self.name()?);
+        }
+        self.expect(Tok::Dot, "'.' after restricted names")?;
+        Ok(xs)
+    }
+
+    #[inline(never)]
+    fn matching(&mut self) -> Parsed {
+        self.bump();
+        let x = self.name()?;
+        self.expect(Tok::Eq, "'=' in match")?;
+        let y = self.name()?;
+        self.expect(Tok::RBracket, "']' closing match")?;
+        self.expect(Tok::LBrace, "'{' opening then-branch")?;
+        let (then, then_height) = self.proc()?;
+        self.expect(Tok::RBrace, "'}' closing then-branch")?;
+        let (els, els_height) = if self.peek() == Some(&Tok::LBrace) {
+            self.bump();
+            let e = self.proc()?;
+            self.expect(Tok::RBrace, "'}' closing else-branch")?;
+            e
+        } else {
+            (builder::nil(), 0)
+        };
+        let height = self.above(then_height.max(els_height))?;
+        Ok((builder::mat(x, y, then, els), height))
+    }
+
+    #[inline(never)]
+    fn rec(&mut self) -> Parsed {
+        let (id, params) = self.rec_head()?;
+        self.rec_scope.push(id);
+        let body = self.proc();
+        self.rec_scope.pop();
+        self.rec_tail(id, params, body?)
+    }
+
+    /// `rec X(params) {`
+    #[inline(never)]
+    fn rec_head(&mut self) -> PResult<(Ident, Vec<Name>)> {
+        self.bump();
+        let id = match self.bump() {
+            Some(Tok::Ident(s)) => Ident::new(&s),
+            _ => {
+                self.i -= 1;
+                return self.err("expected an uppercase identifier after 'rec'");
+            }
+        };
+        self.expect(Tok::LParen, "'(' opening rec parameters")?;
+        let params = self.name_list(&Tok::RParen)?;
+        self.expect(Tok::RParen, "')' closing rec parameters")?;
+        self.expect(Tok::LBrace, "'{' opening rec body")?;
+        Ok((id, params))
+    }
+
+    /// `} <args>?` after the body.
+    #[inline(never)]
+    fn rec_tail(
+        &mut self,
+        ident: Ident,
+        params: Vec<Name>,
+        (body, body_height): (P, usize),
+    ) -> Parsed {
+        self.expect(Tok::RBrace, "'}' closing rec body")?;
+        let height = self.above(body_height)?;
+        let args = if self.peek() == Some(&Tok::LAngle) {
+            self.bump();
+            let a = self.name_list(&Tok::RAngle)?;
+            self.expect(Tok::RAngle, "'>' closing rec arguments")?;
+            a
+        } else {
+            params.clone()
+        };
+        let def = RecDef {
+            ident,
+            params,
+            body,
+        };
+        Ok((Process::Rec(def, args).rc(), height))
+    }
+
+    #[inline(never)]
+    fn call(&mut self) -> Parsed {
+        let Some(Tok::Ident(s)) = self.bump() else {
+            unreachable!("call() is entered on an identifier")
+        };
+        let id = Ident::new(&s);
+        self.expect(Tok::LAngle, "'<' opening call arguments")?;
+        let args = self.name_list(&Tok::RAngle)?;
+        self.expect(Tok::RAngle, "'>' closing call arguments")?;
+        if self.rec_scope.contains(&id) {
+            Ok((Process::Var(id, args).rc(), 0))
+        } else {
+            Ok((Process::Call(id, args).rc(), 0))
+        }
+    }
+
+    /// `a(x̃)` or `a<ỹ>`.
+    #[inline(never)]
+    fn prefix_head(&mut self) -> PResult<Prefix> {
+        let a = self.name()?;
+        match self.peek() {
+            Some(Tok::LParen) => {
+                self.bump();
+                let xs = self.name_list(&Tok::RParen)?;
+                self.expect(Tok::RParen, "')' closing input objects")?;
+                Ok(Prefix::Input(a, xs))
+            }
+            Some(Tok::LAngle) => {
+                self.bump();
+                let ys = self.name_list(&Tok::RAngle)?;
+                self.expect(Tok::RAngle, "'>' closing output objects")?;
+                Ok(Prefix::Output(a, ys))
+            }
+            _ => self.err("expected '(' or '<' after channel name"),
+        }
+    }
+
+    #[inline(never)]
+    fn parens(&mut self) -> Parsed {
+        self.bump();
+        let p = self.proc()?;
+        self.expect(Tok::RParen, "')' closing parenthesised process")?;
+        Ok(p)
     }
 }
 
@@ -388,19 +584,12 @@ impl Parser {
 /// let q = parse_process("new u. a<u>.u<>").unwrap();
 /// assert!(alpha_eq(&p, &q));
 /// assert!(parse_process("a<b").is_err());
+/// // Terms are at most `MAX_DEPTH` nodes tall.
+/// let deep = format!("{}0", "tau.".repeat(bpi_core::parser::MAX_DEPTH + 1));
+/// assert!(parse_process(&deep).is_err());
 /// ```
 pub fn parse_process(src: &str) -> Result<P, ParseError> {
-    let toks = Lexer::tokens(src)?;
-    let mut p = Parser {
-        toks,
-        i: 0,
-        rec_scope: Vec::new(),
-    };
-    let out = p.proc()?;
-    if p.i != p.toks.len() {
-        return p.err("trailing input after process");
-    }
-    Ok(out)
+    Parser::new(Lexer::tokens(src)?).process().map_err(|e| *e)
 }
 
 /// Parses a definition file: a sequence of `Ident(params) = proc ;` items.
@@ -411,30 +600,7 @@ pub fn parse_process(src: &str) -> Result<P, ParseError> {
 /// assert!(defs.get(Ident::new("Fwd")).is_some());
 /// ```
 pub fn parse_defs(src: &str) -> Result<Defs, ParseError> {
-    let toks = Lexer::tokens(src)?;
-    let mut p = Parser {
-        toks,
-        i: 0,
-        rec_scope: Vec::new(),
-    };
-    let mut defs = Defs::new();
-    while p.peek().is_some() {
-        let id = match p.bump() {
-            Some(Tok::Ident(s)) => Ident::new(&s),
-            _ => {
-                p.i -= 1;
-                return p.err("expected a definition name (uppercase identifier)");
-            }
-        };
-        p.expect(Tok::LParen, "'(' opening definition parameters")?;
-        let params = p.name_list(&Tok::RParen)?;
-        p.expect(Tok::RParen, "')' closing definition parameters")?;
-        p.expect(Tok::Eq, "'=' in definition")?;
-        let body = p.proc()?;
-        p.expect(Tok::Semi, "';' terminating definition")?;
-        defs.define(id, params, body);
-    }
-    Ok(defs)
+    Parser::new(Lexer::tokens(src)?).defs().map_err(|e| *e)
 }
 
 #[cfg(test)]
@@ -539,6 +705,136 @@ mod tests {
     fn comments_and_whitespace() {
         let p = parse_process("// leading comment\n a<> // trailing\n + b<>").unwrap();
         assert_eq!(summands(&p).len(), 2);
+    }
+
+    /// Runs `f` on a thread with std's default 2 MiB spawn stack — the
+    /// stack the daemon's connection threads parse on.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .expect("no stack overflow on a 2 MiB thread");
+    }
+
+    fn tau_chain(levels: usize) -> String {
+        vec!["tau"; levels].join(".")
+    }
+
+    fn par_chain(operands: usize) -> String {
+        vec!["a<>"; operands].join(" | ")
+    }
+
+    /// `new x`, `a<x>`, `tau` and `a(y)` in turn, one node each.
+    fn guard_chain(levels: usize) -> String {
+        let guards = ["new x", "a<x>", "tau", "a(y)"];
+        let chain: Vec<&str> = (0..levels).map(|i| guards[i % 4]).collect();
+        format!("{}.0", chain.join("."))
+    }
+
+    /// One restriction of `names` names: `names` nested `New` nodes.
+    fn new_list(names: usize) -> String {
+        format!("new {}.0", vec!["a"; names].join(","))
+    }
+
+    /// A τ-chain as the first operand of a 100-operand `|` chain, which
+    /// sits under the chain's 99 `Par` nodes.
+    fn deep_first_operand(height: usize) -> String {
+        format!("{} | {}", tau_chain(height - 99), par_chain(99))
+    }
+
+    #[test]
+    fn depth_cap_admits_the_cap_and_refuses_one_level_more() {
+        on_small_stack(|| {
+            for src in [
+                tau_chain(MAX_DEPTH),
+                par_chain(MAX_DEPTH),
+                guard_chain(MAX_DEPTH),
+                new_list(MAX_DEPTH),
+                deep_first_operand(MAX_DEPTH),
+            ] {
+                let p = parse_process(&src).expect("a term MAX_DEPTH tall parses");
+                // The passes every consumer runs on a parsed term stay
+                // within the same stack.
+                assert!(alpha_eq(&crate::canon::canon(&p), &p));
+                assert!(!p.to_string().is_empty());
+                drop(crate::cons(&p));
+            }
+            // A `|` chain with a deep first operand, nested as the first
+            // operand of further long chains: each nesting would add
+            // thousands of levels to the term.
+            let mut nested = format!(
+                "{} | {}",
+                tau_chain(MAX_DEPTH - 100),
+                par_chain(MAX_DEPTH - 100)
+            );
+            for _ in 0..24 {
+                nested = format!("({nested}) | {}", par_chain(4000));
+            }
+            for src in [
+                tau_chain(MAX_DEPTH + 1),
+                par_chain(MAX_DEPTH + 1),
+                guard_chain(MAX_DEPTH + 1),
+                new_list(MAX_DEPTH + 1),
+                deep_first_operand(MAX_DEPTH + 1),
+                tau_chain(100_000),
+                par_chain(100_000),
+                new_list(100_000),
+                nested,
+            ] {
+                let e = parse_process(&src).expect_err("one level past the cap");
+                assert!(
+                    e.message.contains("nested deeper"),
+                    "message: {}",
+                    e.message
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn depth_cap_bounds_the_parser_recursion() {
+        // Parentheses, match branches, rec bodies and the process after
+        // a prefix recurse through the whole grammar per level; at the
+        // cap they still fit.
+        on_small_stack(|| {
+            let parens = format!(
+                "{}0{}",
+                "(".repeat(MAX_DEPTH - 1),
+                ")".repeat(MAX_DEPTH - 1)
+            );
+            parse_process(&parens).expect("MAX_DEPTH levels of parentheses");
+            let matches = format!(
+                "{}0{}",
+                "[x=y]{".repeat(MAX_DEPTH - 1),
+                "}".repeat(MAX_DEPTH - 1)
+            );
+            parse_process(&matches).expect("MAX_DEPTH levels of matches");
+            let recs = format!(
+                "{}0{}",
+                "rec X(){".repeat(MAX_DEPTH - 1),
+                "}".repeat(MAX_DEPTH - 1)
+            );
+            parse_process(&recs).expect("MAX_DEPTH levels of rec bodies");
+            // Two levels each: the prefix's continuation and the
+            // parenthesised process.
+            let half = MAX_DEPTH / 2 - 1;
+            let prefixed = format!("{}0{}", "tau.(".repeat(half), ")".repeat(half));
+            parse_process(&prefixed).expect("MAX_DEPTH levels of prefixed parentheses");
+            let too_deep = format!("{}0{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+            assert!(parse_process(&too_deep).is_err());
+            // Parentheses build no node, so a term at the cap can sit
+            // at the parser's deepest point, and is dropped there when
+            // the operand after it is refused.
+            let (open, close) = ("(".repeat(MAX_DEPTH - 2), ")".repeat(MAX_DEPTH - 2));
+            let at_cap = format!("{open}{}{close}", tau_chain(MAX_DEPTH));
+            parse_process(&at_cap).expect("a term at the cap inside parentheses");
+            let past_cap = format!("{open}{} | a<>{close}", tau_chain(MAX_DEPTH));
+            assert!(parse_process(&past_cap).is_err());
+            let defs = format!("D() = {};", tau_chain(MAX_DEPTH + 1));
+            assert!(parse_defs(&defs).is_err(), "definitions are capped too");
+        });
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! for [`refine_auto`] and for the checkpointed pipeline behind
 //! [`Checker::run_slice`] (and so every served check) alike; the
 //! `BPI_ENGINE` env var overrides the choice. The [`Checker`] runs it
-//! over graphs built with the `BPI_THREADS` policy of
-//! [`bpi_semantics::threads`].
+//! over graphs from the memoized sequential build
+//! ([`Graph::build_cached`]).
 
 use crate::checkpoint::RefineCheckpoint;
 use crate::graph::{shared_pool, Graph, Opts};
@@ -50,7 +50,7 @@ use std::sync::{Arc, LazyLock};
 // Refinement metrics. The deterministic set is *result-derived*: all
 // three engines converge to the same greatest fixpoint over the same
 // graphs, so the initial pair count and the surviving/killed split are
-// engine- and thread-independent. How the engines get there — sweeps,
+// engine-independent. How the engines get there — sweeps,
 // rounds — is process-derived and advisory by contract
 // (metrics_oracle.rs enforces the split).
 static REFINE_RUNS: LazyLock<&Counter> =
@@ -150,15 +150,6 @@ pub struct Checker<'d> {
     /// are polled during the build; the state ceiling composes with
     /// `opts.max_states` by taking the minimum).
     pub budget: Budget,
-    /// Worker-thread count for graph construction only (the
-    /// frontier-parallel build of [`Checker::try_fixpoint`] and
-    /// compose's component builds); refinement and the checkpointed
-    /// pipeline are sequential. Defaults to
-    /// [`bpi_semantics::default_threads`] (`1` unless `BPI_THREADS`
-    /// opts in); `1` keeps everything on the calling thread. Every
-    /// thread count produces bit-identical graphs, relations and
-    /// errors, so this is purely a performance knob.
-    pub threads: usize,
 }
 
 /// A computed candidate relation between two graphs, exposed so that the
@@ -208,7 +199,6 @@ impl<'d> Checker<'d> {
             defs,
             opts: Opts::default(),
             budget: Budget::unlimited(),
-            threads: bpi_semantics::default_threads(),
         }
     }
 
@@ -217,7 +207,6 @@ impl<'d> Checker<'d> {
             defs,
             opts,
             budget: Budget::unlimited(),
-            threads: bpi_semantics::default_threads(),
         }
     }
 
@@ -227,10 +216,11 @@ impl<'d> Checker<'d> {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1). The answer
-    /// is identical at every thread count; only wall-clock changes.
-    pub fn with_threads(mut self, threads: usize) -> Checker<'d> {
-        self.threads = threads.max(1);
+    /// Returns the checker unchanged: every check runs on the calling
+    /// thread. Kept only because the benchmark harness (`perfbench/`)
+    /// calls `with_threads(1)`; drop it with the next benchmark change.
+    pub fn with_threads(self, threads: usize) -> Checker<'d> {
+        let _ = threads;
         self
     }
 
@@ -282,8 +272,7 @@ impl<'d> Checker<'d> {
     /// [`refine_auto`] picks for the product.
     /// `Err` when either graph exceeds the state budget
     /// (`opts.max_states` ∧ `budget`) or the budget's
-    /// deadline/cancellation fires — the same `Err` at every thread
-    /// count.
+    /// deadline/cancellation fires.
     pub fn try_fixpoint(
         &self,
         v: Variant,
@@ -297,35 +286,15 @@ impl<'d> Checker<'d> {
         // every downstream verdict is unchanged (compose_oracle.rs).
         // The gate declining is not an error — just the monolithic path.
         if crate::compose::compose_enabled() {
-            if let Some((g1, g2)) = crate::compose::try_compose_pair(
-                p,
-                q,
-                self.defs,
-                &pool,
-                self.opts,
-                &self.budget,
-                self.threads,
-            )? {
+            if let Some((g1, g2)) =
+                crate::compose::try_compose_pair(p, q, self.defs, &pool, self.opts, &self.budget)?
+            {
                 let rel = refine_auto(v, &g1, &g2, 1);
                 return Ok((g1, g2, rel));
             }
         }
-        let g1 = Graph::build_cached_threads(
-            p,
-            self.defs,
-            &pool,
-            self.opts,
-            &self.budget,
-            self.threads,
-        )?;
-        let g2 = Graph::build_cached_threads(
-            q,
-            self.defs,
-            &pool,
-            self.opts,
-            &self.budget,
-            self.threads,
-        )?;
+        let g1 = Graph::build_cached(p, self.defs, &pool, self.opts, &self.budget)?;
+        let g2 = Graph::build_cached(q, self.defs, &pool, self.opts, &self.budget)?;
         let rel = refine_auto(v, &g1, &g2, 1);
         Ok((g1, g2, rel))
     }
@@ -435,8 +404,7 @@ pub(crate) enum Engine {
 /// pin it: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
 /// partition refiner above it whenever the product is partition-safe
 /// (uniform input arities — see [`crate::partition::partition_safe`]),
-/// the pairwise round engine otherwise. Deliberately *not* a function
-/// of the thread count: refinement is sequential.
+/// the pairwise round engine otherwise.
 pub(crate) fn auto_engine(pairs: usize, partition_safe: bool) -> Engine {
     if pairs <= NAIVE_MAX_PAIRS {
         Engine::Naive
@@ -450,8 +418,7 @@ pub(crate) fn auto_engine(pairs: usize, partition_safe: bool) -> Engine {
 /// The `BPI_ENGINE` override, re-read on every dispatch (tests flip it
 /// mid-process): `partition`, `worklist` or `naive` force that engine;
 /// empty, unset or `auto` defer to [`auto_engine`]; anything else warns
-/// once and falls back to the automatic choice, mirroring the
-/// `BPI_THREADS` policy.
+/// once and falls back to the automatic choice, like `BPI_COMPOSE`.
 pub(crate) fn engine_override() -> Option<Engine> {
     let raw = std::env::var("BPI_ENGINE").ok()?;
     match raw.trim().to_ascii_lowercase().as_str() {
@@ -502,7 +469,7 @@ pub(crate) fn partition_relation(part: &Partition) -> PairRelation {
 /// invisible to callers; `BPI_ENGINE` overrides it. The checkpointed
 /// pipeline behind [`Checker::run_slice`] dispatches the same way.
 ///
-/// `threads` is ignored: refinement is sequential. The argument stays
+/// `threads` is ignored: every engine is sequential. The argument stays
 /// only so the benchmark harness, which calls `refine_auto(v, g1, g2,
 /// 1)`, keeps compiling.
 pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {

@@ -930,7 +930,7 @@ impl<'d> Checker<'d> {
         }
     }
 
-    /// [`Checker::check`] under supervision: worker panics are isolated
+    /// [`Checker::check`] under supervision: panics are isolated
     /// (`catch_unwind`), retryable exhaustion grows the budget and
     /// **resumes from the last checkpoint** instead of re-exploring, and
     /// when `attempts` run out the verdict is an *anytime* partial answer
@@ -942,7 +942,6 @@ impl<'d> Checker<'d> {
                 defs: self.defs,
                 opts: self.opts,
                 budget: budget.clone(),
-                threads: self.threads,
             };
             let cfg = CheckpointCfg::periodic(SUPERVISED_EVERY, slot.clone());
             match resume {

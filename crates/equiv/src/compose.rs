@@ -73,9 +73,9 @@ use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock};
 
-// All deterministic: the gate is a pure function of the two terms, the
-// product construction is sequential with canonical BFS numbering, and
-// the component builds/quotients are thread-independent.
+// All deterministic: the gate is a pure function of the two terms, and
+// the component builds, quotients and product construction are
+// sequential with breadth-first numbering.
 static COMPOSE_BUILDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.compose.builds", Det::Deterministic));
 static COMPOSE_COMPONENTS: LazyLock<&Counter> =
@@ -90,8 +90,8 @@ static COMPOSE_STATES: LazyLock<&Counter> =
 /// through the compositional engine (with the monolithic build as the
 /// automatic fallback when the gate fails); empty, unset, `0`,
 /// `false`, `off` or `auto` keep the monolithic default; anything else
-/// warns once and stays monolithic, mirroring the `BPI_ENGINE` /
-/// `BPI_THREADS` env-parse hardening.
+/// warns once and stays monolithic, mirroring the `BPI_ENGINE`
+/// env-parse hardening.
 pub fn compose_enabled() -> bool {
     parse_compose(std::env::var("BPI_COMPOSE").ok().as_deref())
 }
@@ -130,12 +130,11 @@ impl Side {
         pool: &[Name],
         opts: crate::graph::Opts,
         budget: &Budget,
-        threads: usize,
     ) -> Result<Side, EngineError> {
         let comps = par_components(p);
         let graphs = comps
             .iter()
-            .map(|c| Graph::build_cached_threads(c, defs, pool, opts, budget, threads))
+            .map(|c| Graph::build_cached(c, defs, pool, opts, budget))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Side { comps, graphs })
     }
@@ -552,10 +551,9 @@ pub fn try_compose_pair(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-    threads: usize,
 ) -> Result<Option<ComposedPair>, EngineError> {
-    let s1 = Side::build(p, defs, pool, opts, budget, threads)?;
-    let s2 = Side::build(q, defs, pool, opts, budget, threads)?;
+    let s1 = Side::build(p, defs, pool, opts, budget)?;
+    let s2 = Side::build(q, defs, pool, opts, budget)?;
     if !s1.is_product() && !s2.is_product() {
         return Ok(None);
     }
@@ -577,9 +575,8 @@ pub fn build_composed(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-    threads: usize,
 ) -> Result<Option<Arc<Graph>>, EngineError> {
-    let side = Side::build(p, defs, pool, opts, budget, threads)?;
+    let side = Side::build(p, defs, pool, opts, budget)?;
     if !side.is_product() || !gate_ok(&[&side]) {
         return Ok(None);
     }
@@ -639,7 +636,7 @@ mod tests {
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
         let mono = Graph::build(&p, &defs, &pool, opts).expect("finite");
-        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
+        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
             .expect("within budget")
             .expect("top-level par passes the gate");
         assert!(comp.len() <= mono.len(), "symmetry must not inflate");
@@ -659,14 +656,14 @@ mod tests {
         let single = out(a, [b], nil());
         let pool = shared_pool(&single, &single, opts.fresh_inputs);
         assert!(
-            build_composed(&single, &defs, &pool, opts, &Budget::unlimited(), 1)
+            build_composed(&single, &defs, &pool, opts, &Budget::unlimited())
                 .unwrap()
                 .is_none()
         );
         let scoped = new(a, par(out_(a, []), inp_(a, [b])));
         let pool = shared_pool(&scoped, &scoped, opts.fresh_inputs);
         assert!(
-            build_composed(&scoped, &defs, &pool, opts, &Budget::unlimited(), 1)
+            build_composed(&scoped, &defs, &pool, opts, &Budget::unlimited())
                 .unwrap()
                 .is_none()
         );
@@ -682,11 +679,9 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        assert!(
-            build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
-                .unwrap()
-                .is_none()
-        );
+        assert!(build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     /// Mixed input arities on one channel across the two sides decline
@@ -700,7 +695,7 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &q, opts.fresh_inputs);
-        let got = try_compose_pair(&p, &q, &defs, &pool, opts, &Budget::unlimited(), 1)
+        let got = try_compose_pair(&p, &q, &defs, &pool, opts, &Budget::unlimited())
             .expect("within budget");
         assert!(got.is_none(), "joint arity mix must fall back");
     }
@@ -718,11 +713,9 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        assert!(
-            build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
-                .unwrap()
-                .is_none()
-        );
+        assert!(build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     /// The orbit reduction is polynomial where the monolithic space is
@@ -738,7 +731,7 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
+        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
             .expect("within budget")
             .expect("gate passes");
         let orbit_bound = (n + 1) * (n + 2) / 2;

@@ -106,7 +106,8 @@ impl StaticContext {
 
 /// Sampled static-context closure of a bisimilarity: checks
 /// `C[p] ~ᵥ C[q]` for the empty context and `samples` random static
-/// contexts. Returns the first distinguishing context on failure.
+/// contexts drawn from the seeded rng. Returns the first distinguishing
+/// context on failure.
 pub fn sampled_equivalence(
     v: Variant,
     p: &P,
@@ -115,41 +116,11 @@ pub fn sampled_equivalence(
     samples: usize,
     seed: u64,
 ) -> Result<(), StaticContext> {
-    sampled_equivalence_threads(
-        v,
-        p,
-        q,
-        defs,
-        samples,
-        seed,
-        bpi_semantics::default_threads(),
-    )
-}
-
-/// [`sampled_equivalence`] with an explicit worker-thread count.
-///
-/// The context sequence is drawn from the seeded rng *before* any
-/// checking (the stream never depends on verdicts, so this matches the
-/// sequential draw order exactly), the per-context verdicts are
-/// deterministic, and the reported counterexample is the **lowest-index**
-/// distinguishing context — so the result is identical at every thread
-/// count. Workers consult a shared lowest-failure watermark to skip
-/// contexts that can no longer matter.
-#[allow(clippy::too_many_arguments)]
-pub fn sampled_equivalence_threads(
-    v: Variant,
-    p: &P,
-    q: &P,
-    defs: &Defs,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<(), StaticContext> {
-    let checker = Checker::with_opts(defs, Opts::default()).with_threads(1);
+    let checker = Checker::with_opts(defs, Opts::default());
     let mut rng = StdRng::seed_from_u64(seed);
     let pool: Vec<Name> = p.free_names().union(&q.free_names()).to_vec();
-    // The empty context gates everything (and is by far the most likely
-    // refuter), so it stays a sequential pre-check.
+    // The empty context is by far the most likely refuter, so it goes
+    // first, before any context is drawn.
     let empty = StaticContext::hole();
     if !checker.bisimilar(v, &empty.apply(p), &empty.apply(q)) {
         return Err(empty);
@@ -157,38 +128,12 @@ pub fn sampled_equivalence_threads(
     let contexts: Vec<StaticContext> = (0..samples)
         .map(|_| StaticContext::random(&mut rng, &pool, 2))
         .collect();
-    if threads <= 1 || contexts.len() <= 1 {
-        for ctx in contexts {
-            if !checker.bisimilar(v, &ctx.apply(p), &ctx.apply(q)) {
-                return Err(ctx);
-            }
+    for ctx in contexts {
+        if !checker.bisimilar(v, &ctx.apply(p), &ctx.apply(q)) {
+            return Err(ctx);
         }
-        return Ok(());
     }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let first_fail = AtomicUsize::new(usize::MAX);
-    crossbeam::scope(|s| {
-        let chunk = contexts.len().div_ceil(threads);
-        for (c, part) in contexts.chunks(chunk).enumerate() {
-            let (first_fail, checker) = (&first_fail, &checker);
-            s.spawn(move |_| {
-                for (off, ctx) in part.iter().enumerate() {
-                    let idx = c * chunk + off;
-                    if idx >= first_fail.load(Ordering::Acquire) {
-                        return; // a lower-index refuter already won
-                    }
-                    if !checker.bisimilar(v, &ctx.apply(p), &ctx.apply(q)) {
-                        first_fail.fetch_min(idx, Ordering::AcqRel);
-                    }
-                }
-            });
-        }
-    })
-    .expect("context sweep worker panicked");
-    match first_fail.into_inner() {
-        usize::MAX => Ok(()),
-        idx => Err(contexts[idx].clone()),
-    }
+    Ok(())
 }
 
 /// The tester `T` of Lemma 5: for channels `M = fn(p, q)` and fresh
@@ -290,43 +235,6 @@ mod tests {
         assert!(strong_barbed_bisimilar(&p, &q, &defs));
         let res = sampled_equivalence(Variant::StrongBarbed, &p, &q, &defs, 200, 7);
         assert!(res.is_err(), "a distinguishing static context exists");
-    }
-
-    #[test]
-    fn parallel_sampling_reports_the_same_counterexample() {
-        // The parallel sweep must return Ok/Err exactly as the
-        // sequential one, and on failure the *same* (lowest-index)
-        // distinguishing context, at every thread count.
-        let defs = d();
-        let [a, b, c, e] = names(["a", "b", "c", "e"]);
-        let p = out_(a, [b]);
-        let q = out(a, [b], out_(c, [e]));
-        let seq = sampled_equivalence_threads(Variant::StrongBarbed, &p, &q, &defs, 60, 7, 1);
-        let seq_ctx = seq.expect_err("a distinguishing context exists");
-        for threads in [2, 4, 8] {
-            let res =
-                sampled_equivalence_threads(Variant::StrongBarbed, &p, &q, &defs, 60, 7, threads);
-            let ctx = res.expect_err("parallel sweep must refute too");
-            assert_eq!(
-                ctx.apply(&p).to_string(),
-                seq_ctx.apply(&p).to_string(),
-                "counterexample diverged at {threads} threads"
-            );
-        }
-        // And agreement on an equivalent pair.
-        let pn = par(p.clone(), nil());
-        for threads in [1, 4] {
-            assert!(sampled_equivalence_threads(
-                Variant::StrongBarbed,
-                &p,
-                &pn,
-                &defs,
-                20,
-                42,
-                threads
-            )
-            .is_ok());
-        }
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub fn explain_fixpoint(
     let mut depth_budget = initial_budget;
     let d = explain_pair(v, g1, 0, g2, 0, rel, &mut depth_budget);
     // The experiment is a function of the fixpoint relation, which is
-    // engine- and thread-independent — so the count and search depth
+    // engine-independent — so the count and search depth
     // replay deterministically.
     bpi_obs::counter("equiv.distinguish.formulas", bpi_obs::Det::Deterministic).inc();
     bpi_obs::counter("equiv.distinguish.depth", bpi_obs::Det::Deterministic)

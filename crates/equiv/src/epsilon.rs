@@ -409,10 +409,9 @@ fn build_pair(
 ) -> Result<(std::sync::Arc<Graph>, std::sync::Arc<Graph>), EngineError> {
     let opts = Opts::default();
     let budget = Budget::unlimited();
-    let threads = bpi_semantics::default_threads();
     let pool = shared_pool(p, q, opts.fresh_inputs);
-    let g1 = Graph::build_cached_threads(p, defs, &pool, opts, &budget, threads)?;
-    let g2 = Graph::build_cached_threads(q, defs, &pool, opts, &budget, threads)?;
+    let g1 = Graph::build_cached(p, defs, &pool, opts, &budget)?;
+    let g2 = Graph::build_cached(q, defs, &pool, opts, &budget)?;
     Ok((g1, g2))
 }
 

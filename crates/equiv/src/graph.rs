@@ -28,19 +28,16 @@ use bpi_core::Consed;
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
-use bpi_semantics::frontier::{expand_frontier, renumber_bfs, Expansion};
 use bpi_semantics::lts::{tuples, Lts};
 use bpi_semantics::{input_transitions_cached, step_transitions_cached};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock, OnceLock};
 
-// Build metrics. Completed graphs are bit-identical between the
-// sequential and parallel constructions (canonical BFS numbering), so
-// everything counted off a finished graph — and the state-ceiling
-// failure, which is a property of the reachable set — is deterministic.
-// Deadline/cancellation/panic failures and memo hit rates depend on
-// wall clock and process history: advisory.
+// Build metrics. Everything counted off a finished graph — and the
+// state-ceiling failure, which is a property of the reachable set — is
+// deterministic. Deadline/cancellation failures and memo hit rates
+// depend on wall clock and process history: advisory.
 static BUILDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.graph.builds", Det::Deterministic));
 static BUILD_STATES: LazyLock<&Counter> =
@@ -95,8 +92,7 @@ impl Default for Opts {
 /// The reachable, pool-instantiated, label-normalised LTS of one process.
 pub struct Graph {
     /// α-canonical state representatives; index 0 is the seed, and the
-    /// numbering is canonical breadth-first discovery order (identical
-    /// for [`Graph::build`] and [`Graph::build_parallel`]).
+    /// numbering is breadth-first discovery order.
     pub states: Vec<P>,
     /// Outgoing `τ`/output/input edges (no discard edges; see
     /// [`Graph::state_discards`]), in derivation order. The checkers read
@@ -483,8 +479,8 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
     )
 }
 
-/// One state's expansion, shared by the sequential, checkpointed and
-/// parallel builds: its `τ`/output/input successors in derivation order,
+/// One state's expansion, shared by the plain and checkpointed builds:
+/// its `τ`/output/input successors in derivation order,
 /// each normalised ([`Consed::normal_form`]) and bound outputs renamed
 /// by [`normalize_bound_output`], and the pool channels it discards. A
 /// pure function of the state.
@@ -574,8 +570,8 @@ impl Graph {
         let s0 = bpi_core::cons(seed).normal_form();
         states.push(s0.term().clone());
         index.insert(s0, 0);
-        // FIFO expansion: state numbering is then canonical breadth-first
-        // discovery order, the same order `build_parallel` renumbers to.
+        // FIFO expansion: state numbering is breadth-first discovery
+        // order.
         let mut work = VecDeque::from([0usize]);
 
         while let Some(i) = work.pop_front() {
@@ -835,67 +831,6 @@ impl Graph {
         g
     }
 
-    /// [`Graph::build_with_budget`] across `threads` crossbeam workers,
-    /// reusing the shared frontier machinery of
-    /// [`bpi_semantics::frontier`]. The outcome is **bit-for-bit
-    /// identical** to the sequential build: per-state expansion is a pure
-    /// function of the state (so edge lists and discard sets agree), and
-    /// a canonical breadth-first renumber erases the scheduling-dependent
-    /// discovery order. Budget semantics replay exactly — exceeding the
-    /// state ceiling is a property of the reachable set, not of the
-    /// schedule, so the same typed error comes back at any thread count
-    /// (deadline/cancellation remain timing-dependent, as sequentially).
-    pub fn build_parallel(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Graph, EngineError> {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return Graph::build_with_budget(seed, defs, pool, opts, budget);
-        }
-        let _span = bpi_obs::span("equiv.graph", "build_parallel");
-        let pool_set = NameSet::from_iter(pool.iter().copied());
-        let cap = opts.max_states.min(budget.max_states());
-        let s0 = bpi_core::cons(seed).normal_form().term().clone();
-        let outcome = expand_frontier(
-            s0,
-            cap,
-            budget,
-            threads,
-            /* stop_on_cap */ true,
-            |src| {
-                let (succs, meta) = expand_state(&Lts::new(defs), src, pool, &pool_set);
-                let succs = succs
-                    .into_iter()
-                    .map(|(act, state)| (act, state.term().clone()))
-                    .collect();
-                Expansion { succs, meta }
-            },
-        );
-        if let Some(e) = outcome.interrupted {
-            if matches!(e, EngineError::WorkerPanicked) && bpi_semantics::chaos::is_active() {
-                // A chaos-injected worker panic, not a real engine fault:
-                // fall back to the bit-identical sequential build without
-                // recording the doomed attempt, so a chaos run leaves the
-                // same deterministic counter trail as a calm one.
-                return Graph::build_with_budget(seed, defs, pool, opts, budget);
-            }
-            record_build_err(&e);
-            return Err(e);
-        }
-        let outcome = renumber_bfs(outcome);
-        Ok(Graph::from_parts(
-            outcome.states,
-            outcome.edges,
-            outcome.metas,
-            pool.to_vec(),
-        ))
-    }
-
     /// [`Graph::build_with_budget`] through a global memo keyed by
     /// *(consed seed, defs generation, pool)*: the six bisimulation
     /// variants, the congruence layer, distinguishing-formula extraction
@@ -912,21 +847,6 @@ impl Graph {
         pool: &[Name],
         opts: Opts,
         budget: &Budget,
-    ) -> Result<Arc<Graph>, EngineError> {
-        Graph::build_cached_threads(seed, defs, pool, opts, budget, 1)
-    }
-
-    /// [`Graph::build_cached`] building cache misses with
-    /// [`Graph::build_parallel`] across `threads` workers. Because the
-    /// parallel build is bit-for-bit identical to the sequential one, the
-    /// memo may be shared freely between thread counts.
-    pub fn build_cached_threads(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-        threads: usize,
     ) -> Result<Arc<Graph>, EngineError> {
         budget.check(0)?;
         // Chaos injection point: a seeded delay widens the window between
@@ -945,9 +865,7 @@ impl Graph {
             return Ok(g.clone());
         }
         MEMO_MISSES.inc();
-        let g = Arc::new(Graph::build_parallel(
-            seed, defs, pool, opts, budget, threads,
-        )?);
+        let g = Arc::new(Graph::build_with_budget(seed, defs, pool, opts, budget)?);
         let mut memo = GRAPH_MEMO.write();
         if memo.len() >= GRAPH_MEMO_CAP {
             memo.clear();
@@ -1466,60 +1384,6 @@ mod tests {
         };
         assert!(g.csr().label_id(&alien).is_none());
         assert!(g.weak_label(0, &alien).is_empty());
-    }
-
-    #[test]
-    fn build_parallel_is_bit_identical_to_sequential() {
-        let defs = Defs::new();
-        let [a, b, x] = names(["a", "b", "x"]);
-        let p = par(
-            inp(a, [x], out_(x, [])),
-            par(
-                out(a, [b], out_(b, [])),
-                sum(tau(out_(a, [])), inp_(b, [x])),
-            ),
-        );
-        let pool = shared_pool(&p, &nil(), 1);
-        let g1 = Graph::build(&p, &defs, &pool, Opts::default()).unwrap();
-        for threads in [2, 4] {
-            let g2 = Graph::build_parallel(
-                &p,
-                &defs,
-                &pool,
-                Opts::default(),
-                &Budget::unlimited(),
-                threads,
-            )
-            .unwrap();
-            assert_eq!(g1.states, g2.states, "threads={threads}");
-            assert_eq!(g1.edges, g2.edges, "threads={threads}");
-            assert_eq!(
-                g1.discarding.iter().map(|d| d.to_vec()).collect::<Vec<_>>(),
-                g2.discarding.iter().map(|d| d.to_vec()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn build_parallel_replays_budget_errors() {
-        let defs = Defs::new();
-        let [a] = names(["a"]);
-        let xid = bpi_core::syntax::Ident::new("GPumpPar");
-        let p = rec(xid, [a], tau(par(out_(a, []), var(xid, [a]))), [a]);
-        let pool = shared_pool(&p, &nil(), 1);
-        let seq = Graph::build_with_budget(&p, &defs, &pool, Opts::default(), &Budget::states(4));
-        for threads in [2, 4] {
-            let par = Graph::build_parallel(
-                &p,
-                &defs,
-                &pool,
-                Opts::default(),
-                &Budget::states(4),
-                threads,
-            );
-            assert_eq!(par.as_ref().err(), seq.as_ref().err(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -58,10 +58,10 @@ pub use checkpoint::{
 };
 pub use compose::{build_composed, compose_enabled, try_compose_pair};
 pub use congruence::{
-    congruent_strong, congruent_weak, sim_plus, try_congruent_strong, try_congruent_strong_threads,
-    try_congruent_weak, try_congruent_weak_threads, try_sim_plus, try_weak_sim_plus, weak_sim_plus,
+    congruent_strong, congruent_weak, sim_plus, try_congruent_strong, try_congruent_weak,
+    try_sim_plus, try_weak_sim_plus, weak_sim_plus,
 };
-pub use contexts::{sampled_equivalence, sampled_equivalence_threads, StaticContext};
+pub use contexts::{sampled_equivalence, StaticContext};
 pub use distinguish::{explain, explain_fixpoint, try_explain, Distinction, Experiment, Side};
 pub use epsilon::{
     defect, epsilon_bisimilar, epsilon_distance, pair_defect, refine_epsilon, refine_epsilon_naive,

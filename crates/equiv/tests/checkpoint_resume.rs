@@ -8,18 +8,17 @@
 //!   round — driven by the cooperative fuel countdown) and resuming from
 //!   the serialised checkpoint yields the same fixpoint relation and the
 //!   same deterministic `bpi-obs` counter deltas as the uninterrupted
-//!   run, across all six variants and threads 1/2/4, including for
-//!   processes wrapped in the fault combinators — and above the
+//!   run, across all six variants, including for processes wrapped in
+//!   the fault combinators — and above the
 //!   naive cutover, where the refine phase parks inside the partition
 //!   refiner or the pairwise round engine.
 //! * **One dispatch.** A check sliced by [`Checker::run_slice`] refines
 //!   on the engine [`refine_auto`] picks, so both leave the same
 //!   relation and the same deterministic refinement counters.
 //! * **Chaos is invisible too.** A seeded [`ChaosPlan`] perturbs
-//!   scheduling and injects recoverable faults, but verdicts and
-//!   deterministic counters match a quiet run, and the injection log
-//!   replays bit-identically for the same seed on a single-threaded
-//!   workload.
+//!   scheduling and injects recoverable budget pressure, but verdicts
+//!   and deterministic counters match a quiet run, and the injection log
+//!   replays bit-identically for the same seed.
 //!
 //! The metrics registry and the chaos plan are process-global, so every
 //! test serialises on [`LOCK`].
@@ -34,7 +33,7 @@ use bpi_equiv::{
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::chaos::{self, ChaosPlan};
-use bpi_semantics::{deafen, noise, Budget, CheckpointCfg, EngineError};
+use bpi_semantics::{deafen, noise, CheckpointCfg, EngineError};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -52,9 +51,6 @@ const ALL: [Variant; 6] = [
     Variant::WeakStep,
     Variant::WeakLabelled,
 ];
-
-/// The thread counts the CI matrix exercises via `BPI_THREADS`.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Upper bound on the fuel sweep — generously above any boundary count
 /// the small pairs can have, so a non-terminating sweep fails loudly.
@@ -168,7 +164,7 @@ fn naive_forced() -> bool {
 /// feasible pipeline boundary (fuel = 1, 2, … until the run completes)
 /// and resuming from the serialised checkpoint yields the same relation
 /// and the same deterministic counter delta as the straight run, for
-/// all six variants at threads 1/2/4. Above the cutover the refine phase
+/// all six variants. Above the cutover the refine phase
 /// is budgeted too, and the sweep must land inside it: the
 /// partition-safe pair parks inside the partition refiner, the
 /// mixed-arity pair inside the pairwise round engine (its only coverage
@@ -191,49 +187,39 @@ fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
             });
             let reference = reference.unwrap();
             assert_eq!(ref_delta.get("equiv.refine.runs"), Some(&1));
-            for threads in THREADS {
-                let ct = Checker::new(&d).with_threads(threads);
-                let mut refine_parks = 0;
-                let mut completed = false;
-                for fuel in 1..FUEL_CAP {
-                    let mut outcome = None;
-                    let delta = det_delta(|| {
-                        outcome = Some(run_and_resume(
-                            &ct,
-                            v,
-                            &p,
-                            &q,
-                            &CheckpointCfg::fuelled(fuel),
-                        ));
-                    });
-                    let (got, phase) = outcome.unwrap();
-                    assert_eq!(
-                        got, reference,
-                        "fuel={fuel} threads={threads} {v:?} changed the fixpoint on {p} vs {q}"
-                    );
-                    assert_eq!(
-                        delta, ref_delta,
-                        "fuel={fuel} threads={threads} {v:?} perturbed deterministic \
-                         counters on {p} vs {q}"
-                    );
-                    match phase {
-                        Some("refine") => refine_parks += 1,
-                        Some(_) => {}
-                        None => {
-                            completed = true;
-                            break;
-                        }
+            let mut refine_parks = 0;
+            let mut completed = false;
+            for fuel in 1..FUEL_CAP {
+                let mut outcome = None;
+                let delta = det_delta(|| {
+                    outcome = Some(run_and_resume(&c, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
+                });
+                let (got, phase) = outcome.unwrap();
+                assert_eq!(
+                    got, reference,
+                    "fuel={fuel} {v:?} changed the fixpoint on {p} vs {q}"
+                );
+                assert_eq!(
+                    delta, ref_delta,
+                    "fuel={fuel} {v:?} perturbed deterministic counters on {p} vs {q}"
+                );
+                match phase {
+                    Some("refine") => refine_parks += 1,
+                    Some(_) => {}
+                    None => {
+                        completed = true;
+                        break;
                     }
                 }
-                assert!(
-                    completed,
-                    "{v:?} on {p} vs {q} never completed within {FUEL_CAP} fuel"
-                );
-                assert!(
-                    !above_cutover || refine_parks > 0 || naive_forced(),
-                    "{v:?} on {p} vs {q} never parked inside refinement"
-                );
             }
+            assert!(
+                completed,
+                "{v:?} on {p} vs {q} never completed within {FUEL_CAP} fuel"
+            );
+            assert!(
+                !above_cutover || refine_parks > 0 || naive_forced(),
+                "{v:?} on {p} vs {q} never parked inside refinement"
+            );
         }
     }
 }
@@ -317,11 +303,11 @@ fn run_slice_refines_on_the_engine_refine_auto_picks() {
 }
 
 /// The acceptance-scale differential: 200 seeded random pairs × all six
-/// variants × threads 1/2/4, each interrupted once at a varying boundary
-/// and resumed through the text codec. Verdict and deterministic
-/// counters must match the straight run in every case.
+/// variants, each interrupted once at a varying boundary and resumed
+/// through the text codec. Verdict and deterministic counters must
+/// match the straight run in every case.
 #[test]
-fn random_pairs_resume_differential_200x6x3() {
+fn random_pairs_resume_differential_200x6() {
     let _g = lock();
     let d = Defs::new();
     let cfg = GenCfg::finite_monadic(names(["a", "b"]).to_vec());
@@ -342,24 +328,19 @@ fn random_pairs_resume_differential_200x6x3() {
             // whole lands on build-left, build-right and refine
             // boundaries.
             let fuel = 1 + (i + vi) % 9;
-            for threads in THREADS {
-                let ct = Checker::new(&d).with_threads(threads);
-                let mut got = None;
-                let delta = det_delta(|| {
-                    got = Some(run_and_resume(&ct, v, &p, &q, &CheckpointCfg::fuelled(fuel)).0);
-                });
-                assert_eq!(
-                    got.as_ref(),
-                    Some(&reference),
-                    "pair #{i} {v:?} threads={threads} fuel={fuel}: resumed fixpoint \
-                     diverged on {p} vs {q}"
-                );
-                assert_eq!(
-                    delta, ref_delta,
-                    "pair #{i} {v:?} threads={threads} fuel={fuel}: deterministic \
-                     counters diverged on {p} vs {q}"
-                );
-            }
+            let mut got = None;
+            let delta = det_delta(|| {
+                got = Some(run_and_resume(&c, v, &p, &q, &CheckpointCfg::fuelled(fuel)).0);
+            });
+            assert_eq!(
+                got.as_ref(),
+                Some(&reference),
+                "pair #{i} {v:?} fuel={fuel}: resumed fixpoint diverged on {p} vs {q}"
+            );
+            assert_eq!(
+                delta, ref_delta,
+                "pair #{i} {v:?} fuel={fuel}: deterministic counters diverged on {p} vs {q}"
+            );
         }
     }
 }
@@ -388,11 +369,9 @@ fn resume_differential_under_fault_combinators() {
             });
             let reference = reference.unwrap();
             let fuel = 1 + (fi + vi) % 7;
-            let threads = THREADS[(fi + vi) % THREADS.len()];
-            let ct = Checker::new(&d).with_threads(threads);
             let mut got = None;
             let delta = det_delta(|| {
-                got = Some(run_and_resume(&ct, v, p, q, &CheckpointCfg::fuelled(fuel)).0);
+                got = Some(run_and_resume(&c, v, p, q, &CheckpointCfg::fuelled(fuel)).0);
             });
             assert_eq!(
                 got.as_ref(),
@@ -413,8 +392,7 @@ proptest! {
     /// Satellite 3 as a property: for seeded random pairs (optionally
     /// fault-instrumented with PR 1's combinators), interrupting at
     /// *every* feasible state/round boundary and resuming is invisible —
-    /// same fixpoint, same deterministic counter deltas — at threads
-    /// 1, 2 and 4.
+    /// same fixpoint, same deterministic counter deltas.
     #[test]
     fn prop_interrupt_anywhere_resume_is_invisible(seed in 0u64..1_000_000) {
         let _g = lock();
@@ -444,32 +422,29 @@ proptest! {
             reference = Some(rel.rel);
         });
         let reference = reference.unwrap();
-        for threads in THREADS {
-            let ct = Checker::new(&d).with_threads(threads);
-            let mut completed = false;
-            for fuel in 1..FUEL_CAP {
-                let mut outcome = None;
-                let delta = det_delta(|| {
-                    outcome = Some(run_and_resume(&ct, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
-                });
-                let (got, phase) = outcome.unwrap();
-                prop_assert_eq!(
-                    &got, &reference,
-                    "seed={} fuel={} threads={} {:?}: fixpoint diverged",
-                    seed, fuel, threads, v
-                );
-                prop_assert_eq!(
-                    &delta, &ref_delta,
-                    "seed={} fuel={} threads={} {:?}: deterministic counters diverged",
-                    seed, fuel, threads, v
-                );
-                if phase.is_none() {
-                    completed = true;
-                    break;
-                }
+        let mut completed = false;
+        for fuel in 1..FUEL_CAP {
+            let mut outcome = None;
+            let delta = det_delta(|| {
+                outcome = Some(run_and_resume(&c, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
+            });
+            let (got, phase) = outcome.unwrap();
+            prop_assert_eq!(
+                &got, &reference,
+                "seed={} fuel={} {:?}: fixpoint diverged",
+                seed, fuel, v
+            );
+            prop_assert_eq!(
+                &delta, &ref_delta,
+                "seed={} fuel={} {:?}: deterministic counters diverged",
+                seed, fuel, v
+            );
+            if phase.is_none() {
+                completed = true;
+                break;
             }
-            prop_assert!(completed, "seed={} never completed within {} fuel", seed, FUEL_CAP);
         }
+        prop_assert!(completed, "seed={} never completed within {} fuel", seed, FUEL_CAP);
     }
 }
 
@@ -489,12 +464,11 @@ fn supervised_check_absorbs_injected_budget_pressure() {
     chaos::clear();
     chaos::install(
         ChaosPlan::new(7)
-            .panic_prob(0.0)
             .delay_prob(0.0)
             .pressure_prob(1.0)
             .max_injections(6),
     );
-    let c = Checker::new(&d).with_threads(4);
+    let c = Checker::new(&d);
     let verdict = c.check_supervised(Variant::StrongBarbed, &p, &p, 8);
     let log = chaos::clear();
     assert!(log.pressures() >= 1, "chaos never fired: {log:?}");
@@ -502,33 +476,6 @@ fn supervised_check_absorbs_injected_budget_pressure() {
         verdict.holds(),
         "a reflexive pair must still hold under injected pressure: {verdict:?}"
     );
-}
-
-/// The congruence sweep's fan-out recovers from poisoned workers on its
-/// sequential path — same verdict as the single-threaded sweep, no
-/// abort.
-#[test]
-fn congruence_sweep_recovers_from_poisoned_workers() {
-    let _g = lock();
-    let d = Defs::new();
-    let [x, y, c] = names(["x", "y", "c"]);
-    let p = mat_(x, y, out_(c, []));
-    let q = nil();
-    chaos::clear();
-    let want = bpi_equiv::try_congruent_strong_threads(&p, &q, &d, Opts::default(), 1)
-        .expect("sequential sweep");
-    chaos::install(
-        ChaosPlan::new(5)
-            .panic_prob(1.0)
-            .delay_prob(0.0)
-            .pressure_prob(0.0)
-            .max_injections(8),
-    );
-    let got = bpi_equiv::try_congruent_strong_threads(&p, &q, &d, Opts::default(), 4)
-        .expect("the sweep must recover, not abort");
-    let log = chaos::clear();
-    assert!(log.panics() >= 1, "the sweep site never fired: {log:?}");
-    assert_eq!(got, want, "recovered sweep verdict diverged");
 }
 
 /// A supervised `Fails` verdict carries distinguishing evidence pulled
@@ -549,8 +496,8 @@ fn supervised_fails_verdict_carries_an_experiment() {
     }
 }
 
-/// Chaos invisibility: a workload that exercises the frontier workers,
-/// the pairwise refinement and the checkpointed pipeline produces
+/// Chaos invisibility: a workload that exercises the graph build, the
+/// pairwise refinement and the checkpointed pipeline produces
 /// identical verdicts and identical deterministic counter deltas with a
 /// seeded chaos plan installed as it does on a quiet run.
 #[test]
@@ -563,14 +510,11 @@ fn chaos_run_matches_quiet_run_bit_for_bit() {
     let pool = shared_pool(&big, &big, opts.fresh_inputs);
     let workload = || {
         let mut verdicts: Vec<Vec<Vec<bool>>> = Vec::new();
-        // Parallel build (frontier worker_tick sites) + pairwise
-        // refinement on the big product.
-        let g1 =
-            Graph::build_parallel(&big, &d, &pool, opts, &Budget::unlimited(), 4).expect("finite");
-        let g2 = Graph::build(&big, &d, &pool, opts).expect("finite");
-        verdicts.push(refine_worklist(Variant::StrongBarbed, &g1, &g2).rel);
+        // Build + pairwise refinement on the big product.
+        let g = Graph::build(&big, &d, &pool, opts).expect("finite");
+        verdicts.push(refine_worklist(Variant::StrongBarbed, &g, &g).rel);
         // The checkpointed pipeline on the structured pairs.
-        let c = Checker::new(&d).with_threads(2);
+        let c = Checker::new(&d);
         for (p, q) in variants() {
             for v in [Variant::StrongLabelled, Variant::WeakLabelled] {
                 let (_, _, rel) = c
@@ -596,7 +540,7 @@ fn chaos_run_matches_quiet_run_bit_for_bit() {
     );
 }
 
-/// Chaos replay: on a single-threaded supervised workload, the same seed
+/// Chaos replay: on a supervised workload, the same seed
 /// fires the same injections at the same per-site ordinals — the log is
 /// bit-identical across runs — and the supervised verdict still matches
 /// the quiet one despite injected budget pressure.
@@ -609,21 +553,16 @@ fn chaos_log_replays_deterministically_for_the_same_seed() {
     let q = out(a, [b], out_(b, []));
     chaos::clear();
     let quiet = Checker::new(&d)
-        .with_threads(1)
         .check_supervised(Variant::WeakLabelled, &p, &q, 8)
         .holds();
     let run = |seed: u64| {
         chaos::install(
             ChaosPlan::new(seed)
-                .panic_prob(0.0)
                 .delay_prob(0.0)
                 .pressure_prob(0.6)
                 .max_injections(4),
         );
-        let verdict =
-            Checker::new(&d)
-                .with_threads(1)
-                .check_supervised(Variant::WeakLabelled, &p, &q, 8);
+        let verdict = Checker::new(&d).check_supervised(Variant::WeakLabelled, &p, &q, 8);
         let log = chaos::clear();
         assert_eq!(
             verdict.holds(),

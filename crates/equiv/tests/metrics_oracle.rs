@@ -6,10 +6,10 @@
 //! may legitimately vary with scheduling (memo hit rates, sweep and
 //! round counts). The contract locked down here: the deterministic
 //! counter *deltas* of a run are pointwise bit-identical across the
-//! pairwise refinement engines and, for graph builds, across thread
-//! counts 1/2/4 (the values `BPI_THREADS` takes in CI), including runs
-//! that end in budget exhaustion, and an active trace sink never
-//! perturbs either the counters or the typed error semantics.
+//! pairwise refinement engines and, for graph builds, across the plain
+//! and checkpointed builders, including runs that end in budget
+//! exhaustion, and an active trace sink never perturbs either the
+//! counters or the typed error semantics.
 //!
 //! The registry is process-global, so every test serialises on [`LOCK`].
 
@@ -34,9 +34,6 @@ const ALL: [Variant; 6] = [
     Variant::WeakStep,
     Variant::WeakLabelled,
 ];
-
-/// The thread counts the CI matrix exercises via `BPI_THREADS`.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Six structurally distinct process pairs covering output, input, sum,
 /// parallel, restriction and matching (the same shapes the hnf and
@@ -112,12 +109,12 @@ fn deterministic_counters_identical_across_engines() {
     }
 }
 
-/// Graph construction: the sequential builder and the frontier-parallel
-/// builder count the same states, edges, labels and channels — the
-/// CSR-freeze statistics are functions of the finished graph, not of
-/// the discovery schedule.
+/// Graph construction: the plain builder and the checkpointed builder
+/// count one build and the same states, edges, labels and channels —
+/// the CSR-freeze statistics are functions of the finished graph, not
+/// of the builder that produced it.
 #[test]
-fn graph_build_counters_identical_across_threads() {
+fn graph_build_counters_identical_across_builders() {
     let _g = lock();
     let defs = Defs::new();
     for (p, _) in variants() {
@@ -128,22 +125,27 @@ fn graph_build_counters_identical_across_threads() {
         });
         assert_eq!(reference.get("equiv.graph.builds"), Some(&1));
         assert!(reference.contains_key("equiv.graph.states"));
-        for threads in [2, 4] {
-            let par = det_delta(|| {
-                Graph::build_parallel(&p, &defs, &pool, opts, &Budget::unlimited(), threads)
-                    .expect("finite");
-            });
-            assert_eq!(
-                par, reference,
-                "build_parallel({threads}) counter delta diverged on {p}"
-            );
-        }
+        let checkpointed = det_delta(|| {
+            Graph::build_with_checkpoint(
+                &p,
+                &defs,
+                &pool,
+                opts,
+                &Budget::unlimited(),
+                &CheckpointCfg::default(),
+            )
+            .expect("finite");
+        });
+        assert_eq!(
+            checkpointed, reference,
+            "checkpointed build counter delta diverged on {p}"
+        );
     }
 }
 
 /// Budget exhaustion replays exactly: the same typed error and the same
-/// deterministic counters up to the failure point, at every thread
-/// count. A failed build counts one `exhausted` and **no** completed
+/// deterministic counters up to the failure point on every rerun. A
+/// failed build counts one `exhausted` and **no** completed
 /// builds/states/edges.
 #[test]
 fn budget_exhaustion_replays_identical_counters() {
@@ -166,25 +168,25 @@ fn budget_exhaustion_replays_identical_counters() {
     assert_eq!(reference.get("equiv.graph.builds"), None);
     assert_eq!(reference.get("equiv.graph.states"), None);
 
-    for threads in THREADS {
-        let mut par_err = None;
-        let par = det_delta(|| {
-            par_err = Graph::build_parallel(&pump, &defs, &pool, opts, &budget, threads).err();
+    for run in 1..=2 {
+        let mut err = None;
+        let delta = det_delta(|| {
+            err = Graph::build_with_budget(&pump, &defs, &pool, opts, &budget).err();
         });
         assert_eq!(
-            par_err,
+            err,
             Some(expected_err.clone()),
-            "typed error diverged at {threads} threads"
+            "typed error diverged on rerun {run}"
         );
         assert_eq!(
-            par, reference,
-            "exhaustion counter delta diverged at {threads} threads"
+            delta, reference,
+            "exhaustion counter delta diverged on rerun {run}"
         );
     }
 }
 
 /// Satellite 3: an active [`MemorySink`] must not perturb the engines —
-/// the typed budget error from `build_parallel` and the fixpoint from
+/// the typed budget error from `build_with_budget` and the fixpoint from
 /// the pairwise round engine are identical with tracing on, and the
 /// sink actually observes the failure event.
 #[test]
@@ -198,12 +200,12 @@ fn tracing_does_not_perturb_error_semantics() {
     let pool = shared_pool(&pump, &pump, opts.fresh_inputs);
     let budget = Budget::states(5);
 
-    let bare = Graph::build_parallel(&pump, &defs, &pool, opts, &budget, 4).err();
+    let bare = Graph::build_with_budget(&pump, &defs, &pool, opts, &budget).err();
     assert_eq!(bare, Some(EngineError::StateBudgetExceeded { limit: 5 }));
 
     let sink = MemorySink::new();
     bpi_obs::install_sink(sink.clone());
-    let traced = Graph::build_parallel(&pump, &defs, &pool, opts, &budget, 4).err();
+    let traced = Graph::build_with_budget(&pump, &defs, &pool, opts, &budget).err();
     let events = sink.take();
     bpi_obs::clear_sink();
     assert_eq!(traced, bare, "trace sink perturbed the typed error");

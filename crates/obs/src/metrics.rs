@@ -4,11 +4,11 @@
 //! `'static`, so call sites can cache it in a `LazyLock` and pay only a
 //! relaxed `fetch_add` per hit). Registration records whether the
 //! counter is [`Det::Deterministic`] — a *result-derived* quantity that
-//! must be bit-identical across engines and thread counts — or
+//! must be bit-identical across engines and checkpoint/resume — or
 //! [`Det::Advisory`] — a schedule- or cache-derived quantity that may
 //! legitimately vary run to run. Gauges and histograms are always
 //! advisory: anything carrying a magnitude sampled mid-run (queue
-//! depths, chunk sizes, span timings) is schedule-dependent by nature.
+//! depths, span timings) is schedule-dependent by nature.
 
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -19,8 +19,8 @@ use std::sync::LazyLock;
 /// layer (see DESIGN.md §9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Det {
-    /// Must be bit-identical across naive/worklist/parallel engines and
-    /// every `BPI_THREADS` value. Only increment these from values that
+    /// Must be bit-identical across the naive/worklist/partition engines,
+    /// checkpoint/resume and chaos. Only increment these from values that
     /// are functions of a deterministic *result* (a frozen graph, a
     /// fixpoint relation, a typed replayable error) — never from
     /// engine-internal progress.

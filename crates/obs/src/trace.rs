@@ -125,7 +125,7 @@ impl TraceEvent {
 }
 
 /// Consumer of trace events. Implementations must tolerate concurrent
-/// calls from engine worker threads.
+/// calls (the daemon's worker threads trace at the same time).
 pub trait TraceSink: Send + Sync {
     fn event(&self, ev: &TraceEvent);
     fn flush(&self) {}
@@ -135,9 +135,13 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static SINK: LazyLock<RwLock<Option<Arc<dyn TraceSink>>>> = LazyLock::new(|| RwLock::new(None));
 static ENV_INIT: OnceLock<()> = OnceLock::new();
 
+/// Runs inside `ENV_INIT`'s initializer, so it must not call
+/// [`install_sink`]: that touches `ENV_INIT` again, and a re-entrant
+/// `get_or_init` blocks forever.
 fn init_from_env() {
     if matches!(std::env::var("BPI_TRACE").as_deref(), Ok("json")) {
-        install_sink(Arc::new(JsonLinesSink::stderr()));
+        *SINK.write() = Some(Arc::new(JsonLinesSink::stderr()));
+        ACTIVE.store(true, Ordering::Release);
     }
 }
 
@@ -284,7 +288,7 @@ impl TraceSink for MemorySink {
 /// A one-line configuration warning: printed to stderr **once per
 /// distinct (target, message) per process** and mirrored as a trace
 /// event (`name = "warn"`) when a sink is installed, so misread
-/// environment knobs (`BPI_THREADS`, `BPI_CHAOS`, …) surface exactly
+/// environment knobs (`BPI_ENGINE`, `BPI_CHAOS`, …) surface exactly
 /// once instead of silently falling back — or flooding a hot loop.
 /// Returns whether this call was the first occurrence (tests use the
 /// return value to probe the dedup without scraping stderr).

@@ -27,7 +27,8 @@ pub enum EngineError {
     DeadlineExceeded,
     /// The cooperative cancellation flag was raised by another thread.
     Cancelled,
-    /// A worker thread died; partial results may still be usable.
+    /// A supervised run panicked ([`crate::supervise()`] isolates the
+    /// unwind); partial results may still be usable.
     WorkerPanicked,
 }
 
@@ -120,14 +121,6 @@ impl Budget {
     pub fn time_remaining(&self) -> Option<Duration> {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// Whether this budget can never trip: no state ceiling, no deadline,
-    /// no cancellation flag. Engines that fan work out across threads use
-    /// this to decide whether exact sequential budget-replay semantics
-    /// are at stake (a limited budget keeps them on the sequential path).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_states == usize::MAX && self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Whether the cancellation flag (if any) has been raised.

@@ -9,9 +9,8 @@
 //!   pool-instantiated inputs;
 //! * [`weak`] — weak transitions, barbs (`↓a`, `⇓a`) and step-barbs
 //!   (`↓ₐ^φ`, `⇓ₐ^φ`);
-//! * [`explore`] — reachable state graphs (sequential and
-//!   crossbeam-parallel), quotiented by α-equivalence and extruded-name
-//!   renaming;
+//! * [`explore`] — reachable state graphs, quotiented by α-equivalence
+//!   and extruded-name renaming;
 //! * [`cache`] — memoized transition/normalisation derivations keyed by
 //!   hash-consed term ids and the defs generation stamp;
 //! * [`sim`] — seeded random execution for large closed systems;
@@ -21,18 +20,13 @@
 //! * [`faults`] — a seeded fault-injection runtime (lossy broadcast,
 //!   crash-stop and stop/resume nodes, bounded delivery refusal in the
 //!   sense of axiom (H)) with a replayable [`FaultLog`];
-//! * [`frontier`] — the generic parallel frontier-expansion engine
-//!   shared by [`explore`] and `bpi-equiv`'s `Graph::build_parallel`,
-//!   with canonical breadth-first renumbering for determinism;
-//! * [`threads`] — the `BPI_THREADS` worker-count policy used by every
-//!   parallel entry point;
 //! * [`checkpoint`] — serializable snapshots of in-progress analyses
 //!   ([`ExploreCheckpoint`]) and the [`Interrupted`]-with-checkpoint
 //!   error convention, so budget exhaustion loses no work;
 //! * [`supervise`] — panic-isolating, checkpoint-resuming supervision
 //!   ([`supervise()`](supervise::supervise)) over the budgeted engines;
 //! * [`chaos`] — the seeded `BPI_CHAOS` self-fault harness injecting
-//!   panics, delays and budget pressure into engine internals;
+//!   delays and budget pressure into engine internals;
 //! * [`prob`] — the quantitative fault model: exact bounded-depth DTMC
 //!   enumeration and seeded, resumable Monte-Carlo estimation of
 //!   convergence probabilities under [`FaultPlan`] loss rates.
@@ -51,12 +45,10 @@ pub mod checkpoint;
 pub mod discard;
 pub mod explore;
 pub mod faults;
-pub mod frontier;
 pub mod lts;
 pub mod prob;
 pub mod sim;
 pub mod supervise;
-pub mod threads;
 pub mod weak;
 
 pub use analysis::{analyse, reliability, Analysis, Verdict};
@@ -66,15 +58,13 @@ pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
 pub use checkpoint::{CheckpointCfg, CheckpointSlot, ExploreCheckpoint, Interrupted};
 pub use discard::{discards, input_arities, listening};
 pub use explore::{
-    explore, explore_adaptive, explore_budgeted, explore_parallel, explore_parallel_budgeted,
-    explore_resume_from, explore_with_checkpoint, normalize_state, output_reachable,
-    output_reachable_budgeted, ExploreOpts, StateGraph,
+    explore, explore_adaptive, explore_budgeted, explore_resume_from, explore_with_checkpoint,
+    normalize_state, output_reachable, output_reachable_budgeted, ExploreOpts, StateGraph,
 };
 pub use faults::{
     deafen, lossy_traces, noise, Backoff, FaultError, FaultEvent, FaultLog, FaultPlan,
     FaultySimulator,
 };
-pub use frontier::{expand_frontier, renumber_bfs, Expansion, FrontierOutcome};
 pub use lts::{par_components, tuples, Lts};
 pub use prob::{
     convergence_exact, convergence_mc, convergence_mc_resume, sample_seed, step_distribution,
@@ -82,5 +72,4 @@ pub use prob::{
 };
 pub use sim::{Simulator, Trace};
 pub use supervise::{supervise, SuperviseError};
-pub use threads::{available_threads, default_threads, MAX_THREADS};
 pub use weak::{TauSaturation, Weak};

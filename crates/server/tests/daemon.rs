@@ -346,3 +346,31 @@ fn four_mib_request_line_is_served_promptly() {
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `check` whose left term is 100,000 levels tall (a τ-prefix chain,
+/// or one restriction of 100,000 names) is refused with a typed `parse`
+/// error before any pass recurses over it. Terms are parsed on the
+/// connection thread (a 2 MiB stack), where an unbounded descent once
+/// aborted the whole daemon; the same connection then goes on serving.
+#[test]
+fn deeply_nested_term_is_a_typed_parse_error() {
+    let dir = tmpdir("deep-term");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let tau_chain = format!("{}0", "tau.".repeat(100_000));
+    let new_list = format!("new {}.0", vec!["a"; 100_000].join(","));
+    for deep in [tau_chain, new_list] {
+        let r = c
+            .check("deep", "", "strong-labelled", &deep, "0", "normal", None)
+            .unwrap();
+        assert_eq!(r.str_field("status"), Some("error"), "{r}");
+        assert_eq!(r.str_field("error"), Some("parse"), "{r}");
+        let detail = r.str_field("detail").unwrap_or_default();
+        assert!(detail.contains("nested deeper"), "{r}");
+    }
+    let (v, p) = ("strong-labelled", "tau.a<>");
+    let r = c.check("after", "", v, p, p, "normal", None).unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

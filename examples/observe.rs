@@ -11,7 +11,7 @@
 //! equivalence check, and shows what the instrumentation saw: the
 //! structured fault events, the span timings, and the deterministic
 //! counter delta of the whole run (the part that replays bit-identically
-//! across engines and thread counts — see `DESIGN.md` §9).
+//! across engines — see `DESIGN.md` §9).
 
 use bpi::core::builder::*;
 use bpi::core::syntax::Defs;
@@ -76,10 +76,9 @@ fn main() {
     }
 
     // 4. The deterministic counter delta of everything above. Re-running
-    //    this example — or re-running it with `BPI_THREADS=4`, or on the
-    //    naive instead of the worklist engine — produces exactly these
-    //    numbers; the advisory side (memo hit rates, span timings, chunk
-    //    schedules) is deliberately excluded.
+    //    this example — or re-running it on the naive instead of the
+    //    worklist engine — produces exactly these numbers; the advisory
+    //    side (memo hit rates, span timings) is deliberately excluded.
     let delta = obs::snapshot().deterministic_delta(&before);
     println!("\ndeterministic counter delta:");
     for (name, value) in &delta {

@@ -30,7 +30,7 @@ fn composed_election_matches_monolithic() {
     let (sys, defs, _ch) = election_system(3);
     let opts = Opts::default();
     let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-    let comp = build_composed(&sys, &defs, &pool, opts, &Budget::unlimited(), 1)
+    let comp = build_composed(&sys, &defs, &pool, opts, &Budget::unlimited())
         .expect("election is finite")
         .expect("the election passes the compose gate");
     let mono = Graph::build(&sys, &defs, &pool, opts).expect("election fits");
@@ -62,10 +62,10 @@ fn candidate_order_is_invisible_compositionally() {
     let defs = Defs::new();
     let opts = Opts::default();
     let pool = shared_pool(&p, &q, opts.fresh_inputs);
-    let cp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
+    let cp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
         .expect("finite")
         .expect("gate accepts");
-    let cq = build_composed(&q, &defs, &pool, opts, &Budget::unlimited(), 1)
+    let cq = build_composed(&q, &defs, &pool, opts, &Budget::unlimited())
         .expect("finite")
         .expect("gate accepts");
     let gp = Graph::build(&p, &defs, &pool, opts).expect("fits");
@@ -95,7 +95,7 @@ fn anonymous_election_exercises_symmetry_reduction() {
     let defs = Defs::new();
     let opts = Opts::default();
     let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-    let comp = build_composed(&sys, &defs, &pool, opts, &Budget::unlimited(), 1)
+    let comp = build_composed(&sys, &defs, &pool, opts, &Budget::unlimited())
         .expect("finite")
         .expect("gate accepts");
     let mono = Graph::build(&sys, &defs, &pool, opts).expect("fits");

@@ -4,12 +4,12 @@
 //! equivalences, the HML certificate and the exhaustive reachability
 //! sweeps — must be **bit-identical** under every engine selection: the
 //! naive sweep, the predecessor-indexed worklist, the block/splitter
-//! partition refiner, the compositional route (`BPI_COMPOSE=1`, which
+//! partition refiner and the compositional route (`BPI_COMPOSE=1`, which
 //! takes the minimize-then-compose path on the ladder's open
 //! many-identical-node comparisons and falls back monolithically
-//! elsewhere) and every CI thread count. `BPI_ENGINE` / `BPI_COMPOSE` /
-//! `BPI_THREADS` are re-read on every dispatch precisely so a test can
-//! flip them mid-process; everything lives in **one** `#[test]` because
+//! elsewhere). `BPI_ENGINE` / `BPI_COMPOSE` are re-read on every
+//! dispatch precisely so a test can flip them mid-process; everything
+//! lives in **one** `#[test]` because
 //! the process environment is shared state — this file is its own test
 //! binary, so no other suite races these variables.
 
@@ -28,7 +28,7 @@ fn verdicts_under(env: &[(&str, &str)]) -> Vec<(&'static str, bool)> {
 
 #[test]
 fn every_engine_agrees_on_every_verdict() {
-    for k in ["BPI_ENGINE", "BPI_COMPOSE", "BPI_THREADS"] {
+    for k in ["BPI_ENGINE", "BPI_COMPOSE"] {
         std::env::remove_var(k);
     }
     let baseline = glomers::verdicts();
@@ -42,9 +42,6 @@ fn every_engine_agrees_on_every_verdict() {
         &[("BPI_ENGINE", "partition")],
         &[("BPI_COMPOSE", "1")],
         &[("BPI_COMPOSE", "1"), ("BPI_ENGINE", "partition")],
-        &[("BPI_THREADS", "1")],
-        &[("BPI_THREADS", "2")],
-        &[("BPI_THREADS", "4")],
     ];
     for env in configs {
         let got = verdicts_under(env);

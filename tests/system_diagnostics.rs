@@ -1,24 +1,45 @@
-//! Cross-cutting diagnostics: the explorer, the parallel explorer, the
-//! τ-SCC analysis and state normalisation agree with each other on the
-//! repository's own example systems.
+//! Cross-cutting diagnostics: the explorer, the τ-SCC analysis and
+//! state normalisation agree with each other on the repository's own
+//! example systems.
 
 use bpi::core::builder::*;
 use bpi::core::syntax::Defs;
 use bpi::encodings::election::election_system;
-use bpi::semantics::{analyse, explore, explore_parallel, normalize_state, ExploreOpts};
+use bpi::semantics::{
+    analyse, explore, explore_resume_from, explore_with_checkpoint, normalize_state, Budget,
+    CheckpointCfg, ExploreCheckpoint, ExploreOpts,
+};
 
 #[test]
-fn parallel_explorer_agrees_on_election() {
+fn checkpointed_explorer_agrees_on_election() {
+    // Interrupt the checkpointed explorer every few states, park each
+    // checkpoint through its text format, resume: the final graph is the
+    // plain explorer's, state for state and edge for edge.
     let (sys, defs, _ch) = election_system(4);
     let opts = ExploreOpts::default();
     let g1 = explore(&sys, &defs, opts);
-    let g2 = explore_parallel(&sys, &defs, opts, 4);
+    let budget = Budget::unlimited();
+    let mut slices = 0;
+    let mut run = explore_with_checkpoint(&sys, &defs, opts, &budget, &CheckpointCfg::fuelled(7));
+    let g2 = loop {
+        match run {
+            Ok(g) => break g,
+            Err(stop) => {
+                slices += 1;
+                let parked = ExploreCheckpoint::from_text(&stop.checkpoint.to_text())
+                    .expect("checkpoint text round-trips");
+                assert_eq!(parked, stop.checkpoint);
+                run = explore_resume_from(parked, &defs, opts, &budget, &CheckpointCfg::fuelled(7));
+            }
+        }
+    };
+    assert!(slices > 1, "election(4) should need several slices");
+    assert!(!g1.truncated && !g2.truncated);
     assert_eq!(g1.len(), g2.len());
     assert_eq!(g1.edge_count(), g2.edge_count());
-    let mut s1: Vec<String> = g1.states.iter().map(|s| s.to_string()).collect();
-    let mut s2: Vec<String> = g2.states.iter().map(|s| s.to_string()).collect();
-    s1.sort();
-    s2.sort();
+    assert_eq!(g1.edges, g2.edges);
+    let s1: Vec<String> = g1.states.iter().map(|s| s.to_string()).collect();
+    let s2: Vec<String> = g2.states.iter().map(|s| s.to_string()).collect();
     assert_eq!(s1, s2);
 }
 
