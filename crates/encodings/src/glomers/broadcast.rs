@@ -18,7 +18,7 @@
 //! equivalence of the closed system with `Πⁿ deliver̄⟨v⟩`, an
 //! exhaustive every-run-delivers-`n` walk, and invariance of the
 //! verdict under permuting the identical nodes (the symmetry the
-//! compositional engine exploits under `BPI_COMPOSE=1`).
+//! checker's compositional route exploits by default).
 //!
 //! **Fault-tolerant (#3c).** Once messages can be *lost*, atomicity is
 //! gone: a relay chain forwards hop by hop (`Rᵢ ≝ gᵢ(x). (dl̄ᵢ⟨x⟩ ‖

@@ -29,7 +29,7 @@
 //! * idempotence — adding a *duplicate* emitter leaves the system in
 //!   the same equivalence class;
 //! * commutativity — permuting the emitters does too (a many-identical-
-//!   component comparison, compose-eligible under `BPI_COMPOSE=1`);
+//!   component comparison, which the checker composes by default);
 //! * exhaustively, every interleaving converges exactly once.
 //!
 //! Under *message loss* a one-shot increment can vanish; the
@@ -126,7 +126,7 @@ pub fn merge_idempotent(n: usize) -> bool {
 
 /// Commutativity as equivalence: emitter order is irrelevant. Compared
 /// *open* (no restriction), so the identical-component symmetry is
-/// exactly what `BPI_COMPOSE=1` exploits.
+/// exactly what the checker's compositional route exploits.
 pub fn merge_commutative(n: usize) -> bool {
     let fwd: Vec<usize> = (0..n).collect();
     let rev: Vec<usize> = (0..n).rev().collect();

@@ -29,8 +29,9 @@
 //!
 //! [`verdicts`] gathers every challenge's headline checks into one
 //! labelled boolean vector: the differential-engine tests replay it
-//! under every `BPI_ENGINE` / `BPI_COMPOSE` setting and
-//! demand bit-identical answers, and the B16 bench ladder times it.
+//! under every `BPI_ENGINE` setting, with and without the monolithic
+//! `BPI_COMPOSE=off` override, and demand bit-identical answers, and
+//! the B16 bench ladder times it.
 
 pub mod broadcast;
 pub mod echo;

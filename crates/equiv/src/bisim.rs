@@ -31,11 +31,14 @@
 //! One dispatch picks between them by pair count and partition safety,
 //! for [`refine_auto`] and for the checkpointed pipeline behind
 //! [`Checker::run_slice`] (and so every served check) alike; the
-//! `BPI_ENGINE` env var overrides the choice. The [`Checker`] runs it
-//! over graphs from the memoized sequential build
-//! ([`Graph::build_cached`]).
+//! `BPI_ENGINE` env var overrides the choice. [`Checker::check`] runs
+//! it over the composed products of [`crate::compose`] when that
+//! module's gate accepts, and over the memoized monolithic build
+//! ([`Graph::build_cached`]) otherwise; served checks always refine
+//! monolithic graphs.
 
 use crate::checkpoint::RefineCheckpoint;
+use crate::compose::Decline;
 use crate::graph::{shared_pool, Graph, Opts};
 use crate::partition::Partition;
 use bpi_core::action::Action;
@@ -142,6 +145,38 @@ impl Verdict {
     }
 }
 
+/// Which graphs [`Checker::check`] refined over, and why: the `graphs`
+/// and `reason` fields of its `verdict` event.
+#[derive(Clone, Copy)]
+enum Route {
+    /// The gate accepted: the composed products.
+    Composed,
+    /// The gate declined: the monolithic graphs.
+    Declined(Decline),
+    /// `BPI_COMPOSE=off` forced the monolithic graphs.
+    Forced,
+}
+
+impl Route {
+    fn graphs(self) -> &'static str {
+        match self {
+            Route::Composed => "composed",
+            Route::Declined(_) | Route::Forced => "monolithic",
+        }
+    }
+
+    fn reason(self) -> &'static str {
+        match self {
+            Route::Composed => "accepted",
+            Route::Declined(d) => d.as_str(),
+            Route::Forced => "off",
+        }
+    }
+}
+
+/// Both graphs of a check and the greatest bisimulation between them.
+type Fixpoint = (Arc<Graph>, Arc<Graph>, PairRelation);
+
 /// Bisimilarity checker over a definition environment.
 pub struct Checker<'d> {
     pub defs: &'d Defs,
@@ -236,10 +271,21 @@ impl<'d> Checker<'d> {
 
     /// Decides `p ~ᵥ q` with a three-valued [`Verdict`]: resource
     /// exhaustion is reported as [`Verdict::Inconclusive`] instead of a
-    /// panic or a silent `false`.
+    /// panic or a silent `false`. The state budget applies to the graphs
+    /// the dispatch of [`Checker::try_fixpoint`] refines over, so a
+    /// composed product can get a definite verdict where its monolithic
+    /// graph is over the cap.
+    ///
+    /// The `equiv.check` `verdict` event names those graphs (`graphs`:
+    /// `composed` or `monolithic`) and why (`reason`: `accepted`, the
+    /// gate's [`crate::compose::Decline`] reason, or `off` under the
+    /// `BPI_COMPOSE=off` override). A budget error inside the compose
+    /// path reports `composed`/`accepted`: the gate never declined and
+    /// no monolithic graph was built.
     pub fn check(&self, v: Variant, p: &P, q: &P) -> Verdict {
         let _span = bpi_obs::span("equiv.check", "check");
-        let verdict = match self.try_fixpoint(v, p, q) {
+        let (route, fixpoint) = self.fixpoint(v, p, q);
+        let verdict = match fixpoint {
             Ok((_, _, rel)) => {
                 if rel.holds(0, 0) {
                     Verdict::Holds
@@ -260,43 +306,61 @@ impl<'d> Checker<'d> {
                         Verdict::Inconclusive(e) => format!("inconclusive: {e}"),
                     }),
                 ),
+                ("graphs", Value::from(route.graphs())),
+                ("reason", Value::from(route.reason())),
             ]
         });
         verdict
     }
 
-    /// Builds both graphs (through the global graph memo, so the six
+    /// Computes the greatest bisimulation between the graphs of `p` and
+    /// `q` for the chosen variant, with the engine [`refine_auto`] picks
+    /// for the product. The graph side is a dispatch too: when
+    /// [`crate::compose::try_compose_pair`]'s gate accepts, the
+    /// symmetry-reduced products of the minimised components, which are
+    /// strongly labelled-bisimilar to the monolithic graphs; otherwise
+    /// the monolithic graphs. Both come from global memos, so the six
     /// variants of [`all_variants`] and the congruence/diagnostic layers
-    /// share one build per *(process, pool)*) and computes the greatest
-    /// bisimulation between them for the chosen variant with the engine
-    /// [`refine_auto`] picks for the product.
-    /// `Err` when either graph exceeds the state budget
+    /// share one build per *(process, pool)*.
+    ///
+    /// `Err` when a graph the dispatch builds exceeds the state budget
     /// (`opts.max_states` ∧ `budget`) or the budget's
-    /// deadline/cancellation fires.
+    /// deadline/cancellation fires. Under compose the cap applies to
+    /// each component graph and each composed product, not to the
+    /// monolithic graph, which is never built.
     pub fn try_fixpoint(
         &self,
         v: Variant,
         p: &P,
         q: &P,
     ) -> Result<(Arc<Graph>, Arc<Graph>, PairRelation), EngineError> {
+        self.fixpoint(v, p, q).1
+    }
+
+    /// [`Checker::try_fixpoint`], with the route its graph side took:
+    /// the composed pair when the gate accepts, the monolithic pair
+    /// otherwise.
+    fn fixpoint(&self, v: Variant, p: &P, q: &P) -> (Route, Result<Fixpoint, EngineError>) {
         let pool = shared_pool(p, q, self.opts.fresh_inputs);
-        // `BPI_COMPOSE` routes qualifying top-level parallel shapes
-        // through the minimize-then-compose engine; the composed graphs
-        // are strongly labelled-bisimilar to the monolithic ones, so
-        // every downstream verdict is unchanged (compose_oracle.rs).
-        // The gate declining is not an error — just the monolithic path.
-        if crate::compose::compose_enabled() {
-            if let Some((g1, g2)) =
-                crate::compose::try_compose_pair(p, q, self.defs, &pool, self.opts, &self.budget)?
+        let (route, composed) = if crate::compose::forced_off() {
+            (Route::Forced, None)
+        } else {
+            match crate::compose::try_compose_pair(p, q, self.defs, &pool, self.opts, &self.budget)
             {
-                let rel = refine_auto(v, &g1, &g2, 1);
-                return Ok((g1, g2, rel));
+                Ok(Ok(pair)) => (Route::Composed, Some(Ok(pair))),
+                Ok(Err(d)) => (Route::Declined(d), None),
+                Err(e) => (Route::Composed, Some(Err(e))),
             }
-        }
-        let g1 = Graph::build_cached(p, self.defs, &pool, self.opts, &self.budget)?;
-        let g2 = Graph::build_cached(q, self.defs, &pool, self.opts, &self.budget)?;
-        let rel = refine_auto(v, &g1, &g2, 1);
-        Ok((g1, g2, rel))
+        };
+        let graphs = composed.unwrap_or_else(|| {
+            let build = |t: &P| Graph::build_cached(t, self.defs, &pool, self.opts, &self.budget);
+            build(p).and_then(|g1| Ok((g1, build(q)?)))
+        });
+        let fixpoint = graphs.map(|(g1, g2)| {
+            let rel = refine_auto(v, &g1, &g2, 1);
+            (g1, g2, rel)
+        });
+        (route, fixpoint)
     }
 
     /// Convenience: strong labelled bisimilarity `p ~ q`.

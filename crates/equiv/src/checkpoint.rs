@@ -711,7 +711,10 @@ impl<'d> Checker<'d> {
     /// * the global graph memo is **bypassed** (a memo hit would skip the
     ///   states a checkpoint must contain), and
     /// * graph builds run sequentially (the canonical FIFO order *is* the
-    ///   checkpoint format), and `BPI_COMPOSE` is not consulted.
+    ///   checkpoint format), and
+    /// * the graphs are always monolithic: compose has no checkpointed
+    ///   phases, and a served failure explanation is a formula over the
+    ///   monolithic graphs.
     ///
     /// Refinement runs on the engine [`crate::refine_auto`] picks for the
     /// product.

@@ -1,5 +1,5 @@
 //! Compositional graph construction: minimize-then-compose with
-//! symmetry reduction (ISSUE 8).
+//! symmetry reduction.
 //!
 //! The paper's expansion law (Table 8) and congruence theorems license
 //! analysing a top-level parallel composition component-wise: build
@@ -26,29 +26,45 @@
 //! states — which turns the `2^N`/`3^N` monolithic ladders into
 //! `O(N^k)` products (BENCH_8, EXPERIMENTS.md B15).
 //!
+//! [`crate::Checker::try_fixpoint`] takes this path by default for every
+//! comparison the gate accepts, and the monolithic build for the rest;
+//! `BPI_COMPOSE=off` (or `0`) forces the monolithic oracle for tests.
+//!
 //! ## Soundness gate
 //!
-//! The construction falls back to the monolithic build ([`try_compose_pair`]
-//! returns `None`) unless a conservative gate holds, checked jointly
-//! over *both* systems of a comparison:
+//! The construction falls back to the monolithic build
+//! ([`try_compose_pair`] returns the [`Decline`] reason) unless a
+//! conservative gate holds, checked jointly over *both* systems of a
+//! comparison. Each condition is listed under the reason reported when
+//! it fails. The first stage reads only the terms, so a decline there
+//! builds no graph:
 //!
-//! * the root is a top-level parallel composition on at least one side
-//!   (a restriction above the spine scopes over every component, so
-//!   component-wise analysis would lose the shared binder);
-//! * no component graph of a product side carries a bound-output label
-//!   — scope extrusion across the product would need the restriction
-//!   pushed over it;
-//! * no component graph of a product side has a *silent blocker* (a
-//!   state that neither discards nor visibly listens on some pool
-//!   channel, [`Graph::covers_pool`]) — such a state is labelled-
-//!   bisimilar to a discarding one, yet blocks broadcasts the
-//!   discarding one lets through, so quotienting before composing
-//!   would not be sound;
-//! * input arities are uniform per channel across every participating
-//!   graph, and output arities match them — the mixed-arity regime
-//!   where the pairwise relation itself is non-transitive (module docs
-//!   of [`crate::partition`]) and where an arity-mismatched broadcast
-//!   would block exactly the states the quotient just merged away.
+//! * [`Decline::NotProduct`]: the root is a top-level parallel
+//!   composition on at least one side (a restriction above the spine
+//!   scopes over every component, so component-wise analysis would lose
+//!   the shared binder);
+//! * [`Decline::Arity`]: the component roots' listening interfaces
+//!   ([`bpi_semantics::input_arities`]) give no channel two arities. A
+//!   root carries input edges at every arity it lists unless a nested
+//!   `‖` blocks one, so the second stage would decline such a pair too.
+//!
+//! The second stage reads the component graphs:
+//!
+//! * [`Decline::BoundOutput`]: no component graph of a product side
+//!   carries a bound-output label — scope extrusion across the product
+//!   would need the restriction pushed over it;
+//! * [`Decline::SilentBlocker`]: no component graph of a product side
+//!   has a *silent blocker* (a state that neither discards nor visibly
+//!   listens on some pool channel, [`Graph::covers_pool`]) — such a
+//!   state is labelled-bisimilar to a discarding one, yet blocks
+//!   broadcasts the discarding one lets through, so quotienting before
+//!   composing would not be sound;
+//! * [`Decline::Arity`]: input arities are uniform per channel across
+//!   every participating graph, and output arities match them — the
+//!   mixed-arity regime where the pairwise relation itself is
+//!   non-transitive (module docs of [`crate::partition`]) and where an
+//!   arity-mismatched broadcast would block exactly the states the
+//!   quotient just merged away.
 //!
 //! Under the gate every broadcast matches the listeners' arity, every
 //! state either receives or discards, and strong labelled bisimilarity
@@ -58,6 +74,14 @@
 //! variants (all coarser than strong labelled) therefore agree
 //! pointwise at the roots; `compose_oracle.rs` checks exactly that
 //! differentially against the monolithic engine.
+//!
+//! ## Observability
+//!
+//! Deterministic counters `equiv.compose.accepted` and
+//! `equiv.compose.declined.<reason>` count the gate's outcomes, and µs
+//! spans `equiv.compose.{components,quotient,product}` split a composed
+//! build into its layers: the component graphs, the per-class quotients
+//! and the synchronized product.
 
 use crate::bisim::Variant;
 use crate::graph::Graph;
@@ -84,34 +108,82 @@ static COMPOSE_CLASSES: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.compose.classes", Det::Deterministic));
 static COMPOSE_STATES: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.compose.states", Det::Deterministic));
+static COMPOSE_ACCEPTED: LazyLock<&Counter> =
+    LazyLock::new(|| counter("equiv.compose.accepted", Det::Deterministic));
+/// Indexed by [`Decline`] discriminant.
+static COMPOSE_DECLINED: LazyLock<[&Counter; 4]> = LazyLock::new(|| {
+    [
+        "equiv.compose.declined.not_product",
+        "equiv.compose.declined.arity",
+        "equiv.compose.declined.bound_output",
+        "equiv.compose.declined.silent_blocker",
+    ]
+    .map(|name| counter(name, Det::Deterministic))
+});
 
-/// The `BPI_COMPOSE` override, re-read on every dispatch (tests flip it
-/// mid-process): `1`/`true`/`on` route [`crate::Checker`] fixpoints
-/// through the compositional engine (with the monolithic build as the
-/// automatic fallback when the gate fails); empty, unset, `0`,
-/// `false`, `off` or `auto` keep the monolithic default; anything else
-/// warns once and stays monolithic, mirroring the `BPI_ENGINE`
-/// env-parse hardening.
-pub fn compose_enabled() -> bool {
-    parse_compose(std::env::var("BPI_COMPOSE").ok().as_deref())
+/// The `BPI_COMPOSE` test override, re-read on every dispatch (tests
+/// flip it mid-process): `off` or `0` force the monolithic oracle, the
+/// way `BPI_ENGINE` forces a refiner; unset or empty leave the choice
+/// to the gate; anything else warns once and is ignored, mirroring the
+/// `BPI_ENGINE` env-parse hardening.
+pub(crate) fn forced_off() -> bool {
+    parse_override(std::env::var("BPI_COMPOSE").ok().as_deref())
 }
 
-fn parse_compose(raw: Option<&str>) -> bool {
+fn parse_override(raw: Option<&str>) -> bool {
     let Some(raw) = raw else {
         return false;
     };
     match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => true,
-        "" | "0" | "false" | "off" | "auto" => false,
+        "off" | "0" => true,
+        "" => false,
         other => {
             bpi_obs::warn_once(
                 "equiv.compose",
                 &format!(
                     "ignoring unrecognised BPI_COMPOSE value {other:?} \
-                     (expected 1/0, true/false, on/off or auto)"
+                     (expected off or 0)"
                 ),
             );
             false
+        }
+    }
+}
+
+/// Why the soundness gate (module docs) sent a comparison to the
+/// monolithic build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decline {
+    /// Neither side is a top-level parallel composition.
+    NotProduct,
+    /// Inputs on one channel disagree on arity, or an output's arity
+    /// differs from its listeners'.
+    Arity,
+    /// A component graph of a product side extrudes a scope.
+    BoundOutput,
+    /// A component graph of a product side has a silent blocker.
+    SilentBlocker,
+}
+
+impl Decline {
+    /// The reason as the `equiv.check` `verdict` event and the
+    /// `equiv.compose.declined.<reason>` counters spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Decline::NotProduct => "not_product",
+            Decline::Arity => "arity",
+            Decline::BoundOutput => "bound_output",
+            Decline::SilentBlocker => "silent_blocker",
+        }
+    }
+}
+
+/// Counts the gate's outcome.
+fn record_gate<T>(outcome: &Result<T, Decline>) {
+    if bpi_obs::metrics_enabled() {
+        match outcome {
+            Ok(_) => COMPOSE_ACCEPTED.inc(),
+            Err(d) => COMPOSE_DECLINED[*d as usize].inc(),
         }
     }
 }
@@ -125,13 +197,12 @@ struct Side {
 
 impl Side {
     fn build(
-        p: &P,
+        comps: Vec<P>,
         defs: &Defs,
         pool: &[Name],
         opts: crate::graph::Opts,
         budget: &Budget,
     ) -> Result<Side, EngineError> {
-        let comps = par_components(p);
         let graphs = comps
             .iter()
             .map(|c| Graph::build_cached(c, defs, pool, opts, budget))
@@ -144,16 +215,36 @@ impl Side {
     }
 }
 
-/// The joint soundness gate over every participating graph (module
+/// The gate's first stage, on the component terms of every
+/// participating system (module docs).
+fn root_gate(systems: &[Vec<P>], defs: &Defs) -> Result<(), Decline> {
+    if systems.iter().all(|comps| comps.len() < 2) {
+        return Err(Decline::NotProduct);
+    }
+    let mut arity: BTreeMap<Name, usize> = BTreeMap::new();
+    for c in systems.iter().flatten() {
+        for (chan, ks) in bpi_semantics::input_arities(c, defs) {
+            for k in ks {
+                if *arity.entry(chan).or_insert(k) != k {
+                    return Err(Decline::Arity);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The gate's second stage, over every participating graph (module
 /// docs): per-side product preconditions plus cross-side arity
 /// coherence.
-fn gate_ok(sides: &[&Side]) -> bool {
-    for side in sides {
-        if side.is_product() {
-            for g in &side.graphs {
-                if g.has_bound_output_labels() || !g.covers_pool() {
-                    return false;
-                }
+fn graph_gate(sides: &[Side]) -> Result<(), Decline> {
+    for side in sides.iter().filter(|s| s.is_product()) {
+        for g in &side.graphs {
+            if g.has_bound_output_labels() {
+                return Err(Decline::BoundOutput);
+            }
+            if !g.covers_pool() {
+                return Err(Decline::SilentBlocker);
             }
         }
     }
@@ -164,7 +255,7 @@ fn gate_ok(sides: &[&Side]) -> bool {
             for act in g.csr().labels() {
                 match act {
                     Action::Input { chan, objects } => match in_arity.get(chan) {
-                        Some(&k) if k != objects.len() => return false,
+                        Some(&k) if k != objects.len() => return Err(Decline::Arity),
                         Some(_) => {}
                         None => {
                             in_arity.insert(*chan, objects.len());
@@ -181,11 +272,40 @@ fn gate_ok(sides: &[&Side]) -> bool {
     for (a, outs) in &out_arities {
         if let Some(&k) = in_arity.get(a) {
             if outs.iter().any(|&j| j != k) {
-                return false;
+                return Err(Decline::Arity);
             }
         }
     }
-    true
+    Ok(())
+}
+
+/// Decomposes `systems` and runs both gate stages over them jointly,
+/// building the component graphs only once the first stage accepts.
+/// `Ok(Err(_))` is a decline; `Err` a budget error from a component
+/// build.
+fn gated_sides(
+    systems: &[&P],
+    defs: &Defs,
+    pool: &[Name],
+    opts: crate::graph::Opts,
+    budget: &Budget,
+) -> Result<Result<Vec<Side>, Decline>, EngineError> {
+    let comps: Vec<Vec<P>> = systems.iter().map(|p| par_components(p)).collect();
+    let gated = match root_gate(&comps, defs) {
+        Ok(()) => {
+            let sides = {
+                let _span = bpi_obs::span("equiv.compose", "components");
+                comps
+                    .into_iter()
+                    .map(|c| Side::build(c, defs, pool, opts, budget))
+                    .collect::<Result<Vec<_>, _>>()?
+            };
+            graph_gate(&sides).map(|()| sides)
+        }
+        Err(d) => Err(d),
+    };
+    record_gate(&gated);
+    Ok(gated)
 }
 
 /// A symmetry class: one quotiented component graph shared by `count`
@@ -495,9 +615,13 @@ fn composed_graph(
         }
         return Ok(g.clone());
     }
-    let classes = classes_of(&side.comps, &side.graphs);
+    let classes = {
+        let _span = bpi_obs::span("equiv.compose", "quotient");
+        classes_of(&side.comps, &side.graphs)
+    };
     let num_classes = classes.len();
     let g = if side.is_product() {
+        let _span = bpi_obs::span("equiv.compose", "product");
         Arc::new(product(&classes, pool, cap, budget)?)
     } else {
         classes
@@ -533,11 +657,10 @@ pub type ComposedPair = (Arc<Graph>, Arc<Graph>);
 
 /// The compositional path of [`crate::Checker::try_fixpoint`]: both
 /// systems decomposed, gated jointly, minimized per symmetry class and
-/// recomposed as synchronized products. `Ok(None)` means the gate
-/// declined (not a top-level parallel shape, scope extrusion, silent
-/// blockers, or mixed arities) and the caller should build
-/// monolithically; `Err` is a budget error, exactly as the monolithic
-/// build would report it.
+/// recomposed as synchronized products. `Ok(Err(reason))` means the
+/// gate declined and the caller should build monolithically; `Err` is a
+/// budget error from a component graph or a product, each capped at
+/// `opts.max_states` ∧ `budget` like a monolithic graph.
 ///
 /// The returned graphs are strongly labelled-bisimilar to the
 /// monolithic graphs of `p` and `q`, so [`crate::refine_auto`] over
@@ -551,18 +674,14 @@ pub fn try_compose_pair(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-) -> Result<Option<ComposedPair>, EngineError> {
-    let s1 = Side::build(p, defs, pool, opts, budget)?;
-    let s2 = Side::build(q, defs, pool, opts, budget)?;
-    if !s1.is_product() && !s2.is_product() {
-        return Ok(None);
-    }
-    if !gate_ok(&[&s1, &s2]) {
-        return Ok(None);
-    }
-    let g1 = composed_graph(p, &s1, defs, pool, opts, budget)?;
-    let g2 = composed_graph(q, &s2, defs, pool, opts, budget)?;
-    Ok(Some((g1, g2)))
+) -> Result<Result<ComposedPair, Decline>, EngineError> {
+    let sides = match gated_sides(&[p, q], defs, pool, opts, budget)? {
+        Ok(sides) => sides,
+        Err(d) => return Ok(Err(d)),
+    };
+    let g1 = composed_graph(p, &sides[0], defs, pool, opts, budget)?;
+    let g2 = composed_graph(q, &sides[1], defs, pool, opts, budget)?;
+    Ok(Ok((g1, g2)))
 }
 
 /// The compositional build of a single system (the BENCH_8 ladders and
@@ -576,11 +695,10 @@ pub fn build_composed(
     opts: crate::graph::Opts,
     budget: &Budget,
 ) -> Result<Option<Arc<Graph>>, EngineError> {
-    let side = Side::build(p, defs, pool, opts, budget)?;
-    if !side.is_product() || !gate_ok(&[&side]) {
-        return Ok(None);
+    match gated_sides(&[p], defs, pool, opts, budget)? {
+        Ok(sides) => composed_graph(p, &sides[0], defs, pool, opts, budget).map(Some),
+        Err(_) => Ok(None),
     }
-    composed_graph(p, &side, defs, pool, opts, budget).map(Some)
 }
 
 #[cfg(test)]
@@ -600,27 +718,32 @@ mod tests {
     ];
 
     #[test]
-    fn parse_compose_accepts_documented_forms_only() {
-        for on in ["1", "true", "on", " ON ", "True"] {
-            assert!(parse_compose(Some(on)), "{on:?} must enable");
+    fn override_accepts_off_and_zero_only() {
+        for off in ["off", "0", " OFF ", "Off"] {
+            assert!(parse_override(Some(off)), "{off:?} must force monolithic");
         }
-        for off in ["0", "false", "off", "auto", "", "  "] {
-            assert!(!parse_compose(Some(off)), "{off:?} must disable");
+        for default in ["", "  "] {
+            assert!(
+                !parse_override(Some(default)),
+                "{default:?} must leave the gate"
+            );
         }
-        assert!(!parse_compose(None));
+        assert!(!parse_override(None));
     }
 
     #[test]
-    fn parse_compose_warns_once_on_garbage() {
-        // First sighting of a distinct garbage value warns; repeats are
-        // deduplicated. Either way the engine stays monolithic.
-        assert!(!parse_compose(Some("yes-please")));
-        let warned = bpi_obs::warn_once(
-            "equiv.compose",
-            "ignoring unrecognised BPI_COMPOSE value \"yes-please\" \
-             (expected 1/0, true/false, on/off or auto)",
-        );
-        assert!(!warned, "parse_compose must have consumed the first warn");
+    fn override_warns_once_on_anything_else() {
+        // The old opt-in spellings no longer mean anything: the first
+        // sighting of each warns, repeats are deduplicated, and the
+        // gate keeps the choice either way.
+        for other in ["1", "on", "true"] {
+            assert!(!parse_override(Some(other)));
+            let warned = bpi_obs::warn_once(
+                "equiv.compose",
+                &format!("ignoring unrecognised BPI_COMPOSE value {other:?} (expected off or 0)"),
+            );
+            assert!(!warned, "parse_override must have consumed the first warn");
+        }
     }
 
     /// Two identical broadcasters over shared channels: the composed
@@ -646,6 +769,15 @@ mod tests {
         }
     }
 
+    /// The gate's reason for declining `p` against `q`, if it declines.
+    fn decline(p: &P, q: &P) -> Option<Decline> {
+        let opts = Opts::default();
+        let pool = shared_pool(p, q, opts.fresh_inputs);
+        try_compose_pair(p, q, &Defs::new(), &pool, opts, &Budget::unlimited())
+            .expect("within budget")
+            .err()
+    }
+
     /// A non-Par root and a restriction above the spine decline the
     /// gate rather than mis-compose.
     #[test]
@@ -661,12 +793,7 @@ mod tests {
                 .is_none()
         );
         let scoped = new(a, par(out_(a, []), inp_(a, [b])));
-        let pool = shared_pool(&scoped, &scoped, opts.fresh_inputs);
-        assert!(
-            build_composed(&scoped, &defs, &pool, opts, &Budget::unlimited())
-                .unwrap()
-                .is_none()
-        );
+        assert_eq!(decline(&scoped, &scoped), Some(Decline::NotProduct));
     }
 
     /// Scope extrusion across components (a bound-output label) forces
@@ -676,46 +803,33 @@ mod tests {
         let [a, b, x] = names(["a", "b", "x"]);
         let extruder = new(b, out(a, [b], inp_(b, [x])));
         let p = par(extruder, inp_(a, [x]));
-        let defs = Defs::new();
-        let opts = Opts::default();
-        let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        assert!(build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
-            .unwrap()
-            .is_none());
+        assert_eq!(decline(&p, &p), Some(Decline::BoundOutput));
     }
 
     /// Mixed input arities on one channel across the two sides decline
     /// the joint gate: the quotient would merge states the other
-    /// side's arity profile can still tell apart.
+    /// side's arity profile can still tell apart. The roots already
+    /// show it, so the first stage declines.
     #[test]
     fn gate_declines_mixed_arities_jointly() {
         let [a, b, x, y] = names(["a", "b", "x", "y"]);
         let p = par(inp_(a, [x]), out_(b, []));
         let q = par(inp_(a, [x, y]), out_(b, []));
-        let defs = Defs::new();
-        let opts = Opts::default();
-        let pool = shared_pool(&p, &q, opts.fresh_inputs);
-        let got = try_compose_pair(&p, &q, &defs, &pool, opts, &Budget::unlimited())
-            .expect("within budget");
-        assert!(got.is_none(), "joint arity mix must fall back");
+        assert_eq!(decline(&p, &q), Some(Decline::Arity));
     }
 
     /// A blocked broadcast (a listener the output can never reach at
-    /// its arity) must not silently vanish: the silent-blocker /
-    /// arity gate declines instead.
+    /// its arity) must not silently vanish: the silent-blocker gate
+    /// declines instead. Behind a `τ` the roots do not show it, so the
+    /// second stage must catch it.
     #[test]
     fn gate_declines_silent_blockers() {
         let [a, x, y] = names(["a", "x", "y"]);
-        // `a(x).0 | a(y,z).0` has an inner component that neither
-        // receives monadic broadcasts nor discards them.
-        let blocker = par(inp_(a, [x]), inp_(a, [x, y]));
+        // `a(x).0 | a(y,z).0` neither receives monadic broadcasts nor
+        // discards them.
+        let blocker = tau(par(inp_(a, [x]), inp_(a, [x, y])));
         let p = par(blocker, out_(a, [x]));
-        let defs = Defs::new();
-        let opts = Opts::default();
-        let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        assert!(build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
-            .unwrap()
-            .is_none());
+        assert_eq!(decline(&p, &p), Some(Decline::SilentBlocker));
     }
 
     /// The orbit reduction is polynomial where the monolithic space is

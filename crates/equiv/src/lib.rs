@@ -56,7 +56,7 @@ pub use checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
     SliceOutcome, SupervisedVerdict,
 };
-pub use compose::{build_composed, compose_enabled, try_compose_pair};
+pub use compose::{build_composed, try_compose_pair};
 pub use congruence::{
     congruent_strong, congruent_weak, sim_plus, try_congruent_strong, try_congruent_weak,
     try_sim_plus, try_weak_sim_plus, weak_sim_plus,

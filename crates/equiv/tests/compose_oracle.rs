@@ -16,7 +16,11 @@
 //!   multi-component systems (the 891 blocks, the 1624 shuffle pair,
 //!   the 45352/9724 parser-corner terms — the latter decline the gate
 //!   via mixed arities and scope extrusion, pinning the fallback);
-//! * the deterministic compose counters depend only on the term's structure.
+//! * the deterministic compose counters depend only on the term's structure;
+//! * the benchmark corpus's own shapes, recursion included: `Checker::check`
+//!   under the default dispatch composes every `relay` and `stations`
+//!   pair and matches the pairwise reference, and the `mixed` pairs
+//!   decline on their roots' arities before any component graph is built.
 //!
 //! The metrics registry is process-global and every test here records
 //! deterministic counters, so every test serialises on [`LOCK`] — an
@@ -24,10 +28,14 @@
 
 use bpi_core::builder::*;
 use bpi_core::name::Name;
+use bpi_core::parser::{parse_defs, parse_process};
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{shuffle, Gen, GenCfg};
-use bpi_equiv::{refine, refine_auto, shared_pool, try_compose_pair, Graph, Opts, Variant};
-use bpi_obs::CounterDelta;
+use bpi_equiv::{
+    refine, refine_auto, refine_worklist, shared_pool, try_compose_pair, Checker, Graph, Opts,
+    Variant,
+};
+use bpi_obs::{CounterDelta, MemorySink, TraceEvent, Value};
 use bpi_semantics::Budget;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -65,7 +73,7 @@ fn assert_compose_matches_oracle(p: &P, q: &P) -> bool {
     let pool = shared_pool(p, q, opts.fresh_inputs);
     let composed =
         try_compose_pair(p, q, &defs, &pool, opts, &Budget::unlimited()).expect("finite test term");
-    let Some((c1, c2)) = composed else {
+    let Ok((c1, c2)) = composed else {
         return false; // gate declined: the Checker takes the monolithic path
     };
     let (g1, g2) = build_pair(p, q);
@@ -250,4 +258,198 @@ fn compose_counters_repeat_on_fresh_names() {
         "no compose trace: {d1:?}"
     );
     assert_eq!(d1, d2, "compose counters must not depend on channel names");
+}
+
+/// The benchmark corpus's recursive definition and station shape.
+const FWD: &str = "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;";
+const STATION: &str = "(a<> + tau.b<>.a())";
+
+fn relay(n: usize, value: &str, reversed: bool) -> String {
+    let mut parts: Vec<String> = (0..n).map(|i| format!("Fwd<x{i},x{}>", i + 1)).collect();
+    if reversed {
+        parts.reverse();
+    }
+    parts.push(format!("x0<{value}>"));
+    parts.join(" | ")
+}
+
+fn stations(n: usize, last: &str) -> String {
+    let mut parts = vec![STATION.to_string(); n - 1];
+    parts.push(last.to_string());
+    parts.join(" | ")
+}
+
+/// The corpus pair `family/n/pert`, parsed.
+fn corpus_pair(family: &str, n: usize, pert: &str) -> (P, P) {
+    let (left, right) = match (family, pert) {
+        ("relay", "eq") => (relay(n, "v", false), relay(n, "v", true)),
+        ("relay", "ne") => (relay(n, "v", false), relay(n, "w", false)),
+        ("stations", "eq") => (stations(n, STATION), stations(n, &format!("tau.{STATION}"))),
+        ("stations", "ne") => (stations(n, STATION), stations(n, "(a<> + tau.b<>.c())")),
+        _ => panic!("no corpus pair {family}/{pert}"),
+    };
+    let parse = |src: &str| parse_process(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    (parse(&left), parse(&right))
+}
+
+/// The pairwise reference on unmemoized monolithic graphs: `refine` up
+/// to 1,024 pairs, `refine_worklist` above.
+fn reference(v: Variant, g1: &Graph, g2: &Graph) -> bool {
+    if g1.len() * g2.len() <= 1024 {
+        refine(v, g1, g2).holds(0, 0)
+    } else {
+        refine_worklist(v, g1, g2).holds(0, 0)
+    }
+}
+
+/// Clears the `BPI_COMPOSE` override until dropped, then restores it,
+/// so the tests of the default dispatch also hold in a run that forces
+/// the monolithic oracle. Only [`Checker`] reads the variable, and only
+/// the tests holding this guard call it; they also hold [`LOCK`].
+struct DefaultDispatch(Option<std::ffi::OsString>);
+
+impl DefaultDispatch {
+    fn new() -> DefaultDispatch {
+        let saved = std::env::var_os("BPI_COMPOSE");
+        std::env::remove_var("BPI_COMPOSE");
+        DefaultDispatch(saved)
+    }
+}
+
+impl Drop for DefaultDispatch {
+    fn drop(&mut self) {
+        if let Some(v) = self.0.take() {
+            std::env::set_var("BPI_COMPOSE", v);
+        }
+    }
+}
+
+/// Runs `f` with a memory sink installed and returns the `equiv.check`
+/// `verdict` events it emitted.
+fn verdict_events(f: impl FnOnce()) -> Vec<TraceEvent> {
+    let sink = MemorySink::new();
+    bpi_obs::install_sink(sink.clone());
+    f();
+    bpi_obs::clear_sink();
+    sink.take()
+        .into_iter()
+        .filter(|e| e.target == "equiv.check" && e.name == "verdict")
+        .collect()
+}
+
+fn field<'e>(ev: &'e TraceEvent, key: &str) -> &'e Value {
+    ev.field(key)
+        .unwrap_or_else(|| panic!("verdict event has no {key}: {ev:?}"))
+}
+
+/// The corpus's `relay` pairs (n = 1–3, recursive `Fwd`) and `stations`
+/// pairs (n = 2–5), `eq` and `ne`, across all six variants (the strong
+/// three at relay n = 3, as in the corpus): `Checker::check` composes
+/// every one of them and agrees with the pairwise reference on the
+/// monolithic graphs.
+#[test]
+fn checker_composes_corpus_shapes_and_matches_the_reference() {
+    let _g = lock();
+    let _default = DefaultDispatch::new();
+    let defs = parse_defs(FWD).expect("definitions parse");
+    let strong = [
+        Variant::StrongBarbed,
+        Variant::StrongStep,
+        Variant::StrongLabelled,
+    ];
+    let mut cases: Vec<(&str, usize, &str, &[Variant])> = Vec::new();
+    for n in 1..=3 {
+        let vs: &[Variant] = if n == 3 { &strong } else { &ALL };
+        for pert in ["eq", "ne"] {
+            cases.push(("relay", n, pert, vs));
+        }
+    }
+    for n in 2..=5 {
+        for pert in ["eq", "ne"] {
+            cases.push(("stations", n, pert, &ALL));
+        }
+    }
+    let checker = Checker::new(&defs);
+    let opts = Opts::default();
+    let mut checks = 0u64;
+    let mut events = Vec::new();
+    let delta = det_delta(|| {
+        for (family, n, pert, vs) in cases {
+            let (p, q) = corpus_pair(family, n, pert);
+            let pool = shared_pool(&p, &q, opts.fresh_inputs);
+            let g1 = Graph::build(&p, &defs, &pool, opts).expect("finite corpus term");
+            let g2 = Graph::build(&q, &defs, &pool, opts).expect("finite corpus term");
+            for &v in vs {
+                let mut got = None;
+                events.extend(verdict_events(|| got = Some(checker.check(v, &p, &q))));
+                let got = got.expect("check ran");
+                assert!(!got.is_inconclusive(), "{family}/{n}/{pert} {v:?}: {got:?}");
+                assert_eq!(
+                    got.holds(),
+                    reference(v, &g1, &g2),
+                    "{family}/{n}/{pert} {v:?}: default dispatch diverged from the reference"
+                );
+                checks += 1;
+            }
+        }
+    });
+    assert_eq!(
+        delta.get("equiv.compose.accepted").copied(),
+        Some(checks),
+        "every corpus compose shape must pass the gate: {delta:?}"
+    );
+    assert_eq!(events.len() as u64, checks);
+    for ev in &events {
+        assert_eq!(field(ev, "graphs"), &Value::from("composed"));
+        assert_eq!(field(ev, "reason"), &Value::from("accepted"));
+    }
+}
+
+/// The corpus's `mixed` n = 10 pair, the decline case: its roots listen
+/// on one channel at arities 1 and 2, so the gate declines with `arity`
+/// before building any component graph — the only graphs built are the
+/// two monolithic ones — and the verdict still matches the reference.
+#[test]
+fn mixed_arity_roots_decline_before_any_component_build() {
+    let _g = lock();
+    let _default = DefaultDispatch::new();
+    // Names of their own, so that no earlier test's memo entry hides a
+    // build.
+    let ladder = format!("{}ma<mv,mw>", "tau.".repeat(10));
+    let p = parse_process(&format!("{ladder} | ma(x).mb<x> | ma(x,y).mc<y>")).expect("parses");
+    let q = parse_process(&format!("{ladder} | ma(x).mb<x> | ma(x,y).mc<x>")).expect("parses");
+    let defs = Defs::new();
+    let opts = Opts::default();
+    let pool = shared_pool(&p, &q, opts.fresh_inputs);
+    let g1 = Graph::build(&p, &defs, &pool, opts).expect("finite");
+    let g2 = Graph::build(&q, &defs, &pool, opts).expect("finite");
+    let components = bpi_obs::histogram("equiv.compose.components.us");
+    let spans_before = components.count();
+    for v in ALL {
+        let mut got = None;
+        let mut events = Vec::new();
+        let delta = det_delta(|| {
+            events = verdict_events(|| got = Some(Checker::new(&defs).check(v, &p, &q)));
+        });
+        let got = got.expect("check ran");
+        assert_eq!(got.holds(), reference(v, &g1, &g2), "{v:?} diverged");
+        assert_eq!(delta.get("equiv.compose.declined.arity"), Some(&1));
+        assert_eq!(delta.get("equiv.compose.accepted"), None);
+        let want_builds = if v == ALL[0] { Some(&2) } else { None };
+        assert_eq!(
+            delta.get("equiv.graph.builds"),
+            want_builds,
+            "{v:?}: only the two monolithic graphs may be built, once: {delta:?}"
+        );
+        let [ev] = &events[..] else {
+            panic!("expected one verdict event, got {events:?}");
+        };
+        assert_eq!(field(ev, "graphs"), &Value::from("monolithic"));
+        assert_eq!(field(ev, "reason"), &Value::from("arity"));
+    }
+    assert_eq!(
+        components.count(),
+        spans_before,
+        "a declined pair must not open the component-build span"
+    );
 }

@@ -4,10 +4,11 @@
 //! equivalences, the HML certificate and the exhaustive reachability
 //! sweeps — must be **bit-identical** under every engine selection: the
 //! naive sweep, the predecessor-indexed worklist, the block/splitter
-//! partition refiner and the compositional route (`BPI_COMPOSE=1`, which
-//! takes the minimize-then-compose path on the ladder's open
-//! many-identical-node comparisons and falls back monolithically
-//! elsewhere). `BPI_ENGINE` / `BPI_COMPOSE` are re-read on every
+//! partition refiner, and both graph routes. The baseline runs the
+//! default dispatch, which takes the minimize-then-compose path on the
+//! ladder's open many-identical-node comparisons and the monolithic
+//! build elsewhere; `BPI_COMPOSE=off` forces the monolithic oracle
+//! everywhere. `BPI_ENGINE` / `BPI_COMPOSE` are re-read on every
 //! dispatch precisely so a test can flip them mid-process; everything
 //! lives in **one** `#[test]` because
 //! the process environment is shared state — this file is its own test
@@ -40,8 +41,8 @@ fn every_engine_agrees_on_every_verdict() {
         &[("BPI_ENGINE", "naive")],
         &[("BPI_ENGINE", "worklist")],
         &[("BPI_ENGINE", "partition")],
-        &[("BPI_COMPOSE", "1")],
-        &[("BPI_COMPOSE", "1"), ("BPI_ENGINE", "partition")],
+        &[("BPI_COMPOSE", "off")],
+        &[("BPI_COMPOSE", "off"), ("BPI_ENGINE", "partition")],
     ];
     for env in configs {
         let got = verdicts_under(env);
