@@ -14,9 +14,12 @@
 //! All six relations are decided by the same greatest-fixpoint pair
 //! refinement over the two finite [`Graph`]s: start from the full
 //! relation and delete pairs violating the transfer conditions until
-//! stable. Three engines compute that fixpoint — all chaotic iterations
-//! of the same monotone transfer operator, hence the same greatest
-//! fixpoint:
+//! stable. Each variant's transfer property is written once, as one
+//! walk over its obligations: [`direction`] scores it exactly (the
+//! first unmatched obligation fails the pair), and
+//! [`crate::epsilon::defect`] scores it by counting. Three engines
+//! compute that fixpoint — all chaotic iterations of the same monotone
+//! transfer operator, hence the same greatest fixpoint:
 //!
 //! * the naive global sweep [`refine`] (the reference oracle, and the
 //!   fastest choice on small products — no index construction);
@@ -27,6 +30,10 @@
 //! * the block/splitter partition refiner of [`crate::partition`], which
 //!   abandons the pair table entirely and refines a partition of the
 //!   disjoint union of the two graphs.
+//!
+//! The naive sweep and the round engine take the kill predicate and the
+//! start relation as parameters, so ε-refinement ([`crate::epsilon`])
+//! runs on the same two loops.
 //!
 //! One dispatch picks between them by pair count and partition safety,
 //! for [`refine_auto`] and for the checkpointed pipeline behind
@@ -42,12 +49,13 @@ use crate::compose::Decline;
 use crate::graph::{shared_pool, Graph, Opts};
 use crate::partition::Partition;
 use bpi_core::action::Action;
-use bpi_core::name::Name;
+use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::{Arc, LazyLock};
 
 // Refinement metrics. The deterministic set is *result-derived*: all
@@ -195,7 +203,7 @@ pub struct PairRelation {
 }
 
 impl PairRelation {
-    fn full(n1: usize, n2: usize) -> PairRelation {
+    pub(crate) fn full(n1: usize, n2: usize) -> PairRelation {
         PairRelation {
             rel: vec![vec![true; n2]; n1],
         }
@@ -389,35 +397,49 @@ impl<'d> Checker<'d> {
 ///
 /// Kept as the reference oracle for [`refine_worklist`] (both converge
 /// to the same greatest fixpoint of the monotone transfer operator; the
-/// proptests in this crate check the agreement on random pairs). Kills
-/// are deferred to the end of each sweep so the two [`RelView`]s are
-/// constructed once per sweep instead of once per pair.
+/// proptests in this crate check the agreement on random pairs).
 pub fn refine(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
     let (n1, n2) = (g1.len(), g2.len());
     let mut pr = PairRelation::full(n1, n2);
-    let mut sweeps = 0u64;
+    NAIVE_SWEEPS.add(sweep(&mut pr, |i, j, rel| violates(v, g1, i, g2, j, rel)));
+    record_refine("naive", &pr, n1, n2);
+    pr
+}
+
+/// The exact kill predicate: whether `(i, j)` fails the transfer
+/// property against `rel` in either [`direction`]. The backward
+/// direction is only computed when the forward one holds.
+fn violates(v: Variant, g1: &Graph, i: usize, g2: &Graph, j: usize, rel: &[Vec<bool>]) -> bool {
+    !(direction(v, g1, i, g2, j, RelView::new(rel, false))
+        && direction(v, g2, j, g1, i, RelView::new(rel, true)))
+}
+
+/// The naive sweep behind [`refine`] and the ε refiners: deletes every
+/// pair `kill` flags against the relation as the sweep found it (kills
+/// apply at the end of the sweep), until a sweep deletes nothing.
+/// Returns the number of sweeps.
+///
+/// `kill` must be monotone: a pair it flags against a relation stays
+/// flagged against every smaller one. Then every start relation that
+/// contains the greatest fixpoint ends on that fixpoint, which is what
+/// lets the ε bisection start from the relation of a larger ε.
+pub(crate) fn sweep(
+    pr: &mut PairRelation,
+    mut kill: impl FnMut(usize, usize, &[Vec<bool>]) -> bool,
+) -> u64 {
+    let mut sweeps = 0;
     loop {
         sweeps += 1;
         let mut kills = Vec::new();
-        {
-            let fwd = RelView::new(&pr.rel, false);
-            let bwd = RelView::new(&pr.rel, true);
-            for i in 0..n1 {
-                for j in 0..n2 {
-                    if !fwd.holds(i, j) {
-                        continue;
-                    }
-                    let ok = direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd);
-                    if !ok {
-                        kills.push((i, j));
-                    }
+        for (i, row) in pr.rel.iter().enumerate() {
+            for (j, &related) in row.iter().enumerate() {
+                if related && kill(i, j, &pr.rel) {
+                    kills.push((i, j));
                 }
             }
         }
         if kills.is_empty() {
-            NAIVE_SWEEPS.add(sweeps);
-            record_refine("naive", &pr, n1, n2);
-            return pr;
+            return sweeps;
         }
         for (i, j) in kills {
             pr.rel[i][j] = false;
@@ -582,8 +604,11 @@ pub fn refine_budgeted(
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
-    let pr = PairRelation::full(g1.len(), g2.len());
-    refine_rounds(v, g1, g2, budget, cfg, pr, 0)
+    let start = RefineCheckpoint {
+        rel: PairRelation::full(g1.len(), g2.len()).rel,
+        rounds: 0,
+    };
+    refine_rounds(v, g1, g2, budget, cfg, start)
 }
 
 /// Continues [`refine_budgeted`] from a snapshot taken at a round
@@ -603,32 +628,45 @@ pub fn refine_resume(
         "checkpoint/graph column mismatch"
     );
     bpi_semantics::checkpoint::record_resume("refine");
-    let rounds = ckpt.rounds;
-    refine_rounds(
-        v,
-        g1,
-        g2,
-        budget,
-        cfg,
-        PairRelation { rel: ckpt.rel },
-        rounds,
-    )
+    refine_rounds(v, g1, g2, budget, cfg, ckpt)
 }
 
+/// The exact transfer property on [`run_rounds`], recorded as the
+/// `budgeted` engine.
 fn refine_rounds(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
-    mut pr: PairRelation,
-    mut rounds: u64,
+    start: RefineCheckpoint,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
+    let (pr, rounds) = run_rounds(v, g1, g2, budget, cfg, start, |i, j, rel| {
+        violates(v, g1, i, g2, j, rel)
+    })?;
+    BUDGETED_ROUNDS.add(rounds);
+    record_refine("budgeted", &pr, g1.len(), g2.len());
+    Ok(pr)
+}
+
+/// The round engine behind [`refine_budgeted`] and the ε refiner, for
+/// any monotone `kill` predicate (see [`sweep`]). It runs on from
+/// `start`'s round count, and its first round re-checks every pair
+/// `start` relates, so `start` may be any superset of the fixpoint. The
+/// dependency sets are `v`'s. Returns the fixpoint and the round count
+/// it ended on, and records nothing: each caller records its own engine.
+pub(crate) fn run_rounds(
+    v: Variant,
+    g1: &Graph,
+    g2: &Graph,
+    budget: &Budget,
+    cfg: &CheckpointCfg<RefineCheckpoint>,
+    start: RefineCheckpoint,
+    mut kill: impl FnMut(usize, usize, &[Vec<bool>]) -> bool,
+) -> Result<(PairRelation, u64), Interrupted<RefineCheckpoint>> {
     let (n1, n2) = (g1.len(), g2.len());
-    if n1 == 0 || n2 == 0 {
-        record_refine("budgeted", &pr, n1, n2);
-        return Ok(pr);
-    }
+    let RefineCheckpoint { rel, mut rounds } = start;
+    let mut pr = PairRelation { rel };
     let snapshot = |pr: &PairRelation, rounds: u64| RefineCheckpoint {
         rel: pr.rel.clone(),
         rounds,
@@ -652,19 +690,14 @@ fn refine_rounds(
         }
         // The round's kill set: the dirty pairs still related that now
         // violate the transfer property against this round's relation.
-        let kills: Vec<(u32, u32)> = {
-            let fwd = RelView::new(&pr.rel, false);
-            let bwd = RelView::new(&pr.rel, true);
-            dirty
-                .iter()
-                .copied()
-                .filter(|&(i, j)| {
-                    let (i, j) = (i as usize, j as usize);
-                    fwd.holds(i, j)
-                        && !(direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd))
-                })
-                .collect()
-        };
+        let kills: Vec<(u32, u32)> = dirty
+            .iter()
+            .copied()
+            .filter(|&(i, j)| {
+                let (i, j) = (i as usize, j as usize);
+                pr.rel[i][j] && kill(i, j, &pr.rel)
+            })
+            .collect();
         rounds += 1;
         if kills.is_empty() {
             break;
@@ -692,63 +725,97 @@ fn refine_rounds(
         dirty = next;
         cfg.maybe_snapshot(rounds as usize, || snapshot(&pr, rounds));
     }
-    BUDGETED_ROUNDS.add(rounds);
-    record_refine("budgeted", &pr, n1, n2);
-    Ok(pr)
+    Ok((pr, rounds))
 }
 
 /// One direction of the transfer property: every move of `(ga, i)` is
 /// matched by `(gb, j)` with `rel`-related residuals. Exposed for the
 /// congruence layer (`~₊` of Definition 11 is exactly "one `direction`
 /// step each way into the bisimilarity fixpoint").
+///
+/// This is the transfer walk (`transfer`) scored exactly: the first
+/// unmatched obligation ends the walk.
 pub fn direction(v: Variant, ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> bool {
+    transfer(v, ga, i, gb, j, rel, &mut |matched| {
+        if matched {
+            Continue(())
+        } else {
+            Break(())
+        }
+    })
+    .is_continue()
+}
+
+/// Walks one direction of `v`'s transfer property, the one definition
+/// of Definitions 3, 5 and 7–8 that [`direction`] and
+/// [`crate::epsilon::defect`] score in their own ways. Each obligation
+/// of `(ga, i)` (a move to match, a discard to mirror) is answered by
+/// `(gb, j)` into `rel` or not, and `note` scores the answer; `Break`
+/// from `note` ends the walk. A barb `i` exposes and `j` lacks ends it
+/// outright with `Break`: a missing observable is not an obligation
+/// that a match could answer.
+pub(crate) fn transfer(
+    v: Variant,
+    ga: &Graph,
+    i: usize,
+    gb: &Graph,
+    j: usize,
+    rel: RelView<'_>,
+    note: &mut impl FnMut(bool) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     match v {
         Variant::StrongBarbed => {
             // Barbs: p ↓a ⇒ q ↓a.
-            let ba = ga.strong_barbs(i);
-            let bb = gb.strong_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return false;
-            }
+            barbs_within(&ga.strong_barbs(i), &gb.strong_barbs(j))?;
             // τ moves matched by single τ moves.
-            ga.tau_succs(i)
-                .all(|i2| gb.tau_succs(j).any(|j2| rel.holds(i2, j2)))
+            for i2 in ga.tau_succs(i) {
+                note(gb.tau_succs(j).any(|j2| rel.holds(i2, j2)))?;
+            }
         }
         Variant::WeakBarbed => {
-            let ba = ga.weak_barbs(i);
-            let bb = gb.weak_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return false;
+            barbs_within(&ga.weak_barbs(i), &gb.weak_barbs(j))?;
+            for i2 in ga.tau_succs(i) {
+                note(gb.tau_closure(j).iter().any(|&j2| rel.holds(i2, j2)))?;
             }
-            ga.tau_succs(i)
-                .all(|i2| gb.tau_closure(j).iter().any(|&j2| rel.holds(i2, j2)))
         }
         Variant::StrongStep => {
-            let ba = ga.strong_barbs(i); // ↓ₐ^φ = immediate output subject
-            let bb = gb.strong_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return false;
-            }
+            // ↓ₐ^φ = immediate output subject.
+            barbs_within(&ga.strong_barbs(i), &gb.strong_barbs(j))?;
             // Any step move matched by any single step move (labels are
             // abstracted away — the essence of Definition 5).
-            ga.step_edges(i)
-                .all(|(_, i2)| gb.step_edges(j).any(|(_, j2)| rel.holds(i2, j2)))
+            for (_, i2) in ga.step_edges(i) {
+                note(gb.step_edges(j).any(|(_, j2)| rel.holds(i2, j2)))?;
+            }
         }
         Variant::WeakStep => {
-            let ba = ga.weak_step_barbs(i);
-            let bb = gb.weak_step_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return false;
+            barbs_within(&ga.weak_step_barbs(i), &gb.weak_step_barbs(j))?;
+            for (_, i2) in ga.step_edges(i) {
+                note(gb.step_closure(j).iter().any(|&j2| rel.holds(i2, j2)))?;
             }
-            ga.step_edges(i)
-                .all(|(_, i2)| gb.step_closure(j).iter().any(|&j2| rel.holds(i2, j2)))
         }
-        Variant::StrongLabelled => strong_labelled_dir(ga, i, gb, j, rel),
-        Variant::WeakLabelled => weak_labelled_dir(ga, i, gb, j, rel),
+        Variant::StrongLabelled => strong_labelled(ga, i, gb, j, rel, note)?,
+        Variant::WeakLabelled => weak_labelled(ga, i, gb, j, rel, note)?,
+    }
+    Continue(())
+}
+
+/// `Break` when `ba` holds a barb `bb` lacks.
+fn barbs_within(ba: &NameSet, bb: &NameSet) -> ControlFlow<()> {
+    if ba.iter().all(|a| bb.contains(a)) {
+        Continue(())
+    } else {
+        Break(())
     }
 }
 
-fn strong_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> bool {
+fn strong_labelled(
+    ga: &Graph,
+    i: usize,
+    gb: &Graph,
+    j: usize,
+    rel: RelView<'_>,
+    note: &mut impl FnMut(bool) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     // 1–3: explicit moves of i. Labels are interned per graph, so
     // cross-graph matching translates i's label into j's id space once
     // and then compares dense ids instead of structural `Action`s.
@@ -772,14 +839,14 @@ fn strong_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<
             }
             Action::Discard { .. } => true, // not stored as edges
         };
-        if !matched {
-            return false;
-        }
+        note(matched)?;
     }
     // 4: discard self-loops of i: i —a(b)?→ i for every a it discards.
     for a in &ga.discarding[i] {
         if gb.state_discards(j, a) {
-            continue; // j self-loops too; (i, j) is the current pair.
+            // j self-loops too; (i, j) is the current pair.
+            note(true)?;
+            continue;
         }
         // j is listening on a: each of its concrete a(b̃) inputs is an
         // a(b̃)?-move candidate; for every tuple (all pool tuples appear
@@ -794,19 +861,23 @@ fn strong_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<
         if labels.is_empty() {
             // j neither discards nor receives on a within the pool
             // (arity anomaly): cannot match i's discard move.
-            return false;
+            note(false)?;
         }
         for lab in labels {
-            let ok = gb.edge_ids(j).any(|(l, j2)| l == lab && rel.holds(i, j2));
-            if !ok {
-                return false;
-            }
+            note(gb.edge_ids(j).any(|(l, j2)| l == lab && rel.holds(i, j2)))?;
         }
     }
-    true
+    Continue(())
 }
 
-fn weak_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> bool {
+fn weak_labelled(
+    ga: &Graph,
+    i: usize,
+    gb: &Graph,
+    j: usize,
+    rel: RelView<'_>,
+    note: &mut impl FnMut(bool) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     for (lid, i2) in ga.edge_ids(i) {
         let act = ga.label(lid);
         let matched = match act {
@@ -824,9 +895,7 @@ fn weak_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_
             }
             Action::Discard { .. } => true,
         };
-        if !matched {
-            return false;
-        }
+        note(matched)?;
     }
     for a in &ga.discarding[i] {
         // i —a(b̃)?→ i for every tuple b̃; j must weakly match each.
@@ -834,10 +903,7 @@ fn weak_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_
         let wdisc = gb.weak_discard(j, a);
         let wdisc_related = wdisc.iter().any(|&j2| rel.holds(i, j2));
         for lab in labels.iter() {
-            let ok = wdisc_related || gb.weak_label(j, lab).iter().any(|&j2| rel.holds(i, j2));
-            if !ok {
-                return false;
-            }
+            note(wdisc_related || gb.weak_label(j, lab).iter().any(|&j2| rel.holds(i, j2)))?;
         }
         // Tuples at arities nobody receives at are matched only through a
         // weak discard.
@@ -846,11 +912,11 @@ fn weak_labelled_dir(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_
         let ar_b = gb.arities_on(a);
         let uncovered = (ar_a.is_empty() && ar_b.is_empty())
             || ar_a.iter().chain(ar_b.iter()).any(|n| !ar_cov.contains(n));
-        if uncovered && !wdisc_related {
-            return false;
+        if uncovered {
+            note(wdisc_related)?;
         }
     }
-    true
+    Continue(())
 }
 
 /// Convenience free functions mirroring the paper's notation.
@@ -1136,11 +1202,18 @@ mod tests {
     #[test]
     fn pairwise_engine_agrees_with_naive_refine_on_paper_witnesses() {
         // Full-relation agreement (not just the root pair) on the
-        // paper's distinguishing witnesses, across all six variants —
-        // the round engine with no cutover, so it really runs on these
-        // small products.
+        // paper's distinguishing witnesses and one pair that needs the
+        // weak dependency sets, across all six variants — the round
+        // engine with no cutover, so it really runs on these small
+        // products.
         let d = defs();
-        let [a, b, c, x] = names(["a", "b", "c", "x"]);
+        let [a, b, c, e, x] = names(["a", "b", "c", "e", "x"]);
+        // Weakly, `ā.c̄.c̄` is answered by both `ā`-successors of the right
+        // side, `τ.c̄.ē + b̄` and the `c̄.ē` below its τ. The second dies a
+        // round after the first, and only the weak dependency sets (all
+        // ancestors, not just predecessors) bring the root pair back for
+        // the re-check that kills it in the weak labelled variant.
+        let wit = sum(tau(out(c, [], out_(e, []))), out_(b, []));
         let pairs: Vec<(bpi_core::syntax::P, bpi_core::syntax::P)> = vec![
             (out(b, [a], out_(a, [])), out(b, [c], out_(a, []))),
             (tau(out_(a, [])), out_(a, [])),
@@ -1150,6 +1223,10 @@ mod tests {
                 sum(out(a, [], out_(b, [])), out(a, [], out_(c, []))),
             ),
             (sum(inp_(a, [x]), tau_()), new(a, out(b, [a], out_(a, [])))),
+            (
+                sum(out(a, [], out(c, [], out_(c, []))), out(a, [], wit.clone())),
+                out(a, [], wit),
+            ),
         ];
         for (p, q) in &pairs {
             let pool = shared_pool(p, q, 1);

@@ -870,7 +870,7 @@ impl<'d> Checker<'d> {
             return Ok(Graph::from_complete_checkpoint(ck));
         }
         relayed(cfg, wrap, |inner| {
-            Graph::continue_build(ck, self.defs, self.opts, &self.budget, inner)
+            Graph::continue_checkpointed(ck, self.defs, self.opts, &self.budget, inner)
         })
     }
 

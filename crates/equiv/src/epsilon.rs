@@ -14,13 +14,15 @@
 //! approximately-matched one, and scores the full `1.0`.
 //!
 //! [`refine_epsilon`] then computes the greatest relation in which
-//! every pair's defect (in both directions) stays `≤ ε`, by the same
-//! chaotic iteration as the exact engines: a predecessor-indexed
-//! worklist over the product graph with the naive-sweep cutover on
-//! small products. Shrinking the relation can only *raise* defects
-//! (matches disappear, none appear), so the kill operator is monotone
-//! and every re-examination schedule converges to the same greatest
-//! fixpoint.
+//! every pair's defect (in both directions) stays `≤ ε`, on the exact
+//! engines' own loops with the ε kill predicate in place of the exact
+//! one: the naive sweep at or below their cutover, the pairwise round
+//! engine above it. Shrinking the relation can only *raise* defects
+//! (matches disappear, none appear), so the kill operator is monotone:
+//! every re-examination schedule, from every start relation that
+//! contains the fixpoint, converges to the same greatest fixpoint.
+//! [`epsilon_distance`] leans on that: each bisection step starts from
+//! the relation at its upper bracket.
 //!
 //! **The exact engines stay the oracle.** By construction `defect > 0 ⟺
 //! ¬direction` against the same relation, so at `ε = 0` the kill
@@ -31,13 +33,14 @@
 //! `ε` (to a tolerance) at which the roots stay related — `0` exactly
 //! on bisimilar pairs, `1` when an observable separates them.
 
-use crate::bisim::{PairRelation, RelView, Variant, NAIVE_MAX_PAIRS};
+use crate::bisim::{run_rounds, sweep, transfer, PairRelation, RelView, Variant, NAIVE_MAX_PAIRS};
+use crate::checkpoint::RefineCheckpoint;
 use crate::graph::{shared_pool, Graph, Opts};
-use bpi_core::action::Action;
 use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
-use std::collections::{BTreeSet, VecDeque};
+use bpi_semantics::checkpoint::CheckpointCfg;
+use std::ops::ControlFlow::Continue;
 use std::sync::LazyLock;
 
 // Result-derived metrics are deterministic (every schedule reaches the
@@ -73,197 +76,30 @@ fn record_epsilon(engine: &'static str, pr: &PairRelation, n1: usize, n2: usize,
     });
 }
 
-/// Obligation tally for one direction of one pair: how many transfer
-/// obligations the pair carries and how many went unmatched.
-struct Tally {
-    total: usize,
-    failed: usize,
-}
-
-impl Tally {
-    fn new() -> Tally {
-        Tally {
-            total: 0,
-            failed: 0,
-        }
-    }
-
-    fn note(&mut self, matched: bool) {
-        self.total += 1;
-        if !matched {
-            self.failed += 1;
-        }
-    }
-
-    /// The unmatched fraction; `0.0` for an obligation-free state (a
-    /// terminal state trivially satisfies the transfer property).
-    fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.failed as f64 / self.total as f64
-        }
-    }
-}
-
 /// One direction of the ε-transfer property, quantified: the fraction
 /// of `(ga, i)`'s obligations that `(gb, j)` fails to match into `rel`,
 /// or `1.0` outright when `j` misses a barb `i` exposes.
 ///
-/// Obligations mirror [`direction`] clause for clause — every boolean
-/// check the exact predicate performs becomes one tallied obligation —
-/// so `defect(..) > 0.0` exactly when `direction(..)` is `false`
-/// against the same `rel`. The exact engines remain the `ε = 0` oracle
-/// for this function, not the other way around.
+/// This is the transfer walk of [`direction`](crate::bisim::direction),
+/// scored by counting unmatched obligations instead of stopping at the
+/// first, so `defect(..) > 0.0` exactly when `direction(..)` is `false`
+/// against the same `rel`. An obligation-free state scores `0.0` (a
+/// terminal state trivially satisfies the transfer property).
 pub fn defect(v: Variant, ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> f64 {
-    match v {
-        Variant::StrongBarbed => {
-            let ba = ga.strong_barbs(i);
-            let bb = gb.strong_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return 1.0;
-            }
-            let mut t = Tally::new();
-            for i2 in ga.tau_succs(i) {
-                t.note(gb.tau_succs(j).any(|j2| rel.holds(i2, j2)));
-            }
-            t.fraction()
-        }
-        Variant::WeakBarbed => {
-            let ba = ga.weak_barbs(i);
-            let bb = gb.weak_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return 1.0;
-            }
-            let mut t = Tally::new();
-            for i2 in ga.tau_succs(i) {
-                t.note(gb.tau_closure(j).iter().any(|&j2| rel.holds(i2, j2)));
-            }
-            t.fraction()
-        }
-        Variant::StrongStep => {
-            let ba = ga.strong_barbs(i);
-            let bb = gb.strong_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return 1.0;
-            }
-            let mut t = Tally::new();
-            for (_, i2) in ga.step_edges(i) {
-                t.note(gb.step_edges(j).any(|(_, j2)| rel.holds(i2, j2)));
-            }
-            t.fraction()
-        }
-        Variant::WeakStep => {
-            let ba = ga.weak_step_barbs(i);
-            let bb = gb.weak_step_barbs(j);
-            if !ba.iter().all(|a| bb.contains(a)) {
-                return 1.0;
-            }
-            let mut t = Tally::new();
-            for (_, i2) in ga.step_edges(i) {
-                t.note(gb.step_closure(j).iter().any(|&j2| rel.holds(i2, j2)));
-            }
-            t.fraction()
-        }
-        Variant::StrongLabelled => strong_labelled_defect(ga, i, gb, j, rel),
-        Variant::WeakLabelled => weak_labelled_defect(ga, i, gb, j, rel),
+    let (mut total, mut failed) = (0usize, 0usize);
+    let walk = transfer(v, ga, i, gb, j, rel, &mut |matched| {
+        total += 1;
+        failed += usize::from(!matched);
+        Continue(())
+    });
+    if walk.is_break() {
+        // Only a missing barb ends a counting walk.
+        1.0
+    } else if total == 0 {
+        0.0
+    } else {
+        failed as f64 / total as f64
     }
-}
-
-fn strong_labelled_defect(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> f64 {
-    let mut t = Tally::new();
-    for (lid, i2) in ga.edge_ids(i) {
-        let act = ga.label(lid);
-        let blid = gb.csr().label_id(act);
-        let matched = match act {
-            Action::Tau => gb.tau_succs(j).any(|j2| rel.holds(i2, j2)),
-            Action::Output { .. } => match blid {
-                Some(bl) => gb.edge_ids(j).any(|(l, j2)| l == bl && rel.holds(i2, j2)),
-                None => false,
-            },
-            Action::Input { chan, .. } => {
-                let real = match blid {
-                    Some(bl) => gb.edge_ids(j).any(|(l, j2)| l == bl && rel.holds(i2, j2)),
-                    None => false,
-                };
-                real || (gb.state_discards(j, *chan) && rel.holds(i2, j))
-            }
-            Action::Discard { .. } => true,
-        };
-        t.note(matched);
-    }
-    for a in &ga.discarding[i] {
-        if gb.state_discards(j, a) {
-            t.note(true);
-            continue;
-        }
-        let mut labels: BTreeSet<u32> = BTreeSet::new();
-        for (lid, _) in gb.edge_ids(j) {
-            let act = gb.label(lid);
-            if act.is_input() && act.subject() == Some(a) {
-                labels.insert(lid);
-            }
-        }
-        if labels.is_empty() {
-            t.note(false);
-            continue;
-        }
-        for lab in labels {
-            t.note(gb.edge_ids(j).any(|(l, j2)| l == lab && rel.holds(i, j2)));
-        }
-    }
-    t.fraction()
-}
-
-fn weak_labelled_defect(ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> f64 {
-    let mut t = Tally::new();
-    for (lid, i2) in ga.edge_ids(i) {
-        let act = ga.label(lid);
-        let matched = match act {
-            Action::Tau => gb.tau_closure(j).iter().any(|&j2| rel.holds(i2, j2)),
-            Action::Output { .. } => gb.weak_label(j, act).iter().any(|&j2| rel.holds(i2, j2)),
-            Action::Input { chan, .. } => {
-                gb.weak_label(j, act).iter().any(|&j2| rel.holds(i2, j2))
-                    || gb
-                        .weak_discard(j, *chan)
-                        .iter()
-                        .any(|&j2| rel.holds(i2, j2))
-            }
-            Action::Discard { .. } => true,
-        };
-        t.note(matched);
-    }
-    for a in &ga.discarding[i] {
-        let labels = gb.weak_input_labels(j, a);
-        let wdisc = gb.weak_discard(j, a);
-        let wdisc_related = wdisc.iter().any(|&j2| rel.holds(i, j2));
-        for lab in labels.iter() {
-            t.note(wdisc_related || gb.weak_label(j, lab).iter().any(|&j2| rel.holds(i, j2)));
-        }
-        let ar_cov: BTreeSet<usize> = labels.iter().map(|l| l.objects().len()).collect();
-        let ar_a = ga.arities_on(a);
-        let ar_b = gb.arities_on(a);
-        let uncovered = (ar_a.is_empty() && ar_b.is_empty())
-            || ar_a.iter().chain(ar_b.iter()).any(|n| !ar_cov.contains(n));
-        if uncovered {
-            t.note(wdisc_related);
-        }
-    }
-    t.fraction()
-}
-
-/// The symmetric pair defect: the worse of the two directions.
-pub fn pair_defect(
-    v: Variant,
-    g1: &Graph,
-    i: usize,
-    g2: &Graph,
-    j: usize,
-    rel: &PairRelation,
-) -> f64 {
-    let fwd = defect(v, g1, i, g2, j, RelView::new(&rel.rel, false));
-    let bwd = defect(v, g2, j, g1, i, RelView::new(&rel.rel, true));
-    fwd.max(bwd)
 }
 
 /// Whether a pair violates the ε-transfer property against `rel`. The
@@ -289,42 +125,25 @@ fn clamp_eps(eps: f64) -> f64 {
     eps.max(0.0)
 }
 
-/// Naive-sweep ε-refinement: deletes every pair whose defect exceeds
-/// `eps` in either direction until a sweep deletes nothing. The
-/// reference oracle for [`refine_epsilon`], exactly as
-/// [`refine`](crate::bisim::refine) is for the exact worklist.
+/// Naive-sweep ε-refinement: the naive sweep of
+/// [`refine`](crate::bisim::refine) with the ε kill predicate, deleting
+/// every pair whose defect exceeds `eps` in either direction until a
+/// sweep deletes nothing. The reference oracle for [`refine_epsilon`],
+/// as `refine` is for the exact engines.
 pub fn refine_epsilon_naive(v: Variant, g1: &Graph, g2: &Graph, eps: f64) -> PairRelation {
     let eps = clamp_eps(eps);
-    let (n1, n2) = (g1.len(), g2.len());
-    let mut pr = PairRelation {
-        rel: vec![vec![true; n2]; n1],
-    };
-    loop {
-        let mut kills = Vec::new();
-        for i in 0..n1 {
-            for j in 0..n2 {
-                if pr.rel[i][j] && violates(v, g1, i, g2, j, &pr.rel, eps) {
-                    kills.push((i, j));
-                }
-            }
-        }
-        if kills.is_empty() {
-            record_epsilon("naive", &pr, n1, n2, eps);
-            return pr;
-        }
-        for (i, j) in kills {
-            pr.rel[i][j] = false;
-        }
-    }
+    let mut pr = PairRelation::full(g1.len(), g2.len());
+    sweep(&mut pr, |i, j, rel| violates(v, g1, i, g2, j, rel, eps));
+    record_epsilon("naive", &pr, g1.len(), g2.len(), eps);
+    pr
 }
 
-/// Predecessor-indexed worklist ε-refinement over the product graph:
-/// the greatest relation in which every surviving pair's defect stays
-/// `≤ ε` both ways. Killing a pair re-enqueues only the pairs whose
-/// defect could have referenced it (the same dependency sets as the
-/// exact worklist — defects read the relation at exactly the states the
-/// exact predicate does). Small products cut over to the naive sweep,
-/// at the crossover the exact engines use.
+/// ε-refinement: the greatest relation in which every surviving pair's
+/// defect stays `≤ ε` both ways. Products at or below the exact
+/// dispatch's naive cutover run the naive sweep; larger ones run the
+/// exact engines' pairwise round engine with the ε kill predicate
+/// (defects read the relation at exactly the states the exact predicate
+/// does, so the dependency sets carry over).
 pub fn refine_epsilon(v: Variant, g1: &Graph, g2: &Graph, eps: f64) -> PairRelation {
     let eps = clamp_eps(eps);
     if eps == 0.0 {
@@ -338,43 +157,40 @@ pub fn refine_epsilon(v: Variant, g1: &Graph, g2: &Graph, eps: f64) -> PairRelat
         record_epsilon("exact", &pr, g1.len(), g2.len(), 0.0);
         return pr;
     }
-    if g1.len() * g2.len() <= NAIVE_MAX_PAIRS {
-        return refine_epsilon_naive(v, g1, g2, eps);
-    }
+    refine_epsilon_from(v, g1, g2, eps, PairRelation::full(g1.len(), g2.len()))
+}
+
+/// [`refine_epsilon`] at a positive `eps`, iterating from `start`
+/// instead of the full relation. Any `start` that contains the fixpoint
+/// ends on it, such as the relation at a larger ε: relations only grow
+/// with ε.
+fn refine_epsilon_from(
+    v: Variant,
+    g1: &Graph,
+    g2: &Graph,
+    eps: f64,
+    mut start: PairRelation,
+) -> PairRelation {
     let (n1, n2) = (g1.len(), g2.len());
-    let mut pr = PairRelation {
-        rel: vec![vec![true; n2]; n1],
+    let kill = |i: usize, j: usize, rel: &[Vec<bool>]| violates(v, g1, i, g2, j, rel, eps);
+    if n1 * n2 <= NAIVE_MAX_PAIRS {
+        sweep(&mut start, kill);
+        record_epsilon("naive", &start, n1, n2, eps);
+        return start;
+    }
+    let mut checks = 0u64;
+    let unlimited = Budget::unlimited();
+    let inert = CheckpointCfg::default();
+    let start = RefineCheckpoint {
+        rel: start.rel,
+        rounds: 0,
     };
-    if n1 == 0 || n2 == 0 {
-        record_epsilon("worklist", &pr, n1, n2, eps);
-        return pr;
-    }
-    let dep1 = g1.dependents(v.is_weak());
-    let dep2 = g2.dependents(v.is_weak());
-    let mut queued = vec![vec![true; n2]; n1];
-    let mut work: VecDeque<(usize, usize)> =
-        (0..n1).flat_map(|i| (0..n2).map(move |j| (i, j))).collect();
-    let mut pops = 0u64;
-    while let Some((i, j)) = work.pop_front() {
-        pops += 1;
-        queued[i][j] = false;
-        if !pr.rel[i][j] {
-            continue;
-        }
-        if !violates(v, g1, i, g2, j, &pr.rel, eps) {
-            continue;
-        }
-        pr.rel[i][j] = false;
-        for &pi in &dep1[i] {
-            for &pj in &dep2[j] {
-                if pr.rel[pi][pj] && !queued[pi][pj] {
-                    queued[pi][pj] = true;
-                    work.push_back((pi, pj));
-                }
-            }
-        }
-    }
-    EPSILON_POPS.add(pops);
+    let (pr, _) = run_rounds(v, g1, g2, &unlimited, &inert, start, |i, j, rel| {
+        checks += 1;
+        kill(i, j, rel)
+    })
+    .expect("inert config and unlimited budget cannot interrupt");
+    EPSILON_POPS.add(checks);
     record_epsilon("worklist", &pr, n1, n2, eps);
     pr
 }
@@ -384,17 +200,26 @@ pub fn refine_epsilon(v: Variant, g1: &Graph, g2: &Graph, eps: f64) -> PairRelat
 /// Survival is monotone in `ε` (a larger tolerance kills fewer pairs at
 /// every stage of the same chaotic iteration), so plain bisection
 /// brackets it: `0.0` exactly on bisimilar roots, at most `1.0` always
-/// (every defect is a fraction, and nothing exceeds `1.0`).
+/// (every defect is a fraction, and nothing exceeds `1.0`). Each step
+/// starts from the relation at the upper bracket, which contains the
+/// step's fixpoint; at `1.0` nothing dies, so the first step starts
+/// from the full relation.
 pub fn epsilon_distance(v: Variant, g1: &Graph, g2: &Graph, tol: f64) -> f64 {
     let tol = tol.max(1e-9);
     if refine_epsilon(v, g1, g2, 0.0).holds(0, 0) {
         return 0.0;
     }
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    let mut at_hi = PairRelation::full(g1.len(), g2.len());
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
-        if refine_epsilon(v, g1, g2, mid).holds(0, 0) {
+        let start = PairRelation {
+            rel: at_hi.rel.clone(),
+        };
+        let at_mid = refine_epsilon_from(v, g1, g2, mid, start);
+        if at_mid.holds(0, 0) {
             hi = mid;
+            at_hi = at_mid;
         } else {
             lo = mid;
         }
@@ -550,6 +375,63 @@ mod tests {
             db > 0.99,
             "missing barb is a full-severity defect, got {db}"
         );
+    }
+
+    /// The bisection of [`epsilon_distance`] with every step refined
+    /// from the full relation by the naive sweep.
+    fn cold_distance(v: Variant, g1: &Graph, g2: &Graph, tol: f64) -> f64 {
+        let tol = tol.max(1e-9);
+        if refine_epsilon_naive(v, g1, g2, 0.0).holds(0, 0) {
+            return 0.0;
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        while hi - lo > tol {
+            let mid = 0.5 * (lo + hi);
+            if refine_epsilon_naive(v, g1, g2, mid).holds(0, 0) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn warm_started_distance_matches_a_cold_bisection() {
+        let defs = Defs::new();
+        let [a, b, c] = names(["a", "b", "c"]);
+        let ladder = |end: P| (0..32).fold(end, |p, _| tau(p));
+        let pairs = [
+            (out(a, [], tau(out_(b, []))), tau(out_(b, []))),
+            (sum(out_(a, []), out_(b, [])), sum(out_(b, []), out_(a, []))),
+            (inp(a, [], out_(c, [])), inp(a, [], tau(out_(c, [])))),
+            (par(out_(a, []), inp(a, [], nil())), out(a, [], nil())),
+            (
+                sum(out_(a, []), sum(out_(b, []), out_(c, []))),
+                sum(out_(a, []), out_(b, [])),
+            ),
+            (
+                par(out_(a, []), inp(a, [], sum(out_(b, []), out_(c, [])))),
+                tau(sum(out_(b, []), out_(c, []))),
+            ),
+            // 34 × 34 pairs: above the naive cutover, so the steps run
+            // the round engine.
+            (ladder(out_(a, [])), ladder(sum(out_(a, []), out_(c, [])))),
+        ];
+        for (p, q) in &pairs {
+            let (g1, g2) = graphs(p, q, &defs);
+            for v in ALL {
+                for tol in [1e-3, 1e-6] {
+                    let warm = epsilon_distance(v, &g1, &g2, tol);
+                    let cold = cold_distance(v, &g1, &g2, tol);
+                    assert_eq!(
+                        warm.to_bits(),
+                        cold.to_bits(),
+                        "{v:?} at tol {tol} on {p} vs {q}: {warm} vs {cold}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
 use bpi_semantics::lts::{tuples, Lts};
 use bpi_semantics::{input_transitions_cached, step_transitions_cached};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, LazyLock, OnceLock};
 
 // Build metrics. Everything counted off a finished graph — and the
@@ -479,7 +479,7 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
     )
 }
 
-/// One state's expansion, shared by the plain and checkpointed builds:
+/// One state's expansion in the build loop (`Graph::continue_build`):
 /// its `τ`/output/input successors in derivation order,
 /// each normalised ([`Consed::normal_form`]) and bound outputs renamed
 /// by [`normalize_bound_output`], and the pool channels it discards. A
@@ -532,7 +532,9 @@ impl Graph {
     /// [`Graph::build`] under an explicit [`Budget`]: the state ceiling
     /// is the smaller of `opts.max_states` and the budget's, and the
     /// budget's deadline/cancellation flag are polled once per expanded
-    /// state.
+    /// state. This is the one build loop (`continue_build`) from the
+    /// seed under an inert [`CheckpointCfg`], with the snapshot of a
+    /// stop dropped.
     pub fn build_with_budget(
         seed: &P,
         defs: &Defs,
@@ -541,73 +543,13 @@ impl Graph {
         budget: &Budget,
     ) -> Result<Graph, EngineError> {
         let _span = bpi_obs::span("equiv.graph", "build_sequential");
-        let r = Graph::build_sequential_inner(seed, defs, pool, opts, budget);
+        let ck = GraphCheckpoint::seed(seed, pool);
+        let r = Graph::continue_build(ck, defs, opts, budget, &CheckpointCfg::default())
+            .map_err(|stop| stop.error);
         if let Err(e) = &r {
             record_build_err(e);
         }
         r
-    }
-
-    fn build_sequential_inner(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-    ) -> Result<Graph, EngineError> {
-        let lts = Lts::new(defs);
-        let pool_set = NameSet::from_iter(pool.iter().copied());
-        let cap = opts.max_states.min(budget.max_states());
-        // Consed keys: visited checks are an O(1) id probe, and the
-        // handle pins the class so the id stays stable for the build.
-        // (The cell's interior OnceLocks never feed Hash/Eq.)
-        #[allow(clippy::mutable_key_type)]
-        let mut index: HashMap<Consed, usize> = HashMap::new();
-        let mut states = Vec::new();
-        let mut edges: Vec<Vec<(Action, usize)>> = Vec::new();
-        let mut discarding = Vec::new();
-
-        let s0 = bpi_core::cons(seed).normal_form();
-        states.push(s0.term().clone());
-        index.insert(s0, 0);
-        // FIFO expansion: state numbering is breadth-first discovery
-        // order.
-        let mut work = VecDeque::from([0usize]);
-
-        while let Some(i) = work.pop_front() {
-            budget.check(0)?;
-            let (succs, disc) = expand_state(&lts, &states[i], pool, &pool_set);
-            let mut out = Vec::with_capacity(succs.len());
-            for (act, key) in succs {
-                let j = match index.get(&key) {
-                    Some(&j) => j,
-                    None => {
-                        if states.len() >= cap {
-                            return Err(EngineError::StateBudgetExceeded { limit: cap });
-                        }
-                        let j = states.len();
-                        states.push(key.term().clone());
-                        index.insert(key, j);
-                        work.push_back(j);
-                        j
-                    }
-                };
-                out.push((act, j));
-            }
-            while edges.len() < states.len() {
-                edges.push(Vec::new());
-                discarding.push(NameSet::new());
-            }
-            edges[i] = out;
-            discarding[i] = disc;
-        }
-        // `states` may outrun `edges` when the last expansions created
-        // fresh states; pad (they are processed because `work` drains).
-        while edges.len() < states.len() {
-            edges.push(Vec::new());
-            discarding.push(NameSet::new());
-        }
-        Ok(Graph::from_parts(states, edges, discarding, pool.to_vec()))
     }
 
     /// [`Graph::build_with_budget`] in checkpointed form: any
@@ -615,13 +557,9 @@ impl Graph {
     /// chaos pressure, or checkpoint-fuel exhaustion — returns
     /// [`Interrupted`] carrying a [`GraphCheckpoint`] from which
     /// [`Graph::resume_from`] continues without re-expanding a single
-    /// state. A completed build is **bit-identical** to
-    /// [`Graph::build`]'s (same FIFO expansion, same numbering), and the
-    /// state-ceiling error fires at exactly the same expansion: per
-    /// source state the successors are staged and committed only when
-    /// they fit under the ceiling, so the committed prefix never exceeds
-    /// the cap and the snapshot always re-expands from a whole-state
-    /// boundary.
+    /// state. Both run the one build loop (`continue_build`), so a
+    /// completed build is **bit-identical** to [`Graph::build`]'s and the
+    /// state-ceiling error fires at exactly the same expansion.
     ///
     /// Unlike [`Graph::build_cached`] this never consults the global
     /// graph memo, and it records the deterministic build counters only
@@ -635,7 +573,7 @@ impl Graph {
         budget: &Budget,
         cfg: &CheckpointCfg<GraphCheckpoint>,
     ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
-        Graph::continue_build(GraphCheckpoint::seed(seed, pool), defs, opts, budget, cfg)
+        Graph::continue_checkpointed(GraphCheckpoint::seed(seed, pool), defs, opts, budget, cfg)
     }
 
     /// Continues a checkpointed build from a snapshot produced by
@@ -650,14 +588,14 @@ impl Graph {
         cfg: &CheckpointCfg<GraphCheckpoint>,
     ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
         bpi_semantics::checkpoint::record_resume("graph");
-        Graph::continue_build(ck, defs, opts, budget, cfg)
+        Graph::continue_checkpointed(ck, defs, opts, budget, cfg)
     }
 
-    /// The engine behind [`Graph::build_with_checkpoint`] /
-    /// [`Graph::resume_from`]: the same FIFO expansion as
-    /// [`Graph::build_sequential_inner`], restarted from a snapshot, with
-    /// commit-or-abort staging per source state.
-    pub(crate) fn continue_build(
+    /// The checkpointed builds ([`Graph::build_with_checkpoint`],
+    /// [`Graph::resume_from`] and the check pipeline's graph phases):
+    /// [`Graph::continue_build`] under the `build_checkpointed` span,
+    /// recording the snapshot a stop hands back.
+    pub(crate) fn continue_checkpointed(
         ck: GraphCheckpoint,
         defs: &Defs,
         opts: Opts,
@@ -665,6 +603,21 @@ impl Graph {
         cfg: &CheckpointCfg<GraphCheckpoint>,
     ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
         let _span = bpi_obs::span("equiv.graph", "build_checkpointed");
+        Graph::continue_build(ck, defs, opts, budget, cfg)
+            .inspect_err(|_| record_snapshot("interrupt"))
+    }
+
+    /// The one build loop: FIFO expansion from a snapshot's pending
+    /// queue, so state numbering is breadth-first discovery order, with
+    /// commit-or-abort staging per source state. A stop moves the
+    /// build's state into the returned checkpoint.
+    fn continue_build(
+        ck: GraphCheckpoint,
+        defs: &Defs,
+        opts: Opts,
+        budget: &Budget,
+        cfg: &CheckpointCfg<GraphCheckpoint>,
+    ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
         let GraphCheckpoint {
             mut states,
             mut edges,
@@ -681,83 +634,80 @@ impl Graph {
         let lts = Lts::new(defs);
         let pool_set = NameSet::from_iter(pool.iter().copied());
         let cap = opts.max_states.min(budget.max_states());
+        // Consed keys: visited checks are an O(1) id probe, and the
+        // handle pins the class so the id stays stable for the build.
+        // (The cell's interior OnceLocks never feed Hash/Eq.)
         #[allow(clippy::mutable_key_type)]
         let mut index: HashMap<Consed, usize> = states
             .iter()
             .enumerate()
             .map(|(i, s)| (bpi_core::cons(s), i))
             .collect();
-        macro_rules! snapshot {
-            () => {
-                GraphCheckpoint {
-                    states: states.clone(),
-                    edges: edges.clone(),
-                    discarding: discarding.clone(),
-                    pending: pending.clone(),
-                    pool: pool.clone(),
-                }
-            };
-        }
         // Peek-then-commit: the front of `pending` stays queued until its
         // whole expansion is committed, so an interruption mid-state
         // re-expands it on resume (expansion is a pure function of the
         // state — the redo is invisible in the result).
-        while let Some(&i) = pending.front() {
+        let error = loop {
+            let Some(&i) = pending.front() else {
+                return Ok(Graph::from_parts(states, edges, discarding, pool));
+            };
             if let Err(e) = (|| {
                 bpi_semantics::chaos::pressure("equiv.graph.pressure")?;
                 budget.check(0)?;
                 cfg.burn_fuel()
             })() {
-                record_snapshot("interrupt");
-                return Err(Interrupted {
-                    error: e,
-                    checkpoint: snapshot!(),
-                });
+                break e;
             }
             let (succs, disc) = expand_state(&lts, &states[i], &pool, &pool_set);
-            // Stage the expansion: fresh states are numbered as the
-            // sequential build would number them, but inserted only if
-            // the whole batch fits under the ceiling.
+            // Fresh successors are numbered in discovery order as they
+            // appear, and the expansion commits only if the states then
+            // fit under the ceiling. A stop drops `index`, so its entries
+            // for an uncommitted expansion die with it.
+            let committed = states.len();
             let mut out: Vec<(Action, usize)> = Vec::with_capacity(succs.len());
-            let mut fresh: Vec<Consed> = Vec::new();
-            #[allow(clippy::mutable_key_type)]
-            let mut fresh_index: HashMap<Consed, usize> = HashMap::new();
             for (act, key) in succs {
-                let j = match index.get(&key).or_else(|| fresh_index.get(&key)) {
+                let j = match index.get(&key) {
                     Some(&j) => j,
                     None => {
-                        let j = states.len() + fresh.len();
-                        fresh_index.insert(key.clone(), j);
-                        fresh.push(key);
+                        let j = states.len();
+                        states.push(key.term().clone());
+                        index.insert(key, j);
                         j
                     }
                 };
                 out.push((act, j));
             }
-            if states.len() + fresh.len() > cap {
-                // Same ceiling as the sequential build (committed states
-                // never exceed `cap`), surfaced with a resumable snapshot
-                // in which `i` is still pending.
-                record_snapshot("interrupt");
-                return Err(Interrupted {
-                    error: EngineError::StateBudgetExceeded { limit: cap },
-                    checkpoint: snapshot!(),
-                });
+            if states.len() > cap {
+                // Committed states never exceed `cap`, and `i` is still
+                // pending in the snapshot.
+                states.truncate(committed);
+                break EngineError::StateBudgetExceeded { limit: cap };
             }
             // Commit.
             pending.pop_front();
-            for state in fresh {
-                pending.push_back(states.len());
-                states.push(state.term().clone());
-                index.insert(state, states.len() - 1);
-                edges.push(Vec::new());
-                discarding.push(NameSet::new());
-            }
+            pending.extend(committed..states.len());
+            edges.resize_with(states.len(), Vec::new);
+            discarding.resize_with(states.len(), NameSet::new);
             edges[i] = out;
             discarding[i] = disc;
-            cfg.maybe_snapshot(states.len() - pending.len(), || snapshot!());
-        }
-        Ok(Graph::from_parts(states, edges, discarding, pool))
+            cfg.maybe_snapshot(states.len() - pending.len(), || GraphCheckpoint {
+                states: states.clone(),
+                edges: edges.clone(),
+                discarding: discarding.clone(),
+                pending: pending.clone(),
+                pool: pool.clone(),
+            });
+        };
+        Err(Interrupted {
+            error,
+            checkpoint: GraphCheckpoint {
+                states,
+                edges,
+                discarding,
+                pending,
+                pool,
+            },
+        })
     }
 
     /// Reassembles a graph from a **completed** build snapshot without

@@ -64,7 +64,7 @@ pub use congruence::{
 pub use contexts::{sampled_equivalence, StaticContext};
 pub use distinguish::{explain, explain_fixpoint, try_explain, Distinction, Experiment, Side};
 pub use epsilon::{
-    defect, epsilon_bisimilar, epsilon_distance, pair_defect, refine_epsilon, refine_epsilon_naive,
+    defect, epsilon_bisimilar, epsilon_distance, refine_epsilon, refine_epsilon_naive,
     try_bisimulation_distance, try_epsilon_bisimilar,
 };
 pub use graph::{identification_substs, shared_pool, Csr, Graph, Opts, PredCsr};

@@ -9,10 +9,15 @@
 //! * on the promoted regression-seed corpus (`tests/regression_seeds.rs`
 //!   at the workspace root: seeds 891, 1624, 45352, 9724 — the shapes
 //!   that historically broke an engine), all six variants;
-//! * on random generator pairs, together with worklist/naive agreement
-//!   at random ε and the ε-monotonicity of the fixpoint.
+//! * on random generator pairs, together with `refine_epsilon` /
+//!   `refine_epsilon_naive` agreement at random ε and the ε-monotonicity
+//!   of the fixpoint. Those products stay below the naive cutover, where
+//!   both sides run the naive sweep;
+//! * above the cutover, where `refine_epsilon` runs the pairwise round
+//!   engine: τ-ladders and a mixed-arity pair, all six variants, at
+//!   ε ∈ {0.1, 0.25, 0.5}.
 
-use bpi_core::builder::names;
+use bpi_core::builder::{inp, names, nil, out_, par, sum, tau};
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{shuffle, Gen, GenCfg};
 use bpi_equiv::{refine, refine_epsilon, refine_epsilon_naive, shared_pool, Graph, Opts, Variant};
@@ -99,12 +104,66 @@ fn epsilon_zero_matches_exact_on_parser_corpus_seeds() {
     assert_zero_eps_bit_for_bit(&q, &q);
 }
 
+/// `k` τ-prefixes in front of `end`.
+fn ladder(k: usize, end: P) -> P {
+    (0..k).fold(end, |p, _| tau(p))
+}
+
+/// Pairs whose products lie above the naive cutover (1,024 pairs): a
+/// 34-state τ-ladder against its `ne` perturbation (another final barb)
+/// and its `sum` perturbation (an idempotent choice at the end), and a
+/// τ-ladder beside a monadic listener against one beside a dyadic
+/// listener on the same channel.
+fn above_cutover_pairs() -> Vec<(P, P)> {
+    let [a, b, c, x, y] = names(["a", "b", "c", "x", "y"]);
+    vec![
+        (ladder(32, out_(a, [])), ladder(32, out_(b, []))),
+        (
+            ladder(32, out_(a, [])),
+            ladder(32, sum(out_(a, []), out_(a, []))),
+        ),
+        (
+            par(ladder(5, nil()), inp(a, [x], out_(b, [x]))),
+            par(ladder(5, nil()), inp(a, [x, y], out_(c, [y]))),
+        ),
+    ]
+}
+
+/// Above the naive cutover `refine_epsilon` runs the pairwise round
+/// engine, and its relation must equal the naive sweep's, bit for bit.
+#[test]
+fn epsilon_round_engine_matches_naive_above_the_cutover() {
+    let defs = Defs::new();
+    let opts = Opts::default();
+    for (p, q) in above_cutover_pairs() {
+        let pool = shared_pool(&p, &q, opts.fresh_inputs);
+        let g1 = Graph::build(&p, &defs, &pool, opts).expect("finite pair");
+        let g2 = Graph::build(&q, &defs, &pool, opts).expect("finite pair");
+        assert!(
+            g1.len() * g2.len() > 1024,
+            "{p} vs {q}: {} × {} pairs is not above the naive cutover",
+            g1.len(),
+            g2.len()
+        );
+        for v in ALL {
+            for eps in [0.1, 0.25, 0.5] {
+                let rounds = refine_epsilon(v, &g1, &g2, eps);
+                let naive = refine_epsilon_naive(v, &g1, &g2, eps);
+                assert_eq!(
+                    rounds.rel, naive.rel,
+                    "{v:?}: round engine and naive sweep diverged at ε={eps} on {p} vs {q}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Random pairs: ε=0 agreement with the exact fixpoint, worklist /
-    // naive agreement at a random tolerance, and monotone growth of the
-    // surviving relation in ε.
+    // Random pairs: ε=0 agreement with the exact fixpoint, agreement
+    // with the naive sweep at a random tolerance, and monotone growth of
+    // the surviving relation in ε.
     #[test]
     fn epsilon_engines_agree_and_grow(seed in 0u64..1_000_000) {
         // One generator seed drives both the pair and the tolerance.
@@ -128,7 +187,7 @@ proptest! {
             let slow = refine_epsilon_naive(v, &g1, &g2, eps);
             prop_assert_eq!(
                 &fast.rel, &slow.rel,
-                "{:?} worklist/naive diverged at ε={} on {} vs {}", v, eps, p, q
+                "{:?} refine_epsilon/naive diverged at ε={} on {} vs {}", v, eps, p, q
             );
             // ε-monotonicity: everything surviving at 0 survives at ε.
             for i in 0..g1.len() {
