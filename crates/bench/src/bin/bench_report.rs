@@ -13,10 +13,9 @@
 //!   engines (naive `refine` oracle vs the adaptive worklist, fresh tree
 //!   walks vs consed caches, cold vs warm exploration), PR 4's B11
 //!   observability-overhead pair (metrics registry off vs on around the
-//!   τ-ladder worklist refinement), and PR 5's B12 resilience pairs
-//!   (budgeted refinement with an inert checkpoint config vs snapshots
-//!   every 8 rounds, and cold pipeline restart vs resume from a
-//!   checkpoint taken at 50% of the pipeline's units);
+//!   τ-ladder worklist refinement), and PR 5's B12 resilience pair
+//!   (cold pipeline restart vs resume from a checkpoint taken at 50% of
+//!   the pipeline's units);
 //! * **reliability** — PR 6's B13 curves: the Monte-Carlo convergence
 //!   probability of the cycle-detection ring (signal on `o`) and the
 //!   leader election (a follower appears, the loss-sensitive barb) at
@@ -67,10 +66,10 @@ use bpi_bench::{
 };
 use bpi_core::syntax::Defs;
 use bpi_equiv::{
-    build_composed, refine, refine_budgeted, refine_partition, refine_worklist, shared_pool,
-    Checker, Checkpoint, Graph, Opts, RefineCheckpoint, Variant,
+    build_composed, refine, refine_partition, refine_worklist, shared_pool, Checker, Checkpoint,
+    Graph, Opts, Variant,
 };
-use bpi_semantics::{explore, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan};
+use bpi_semantics::{explore, Budget, CheckpointCfg, ExploreOpts, FaultPlan};
 use bpi_server::{json, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -281,51 +280,6 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
         baseline_us: off_us,
         optimized_us: on_us,
         note: "worklist refinement with the metrics registry disabled vs enabled (no sink)",
-    });
-
-    // B12 — checkpoint overhead. The budgeted refinement engine on the
-    // same prebuilt τ-ladder pair, once with an inert config (no fuel,
-    // no slot) and once snapshotting the full surviving relation into a
-    // slot every 8 rounds (a dense periodic cadence: ~6 snapshots over
-    // the ladder's ~48 rounds, vs the supervised checker's default of
-    // one per 256 units). baseline = inert, optimized = periodic
-    // snapshots, so as with B11 the speedup reads 1/(1+overhead) and
-    // the ≤5% budget of EXPERIMENTS.md B12 means speedup ≥ ~0.95.
-    let inert: CheckpointCfg<RefineCheckpoint> = CheckpointCfg::default();
-    let slot = CheckpointSlot::new();
-    let periodic8 = CheckpointCfg::periodic(8, slot.clone());
-    let unlimited = Budget::unlimited();
-    // Interleave the two sides sample-by-sample: on a busy host,
-    // frequency drift between two separate measurement passes easily
-    // exceeds the few-percent effect being measured.
-    let mut inert_samples = Vec::with_capacity(s.reps);
-    let mut every_samples = Vec::with_capacity(s.reps);
-    for _ in 0..s.reps.max(1) {
-        let t = Instant::now();
-        assert!(
-            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, &unlimited, &inert)
-                .expect("unlimited budget cannot interrupt")
-                .holds(0, 0)
-        );
-        inert_samples.push(t.elapsed().as_secs_f64() * 1e6);
-        let t = Instant::now();
-        assert!(
-            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, &unlimited, &periodic8)
-                .expect("unlimited budget cannot interrupt")
-                .holds(0, 0)
-        );
-        every_samples.push(t.elapsed().as_secs_f64() * 1e6);
-        assert!(slot.take().is_some(), "periodic cfg published a snapshot");
-    }
-    inert_samples.sort_by(f64::total_cmp);
-    every_samples.sort_by(f64::total_cmp);
-    let inert_us = inert_samples[inert_samples.len() / 2];
-    let every_us = every_samples[every_samples.len() / 2];
-    entries.push(Entry {
-        id: "checkpoint/refine-budgeted/tau-ladder/inert-vs-periodic-8",
-        baseline_us: inert_us,
-        optimized_us: every_us,
-        note: "budgeted refinement without vs with a full-relation snapshot every 8 rounds",
     });
 
     // B12 — resume vs cold restart. Probe the checkpointed pipeline

@@ -567,25 +567,16 @@ pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRe
     }
 }
 
-/// Per-round interruption poll of the pairwise round engine: chaos
-/// budget pressure (armed supervisors only), the real budget's
-/// deadline/cancellation, then the checkpoint fuel countdown.
-fn poll_round<C>(cfg: &CheckpointCfg<C>, budget: &Budget) -> Result<(), EngineError> {
-    bpi_semantics::chaos::pressure("equiv.refine.pressure")?;
-    budget.check(0)?;
-    cfg.burn_fuel()
-}
-
 /// The pairwise round engine (Jacobi iteration in the
 /// Kanellakis–Smolka signature style) under a [`Budget`] and a
 /// [`CheckpointCfg`]: each round re-checks the current dirty pairs
 /// against the relation as the previous round left it, kills the
 /// violators, and seeds the next dirty set from the dependency sets of
 /// the kills (built lazily — bisimilar graphs never pay for them). The
-/// engine polls the budget at every round boundary, and any
-/// interruption — deadline, cancellation, chaos pressure, fuel
-/// exhaustion — returns [`Interrupted`] carrying a [`RefineCheckpoint`]
-/// instead of discarding the rounds already run.
+/// engine polls the budget and the fuel at every round boundary, and
+/// any interruption — deadline, cancellation, fuel exhaustion — returns
+/// [`Interrupted`] carrying a [`RefineCheckpoint`] instead of discarding
+/// the rounds already run.
 ///
 /// **Why a checkpoint is just the relation.** All engines here are
 /// chaotic iterations of the same monotone transfer operator, so every
@@ -667,10 +658,6 @@ pub(crate) fn run_rounds(
     let (n1, n2) = (g1.len(), g2.len());
     let RefineCheckpoint { rel, mut rounds } = start;
     let mut pr = PairRelation { rel };
-    let snapshot = |pr: &PairRelation, rounds: u64| RefineCheckpoint {
-        rel: pr.rel.clone(),
-        rounds,
-    };
     // Seed the dirty set with every surviving pair (for a fresh run, all
     // of them): a superset of the pairs any engine would re-examine, so
     // the chaotic iteration still converges to the same fixpoint.
@@ -681,11 +668,14 @@ pub(crate) fn run_rounds(
     let mut deps = None;
     let mut queued = vec![false; n1 * n2];
     while !dirty.is_empty() {
-        if let Err(e) = poll_round(cfg, budget) {
+        if let Err(error) = cfg.poll(budget, 0) {
             record_snapshot("interrupt");
             return Err(Interrupted {
-                error: e,
-                checkpoint: snapshot(&pr, rounds),
+                error,
+                checkpoint: RefineCheckpoint {
+                    rel: pr.rel,
+                    rounds,
+                },
             });
         }
         // The round's kill set: the dirty pairs still related that now
@@ -723,7 +713,6 @@ pub(crate) fn run_rounds(
         }
         next.sort_unstable();
         dirty = next;
-        cfg.maybe_snapshot(rounds as usize, || snapshot(&pr, rounds));
     }
     Ok((pr, rounds))
 }

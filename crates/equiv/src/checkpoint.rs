@@ -4,8 +4,8 @@
 //! and the refinement fixpoint. This module gives each a serializable
 //! snapshot and stitches them into one umbrella [`Checkpoint`] for the
 //! whole [`Checker`] pipeline, so a budget exhaustion, deadline,
-//! cancellation, chaos injection or panicked worker surfaces as a typed
-//! [`Interrupted`] carrying everything needed to continue:
+//! cancellation or empty fuel tank surfaces as a typed [`Interrupted`]
+//! carrying everything needed to continue:
 //!
 //! * [`GraphCheckpoint`] — an in-progress (or completed) FIFO graph
 //!   build: committed states/edges/discards plus the pending queue.
@@ -31,12 +31,11 @@
 //! serde, which carries the same text), so checkpoints survive process
 //! restarts and interner re-seeding.
 //!
-//! [`Checker::check_supervised`] closes the loop: it runs the pipeline
-//! under [`bpi_semantics::supervise`], which isolates panics with
-//! `catch_unwind`, grows the budget on retryable errors, resumes from the
-//! last snapshot instead of restarting cold, and — when attempts run out —
-//! returns a [`SupervisedVerdict::Inconclusive`] that still carries the
-//! final checkpoint as a partial verdict.
+//! [`Checker::run_slice`] closes the loop: it runs the pipeline on a
+//! fuel tank and parks the checkpoint when the tank runs dry. The
+//! `bpi-server` daemon drives it slice by slice, journals each parked
+//! checkpoint, and is the one supervisor: it resumes parked checks after
+//! a restart and isolates a panicking slice with `catch_unwind`.
 
 use crate::bisim::{
     engine_for, partition_relation, refine, refine_budgeted, refine_resume, Checker, Engine,
@@ -51,9 +50,8 @@ use bpi_core::record::{self, Reader, Writer};
 use bpi_core::syntax::P;
 use bpi_obs::Value;
 use bpi_semantics::budget::EngineError;
-use bpi_semantics::checkpoint::{record_resume, CheckpointCfg, CheckpointSlot, Interrupted};
+use bpi_semantics::checkpoint::{record_resume, CheckpointCfg, Interrupted};
 use bpi_semantics::normalize_state_cached;
-use bpi_semantics::supervise::SuperviseError;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -377,14 +375,6 @@ pub enum RefineSnapshot {
 }
 
 impl RefineSnapshot {
-    /// Rounds completed when the snapshot was taken.
-    pub fn rounds(&self) -> u64 {
-        match self {
-            RefineSnapshot::Pairwise(c) => c.rounds,
-            RefineSnapshot::Partition(c) => c.rounds,
-        }
-    }
-
     /// The state counts of the two graphs the snapshot refines.
     fn dims(&self) -> (usize, usize) {
         match self {
@@ -457,14 +447,6 @@ impl Checkpoint {
             Checkpoint::BuildRight { left, right } | Checkpoint::Refine { left, right, .. } => {
                 left.states_explored() + right.states_explored()
             }
-        }
-    }
-
-    /// Refinement rounds completed (0 before the refine phase).
-    pub fn rounds(&self) -> u64 {
-        match self {
-            Checkpoint::Refine { refine, .. } => refine.rounds(),
-            _ => 0,
         }
     }
 
@@ -587,99 +569,18 @@ bpi_core::text_serde!(
 );
 bpi_core::text_serde!(Checkpoint, "a bpi-equiv-checkpoint/v1 document");
 
-/// Relays the latest snapshot of an inner (per-phase) slot into the
-/// pipeline-level slot on scope exit — **including unwinds**, so a
-/// supervisor's `catch_unwind` still finds the freshest periodic snapshot
-/// after a raw panic mid-phase.
-struct Relay<'a, C> {
-    inner: CheckpointSlot<C>,
-    outer: Option<CheckpointSlot<Checkpoint>>,
-    wrap: &'a dyn Fn(C) -> Checkpoint,
-}
-
-impl<C> Drop for Relay<'_, C> {
-    fn drop(&mut self) {
-        if let Some(outer) = &self.outer {
-            if let Some(c) = self.inner.take() {
-                outer.publish((self.wrap)(c));
-            }
-        }
-    }
-}
-
-/// Runs one resumable phase engine under a per-phase config derived from
-/// `cfg` — same cadence, the *same shared* fuel cell (fuel counts
-/// pipeline units, not per-phase units), a fresh slot when `cfg` has one
-/// — relaying its periodic snapshots into the pipeline slot and wrapping
-/// an interruption's snapshot into an umbrella [`Checkpoint`].
-fn relayed<C, T>(
+/// Runs one resumable phase engine on `cfg`'s fuel tank (the *same*
+/// shared cell: fuel counts pipeline units, not per-phase units),
+/// wrapping an interruption's snapshot into an umbrella [`Checkpoint`].
+fn wrapped<C, T>(
     cfg: &CheckpointCfg<Checkpoint>,
     wrap: &dyn Fn(C) -> Checkpoint,
     run: impl FnOnce(&CheckpointCfg<C>) -> Result<T, Interrupted<C>>,
 ) -> Result<T, Interrupted<Checkpoint>> {
-    let slot: CheckpointSlot<C> = CheckpointSlot::new();
-    let inner = CheckpointCfg {
-        every: cfg.every,
-        fuel: cfg.fuel.clone(),
-        slot: cfg.slot.as_ref().map(|_| slot.clone()),
-    };
-    let relay = Relay {
-        inner: slot,
-        outer: cfg.slot.clone(),
-        wrap,
-    };
-    run(&inner).map_err(|i| {
-        // Drain the relay before publishing so the freshest (error)
-        // snapshot wins in the pipeline slot.
-        drop(relay);
-        let i = i.map(wrap);
-        if let Some(slot) = &cfg.slot {
-            slot.publish(i.checkpoint.clone());
-        }
-        i
-    })
+    let mut inner = CheckpointCfg::default();
+    inner.fuel = cfg.fuel.clone();
+    run(&inner).map_err(|i| i.map(wrap))
 }
-
-/// Anytime answer of [`Checker::check_supervised`]: like
-/// [`crate::bisim::Verdict`], but an inconclusive outcome carries the
-/// partial work — the final checkpoint and how far it got — instead of
-/// discarding it.
-#[derive(Debug)]
-pub enum SupervisedVerdict {
-    /// The relation holds at the roots.
-    Holds,
-    /// The relation fails; the string names the variant and roots.
-    Fails(String),
-    /// Attempts ran out (or an unretryable stop arrived) before the
-    /// fixpoint was reached.
-    Inconclusive {
-        /// The final stop reason (panics surface as
-        /// [`EngineError::WorkerPanicked`], never an abort).
-        error: EngineError,
-        /// The last snapshot from any attempt — resumable later with
-        /// [`Checker::resume_from`].
-        checkpoint: Option<Box<Checkpoint>>,
-        /// States committed across both graphs at that snapshot.
-        states_explored: usize,
-        /// Refinement rounds completed at that snapshot.
-        rounds: u64,
-    },
-}
-
-impl SupervisedVerdict {
-    /// `true` only for [`SupervisedVerdict::Holds`].
-    pub fn holds(&self) -> bool {
-        matches!(self, SupervisedVerdict::Holds)
-    }
-
-    pub fn is_inconclusive(&self) -> bool {
-        matches!(self, SupervisedVerdict::Inconclusive { .. })
-    }
-}
-
-/// Snapshot cadence of [`Checker::check_supervised`]: every 256 pipeline
-/// units (states committed in the build phases, rounds in refinement).
-const SUPERVISED_EVERY: usize = 256;
 
 /// Outcome of one [`Checker::run_slice`] call — the park/unpark
 /// primitive of preemptive fair scheduling: a long check runs in
@@ -703,9 +604,9 @@ pub enum SliceOutcome {
 
 impl<'d> Checker<'d> {
     /// [`Checker::try_fixpoint`] in checkpointed form: builds both graphs
-    /// and refines, emitting periodic snapshots per `cfg` and returning
-    /// any interruption as [`Interrupted`] with an umbrella
-    /// [`Checkpoint`] in place of the bare error.
+    /// and refines on `cfg`'s fuel tank, returning any interruption as
+    /// [`Interrupted`] with an umbrella [`Checkpoint`] in place of the
+    /// bare error.
     ///
     /// Differences from the plain path, by design:
     /// * the global graph memo is **bypassed** (a memo hit would skip the
@@ -742,10 +643,10 @@ impl<'d> Checker<'d> {
     }
 
     /// Continues [`Checker::run_with_checkpoint`] from a snapshot —
-    /// typically under a grown budget after a
-    /// [`EngineError::StateBudgetExceeded`], or in a fresh process after
-    /// deserialising the checkpoint. The caller must supply the same
-    /// variant, defs and options as the original run.
+    /// typically the next slice of a parked check, a run under a larger
+    /// budget after a [`EngineError::StateBudgetExceeded`], or a fresh
+    /// process after deserialising the checkpoint. The caller must
+    /// supply the same variant, defs and options as the original run.
     pub fn resume_from(
         &self,
         v: Variant,
@@ -779,12 +680,6 @@ impl<'d> Checker<'d> {
                 })?;
                 let left_done = GraphCheckpoint::of_graph(&g1);
                 let right = GraphCheckpoint::seed(&right_seed, &g1.pool);
-                if let Some(slot) = &cfg.slot {
-                    slot.publish(Checkpoint::BuildRight {
-                        left: left_done.clone(),
-                        right: right.clone(),
-                    });
-                }
                 let g2 = self.graph_phase(right, cfg, &|gck| Checkpoint::BuildRight {
                     left: left_done.clone(),
                     right: gck,
@@ -840,18 +735,18 @@ impl<'d> Checker<'d> {
         match from {
             None => match engine_for(g1, g2) {
                 Engine::Naive => Ok(refine(v, g1, g2)),
-                Engine::Worklist => relayed(cfg, &pairwise, |inner| {
+                Engine::Worklist => wrapped(cfg, &pairwise, |inner| {
                     refine_budgeted(v, g1, g2, budget, inner)
                 }),
-                Engine::Partition => relayed(cfg, &partition, |inner| {
+                Engine::Partition => wrapped(cfg, &partition, |inner| {
                     refine_partition_budgeted(v, g1, g2, budget, inner)
                 })
                 .map(|part| partition_relation(&part)),
             },
-            Some(RefineSnapshot::Pairwise(ck)) => relayed(cfg, &pairwise, |inner| {
+            Some(RefineSnapshot::Pairwise(ck)) => wrapped(cfg, &pairwise, |inner| {
                 refine_resume(v, g1, g2, budget, inner, ck)
             }),
-            Some(RefineSnapshot::Partition(ck)) => relayed(cfg, &partition, |inner| {
+            Some(RefineSnapshot::Partition(ck)) => wrapped(cfg, &partition, |inner| {
                 refine_partition_resume(v, g1, g2, budget, inner, ck)
             })
             .map(|part| partition_relation(&part)),
@@ -869,7 +764,7 @@ impl<'d> Checker<'d> {
         if ck.complete() {
             return Ok(Graph::from_complete_checkpoint(ck));
         }
-        relayed(cfg, wrap, |inner| {
+        wrapped(cfg, wrap, |inner| {
             Graph::continue_checkpointed(ck, self.defs, self.opts, &self.budget, inner)
         })
     }
@@ -931,65 +826,6 @@ impl<'d> Checker<'d> {
             }
             Err(i) => Err(i),
         }
-    }
-
-    /// [`Checker::check`] under supervision: panics are isolated
-    /// (`catch_unwind`), retryable exhaustion grows the budget and
-    /// **resumes from the last checkpoint** instead of re-exploring, and
-    /// when `attempts` run out the verdict is an *anytime* partial answer
-    /// carrying the final checkpoint.
-    pub fn check_supervised(&self, v: Variant, p: &P, q: &P, attempts: usize) -> SupervisedVerdict {
-        let _span = bpi_obs::span("equiv.check", "check_supervised");
-        let r = bpi_semantics::supervise(self.budget.clone(), attempts, |budget, slot, resume| {
-            let c = Checker {
-                defs: self.defs,
-                opts: self.opts,
-                budget: budget.clone(),
-            };
-            let cfg = CheckpointCfg::periodic(SUPERVISED_EVERY, slot.clone());
-            match resume {
-                Some(ck) => c.resume_from(v, ck, &cfg),
-                None => c.run_with_checkpoint(v, p, q, &cfg),
-            }
-        });
-        let verdict = match r {
-            Ok((g1, g2, rel)) => {
-                if rel.holds(0, 0) {
-                    SupervisedVerdict::Holds
-                } else {
-                    // The fixpoint is already in hand — extract the
-                    // distinguishing experiment without re-running.
-                    let why = crate::distinguish::explain_fixpoint(v, &g1, &g2, &rel.rel)
-                        .map(|d| format!("{v:?} fails at the root pair: {d}"))
-                        .unwrap_or_else(|| format!("{v:?} fails at the root pair"));
-                    SupervisedVerdict::Fails(why)
-                }
-            }
-            Err(SuperviseError {
-                error, checkpoint, ..
-            }) => SupervisedVerdict::Inconclusive {
-                states_explored: checkpoint.as_ref().map_or(0, |c| c.states_explored()),
-                rounds: checkpoint.as_ref().map_or(0, |c| c.rounds()),
-                checkpoint: checkpoint.map(Box::new),
-                error,
-            },
-        };
-        bpi_obs::emit("equiv.check", "supervised_verdict", || {
-            vec![
-                ("variant", Value::from(format!("{v:?}"))),
-                (
-                    "verdict",
-                    Value::from(match &verdict {
-                        SupervisedVerdict::Holds => "holds".to_string(),
-                        SupervisedVerdict::Fails(_) => "fails".to_string(),
-                        SupervisedVerdict::Inconclusive { error, .. } => {
-                            format!("inconclusive: {error}")
-                        }
-                    }),
-                ),
-            ]
-        });
-        verdict
     }
 }
 
@@ -1151,30 +987,5 @@ mod tests {
             rel.holds(0, 0),
             c2.check(Variant::StrongLabelled, &p, &q) == Verdict::Holds
         );
-    }
-
-    #[test]
-    fn supervised_check_escalates_to_a_verdict() {
-        let d = Defs::new();
-        let [a, b] = names(["a", "b"]);
-        let p = out(a, [b], tau(out_(b, [])));
-        let q = out(a, [b], out_(b, []));
-        // Budget far too small; the supervisor doubles it per attempt and
-        // resumes from the checkpoint until the answer lands.
-        let c = Checker::new(&d).with_budget(Budget::states(1));
-        let verdict = c.check_supervised(Variant::WeakLabelled, &p, &q, 8);
-        assert!(verdict.holds(), "got {verdict:?}");
-        // With one attempt the same budget is an anytime partial verdict
-        // carrying a checkpoint, never a panic.
-        let v1 = c.check_supervised(Variant::WeakLabelled, &p, &q, 1);
-        match v1 {
-            SupervisedVerdict::Inconclusive {
-                error, checkpoint, ..
-            } => {
-                assert_eq!(error, EngineError::StateBudgetExceeded { limit: 1 });
-                assert!(checkpoint.is_some(), "exhaustion must keep the checkpoint");
-            }
-            other => panic!("expected Inconclusive, got {other:?}"),
-        }
     }
 }

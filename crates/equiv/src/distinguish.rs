@@ -129,9 +129,9 @@ pub fn try_explain(
 }
 
 /// Extracts a distinction from an **already-computed** fixpoint — the
-/// shape [`crate::bisim::Checker::run_with_checkpoint`] and the
-/// supervised checker hand back — without rebuilding graphs or
-/// re-refining, so a resumed or supervised run can explain its `Fails`
+/// shape [`crate::bisim::Checker::run_with_checkpoint`] hands back —
+/// without rebuilding graphs or re-refining, so a resumed or sliced run
+/// ([`crate::bisim::Checker::run_slice`]) can explain its `Fails`
 /// verdict for free. `None` when the root pair survived refinement.
 pub fn explain_fixpoint(
     v: Variant,

@@ -554,7 +554,7 @@ impl Graph {
 
     /// [`Graph::build_with_budget`] in checkpointed form: any
     /// interruption — state-ceiling exhaustion, deadline, cancellation,
-    /// chaos pressure, or checkpoint-fuel exhaustion — returns
+    /// or checkpoint-fuel exhaustion — returns
     /// [`Interrupted`] carrying a [`GraphCheckpoint`] from which
     /// [`Graph::resume_from`] continues without re-expanding a single
     /// state. Both run the one build loop (`continue_build`), so a
@@ -651,11 +651,7 @@ impl Graph {
             let Some(&i) = pending.front() else {
                 return Ok(Graph::from_parts(states, edges, discarding, pool));
             };
-            if let Err(e) = (|| {
-                bpi_semantics::chaos::pressure("equiv.graph.pressure")?;
-                budget.check(0)?;
-                cfg.burn_fuel()
-            })() {
+            if let Err(e) = cfg.poll(budget, 0) {
                 break e;
             }
             let (succs, disc) = expand_state(&lts, &states[i], &pool, &pool_set);
@@ -690,13 +686,6 @@ impl Graph {
             discarding.resize_with(states.len(), NameSet::new);
             edges[i] = out;
             discarding[i] = disc;
-            cfg.maybe_snapshot(states.len() - pending.len(), || GraphCheckpoint {
-                states: states.clone(),
-                edges: edges.clone(),
-                discarding: discarding.clone(),
-                pending: pending.clone(),
-                pool: pool.clone(),
-            });
         };
         Err(Interrupted {
             error,

@@ -23,8 +23,9 @@
 //!   the sampled experiments;
 //! * [`checkpoint`] — serializable snapshots of in-progress builds and
 //!   refinements ([`Checkpoint`] and friends), the resumable
-//!   [`Checker::run_with_checkpoint`] pipeline, and the supervised
-//!   anytime checker [`Checker::check_supervised`].
+//!   [`Checker::run_with_checkpoint`] pipeline, and
+//!   [`Checker::run_slice`], the fuel-bounded slice the `bpi-server`
+//!   daemon parks and resumes.
 
 // Resumable engines return `Interrupted<Checkpoint>` in their `Err`
 // variant: the snapshot rides in the error by value so interruption is
@@ -54,7 +55,7 @@ pub use bisim::{
 };
 pub use checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
-    SliceOutcome, SupervisedVerdict,
+    SliceOutcome,
 };
 pub use compose::{build_composed, try_compose_pair};
 pub use congruence::{

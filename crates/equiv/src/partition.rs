@@ -55,8 +55,8 @@
 //!
 //! ## Resumability
 //!
-//! [`refine_partition_budgeted`] polls the [`Budget`], chaos pressure
-//! and the checkpoint fuel at every round boundary and returns
+//! [`refine_partition_budgeted`] polls the [`Budget`] and the
+//! checkpoint fuel at every round boundary and returns
 //! [`Interrupted`] carrying a [`PartitionCheckpoint`] — the block
 //! assignment and the dirty-state worklist, *not* a pair relation, so
 //! the snapshot stays linear in the state count. [`refine_partition_resume`]
@@ -619,15 +619,14 @@ impl<'a> Refiner<'a> {
         cfg: &CheckpointCfg<PartitionCheckpoint>,
     ) -> Result<(), Interrupted<PartitionCheckpoint>> {
         while !self.dirty.is_empty() {
-            if let Err(e) = poll(cfg, budget) {
+            if let Err(error) = cfg.poll(budget, 0) {
                 record_snapshot("interrupt");
                 return Err(Interrupted {
-                    error: e,
+                    error,
                     checkpoint: self.checkpoint(),
                 });
             }
             self.round();
-            cfg.maybe_snapshot(self.rounds as usize, || self.checkpoint());
         }
         Ok(())
     }
@@ -658,18 +657,6 @@ impl<'a> Refiner<'a> {
     }
 }
 
-/// Round-boundary interruption poll: chaos pressure (armed supervisors
-/// only), the budget's deadline/cancellation, then the fuel countdown —
-/// the same order as the budgeted pairwise engine.
-fn poll(
-    cfg: &CheckpointCfg<PartitionCheckpoint>,
-    budget: &Budget,
-) -> Result<(), bpi_semantics::budget::EngineError> {
-    bpi_semantics::chaos::pressure("equiv.partition.pressure")?;
-    budget.check(0)?;
-    cfg.burn_fuel()
-}
-
 /// The coarsest `v`-stable partition of the disjoint union of `g1` and
 /// `g2`. Callers wanting the pairwise relation go through
 /// [`partition_to_relation`] (or just [`crate::bisim::refine_auto`],
@@ -690,7 +677,7 @@ pub fn refine_partition_self(v: Variant, g: &Graph) -> Partition {
 
 /// [`refine_partition`] under a [`Budget`] and a [`CheckpointCfg`]:
 /// identical result, but any interruption — deadline, cancellation,
-/// chaos pressure, fuel exhaustion — returns [`Interrupted`] carrying a
+/// fuel exhaustion — returns [`Interrupted`] carrying a
 /// [`PartitionCheckpoint`] taken at a round boundary.
 pub fn refine_partition_budgeted(
     v: Variant,

@@ -22,12 +22,11 @@
 //!
 //! The resilience layer (PR 5) reports exclusively through **advisory**
 //! channels: `semantics.checkpoint` (snapshot/resume counters),
-//! `semantics.chaos` (injection events), `semantics.supervise`
-//! (attempts, isolated panics), plus `equiv.check` `resumed` /
-//! `supervised_verdict` trace events. Deterministic counters record once, at phase completion, so
-//! an interrupted-and-resumed or chaos-disturbed run leaves the same
-//! deterministic trail as a quiet one — `checkpoint_resume.rs` pins
-//! that contract.
+//! `semantics.chaos` (delay injections), plus the `equiv.check`
+//! `resumed` trace event. Deterministic counters record once, at phase
+//! completion, so an interrupted-and-resumed or chaos-disturbed run
+//! leaves the same deterministic trail as a quiet one —
+//! `checkpoint_resume.rs` pins that contract.
 //!
 //! Everything is **zero-cost when disabled**: with no sink installed and
 //! metrics off, every instrumentation site reduces to one relaxed

@@ -9,7 +9,13 @@
 //! an optional wall-clock deadline, and an optional cooperative
 //! cancellation flag — and exhaustion surfaces as a typed
 //! [`EngineError`] instead of a crash, so callers degrade gracefully
-//! (report "inconclusive", retry with more room, or drop the work).
+//! (report "inconclusive", or drop the work).
+//!
+//! A budget is one of the two reasons a checkpointed engine stops; the
+//! other is an empty fuel tank ([`crate::CheckpointCfg`]). Either way
+//! the engine hands back its checkpoint, and retrying is the caller's
+//! policy: in this workspace only the `bpi-server` daemon's slice loop
+//! parks, resumes and isolates panics.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,11 +31,9 @@ pub enum EngineError {
     },
     /// The wall-clock deadline passed mid-run.
     DeadlineExceeded,
-    /// The cooperative cancellation flag was raised by another thread.
+    /// The cooperative cancellation flag was raised by another thread,
+    /// or a [`crate::CheckpointCfg`] fuel tank ran dry.
     Cancelled,
-    /// A supervised run panicked ([`crate::supervise()`] isolates the
-    /// unwind); partial results may still be usable.
-    WorkerPanicked,
 }
 
 impl std::fmt::Display for EngineError {
@@ -40,24 +44,11 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::DeadlineExceeded => f.write_str("wall-clock deadline exceeded"),
             EngineError::Cancelled => f.write_str("cancelled cooperatively"),
-            EngineError::WorkerPanicked => f.write_str("a worker thread panicked"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
-
-impl EngineError {
-    /// Whether granting a larger state budget could change the outcome.
-    /// Deadline and cancellation are external decisions; retrying against
-    /// them is futile.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            EngineError::StateBudgetExceeded { .. } | EngineError::WorkerPanicked
-        )
-    }
-}
 
 /// A resource envelope for one engine run: state count, wall clock, and
 /// cooperative cancellation. Cheap to clone; clones share the
@@ -148,16 +139,6 @@ impl Budget {
         }
         Ok(())
     }
-
-    /// A copy with `factor`× the state budget (saturating); deadline and
-    /// cancellation flag carry over unchanged.
-    pub fn grown(&self, factor: usize) -> Budget {
-        Budget {
-            max_states: self.max_states.saturating_mul(factor),
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-        }
-    }
 }
 
 impl Default for Budget {
@@ -166,68 +147,9 @@ impl Default for Budget {
     }
 }
 
-/// Runs `run` under `initial`, retrying with an exponentially grown state
-/// budget (doubling each attempt) on retryable exhaustion. Deadline and
-/// cancellation errors abort immediately — no amount of state budget
-/// fixes an external stop. Returns the last error after `attempts` tries.
-pub fn retry_with_backoff<T>(
-    initial: Budget,
-    attempts: usize,
-    mut run: impl FnMut(&Budget) -> Result<T, EngineError>,
-) -> Result<T, EngineError> {
-    let mut budget = initial;
-    let mut last = EngineError::StateBudgetExceeded {
-        limit: budget.max_states(),
-    };
-    for _ in 0..attempts.max(1) {
-        match run(&budget) {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() => {
-                last = e;
-                budget = budget.grown(2);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last)
-}
-
-/// Checkpoint-aware [`retry_with_backoff`]: the closure receives the
-/// checkpoint from the previous attempt (`None` on the cold start) and
-/// returns its own checkpoint inside the typed
-/// [`Interrupted`](crate::checkpoint::Interrupted) error, so an
-/// escalated budget *resumes* instead of re-exploring from scratch.
-/// Retry policy matches [`retry_with_backoff`]: the state budget doubles
-/// on retryable errors, external stops abort immediately, and the last
-/// interruption (checkpoint included) comes back after `attempts` tries.
-pub fn retry_with_checkpoint<T, C>(
-    initial: Budget,
-    attempts: usize,
-    mut run: impl FnMut(&Budget, Option<C>) -> Result<T, crate::checkpoint::Interrupted<C>>,
-) -> Result<T, crate::checkpoint::Interrupted<C>> {
-    let mut budget = initial;
-    let mut carry: Option<crate::checkpoint::Interrupted<C>> = None;
-    for _ in 0..attempts.max(1) {
-        let resume = carry.take().map(|i| i.checkpoint);
-        if resume.is_some() {
-            crate::checkpoint::record_resume("retry_with_checkpoint");
-        }
-        match run(&budget, resume) {
-            Ok(v) => return Ok(v),
-            Err(i) if i.error.is_retryable() => {
-                budget = budget.grown(2);
-                carry = Some(i);
-            }
-            Err(i) => return Err(i),
-        }
-    }
-    Err(carry.expect("at least one attempt always runs"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::Interrupted;
 
     #[test]
     fn state_budget_trips() {
@@ -255,103 +177,5 @@ mod tests {
         flag.store(true, Ordering::Relaxed);
         assert_eq!(b.check(0), Err(EngineError::Cancelled));
         assert_eq!(c.check(0), Err(EngineError::Cancelled));
-    }
-
-    #[test]
-    fn retry_doubles_until_enough() {
-        let mut seen = Vec::new();
-        let out = retry_with_backoff(Budget::states(8), 4, |b| {
-            seen.push(b.max_states());
-            if b.max_states() >= 32 {
-                Ok(b.max_states())
-            } else {
-                Err(EngineError::StateBudgetExceeded {
-                    limit: b.max_states(),
-                })
-            }
-        });
-        assert_eq!(out, Ok(32));
-        assert_eq!(seen, vec![8, 16, 32]);
-    }
-
-    #[test]
-    fn retry_gives_up_on_cancellation() {
-        let mut calls = 0;
-        let out: Result<(), _> = retry_with_backoff(Budget::states(8), 5, |_| {
-            calls += 1;
-            Err(EngineError::Cancelled)
-        });
-        assert_eq!(out, Err(EngineError::Cancelled));
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn retry_exhausts_attempts() {
-        let out: Result<(), _> = retry_with_backoff(Budget::states(1), 3, |b| {
-            Err(EngineError::StateBudgetExceeded {
-                limit: b.max_states(),
-            })
-        });
-        assert_eq!(out, Err(EngineError::StateBudgetExceeded { limit: 4 }));
-    }
-
-    // Satellite: both retry paths — the checkpoint-free legacy closure
-    // (above) and the checkpoint-aware one (below) — escalate the same
-    // way, but only the latter resumes instead of re-exploring.
-
-    #[test]
-    fn retry_with_checkpoint_resumes_instead_of_restarting() {
-        let mut seen: Vec<(usize, Option<u32>)> = Vec::new();
-        let out = retry_with_checkpoint(Budget::states(8), 4, |b, resume| {
-            seen.push((b.max_states(), resume));
-            // Pretend each attempt gets halfway: progress = budget/2,
-            // carried forward as the checkpoint.
-            let progress = resume.unwrap_or(0) + (b.max_states() / 2) as u32;
-            if progress >= 20 {
-                Ok(progress)
-            } else {
-                Err(Interrupted {
-                    error: EngineError::StateBudgetExceeded {
-                        limit: b.max_states(),
-                    },
-                    checkpoint: progress,
-                })
-            }
-        });
-        // 4 + 8 + 16 = 28 ≥ 20 on the third attempt — the budget doubled
-        // each time *and* the accumulated progress was never discarded.
-        assert_eq!(out.unwrap(), 28);
-        assert_eq!(seen, vec![(8, None), (16, Some(4)), (32, Some(12))]);
-    }
-
-    #[test]
-    fn retry_with_checkpoint_aborts_on_external_stop() {
-        let mut calls = 0;
-        let out: Result<(), _> = retry_with_checkpoint(Budget::states(8), 5, |_, _| {
-            calls += 1;
-            Err(Interrupted {
-                error: EngineError::DeadlineExceeded,
-                checkpoint: 99u32,
-            })
-        });
-        let err = out.unwrap_err();
-        assert_eq!(calls, 1);
-        assert_eq!(err.error, EngineError::DeadlineExceeded);
-        assert_eq!(err.checkpoint, 99, "the checkpoint still comes back");
-    }
-
-    #[test]
-    fn retry_with_checkpoint_returns_last_checkpoint_on_exhaustion() {
-        let out: Result<(), _> = retry_with_checkpoint(Budget::states(2), 3, |b, resume| {
-            Err(Interrupted {
-                error: EngineError::StateBudgetExceeded {
-                    limit: b.max_states(),
-                },
-                checkpoint: resume.unwrap_or(0) + 1u32,
-            })
-        });
-        let err = out.unwrap_err();
-        assert_eq!(err.error, EngineError::StateBudgetExceeded { limit: 8 });
-        assert_eq!(err.checkpoint, 3, "one unit of progress per attempt");
     }
 }

@@ -1,56 +1,46 @@
 //! Self-chaos harness: seeded fault injection into the *engine itself*.
 //!
 //! PR 1's [`crate::faults`] injects faults into the *modelled* broadcast
-//! systems; this module injects them into the analysis engines —
-//! scheduling delays in memo caches and weak closures, and spurious
-//! budget pressure in the checkpoint-aware loops. Like a [`crate::FaultPlan`],
-//! a [`ChaosPlan`] is **seeded and replayable**: every injection decision
-//! is a pure function of `(seed, site, per-site call ordinal)`, and the
-//! injections actually fired are recorded in a [`ChaosLog`].
+//! systems; this module injects them into the analysis engines:
+//! scheduling delays in the memo caches, the weak closures and the
+//! daemon's submit path, which the daemon's workers share. Like a
+//! [`crate::FaultPlan`], a [`ChaosPlan`] is **seeded and replayable**:
+//! every injection decision is a pure function of `(seed, site,
+//! per-site call ordinal)`, and the injections actually fired are
+//! recorded in a [`ChaosLog`].
 //!
-//! **Safety contract.** Chaos only strikes at *recoverable* sites:
-//!
-//! * **delays** are sub-millisecond sleeps and never change any result;
-//! * **budget pressure** ([`pressure`]) fires only while a supervisor has
-//!   *armed* it on the current thread ([`arm_pressure`]), and the
-//!   supervised run recovers by resuming from its last checkpoint.
-//!
-//! Consequently running any suite under `BPI_CHAOS=<seed>` must produce
-//! the same verdicts and the same deterministic `bpi-obs` counters as a
-//! quiet run — the differential tests in `crates/equiv` lock this down.
+//! **Safety contract.** Chaos injects only delays: sub-millisecond
+//! sleeps that change schedules and never any result. Consequently
+//! running any suite under `BPI_CHAOS=<seed>` must produce the same
+//! verdicts and the same deterministic `bpi-obs` counters as a quiet
+//! run — the differential tests in `crates/equiv` lock this down.
 //!
 //! Activation: `BPI_CHAOS=<seed>` in the environment (checked once, at
 //! the first injection-site query), or programmatically via [`install`] /
 //! [`clear`], which override the environment for the rest of the process.
 
-use crate::budget::EngineError;
 use bpi_obs::{counter, Counter, Det, Value};
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock, Once};
 use std::time::Duration;
 
 static CHAOS_DELAYS: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.chaos.delays", Det::Advisory));
-static CHAOS_PRESSURE: LazyLock<&Counter> =
-    LazyLock::new(|| counter("semantics.chaos.pressure", Det::Advisory));
 
 /// What a chaos site injected, and where.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaosEvent {
     /// A scheduling delay was injected at `site`.
     Delay { site: &'static str, ordinal: u64 },
-    /// Spurious budget pressure was injected at `site`.
-    Pressure { site: &'static str, ordinal: u64 },
 }
 
 impl ChaosEvent {
     /// The injection site this event fired at.
     pub fn site(&self) -> &'static str {
         match self {
-            ChaosEvent::Delay { site, .. } | ChaosEvent::Pressure { site, .. } => site,
+            ChaosEvent::Delay { site, .. } => site,
         }
     }
 }
@@ -65,38 +55,21 @@ pub struct ChaosLog {
     pub events: Vec<ChaosEvent>,
 }
 
-impl ChaosLog {
-    /// Number of injected pressure events.
-    pub fn pressures(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ChaosEvent::Pressure { .. }))
-            .count()
-    }
-}
-
-/// A seeded, bounded description of engine-level fault injection.
+/// A seeded description of engine-level delay injection.
 /// Mirrors [`crate::FaultPlan`]: construct with [`ChaosPlan::new`], tune
 /// with the builder methods, activate with [`install`].
 #[derive(Clone, Debug)]
 pub struct ChaosPlan {
     seed: u64,
     delay_prob: f64,
-    pressure_prob: f64,
-    max_injections: usize,
 }
 
 impl ChaosPlan {
-    /// A plan with the default probabilities: 10% delays, 25% armed
-    /// budget pressure, at most 8 pressure injections per process (so
-    /// chaos runs always terminate — the analogue of
-    /// [`crate::FaultPlan`]'s bounded axiom-(H) noise).
+    /// A plan with the default delay probability of 10%.
     pub fn new(seed: u64) -> ChaosPlan {
         ChaosPlan {
             seed,
             delay_prob: 0.10,
-            pressure_prob: 0.25,
-            max_injections: 8,
         }
     }
 
@@ -110,27 +83,10 @@ impl ChaosPlan {
         self.delay_prob = p.clamp(0.0, 1.0);
         self
     }
-
-    /// Probability that an *armed* pressure site injects a spurious
-    /// [`EngineError::StateBudgetExceeded`].
-    pub fn pressure_prob(mut self, p: f64) -> ChaosPlan {
-        self.pressure_prob = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Cap on the total pressure injections for the process lifetime of
-    /// this installation; delays are not counted (they never change
-    /// control flow). A cap of 0 reduces chaos to delays only.
-    pub fn max_injections(mut self, n: usize) -> ChaosPlan {
-        self.max_injections = n;
-        self
-    }
 }
 
 struct ChaosState {
     plan: ChaosPlan,
-    /// Pressure injections fired so far, bounded by the plan.
-    injected: AtomicUsize,
     /// Per-site call ordinals: the replayable clock of each site.
     ordinals: Mutex<HashMap<&'static str, u64>>,
     log: Mutex<Vec<ChaosEvent>>,
@@ -140,12 +96,6 @@ struct ChaosState {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static STATE: LazyLock<Mutex<Option<Arc<ChaosState>>>> = LazyLock::new(|| Mutex::new(None));
 static ENV_INIT: Once = Once::new();
-
-thread_local! {
-    /// Whether [`pressure`] may fire on this thread. Armed only by a
-    /// supervisor that is prepared to resume from a checkpoint.
-    static PRESSURE_ARMED: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Parses `BPI_CHAOS` into a plan: any `u64` seed activates the default
 /// plan; unset or empty means no chaos. An unparsable value also means
@@ -179,12 +129,7 @@ pub(crate) fn parse_chaos_seed(raw: Option<&str>) -> Option<u64> {
 pub fn install(plan: ChaosPlan) {
     ENV_INIT.call_once(|| {});
     let mut slot = STATE.lock();
-    *slot = Some(Arc::new(ChaosState {
-        plan,
-        injected: AtomicUsize::new(0),
-        ordinals: Mutex::new(HashMap::new()),
-        log: Mutex::new(Vec::new()),
-    }));
+    *slot = Some(ChaosState::new(plan));
     ACTIVE.store(true, Ordering::SeqCst);
 }
 
@@ -220,12 +165,7 @@ fn active() -> Option<Arc<ChaosState>> {
         if let Some(plan) = from_env() {
             let mut slot = STATE.lock();
             if slot.is_none() {
-                *slot = Some(Arc::new(ChaosState {
-                    plan,
-                    injected: AtomicUsize::new(0),
-                    ordinals: Mutex::new(HashMap::new()),
-                    log: Mutex::new(Vec::new()),
-                }));
+                *slot = Some(ChaosState::new(plan));
                 ACTIVE.store(true, Ordering::SeqCst);
             }
         }
@@ -254,6 +194,14 @@ fn site_hash(site: &str) -> u64 {
 }
 
 impl ChaosState {
+    fn new(plan: ChaosPlan) -> Arc<ChaosState> {
+        Arc::new(ChaosState {
+            plan,
+            ordinals: Mutex::new(HashMap::new()),
+            log: Mutex::new(Vec::new()),
+        })
+    }
+
     /// Deterministic decision for the next call at `site`: draws a
     /// uniform in `[0,1)` from `(seed, site, ordinal)` and returns the
     /// ordinal alongside.
@@ -269,24 +217,11 @@ impl ChaosState {
         ((bits >> 11) as f64 / (1u64 << 53) as f64, ordinal)
     }
 
-    /// Claims one unit of the bounded pressure injection budget.
-    fn claim_injection(&self) -> bool {
-        self.injected
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.plan.max_injections).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
     fn record(&self, ev: ChaosEvent) {
         self.log.lock().push(ev.clone());
         bpi_obs::emit("semantics.chaos", "inject", || {
-            let kind = match &ev {
-                ChaosEvent::Delay { .. } => "delay",
-                ChaosEvent::Pressure { .. } => "pressure",
-            };
             vec![
-                ("kind", Value::from(kind)),
+                ("kind", Value::from("delay")),
                 ("site", Value::from(ev.site())),
             ]
         });
@@ -305,45 +240,6 @@ pub fn delay(site: &'static str) {
             CHAOS_DELAYS.inc();
         }
         std::thread::sleep(Duration::from_micros(50 + 100 * (ordinal % 5)));
-    }
-}
-
-/// A chaos site inside a checkpoint-aware sequential loop: injects a
-/// spurious [`EngineError::StateBudgetExceeded`] — but only when a
-/// supervisor has [`arm_pressure`]d the current thread, so unsupervised
-/// callers never see phantom exhaustion.
-pub fn pressure(site: &'static str) -> Result<(), EngineError> {
-    if !PRESSURE_ARMED.with(|c| c.get()) {
-        return Ok(());
-    }
-    let Some(s) = active() else { return Ok(()) };
-    let (u, ordinal) = s.draw(site);
-    if u < s.plan.pressure_prob && s.claim_injection() {
-        s.record(ChaosEvent::Pressure { site, ordinal });
-        if bpi_obs::metrics_enabled() {
-            CHAOS_PRESSURE.inc();
-        }
-        return Err(EngineError::StateBudgetExceeded { limit: 0 });
-    }
-    Ok(())
-}
-
-/// Arms [`pressure`] on the current thread for the guard's lifetime.
-/// Only a supervisor that resumes from checkpoints should hold one.
-pub fn arm_pressure() -> PressureGuard {
-    let prev = PRESSURE_ARMED.with(|c| c.replace(true));
-    PressureGuard { prev }
-}
-
-/// Re-disarms thread-local pressure on drop (restoring the previous
-/// state, so nested supervisors compose).
-pub struct PressureGuard {
-    prev: bool,
-}
-
-impl Drop for PressureGuard {
-    fn drop(&mut self) {
-        PRESSURE_ARMED.with(|c| c.set(self.prev));
     }
 }
 
@@ -380,9 +276,6 @@ mod tests {
         let _g = lock();
         clear();
         delay("test.site");
-        assert_eq!(pressure("test.site"), Ok(()));
-        let _armed = arm_pressure();
-        assert_eq!(pressure("test.site"), Ok(()));
         assert!(current_log().events.is_empty());
     }
 
@@ -412,37 +305,21 @@ mod tests {
     }
 
     #[test]
-    fn pressure_requires_arming_and_respects_the_cap() {
+    fn delay_probability_clamps_to_the_unit_interval() {
         let _g = lock();
-        install(ChaosPlan::new(11).pressure_prob(1.0).max_injections(3));
-        // Unarmed: nothing fires, nothing is logged.
-        for _ in 0..8 {
-            assert_eq!(pressure("cap.site"), Ok(()));
-        }
-        assert_eq!(current_log().pressures(), 0);
-        // Armed at probability 1: fires exactly `max_injections` times.
-        let armed = arm_pressure();
-        let fired = (0..8).filter(|_| pressure("cap.site").is_err()).count();
-        drop(armed);
-        assert_eq!(fired, 3, "bounded by max_injections");
-        assert_eq!(pressure("cap.site"), Ok(()), "disarmed again after drop");
-        let log = clear();
-        assert_eq!(log.pressures(), 3);
-    }
-
-    #[test]
-    fn env_parse_accepts_seeds_only() {
-        let _g = lock();
-        // Not touching the process environment here — just the parser
-        // contract via install/clear round-trips.
-        assert!(ChaosPlan::new(0).seed() == 0);
-        let p = ChaosPlan::new(9).delay_prob(-1.0).pressure_prob(0.5);
-        assert_eq!(p.seed(), 9);
-        // Probabilities clamp to [0,1].
-        install(p.max_injections(0));
-        let armed = arm_pressure();
-        assert_eq!(pressure("clamp.site"), Ok(()), "cap 0 disables pressure");
-        drop(armed);
-        clear();
+        assert_eq!(ChaosPlan::new(9).seed(), 9);
+        let fired = |p: f64| {
+            install(ChaosPlan::new(9).delay_prob(p));
+            for _ in 0..8 {
+                delay("clamp.site");
+            }
+            clear()
+                .events
+                .iter()
+                .filter(|e| e.site() == "clamp.site")
+                .count()
+        };
+        assert_eq!(fired(-1.0), 0, "clamped to 0: never fires");
+        assert_eq!(fired(2.0), 8, "clamped to 1: always fires");
     }
 }

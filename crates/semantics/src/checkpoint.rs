@@ -11,15 +11,22 @@
 //!
 //! * [`Interrupted`] — a typed interruption *carrying* the checkpoint,
 //!   so budget exhaustion never throws partial work away;
-//! * [`CheckpointCfg`] — how often to snapshot (`every` N units), an
-//!   optional cooperative [`fuel`](CheckpointCfg::fuel) countdown that
-//!   forces a checkpointed stop after exactly N units (the
+//! * [`CheckpointCfg`] — a fuel tank: an optional cooperative
+//!   [`fuel`](CheckpointCfg::fuel) countdown that forces a checkpointed
+//!   stop after exactly N units (the daemon's preemptive slices and the
 //!   interrupt-at-every-boundary differential tests are built on it),
-//!   and a [`CheckpointSlot`] that always holds the latest snapshot for
-//!   a supervisor to grab after a crash;
+//!   and [`CheckpointCfg::poll`], the per-unit interruption poll every
+//!   checkpointed engine runs;
 //! * [`ExploreCheckpoint`] — the serializable frozen state of a
 //!   step-move exploration, a `bpi_core::record` document (with serde
 //!   impls carrying the same text).
+//!
+//! A checkpointed engine stops for exactly two reasons: its [`Budget`]
+//! runs out (state ceiling, deadline, cancellation) or its fuel tank is
+//! empty. Either way it returns [`Interrupted`] with the checkpoint of
+//! the last unit boundary. Retrying, parking and panic isolation are the
+//! caller's business; in this workspace the `bpi-server` daemon's slice
+//! loop is the one caller that does them.
 //!
 //! Snapshot/resume events surface as **advisory** `bpi-obs` counters —
 //! deterministic counters stay functions of the final result, which is
@@ -31,8 +38,9 @@ use bpi_core::name::Name;
 use bpi_core::record::{Reader, Writer};
 use bpi_core::syntax::P;
 use bpi_obs::{counter, Counter, Det, Value};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::{Arc, LazyLock};
 
 static CKPT_SNAPSHOTS: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.checkpoint.snapshots", Det::Advisory));
@@ -44,8 +52,8 @@ static CKPT_RESUMES: LazyLock<&Counter> =
 /// continue without redoing completed work.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Interrupted<C> {
-    /// Why the engine stopped (never [`EngineError::WorkerPanicked`]:
-    /// only the supervisor reports that).
+    /// Why the engine stopped: the budget ran out, or the fuel tank did
+    /// ([`EngineError::Cancelled`]).
     pub error: EngineError,
     /// The state of the run at the stop boundary.
     pub checkpoint: C,
@@ -69,94 +77,33 @@ impl<C> std::fmt::Display for Interrupted<C> {
 
 impl<C: std::fmt::Debug> std::error::Error for Interrupted<C> {}
 
-/// A shared slot holding the most recent periodic snapshot. Cloned
-/// handles refer to the same slot; a supervisor keeps one and, if the
-/// supervised run dies without returning (a panic), takes the last
-/// snapshot from here to resume.
-#[derive(Debug)]
-pub struct CheckpointSlot<C>(Arc<Mutex<Option<C>>>);
-
-impl<C> Clone for CheckpointSlot<C> {
-    fn clone(&self) -> Self {
-        CheckpointSlot(Arc::clone(&self.0))
-    }
-}
-
-impl<C> Default for CheckpointSlot<C> {
-    fn default() -> Self {
-        CheckpointSlot::new()
-    }
-}
-
-impl<C> CheckpointSlot<C> {
-    /// An empty slot.
-    pub fn new() -> CheckpointSlot<C> {
-        CheckpointSlot(Arc::new(Mutex::new(None)))
-    }
-
-    /// Replaces the stored snapshot with a newer one.
-    pub fn publish(&self, c: C) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(c);
-    }
-
-    /// Removes and returns the latest snapshot, if any.
-    pub fn take(&self) -> Option<C> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// Whether a snapshot is currently stored.
-    pub fn is_some(&self) -> bool {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).is_some()
-    }
-}
-
-/// Checkpointing policy for one engine run. The default (`every = 0`,
-/// no fuel, no slot) means "snapshot only when interrupted" — zero
-/// overhead on the happy path.
+/// The fuel tank of one engine run; `C` is the checkpoint the engine
+/// hands back when it stops. The default has no tank and never stops a
+/// run, so only the [`Budget`] can interrupt it.
 #[derive(Debug)]
 pub struct CheckpointCfg<C> {
-    /// Publish a snapshot to [`slot`](CheckpointCfg::slot) every N
-    /// completed units (states expanded / refinement rounds); 0 disables
-    /// periodic snapshots.
-    pub every: usize,
     /// Cooperative unit countdown shared with the caller: each completed
     /// unit decrements it, and when it reaches zero the engine stops
     /// with [`EngineError::Cancelled`] *and a checkpoint*. This is how
-    /// the differential suite interrupts a run at every feasible
-    /// boundary, and how anytime supervisors pause work.
+    /// the daemon slices a long check, and how the differential suite
+    /// interrupts a run at every feasible boundary.
     pub fuel: Option<Arc<AtomicUsize>>,
-    /// Where periodic snapshots go; also the supervisor's crash-recovery
-    /// source.
-    pub slot: Option<CheckpointSlot<C>>,
+    checkpoint: PhantomData<fn() -> C>,
 }
 
 impl<C> Default for CheckpointCfg<C> {
     fn default() -> Self {
         CheckpointCfg {
-            every: 0,
             fuel: None,
-            slot: None,
+            checkpoint: PhantomData,
         }
     }
 }
 
 impl<C> CheckpointCfg<C> {
-    /// Snapshot every `n` units into `slot`.
-    pub fn periodic(n: usize, slot: CheckpointSlot<C>) -> CheckpointCfg<C> {
-        CheckpointCfg {
-            every: n,
-            fuel: None,
-            slot: Some(slot),
-        }
-    }
-
     /// Stop (with a checkpoint) after `n` units.
     pub fn fuelled(n: usize) -> CheckpointCfg<C> {
-        CheckpointCfg {
-            every: 0,
-            fuel: Some(Arc::new(AtomicUsize::new(n))),
-            slot: None,
-        }
+        CheckpointCfg::default().with_fuel(Arc::new(AtomicUsize::new(n)))
     }
 
     /// Adds a fuel countdown to this configuration.
@@ -165,14 +112,7 @@ impl<C> CheckpointCfg<C> {
         self
     }
 
-    /// True when this configuration can never interrupt or snapshot —
-    /// engines then skip all checkpoint bookkeeping.
-    pub fn is_inert(&self) -> bool {
-        self.every == 0 && self.fuel.is_none()
-    }
-
     /// Burns one unit of fuel; `Err(Cancelled)` when the tank is empty.
-    /// Engines call this once per unit *before* committing the unit.
     pub fn burn_fuel(&self) -> Result<(), EngineError> {
         let Some(fuel) = &self.fuel else {
             return Ok(());
@@ -183,19 +123,18 @@ impl<C> CheckpointCfg<C> {
         }
     }
 
-    /// Publishes a periodic snapshot if `units` completed units call for
-    /// one (and a slot is attached). `snap` runs only when needed.
-    pub fn maybe_snapshot(&self, units: usize, snap: impl FnOnce() -> C) {
-        if self.every > 0 && units > 0 && units.is_multiple_of(self.every) {
-            if let Some(slot) = &self.slot {
-                slot.publish(snap());
-                record_snapshot("periodic");
-            }
-        }
+    /// The per-unit interruption poll of every checkpointed engine, run
+    /// once per unit *before* committing it: the budget first (its
+    /// deadline, cancellation flag, and state ceiling against
+    /// `states_used`), then one unit of fuel. Returns the typed reason
+    /// to stop.
+    pub fn poll(&self, budget: &Budget, states_used: usize) -> Result<(), EngineError> {
+        budget.check(states_used)?;
+        self.burn_fuel()
     }
 }
 
-/// Advisory bookkeeping for an emitted snapshot (periodic or on-error).
+/// Advisory bookkeeping for the snapshot an interrupted run hands back.
 pub fn record_snapshot(kind: &'static str) {
     if bpi_obs::metrics_enabled() {
         CKPT_SNAPSHOTS.inc();
@@ -235,7 +174,7 @@ pub struct ExploreCheckpoint {
     pub protected: Vec<Name>,
     /// Whether extruded-name normalisation was on.
     pub normalize_extruded: bool,
-    /// States expanded so far (continues the `every` phase on resume).
+    /// States expanded so far, counted on across resumes.
     pub expanded: usize,
     /// Replay cursor into the driving [`crate::FaultLog`], for analyses
     /// that interleave exploration with fault replay: the number of
@@ -318,20 +257,6 @@ impl std::str::FromStr for ExploreCheckpoint {
 
 bpi_core::text_serde!(ExploreCheckpoint, "a bpi-explore-checkpoint/v1 document");
 
-/// Per-unit budget-and-interruption poll shared by the checkpoint-aware
-/// sequential engines: chaos pressure (armed supervisors only), the real
-/// budget, then the fuel countdown. Returns the typed reason to stop.
-pub(crate) fn poll_unit<C>(
-    cfg: &CheckpointCfg<C>,
-    budget: &Budget,
-    states_used: usize,
-    chaos_site: &'static str,
-) -> Result<(), EngineError> {
-    crate::chaos::pressure(chaos_site)?;
-    budget.check(states_used)?;
-    cfg.burn_fuel()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,20 +311,20 @@ mod tests {
         assert_eq!(cfg.burn_fuel(), Err(EngineError::Cancelled));
         assert_eq!(cfg.burn_fuel(), Err(EngineError::Cancelled));
         let inert: CheckpointCfg<()> = CheckpointCfg::default();
-        assert!(inert.is_inert());
         assert_eq!(inert.burn_fuel(), Ok(()));
     }
 
     #[test]
-    fn periodic_snapshots_land_in_the_slot() {
-        let slot = CheckpointSlot::new();
-        let cfg = CheckpointCfg::periodic(2, slot.clone());
-        cfg.maybe_snapshot(1, || 1u32);
-        assert!(!slot.is_some());
-        cfg.maybe_snapshot(2, || 2u32);
-        assert_eq!(slot.take(), Some(2));
-        cfg.maybe_snapshot(4, || 4u32);
-        cfg.maybe_snapshot(6, || 6u32);
-        assert_eq!(slot.take(), Some(6), "slot keeps only the latest");
+    fn poll_checks_the_budget_before_burning_fuel() {
+        let cfg: CheckpointCfg<()> = CheckpointCfg::fuelled(1);
+        let tank = cfg.fuel.clone().unwrap();
+        let tight = Budget::states(3);
+        assert_eq!(
+            cfg.poll(&tight, 4),
+            Err(EngineError::StateBudgetExceeded { limit: 3 })
+        );
+        assert_eq!(tank.load(Ordering::SeqCst), 1, "budget stops burn no fuel");
+        assert_eq!(cfg.poll(&tight, 3), Ok(()));
+        assert_eq!(cfg.poll(&tight, 3), Err(EngineError::Cancelled));
     }
 }

@@ -9,7 +9,7 @@
 //! first-occurrence order, which is sound because injective renamings
 //! preserve strong bisimilarity (Lemma 18).
 
-use crate::budget::{retry_with_backoff, Budget, EngineError};
+use crate::budget::{Budget, EngineError};
 use crate::checkpoint::{CheckpointCfg, ExploreCheckpoint, Interrupted};
 use crate::lts::Lts;
 use bpi_core::action::Action;
@@ -349,8 +349,7 @@ pub fn explore_budgeted(p: &P, defs: &Defs, opts: ExploreOpts, budget: &Budget) 
 /// resumable [`ExploreCheckpoint`] inside [`Interrupted`], so no partial
 /// work is lost. A run that finishes returns the **complete** graph
 /// (this API never returns a truncated [`StateGraph`]; partiality lives
-/// in the checkpoint). Periodic snapshots go to the config's slot every
-/// [`CheckpointCfg::every`] expanded states.
+/// in the checkpoint).
 ///
 /// Determinism: the LIFO expansion order matches [`explore_budgeted`]
 /// exactly, and each state commits atomically (successor states are
@@ -386,9 +385,8 @@ pub fn explore_with_checkpoint(
 /// resumed run behaves as if the original had never been interrupted:
 /// same final graph, same deterministic counters (recorded once, at
 /// completion). `opts.max_states` and `budget` may be raised relative
-/// to the interrupted run — that is how
-/// [`retry_with_checkpoint`](crate::budget::retry_with_checkpoint)
-/// escalates without re-exploring.
+/// to the interrupted run, so a caller can escalate without
+/// re-exploring.
 pub fn explore_resume_from(
     ckpt: ExploreCheckpoint,
     defs: &Defs,
@@ -433,32 +431,20 @@ fn explore_loop(
         .map(|(i, s)| (bpi_core::cons(s), i))
         .collect();
 
-    macro_rules! snapshot {
-        () => {
-            ExploreCheckpoint {
-                states: states.clone(),
-                edges: edges.clone(),
-                frontier: frontier.clone(),
-                protected: protected.clone(),
-                normalize_extruded,
-                expanded,
-                fault_cursor,
-            }
+    // A stop moves the run's state into the returned checkpoint.
+    let error = loop {
+        let Some(&i) = frontier.last() else {
+            let g = StateGraph {
+                states,
+                edges,
+                truncated: false,
+                interrupted: None,
+            };
+            record_explore(&g);
+            return Ok(g);
         };
-    }
-
-    while let Some(&i) = frontier.last() {
-        if let Err(e) = crate::checkpoint::poll_unit(
-            cfg,
-            budget,
-            states.len().min(cap),
-            "semantics.explore.pressure",
-        ) {
-            crate::checkpoint::record_snapshot("interrupt");
-            return Err(Interrupted {
-                error: e,
-                checkpoint: snapshot!(),
-            });
+        if let Err(e) = cfg.poll(budget, states.len().min(cap)) {
+            break e;
         }
         // Expand state `i` into a staging area first: the expansion
         // commits — frontier pop, state inserts, edge record — only if
@@ -489,11 +475,7 @@ fn explore_loop(
             out.push((act.clone(), j));
         }
         if states.len() + fresh.len() > cap {
-            crate::checkpoint::record_snapshot("interrupt");
-            return Err(Interrupted {
-                error: EngineError::StateBudgetExceeded { limit: cap },
-                checkpoint: snapshot!(),
-            });
+            break EngineError::StateBudgetExceeded { limit: cap };
         }
         frontier.pop();
         for state in fresh {
@@ -505,39 +487,19 @@ fn explore_loop(
         }
         edges[i] = out;
         expanded += 1;
-        cfg.maybe_snapshot(expanded, || snapshot!());
-    }
-
-    let g = StateGraph {
-        states,
-        edges,
-        truncated: false,
-        interrupted: None,
     };
-    record_explore(&g);
-    Ok(g)
-}
-
-/// Retry-with-larger-budget wrapper around [`explore_budgeted`]: starts
-/// from `opts.max_states`, doubles the state ceiling on each truncated
-/// attempt (up to `attempts` tries), and returns the first *complete*
-/// graph. Deadline/cancellation interruptions abort immediately.
-pub fn explore_adaptive(
-    p: &P,
-    defs: &Defs,
-    opts: ExploreOpts,
-    attempts: usize,
-) -> Result<StateGraph, EngineError> {
-    retry_with_backoff(Budget::states(opts.max_states), attempts, |b| {
-        let opts = ExploreOpts {
-            max_states: b.max_states(),
-            ..opts
-        };
-        let g = explore_budgeted(p, defs, opts, b);
-        match g.interrupted.clone() {
-            None => Ok(g),
-            Some(e) => Err(e),
-        }
+    crate::checkpoint::record_snapshot("interrupt");
+    Err(Interrupted {
+        error,
+        checkpoint: ExploreCheckpoint {
+            states,
+            edges,
+            frontier,
+            protected,
+            normalize_extruded,
+            expanded,
+            fault_cursor,
+        },
     })
 }
 
@@ -711,26 +673,6 @@ mod tests {
         assert!(!g.is_empty());
     }
 
-    #[test]
-    fn adaptive_retry_grows_past_truncation() {
-        // The full graph needs 3 states; starting at 1 the adaptive
-        // explorer must double (1 → 2 → 4) and then succeed.
-        let defs = Defs::new();
-        let [a, b] = names(["a", "b"]);
-        let p = out(a, [], out_(b, []));
-        let opts = ExploreOpts {
-            max_states: 1,
-            normalize_extruded: true,
-        };
-        let g = explore_adaptive(&p, &defs, opts, 5).expect("adaptive exploration converges");
-        assert_eq!(g.len(), 3);
-        assert!(g.is_complete());
-        // And a genuinely unbounded system still fails — with the typed
-        // state-budget error, never a panic.
-        let err = explore_adaptive(&grow_pump(), &defs, opts, 3).unwrap_err();
-        assert!(matches!(err, EngineError::StateBudgetExceeded { .. }));
-    }
-
     /// A moderately-branching finite system for the checkpoint tests.
     fn diamondish() -> P {
         let [a, b, c, x] = names(["a", "b", "c", "x"]);
@@ -844,7 +786,7 @@ mod tests {
     fn cap_interruption_carries_a_resumable_checkpoint() {
         // An unbounded pump under a small cap: the typed error carries a
         // checkpoint, and resuming under a larger budget makes progress
-        // past the original ceiling (retry_with_checkpoint's contract).
+        // past the original ceiling.
         let defs = Defs::new();
         let opts = ExploreOpts {
             max_states: 4,
@@ -878,22 +820,6 @@ mod tests {
             err2.checkpoint.states_explored() > small,
             "resumed past the old cap"
         );
-        // And the escalation loop wires the two together:
-        let out = crate::budget::retry_with_checkpoint(Budget::states(4), 3, |b, resume| {
-            let opts = ExploreOpts {
-                max_states: b.max_states(),
-                normalize_extruded: true,
-            };
-            match resume {
-                None => {
-                    explore_with_checkpoint(&grow_pump(), &defs, opts, b, &CheckpointCfg::default())
-                }
-                Some(c) => explore_resume_from(c, &defs, opts, b, &CheckpointCfg::default()),
-            }
-        });
-        let last = out.expect_err("the pump never completes");
-        assert_eq!(last.error, EngineError::StateBudgetExceeded { limit: 16 });
-        assert!(last.checkpoint.states_explored() >= 12);
     }
 
     #[test]

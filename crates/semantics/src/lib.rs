@@ -21,12 +21,11 @@
 //!   crash-stop and stop/resume nodes, bounded delivery refusal in the
 //!   sense of axiom (H)) with a replayable [`FaultLog`];
 //! * [`checkpoint`] — serializable snapshots of in-progress analyses
-//!   ([`ExploreCheckpoint`]) and the [`Interrupted`]-with-checkpoint
-//!   error convention, so budget exhaustion loses no work;
-//! * [`supervise`] — panic-isolating, checkpoint-resuming supervision
-//!   ([`supervise()`](supervise::supervise)) over the budgeted engines;
+//!   ([`ExploreCheckpoint`]), the [`Interrupted`]-with-checkpoint error
+//!   convention, so budget exhaustion loses no work, and the fuel tank
+//!   ([`CheckpointCfg`]) that stops a run at a unit boundary;
 //! * [`chaos`] — the seeded `BPI_CHAOS` self-fault harness injecting
-//!   delays and budget pressure into engine internals;
+//!   scheduling delays into the shared memos and weak closures;
 //! * [`prob`] — the quantitative fault model: exact bounded-depth DTMC
 //!   enumeration and seeded, resumable Monte-Carlo estimation of
 //!   convergence probabilities under [`FaultPlan`] loss rates.
@@ -48,18 +47,17 @@ pub mod faults;
 pub mod lts;
 pub mod prob;
 pub mod sim;
-pub mod supervise;
 pub mod weak;
 
 pub use analysis::{analyse, reliability, Analysis, Verdict};
-pub use budget::{retry_with_backoff, retry_with_checkpoint, Budget, EngineError};
+pub use budget::{Budget, EngineError};
 pub use cache::{input_transitions_cached, normalize_state_cached, step_transitions_cached};
 pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
-pub use checkpoint::{CheckpointCfg, CheckpointSlot, ExploreCheckpoint, Interrupted};
+pub use checkpoint::{CheckpointCfg, ExploreCheckpoint, Interrupted};
 pub use discard::{discards, input_arities, listening};
 pub use explore::{
-    explore, explore_adaptive, explore_budgeted, explore_resume_from, explore_with_checkpoint,
-    normalize_state, output_reachable, output_reachable_budgeted, ExploreOpts, StateGraph,
+    explore, explore_budgeted, explore_resume_from, explore_with_checkpoint, normalize_state,
+    output_reachable, output_reachable_budgeted, ExploreOpts, StateGraph,
 };
 pub use faults::{
     deafen, lossy_traces, noise, Backoff, FaultError, FaultEvent, FaultLog, FaultPlan,
@@ -71,5 +69,4 @@ pub use prob::{
     wilson_ci, ExactOutcome, McCheckpoint, ProbError, ReliabilityEstimate,
 };
 pub use sim::{Simulator, Trace};
-pub use supervise::{supervise, SuperviseError};
 pub use weak::{TauSaturation, Weak};

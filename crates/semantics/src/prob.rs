@@ -29,10 +29,9 @@
 //!   carries a Wilson 95% confidence interval.
 //!
 //! Long Monte-Carlo runs are first-class engine runs: they take a
-//! [`Budget`], burn [`CheckpointCfg`] fuel once per sample, publish
-//! periodic [`McCheckpoint`] snapshots (versioned text codec
-//! `bpi-mc-checkpoint/v1`, serde on top), and stop with
-//! [`Interrupted`]-carrying checkpoints that [`convergence_mc_resume`]
+//! [`Budget`], burn [`CheckpointCfg`] fuel once per sample, and stop
+//! with [`Interrupted`]-carrying [`McCheckpoint`]s (versioned text codec
+//! `bpi-mc-checkpoint/v1`, serde on top) that [`convergence_mc_resume`]
 //! continues without redoing completed samples. Deterministic
 //! `semantics.prob.*` counters record once, at completion, so an
 //! interrupted-and-resumed estimate leaves the same trail as a quiet
@@ -437,9 +436,8 @@ bpi_core::text_serde!(McCheckpoint, "a bpi-mc-checkpoint/v1 text blob");
 /// Runs `samples` independent trajectories; sample `i` replays the
 /// plan reseeded with [`sample_seed`]`(plan.seed(), i)`. Supports every
 /// fault plan (losses, refusals, crashes, stops). The `budget` is
-/// polled once per sample; `cfg` fuel is burned once per sample and
-/// periodic snapshots go to its slot, so a long estimation is
-/// interruptible at every sample boundary and resumable with
+/// polled and `cfg` fuel burned once per sample, so a long estimation
+/// is interruptible at every sample boundary and resumable with
 /// [`convergence_mc_resume`].
 #[allow(clippy::too_many_arguments)]
 pub fn convergence_mc(
@@ -487,15 +485,11 @@ pub fn convergence_mc_resume(
     let mut done = from.done.min(samples);
     let mut successes = from.successes;
     while done < samples {
-        let stop = |error: EngineError, done: usize, successes: usize| Interrupted {
-            error,
-            checkpoint: McCheckpoint { done, successes },
-        };
-        if let Err(e) = budget.check(done) {
-            return Err(stop(e, done, successes));
-        }
-        if let Err(e) = cfg.burn_fuel() {
-            return Err(stop(e, done, successes));
+        if let Err(error) = cfg.poll(budget, done) {
+            return Err(Interrupted {
+                error,
+                checkpoint: McCheckpoint { done, successes },
+            });
         }
         let seed = sample_seed(plan.seed(), done as u64);
         let mut sim = FaultySimulator::new(defs, plan.reseeded(seed));
@@ -504,7 +498,6 @@ pub fn convergence_mc_resume(
             successes += 1;
         }
         done += 1;
-        cfg.maybe_snapshot(done, || McCheckpoint { done, successes });
     }
     let est = ReliabilityEstimate {
         probability: if samples == 0 {
@@ -542,7 +535,6 @@ fn record_mc(est: &ReliabilityEstimate) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointSlot;
     use bpi_core::builder::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -691,19 +683,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mc_periodic_snapshots_reach_the_slot() {
-        let defs = d();
-        let (p, a, c) = relay();
-        let plan = FaultPlan::new(3).with_channel_loss(a, 0.2).unwrap();
-        let slot = CheckpointSlot::new();
-        let cfg = CheckpointCfg::periodic(50, slot.clone());
-        let est = convergence_mc(&p, &defs, &plan, c, 6, 120, &Budget::unlimited(), &cfg).unwrap();
-        let snap = slot.take().expect("a periodic snapshot was published");
-        assert_eq!(snap.done, 100, "latest multiple of `every` within 120");
-        assert_eq!(est.samples, 120);
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //!
 //! ## Isolation
 //!
-//! Each slice runs under `catch_unwind`: a panic inside an engine
-//! produces a typed `{"status":"error","error":"panic"}` response and
-//! the worker moves on — one poisoned job cannot take the daemon down.
+//! Each slice runs under `catch_unwind`, the workspace's one panic
+//! isolation: a panic inside an engine produces a typed
+//! `{"status":"error","error":"panic"}` response and the worker moves
+//! on — one poisoned job cannot take the daemon down.
 
 use crate::journal::Journal;
 use crate::json::Json;
@@ -654,7 +655,6 @@ fn engine_stop(e: &EngineError) -> Json {
             &format!("state budget of {limit} states exhausted"),
         ),
         EngineError::Cancelled => error("cancelled", "job cancelled"),
-        EngineError::WorkerPanicked => error("panic", "engine worker panicked"),
     }
 }
 

@@ -374,3 +374,30 @@ fn deeply_nested_term_is_a_typed_parse_error() {
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A panic inside an engine stays inside its job. The unguarded
+/// `rec X(a){X<a>}<a>` trips the recursion-unfolding guard
+/// (`bpi_semantics::discard::MAX_UNFOLD`) in a `check` and in an
+/// `explore`; each answers a typed `panic` error, and the daemon goes on
+/// serving. The scheduler's per-slice `catch_unwind` is the one panic
+/// isolation in the workspace.
+#[test]
+fn engine_panic_is_a_typed_error_and_the_daemon_keeps_serving() {
+    let dir = tmpdir("panic");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let (v, unguarded) = ("strong-labelled", "rec X(a){X<a>}<a>");
+    let r = c
+        .check("p-check", "", v, unguarded, "0", "normal", None)
+        .unwrap();
+    assert_eq!(r.str_field("status"), Some("error"), "{r}");
+    assert_eq!(r.str_field("error"), Some("panic"), "{r}");
+    let r = c.explore("p-explore", "", unguarded, 100).unwrap();
+    assert_eq!(r.str_field("status"), Some("error"), "{r}");
+    assert_eq!(r.str_field("error"), Some("panic"), "{r}");
+    let p = "tau.a<>";
+    let r = c.check("after", "", v, p, p, "normal", None).unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -14,7 +14,7 @@ fn pending_is_reported_only_for_journaled_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("journal.ndjson");
     // Every submission sleeps between reserving its id and journaling it.
-    chaos::install(ChaosPlan::new(13).delay_prob(1.0).max_injections(0));
+    chaos::install(ChaosPlan::new(13).delay_prob(1.0));
     let journal = Arc::new(Journal::open(&dir).unwrap());
     let sched = Scheduler::new(SchedCfg::default(), Arc::new(Store::new()), journal);
     let sched = Arc::new(sched);
