@@ -879,7 +879,10 @@ fn read_glomers_ids(path: &str) -> Vec<String> {
         return Vec::new();
     };
     let with_verdict = |r: &Json| Some(r.get("holds").and(r.str_field("id"))?.to_string());
-    items(&doc, "ladder").iter().filter_map(with_verdict).collect()
+    items(&doc, "ladder")
+        .iter()
+        .filter_map(with_verdict)
+        .collect()
 }
 
 /// The B16 gate: replay the Glomers ladder and fail if any rung
@@ -1452,7 +1455,15 @@ fn steady_job(
 ) -> std::io::Result<bpi_server::Json> {
     match kind % 4 {
         0 => c.check(id, "s", "weak-labelled", "tau.a<>", "a<>", "normal", None),
-        1 => c.check(id, "s", "strong-labelled", "a<>.b<> + a<>.b<>", "a<>.b<>", "normal", None),
+        1 => c.check(
+            id,
+            "s",
+            "strong-labelled",
+            "a<>.b<> + a<>.b<>",
+            "a<>.b<>",
+            "normal",
+            None,
+        ),
         2 => c.explore(id, "s", "Fwd<a,b> | a<v>", 400),
         _ => c.reliability(id, "s", "a<v> | a(x).x<>", "v", 0.3, 7, 8, 64),
     }
@@ -1485,8 +1496,25 @@ fn recovery_job(
             "normal",
             None,
         ),
-        3 => c.check(id, "s", "strong-labelled", "a<>.b<>", "a<>.c<>", "normal", None),
-        4 => c.reliability(id, "s", "a<v> | a(x).b<> | a(y).c<>", "v", 0.25, 11, 20, 512),
+        3 => c.check(
+            id,
+            "s",
+            "strong-labelled",
+            "a<>.b<>",
+            "a<>.c<>",
+            "normal",
+            None,
+        ),
+        4 => c.reliability(
+            id,
+            "s",
+            "a<v> | a(x).b<> | a(y).c<>",
+            "v",
+            0.25,
+            11,
+            20,
+            512,
+        ),
         _ => c.explore(id, "s", "Fwd<a,b> | Fwd<b,c> | a<v>", 2000),
     }
 }
@@ -1697,13 +1725,16 @@ fn measure_server_recovery() -> RecoveryPoint {
         .collect();
     // All jobs journal-admitted, at least one settled — then SIGKILL.
     loop {
-        assert!(std::time::Instant::now() < deadline, "recovery bench: jobs never visible");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "recovery bench: jobs never visible"
+        );
         let mut c = Client::connect(addr).expect("poll connect");
         let visible = ids
             .iter()
-            .filter(|id| {
-                matches!(c.result_of(id), Ok(r) if r.str_field("error") != Some("unknown-id"))
-            })
+            .filter(
+                |id| matches!(c.result_of(id), Ok(r) if r.str_field("error") != Some("unknown-id")),
+            )
             .count();
         let done = ids
             .iter()

@@ -295,7 +295,8 @@ pub fn relay_chain_backoff(n: usize, backoff: &Backoff) -> (P, Defs, Name) {
     assert!(n >= 1);
     let v = Name::intern_raw("gl_rv");
     let x = Name::intern_raw("gl_rx");
-    let origin = crate::retry::RetryPolicy::Backoff(backoff.clone()).send("GlRelayBo", hop(0), &[v]);
+    let origin =
+        crate::retry::RetryPolicy::Backoff(backoff.clone()).send("GlRelayBo", hop(0), &[v]);
     let relay = |i: usize| -> P {
         let forward = |k: P| {
             if i + 1 < n {

@@ -119,12 +119,18 @@ mod tests {
         assert_ne!(format!("{imm}"), format!("{bo}"));
         assert_eq!(
             format!("{bo}"),
-            format!("{}", RetryPolicy::Backoff(Backoff::new(9)).send("T", a, &[v])),
+            format!(
+                "{}",
+                RetryPolicy::Backoff(Backoff::new(9)).send("T", a, &[v])
+            ),
             "same seed must freeze the same schedule into the term"
         );
         assert_ne!(
             format!("{bo}"),
-            format!("{}", RetryPolicy::Backoff(Backoff::new(10)).send("T", a, &[v])),
+            format!(
+                "{}",
+                RetryPolicy::Backoff(Backoff::new(10)).send("T", a, &[v])
+            ),
             "different seeds must jitter differently (with cap 8 this holds for 9 vs 10)"
         );
     }
@@ -150,7 +156,11 @@ mod tests {
             t1.saw_output_on(done),
             "backoff retry failed to deliver under 40% loss in 96 steps"
         );
-        assert_eq!(l1.to_string(), l2.to_string(), "fault logs must replay bit-identically");
+        assert_eq!(
+            l1.to_string(),
+            l2.to_string(),
+            "fault logs must replay bit-identically"
+        );
         assert_eq!(t1.saw_output_on(done), t2.saw_output_on(done));
     }
 }

@@ -31,7 +31,12 @@ pub enum Json {
 impl Json {
     /// Object constructor used all over the protocol layer.
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     pub fn str(s: impl Into<String>) -> Json {
@@ -223,7 +228,10 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(c) => Err(format!("unexpected byte {:?} at offset {}", *c as char, self.i)),
+            Some(c) => Err(format!(
+                "unexpected byte {:?} at offset {}",
+                *c as char, self.i
+            )),
         }
     }
 

@@ -826,7 +826,11 @@ mod tests {
             backward.into_iter().rev().collect::<Vec<_>>(),
             "delay must be a pure function of (seed, attempt)"
         );
-        assert_eq!(forward, Backoff::new(42).schedule(10), "same seed, same schedule");
+        assert_eq!(
+            forward,
+            Backoff::new(42).schedule(10),
+            "same seed, same schedule"
+        );
         // Equal-jitter bounds: delay(k) ∈ [e/2, e] with e the saturated
         // exponential envelope.
         for (k, &d) in forward.iter().enumerate() {

@@ -182,11 +182,13 @@ mod tests {
     fn journal_roundtrips_and_tolerates_torn_tail() {
         let dir = tmpdir("roundtrip");
         let j = Journal::open(&dir).unwrap();
-        j.record_defs("s", "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;").unwrap();
+        j.record_defs("s", "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;")
+            .unwrap();
         let req = Json::obj(vec![("op", Json::str("check")), ("id", Json::str("j1"))]);
         j.record_admitted("j1", &req).unwrap();
         j.record_admitted("j2", &req).unwrap();
-        j.save_checkpoint("j2", "bpi-equiv-checkpoint/v1\nnot-a-real-one").unwrap();
+        j.save_checkpoint("j2", "bpi-equiv-checkpoint/v1\nnot-a-real-one")
+            .unwrap();
         let resp = Json::obj(vec![("status", Json::str("ok"))]);
         j.record_done("j1", &resp).unwrap();
         // Simulate a crash mid-append: torn trailing bytes.
@@ -195,14 +197,22 @@ mod tests {
                 .append(true)
                 .open(dir.join("journal.ndjson"))
                 .unwrap();
-            f.write_all(b"{\"rec\":\"done\",\"id\":\"j2\",\"re").unwrap();
+            f.write_all(b"{\"rec\":\"done\",\"id\":\"j2\",\"re")
+                .unwrap();
         }
         let r = Journal::recover(&dir).unwrap();
-        assert_eq!(r.defs, vec![("s".into(), "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;".into())]);
+        assert_eq!(
+            r.defs,
+            vec![("s".into(), "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;".into())]
+        );
         assert_eq!(r.done.get("j1"), Some(&resp));
         assert_eq!(r.inflight.len(), 1);
         assert_eq!(r.inflight[0].0, "j2");
-        assert!(r.inflight[0].2.as_deref().unwrap().starts_with("bpi-equiv-checkpoint"));
+        assert!(r.inflight[0]
+            .2
+            .as_deref()
+            .unwrap()
+            .starts_with("bpi-equiv-checkpoint"));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -376,7 +376,10 @@ impl Scheduler {
                 let resp = reject(RejectReason::QueueFull, "priority queue at capacity");
                 sh.inflight_cost.fetch_sub(job.cost, Ordering::SeqCst);
                 let _ = sh.journal.record_done(id, &resp);
-                sh.completed.lock().unwrap().insert(id.to_string(), resp.clone());
+                sh.completed
+                    .lock()
+                    .unwrap()
+                    .insert(id.to_string(), resp.clone());
                 unreserve();
                 Submit::Immediate(resp)
             }
@@ -403,7 +406,11 @@ impl Scheduler {
     /// Current queue depth across all queues (fresh + parked).
     pub fn queue_depth(&self) -> usize {
         let q = &self.shared.queues;
-        q.fresh_rx.iter().chain(q.parked_rx.iter()).map(|r| r.len()).sum()
+        q.fresh_rx
+            .iter()
+            .chain(q.parked_rx.iter())
+            .map(|r| r.len())
+            .sum()
     }
 
     pub fn inflight_cost(&self) -> usize {
@@ -434,7 +441,10 @@ fn reject(reason: RejectReason, detail: &str) -> Json {
 /// from scratch (same verdict, by determinism).
 fn decode_park(work: &Work, text: &str) -> Option<ParkState> {
     match work {
-        Work::Check { .. } => text.parse::<Checkpoint>().ok().map(|ck| ParkState::Check(Box::new(ck))),
+        Work::Check { .. } => text
+            .parse::<Checkpoint>()
+            .ok()
+            .map(|ck| ParkState::Check(Box::new(ck))),
         Work::Reliability { .. } => text.parse::<McCheckpoint>().ok().map(ParkState::Mc),
         Work::Explore { .. } => None,
     }
@@ -442,10 +452,7 @@ fn decode_park(work: &Work, text: &str) -> Option<ParkState> {
 
 /// Decodes one costed request into its scheduling envelope and payload.
 #[allow(clippy::type_complexity)]
-fn parse_job(
-    req: &Json,
-    sh: &Shared,
-) -> Result<(Priority, usize, Option<Duration>, Work), Json> {
+fn parse_job(req: &Json, sh: &Shared) -> Result<(Priority, usize, Option<Duration>, Work), Json> {
     let op = req.str_field("op").unwrap_or("");
     let session = req.str_field("session").unwrap_or("");
     let prio = match req.str_field("priority") {
@@ -455,10 +462,9 @@ fn parse_job(
     };
     let deadline = match req.get("deadline_ms") {
         None => None,
-        Some(v) => Some(Duration::from_millis(
-            v.as_u64()
-                .ok_or_else(|| error("bad-request", "deadline_ms must be a non-negative integer"))?,
-        )),
+        Some(v) => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
+            error("bad-request", "deadline_ms must be a non-negative integer")
+        })?)),
     };
     let max_states = match req.get("max_states") {
         None => sh.cfg.default_max_states,
@@ -471,9 +477,7 @@ fn parse_job(
         let src = req
             .str_field(field)
             .ok_or_else(|| error("bad-request", &format!("missing field {field:?}")))?;
-        sh.store
-            .parse(session, src)
-            .map_err(|e| error("parse", &e))
+        sh.store.parse(session, src).map_err(|e| error("parse", &e))
     };
     match op {
         "check" => {
@@ -578,7 +582,10 @@ fn enqueue_parked(sh: &Shared, job: Job) {
 
 fn complete_recovered(sh: &Shared, id: &str, resp: &Json) {
     let _ = sh.journal.record_done(id, resp);
-    sh.completed.lock().unwrap().insert(id.to_string(), resp.clone());
+    sh.completed
+        .lock()
+        .unwrap()
+        .insert(id.to_string(), resp.clone());
     sh.inflight_ids.lock().unwrap().remove(id);
 }
 
@@ -764,11 +771,10 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
                     ("samples", Json::num(est.samples as f64)),
                     ("successes", Json::num(est.successes as f64)),
                 ])),
-                Err(i)
-                    if i.error == EngineError::Cancelled
-                        && tank.load(Ordering::SeqCst) == 0 =>
-                {
-                    let _ = sh.journal.save_checkpoint(&job.id, &i.checkpoint.to_string());
+                Err(i) if i.error == EngineError::Cancelled && tank.load(Ordering::SeqCst) == 0 => {
+                    let _ = sh
+                        .journal
+                        .save_checkpoint(&job.id, &i.checkpoint.to_string());
                     job.parked = Some(ParkState::Mc(i.checkpoint));
                     SliceResult::Parked
                 }
@@ -788,8 +794,7 @@ fn finish(sh: &Shared, job: Job, resp: Json) {
     sh.inflight_ids.lock().unwrap().remove(&job.id);
     sh.inflight_cost.fetch_sub(job.cost, Ordering::SeqCst);
     bpi_obs::counter("server.completed", bpi_obs::Det::Advisory).inc();
-    bpi_obs::histogram("server.latency_ms")
-        .record(job.admitted_at.elapsed().as_millis() as u64);
+    bpi_obs::histogram("server.latency_ms").record(job.admitted_at.elapsed().as_millis() as u64);
     bpi_obs::histogram("server.slices_per_job").record(u64::from(job.slices));
     if let Some(tx) = job.reply {
         let _ = tx.send(resp);

@@ -77,7 +77,11 @@ pub fn start(cfg: ServerCfg) -> std::io::Result<ServerHandle> {
     let recovered = Journal::recover(&cfg.journal_dir)?;
     let journal = Arc::new(Journal::open(&cfg.journal_dir)?);
     let store = Arc::new(Store::new());
-    let scheduler = Arc::new(Scheduler::new(cfg.sched.clone(), Arc::clone(&store), journal.clone()));
+    let scheduler = Arc::new(Scheduler::new(
+        cfg.sched.clone(),
+        Arc::clone(&store),
+        journal.clone(),
+    ));
     scheduler.recover(recovered);
 
     let listener = TcpListener::bind(&cfg.addr)?;
@@ -299,10 +303,7 @@ fn stats_response(sched: &Scheduler) -> Json {
                     Json::obj(vec![
                         ("count", Json::num(h.count as f64)),
                         ("sum", Json::num(h.sum as f64)),
-                        (
-                            "p99_upper_bound",
-                            Json::num(bucket_p99_upper(h) as f64),
-                        ),
+                        ("p99_upper_bound", Json::num(bucket_p99_upper(h) as f64)),
                     ]),
                 )
             })

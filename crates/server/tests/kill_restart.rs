@@ -90,11 +90,18 @@ fn kill9_at_every_job_boundary_preserves_verdicts() {
     // same journal, wait for strictly more verdicts, SIGKILL again.
     let mut kills = 1usize;
     while done < ids.len() {
-        assert!(Instant::now() < deadline, "recovery stalled at {done}/{}", ids.len());
+        assert!(
+            Instant::now() < deadline,
+            "recovery stalled at {done}/{}",
+            ids.len()
+        );
         let d = Daemon::spawn(&dir);
         let mut now_done = count_done(d.addr, &ids);
         while now_done < ids.len() && now_done <= done {
-            assert!(Instant::now() < deadline, "no progress after restart ({now_done})");
+            assert!(
+                Instant::now() < deadline,
+                "no progress after restart ({now_done})"
+            );
             std::thread::sleep(Duration::from_millis(2));
             now_done = count_done(d.addr, &ids);
         }
@@ -106,7 +113,10 @@ fn kill9_at_every_job_boundary_preserves_verdicts() {
             d.graceful();
         }
     }
-    assert!(kills >= 2, "the schedule must actually exercise repeated kills");
+    assert!(
+        kills >= 2,
+        "the schedule must actually exercise repeated kills"
+    );
 
     // Final restart: every verdict must be re-served byte-identically.
     let d = Daemon::spawn(&dir);
@@ -116,7 +126,15 @@ fn kill9_at_every_job_boundary_preserves_verdicts() {
     // And the recovered daemon is a healthy daemon: fresh work still runs.
     let mut c = bpi_server::Client::connect(d.addr).expect("connect after recovery");
     let r = c
-        .check("post-chaos", "s", "weak-labelled", "tau.tau.a<>", "a<>", "high", None)
+        .check(
+            "post-chaos",
+            "s",
+            "weak-labelled",
+            "tau.tau.a<>",
+            "a<>",
+            "high",
+            None,
+        )
         .expect("post-chaos check");
     assert_eq!(r.get("holds").and_then(|j| j.as_bool()), Some(true), "{r}");
     let s = c.stats().expect("stats");
