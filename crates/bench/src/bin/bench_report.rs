@@ -1,100 +1,125 @@
-//! Pinned-size performance report — emits the machine-readable
-//! `BENCH_6.json`, the `BENCH_7.json` partition-ladder series, the
-//! `BENCH_8.json` compositional ladders and the `BENCH_9.json` Glomers
-//! workload ladder tracked at the repo root, and regression-gates the
-//! `BENCH_5.json` / `BENCH_6.json` baselines.
+//! The pinned-size performance report and its regression gate.
 //!
 //! Criterion gives the full statistical story (`cargo bench`); this bin
-//! runs a small fixed set of measurements with `std::time::Instant`
-//! medians so the perf trajectory can be diffed as JSON across PRs.
-//! Sections:
+//! runs a fixed set of measurements with `std::time::Instant` and writes
+//! them as one `bpi-bench/v2` document, so the perf trajectory diffs line
+//! by line across changes. Every measured number is an `Entry`: an id,
+//! a unit, which direction is better, the one `value` gates read, the
+//! timing spread and exact work counters behind it, and its gates.
 //!
-//! * **entries** — the PR 2 before/after pairs, re-measured on today's
-//!   engines (naive `refine` oracle vs the adaptive worklist, fresh tree
-//!   walks vs consed caches, cold vs warm exploration), PR 4's B11
-//!   observability-overhead pair (metrics registry off vs on around the
-//!   τ-ladder worklist refinement), and PR 5's B12 resilience pair
-//!   (cold pipeline restart vs resume from a checkpoint taken at 50% of
-//!   the pipeline's units);
-//! * **reliability** — PR 6's B13 curves: the Monte-Carlo convergence
-//!   probability of the cycle-detection ring (signal on `o`) and the
-//!   leader election (a follower appears, the loss-sensitive barb) at
-//!   two system sizes across a loss sweep, with Wilson 95% intervals.
-//!   Fully deterministic in the pinned plan seeds, so the curves diff
-//!   across PRs like every other recorded number;
-//! * **metrics** (with `--metrics`) — the deterministic counter set of a
-//!   pinned build+refine workload, measured from a reset registry. These
-//!   values are bit-identical across engines (the
-//!   `metrics_oracle` suite pins that), so they can be diffed across
-//!   PRs like any other recorded number;
-//! * **BENCH_9.json** — PR 9's B16 Glomers ladder: every Maelstrom
-//!   challenge verdict (equivalence / HML / exhaustive-reachability)
-//!   with its wall-clock cost at the pinned sizes, plus the
-//!   fault-tolerance reliability points (one-shot vs retrying relay
-//!   chain and G-counter under a pinned loss sweep), bit-reproducible
-//!   from the pinned plan seeds.
+//! Usage, from the repository root:
+//! ```text
+//! cargo run --release -p bpi-bench --bin bench_report -- --record <pr>
+//! cargo run --release -p bpi-bench --bin bench_report -- --check
+//! ```
 //!
-//! Usage:
-//!   cargo run --release -p bpi-bench --bin bench_report [OUT.json]
-//!   cargo run --release -p bpi-bench --bin bench_report -- --metrics
-//!   cargo run --release -p bpi-bench --bin bench_report -- --check
+//! `--record <pr>` measures everything once and writes `BENCH_<pr>.json`.
+//! It never overwrites a file: a recorded file is history. The gates of
+//! the newest v2 file are copied forward unchanged, so a gate changes
+//! only by a deliberate edit.
 //!
-//! `--check` (the CI bench-smoke gate) writes nothing: it re-measures
-//! the recorded entries at the pinned sizes and **fails** if any entry's
-//! speedup regresses below 0.9× the value recorded in `BENCH_5.json` or
-//! `BENCH_6.json` (up to three attempts per entry to ride out scheduler
-//! noise), then re-measures the 1000-state partition-ladder rung and
-//! fails unless the partition refiner beats the pairwise worklist by
-//! the absolute 5× acceptance floor *and* reaches half the speedup
-//! recorded in `BENCH_7.json`, re-measures the identical-stations
-//! compositional rungs and fails unless minimize-then-compose beats the
-//! monolithic build by the absolute 10× ISSUE 8 floor at the largest
-//! monolithically-feasible size while a beyond-the-cap size still
-//! completes compositionally *and* reaches half the n=8 speedup
-//! recorded in `BENCH_8.json`, and finally replays the Glomers ladder
-//! and fails if any verdict recorded in `BENCH_9.json` is no longer
-//! measured or no longer holds (verdicts are engine-deterministic, so
-//! this leg gets no retries and no tolerance).
-//! Cold-start entries — whose recorded baseline is a single first-run
-//! sample, dominated by allocator and page-cache state — gate at 0.5×
-//! instead: that still trips if the memo layer stops serving warm runs
-//! (the ratio collapses to ~1×) without tripping on host drift.
+//! `--check` writes nothing. It reads the gates of the newest v2 file,
+//! measures everything once and evaluates every gate, then re-measures
+//! only the producers whose gates failed, for up to three attempts in
+//! all (timings ride out scheduler noise; verdicts fail again). It
+//! prints one line per gate and exits 1 listing every gate that still
+//! fails. A gated id that is no longer measured fails.
+//!
+//! `BENCH_2.json`–`BENCH_10.json` use older schemas: they are frozen
+//! history, and nothing reads them.
 
 use bpi_bench::{
     deep_term, identical_stations_tagged, independent_components_tagged, scaled_pair,
     shared_components_tagged, tau_chain,
 };
-use bpi_core::syntax::Defs;
+use bpi_core::syntax::{Defs, P};
 use bpi_equiv::{
     build_composed, refine, refine_partition, refine_worklist, shared_pool, Checker, Checkpoint,
     Graph, Opts, Variant,
 };
-use bpi_semantics::{explore, Budget, CheckpointCfg, ExploreOpts, FaultPlan};
-use bpi_server::{json, Json};
+use bpi_semantics::{explore, Budget, CheckpointCfg, ExploreOpts, FaultPlan, ReliabilityEstimate};
+use bpi_server::{json, Client, Json, SchedCfg};
+use std::fmt;
+use std::hint::black_box;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
+use std::process::{Child, ExitCode};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-struct Entry {
-    id: &'static str,
-    baseline_us: f64,
-    optimized_us: f64,
-    note: &'static str,
+const SCHEMA: &str = "bpi-bench/v2";
+
+/// Which direction of a value is an improvement.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Better {
+    Higher,
+    Lower,
 }
 
-impl Entry {
-    fn speedup(&self) -> f64 {
-        if self.optimized_us > 0.0 {
-            self.baseline_us / self.optimized_us
-        } else {
-            f64::INFINITY
+/// A regression gate: the value recorded when the gate was set, the
+/// factor of it a reading must reach, and where the value came from.
+#[derive(Clone, Debug, PartialEq)]
+struct Gate {
+    recorded: f64,
+    factor: f64,
+    from: String,
+}
+
+impl Gate {
+    /// A `higher` reading passes at `factor × recorded` or above, a
+    /// `lower` one at `recorded / factor` or below.
+    fn passes(&self, better: Better, value: f64) -> bool {
+        match better {
+            Better::Higher => value >= self.factor * self.recorded,
+            Better::Lower => value <= self.recorded / self.factor,
         }
     }
 }
 
-/// One JSON object per item, built by `row`.
-fn rows<T>(items: &[T], row: impl Fn(&T) -> Vec<(&'static str, Json)>) -> Json {
-    Json::Arr(items.iter().map(|x| Json::obj(row(x))).collect())
+/// The spread of one timed quantity over its samples, in µs.
+#[derive(Clone, Copy)]
+struct Spread {
+    repeats: usize,
+    min: f64,
+    median: f64,
+    p90: f64,
+}
+
+impl Spread {
+    /// The spread of a non-empty sample set.
+    fn of(mut us: Vec<f64>) -> Spread {
+        us.sort_by(f64::total_cmp);
+        let n = us.len();
+        Spread {
+            repeats: n,
+            min: us[0],
+            median: us[n / 2],
+            p90: us[(9 * n).div_ceil(10) - 1],
+        }
+    }
+
+    fn fields(&self) -> Vec<(String, Json)> {
+        vec![
+            ("repeats".into(), Json::num(self.repeats as f64)),
+            ("min".into(), fixed(self.min, 1)),
+            ("median".into(), fixed(self.median, 1)),
+            ("p90".into(), fixed(self.p90, 1)),
+        ]
+    }
+}
+
+/// `repeats` timed runs of `f`, in µs.
+fn time_us(repeats: usize, mut f: impl FnMut()) -> Spread {
+    Spread::of(
+        (0..repeats.max(1))
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_secs_f64() * 1e6
+            })
+            .collect(),
+    )
 }
 
 /// `x` rounded to `places` decimals, as a JSON number.
@@ -103,76 +128,460 @@ fn fixed(x: f64, places: i32) -> Json {
     Json::num((x * scale).round() / scale)
 }
 
-/// A BENCH document: one top-level field per line, and one item per
-/// line in arrays of objects, so recorded files diff line by line.
-fn render(fields: &[(&str, Json)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        out.push_str(&format!("  {}: ", Json::str(*k)));
-        match v.as_arr() {
-            Some(xs) if matches!(xs.first(), Some(Json::Obj(_))) => {
-                let lines: Vec<String> = xs.iter().map(|x| format!("    {x}")).collect();
-                out.push_str(&format!("[\n{}\n  ]", lines.join(",\n")));
-            }
-            _ => out.push_str(&v.to_string()),
+/// One measured quantity of the report. The gate reader types what it
+/// reads; the rest (timing spread, counters, note) is carried as data.
+#[derive(Clone, Debug, PartialEq)]
+struct Entry {
+    id: String,
+    unit: String,
+    better: Better,
+    value: f64,
+    /// `repeats` and `min`/`median`/`p90` of a timed quantity (one
+    /// object of them per side for a speedup), exact `counters` and a
+    /// `note`, in written order.
+    detail: Vec<(String, Json)>,
+    gates: Vec<Gate>,
+}
+
+/// The entry fields the reader types; every other field is `detail`.
+const TYPED_FIELDS: [&str; 5] = ["id", "unit", "better", "value", "gates"];
+
+impl Entry {
+    fn new(id: impl Into<String>, unit: &str, better: Better, value: f64) -> Entry {
+        Entry {
+            id: id.into(),
+            unit: unit.to_string(),
+            better,
+            value,
+            detail: Vec::new(),
+            gates: Vec::new(),
         }
-        out.push_str(if i + 1 == fields.len() { "\n" } else { ",\n" });
     }
-    out.push_str("}\n");
-    out
-}
 
-fn median_us(repeats: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
+    /// How many times faster `optimized` is than `baseline`, by medians.
+    fn speedup(id: impl Into<String>, baseline: Spread, optimized: Spread) -> Entry {
+        Entry::new(id, "x", Better::Higher, baseline.median / optimized.median)
+            .with("baseline", Json::Obj(baseline.fields()))
+            .with("optimized", Json::Obj(optimized.fields()))
+    }
+
+    /// A wall-clock cost: the median, in µs.
+    fn time(id: impl Into<String>, t: Spread) -> Entry {
+        Entry::new(id, "us", Better::Lower, t.median).timed(t)
+    }
+
+    /// A verdict that must hold: 1 when it does, 0 when not.
+    fn holds(id: impl Into<String>, holds: bool, t: Spread) -> Entry {
+        Entry::new(id, "holds", Better::Higher, f64::from(u8::from(holds))).timed(t)
+    }
+
+    fn timed(mut self, t: Spread) -> Entry {
+        self.detail.extend(t.fields());
+        self
+    }
+
+    fn counters<S: Into<String>>(self, counters: impl IntoIterator<Item = (S, u64)>) -> Entry {
+        let counters = counters.into_iter();
+        let counters = counters.map(|(k, v)| (k.into(), Json::num(v as f64)));
+        self.with("counters", Json::Obj(counters.collect()))
+    }
+
+    fn note(self, note: &str) -> Entry {
+        self.with("note", Json::str(note))
+    }
+
+    fn with(mut self, key: &str, value: Json) -> Entry {
+        self.detail.push((key.to_string(), value));
+        self
+    }
+
+    /// Whether `other` measures the quantity this entry does: same id,
+    /// same unit.
+    fn same_quantity(&self, other: &Entry) -> bool {
+        self.id == other.id && self.unit == other.unit
+    }
+
+    fn to_json(&self) -> Json {
+        let better = match self.better {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        };
+        let mut fields = vec![
+            ("id".into(), Json::str(&self.id)),
+            ("unit".into(), Json::str(&self.unit)),
+            ("better".into(), Json::str(better)),
+            ("value".into(), fixed(self.value, 4)),
+        ];
+        fields.extend(self.detail.iter().cloned());
+        if !self.gates.is_empty() {
+            let gates = self.gates.iter().map(|g| {
+                Json::obj(vec![
+                    ("recorded", Json::num(g.recorded)),
+                    ("factor", Json::num(g.factor)),
+                    ("from", Json::str(&g.from)),
+                ])
+            });
+            fields.push(("gates".into(), Json::Arr(gates.collect())));
+        }
+        Json::Obj(fields)
+    }
+
+    fn parse(j: &Json) -> Result<Entry, String> {
+        let Json::Obj(fields) = j else {
+            return Err(format!("an entry that is not an object: {j}"));
+        };
+        let id = j.str_field("id").ok_or("an entry without an id")?;
+        let bad = |what: &str| format!("entry {id}: bad or missing {what}");
+        let better = match j.str_field("better") {
+            Some("higher") => Better::Higher,
+            Some("lower") => Better::Lower,
+            _ => return Err(bad("better")),
+        };
+        let gate = |g: &Json| {
+            Some(Gate {
+                recorded: g.get("recorded")?.as_f64()?,
+                factor: g.get("factor")?.as_f64().filter(|f| *f > 0.0)?,
+                from: g.str_field("from")?.to_string(),
+            })
+        };
+        let gates = match j.get("gates") {
+            None => Vec::new(),
+            Some(gs) => gs
+                .as_arr()
+                .and_then(|gs| gs.iter().map(gate).collect())
+                .ok_or_else(|| bad("gates"))?,
+        };
+        let value = j.get("value").and_then(Json::as_f64);
+        Ok(Entry {
+            id: id.to_string(),
+            unit: j.str_field("unit").ok_or_else(|| bad("unit"))?.to_string(),
+            better,
+            value: value.ok_or_else(|| bad("value"))?,
+            detail: fields
+                .iter()
+                .filter(|(k, _)| !TYPED_FIELDS.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+            gates,
         })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    }
 }
 
-fn refine_pair(
-    id: &'static str,
-    p: &bpi_core::syntax::P,
-    q: &bpi_core::syntax::P,
-    v: Variant,
-    repeats: usize,
-    note: &'static str,
-) -> Entry {
+/// A `bpi-bench/v2` document: one `BENCH_<pr>.json` file.
+#[derive(Debug, PartialEq)]
+struct Doc {
+    pr: u64,
+    /// Where the timings were taken; no code reads it.
+    host: Json,
+    entries: Vec<Entry>,
+}
+
+impl Doc {
+    /// One top-level field per line and one entry per line, so recorded
+    /// files diff line by line.
+    fn render(&self) -> String {
+        let entries: Vec<String> = self
+            .entries
+            .iter()
+            .map(|e| format!("    {}", e.to_json()))
+            .collect();
+        format!(
+            "{{\n  \"schema\": {},\n  \"pr\": {},\n  \"host\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+            Json::str(SCHEMA),
+            self.pr,
+            self.host,
+            entries.join(",\n")
+        )
+    }
+
+    /// `None` for a document of another schema.
+    fn parse(text: &str) -> Result<Option<Doc>, String> {
+        let j = json::parse(text)?;
+        if j.str_field("schema") != Some(SCHEMA) {
+            return Ok(None);
+        }
+        let entries = j
+            .get("entries")
+            .and_then(Json::as_arr)
+            .ok_or("no entries")?;
+        Ok(Some(Doc {
+            pr: j.get("pr").and_then(Json::as_u64).ok_or("no pr")?,
+            host: j.get("host").cloned().unwrap_or(Json::Null),
+            entries: entries.iter().map(Entry::parse).collect::<Result<_, _>>()?,
+        }))
+    }
+}
+
+/// The recording host, so that a later reader can tell which files'
+/// timings are comparable.
+fn host() -> Json {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut fields = vec![
+        ("available_parallelism", Json::num(cpus as f64)),
+        ("arch", Json::str(std::env::consts::ARCH)),
+        ("os", Json::str(std::env::consts::OS)),
+    ];
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo.lines().find_map(|l| {
+        let (key, value) = l.split_once(':')?;
+        (key.trim() == "model name").then(|| value.trim().to_string())
+    });
+    if let Some(model) = model {
+        fields.push(("cpu_model", Json::str(model)));
+    }
+    Json::obj(fields)
+}
+
+fn bench_path(dir: &Path, pr: u64) -> PathBuf {
+    dir.join(format!("BENCH_{pr}.json"))
+}
+
+/// The `bpi-bench/v2` document with the highest `pr` among the
+/// `BENCH_*.json` files of `dir`. Files of other schemas are skipped;
+/// a file that does not parse is an error.
+fn newest_v2(dir: &Path) -> Result<Option<Doc>, String> {
+    let mut newest: Option<Doc> = None;
+    for file in std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))? {
+        let path = file.map_err(|e| e.to_string())?.path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{name}: {e}"))?;
+        if let Some(doc) = Doc::parse(&text).map_err(|e| format!("{name}: {e}"))? {
+            if newest.as_ref().is_none_or(|n| doc.pr > n.pr) {
+                newest = Some(doc);
+            }
+        }
+    }
+    Ok(newest)
+}
+
+/// Writes `doc` to `BENCH_<pr>.json` in `dir`, refusing to overwrite an
+/// existing file.
+fn write_record(dir: &Path, doc: &Doc) -> Result<PathBuf, String> {
+    use std::io::Write;
+    let path = bench_path(dir, doc.pr);
+    let fail = |e: std::io::Error| format!("{}: {e}", path.display());
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&path)
+        .map_err(fail)?;
+    file.write_all(doc.render().as_bytes()).map_err(fail)?;
+    Ok(path)
+}
+
+/// Copies the gates of `prev` onto the entries they gate. A gated id
+/// that is no longer measured is an error: dropping a gate is an edit.
+fn carry_gates(prev: &[Entry], entries: &mut [Entry]) -> Result<(), String> {
+    for p in prev.iter().filter(|p| !p.gates.is_empty()) {
+        let e = entries
+            .iter_mut()
+            .find(|e| e.same_quantity(p))
+            .ok_or_else(|| format!("gated id {} ({}) is no longer measured", p.id, p.unit))?;
+        e.gates = p.gates.clone();
+    }
+    Ok(())
+}
+
+/// One gate read off a measurement.
+struct Reading<'a> {
+    entry: &'a Entry,
+    gate: &'a Gate,
+    /// `None` when the gated id is no longer measured in its recorded
+    /// unit, which fails.
+    value: Option<f64>,
+}
+
+impl Reading<'_> {
+    fn passes(&self) -> bool {
+        let better = self.entry.better;
+        self.value.is_some_and(|v| self.gate.passes(better, v))
+    }
+}
+
+impl fmt::Display for Reading<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (e, g) = (self.entry, self.gate);
+        let value = self
+            .value
+            .map_or("not measured".to_string(), |v| format!("{v:.2} {}", e.unit));
+        let rule = match e.better {
+            Better::Higher => format!(">= {} x {}", g.factor, g.recorded),
+            Better::Lower => format!("<= {} / {}", g.recorded, g.factor),
+        };
+        let verdict = if self.passes() { "ok  " } else { "FAIL" };
+        write!(
+            f,
+            "{verdict} {:<52} {value:>18}  gate {rule} ({})",
+            e.id, g.from
+        )
+    }
+}
+
+/// Reads each gate of `pending` off `measured`.
+fn read_gates<'a>(pending: &[(&'a Entry, &'a Gate)], measured: &[Entry]) -> Vec<Reading<'a>> {
+    pending
+        .iter()
+        .map(|&(entry, gate)| Reading {
+            entry,
+            gate,
+            value: measured
+                .iter()
+                .find(|m| m.same_quantity(entry))
+                .map(|m| m.value),
+        })
+        .collect()
+}
+
+/// Evaluates every gate of the newest v2 file; the error says how many
+/// still fail.
+fn check() -> Result<(), String> {
+    let doc =
+        newest_v2(Path::new("."))?.ok_or_else(|| format!("no {SCHEMA} file to read gates from"))?;
+    let mut pending: Vec<(&Entry, &Gate)> = doc
+        .entries
+        .iter()
+        .flat_map(|e| e.gates.iter().map(move |g| (e, g)))
+        .collect();
+    let total = pending.len();
+    let mut runs: Vec<Vec<Entry>> = PRODUCERS.iter().map(|p| p("a1#")).collect();
+    let mut attempt = 1;
+    let failing = loop {
+        let readings = read_gates(&pending, &runs.concat());
+        for r in &readings {
+            eprintln!("--check[{attempt}] {r}");
+        }
+        let failing: Vec<Reading> = readings.into_iter().filter(|r| !r.passes()).collect();
+        let owns = |run: &Vec<Entry>| {
+            run.iter()
+                .any(|m| failing.iter().any(|r| r.entry.id == m.id))
+        };
+        let rerun: Vec<usize> = (0..runs.len()).filter(|&k| owns(&runs[k])).collect();
+        if failing.is_empty() || attempt == 3 || rerun.is_empty() {
+            break failing;
+        }
+        pending = failing.iter().map(|r| (r.entry, r.gate)).collect();
+        attempt += 1;
+        for k in rerun {
+            runs[k] = PRODUCERS[k](&format!("a{attempt}#"));
+        }
+    };
+    for r in &failing {
+        eprintln!("--check: {r}");
+    }
+    if failing.is_empty() {
+        eprintln!("--check: all {total} gates pass");
+        return Ok(());
+    }
+    let n = failing.len();
+    Err(format!(
+        "{n} of {total} gates fail after {attempt} attempt(s)"
+    ))
+}
+
+/// Measures everything and writes `BENCH_<pr>.json`, carrying the gates
+/// of the newest v2 file forward.
+fn record(pr: u64) -> Result<(), String> {
+    let dir = Path::new(".");
+    if bench_path(dir, pr).exists() {
+        return Err(format!(
+            "BENCH_{pr}.json exists; a recorded file is never rewritten"
+        ));
+    }
+    let prev = newest_v2(dir)?;
+    let mut entries: Vec<Entry> = PRODUCERS.iter().flat_map(|p| p("a1#")).collect();
+    if let Some(prev) = prev {
+        carry_gates(&prev.entries, &mut entries)?;
+    }
+    for e in &entries {
+        eprintln!("{:<60} {:>14.2} {}", e.id, e.value, e.unit);
+    }
+    let doc = Doc {
+        pr,
+        host: host(),
+        entries,
+    };
+    let path = write_record(dir, &doc)?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let outcome = match args[..] {
+        // Hidden mode: the kill-and-restart producer re-executes this
+        // binary as the daemon under test (CARGO_BIN_EXE_* does not cross
+        // crate boundaries), so harness and child share one build.
+        ["--serve-child", dir] => serve_child(dir),
+        ["--check"] => check(),
+        ["--record", pr] => pr
+            .parse()
+            .map_err(|e| format!("bad pr {pr:?}: {e}"))
+            .and_then(record),
+        _ => Err("usage: bench_report --record <pr> | --check".to_string()),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("bench_report: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Producers: each measures one section of the report. `tag` is fresh per
+// run, so producers that time cold work build structurally fresh terms
+// that no memo can serve.
+
+type Producer = fn(&str) -> Vec<Entry>;
+
+/// In this order: the counter workload resets the metrics registry, and
+/// the store totals cover everything before them.
+const PRODUCERS: [Producer; 11] = [
+    ratios,
+    partition_ladder,
+    compose_stations,
+    compose_shared,
+    loss_sweep,
+    counters,
+    glomers,
+    glomers_loss_sweep,
+    server_phases,
+    server_recovery,
+    store,
+];
+
+/// Pinned sizes of the ratio entries: a 49-state τ-ladder, 8 scaled
+/// summands, 3^8 explored states and a depth-12 term.
+const LADDER_N: usize = 48;
+const SCALED_N: usize = 8;
+const EXPLORE_N: usize = 8;
+const TERM_DEPTH: usize = 12;
+/// Samples per side of a ratio entry.
+const REPEATS: usize = 9;
+
+fn refine_pair(id: &str, p: &P, q: &P, v: Variant, note: &str) -> Entry {
     let defs = Defs::new();
     let opts = Opts::default();
     let pool = shared_pool(p, q, opts.fresh_inputs);
     let g1 = Graph::build(p, &defs, &pool, opts).expect("pinned instance fits");
     let g2 = Graph::build(q, &defs, &pool, opts).expect("pinned instance fits");
-    let baseline_us = median_us(repeats, || {
-        assert!(refine(v, &g1, &g2).holds(0, 0));
-    });
-    let optimized_us = median_us(repeats, || {
+    let naive = time_us(REPEATS, || assert!(refine(v, &g1, &g2).holds(0, 0)));
+    let worklist = time_us(REPEATS, || {
         assert!(refine_worklist(v, &g1, &g2).holds(0, 0));
     });
-    Entry {
-        id,
-        baseline_us,
-        optimized_us,
-        note,
-    }
+    Entry::speedup(id, naive, worklist).note(note)
 }
 
-struct Sizes {
-    ladder_n: usize,
-    scaled_n: usize,
-    explore_n: usize,
-    depth: usize,
-    reps: usize,
-}
-
-/// The PR 2 entry set, re-measured on the current engines. `tag`
-/// uniquifies the cold-exploration term so repeated calls (the --check
-/// retry loop) each see a genuinely cold first run.
-fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
+/// The before/after ratio entries, re-measured on the current engines.
+fn ratios(tag: &str) -> Vec<Entry> {
     let mut entries: Vec<Entry> = Vec::new();
 
     // B9 — refinement engines on prebuilt graphs. The τ-ladder is the
@@ -180,107 +589,98 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
     // sweep, so the global fixpoint pays O(n) sweeps over the full
     // (n+1)^2 pair table where the worklist touches each pair O(deg)
     // times.
-    let ladder = tau_chain(s.ladder_n);
+    let ladder = tau_chain(LADDER_N);
     entries.push(refine_pair(
         "bisim/refine/tau-ladder/strong-labelled",
         &ladder,
         &ladder,
         Variant::StrongLabelled,
-        s.reps,
         "naive refine oracle vs predecessor-indexed worklist, 49-state ladder",
     ));
-    let (p, q) = scaled_pair(s.scaled_n);
+    let (p, q) = scaled_pair(SCALED_N);
     entries.push(refine_pair(
         "bisim/refine/scaled-sums/strong-labelled",
         &p,
         &q,
         Variant::StrongLabelled,
-        s.reps,
-        "tiny graph: the adaptive cutover keeps small products on the naive sweep",
+        "tiny graph (8 summands): the adaptive cutover keeps small products on the naive sweep",
     ));
     entries.push(refine_pair(
         "bisim/refine/scaled-sums/weak-labelled",
         &p,
         &q,
         Variant::WeakLabelled,
-        s.reps,
-        "weak dependency sets are inverse reachability",
+        "weak dependency sets are inverse reachability, 8 summands",
     ));
 
     // B8 — exploration: the cold first run derives every transition and
     // conses every state; warm re-runs are served by the
     // (consed term, defs generation) successor memos.
     let defs = Defs::new();
-    let sys = independent_components_tagged(s.explore_n, tag);
+    let sys = independent_components_tagged(EXPLORE_N, tag);
     let opts = ExploreOpts::default();
-    let t = Instant::now();
-    let cold_len = explore(&sys, &defs, opts).len();
-    let cold_us = t.elapsed().as_secs_f64() * 1e6;
-    let warm_us = median_us(s.reps, || {
+    let mut cold_len = 0;
+    let cold = time_us(1, || cold_len = explore(&sys, &defs, opts).len());
+    let warm = time_us(REPEATS, || {
         assert_eq!(explore(&sys, &defs, opts).len(), cold_len);
     });
-    entries.push(Entry {
-        id: "explore/independent-3^N/cold-vs-warm",
-        baseline_us: cold_us,
-        optimized_us: warm_us,
-        note: "first run (derive + cons everything) vs memoized re-run, 3^8 states",
-    });
+    entries.push(
+        Entry::speedup("explore/independent-3^N/cold-vs-warm", cold, warm)
+            .note("first run (derive + cons everything) vs memoized re-run, 3^8 states"),
+    );
 
     // B8 — term-level: canon / free_names fresh tree walks vs the
     // consed node's caches. A live handle pins the class — exactly what
     // the explorer's visited table and the graph memo do — otherwise
     // the weak cell dies between calls and every lookup is a miss.
-    let term = deep_term(s.depth);
+    let term = deep_term(TERM_DEPTH);
     let _pin = bpi_core::cons(&term);
     let _ = bpi_core::cached_canon(&term); // warm the consed node once
-    entries.push(Entry {
-        id: "normalize/canon/fresh-vs-cached",
-        baseline_us: median_us(s.reps, || {
-            std::hint::black_box(bpi_core::canon(&term));
-        }),
-        optimized_us: median_us(s.reps, || {
-            std::hint::black_box(bpi_core::cached_canon(&term));
-        }),
-        note: "alpha-canonical form, depth-12 alternating term",
+    let fresh = time_us(REPEATS, || {
+        black_box(bpi_core::canon(&term));
     });
-    entries.push(Entry {
-        id: "normalize/free-names/fresh-vs-cached",
-        baseline_us: median_us(s.reps, || {
-            std::hint::black_box(term.free_names());
-        }),
-        optimized_us: median_us(s.reps, || {
-            std::hint::black_box(bpi_core::cached_free_names(&term));
-        }),
-        note: "free-name set, depth-12 alternating term",
+    let cached = time_us(REPEATS, || {
+        black_box(bpi_core::cached_canon(&term));
     });
+    entries.push(
+        Entry::speedup("normalize/canon/fresh-vs-cached", fresh, cached)
+            .note("alpha-canonical form, depth-12 alternating term"),
+    );
+    let fresh = time_us(REPEATS, || {
+        black_box(term.free_names());
+    });
+    let cached = time_us(REPEATS, || {
+        black_box(bpi_core::cached_free_names(&term));
+    });
+    entries.push(
+        Entry::speedup("normalize/free-names/fresh-vs-cached", fresh, cached)
+            .note("free-name set, depth-12 alternating term"),
+    );
 
     // B11 — observability overhead. Same prebuilt τ-ladder refinement
     // with the metrics registry fully disabled (every counter is a
     // relaxed load + branch) vs enabled (the default, no trace sink).
     // baseline = registry off, optimized = registry on, so the speedup
     // is 1/(1+overhead): the ≤5% overhead budget of EXPERIMENTS.md B11
-    // reads as speedup ≥ ~0.95, and the 0.9× check gate catches any
-    // future instrumentation creeping into hot loops.
+    // reads as speedup ≥ ~0.95.
     let l_opts = Opts::default();
     let l_pool = shared_pool(&ladder, &ladder, l_opts.fresh_inputs);
     let lg1 = Graph::build(&ladder, &defs, &l_pool, l_opts).expect("ladder fits");
     let lg2 = Graph::build(&ladder, &defs, &l_pool, l_opts).expect("ladder fits");
     let was_on = bpi_obs::metrics_enabled();
     bpi_obs::set_metrics_enabled(false);
-    let off_us = median_us(s.reps, || {
+    let off = time_us(REPEATS, || {
         assert!(refine_worklist(Variant::StrongLabelled, &lg1, &lg2).holds(0, 0));
     });
     bpi_obs::set_metrics_enabled(true);
-    let on_us = median_us(s.reps, || {
+    let on = time_us(REPEATS, || {
         assert!(refine_worklist(Variant::StrongLabelled, &lg1, &lg2).holds(0, 0));
     });
     bpi_obs::set_metrics_enabled(was_on);
-    entries.push(Entry {
-        id: "obs/metrics/tau-ladder/off-vs-on",
-        baseline_us: off_us,
-        optimized_us: on_us,
-        note: "worklist refinement with the metrics registry disabled vs enabled (no sink)",
-    });
+    entries.push(
+        Entry::speedup("obs/metrics/tau-ladder/off-vs-on", off, on)
+            .note("worklist refinement with the metrics registry disabled vs enabled (no sink)"),
+    );
 
     // B12 — resume vs cold restart. Probe the checkpointed pipeline
     // once to learn its total unit count (explored states of both
@@ -302,423 +702,165 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
         Err(i) => i.checkpoint,
         Ok(_) => panic!("half fuel should interrupt mid-pipeline"),
     };
-    let cold_us = median_us(s.reps, || {
+    let inert = CheckpointCfg::<Checkpoint>::default;
+    let cold = time_us(REPEATS, || {
         assert!(checker
-            .run_with_checkpoint(Variant::StrongLabelled, &ladder, &ladder, &inert_pipeline())
+            .run_with_checkpoint(Variant::StrongLabelled, &ladder, &ladder, &inert())
             .unwrap_or_else(|i| panic!("inert run cannot interrupt: {}", i.error))
             .2
             .holds(0, 0));
     });
-    let resume_us = median_us(s.reps, || {
+    let resume = time_us(REPEATS, || {
         assert!(checker
-            .resume_from(Variant::StrongLabelled, ck.clone(), &inert_pipeline())
+            .resume_from(Variant::StrongLabelled, ck.clone(), &inert())
             .unwrap_or_else(|i| panic!("inert resume cannot interrupt: {}", i.error))
             .2
             .holds(0, 0));
     });
-    entries.push(Entry {
-        id: "checkpoint/checker/tau-ladder/cold-restart-vs-resume",
-        baseline_us: cold_us,
-        optimized_us: resume_us,
-        note: "full pipeline re-run vs resume from a checkpoint taken at 50% of its units",
-    });
+    entries.push(
+        Entry::speedup(
+            "checkpoint/checker/tau-ladder/cold-restart-vs-resume",
+            cold,
+            resume,
+        )
+        .note("full pipeline re-run vs resume from a checkpoint taken at 50% of its units"),
+    );
     entries
 }
 
-fn inert_pipeline() -> CheckpointCfg<Checkpoint> {
-    CheckpointCfg::default()
-}
-
-/// One rung of the BENCH_7 state-size ladder.
-struct LadderPoint {
-    states: usize,
-    partition_us: f64,
-    /// `None` above the worklist measurement cap, where the O(pairs)
-    /// engine is too slow to time repeatedly.
-    worklist_us: Option<f64>,
-}
-
-impl LadderPoint {
-    fn speedup(&self) -> Option<f64> {
-        self.worklist_us
-            .filter(|_| self.partition_us > 0.0)
-            .map(|w| w / self.partition_us)
-    }
-}
-
-/// BENCH_7 — the partition-refiner asymptotics. τ-ladders from 49 to
-/// ~10k states, each refined as a self-pair under `StrongLabelled`: the
+/// B14 — the partition-refiner asymptotics. τ-ladders from 49 to 10k
+/// states, each refined as a self-pair under `StrongLabelled`: the
 /// block/splitter engine against the pairwise predecessor-indexed
-/// worklist. The worklist is only timed up to `worklist_cap` states —
-/// beyond that its O(n²) pair table is exactly the cost the partition
-/// engine exists to avoid.
-fn measure_partition_ladder(chain_lens: &[usize], worklist_cap: usize) -> Vec<LadderPoint> {
+/// worklist. The worklist is only timed up to 3200 states — beyond
+/// that its O(n²) pair table is exactly the cost the partition engine
+/// exists to avoid.
+fn partition_ladder(_tag: &str) -> Vec<Entry> {
     let defs = Defs::new();
     let opts = Opts::default();
     let mut out = Vec::new();
-    for &n in chain_lens {
+    for n in [48, 199, 999, 3199, 9999] {
         let ladder = tau_chain(n);
         let pool = shared_pool(&ladder, &ladder, opts.fresh_inputs);
         let g = Graph::build(&ladder, &defs, &pool, opts).expect("ladder fits");
         let states = g.len();
-        let reps = if states <= 1000 { 5 } else { 3 };
-        let partition_us = median_us(reps, || {
-            std::hint::black_box(refine_partition(Variant::StrongLabelled, &g, &g));
+        let id = format!("bisim/refine-partition/ladder-{states}/strong-labelled");
+        let partition = time_us(if states <= 1000 { 5 } else { 3 }, || {
+            black_box(refine_partition(Variant::StrongLabelled, &g, &g));
         });
-        let worklist_us = (states <= worklist_cap).then(|| {
-            median_us(3, || {
+        let entry = if states <= 3200 {
+            let worklist = time_us(3, || {
                 assert!(refine_worklist(Variant::StrongLabelled, &g, &g).holds(0, 0));
-            })
-        });
-        out.push(LadderPoint {
-            states,
-            partition_us,
-            worklist_us,
-        });
+            });
+            Entry::speedup(id, worklist, partition).note("pairwise worklist vs partition refiner")
+        } else {
+            Entry::time(id, partition).note("partition refiner alone: the worklist is not timed")
+        };
+        out.push(entry.counters([("states", states as u64)]));
     }
     out
 }
 
-/// The ISSUE 7 acceptance gate, absolute rather than relative to a
-/// recorded number (worklist timings swing ~2× with host noise, but the
-/// asymptotic gap at 1000 states is ~50-80×, so an absolute 5× floor is
-/// both meaningful and stable): the partition refiner must beat the
-/// pairwise worklist by ≥5× on the 1000-state ladder rung.
-fn run_partition_gate() -> bool {
-    for attempt in 1..=3 {
-        let pts = measure_partition_ladder(&[999], usize::MAX);
-        let sp = pts[0].speedup().unwrap_or(f64::NAN);
-        let pass = sp >= 5.0;
-        eprintln!(
-            "--check[{attempt}] {:<48} {:>6.1}x (gate 5x absolute) {}",
-            "bisim/refine-partition/ladder-1000/strong-labelled",
-            sp,
-            if pass { "ok" } else { "RETRY" }
-        );
-        if pass {
-            return true;
-        }
-    }
-    eprintln!("--check: REGRESSION partition ladder: below 5x of the worklist after 3 attempts");
-    false
-}
-
-/// One rung of a BENCH_8 compositional ladder.
-struct ComposePoint {
-    n: usize,
-    mono_states: Option<usize>,
-    /// `None` where the monolithic build exceeds the default state cap
-    /// — the rungs that were previously infeasible and now complete
-    /// only through minimize-then-compose.
-    mono_us: Option<f64>,
-    comp_states: usize,
-    comp_us: f64,
-}
-
-impl ComposePoint {
-    fn speedup(&self) -> Option<f64> {
-        self.mono_us
-            .filter(|_| self.comp_us > 0.0)
-            .map(|m| m / self.comp_us)
-    }
-}
-
-/// BENCH_8 — minimize-then-compose vs the monolithic build, on systems
-/// of *identical* components sharing their channels (the shape where
-/// the symmetry reduction collapses ordered tuples into multisets).
-/// Each sample uses a fresh tag so neither the graph memo nor the
-/// compose memo can serve warm results; the monolithic side is probed
-/// once per rung and records null where it exceeds the default state
-/// cap instead of timing the budget error.
-fn measure_compose_ladder(
-    family: fn(usize, &str) -> bpi_core::syntax::P,
+/// B15 — minimize-then-compose vs the monolithic build, on systems of
+/// *identical* components sharing their channels (the shape where the
+/// symmetry reduction collapses ordered tuples into multisets). Each
+/// sample uses a fresh tag so neither the graph memo nor the compose
+/// memo can serve warm results. The monolithic side is probed once per
+/// rung; where it exceeds the default state cap the rung is a `holds`
+/// entry: the monolithic build is over the cap and compose completes.
+fn compose_ladder(
+    family: fn(usize, &str) -> P,
+    name: &str,
     tag: &str,
     ns: &[usize],
-) -> Vec<ComposePoint> {
+    note: &str,
+) -> Vec<Entry> {
     let defs = Defs::new();
     let opts = Opts::default();
     let budget = Budget::unlimited();
-    let reps = 3;
-    let mut out = Vec::new();
     let mut sample_no = 0usize;
-    for &n in ns {
-        let mut comp_states = 0usize;
-        let comp_us = median_us(reps, || {
-            sample_no += 1;
-            let sys = family(n, &format!("{tag}{sample_no}#"));
-            let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-            let g = build_composed(&sys, &defs, &pool, opts, &budget)
-                .expect("identical-component families are finite")
-                .expect("identical-component families pass the compose gate");
-            comp_states = g.len();
-        });
+    let mut fresh = |n: usize| {
         sample_no += 1;
-        let probe = family(n, &format!("{tag}{sample_no}#"));
+        family(n, &format!("{tag}{sample_no}#"))
+    };
+    let mut out = Vec::new();
+    for &n in ns {
+        let id = format!("{name}/n{n}");
+        let mut comp_states = 0;
+        let comp = time_us(3, || {
+            let sys = fresh(n);
+            let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
+            comp_states = build_composed(&sys, &defs, &pool, opts, &budget)
+                .expect("identical-component families are finite")
+                .expect("identical-component families pass the compose gate")
+                .len();
+        });
+        let probe = fresh(n);
         let pool = shared_pool(&probe, &probe, opts.fresh_inputs);
-        let (mono_states, mono_us) = match Graph::build(&probe, &defs, &pool, opts) {
-            Err(_) => (None, None),
-            Ok(g) => {
-                let states = g.len();
-                drop(g);
-                let us = median_us(reps, || {
-                    sample_no += 1;
-                    let sys = family(n, &format!("{tag}{sample_no}#"));
+        let mono_states = Graph::build(&probe, &defs, &pool, opts).map(|g| g.len());
+        out.push(match mono_states {
+            Ok(mono_states) => {
+                let mono = time_us(3, || {
+                    let sys = fresh(n);
                     let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-                    std::hint::black_box(
-                        Graph::build(&sys, &defs, &pool, opts)
-                            .expect("probed to fit the cap")
-                            .len(),
-                    );
+                    let g = Graph::build(&sys, &defs, &pool, opts).expect("probed to fit the cap");
+                    black_box(g.len());
                 });
-                (Some(states), Some(us))
+                Entry::speedup(id, mono, comp).note(note).counters([
+                    ("mono_states", mono_states as u64),
+                    ("comp_states", comp_states as u64),
+                ])
             }
-        };
-        out.push(ComposePoint {
-            n,
-            mono_states,
-            mono_us,
-            comp_states,
-            comp_us,
+            Err(_) => Entry::holds(id, true, comp)
+                .note("monolithic over the cap, compose completes")
+                .counters([("comp_states", comp_states as u64)]),
         });
     }
     out
 }
 
-/// The ISSUE 8 acceptance gate, absolute like the partition gate: at
-/// the largest identical-stations rung the monolithic build still
-/// completes, minimize-then-compose must beat it by ≥10×, and the
-/// beyond-the-cap rung must complete compositionally while the
-/// monolithic build exceeds its state budget.
-fn run_compose_gate() -> bool {
-    for attempt in 1..=3 {
-        let pts = measure_compose_ladder(
-            identical_stations_tagged,
-            &format!("cg{attempt}#"),
-            &[8, 16],
-        );
-        let feasible = &pts[0];
-        let beyond = &pts[1];
-        let sp = feasible.speedup().unwrap_or(f64::NAN);
-        let pass = sp >= 10.0 && beyond.mono_us.is_none() && beyond.comp_states > 0;
-        eprintln!(
-            "--check[{attempt}] {:<48} {:>6.1}x (gate 10x absolute; n=16 monolithic {}) {}",
-            "compose/identical-stations/ladder-8",
-            sp,
-            if beyond.mono_us.is_none() {
-                "infeasible, compose completes"
-            } else {
-                "unexpectedly fit the cap"
-            },
-            if pass { "ok" } else { "RETRY" }
-        );
-        if pass {
-            return true;
-        }
-    }
-    eprintln!(
-        "--check: REGRESSION compose ladder: below 10x of the monolithic build after 3 attempts"
-    );
-    false
+fn compose_stations(tag: &str) -> Vec<Entry> {
+    compose_ladder(
+        identical_stations_tagged,
+        "compose/identical-stations",
+        &format!("{tag}st#"),
+        &[2, 4, 6, 8, 12, 16],
+        "N identical stations (a-bar + tau.b-bar.a()) on shared channels: monolithic tuples vs \
+         orbit-canonical multisets",
+    )
 }
 
-/// A recorded BENCH file, parsed; `None` when it is missing or not
-/// JSON.
-fn read_bench(path: &str) -> Option<Json> {
-    json::parse(&std::fs::read_to_string(path).ok()?).ok()
+fn compose_shared(tag: &str) -> Vec<Entry> {
+    compose_ladder(
+        shared_components_tagged,
+        "compose/shared-3^N",
+        &format!("{tag}sc#"),
+        &[3, 5, 7, 9, 11, 14],
+        "N identical a-bar.b-bar components on shared channels: 3^N monolithic states vs \
+         C(N+2,2) orbit states",
+    )
 }
 
-/// The items of the array field `key` of a recorded BENCH document.
-fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
-    doc.get(key).and_then(Json::as_arr).unwrap_or_default()
-}
-
-/// The first item of `list` whose `key` field is the count `value`.
-fn item_with<'a>(
-    list: impl IntoIterator<Item = &'a Json>,
-    key: &str,
-    value: usize,
-) -> Option<&'a Json> {
-    list.into_iter()
-        .find(|x| x.get(key).and_then(Json::as_usize) == Some(value))
-}
-
-/// The recorded `speedup` of the ladder rung with the given state count
-/// in a `bpi-bench-ladder/v1` file.
-fn read_ladder_speedup(path: &str, states: usize) -> Option<f64> {
-    let doc = read_bench(path)?;
-    item_with(items(&doc, "ladder"), "states", states)?
-        .get("speedup")?
-        .as_f64()
-}
-
-/// Recorded-file gating of the BENCH_7 ladder: re-measure the
-/// 1000-state rung and require at least half the recorded speedup.
-/// Worklist timings swing ~2× with host noise, so 0.5× is the same
-/// tolerance philosophy as the cold-start entries; the absolute 5×
-/// floor of [`run_partition_gate`] stays the hard acceptance line.
-fn run_bench7_gate() -> bool {
-    let Some(want) = read_ladder_speedup("BENCH_7.json", 1000) else {
-        eprintln!("--check: BENCH_7.json missing or without a 1000-state rung; nothing to gate");
-        return true;
+/// One seeded Monte-Carlo estimate per loss rate, on plan seeds
+/// `seed`, `seed + 1`, …: each point is a `probability` entry whose
+/// Wilson interval is a function of its `samples` and `successes`.
+fn sweep(
+    id: &str,
+    seed: u64,
+    losses: &[f64],
+    estimate: impl Fn(&FaultPlan) -> ReliabilityEstimate,
+) -> Vec<Entry> {
+    let point = |(k, &loss): (usize, &f64)| {
+        let plan = FaultPlan::new(seed + k as u64)
+            .with_default_loss(loss)
+            .expect("pinned probability");
+        let est = estimate(&plan);
+        let id = format!("{id}/loss-{loss:.2}");
+        Entry::new(id, "probability", Better::Higher, est.probability).counters([
+            ("samples", est.samples as u64),
+            ("successes", est.successes as u64),
+        ])
     };
-    for attempt in 1..=3 {
-        let pts = measure_partition_ladder(&[999], usize::MAX);
-        let got = pts[0].speedup().unwrap_or(f64::NAN);
-        let pass = got >= 0.5 * want;
-        eprintln!(
-            "--check[{attempt}] {:<48} {:>6.1}x (recorded {want:.1}x in BENCH_7.json, gate 0.5x) {}",
-            "bisim/refine-partition/ladder-1000/recorded",
-            got,
-            if pass { "ok" } else { "RETRY" }
-        );
-        if pass {
-            return true;
-        }
-    }
-    eprintln!("--check: REGRESSION partition ladder: below 0.5x of BENCH_7.json after 3 attempts");
-    false
-}
-
-/// The recorded `speedup` of the compose-ladder rung with the given
-/// component count in a `bpi-bench-compose/v1` file. Only the
-/// identical-stations ladder has an `n = 8` rung, so matching on `n`
-/// alone is unambiguous for the gate's rung.
-fn read_compose_speedup(path: &str, n: usize) -> Option<f64> {
-    let doc = read_bench(path)?;
-    let points = items(&doc, "ladders")
-        .iter()
-        .flat_map(|l| items(l, "points"));
-    item_with(points, "n", n)?.get("speedup")?.as_f64()
-}
-
-/// Recorded-file gating of the BENCH_8 compositional ladder: re-measure
-/// the identical-stations n=8 rung and require at least half the
-/// recorded speedup. Same 0.5× tolerance philosophy as the BENCH_7
-/// gate (the monolithic side swings with host noise); the absolute 10×
-/// floor of [`run_compose_gate`] stays the hard acceptance line.
-fn run_bench8_gate() -> bool {
-    let Some(want) = read_compose_speedup("BENCH_8.json", 8) else {
-        eprintln!("--check: BENCH_8.json missing or without an n=8 rung; nothing to gate");
-        return true;
-    };
-    for attempt in 1..=3 {
-        let pts =
-            measure_compose_ladder(identical_stations_tagged, &format!("b8g{attempt}#"), &[8]);
-        let got = pts[0].speedup().unwrap_or(f64::NAN);
-        let pass = got >= 0.5 * want;
-        eprintln!(
-            "--check[{attempt}] {:<48} {:>6.1}x (recorded {want:.1}x in BENCH_8.json, gate 0.5x) {}",
-            "compose/identical-stations/ladder-8/recorded",
-            got,
-            if pass { "ok" } else { "RETRY" }
-        );
-        if pass {
-            return true;
-        }
-    }
-    eprintln!("--check: REGRESSION compose ladder: below 0.5x of BENCH_8.json after 3 attempts");
-    false
-}
-
-/// The recorded `(id, speedup)` entries of a `bpi-bench-report/v1`
-/// file.
-fn read_recorded_speedups(path: &str) -> Vec<(String, f64)> {
-    let Some(doc) = read_bench(path) else {
-        return Vec::new();
-    };
-    items(&doc, "entries")
-        .iter()
-        .filter_map(|e| Some((e.str_field("id")?.to_string(), e.get("speedup")?.as_f64()?)))
-        .collect()
-}
-
-/// Per-entry gate factor: steady-state measurements must reach 0.9× of
-/// their recorded speedup; cold-start measurements (single-sample
-/// baselines) only 0.5×, which still catches a broken memo layer.
-/// `BENCH_5.json` as a whole also gates at 0.5×: it is the *frozen*
-/// PR 5 floor, recorded on a host where the naive-sweep baseline ran
-/// ~2× slower relative to the worklist than on the current runners
-/// (PR 8's own `BENCH_6.json` re-recorded the τ-ladder at 8.56× against
-/// BENCH_5's 14.68×, so a 0.9× gate on the frozen file can never pass
-/// across the host change). 0.5× still trips if an engine regression
-/// collapses the ratio toward 1×; the rolling `BENCH_6.json` — re-
-/// recorded each PR on the current host class — keeps the tight 0.9×.
-fn gate_factor(file: &str, id: &str) -> f64 {
-    if id.contains("/cold-vs-warm") || file == "BENCH_5.json" {
-        0.5
-    } else {
-        0.9
-    }
-}
-
-/// The CI regression gate: every entry recorded in `BENCH_5.json` *and*
-/// `BENCH_6.json` must still reach at least its gate factor times its
-/// recorded speedup (each file is gated independently — BENCH_5 is the
-/// frozen PR 5 floor, BENCH_6 the previous PR's measurement).
-/// Re-measures a failing entry up to three times before declaring a
-/// regression.
-fn run_check(sizes: &Sizes) -> bool {
-    let mut recorded: Vec<(&'static str, String, f64)> = Vec::new();
-    for file in ["BENCH_5.json", "BENCH_6.json"] {
-        let from_file = read_recorded_speedups(file);
-        if from_file.is_empty() {
-            eprintln!("--check: {file} missing or unparsable; nothing to gate from it");
-        }
-        recorded.extend(from_file.into_iter().map(|(id, sp)| (file, id, sp)));
-    }
-    if recorded.is_empty() {
-        return true;
-    }
-    let mut failing: Vec<(&'static str, String)> = recorded
-        .iter()
-        .map(|(file, id, _)| (*file, id.clone()))
-        .collect();
-    for attempt in 1..=3 {
-        let entries = measure_entries(sizes, &format!("chk{attempt}#"));
-        failing.retain(|(file, id)| {
-            let Some((_, _, want)) = recorded
-                .iter()
-                .find(|(rfile, rid, _)| rfile == file && rid == id)
-            else {
-                return false;
-            };
-            let Some(e) = entries.iter().find(|e| e.id == *id) else {
-                eprintln!("--check: recorded entry {id} ({file}) is no longer measured");
-                return true;
-            };
-            let got = e.speedup();
-            let factor = gate_factor(file, id);
-            let pass = got >= factor * want;
-            eprintln!(
-                "--check[{attempt}] {:<48} {:>6.2}x (recorded {:>5.2}x in {file}, gate {factor}x) {}",
-                id,
-                got,
-                want,
-                if pass { "ok" } else { "RETRY" }
-            );
-            !pass
-        });
-        if failing.is_empty() {
-            return true;
-        }
-    }
-    for (file, id) in &failing {
-        eprintln!(
-            "--check: REGRESSION {id}: speedup below {}x of {file} after 3 attempts",
-            gate_factor(file, id)
-        );
-    }
-    false
-}
-
-/// One point of a B13 reliability curve.
-struct RelPoint {
-    system: &'static str,
-    size: usize,
-    loss: f64,
-    probability: f64,
-    ci: (f64, f64),
-    samples: usize,
+    losses.iter().enumerate().map(point).collect()
 }
 
 /// B13: reliability curves under message loss. Two families at two
@@ -733,7 +875,7 @@ struct RelPoint {
 ///   *follower*, i.e. that the winning claim was actually heard; with
 ///   every claim listener an independent Bernoulli ear, this decays
 ///   with the loss rate and grows with the candidate count.
-fn measure_reliability() -> Vec<RelPoint> {
+fn loss_sweep(_tag: &str) -> Vec<Entry> {
     use bpi_encodings::{cycle, election};
     const LOSSES: [f64; 4] = [0.0, 0.1, 0.3, 0.6];
     const SAMPLES: usize = 300;
@@ -745,192 +887,31 @@ fn measure_reliability() -> Vec<RelPoint> {
                 .map(|k| (format!("v{k}"), format!("v{}", (k + 1) % size)))
                 .collect(),
         };
-        for (k, &loss) in LOSSES.iter().enumerate() {
-            let plan = FaultPlan::new(0xB13_0000 + (size as u64) * 16 + k as u64)
-                .with_default_loss(loss)
-                .expect("pinned probability");
-            let est = cycle::convergence_probability(&ring, &plan, STEPS, SAMPLES);
-            out.push(RelPoint {
-                system: "cycle-ring",
-                size,
-                loss,
-                probability: est.probability,
-                ci: est.ci,
-                samples: est.samples,
-            });
-        }
+        let id = format!("reliability/cycle-ring/n{size}");
+        out.extend(sweep(&id, 0xB13_0000 + size as u64 * 16, &LOSSES, |plan| {
+            cycle::convergence_probability(&ring, plan, STEPS, SAMPLES)
+        }));
     }
     for size in [2usize, 3] {
         let (sys, defs, ch) = election::election_system(size);
-        for (k, &loss) in LOSSES.iter().enumerate() {
-            let plan = FaultPlan::new(0xB13_1000 + (size as u64) * 16 + k as u64)
-                .with_default_loss(loss)
-                .expect("pinned probability");
-            let est = bpi_semantics::convergence_mc(
-                &sys,
-                &defs,
-                &plan,
-                ch.follow,
-                STEPS,
-                SAMPLES,
-                &Budget::unlimited(),
-                &CheckpointCfg::default(),
+        let id = format!("reliability/election-follow/n{size}");
+        out.extend(sweep(&id, 0xB13_1000 + size as u64 * 16, &LOSSES, |plan| {
+            let (budget, cfg) = (Budget::unlimited(), CheckpointCfg::default());
+            bpi_semantics::convergence_mc(
+                &sys, &defs, plan, ch.follow, STEPS, SAMPLES, &budget, &cfg,
             )
-            .expect("unbudgeted estimation cannot interrupt");
-            out.push(RelPoint {
-                system: "election-follow",
-                size,
-                loss,
-                probability: est.probability,
-                ci: est.ci,
-                samples: est.samples,
-            });
-        }
+            .expect("unbudgeted estimation cannot interrupt")
+        }));
     }
     out
 }
 
-/// One rung of the B16 Glomers ladder: a challenge verdict and its
-/// wall-clock cost.
-struct GlomersPoint {
-    id: &'static str,
-    holds: bool,
-    us: f64,
-}
-
-/// B16 — the Glomers challenge ladder at the pinned sizes. Each rung is
-/// one headline correctness check from
-/// [`bpi_encodings::glomers::ladder`] (a behavioural equivalence, an
-/// HML certificate, or an exhaustive reachability sweep); the verdict
-/// is deterministic, so a single timed run per rung suffices — the
-/// timing is the trajectory being tracked, the boolean is the gate.
-fn measure_glomers() -> Vec<GlomersPoint> {
-    bpi_encodings::glomers::ladder()
-        .into_iter()
-        .map(|(id, f)| {
-            let mut holds = false;
-            let us = median_us(1, || holds = f());
-            GlomersPoint { id, holds, us }
-        })
-        .collect()
-}
-
-/// One point of the B16 fault-tolerance sweep.
-struct GlomersRelPoint {
-    system: &'static str,
-    mode: &'static str,
-    loss: f64,
-    probability: f64,
-    ci: (f64, f64),
-    samples: usize,
-}
-
-/// B16 — reliability of the fault-tolerant Glomers rungs under a pinned
-/// loss sweep: the 3-relay broadcast chain and the 3-node G-counter,
-/// each one-shot vs retrying (gossip repair). Every point is a seeded
-/// Monte-Carlo estimate, bit-reproducible from the pinned plan seeds;
-/// the retrying curves staying near 1 while the one-shot curves decay
-/// is the fault-tolerance story in two lines of JSON.
-fn measure_glomers_reliability() -> Vec<GlomersRelPoint> {
-    use bpi_encodings::glomers::{broadcast, gcounter};
-    const LOSSES: [f64; 3] = [0.0, 0.1, 0.3];
-    const SAMPLES: usize = 200;
-    const STEPS: usize = 64;
-    let mut out = Vec::new();
-    for (mode, persistent) in [("one-shot", false), ("retrying", true)] {
-        for (k, &loss) in LOSSES.iter().enumerate() {
-            let plan = FaultPlan::new(0xB16_0000 + u64::from(persistent) * 256 + k as u64)
-                .with_default_loss(loss)
-                .expect("pinned probability");
-            let est = broadcast::relay_reliability(3, persistent, &plan, STEPS, SAMPLES);
-            out.push(GlomersRelPoint {
-                system: "glomers-relay-3",
-                mode,
-                loss,
-                probability: est.probability,
-                ci: est.ci,
-                samples: est.samples,
-            });
-        }
-    }
-    for (mode, persistent) in [("one-shot", false), ("retrying", true)] {
-        for (k, &loss) in LOSSES.iter().enumerate() {
-            let plan = FaultPlan::new(0xB16_1000 + u64::from(persistent) * 256 + k as u64)
-                .with_default_loss(loss)
-                .expect("pinned probability");
-            let est = gcounter::counter_reliability(3, persistent, &plan, STEPS, SAMPLES);
-            out.push(GlomersRelPoint {
-                system: "glomers-gcounter-3",
-                mode,
-                loss,
-                probability: est.probability,
-                ci: est.ci,
-                samples: est.samples,
-            });
-        }
-    }
-    out
-}
-
-/// The recorded rung ids (those with a verdict) of a
-/// `bpi-bench-glomers/v1` file.
-fn read_glomers_ids(path: &str) -> Vec<String> {
-    let Some(doc) = read_bench(path) else {
-        return Vec::new();
-    };
-    let with_verdict = |r: &Json| Some(r.get("holds").and(r.str_field("id"))?.to_string());
-    items(&doc, "ladder")
-        .iter()
-        .filter_map(with_verdict)
-        .collect()
-}
-
-/// The B16 gate: replay the Glomers ladder and fail if any rung
-/// recorded in `BENCH_9.json` is no longer measured or no longer
-/// holds. Verdicts are engine-deterministic (the differential suites
-/// pin that), so there is no retry loop and no tolerance — a flipped
-/// verdict is a correctness regression, not host noise.
-fn run_glomers_gate() -> bool {
-    let recorded = read_glomers_ids("BENCH_9.json");
-    if recorded.is_empty() {
-        eprintln!("--check: BENCH_9.json missing or without rungs; nothing to gate");
-        return true;
-    }
-    let pts = measure_glomers();
-    let mut ok = true;
-    for id in &recorded {
-        match pts.iter().find(|p| p.id == id) {
-            None => {
-                eprintln!("--check: REGRESSION glomers rung {id} is no longer measured");
-                ok = false;
-            }
-            Some(p) if !p.holds => {
-                eprintln!("--check: REGRESSION glomers verdict {id} no longer holds");
-                ok = false;
-            }
-            Some(p) => {
-                eprintln!(
-                    "--check[1] {:<48} holds ({:>8.1}us) ok",
-                    format!("glomers/{id}"),
-                    p.us
-                );
-            }
-        }
-    }
-    for p in &pts {
-        if !recorded.iter().any(|id| id == p.id) && !p.holds {
-            eprintln!("--check: REGRESSION new glomers verdict {} fails", p.id);
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// The `--metrics` workload: reset the registry, run a pinned
-/// build+refine (τ-ladder and scaled-sums across all six variants, plus
-/// one tight-budget exhaustion), and read back the deterministic
-/// counters. Every value here is engine-independent.
-fn measure_metrics(s: &Sizes) -> Vec<(&'static str, u64)> {
+/// The deterministic counter set of a pinned workload, measured from a
+/// reset registry: build+refine of the τ-ladder/4 and the scaled sums
+/// under all six variants, plus one tight-budget exhaustion. These
+/// values are engine-independent (the `metrics_oracle` suite pins
+/// that), so a change that moves them changes semantics, not speed.
+fn counters(_tag: &str) -> Vec<Entry> {
     const ALL: [Variant; 6] = [
         Variant::StrongBarbed,
         Variant::StrongStep,
@@ -942,453 +923,89 @@ fn measure_metrics(s: &Sizes) -> Vec<(&'static str, u64)> {
     let defs = Defs::new();
     let opts = Opts::default();
     bpi_obs::reset_for_tests();
-    for sys in [tau_chain(s.ladder_n / 4), scaled_pair(s.scaled_n).0] {
-        let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-        let g = Graph::build(&sys, &defs, &pool, opts).expect("pinned instance fits");
-        for v in ALL {
-            std::hint::black_box(refine_worklist(v, &g, &g));
+    let t = time_us(1, || {
+        for sys in [tau_chain(LADDER_N / 4), scaled_pair(SCALED_N).0] {
+            let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
+            let g = Graph::build(&sys, &defs, &pool, opts).expect("pinned instance fits");
+            for v in ALL {
+                black_box(refine_worklist(v, &g, &g));
+            }
         }
-    }
-    // One deterministic exhaustion so the error-path counter is pinned.
-    let ladder = tau_chain(s.ladder_n);
-    let pool = shared_pool(&ladder, &ladder, opts.fresh_inputs);
-    let _ = Graph::build_with_budget(&ladder, &defs, &pool, opts, &Budget::states(4));
-    bpi_obs::deterministic_counters()
+        // One deterministic exhaustion so the error-path counter is pinned.
+        let ladder = tau_chain(LADDER_N);
+        let pool = shared_pool(&ladder, &ladder, opts.fresh_inputs);
+        let _ = Graph::build_with_budget(&ladder, &defs, &pool, opts, &Budget::states(4));
+    });
+    let counters = bpi_obs::deterministic_counters();
+    let nonzero = counters.into_iter().filter(|(_, v)| *v != 0);
+    vec![Entry::time("obs/counters/pinned-workload", t)
+        .counters(nonzero)
+        .note("build+refine tau-ladder/4 and scaled-sums over all six variants, one exhaustion")]
+}
+
+/// The term store's cumulative hit counts over the whole run.
+fn store(_tag: &str) -> Vec<Entry> {
+    let (ptr_hits, hash_hits, misses) = bpi_core::store::store_stats();
+    let hits = (ptr_hits + hash_hits) as f64;
+    let ratio = hits / (hits + misses as f64);
+    let entry = Entry::new("core/store/hit-ratio", "ratio", Better::Higher, ratio);
+    vec![entry.counters([
+        ("ptr_hits", ptr_hits),
+        ("hash_hits", hash_hits),
+        ("misses", misses),
+    ])]
+}
+
+/// B16 — the Glomers challenge ladder at the pinned sizes. Each rung is
+/// one headline correctness check from
+/// [`bpi_encodings::glomers::ladder`] (a behavioural equivalence, an
+/// HML certificate, or an exhaustive reachability sweep); the verdict
+/// is deterministic, so a single timed run per rung suffices.
+fn glomers(_tag: &str) -> Vec<Entry> {
+    bpi_encodings::glomers::ladder()
         .into_iter()
-        .filter(|(_, v)| *v != 0)
+        .map(|(id, f)| {
+            let mut holds = false;
+            let t = time_us(1, || holds = f());
+            Entry::holds(format!("glomers/{id}"), holds, t)
+        })
         .collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden mode: the BENCH_10 kill-and-restart phase re-executes this
-    // binary as the daemon under test (CARGO_BIN_EXE_* does not cross
-    // crate boundaries), so harness and child share one build.
-    if args.first().map(String::as_str) == Some("--serve-child") {
-        serve_child(&args[1..]);
-        return;
-    }
-    let check = args.iter().any(|a| a == "--check");
-    let with_metrics = args.iter().any(|a| a == "--metrics");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_6.json".to_string());
-
-    let sizes = Sizes {
-        ladder_n: 48,
-        scaled_n: 8,
-        explore_n: 8,
-        depth: 12,
-        reps: if check { 5 } else { 9 },
-    };
-
-    if check {
-        if run_check(&sizes)
-            && run_partition_gate()
-            && run_bench7_gate()
-            && run_compose_gate()
-            && run_bench8_gate()
-            && run_glomers_gate()
-            && run_server_gate()
-        {
-            eprintln!("--check: all recorded entries within tolerance");
-            return;
-        }
-        std::process::exit(1);
-    }
-
-    let entries = measure_entries(&sizes, "rpt#");
-    let ladder_pts = measure_partition_ladder(&[48, 199, 999, 3199, 9999], 3200);
-    let compose_ladders = [
+/// B16 — reliability of the fault-tolerant Glomers rungs under a pinned
+/// loss sweep: the 3-relay broadcast chain and the 3-node G-counter,
+/// each one-shot vs retrying (gossip repair). The retrying curves
+/// staying near 1 while the one-shot curves decay is the
+/// fault-tolerance story.
+fn glomers_loss_sweep(_tag: &str) -> Vec<Entry> {
+    use bpi_encodings::glomers::{broadcast, gcounter};
+    type Estimator = fn(usize, bool, &FaultPlan, usize, usize) -> ReliabilityEstimate;
+    let systems: [(&str, u64, Estimator); 2] = [
+        ("glomers-relay-3", 0xB16_0000, broadcast::relay_reliability),
         (
-            "compose/identical-stations",
-            measure_compose_ladder(identical_stations_tagged, "st#", &[2, 4, 6, 8, 12, 16]),
-            "N identical stations (a-bar + tau.b-bar.a()) on shared channels: monolithic \
-             tuples vs orbit-canonical multisets",
-        ),
-        (
-            "compose/shared-3^N",
-            measure_compose_ladder(shared_components_tagged, "sc#", &[3, 5, 7, 9, 11, 14]),
-            "N identical a-bar.b-bar components on shared channels: 3^N monolithic states \
-             vs C(N+2,2) orbit states",
+            "glomers-gcounter-3",
+            0xB16_1000,
+            gcounter::counter_reliability,
         ),
     ];
-    let reliability = measure_reliability();
-    let metrics = with_metrics.then(|| measure_metrics(&sizes));
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Render.
-    let (ptr_hits, hash_hits, misses) = bpi_core::store::store_stats();
-    let count = |n: usize| Json::num(n as f64);
-    let mut report = vec![
-        ("schema", Json::str("bpi-bench-report/v1")),
-        ("pr", Json::num(9)),
-        ("host_cpus", count(host_cpus)),
-        (
-            "pinned",
-            Json::obj(vec![
-                ("tau_ladder", count(sizes.ladder_n)),
-                ("scaled_sums", count(sizes.scaled_n)),
-                ("explore_components", count(sizes.explore_n)),
-                ("term_depth", count(sizes.depth)),
-                ("repeats", count(sizes.reps)),
-            ]),
-        ),
-        (
-            "store",
-            Json::obj(vec![
-                ("ptr_hits", Json::num(ptr_hits as f64)),
-                ("hash_hits", Json::num(hash_hits as f64)),
-                ("misses", Json::num(misses as f64)),
-            ]),
-        ),
-        (
-            "entries",
-            rows(&entries, |e| {
-                vec![
-                    ("id", Json::str(e.id)),
-                    ("baseline_us", fixed(e.baseline_us, 1)),
-                    ("optimized_us", fixed(e.optimized_us, 1)),
-                    ("speedup", fixed(e.speedup(), 2)),
-                    ("note", Json::str(e.note)),
-                ]
-            }),
-        ),
-        (
-            "reliability",
-            rows(&reliability, |r| {
-                vec![
-                    ("system", Json::str(r.system)),
-                    ("size", count(r.size)),
-                    ("loss", fixed(r.loss, 2)),
-                    ("probability", fixed(r.probability, 4)),
-                    ("ci", Json::Arr(vec![fixed(r.ci.0, 4), fixed(r.ci.1, 4)])),
-                    ("samples", count(r.samples)),
-                ]
-            }),
-        ),
-    ];
-    if let Some(m) = &metrics {
-        let deterministic = m.iter().map(|(name, v)| (*name, Json::num(*v as f64)));
-        report.push((
-            "metrics",
-            Json::obj(vec![
-                (
-                    "workload",
-                    Json::str(
-                        "build+refine tau-ladder/4 and scaled-sums over all six variants, \
-                         one budget exhaustion",
-                    ),
-                ),
-                ("deterministic", Json::obj(deterministic.collect())),
-            ]),
-        ));
-    }
-    let json = render(&report);
-
-    for e in &entries {
-        eprintln!(
-            "{:<48} {:>10.1}us -> {:>10.1}us  ({:>5.2}x)",
-            e.id,
-            e.baseline_us,
-            e.optimized_us,
-            e.speedup()
-        );
-    }
-    for r in &reliability {
-        eprintln!(
-            "{:<20} n={}  loss={:.2}  P={:.4}  ci=[{:.4}, {:.4}]",
-            r.system, r.size, r.loss, r.probability, r.ci.0, r.ci.1
-        );
-    }
-    if let Some(m) = &metrics {
-        eprintln!("deterministic counters ({} names):", m.len());
-        for (name, value) in m {
-            eprintln!("  {name:<40} {value}");
+    let mut out = Vec::new();
+    for (system, seed, estimate) in systems {
+        for (mode, persistent) in [("one-shot", false), ("retrying", true)] {
+            let id = format!("reliability/{system}/{mode}");
+            let seed = seed + u64::from(persistent) * 256;
+            out.extend(sweep(&id, seed, &[0.0, 0.1, 0.3], |plan| {
+                estimate(3, persistent, plan, 64, 200)
+            }));
         }
     }
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
-
-    // BENCH_7 — the partition-ladder series, in its own file so the
-    // asymptotic story diffs independently of the pinned-size entries.
-    let opt = |x: Option<f64>, places| x.map_or(Json::Null, |x| fixed(x, places));
-    let b7 = render(&[
-        ("schema", Json::str("bpi-bench-ladder/v1")),
-        ("pr", Json::num(9)),
-        ("bench", Json::str("partition-vs-worklist tau-ladder")),
-        ("variant", Json::str("strong-labelled")),
-        ("host_cpus", count(host_cpus)),
-        (
-            "ladder",
-            rows(&ladder_pts, |pt| {
-                vec![
-                    ("states", count(pt.states)),
-                    ("partition_us", fixed(pt.partition_us, 1)),
-                    ("worklist_us", opt(pt.worklist_us, 1)),
-                    ("speedup", opt(pt.speedup(), 2)),
-                ]
-            }),
-        ),
-        (
-            "note",
-            Json::str(
-                "worklist_us is null above 3200 states (the O(pairs) engine is the cost \
-                 being avoided); partition time across the series demonstrates sub-quadratic \
-                 scaling",
-            ),
-        ),
-    ]);
-    for pt in &ladder_pts {
-        eprintln!(
-            "partition-ladder n={:<6} partition {:>10.1}us  worklist {:>12}  ({})",
-            pt.states,
-            pt.partition_us,
-            pt.worklist_us
-                .map_or("-".to_string(), |w| format!("{w:.1}us")),
-            pt.speedup().map_or("-".to_string(), |s| format!("{s:.1}x")),
-        );
-    }
-    std::fs::write("BENCH_7.json", b7).expect("write ladder report");
-    eprintln!("wrote BENCH_7.json");
-
-    // BENCH_8 — the compositional ladders: monolithic build vs
-    // minimize-then-compose with symmetry reduction, one file so the
-    // exponential-to-polynomial story diffs independently.
-    let b8 = render(&[
-        ("schema", Json::str("bpi-bench-compose/v1")),
-        ("pr", Json::num(9)),
-        (
-            "bench",
-            Json::str("minimize-then-compose vs monolithic build"),
-        ),
-        (
-            "variant",
-            Json::str("strong-labelled quotient per component"),
-        ),
-        ("host_cpus", count(host_cpus)),
-        (
-            "ladders",
-            Json::Arr(
-                compose_ladders
-                    .iter()
-                    .map(|(id, pts, note)| {
-                        let points = pts.iter().map(|pt| {
-                            Json::obj(vec![
-                                ("n", count(pt.n)),
-                                ("mono_states", pt.mono_states.map_or(Json::Null, count)),
-                                ("mono_us", opt(pt.mono_us, 1)),
-                                ("comp_states", count(pt.comp_states)),
-                                ("comp_us", fixed(pt.comp_us, 1)),
-                                ("speedup", opt(pt.speedup(), 2)),
-                            ])
-                        });
-                        Json::obj(vec![
-                            ("id", Json::str(*id)),
-                            ("points", Json::Arr(points.collect())),
-                            ("note", Json::str(*note)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "note",
-            Json::str(
-                "mono_us is null where the monolithic build exceeds the default 20k state \
-                 cap: those rungs were previously infeasible and complete only compositionally",
-            ),
-        ),
-    ]);
-    for (id, pts, _) in &compose_ladders {
-        for pt in pts {
-            eprintln!(
-                "{id} n={:<4} mono {:>12} ({:>6} states)  compose {:>10.1}us ({:>5} states)  ({})",
-                pt.n,
-                pt.mono_us
-                    .map_or("budget-out".to_string(), |u| format!("{u:.1}us")),
-                pt.mono_states.map_or("-".to_string(), |s| s.to_string()),
-                pt.comp_us,
-                pt.comp_states,
-                pt.speedup().map_or("-".to_string(), |s| format!("{s:.1}x")),
-            );
-        }
-    }
-    std::fs::write("BENCH_8.json", b8).expect("write compose report");
-    eprintln!("wrote BENCH_8.json");
-
-    // BENCH_9 — the Glomers workload ladder: per-challenge verdicts
-    // with wall-clock cost, plus the fault-tolerance reliability sweep,
-    // in its own file so the workload story diffs independently.
-    let glomers_pts = measure_glomers();
-    let glomers_rel = measure_glomers_reliability();
-    let b9 = render(&[
-        ("schema", Json::str("bpi-bench-glomers/v1")),
-        ("pr", Json::num(9)),
-        ("bench", Json::str("gossip-glomers challenge ladder")),
-        ("host_cpus", count(host_cpus)),
-        (
-            "ladder",
-            rows(&glomers_pts, |p| {
-                vec![
-                    ("id", Json::str(p.id)),
-                    ("holds", Json::Bool(p.holds)),
-                    ("us", fixed(p.us, 1)),
-                ]
-            }),
-        ),
-        (
-            "reliability",
-            rows(&glomers_rel, |r| {
-                vec![
-                    ("system", Json::str(r.system)),
-                    ("mode", Json::str(r.mode)),
-                    ("loss", fixed(r.loss, 2)),
-                    ("probability", fixed(r.probability, 4)),
-                    ("ci", Json::Arr(vec![fixed(r.ci.0, 4), fixed(r.ci.1, 4)])),
-                    ("samples", count(r.samples)),
-                ]
-            }),
-        ),
-        (
-            "note",
-            Json::str(
-                "verdicts are engine-deterministic (the differential suites pin that); \
-                 us tracks the cost trajectory; the retrying reliability curves staying near 1 \
-                 while one-shot decays with loss is the fault-tolerance acceptance story",
-            ),
-        ),
-    ]);
-    for p in &glomers_pts {
-        eprintln!(
-            "glomers {:<40} {}  ({:>10.1}us)",
-            p.id,
-            if p.holds { "holds" } else { "FAILS" },
-            p.us
-        );
-    }
-    for r in &glomers_rel {
-        eprintln!(
-            "{:<20} {:<9} loss={:.2}  P={:.4}  ci=[{:.4}, {:.4}]",
-            r.system, r.mode, r.loss, r.probability, r.ci.0, r.ci.1
-        );
-    }
-    std::fs::write("BENCH_9.json", b9).expect("write glomers report");
-    eprintln!("wrote BENCH_9.json");
-
-    // BENCH_10 — PR 10's B17 daemon story: the bpi-server under
-    // steady-state load, under deliberate overload (typed shedding, p99
-    // of the *admitted* jobs), and across a kill -9 mid-workload
-    // (recovery wall-clock plus the bit-identical-verdicts invariant).
-    let server_phases = measure_server_phases();
-    let recovery = measure_server_recovery();
-    let b10 = render(&[
-        ("schema", Json::str("bpi-bench-server/v1")),
-        ("pr", Json::num(10)),
-        ("bench", Json::str("bpi-server daemon under load")),
-        ("host_cpus", count(host_cpus)),
-        (
-            "phases",
-            rows(&server_phases, |p| {
-                vec![
-                    ("phase", Json::str(p.phase)),
-                    ("jobs", count(p.jobs)),
-                    ("ok", count(p.ok)),
-                    ("rejected", count(p.rejected)),
-                    ("wall_us", fixed(p.wall_us, 1)),
-                    ("jobs_per_sec", fixed(p.jobs_per_sec(), 1)),
-                    ("p50_us", fixed(p.p50_us, 1)),
-                    ("p99_us", fixed(p.p99_us, 1)),
-                ]
-            }),
-        ),
-        (
-            "recovery",
-            Json::obj(vec![
-                ("jobs", count(recovery.jobs)),
-                ("kills", count(recovery.kills)),
-                (
-                    "verdicts_identical",
-                    Json::Bool(recovery.verdicts_identical),
-                ),
-                ("recovery_us", fixed(recovery.recovery_us, 1)),
-            ]),
-        ),
-        (
-            "note",
-            Json::str(
-                "steady p99 tracks the admitted-job latency promise; overload records \
-                 typed shedding (rejected is load the daemon refused, not load it lost); recovery \
-                 restarts on the same journal after SIGKILL and verdicts_identical is the \
-                 process-level resume-invisibility invariant — it must never read false",
-            ),
-        ),
-    ]);
-    for p in &server_phases {
-        eprintln!(
-            "server {:<10} {:>3} jobs  {:>3} ok {:>3} rejected  {:>10.1} jobs/s  p99 {:>9.1}us",
-            p.phase,
-            p.jobs,
-            p.ok,
-            p.rejected,
-            p.jobs_per_sec(),
-            p.p99_us
-        );
-    }
-    eprintln!(
-        "server recovery   {:>3} jobs  {} kill(s)  identical={}  {:>9.1}us to full recovery",
-        recovery.jobs, recovery.kills, recovery.verdicts_identical, recovery.recovery_us
-    );
-    assert!(
-        recovery.verdicts_identical,
-        "BENCH_10 recovery phase lost or changed a verdict across kill -9"
-    );
-    std::fs::write("BENCH_10.json", b10).expect("write server report");
-    eprintln!("wrote BENCH_10.json");
+    out
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_10 — the bpi-server daemon (PR 10 / B17)
+// B17 — the bpi-server daemon under load and across kill -9.
 
-struct ServerPhasePoint {
-    phase: &'static str,
-    jobs: usize,
-    ok: usize,
-    rejected: usize,
-    wall_us: f64,
-    p50_us: f64,
-    p99_us: f64,
-}
-
-impl ServerPhasePoint {
-    fn jobs_per_sec(&self) -> f64 {
-        if self.wall_us <= 0.0 {
-            0.0
-        } else {
-            self.ok as f64 / (self.wall_us / 1e6)
-        }
-    }
-}
-
-struct RecoveryPoint {
-    jobs: usize,
-    kills: usize,
-    verdicts_identical: bool,
-    recovery_us: f64,
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * q).round() as usize;
-    sorted_us[idx]
-}
-
-fn bench10_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("bpi-bench10-{tag}-{}", std::process::id()));
+fn server_dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("bpi-bench-server-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -1397,34 +1014,22 @@ const SERVER_DEFS: &str = "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;";
 
 /// The daemon side of the hidden `--serve-child DIR` mode: a real OS
 /// process serving on an ephemeral port, killable with SIGKILL.
-fn serve_child(args: &[String]) {
-    use bpi_server::{server, SchedCfg, ServerCfg};
+fn serve_child(dir: &str) -> Result<(), String> {
     use std::io::Write;
-    let dir = args.first().expect("--serve-child DIR");
-    let mut cfg = ServerCfg::new(dir);
+    let mut cfg = bpi_server::ServerCfg::new(dir);
     cfg.sched = SchedCfg {
         workers: 1,
-        queue_cap: 64,
-        state_budget: 1_000_000,
-        shed_fraction: 0.75,
         fuel: 8,
-        default_max_states: 20_000,
-        max_max_states: 200_000,
+        ..SchedCfg::default()
     };
-    match server::start(cfg) {
-        Ok(handle) => {
-            println!("LISTENING {}", handle.addr);
-            std::io::stdout().flush().ok();
-            handle.wait();
-        }
-        Err(e) => {
-            eprintln!("serve-child: {e}");
-            std::process::exit(1);
-        }
-    }
+    let handle = bpi_server::start(cfg).map_err(|e| e.to_string())?;
+    println!("LISTENING {}", handle.addr);
+    std::io::stdout().flush().ok();
+    handle.wait();
+    Ok(())
 }
 
-fn spawn_serve_child(dir: &std::path::Path) -> (std::process::Child, std::net::SocketAddr) {
+fn spawn_serve_child(dir: &Path) -> (Child, SocketAddr) {
     use std::io::BufRead;
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = std::process::Command::new(exe)
@@ -1448,19 +1053,35 @@ fn spawn_serve_child(dir: &std::path::Path) -> (std::process::Child, std::net::S
     (child, addr)
 }
 
-fn steady_job(
-    c: &mut bpi_server::Client,
-    id: &str,
-    kind: usize,
-) -> std::io::Result<bpi_server::Json> {
-    match kind % 4 {
+/// Loads the workloads' definitions into session `s` of the daemon at
+/// `addr`.
+fn load_defs(addr: SocketAddr) {
+    let mut c = Client::connect(addr).expect("connect for defs");
+    let r = c.defs("s", SERVER_DEFS).expect("defs");
+    assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+}
+
+/// Shuts down the `--serve-child` daemon at `addr`, reaps it and removes
+/// its journal directory.
+fn stop_child(mut child: Child, addr: SocketAddr, dir: &Path) {
+    if let Ok(mut c) = Client::connect(addr) {
+        let _ = c.shutdown();
+    }
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+fn steady_job(c: &mut Client, t: usize, i: usize) -> std::io::Result<Json> {
+    let id = &format!("steady-{t}-{i}");
+    let ab = "a<>.b<>";
+    match (t + i) % 4 {
         0 => c.check(id, "s", "weak-labelled", "tau.a<>", "a<>", "normal", None),
         1 => c.check(
             id,
             "s",
             "strong-labelled",
             "a<>.b<> + a<>.b<>",
-            "a<>.b<>",
+            ab,
             "normal",
             None,
         ),
@@ -1469,33 +1090,29 @@ fn steady_job(
     }
 }
 
+fn overload_job(c: &mut Client, t: usize, _: usize) -> std::io::Result<Json> {
+    let (p, q) = ("a<v>.b<>.c<>.d<> + a<v>.b<>.c<>.d<>", "a<v>.b<>.c<>.d<>");
+    let priority = ["low", "normal", "high"][t % 3];
+    c.check(
+        &format!("ov-{t}"),
+        "",
+        "strong-labelled",
+        p,
+        q,
+        priority,
+        None,
+    )
+}
+
 /// The mixed recovery workload; everything deterministic from the
 /// journal (seeded sampling, canonical exploration).
-fn recovery_job(
-    c: &mut bpi_server::Client,
-    id: &str,
-    kind: usize,
-) -> std::io::Result<bpi_server::Json> {
+fn recovery_job(c: &mut Client, id: &str, kind: usize) -> std::io::Result<Json> {
+    let relay3 = "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<v>";
+    let relay2 = "Fwd<a,b> | Fwd<b,c> | a<v>";
     match kind {
         0 => c.check(id, "s", "weak-labelled", "tau.a<>", "a<>", "normal", None),
-        1 => c.check(
-            id,
-            "s",
-            "strong-labelled",
-            "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<v>",
-            "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<v>",
-            "normal",
-            None,
-        ),
-        2 => c.check(
-            id,
-            "s",
-            "weak-labelled",
-            "Fwd<a,b> | Fwd<b,c> | a<v>",
-            "Fwd<a,b> | Fwd<b,c> | a<v>",
-            "normal",
-            None,
-        ),
+        1 => c.check(id, "s", "strong-labelled", relay3, relay3, "normal", None),
+        2 => c.check(id, "s", "weak-labelled", relay2, relay2, "normal", None),
         3 => c.check(
             id,
             "s",
@@ -1515,177 +1132,118 @@ fn recovery_job(
             20,
             512,
         ),
-        _ => c.explore(id, "s", "Fwd<a,b> | Fwd<b,c> | a<v>", 2000),
+        _ => c.explore(id, "s", relay2, 2000),
     }
 }
 
 const RECOVERY_JOBS: usize = 6;
 
-fn settled(r: &bpi_server::Json) -> bool {
+fn settled(r: &Json) -> bool {
     !matches!(r.str_field("status"), Some("pending") | None)
         && r.str_field("error") != Some("unknown-id")
 }
 
-/// Steady-state and overload phases against in-process daemons.
-/// Latencies are measured client-side around each round trip so the
-/// numbers are end-to-end, not scheduler-internal.
-fn measure_server_phases() -> Vec<ServerPhasePoint> {
-    use bpi_server::{server, Client, SchedCfg, ServerCfg};
-    let mut out = Vec::new();
-
-    // Steady state: a comfortably-provisioned daemon, every job admitted.
-    {
-        let dir = bench10_dir("steady");
-        let mut cfg = ServerCfg::new(&dir);
-        cfg.sched = SchedCfg {
-            workers: 2,
-            queue_cap: 64,
-            state_budget: 4_000_000,
-            shed_fraction: 0.75,
-            fuel: 2048,
-            default_max_states: 20_000,
-            max_max_states: 200_000,
-        };
-        let h = server::start(cfg).expect("start steady daemon");
-        {
-            let mut c = Client::connect(h.addr).expect("connect for defs");
-            let r = c.defs("s", SERVER_DEFS).expect("defs");
-            assert_eq!(r.str_field("status"), Some("ok"), "{r}");
-        }
-        let addr = h.addr;
-        let t0 = std::time::Instant::now();
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("steady connect");
-                    let mut lat = Vec::new();
-                    let (mut ok, mut rejected) = (0usize, 0usize);
-                    for i in 0..12 {
-                        let id = format!("steady-{t}-{i}");
-                        let j0 = std::time::Instant::now();
-                        let r = steady_job(&mut c, &id, t + i).expect("steady roundtrip");
-                        let us = j0.elapsed().as_secs_f64() * 1e6;
-                        match r.str_field("status") {
-                            Some("ok") => {
-                                ok += 1;
-                                lat.push(us);
-                            }
-                            Some("rejected") => rejected += 1,
-                            other => panic!("steady job {id}: unexpected status {other:?}: {r}"),
-                        }
+/// One load phase against an in-process daemon: `clients` threads, each
+/// on its own connection, submit `per_client` jobs back to back.
+/// Latencies are measured client-side around each round trip, so they
+/// are end-to-end, not scheduler-internal. Records the `ok` count, timed
+/// by the phase's wall clock, and the p99 of the admitted jobs.
+fn load_phase(
+    phase: &'static str,
+    sched: SchedCfg,
+    clients: usize,
+    per_client: usize,
+    job: fn(&mut Client, usize, usize) -> std::io::Result<Json>,
+) -> Vec<Entry> {
+    let dir = server_dir(phase);
+    let mut cfg = bpi_server::ServerCfg::new(&dir);
+    cfg.sched = sched;
+    let h = bpi_server::start(cfg).expect("start daemon");
+    let addr = h.addr;
+    load_defs(addr);
+    let t0 = Instant::now();
+    let threads: Vec<_> = (0..clients)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let mut lat = Vec::new();
+                let mut rejected = 0u64;
+                for i in 0..per_client {
+                    let j0 = Instant::now();
+                    let r = job(&mut c, t, i).expect("round trip");
+                    let us = j0.elapsed().as_secs_f64() * 1e6;
+                    match r.str_field("status") {
+                        Some("ok") => lat.push(us),
+                        Some("rejected") => rejected += 1,
+                        other => panic!("{phase} job {t}/{i}: unexpected status {other:?}: {r}"),
                     }
-                    (ok, rejected, lat)
-                })
-            })
-            .collect();
-        let mut lat = Vec::new();
-        let (mut ok, mut rejected) = (0usize, 0usize);
-        for th in handles {
-            let (o, r, l) = th.join().expect("steady thread");
-            ok += o;
-            rejected += r;
-            lat.extend(l);
-        }
-        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
-        h.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-        lat.sort_by(f64::total_cmp);
-        out.push(ServerPhasePoint {
-            phase: "steady",
-            jobs: 48,
-            ok,
-            rejected,
-            wall_us,
-            p50_us: percentile(&lat, 0.5),
-            p99_us: percentile(&lat, 0.99),
-        });
-    }
-
-    // Overload: a deliberately starved daemon (one worker, 2-deep
-    // queue, small budget). The story is the typed rejection rate and
-    // the p99 of the jobs it *did* admit.
-    {
-        let dir = bench10_dir("overload");
-        let mut cfg = ServerCfg::new(&dir);
-        cfg.sched = SchedCfg {
-            workers: 1,
-            queue_cap: 2,
-            state_budget: 60_000,
-            shed_fraction: 0.75,
-            fuel: 8,
-            default_max_states: 20_000,
-            max_max_states: 200_000,
-        };
-        let h = server::start(cfg).expect("start overload daemon");
-        let addr = h.addr;
-        let t0 = std::time::Instant::now();
-        let handles: Vec<_> = (0..32)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("overload connect");
-                    let prio = ["low", "normal", "high"][i % 3];
-                    let j0 = std::time::Instant::now();
-                    let r = c
-                        .check(
-                            &format!("ov-{i}"),
-                            "",
-                            "strong-labelled",
-                            "a<v>.b<>.c<>.d<> + a<v>.b<>.c<>.d<>",
-                            "a<v>.b<>.c<>.d<>",
-                            prio,
-                            None,
-                        )
-                        .expect("overload roundtrip");
-                    (r, j0.elapsed().as_secs_f64() * 1e6)
-                })
-            })
-            .collect();
-        let mut lat = Vec::new();
-        let (mut ok, mut rejected) = (0usize, 0usize);
-        for th in handles {
-            let (r, us) = th.join().expect("overload thread");
-            match r.str_field("status") {
-                Some("ok") => {
-                    ok += 1;
-                    lat.push(us);
                 }
-                Some("rejected") => rejected += 1,
-                other => panic!("overload job: unexpected status {other:?}: {r}"),
-            }
-        }
-        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
-        h.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-        lat.sort_by(f64::total_cmp);
-        out.push(ServerPhasePoint {
-            phase: "overload",
-            jobs: 32,
-            ok,
-            rejected,
-            wall_us,
-            p50_us: percentile(&lat, 0.5),
-            p99_us: percentile(&lat, 0.99),
-        });
+                (lat, rejected)
+            })
+        })
+        .collect();
+    let mut lat = Vec::new();
+    let mut rejected = 0;
+    for th in threads {
+        let (l, r) = th.join().expect("client thread");
+        lat.extend(l);
+        rejected += r;
     }
-
+    let wall_us = t0.elapsed().as_secs_f64() * 1e6;
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let counts = [
+        ("jobs", (clients * per_client) as u64),
+        ("rejected", rejected),
+    ];
+    let id = format!("server/{phase}/ok");
+    let ok = Entry::new(id, "jobs", Better::Higher, lat.len() as f64);
+    let mut out = vec![ok.timed(Spread::of(vec![wall_us])).counters(counts)];
+    if !lat.is_empty() {
+        lat.sort_by(f64::total_cmp);
+        let p99 = lat[((lat.len() - 1) as f64 * 0.99).round() as usize];
+        let id = format!("server/{phase}/admitted-p99");
+        let p99 = Entry::new(id, "us", Better::Lower, p99);
+        out.push(p99.timed(Spread::of(lat)).counters(counts));
+    }
     out
 }
 
-/// The kill-and-restart phase: run the workload uninterrupted, then
-/// run it again with a SIGKILL after the first verdict, restart on the
-/// same journal, and compare the recovered verdict vectors.
-fn measure_server_recovery() -> RecoveryPoint {
-    use bpi_server::Client;
+/// Steady state: a comfortably-provisioned daemon, every job admitted.
+/// Overload: a deliberately starved daemon (one worker, 2-deep queue,
+/// small budget); the story is the typed rejection rate and the p99 of
+/// the jobs it *did* admit.
+fn server_phases(_tag: &str) -> Vec<Entry> {
+    let steady = SchedCfg {
+        state_budget: 4_000_000,
+        ..SchedCfg::default()
+    };
+    let overload = SchedCfg {
+        workers: 1,
+        queue_cap: 2,
+        state_budget: 60_000,
+        fuel: 8,
+        ..SchedCfg::default()
+    };
+    let mut out = load_phase("steady", steady, 4, 12, steady_job);
+    out.extend(load_phase("overload", overload, 32, 1, overload_job));
+    out
+}
 
+/// The kill-and-restart phase: run the workload uninterrupted, then run
+/// it again with a SIGKILL after the first verdict, restart on the same
+/// journal, and compare the recovered verdict vectors. The entry holds
+/// when they are identical and is timed from the restart to full
+/// recovery.
+fn server_recovery(_tag: &str) -> Vec<Entry> {
     let ids: Vec<String> = (0..RECOVERY_JOBS).map(|i| format!("rec-{i}")).collect();
 
     // Baseline: no crash.
-    let base_dir = bench10_dir("rec-base");
-    let (mut child, addr) = spawn_serve_child(&base_dir);
+    let base_dir = server_dir("rec-base");
+    let (child, addr) = spawn_serve_child(&base_dir);
+    load_defs(addr);
     let expected: Vec<String> = {
         let mut c = Client::connect(addr).expect("baseline connect");
-        let r = c.defs("s", SERVER_DEFS).expect("defs");
-        assert_eq!(r.str_field("status"), Some("ok"), "{r}");
         for (i, id) in ids.iter().enumerate() {
             let r = recovery_job(&mut c, id, i).expect("baseline job");
             assert!(settled(&r), "baseline {id}: {r}");
@@ -1694,21 +1252,13 @@ fn measure_server_recovery() -> RecoveryPoint {
             .map(|id| c.result_of(id).expect("baseline result").to_string())
             .collect()
     };
-    if let Ok(mut c) = Client::connect(addr) {
-        let _ = c.shutdown();
-    }
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&base_dir);
+    stop_child(child, addr, &base_dir);
 
     // Chaos: SIGKILL after the first verdict, then recover.
-    let dir = bench10_dir("rec-chaos");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(90);
+    let dir = server_dir("rec-chaos");
+    let deadline = Instant::now() + Duration::from_secs(90);
     let (mut child, addr) = spawn_serve_child(&dir);
-    {
-        let mut c = Client::connect(addr).expect("chaos connect");
-        let r = c.defs("s", SERVER_DEFS).expect("defs");
-        assert_eq!(r.str_field("status"), Some("ok"), "{r}");
-    }
+    load_defs(addr);
     let submitters: Vec<_> = ids
         .iter()
         .cloned()
@@ -1726,7 +1276,7 @@ fn measure_server_recovery() -> RecoveryPoint {
     // All jobs journal-admitted, at least one settled — then SIGKILL.
     loop {
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "recovery bench: jobs never visible"
         );
         let mut c = Client::connect(addr).expect("poll connect");
@@ -1743,7 +1293,7 @@ fn measure_server_recovery() -> RecoveryPoint {
         if visible == ids.len() && done >= 1 {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
     }
     child.kill().expect("SIGKILL daemon");
     let _ = child.wait();
@@ -1752,67 +1302,167 @@ fn measure_server_recovery() -> RecoveryPoint {
     }
 
     // Restart and time full recovery: journal replay to last verdict.
-    let t0 = std::time::Instant::now();
-    let (mut child, addr) = spawn_serve_child(&dir);
+    let t0 = Instant::now();
+    let (child, addr) = spawn_serve_child(&dir);
     let got: Vec<String> = {
         let mut c = Client::connect(addr).expect("recovered connect");
         ids.iter()
             .map(|id| {
                 let r = c
-                    .wait_result(id, std::time::Duration::from_secs(60))
+                    .wait_result(id, Duration::from_secs(60))
                     .expect("recovered result");
                 assert!(settled(&r), "recovered {id} never settled: {r}");
                 r.to_string()
             })
             .collect()
     };
-    let recovery_us = t0.elapsed().as_secs_f64() * 1e6;
-    if let Ok(mut c) = Client::connect(addr) {
-        let _ = c.shutdown();
-    }
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
+    let recovery = Spread::of(vec![t0.elapsed().as_secs_f64() * 1e6]);
+    stop_child(child, addr, &dir);
 
-    RecoveryPoint {
-        jobs: RECOVERY_JOBS,
-        kills: 1,
-        verdicts_identical: got == expected,
-        recovery_us,
-    }
+    vec![
+        Entry::holds("server/kill-restart", got == expected, recovery)
+            .counters([("jobs", RECOVERY_JOBS as u64), ("kills", 1)])
+            .note("verdicts identical across kill -9 and a restart on the same journal"),
+    ]
 }
 
-/// The B17 gate: recovery identity is deterministic (no tolerance, no
-/// retry — a changed verdict is a correctness regression), then the
-/// admitted-job p99 must stay under an absolute, generous ceiling
-/// (retried to ride out scheduler noise).
-fn run_server_gate() -> bool {
-    if !std::path::Path::new("BENCH_10.json").exists() {
-        eprintln!("--check: BENCH_10.json missing; nothing to gate");
-        return true;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gated(id: &str, better: Better, gates: &[(f64, f64, &str)]) -> Entry {
+        let mut e = Entry::new(id, "x", better, 0.0);
+        e.gates = gates
+            .iter()
+            .map(|&(recorded, factor, from)| Gate {
+                recorded,
+                factor,
+                from: from.to_string(),
+            })
+            .collect();
+        e
     }
-    let rec = measure_server_recovery();
-    if !rec.verdicts_identical {
-        eprintln!("--check: REGRESSION server recovery verdicts changed across kill -9");
-        return false;
+
+    fn measured_as(id: &str, unit: &str, value: f64) -> Entry {
+        Entry::new(id, unit, Better::Higher, value)
     }
-    eprintln!(
-        "--check[1] {:<48} identical after {} kill(s) ({:>8.1}us recovery) ok",
-        "server/kill-restart", rec.kills, rec.recovery_us
-    );
-    for attempt in 1..=3 {
-        let phases = measure_server_phases();
-        let worst = phases.iter().map(|p| p.p99_us).fold(0.0, f64::max);
-        let ok = worst <= 5_000_000.0 && phases.iter().all(|p| p.ok > 0);
-        eprintln!(
-            "--check[{attempt}] {:<48} p99 {:>10.1}us (gate 5s absolute) {}",
-            "server/admitted-p99",
-            worst,
-            if ok { "ok" } else { "RETRY" }
-        );
-        if ok {
-            return true;
-        }
+
+    /// Whether each gate of `gated` passes on `measured`.
+    fn verdicts(gated: &Entry, measured: &[Entry]) -> Vec<bool> {
+        let pending: Vec<_> = gated.gates.iter().map(|g| (gated, g)).collect();
+        let readings = read_gates(&pending, measured);
+        readings.iter().map(Reading::passes).collect()
     }
-    eprintln!("--check: REGRESSION server admitted-job p99 above 5s after 3 attempts");
-    false
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench-report-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn gate_arithmetic_is_inclusive_at_the_boundary() {
+        let gate = |recorded, factor| Gate {
+            recorded,
+            factor,
+            from: "t".into(),
+        };
+        assert!(gate(8.0, 0.5).passes(Better::Higher, 4.0));
+        assert!(!gate(8.0, 0.5).passes(Better::Higher, 3.999));
+        assert!(gate(8.0, 0.5).passes(Better::Lower, 16.0));
+        assert!(!gate(8.0, 0.5).passes(Better::Lower, 16.001));
+        assert!(gate(5e6, 1.0).passes(Better::Lower, 5e6));
+        assert!(!gate(5e6, 1.0).passes(Better::Lower, 5e6 + 0.5));
+    }
+
+    #[test]
+    fn an_id_fails_when_its_tighter_gate_fails() {
+        // The recorded τ-ladder floors: 0.5 × 14.68 = 7.34 binds over
+        // 0.9 × 6.22 = 5.598, so 7.0 passes one gate and fails the id.
+        let id = "bisim/refine/tau-ladder/strong-labelled";
+        let gates = [(14.68, 0.5, "BENCH_5.json"), (6.22, 0.9, "BENCH_6.json")];
+        let tau = gated(id, Better::Higher, &gates);
+        assert_eq!(verdicts(&tau, &[measured_as(id, "x", 7.0)]), [false, true]);
+        assert_eq!(verdicts(&tau, &[measured_as(id, "x", 7.34)]), [true, true]);
+    }
+
+    #[test]
+    fn a_gated_id_that_is_no_longer_measured_fails() {
+        let id = "compose/identical-stations/n16";
+        let n16 = gated(id, Better::Higher, &[(1.0, 1.0, "t")]);
+        assert_eq!(verdicts(&n16, &[measured_as("other", "x", 1.0)]), [false]);
+        // The same id in another unit is another quantity.
+        assert_eq!(verdicts(&n16, &[measured_as(id, "holds", 9.0)]), [false]);
+        let mut entries = vec![measured_as(id, "holds", 1.0)];
+        assert!(carry_gates(&[n16], &mut entries).is_err());
+    }
+
+    #[test]
+    fn the_highest_pr_v2_file_wins_and_other_schemas_are_skipped() {
+        let dir = scratch_dir("newest");
+        let doc = |pr| Doc {
+            pr,
+            host: Json::Null,
+            entries: vec![measured_as(&format!("from-{pr}"), "x", 1.0)],
+        };
+        std::fs::write(dir.join("BENCH_3.json"), doc(3).render()).unwrap();
+        std::fs::write(dir.join("BENCH_7.json"), doc(7).render()).unwrap();
+        let v1 = r#"{"schema":"bpi-bench-legacy/v1","pr":99,"entries":[{"id":"a","speedup":2}]}"#;
+        std::fs::write(dir.join("BENCH_99.json"), v1).unwrap();
+        std::fs::write(dir.join("notes.json"), "not json").unwrap();
+        assert_eq!(newest_v2(&dir).unwrap(), Some(doc(7)));
+        std::fs::write(dir.join("BENCH_8.json"), "{").unwrap();
+        assert!(newest_v2(&dir).is_err(), "a torn BENCH file is an error");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_refuses_to_overwrite() {
+        let dir = scratch_dir("record");
+        let doc = |value| Doc {
+            pr: 4,
+            host: host(),
+            entries: vec![measured_as("a", "x", value)],
+        };
+        let path = write_record(&dir, &doc(1.0)).unwrap();
+        let first = std::fs::read(&path).unwrap();
+        assert!(write_record(&dir, &doc(2.0)).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn render_then_parse_gives_back_the_document() {
+        let spread = |min, median, p90| Spread {
+            repeats: 9,
+            min,
+            median,
+            p90,
+        };
+        let baseline = spread(2600.5, 2703.4, 2800.1);
+        let mut speedup = Entry::speedup("a/speedup", baseline, spread(430.2, 434.9, 440.0))
+            .counters([("states", 49)])
+            .note("with \"quotes\" and a newline\n");
+        speedup.value = 6.2161;
+        speedup.gates = gated("a", Better::Higher, &[(14.68, 0.5, "BENCH_5.json")]).gates;
+        let mut p99 = Entry::time("server/steady/admitted-p99", spread(900.0, 1302.8, 9000.0));
+        p99.gates = gated("a", Better::Lower, &[(5e6, 1.0, "absolute ceiling")]).gates;
+        let doc = Doc {
+            pr: 12,
+            host: host(),
+            entries: vec![
+                speedup,
+                p99,
+                Entry::holds("glomers/echo/rpc-equiv", true, spread(368.0, 368.0, 368.0)),
+                measured_as("reliability/x/loss-0.10", "probability", 0.745)
+                    .counters([("samples", 200), ("successes", 149)]),
+            ],
+        };
+        let text = doc.render();
+        assert_eq!(text.lines().count(), 7 + doc.entries.len());
+        assert_eq!(Doc::parse(&text).unwrap(), Some(doc));
+        // A factor of 0 would pass every `higher` reading.
+        assert!(Doc::parse(&text.replace("\"factor\":0.5", "\"factor\":0")).is_err());
+    }
 }

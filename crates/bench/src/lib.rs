@@ -71,15 +71,10 @@ pub fn independent_components_tagged(n: usize, tag: &str) -> bpi_core::syntax::P
 /// engine's symmetry reduction collapses the product to multisets of
 /// local classes (polynomially many orbit states) while the monolithic
 /// graph keeps every ordered tuple (exponentially many states — `canon`
-/// deliberately does not commute `‖`). The BENCH_8 wide-composition
-/// ladder family.
-pub fn identical_stations(n: usize) -> bpi_core::syntax::P {
-    identical_stations_tagged(n, "")
-}
-
-/// [`identical_stations`] with `tag`-prefixed (but still shared within
-/// the system) channel names — fresh tags defeat the graph and compose
-/// memos so each sample pays cold construction.
+/// deliberately does not commute `‖`). Channel names are prefixed with
+/// `tag` but still shared within the system: fresh tags defeat the graph
+/// and compose memos so each sample pays cold construction. The
+/// identical-stations compose ladder family of `bench_report`.
 pub fn identical_stations_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {
     use bpi_core::builder::*;
     let a = bpi_core::Name::intern_raw(&format!("{tag}sa"));
@@ -90,13 +85,9 @@ pub fn identical_stations_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {
 /// `Πᴺ (ā.b̄)` on **shared** channels — the 3^N family of
 /// [`independent_components`], but with every copy identical so the
 /// orbit space is the `C(n+2, 2)` multisets of the three local states
-/// instead of the `3^N` tuples. The BENCH_8 3^N ladder family.
-pub fn shared_components(n: usize) -> bpi_core::syntax::P {
-    shared_components_tagged(n, "")
-}
-
-/// [`shared_components`] with `tag`-prefixed shared channel names (see
-/// [`identical_stations_tagged`] for why).
+/// instead of the `3^N` tuples. Channel names are `tag`-prefixed (see
+/// [`identical_stations_tagged`] for why). The shared-3^N compose ladder
+/// family of `bench_report`.
 pub fn shared_components_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {
     use bpi_core::builder::*;
     let a = bpi_core::Name::intern_raw(&format!("{tag}ca"));
@@ -120,10 +111,10 @@ pub fn deep_term(depth: usize) -> bpi_core::syntax::P {
 }
 
 /// Shared Criterion configuration: shorter warm-up and measurement
-/// windows than the defaults, so the full `cargo bench --workspace`
-/// sweep (≈80 benchmark points) completes in minutes while still
-/// producing stable medians for the shape comparisons EXPERIMENTS.md
-/// makes.
+/// windows than the defaults, so the full
+/// `cargo bench -p bpi-bench --bench '*'` sweep (≈80 benchmark points)
+/// completes in minutes while still producing stable medians for the
+/// shape comparisons EXPERIMENTS.md makes.
 pub fn criterion() -> criterion::Criterion {
     criterion::Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(400))

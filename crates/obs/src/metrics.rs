@@ -316,8 +316,8 @@ pub fn deterministic_counters() -> CounterDelta {
 }
 
 /// Zeroes every registered metric. Counters are otherwise monotone;
-/// this exists so tests and `bench_report --metrics` can measure from a
-/// clean origin. Not for concurrent use with live engines.
+/// this exists so tests and `bench_report`'s counter entry can measure
+/// from a clean origin. Not for concurrent use with live engines.
 pub fn reset_for_tests() {
     let reg = REGISTRY.read();
     for c in reg.counters.values() {
