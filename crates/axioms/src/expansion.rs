@@ -6,8 +6,8 @@
 //! a **condition** over name equalities, so that the equation is valid
 //! for the *congruence* `~c` — i.e. it remains true under every later
 //! identification of free names. This is where it differs from the
-//! condition-free head expansion of [`crate::heads`], which is only
-//! sound for bisimilarity at fixed names.
+//! condition-free head expansion of [`crate::heads`](mod@crate::heads),
+//! which is only sound for bisimilarity at fixed names.
 //!
 //! One refinement over the literal table: the "other side discards"
 //! condition is expressed as `⋀ⱼ ¬(ψⱼ ∧ (x = yⱼ))` over the *guarded*

@@ -5,11 +5,11 @@
 //!
 //! * [`condition`] — conditions `φ`, partitions, complete conditions
 //!   (Definitions 16–18);
-//! * [`heads`] — Table 7 (restriction push-in, including the
+//! * [`heads`](mod@heads) — Table 7 (restriction push-in, including the
 //!   broadcast-only (RP2)/(RP3)) and Table 8 (the broadcast expansion
 //!   law) as executable rewrites producing the unguarded prefixes of a
 //!   finite process;
-//! * [`hnf`] — head normal forms on a name set (Definition 17,
+//! * [`hnf`](mod@hnf) — head normal forms on a name set (Definition 17,
 //!   Lemma 16);
 //! * [`rewrite`] — each axiom as an instance generator, so soundness
 //!   (Theorem 6) is a testable property against the independent

@@ -8,7 +8,7 @@
 //!    of the free names (the *complete conditions* of the head normal
 //!    form).
 //! 2. Under each collapse, both sides are compared head-by-head
-//!    ([`crate::heads`] provides the heads via the Table 7/8 rewrites):
+//!    ([`crate::heads`](mod@crate::heads) provides the heads via the Table 7/8 rewrites):
 //!    * `τ` and free outputs match on equal labels, continuations
 //!      compared recursively;
 //!    * bound outputs match up to renaming of the extruded names

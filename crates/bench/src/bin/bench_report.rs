@@ -23,7 +23,10 @@
 //! only the producers whose gates failed, for up to three attempts in
 //! all (timings ride out scheduler noise; verdicts fail again). It
 //! prints one line per gate and exits 1 listing every gate that still
-//! fails. A gated id that is no longer measured fails.
+//! fails. Its closing line also names every gate that passed only on a
+//! retry, with its first-attempt reading, so a flaky pass is not
+//! reported as a clean one. A gated id that is no longer measured
+//! fails.
 //!
 //! `BENCH_2.json`–`BENCH_10.json` use older schemas: they are frozen
 //! history, and nothing reads them.
@@ -67,12 +70,21 @@ struct Gate {
 }
 
 impl Gate {
-    /// A `higher` reading passes at `factor × recorded` or above, a
-    /// `lower` one at `recorded / factor` or below.
+    /// The bound a reading must reach: `factor × recorded` for a
+    /// `higher` reading, `recorded / factor` for a `lower` one.
+    fn threshold(&self, better: Better) -> f64 {
+        match better {
+            Better::Higher => self.factor * self.recorded,
+            Better::Lower => self.recorded / self.factor,
+        }
+    }
+
+    /// A `higher` reading passes at the threshold or above, a `lower`
+    /// one at the threshold or below.
     fn passes(&self, better: Better, value: f64) -> bool {
         match better {
-            Better::Higher => value >= self.factor * self.recorded,
-            Better::Lower => value <= self.recorded / self.factor,
+            Better::Higher => value >= self.threshold(better),
+            Better::Lower => value <= self.threshold(better),
         }
     }
 }
@@ -389,6 +401,7 @@ fn carry_gates(prev: &[Entry], entries: &mut [Entry]) -> Result<(), String> {
 }
 
 /// One gate read off a measurement.
+#[derive(Clone, Copy)]
 struct Reading<'a> {
     entry: &'a Entry,
     gate: &'a Gate,
@@ -402,14 +415,26 @@ impl Reading<'_> {
         let better = self.entry.better;
         self.value.is_some_and(|v| self.gate.passes(better, v))
     }
+
+    /// The reading with its unit.
+    fn value_text(&self) -> String {
+        self.value.map_or("not measured".to_string(), |v| {
+            format!("{v:.2} {}", self.entry.unit)
+        })
+    }
+
+    /// `id (value, gate threshold)`, the form the closing line lists.
+    fn brief(&self) -> String {
+        let threshold = (self.gate.threshold(self.entry.better) * 1e3).round() / 1e3;
+        let value = self.value_text();
+        format!("{} ({value}, gate {threshold})", self.entry.id)
+    }
 }
 
 impl fmt::Display for Reading<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (e, g) = (self.entry, self.gate);
-        let value = self
-            .value
-            .map_or("not measured".to_string(), |v| format!("{v:.2} {}", e.unit));
+        let value = self.value_text();
         let rule = match e.better {
             Better::Higher => format!(">= {} x {}", g.factor, g.recorded),
             Better::Lower => format!("<= {} / {}", g.recorded, g.factor),
@@ -451,12 +476,16 @@ fn check() -> Result<(), String> {
     let total = pending.len();
     let mut runs: Vec<Vec<Entry>> = PRODUCERS.iter().map(|p| p("a1#")).collect();
     let mut attempt = 1;
+    let mut first = Vec::new();
     let failing = loop {
         let readings = read_gates(&pending, &runs.concat());
         for r in &readings {
             eprintln!("--check[{attempt}] {r}");
         }
         let failing: Vec<Reading> = readings.into_iter().filter(|r| !r.passes()).collect();
+        if attempt == 1 {
+            first = failing.clone();
+        }
         let owns = |run: &Vec<Entry>| {
             run.iter()
                 .any(|m| failing.iter().any(|r| r.entry.id == m.id))
@@ -474,14 +503,32 @@ fn check() -> Result<(), String> {
     for r in &failing {
         eprintln!("--check: {r}");
     }
+    let line = closing_line(total, &first, &failing, attempt);
     if failing.is_empty() {
-        eprintln!("--check: all {total} gates pass");
+        eprintln!("--check: {line}");
         return Ok(());
     }
-    let n = failing.len();
-    Err(format!(
-        "{n} of {total} gates fail after {attempt} attempt(s)"
-    ))
+    Err(line)
+}
+
+/// The verdict of `--check`: how many of `total` gates still fail after
+/// `attempts`, then each gate that failed its first attempt (`first`)
+/// and passed on a retry, with its first-attempt reading.
+fn closing_line(total: usize, first: &[Reading], failing: &[Reading], attempts: usize) -> String {
+    let verdict = match failing.len() {
+        0 => format!("all {total} gates pass"),
+        n => format!("{n} of {total} gates fail after {attempts} attempt(s)"),
+    };
+    let retried: Vec<String> = first
+        .iter()
+        .filter(|f| !failing.iter().any(|r| std::ptr::eq(r.gate, f.gate)))
+        .map(Reading::brief)
+        .collect();
+    if retried.is_empty() {
+        return verdict;
+    }
+    let n = retried.len();
+    format!("{verdict}; {n} only on a retry: {}", retried.join(", "))
 }
 
 /// Measures everything and writes `BENCH_<pr>.json`, carrying the gates
@@ -1396,6 +1443,36 @@ mod tests {
         assert_eq!(verdicts(&n16, &[measured_as(id, "holds", 9.0)]), [false]);
         let mut entries = vec![measured_as(id, "holds", 1.0)];
         assert!(carry_gates(&[n16], &mut entries).is_err());
+    }
+
+    #[test]
+    fn the_closing_line_names_gates_that_passed_only_on_a_retry() {
+        let tau = gated("obs/tau/off-vs-on", Better::Higher, &[(1.03, 0.9, "t")]);
+        let p99 = gated("server/p99", Better::Lower, &[(8.0, 0.5, "t")]);
+        fn read(entry: &Entry, value: f64) -> Reading<'_> {
+            Reading {
+                entry,
+                gate: &entry.gates[0],
+                value: Some(value),
+            }
+        }
+        let first = [read(&tau, 0.6), read(&p99, 17.0)];
+        assert_eq!(closing_line(46, &[], &[], 1), "all 46 gates pass");
+        assert_eq!(
+            closing_line(46, &first, &[], 2),
+            "all 46 gates pass; 2 only on a retry: \
+             obs/tau/off-vs-on (0.60 x, gate 0.927), \
+             server/p99 (17.00 x, gate 16)"
+        );
+        assert_eq!(
+            closing_line(46, &first, &[read(&p99, 16.5)], 3),
+            "1 of 46 gates fail after 3 attempt(s); 1 only on a retry: \
+             obs/tau/off-vs-on (0.60 x, gate 0.927)"
+        );
+        assert_eq!(
+            closing_line(46, &first[1..], &[read(&p99, 16.5)], 3),
+            "1 of 46 gates fail after 3 attempt(s)"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`action`] — transition labels (Definition 1), including the
 //!   broadcast-specific *discard* label;
 //! * [`subst`] — capture-avoiding substitution and recursion unfolding;
-//! * [`canon`] — α-canonical forms and α-equivalence;
+//! * [`canon`](mod@canon) — α-canonical forms and α-equivalence;
 //! * [`builder`] — ergonomic term constructors;
 //! * [`dist`] — finite weighted outcome distributions, the value type of
 //!   the probabilistic fault layer;

@@ -10,7 +10,7 @@
 //! Two reserved namespaces never collide with user names:
 //!
 //! * **canonical names** `#0, #1, …` used by α-canonicalisation
-//!   ([`crate::canon`]);
+//!   ([`crate::canon`](mod@crate::canon));
 //! * **fresh names** `base~n` generated by [`fresh_name`] /
 //!   [`fresh_names`].
 //!

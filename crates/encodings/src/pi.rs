@@ -3,7 +3,7 @@
 //! The paper states that "we can give an 'uniform' encoding adequate
 //! with respect to barbed equivalence of the π-calculus into the
 //! bπ-calculus" (while the converse — broadcast into point-to-point —
-//! is impossible by their earlier expressiveness result [3]). This
+//! is impossible by their earlier expressiveness result \[3\]). This
 //! module realises such an encoding and checks adequacy on examples.
 //!
 //! The challenge is that a π output is a **handshake with exactly one

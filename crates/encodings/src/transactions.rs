@@ -1,7 +1,7 @@
 //! Example 2: detecting inconsistencies for transaction systems over a
 //! partitioned, replicated database.
 //!
-//! The setting (after [1] in the paper): while the network is
+//! The setting (after \[1\] in the paper): while the network is
 //! partitioned, transactions keep executing against local copies; when
 //! the network is reconnected (a broadcast on the channel `unif`), the
 //! system builds a *precedence graph* over transactions and the database

@@ -459,7 +459,7 @@ pub(crate) const NAIVE_MAX_PAIRS: usize = 1024;
 /// in `deps₁(x) × deps₂(y)` whose checks could have referenced it,
 /// instead of re-sweeping all `n₁·n₂` pairs.
 ///
-/// At or below [`NAIVE_MAX_PAIRS`] pairs this runs [`refine`]: the
+/// At or below `NAIVE_MAX_PAIRS` pairs this runs [`refine`]: the
 /// fixpoints are identical, and the naive sweep wins once the index
 /// can't amortise. Above it, this is the round engine of
 /// [`refine_budgeted`] under an unlimited budget.
@@ -548,7 +548,7 @@ pub(crate) fn partition_relation(part: &Partition) -> PairRelation {
 }
 
 /// Engine dispatch used by the [`Checker`] and every relation-producing
-/// caller: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
+/// caller: the naive sweep at or below `NAIVE_MAX_PAIRS` pairs, the
 /// block/splitter partition refiner ([`crate::partition`]) above it, the
 /// pairwise round engine when the product mixes input arities on a
 /// channel. All engines return the same relation, so the choice is
@@ -584,7 +584,7 @@ pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRe
 /// [`refine_resume`] therefore only needs the relation snapshot: it
 /// re-seeds the dirty set with *all* surviving pairs and iterates on.
 ///
-/// Deterministic refinement metrics ([`record_refine`]) are recorded
+/// Deterministic refinement metrics (`equiv.refine.*`) are recorded
 /// exactly once, on completion — an interrupted run records nothing, so
 /// an interrupted-and-resumed run leaves the same deterministic counter
 /// trail as an uninterrupted one.

@@ -9,8 +9,8 @@
 //!
 //! * [`GraphCheckpoint`] — an in-progress (or completed) FIFO graph
 //!   build: committed states/edges/discards plus the pending queue.
-//!   Resumed by [`Graph::resume_from`]; completed builds are bit-identical
-//!   to straight [`Graph::build`]s.
+//!   Resumed by the pipeline's next graph phase; completed builds are
+//!   bit-identical to straight [`Graph::build`]s.
 //! * [`RefineSnapshot`] — a refinement run at a round boundary, on
 //!   whichever engine the dispatch picked for the product: a
 //!   [`PartitionCheckpoint`] (block array and dirty worklist, linear in
@@ -56,7 +56,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// An in-progress (or completed) sequential FIFO graph build: everything
-/// [`Graph::resume_from`] needs to continue without re-expanding a
+/// the pipeline's graph phase needs to continue without re-expanding a
 /// committed state. `pending` is the FIFO work queue (front = next state
 /// to expand); an empty queue means the build is complete.
 #[derive(Clone, Debug, PartialEq)]
@@ -602,6 +602,15 @@ pub enum SliceOutcome {
     Parked(Box<Checkpoint>),
 }
 
+/// The largest product `n₁·n₂` the checkpointed pipeline refines:
+/// 20,000², the product of two graphs at `Opts::default()`'s ceiling.
+/// Every engine above the naive cutover ends in an n₁×n₂ relation (the
+/// partition refiner's blocks are expanded into one for the root
+/// verdict and the explanation; the pairwise engine works on one
+/// throughout), so without this bound a check's memory would grow with
+/// the square of its `max_states`, which a served check's client picks.
+pub const MAX_REFINE_PAIRS: usize = 20_000 * 20_000;
+
 impl<'d> Checker<'d> {
     /// [`Checker::try_fixpoint`] in checkpointed form: builds both graphs
     /// and refines on `cfg`'s fuel tank, returning any interruption as
@@ -616,6 +625,9 @@ impl<'d> Checker<'d> {
     /// * the graphs are always monolithic: compose has no checkpointed
     ///   phases, and a served failure explanation is a formula over the
     ///   monolithic graphs.
+    /// * a product of more than [`MAX_REFINE_PAIRS`] pairs is not
+    ///   refined: once both graphs are built, the run stops with
+    ///   [`EngineError::PairCeilingExceeded`].
     ///
     /// Refinement runs on the engine [`crate::refine_auto`] picks for the
     /// product.
@@ -706,6 +718,19 @@ impl<'d> Checker<'d> {
                 (g1, g2, left, right, Some(refine))
             }
         };
+        if g1.len().saturating_mul(g2.len()) > MAX_REFINE_PAIRS {
+            return Err(Interrupted {
+                error: EngineError::PairCeilingExceeded {
+                    limit: MAX_REFINE_PAIRS,
+                },
+                // Both graphs are complete, so this resumes at the refine
+                // phase.
+                checkpoint: Checkpoint::BuildRight {
+                    left: left_done,
+                    right: right_done,
+                },
+            });
+        }
         let rel = self.refine_phase(v, &g1, &g2, refine_ck, cfg, &|refine| Checkpoint::Refine {
             left: left_done.clone(),
             right: right_done.clone(),
@@ -776,9 +801,9 @@ impl<'d> Checker<'d> {
     /// snapshot. Returns
     /// [`SliceOutcome::Parked`] when the fuel runs out,
     /// [`SliceOutcome::Done`] when the fixpoint lands, and passes
-    /// through any *other* interruption (deadline, budget, external
-    /// cancellation) as the typed [`Interrupted`] — fuel exhaustion is
-    /// scheduling, everything else is the caller's policy.
+    /// through any *other* interruption (deadline, budget, pair ceiling,
+    /// external cancellation) as the typed [`Interrupted`] — fuel
+    /// exhaustion is scheduling, everything else is the caller's policy.
     ///
     /// Because the pipeline both parks and resumes only at unit
     /// boundaries, a run chopped into slices of any size commits the

@@ -552,49 +552,20 @@ impl Graph {
         r
     }
 
-    /// [`Graph::build_with_budget`] in checkpointed form: any
-    /// interruption — state-ceiling exhaustion, deadline, cancellation,
-    /// or checkpoint-fuel exhaustion — returns
-    /// [`Interrupted`] carrying a [`GraphCheckpoint`] from which
-    /// [`Graph::resume_from`] continues without re-expanding a single
-    /// state. Both run the one build loop (`continue_build`), so a
-    /// completed build is **bit-identical** to [`Graph::build`]'s and the
-    /// state-ceiling error fires at exactly the same expansion.
-    ///
-    /// Unlike [`Graph::build_cached`] this never consults the global
-    /// graph memo, and it records the deterministic build counters only
-    /// on completion — so an interrupted-and-resumed build leaves the
-    /// same deterministic counter trail as a straight one.
-    pub fn build_with_checkpoint(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-        cfg: &CheckpointCfg<GraphCheckpoint>,
-    ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
-        Graph::continue_checkpointed(GraphCheckpoint::seed(seed, pool), defs, opts, budget, cfg)
-    }
-
-    /// Continues a checkpointed build from a snapshot produced by
-    /// [`Graph::build_with_checkpoint`] (under a fresh — typically grown —
-    /// budget). A snapshot with an empty pending queue is already
-    /// complete and assembles immediately.
-    pub fn resume_from(
-        ck: GraphCheckpoint,
-        defs: &Defs,
-        opts: Opts,
-        budget: &Budget,
-        cfg: &CheckpointCfg<GraphCheckpoint>,
-    ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
-        bpi_semantics::checkpoint::record_resume("graph");
-        Graph::continue_checkpointed(ck, defs, opts, budget, cfg)
-    }
-
-    /// The checkpointed builds ([`Graph::build_with_checkpoint`],
-    /// [`Graph::resume_from`] and the check pipeline's graph phases):
-    /// [`Graph::continue_build`] under the `build_checkpointed` span,
-    /// recording the snapshot a stop hands back.
+    /// The checkpointed build of the check pipeline's graph phases:
+    /// [`Graph::continue_build`] from a snapshot (a seed's, or one a
+    /// stop handed back) under the `build_checkpointed` span, recording
+    /// the snapshot a stop hands back. Any interruption — state ceiling,
+    /// deadline, cancellation or an empty fuel tank — returns
+    /// [`Interrupted`] carrying a [`GraphCheckpoint`] from which the
+    /// next call continues without re-expanding a single state. It runs
+    /// the same loop as [`Graph::build`], so a completed build is
+    /// **bit-identical** to a plain one and the state-ceiling error fires
+    /// at exactly the same expansion. Unlike [`Graph::build_cached`] it
+    /// never consults the global graph memo, and it records the
+    /// deterministic build counters only on completion, so an
+    /// interrupted-and-resumed build leaves the same deterministic
+    /// counter trail as a straight one.
     pub(crate) fn continue_checkpointed(
         ck: GraphCheckpoint,
         defs: &Defs,

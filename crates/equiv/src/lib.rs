@@ -55,7 +55,7 @@ pub use bisim::{
 };
 pub use checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
-    SliceOutcome,
+    SliceOutcome, MAX_REFINE_PAIRS,
 };
 pub use compose::{build_composed, try_compose_pair};
 pub use congruence::{

@@ -9,7 +9,7 @@
 //! *signature* — a canonical encoding of what the transfer property of
 //! the chosen [`Variant`] can observe about it through the current
 //! partition (barbs, plus per-label block sets of its move targets; see
-//! [`Refiner::signature`]). Start from the single-block partition and
+//! `Refiner::signature`). Start from the single-block partition and
 //! repeatedly split blocks whose members' signatures diverge, until
 //! every block is signature-homogeneous. Two invariants carry the
 //! correctness argument (DESIGN.md §12):

@@ -13,7 +13,7 @@ use bpi_equiv::checkpoint::{
 use bpi_equiv::graph::{shared_pool, Graph, Opts};
 use bpi_equiv::{refine_budgeted, Checker, SliceOutcome, Variant, Verdict};
 use bpi_semantics::prob::McCheckpoint;
-use bpi_semantics::{Budget, CheckpointCfg, ExploreCheckpoint, FaultLog};
+use bpi_semantics::{Budget, CheckpointCfg, FaultLog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn sample_graph_ckpt() -> GraphCheckpoint {
@@ -28,7 +28,7 @@ fn sample_graph_ckpt() -> GraphCheckpoint {
 /// One small document per text format and umbrella phase, written by
 /// the codecs before they moved onto the shared `bpi_core::record`
 /// codec (engine snapshots parked mid-run, every fault event kind).
-const FIXTURES: [(&str, &str); 11] = [
+const FIXTURES: [(&str, &str); 10] = [
     ("graph", include_str!("fixtures/graph.txt")),
     ("refine", include_str!("fixtures/refine.txt")),
     ("partition", include_str!("fixtures/partition.txt")),
@@ -36,7 +36,6 @@ const FIXTURES: [(&str, &str); 11] = [
     ("equiv", include_str!("fixtures/equiv-build-right.txt")),
     ("equiv", include_str!("fixtures/equiv-refine-pairwise.txt")),
     ("equiv", include_str!("fixtures/equiv-refine-partition.txt")),
-    ("explore", include_str!("fixtures/explore.txt")),
     ("mc", include_str!("fixtures/mc.txt")),
     ("faultlog", include_str!("fixtures/fault-log.txt")),
     ("dist", include_str!("fixtures/dist.txt")),
@@ -49,7 +48,6 @@ fn reencode(kind: &str, doc: &str) -> Result<String, String> {
         "refine" => RefineCheckpoint::from_text(doc)?.to_text(),
         "partition" => PartitionCheckpoint::from_text(doc)?.to_text(),
         "equiv" => Checkpoint::from_text(doc)?.to_text(),
-        "explore" => ExploreCheckpoint::from_text(doc)?.to_text(),
         "mc" => doc.parse::<McCheckpoint>()?.to_string(),
         "faultlog" => doc
             .parse::<FaultLog>()
@@ -111,7 +109,6 @@ fn decode_all_typed(s: &str) {
         let _ = PartitionCheckpoint::from_text(&owned);
         let _ = owned.parse::<McCheckpoint>();
         let _ = owned.parse::<FaultLog>();
-        let _ = owned.parse::<ExploreCheckpoint>();
         let _ = owned.parse::<Dist<String>>();
         if let Ok(ck) = Checkpoint::from_text(&owned) {
             let d = Defs::new();

@@ -6,16 +6,18 @@
 //! may legitimately vary with scheduling (memo hit rates, sweep and
 //! round counts). The contract locked down here: the deterministic
 //! counter *deltas* of a run are pointwise bit-identical across the
-//! pairwise refinement engines and, for graph builds, across the plain
-//! and checkpointed builders, including runs that end in budget
-//! exhaustion, and an active trace sink never perturbs either the
-//! counters or the typed error semantics.
+//! pairwise refinement engines and, for graph builds, across plain
+//! builds and the check pipeline's checkpointed ones, including runs
+//! that end in budget exhaustion, and an active trace sink never
+//! perturbs either the counters or the typed error semantics.
 //!
 //! The registry is process-global, so every test serialises on [`LOCK`].
 
 use bpi_core::builder::*;
 use bpi_core::syntax::{Defs, Ident, P};
-use bpi_equiv::{refine, refine_budgeted, refine_worklist, shared_pool, Graph, Opts, Variant};
+use bpi_equiv::{
+    refine, refine_budgeted, refine_worklist, shared_pool, Checker, Graph, Opts, Variant,
+};
 use bpi_obs::{CounterDelta, MemorySink};
 use bpi_semantics::{Budget, CheckpointCfg, EngineError};
 use std::sync::Mutex;
@@ -109,36 +111,37 @@ fn deterministic_counters_identical_across_engines() {
     }
 }
 
-/// Graph construction: the plain builder and the checkpointed builder
-/// count one build and the same states, edges, labels and channels —
-/// the CSR-freeze statistics are functions of the finished graph, not
-/// of the builder that produced it.
+/// Graph construction: two plain builds and the check pipeline's two
+/// checkpointed builds (`Checker::run_with_checkpoint`) count the same
+/// builds, states, edges, labels and channels — the CSR-freeze
+/// statistics are functions of the finished graphs, not of the builder
+/// that produced them.
 #[test]
 fn graph_build_counters_identical_across_builders() {
     let _g = lock();
     let defs = Defs::new();
-    for (p, _) in variants() {
+    let graph_only = |d: CounterDelta| -> CounterDelta {
+        d.into_iter()
+            .filter(|(k, _)| k.starts_with("equiv.graph."))
+            .collect()
+    };
+    for (p, q) in variants() {
         let opts = Opts::default();
-        let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        let reference = det_delta(|| {
+        let pool = shared_pool(&p, &q, opts.fresh_inputs);
+        let reference = graph_only(det_delta(|| {
             Graph::build(&p, &defs, &pool, opts).expect("finite");
-        });
-        assert_eq!(reference.get("equiv.graph.builds"), Some(&1));
+            Graph::build(&q, &defs, &pool, opts).expect("finite");
+        }));
+        assert_eq!(reference.get("equiv.graph.builds"), Some(&2));
         assert!(reference.contains_key("equiv.graph.states"));
-        let checkpointed = det_delta(|| {
-            Graph::build_with_checkpoint(
-                &p,
-                &defs,
-                &pool,
-                opts,
-                &Budget::unlimited(),
-                &CheckpointCfg::default(),
-            )
-            .expect("finite");
-        });
+        let checkpointed = graph_only(det_delta(|| {
+            Checker::with_opts(&defs, opts)
+                .run_with_checkpoint(Variant::StrongLabelled, &p, &q, &CheckpointCfg::default())
+                .expect("finite");
+        }));
         assert_eq!(
             checkpointed, reference,
-            "checkpointed build counter delta diverged on {p}"
+            "checkpointed build counter delta diverged on {p} vs {q}"
         );
     }
 }

@@ -29,6 +29,12 @@ pub enum EngineError {
         /// The configured ceiling that was hit.
         limit: usize,
     },
+    /// A refinement would relate more state pairs than a fixed ceiling
+    /// allows (the checkpointed check pipeline's `MAX_REFINE_PAIRS`).
+    PairCeilingExceeded {
+        /// The ceiling on `n₁·n₂` that the product exceeded.
+        limit: usize,
+    },
     /// The wall-clock deadline passed mid-run.
     DeadlineExceeded,
     /// The cooperative cancellation flag was raised by another thread,
@@ -41,6 +47,9 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::StateBudgetExceeded { limit } => {
                 write!(f, "state budget of {limit} states exhausted")
+            }
+            EngineError::PairCeilingExceeded { limit } => {
+                write!(f, "pair ceiling of {limit} state pairs exceeded")
             }
             EngineError::DeadlineExceeded => f.write_str("wall-clock deadline exceeded"),
             EngineError::Cancelled => f.write_str("cancelled cooperatively"),

@@ -10,7 +10,6 @@
 //! preserve strong bisimilarity (Lemma 18).
 
 use crate::budget::{Budget, EngineError};
-use crate::checkpoint::{CheckpointCfg, ExploreCheckpoint, Interrupted};
 use crate::lts::Lts;
 use bpi_core::action::Action;
 use bpi_core::canon::canon;
@@ -38,7 +37,7 @@ static EXPLORE_EXHAUSTED: LazyLock<&Counter> =
 static EXPLORE_INTERRUPTED: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.explore.interrupted", Det::Advisory));
 
-/// Shared exit bookkeeping for the plain and checkpointed explorers.
+/// Exit bookkeeping of an exploration.
 fn record_explore(g: &StateGraph) {
     if bpi_obs::metrics_enabled() {
         EXPLORE_RUNS.inc();
@@ -343,166 +342,6 @@ pub fn explore_budgeted(p: &P, defs: &Defs, opts: ExploreOpts, budget: &Budget) 
     g
 }
 
-/// [`explore_budgeted`] with checkpointing: exploration that stops —
-/// on the state ceiling, a deadline, cancellation, or an exhausted
-/// [`CheckpointCfg::fuel`] countdown — returns the typed reason *and* a
-/// resumable [`ExploreCheckpoint`] inside [`Interrupted`], so no partial
-/// work is lost. A run that finishes returns the **complete** graph
-/// (this API never returns a truncated [`StateGraph`]; partiality lives
-/// in the checkpoint).
-///
-/// Determinism: the LIFO expansion order matches [`explore_budgeted`]
-/// exactly, and each state commits atomically (successor states are
-/// only inserted if the whole expansion fits the ceiling), so
-/// interrupt-at-any-boundary + resume yields a graph bit-identical to
-/// an uninterrupted run — the invariant the differential resume suite
-/// checks, deterministic `bpi-obs` counters included (exploration
-/// records its counters once, when the graph completes).
-pub fn explore_with_checkpoint(
-    p: &P,
-    defs: &Defs,
-    opts: ExploreOpts,
-    budget: &Budget,
-    cfg: &CheckpointCfg<ExploreCheckpoint>,
-) -> Result<StateGraph, Interrupted<ExploreCheckpoint>> {
-    let protected = free_names_in_order(p);
-    let prot_set: NameSet = NameSet::from_iter(protected.iter().copied());
-    let prot = opts.normalize_extruded.then_some(&prot_set);
-    let p0 = crate::cache::normalize_state_cached(p, prot);
-    let ckpt = ExploreCheckpoint {
-        states: vec![p0],
-        edges: vec![Vec::new()],
-        frontier: vec![0],
-        protected,
-        normalize_extruded: opts.normalize_extruded,
-        expanded: 0,
-        fault_cursor: 0,
-    };
-    explore_loop(ckpt, defs, opts, budget, cfg)
-}
-
-/// Continues an exploration from `ckpt` exactly where it stopped. The
-/// resumed run behaves as if the original had never been interrupted:
-/// same final graph, same deterministic counters (recorded once, at
-/// completion). `opts.max_states` and `budget` may be raised relative
-/// to the interrupted run, so a caller can escalate without
-/// re-exploring.
-pub fn explore_resume_from(
-    ckpt: ExploreCheckpoint,
-    defs: &Defs,
-    opts: ExploreOpts,
-    budget: &Budget,
-    cfg: &CheckpointCfg<ExploreCheckpoint>,
-) -> Result<StateGraph, Interrupted<ExploreCheckpoint>> {
-    crate::checkpoint::record_resume("explore");
-    let opts = ExploreOpts {
-        normalize_extruded: ckpt.normalize_extruded,
-        ..opts
-    };
-    explore_loop(ckpt, defs, opts, budget, cfg)
-}
-
-fn explore_loop(
-    ckpt: ExploreCheckpoint,
-    defs: &Defs,
-    opts: ExploreOpts,
-    budget: &Budget,
-    cfg: &CheckpointCfg<ExploreCheckpoint>,
-) -> Result<StateGraph, Interrupted<ExploreCheckpoint>> {
-    let _span = bpi_obs::span("semantics.explore", "checkpointed");
-    let lts = Lts::new(defs);
-    let ExploreCheckpoint {
-        mut states,
-        mut edges,
-        mut frontier,
-        protected,
-        normalize_extruded,
-        mut expanded,
-        fault_cursor,
-    } = ckpt;
-    let prot_set: NameSet = NameSet::from_iter(protected.iter().copied());
-    let prot = normalize_extruded.then_some(&prot_set);
-    let norm = |q: &P| crate::cache::normalize_state_cached(q, prot);
-    let cap = opts.max_states.min(budget.max_states());
-    #[allow(clippy::mutable_key_type)]
-    let mut index: HashMap<bpi_core::Consed, usize> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (bpi_core::cons(s), i))
-        .collect();
-
-    // A stop moves the run's state into the returned checkpoint.
-    let error = loop {
-        let Some(&i) = frontier.last() else {
-            let g = StateGraph {
-                states,
-                edges,
-                truncated: false,
-                interrupted: None,
-            };
-            record_explore(&g);
-            return Ok(g);
-        };
-        if let Err(e) = cfg.poll(budget, states.len().min(cap)) {
-            break e;
-        }
-        // Expand state `i` into a staging area first: the expansion
-        // commits — frontier pop, state inserts, edge record — only if
-        // every distinct new successor fits under the ceiling, so an
-        // interrupted run never differs from a straight one on the
-        // states it did commit.
-        let src = states[i].clone();
-        let succs = crate::cache::step_transitions_cached(&lts, &src);
-        let mut out: Vec<(Action, usize)> = Vec::new();
-        let mut fresh: Vec<P> = Vec::new();
-        #[allow(clippy::mutable_key_type)]
-        let mut fresh_index: HashMap<bpi_core::Consed, usize> = HashMap::new();
-        for (act, succ) in succs.iter() {
-            let state = norm(succ);
-            let key = bpi_core::cons(&state);
-            let j = match index.get(&key) {
-                Some(&j) => j,
-                None => match fresh_index.get(&key) {
-                    Some(&j) => j,
-                    None => {
-                        let j = states.len() + fresh.len();
-                        fresh_index.insert(key, j);
-                        fresh.push(state);
-                        j
-                    }
-                },
-            };
-            out.push((act.clone(), j));
-        }
-        if states.len() + fresh.len() > cap {
-            break EngineError::StateBudgetExceeded { limit: cap };
-        }
-        frontier.pop();
-        for state in fresh {
-            let j = states.len();
-            index.insert(bpi_core::cons(&state), j);
-            states.push(state);
-            edges.push(Vec::new());
-            frontier.push(j);
-        }
-        edges[i] = out;
-        expanded += 1;
-    };
-    crate::checkpoint::record_snapshot("interrupt");
-    Err(Interrupted {
-        error,
-        checkpoint: ExploreCheckpoint {
-            states,
-            edges,
-            frontier,
-            protected,
-            normalize_extruded,
-            expanded,
-            fault_cursor,
-        },
-    })
-}
-
 /// Early-exit reachability: is an output with subject `a` reachable from
 /// `p` through step moves? Returns `Some(true)` as soon as one is found,
 /// `Some(false)` if the full space was exhausted without one, and `None`
@@ -671,155 +510,6 @@ mod tests {
         assert_eq!(g.interrupted, Some(EngineError::Cancelled));
         // Still usable: the initial state is present.
         assert!(!g.is_empty());
-    }
-
-    /// A moderately-branching finite system for the checkpoint tests.
-    fn diamondish() -> P {
-        let [a, b, c, x] = names(["a", "b", "c", "x"]);
-        par_of([
-            out(a, [], out_(b, [])),
-            out(b, [], out_(c, [])),
-            inp(a, [x], out_(x, [])),
-        ])
-    }
-
-    #[test]
-    fn checkpointed_explore_matches_plain_explorer() {
-        let defs = Defs::new();
-        let p = diamondish();
-        let plain = explore(&p, &defs, ExploreOpts::default());
-        let ckpt = explore_with_checkpoint(
-            &p,
-            &defs,
-            ExploreOpts::default(),
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .expect("finite system completes");
-        assert_eq!(ckpt.states, plain.states, "identical state numbering");
-        assert_eq!(ckpt.edges, plain.edges);
-        assert!(!ckpt.truncated);
-    }
-
-    #[test]
-    fn interrupt_at_every_boundary_and_resume_is_identical() {
-        let defs = Defs::new();
-        let p = diamondish();
-        let opts = ExploreOpts::default();
-        let straight = explore_with_checkpoint(
-            &p,
-            &defs,
-            opts,
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .expect("complete");
-        // Interrupt after every feasible number of expanded states; each
-        // prefix must resume to the bit-identical graph.
-        let mut boundaries = 0;
-        for fuel in 1.. {
-            let cfg = CheckpointCfg::fuelled(fuel);
-            match explore_with_checkpoint(&p, &defs, opts, &Budget::unlimited(), &cfg) {
-                Ok(g) => {
-                    assert_eq!(g.states, straight.states);
-                    assert_eq!(g.edges, straight.edges);
-                    break;
-                }
-                Err(i) => {
-                    assert_eq!(i.error, EngineError::Cancelled);
-                    assert_eq!(i.checkpoint.expanded, fuel, "stopped at the boundary");
-                    boundaries += 1;
-                    let resumed = explore_resume_from(
-                        i.checkpoint,
-                        &defs,
-                        opts,
-                        &Budget::unlimited(),
-                        &CheckpointCfg::default(),
-                    )
-                    .expect("resume completes");
-                    assert_eq!(resumed.states, straight.states, "resume at fuel {fuel}");
-                    assert_eq!(resumed.edges, straight.edges, "resume at fuel {fuel}");
-                }
-            }
-        }
-        assert!(boundaries >= 2, "the system has multiple boundaries");
-    }
-
-    #[test]
-    fn checkpoint_survives_text_serialisation_mid_run() {
-        let defs = Defs::new();
-        let p = diamondish();
-        let opts = ExploreOpts::default();
-        let straight = explore_with_checkpoint(
-            &p,
-            &defs,
-            opts,
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .expect("complete");
-        let i = explore_with_checkpoint(
-            &p,
-            &defs,
-            opts,
-            &Budget::unlimited(),
-            &CheckpointCfg::fuelled(2),
-        )
-        .expect_err("fuel 2 interrupts");
-        let text = i.checkpoint.to_text();
-        let revived = crate::checkpoint::ExploreCheckpoint::from_text(&text)
-            .unwrap_or_else(|e| panic!("parse: {e}\n{text}"));
-        assert_eq!(revived, i.checkpoint);
-        let resumed = explore_resume_from(
-            revived,
-            &defs,
-            opts,
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .expect("resume from deserialised checkpoint");
-        assert_eq!(resumed.states, straight.states);
-        assert_eq!(resumed.edges, straight.edges);
-    }
-
-    #[test]
-    fn cap_interruption_carries_a_resumable_checkpoint() {
-        // An unbounded pump under a small cap: the typed error carries a
-        // checkpoint, and resuming under a larger budget makes progress
-        // past the original ceiling.
-        let defs = Defs::new();
-        let opts = ExploreOpts {
-            max_states: 4,
-            normalize_extruded: true,
-        };
-        let err = explore_with_checkpoint(
-            &grow_pump(),
-            &defs,
-            opts,
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .expect_err("pump exceeds 4 states");
-        assert_eq!(err.error, EngineError::StateBudgetExceeded { limit: 4 });
-        let small = err.checkpoint.states_explored();
-        assert!(small <= 4);
-        let opts2 = ExploreOpts {
-            max_states: 12,
-            normalize_extruded: true,
-        };
-        let err2 = explore_resume_from(
-            err.checkpoint,
-            &defs,
-            opts2,
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .expect_err("still unbounded");
-        assert_eq!(err2.error, EngineError::StateBudgetExceeded { limit: 12 });
-        assert!(
-            err2.checkpoint.states_explored() > small,
-            "resumed past the old cap"
-        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   pool-instantiated inputs;
 //! * [`weak`] — weak transitions, barbs (`↓a`, `⇓a`) and step-barbs
 //!   (`↓ₐ^φ`, `⇓ₐ^φ`);
-//! * [`explore`] — reachable state graphs, quotiented by α-equivalence
-//!   and extruded-name renaming;
+//! * [`explore`](mod@explore) — reachable state graphs, quotiented by
+//!   α-equivalence and extruded-name renaming, built by one loop
+//!   ([`explore_budgeted`]);
 //! * [`cache`] — memoized transition/normalisation derivations keyed by
 //!   hash-consed term ids and the defs generation stamp;
 //! * [`sim`] — seeded random execution for large closed systems;
@@ -20,10 +21,10 @@
 //! * [`faults`] — a seeded fault-injection runtime (lossy broadcast,
 //!   crash-stop and stop/resume nodes, bounded delivery refusal in the
 //!   sense of axiom (H)) with a replayable [`FaultLog`];
-//! * [`checkpoint`] — serializable snapshots of in-progress analyses
-//!   ([`ExploreCheckpoint`]), the [`Interrupted`]-with-checkpoint error
-//!   convention, so budget exhaustion loses no work, and the fuel tank
-//!   ([`CheckpointCfg`]) that stops a run at a unit boundary;
+//! * [`checkpoint`] — the [`Interrupted`]-with-checkpoint error
+//!   convention of the engines the daemon slices, so budget exhaustion
+//!   loses no work, and the fuel tank ([`CheckpointCfg`]) that stops a
+//!   run at a unit boundary;
 //! * [`chaos`] — the seeded `BPI_CHAOS` self-fault harness injecting
 //!   scheduling delays into the shared memos and weak closures;
 //! * [`prob`] — the quantitative fault model: exact bounded-depth DTMC
@@ -53,11 +54,11 @@ pub use analysis::{analyse, reliability, Analysis, Verdict};
 pub use budget::{Budget, EngineError};
 pub use cache::{input_transitions_cached, normalize_state_cached, step_transitions_cached};
 pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
-pub use checkpoint::{CheckpointCfg, ExploreCheckpoint, Interrupted};
+pub use checkpoint::{CheckpointCfg, Interrupted};
 pub use discard::{discards, input_arities, listening};
 pub use explore::{
-    explore, explore_budgeted, explore_resume_from, explore_with_checkpoint, normalize_state,
-    output_reachable, output_reachable_budgeted, ExploreOpts, StateGraph,
+    explore, explore_budgeted, normalize_state, output_reachable, output_reachable_budgeted,
+    ExploreOpts, StateGraph,
 };
 pub use faults::{
     deafen, lossy_traces, noise, Backoff, FaultError, FaultEvent, FaultLog, FaultPlan,

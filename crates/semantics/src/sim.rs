@@ -67,31 +67,18 @@ impl<'d> Simulator<'d> {
 
     /// Runs at most `max_steps` uniformly random step moves from `p`.
     pub fn run(&mut self, p: &P, max_steps: usize) -> Trace {
-        let mut cur = p.clone();
-        let mut actions = Vec::new();
-        for _ in 0..max_steps {
-            let ts = self.lts.step_transitions(&cur);
-            if ts.is_empty() {
-                return Trace {
-                    actions,
-                    last: cur,
-                    terminated: true,
-                };
-            }
-            let (act, next) = ts[self.rng.gen_range(0..ts.len())].clone();
-            actions.push(act);
-            cur = next;
-        }
-        Trace {
-            actions,
-            last: cur,
-            terminated: false,
-        }
+        self.walk(p, None, max_steps)
     }
 
     /// Runs until an output on `watch` occurs, the system terminates, or
     /// `max_steps` elapse; returns the trace.
     pub fn run_until_output(&mut self, p: &P, watch: Name, max_steps: usize) -> Trace {
+        self.walk(p, Some(watch), max_steps)
+    }
+
+    /// The one walk: at most `max_steps` uniformly random step moves,
+    /// stopping early after an output on `watch` when one is given.
+    fn walk(&mut self, p: &P, watch: Option<Name>, max_steps: usize) -> Trace {
         let mut cur = p.clone();
         let mut actions = Vec::new();
         for _ in 0..max_steps {
@@ -104,15 +91,11 @@ impl<'d> Simulator<'d> {
                 };
             }
             let (act, next) = ts[self.rng.gen_range(0..ts.len())].clone();
-            let hit = act.is_output() && act.subject() == Some(watch);
+            let hit = watch.is_some_and(|w| act.is_output() && act.subject() == Some(w));
             actions.push(act);
             cur = next;
             if hit {
-                return Trace {
-                    actions,
-                    last: cur,
-                    terminated: false,
-                };
+                break;
             }
         }
         Trace {

@@ -44,7 +44,7 @@ use crate::store::Store;
 use bpi_core::syntax::{Defs, P};
 use bpi_core::Name;
 use bpi_equiv::checkpoint::Checkpoint;
-use bpi_equiv::{Checker, SliceOutcome, Variant};
+use bpi_equiv::{Checker, Opts, SliceOutcome, Variant};
 use bpi_semantics::{
     convergence_mc_resume, explore_budgeted, Budget, CheckpointCfg, EngineError, ExploreOpts,
     FaultPlan, McCheckpoint,
@@ -661,12 +661,19 @@ fn engine_stop(e: &EngineError) -> Json {
             "state-budget",
             &format!("state budget of {limit} states exhausted"),
         ),
+        EngineError::PairCeilingExceeded { .. } => error("state-budget", &e.to_string()),
         EngineError::Cancelled => error("cancelled", "job cancelled"),
     }
 }
 
 fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
     let fuel = sh.cfg.fuel.max(1);
+    // The budget carries only the job's deadline: a job's `max_states`
+    // is its engine's own state ceiling (`Opts`, `ExploreOpts`), set once.
+    let mut budget = Budget::unlimited();
+    if let Some(d) = job.deadline {
+        budget = budget.with_deadline_at(d);
+    }
     match &job.work {
         Work::Check {
             v,
@@ -675,11 +682,11 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
             defs,
             max_states,
         } => {
-            let mut budget = Budget::states(*max_states);
-            if let Some(d) = job.deadline {
-                budget = budget.with_deadline_at(d);
-            }
-            let checker = Checker::new(defs).with_budget(budget);
+            let opts = Opts {
+                max_states: *max_states,
+                ..Opts::default()
+            };
+            let checker = Checker::with_opts(defs, opts).with_budget(budget);
             let from = match job.parked.take() {
                 Some(ParkState::Check(ck)) => Some(*ck),
                 _ => None,
@@ -707,10 +714,6 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
             defs,
             max_states,
         } => {
-            let mut budget = Budget::states(*max_states);
-            if let Some(d) = job.deadline {
-                budget = budget.with_deadline_at(d);
-            }
             let opts = ExploreOpts {
                 max_states: *max_states,
                 ..ExploreOpts::default()
@@ -747,10 +750,6 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
                 Ok(pl) => pl,
                 Err(e) => return SliceResult::Final(error("bad-request", &e.to_string())),
             };
-            let mut budget = Budget::unlimited();
-            if let Some(d) = job.deadline {
-                budget = budget.with_deadline_at(d);
-            }
             let cfg: CheckpointCfg<McCheckpoint> = CheckpointCfg::fuelled(fuel);
             let tank = cfg.fuel.clone().expect("fuelled cfg has a tank");
             let from = match job.parked.take() {

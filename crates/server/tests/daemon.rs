@@ -2,6 +2,7 @@
 //! rejections under overload, deadline enforcement, preemptive slicing
 //! and the stats surface.
 
+use bpi_equiv::MAX_REFINE_PAIRS;
 use bpi_server::json::Json;
 use bpi_server::{server, Client, SchedCfg, ServerCfg};
 use std::path::PathBuf;
@@ -91,6 +92,14 @@ fn protocol_roundtrip_check_explore_reliability() {
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
     assert!(r.get("states").unwrap().as_usize().unwrap() >= 2);
     assert_eq!(r.get("truncated").unwrap().as_bool(), Some(false));
+    // An exploration that outgrows its `max_states` is served truncated,
+    // with the typed reason in-band.
+    let r = c
+        .explore("e-2", "s1", "rec X(b){ tau.(X<b> | b<>) }<b>", 16)
+        .unwrap();
+    assert_eq!(r.get("truncated").unwrap().as_bool(), Some(true), "{r}");
+    let reason = r.str_field("interrupted");
+    assert_eq!(reason, Some("state budget of 16 states exhausted"), "{r}");
 
     // Reliability is seeded: the same request twice (distinct ids) must
     // produce byte-identical estimates.
@@ -395,6 +404,46 @@ fn hostile_refine_dims_rerun_cleanly_on_recovery() {
          #section right\nbpi-graph-checkpoint/v1\npool\t\npending\t\nstate\ta<>\n\
          #section refine\nbpi-refine-checkpoint/v1\nrounds\t0\ndims\t1000000000000\t0\n",
     );
+}
+
+/// A check's `max_states` is the ceiling of its graph builds, up to the
+/// daemon's `max_max_states`, even above `Opts::default()`'s 20,000,
+/// while the product it refines stays under `MAX_REFINE_PAIRS` whatever
+/// it asks for: `a0<> | … | a14<>` has 32,768 states, and 32,768 ×
+/// 16,384 pairs is over the ceiling. Sent through `roundtrip` because
+/// `Client::check` names no `max_states`; run at the default quantum,
+/// since `small_cfg`'s 8 units would park it thousands of times.
+#[test]
+fn served_check_honours_max_states_and_bounds_its_pairs() {
+    let dir = tmpdir("check-ceiling");
+    let h = server::start(ServerCfg::new(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let outputs = |n: usize| {
+        (0..n)
+            .map(|i| format!("a{i}<>"))
+            .collect::<Vec<_>>()
+            .join(" | ")
+    };
+    let mut check = |id: &str, right: String| {
+        c.roundtrip(&Json::obj(vec![
+            ("op", Json::str("check")),
+            ("id", Json::str(id)),
+            ("variant", Json::str("strong-labelled")),
+            ("left", Json::str(outputs(15))),
+            ("right", Json::str(right)),
+            ("max_states", Json::num(40_000.0)),
+        ]))
+        .unwrap()
+    };
+    let r = check("wide", "0".to_string());
+    assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(false), "{r}");
+    let r = check("wide-squared", outputs(14));
+    assert_eq!(r.str_field("error"), Some("state-budget"), "{r}");
+    let detail = format!("pair ceiling of {MAX_REFINE_PAIRS} state pairs exceeded");
+    assert_eq!(r.str_field("detail"), Some(detail.as_str()), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A request line carrying a 4 MiB string is read and parsed in time

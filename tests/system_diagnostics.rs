@@ -5,42 +5,31 @@
 use bpi::core::builder::*;
 use bpi::core::syntax::Defs;
 use bpi::encodings::election::election_system;
-use bpi::semantics::{
-    analyse, explore, explore_resume_from, explore_with_checkpoint, normalize_state, Budget,
-    CheckpointCfg, ExploreCheckpoint, ExploreOpts,
-};
+use bpi::semantics::{analyse, explore, normalize_state, EngineError, ExploreOpts};
 
 #[test]
-fn checkpointed_explorer_agrees_on_election() {
-    // Interrupt the checkpointed explorer every few states, park each
-    // checkpoint through its text format, resume: the final graph is the
-    // plain explorer's, state for state and edge for edge.
+fn capped_explorer_is_a_prefix_of_the_full_graph_on_election() {
+    // A state cap stops the one exploration loop part way: the partial
+    // graph holds the first `cap` states of the full run, in its order,
+    // with each of their edges whose target lies inside the cap.
     let (sys, defs, _ch) = election_system(4);
-    let opts = ExploreOpts::default();
-    let g1 = explore(&sys, &defs, opts);
-    let budget = Budget::unlimited();
-    let mut slices = 0;
-    let mut run = explore_with_checkpoint(&sys, &defs, opts, &budget, &CheckpointCfg::fuelled(7));
-    let g2 = loop {
-        match run {
-            Ok(g) => break g,
-            Err(stop) => {
-                slices += 1;
-                let parked = ExploreCheckpoint::from_text(&stop.checkpoint.to_text())
-                    .expect("checkpoint text round-trips");
-                assert_eq!(parked, stop.checkpoint);
-                run = explore_resume_from(parked, &defs, opts, &budget, &CheckpointCfg::fuelled(7));
-            }
-        }
+    let full = explore(&sys, &defs, ExploreOpts::default());
+    assert!(full.is_complete() && full.len() > 8);
+    let capped = |max_states| ExploreOpts {
+        max_states,
+        ..ExploreOpts::default()
     };
-    assert!(slices > 1, "election(4) should need several slices");
-    assert!(!g1.truncated && !g2.truncated);
-    assert_eq!(g1.len(), g2.len());
-    assert_eq!(g1.edge_count(), g2.edge_count());
-    assert_eq!(g1.edges, g2.edges);
-    let s1: Vec<String> = g1.states.iter().map(|s| s.to_string()).collect();
-    let s2: Vec<String> = g2.states.iter().map(|s| s.to_string()).collect();
-    assert_eq!(s1, s2);
+    for cap in [1, 7, full.len() / 2, full.len() - 1] {
+        let part = explore(&sys, &defs, capped(cap));
+        let limit = EngineError::StateBudgetExceeded { limit: cap };
+        assert_eq!(part.interrupted, Some(limit), "cap {cap}");
+        assert!(part.truncated);
+        assert_eq!(part.states, full.states[..cap], "states under cap {cap}");
+        for (i, out) in part.edges.iter().enumerate() {
+            let inside = full.edges[i].iter().filter(|(_, j)| *j < cap);
+            assert!(out.iter().eq(inside), "edges of state {i} under cap {cap}");
+        }
+    }
 }
 
 #[test]
