@@ -3,21 +3,28 @@
 //!
 //! A document is a header line naming its format and version, then one
 //! record per line: a tag, a tab, and tab-separated fields. Lists are
-//! comma-separated. Processes are stored in their concrete syntax and
-//! transition labels in their `Display` form, so documents stay
-//! readable and survive interner re-seeding across processes. Umbrella
-//! documents nest sub-documents verbatim under `#section <name>` lines.
+//! comma-separated. Names are stored by their spelling, transition
+//! labels in their `Display` form and single processes in their
+//! concrete syntax, so documents stay readable and survive interner
+//! re-seeding across processes. The states of a graph share a node
+//! table ([`Writer::states`]): one `node` record per distinct subterm,
+//! so a state costs only its subterms that no earlier state has.
+//! Umbrella documents nest sub-documents verbatim under
+//! `#section <name>` lines.
 //!
 //! [`Writer`] emits records and [`Reader`] reads them back. The reader
 //! sizes every allocation from the records it has actually read, never
-//! from a count the document declares, and range-checks every state
-//! index, so a truncated or corrupted document decodes to a typed
-//! `Err`. [`text_serde!`](crate::text_serde) derives serde impls that
-//! carry the same text.
+//! from a count the document declares, and range-checks every node and
+//! state index, so a truncated or corrupted document decodes to a
+//! typed `Err`. [`text_serde!`](crate::text_serde) derives serde impls
+//! that carry the same text.
 
 use crate::action::Action;
-use crate::parser::parse_process;
-use crate::syntax::P;
+use crate::name::Name;
+use crate::parser::MAX_DEPTH;
+use crate::store::{cons, Consed};
+use crate::syntax::{Ident, Prefix, Process, RecDef, P};
+use std::collections::HashMap;
 use std::fmt::{self, Display, Write};
 use std::marker::PhantomData;
 use std::str::FromStr;
@@ -50,21 +57,91 @@ impl<'w, W: Write + ?Sized> Writer<'w, W> {
     pub fn list<T: Display>(
         &mut self,
         key: impl Display,
-        items: impl IntoIterator<Item = T>,
+        items: impl IntoIterator<Item = T> + Clone,
     ) -> fmt::Result {
-        write!(self.out, "{key}\t")?;
-        for (i, x) in items.into_iter().enumerate() {
-            if i > 0 {
-                self.out.write_char(',')?;
-            }
-            write!(self.out, "{x}")?;
-        }
-        self.out.write_char('\n')
+        writeln!(self.out, "{key}\t{}", Csv(items))
     }
 
-    /// One `state<TAB><process>` record per state, in order.
+    /// The node table of `states`, then one `state<TAB><node>` record
+    /// per state, in order. Each distinct subterm is one `node` record,
+    /// written after its children and naming them by their indices in
+    /// the table (counted from 0):
+    ///
+    /// ```text
+    /// node<TAB>nil
+    /// node<TAB>tau<TAB><k>
+    /// node<TAB>in<TAB><a><TAB><x,y><TAB><k>      a(x,y).k
+    /// node<TAB>out<TAB><a><TAB><y,z><TAB><k>     a<y,z>.k
+    /// node<TAB>sum<TAB><l><TAB><r>
+    /// node<TAB>par<TAB><l><TAB><r>
+    /// node<TAB>new<TAB><x><TAB><k>
+    /// node<TAB>match<TAB><x><TAB><y><TAB><l><TAB><r>
+    /// node<TAB>call<TAB><A><TAB><args>
+    /// node<TAB>var<TAB><X><TAB><args>
+    /// node<TAB>rec<TAB><X><TAB><params><TAB><args><TAB><body>
+    /// ```
+    ///
+    /// Nodes are keyed by the term store's structural identity, not by
+    /// allocation, so the text is a function of the states' values.
     pub fn states(&mut self, states: &[P]) -> fmt::Result {
-        states.iter().try_for_each(|p| self.field("state", p))
+        // Consed keys: equal subterms share one entry wherever they are
+        // allocated, and the handles pin every class until the table is
+        // written. (The cells' interior OnceLocks never feed Hash/Eq.)
+        #[allow(clippy::mutable_key_type)]
+        let mut index: HashMap<Consed, usize> = HashMap::new();
+        let mut roots = Vec::with_capacity(states.len());
+        for s in states {
+            let root = cons(s);
+            // Post-order without recursion: a term may be as tall as
+            // its build made it.
+            let mut stack = vec![(root.clone(), false)];
+            while let Some((c, expanded)) = stack.pop() {
+                if index.contains_key(&c) {
+                    continue;
+                }
+                if !expanded {
+                    stack.push((c.clone(), true));
+                    stack.extend(c.kids().rev().map(|k| (k, false)));
+                    continue;
+                }
+                let mut kids = [0; 2];
+                for (slot, k) in kids.iter_mut().zip(c.kids()) {
+                    *slot = index[&k];
+                }
+                self.node(c.term(), kids)?;
+                let i = index.len();
+                index.insert(c, i);
+            }
+            roots.push(index[&root]);
+        }
+        roots.iter().try_for_each(|i| self.field("state", i))
+    }
+
+    /// One `node` record for `p`, whose children (in syntax order) have
+    /// the indices `l` and `r`.
+    fn node(&mut self, p: &Process, [l, r]: [usize; 2]) -> fmt::Result {
+        let out = &mut *self.out;
+        out.write_str("node\t")?;
+        match p {
+            Process::Nil => out.write_str("nil")?,
+            Process::Act(Prefix::Tau, _) => write!(out, "tau\t{l}")?,
+            Process::Act(Prefix::Input(a, xs), _) => write!(out, "in\t{a}\t{}\t{l}", Csv(xs))?,
+            Process::Act(Prefix::Output(a, ys), _) => write!(out, "out\t{a}\t{}\t{l}", Csv(ys))?,
+            Process::Sum(..) => write!(out, "sum\t{l}\t{r}")?,
+            Process::Par(..) => write!(out, "par\t{l}\t{r}")?,
+            Process::New(x, _) => write!(out, "new\t{x}\t{l}")?,
+            Process::Match(x, y, ..) => write!(out, "match\t{x}\t{y}\t{l}\t{r}")?,
+            Process::Call(id, args) => write!(out, "call\t{id}\t{}", Csv(args))?,
+            Process::Var(id, args) => write!(out, "var\t{id}\t{}", Csv(args))?,
+            Process::Rec(def, args) => write!(
+                out,
+                "rec\t{}\t{}\t{}\t{l}",
+                def.ident,
+                Csv(&def.params),
+                Csv(args)
+            )?,
+        }
+        out.write_char('\n')
     }
 
     /// One `edge<TAB><src><TAB><label><TAB><dst>` record per edge, in
@@ -142,24 +219,48 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a state graph to the end of the document: a block of
-    /// `state` records, then `edge` records (range-checked against the
-    /// block) and whatever records `other` accepts; `other` returns
-    /// `false` for a tag it does not know.
+    /// Reads a state graph to the end of the document: the node table
+    /// of [`Writer::states`], its block of `state` records, then `edge`
+    /// records (range-checked against the block) and whatever records
+    /// `other` accepts; `other` returns `false` for a tag it does not
+    /// know.
+    ///
+    /// The table keeps the parser's guarantees: a node names only
+    /// earlier nodes, none stands taller than [`MAX_DEPTH`] (counted as
+    /// [`crate::parse_process`] counts), and a recursion variable occurs
+    /// only inside the `rec` that binds it. Names are read with
+    /// [`Name::intern_raw`]. Equal node indices decode to one shared
+    /// allocation.
     pub fn graph(
         &mut self,
         mut other: impl FnMut(&'a str, &'a str) -> Result<bool, String>,
     ) -> Result<(Vec<P>, Edges), String> {
+        let mut nodes: Vec<Node> = Vec::new();
         let mut states: Vec<P> = Vec::new();
         let mut edges: Option<Edges> = None;
         for rec in self.records() {
             let (tag, rest) = rec?;
+            if tag == "node" {
+                if !states.is_empty() || edges.is_some() {
+                    return Err("node record after the node table".into());
+                }
+                let node =
+                    Node::read(rest, &nodes).map_err(|e| format!("bad node {rest:?}: {e}"))?;
+                nodes.push(node);
+                continue;
+            }
             if tag == "state" {
                 if edges.is_some() {
                     return Err("state record after other records".into());
                 }
-                let p = parse_process(rest).map_err(|e| format!("bad state {rest:?}: {e}"))?;
-                states.push(p);
+                let i: usize = parse(rest, "state")?;
+                let node = nodes
+                    .get(i)
+                    .ok_or_else(|| format!("state {i} out of range ({} nodes)", nodes.len()))?;
+                if let Some(x) = node.open.first() {
+                    return Err(format!("state {i} has a free recursion variable {x}"));
+                }
+                states.push(node.term.clone());
                 continue;
             }
             let n = states.len();
@@ -217,6 +318,141 @@ impl<'a> Reader<'a> {
                 .map(|(name, from, to)| (name, &text[from..to]))
                 .collect(),
         ))
+    }
+}
+
+/// One decoded `node` record: its term over the earlier nodes' shared
+/// allocations, its height and its free recursion variables.
+struct Node {
+    term: P,
+    height: usize,
+    open: Vec<Ident>,
+}
+
+impl Node {
+    /// Decodes the fields after a `node` tag against the nodes before it.
+    fn read(rest: &str, nodes: &[Node]) -> Result<Node, String> {
+        if rest == "nil" {
+            return Ok(Node::leaf(Process::Nil));
+        }
+        let kid = |s: &str| -> Result<&Node, String> {
+            let i: usize = parse(s, "child")?;
+            nodes
+                .get(i)
+                .ok_or_else(|| format!("child {i} is not an earlier node"))
+        };
+        let name = |s: &str| parse::<Name>(s, "name");
+        let names = |s: &str| list::<Name>(s, "name");
+        let ident = |s: &str| parse::<Ident>(s, "identifier");
+        let (kind, f) = rest.split_once('\t').unwrap_or((rest, ""));
+        let node = match kind {
+            "tau" => {
+                let [k] = fields(f)?;
+                let k = kid(k)?;
+                Node::over(Process::Act(Prefix::Tau, k.term.clone()), &[k])
+            }
+            "in" | "out" => {
+                let [a, ys, k] = fields(f)?;
+                let (a, ys, k) = (name(a)?, names(ys)?, kid(k)?);
+                let pre = if kind == "in" {
+                    Prefix::Input(a, ys)
+                } else {
+                    Prefix::Output(a, ys)
+                };
+                Node::over(Process::Act(pre, k.term.clone()), &[k])
+            }
+            "sum" | "par" => {
+                let [l, r] = fields(f)?;
+                let (l, r) = (kid(l)?, kid(r)?);
+                let (lt, rt) = (l.term.clone(), r.term.clone());
+                let p = if kind == "sum" {
+                    Process::Sum(lt, rt)
+                } else {
+                    Process::Par(lt, rt)
+                };
+                Node::over(p, &[l, r])
+            }
+            "new" => {
+                let [x, k] = fields(f)?;
+                let k = kid(k)?;
+                Node::over(Process::New(name(x)?, k.term.clone()), &[k])
+            }
+            "match" => {
+                let [x, y, l, r] = fields(f)?;
+                let (l, r) = (kid(l)?, kid(r)?);
+                let p = Process::Match(name(x)?, name(y)?, l.term.clone(), r.term.clone());
+                Node::over(p, &[l, r])
+            }
+            "call" => {
+                let [a, args] = fields(f)?;
+                Node::leaf(Process::Call(ident(a)?, names(args)?))
+            }
+            "var" => {
+                let [x, args] = fields(f)?;
+                let x = ident(x)?;
+                Node {
+                    open: vec![x],
+                    ..Node::leaf(Process::Var(x, names(args)?))
+                }
+            }
+            "rec" => {
+                let [x, params, args, body] = fields(f)?;
+                let (ident, body) = (ident(x)?, kid(body)?);
+                let def = RecDef {
+                    ident,
+                    params: names(params)?,
+                    body: body.term.clone(),
+                };
+                let mut node = Node::over(Process::Rec(def, names(args)?), &[body]);
+                node.open.retain(|&v| v != ident);
+                node
+            }
+            "nil" => return Err("a nil node has no fields".into()),
+            _ => return Err(format!("unknown node kind {kind:?}")),
+        };
+        if node.height > MAX_DEPTH {
+            return Err(format!("process nested deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(node)
+    }
+
+    /// A `0`, call or recursion variable: height 0.
+    fn leaf(p: Process) -> Node {
+        Node {
+            term: p.rc(),
+            height: 0,
+            open: Vec::new(),
+        }
+    }
+
+    /// A node one level above its children `kids`.
+    fn over(p: Process, kids: &[&Node]) -> Node {
+        let mut open: Vec<Ident> = Vec::new();
+        for &v in kids.iter().flat_map(|k| &k.open) {
+            if !open.contains(&v) {
+                open.push(v);
+            }
+        }
+        Node {
+            term: p.rc(),
+            height: 1 + kids.iter().map(|k| k.height).max().unwrap_or(0),
+            open,
+        }
+    }
+}
+
+/// Comma-separated items.
+struct Csv<I>(I);
+
+impl<I: IntoIterator<Item: Display> + Clone> Display for Csv<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, x) in self.0.clone().into_iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            write!(f, "{x}")?;
+        }
+        Ok(())
     }
 }
 

@@ -127,6 +127,16 @@ impl Consed {
             cell: normal_of(&self.cell).clone(),
         }
     }
+
+    /// The consed children, in syntax order (see [`Kids`]): the terms
+    /// the canonical allocation sits over, without a store probe.
+    pub(crate) fn kids(&self) -> impl DoubleEndedIterator<Item = Consed> + '_ {
+        self.cell
+            .kids
+            .iter()
+            .flatten()
+            .map(|cell| Consed { cell: cell.clone() })
+    }
 }
 
 impl PartialEq for Consed {

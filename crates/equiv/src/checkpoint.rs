@@ -41,7 +41,7 @@ use crate::bisim::{
     engine_for, partition_relation, refine, refine_budgeted, refine_resume, Checker, Engine,
     PairRelation, Variant,
 };
-use crate::graph::{shared_pool, Graph};
+use crate::graph::{shared_pool, Graph, Opts};
 use crate::partition::{refine_partition_budgeted, refine_partition_resume};
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
@@ -124,22 +124,34 @@ impl GraphCheckpoint {
 /// The graph-checkpoint text format, one record per line, tab-separated:
 ///
 /// ```text
-/// bpi-graph-checkpoint/v1
+/// bpi-graph-checkpoint/v2
 /// pool<TAB>a,b,#w0
 /// pending<TAB>3,4
-/// state<TAB><process in concrete syntax>     (one per state, in order)
-/// disc<TAB><state><TAB>a,b                   (one per non-empty set)
+/// node<TAB><kind><TAB>…                      (the states' node table)
+/// state<TAB><node>                           (one per state, in order)
+/// disc<TAB><state><TAB>a,b                   (one per non-empty set, by spelling)
 /// edge<TAB><src><TAB><label><TAB><dst>       (one per edge, in order)
 /// ```
+///
+/// Each distinct subterm of the states is one `node` record naming its
+/// children by earlier node indices (`bpi_core::record::Writer::states`),
+/// so a prefix term `π.p` costs one record over `p` and a τ-ladder's
+/// text grows linearly in its states. `v1` wrote every state in full
+/// concrete syntax; it is retired, and a `v1` section is a decode
+/// error, which the daemon answers by rerunning the job.
 impl std::fmt::Display for GraphCheckpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut w = Writer::new(f, "bpi-graph-checkpoint/v1")?;
+        let mut w = Writer::new(f, "bpi-graph-checkpoint/v2")?;
         w.list("pool", &self.pool)?;
         w.list("pending", &self.pending)?;
         w.states(&self.states)?;
         for (i, d) in self.discarding.iter().enumerate() {
             if !d.is_empty() {
-                w.list(format_args!("disc\t{i}"), d.iter())?;
+                // By spelling, not interner id: the text must not depend on
+                // the order a process happened to intern its names in.
+                let mut names: Vec<&str> = d.iter().map(Name::spelling).collect();
+                names.sort_unstable();
+                w.list(format_args!("disc\t{i}"), &names)?;
             }
         }
         w.edges(&self.edges)
@@ -150,7 +162,7 @@ impl std::str::FromStr for GraphCheckpoint {
     type Err = String;
 
     fn from_str(s: &str) -> Result<GraphCheckpoint, String> {
-        let mut r = Reader::new(s, "bpi-graph-checkpoint/v1")?;
+        let mut r = Reader::new(s, "bpi-graph-checkpoint/v2")?;
         let pool = r.list("pool")?;
         let pending: VecDeque<usize> = r.list("pending")?.into();
         let mut disc: Vec<(usize, Vec<Name>)> = Vec::new();
@@ -467,7 +479,7 @@ impl Checkpoint {
 /// phase<TAB>build_left
 /// right_seed<TAB><process>                   (build_left only)
 /// #section left
-/// bpi-graph-checkpoint/v1
+/// bpi-graph-checkpoint/v2
 /// …
 /// #section refine                            (refine only)
 /// bpi-partition-checkpoint/v1                 (or bpi-refine-checkpoint/v1)
@@ -561,7 +573,7 @@ impl std::str::FromStr for Checkpoint {
     }
 }
 
-bpi_core::text_serde!(GraphCheckpoint, "a bpi-graph-checkpoint/v1 document");
+bpi_core::text_serde!(GraphCheckpoint, "a bpi-graph-checkpoint/v2 document");
 bpi_core::text_serde!(RefineCheckpoint, "a bpi-refine-checkpoint/v1 document");
 bpi_core::text_serde!(
     PartitionCheckpoint,
@@ -626,8 +638,10 @@ impl<'d> Checker<'d> {
     ///   phases, and a served failure explanation is a formula over the
     ///   monolithic graphs.
     /// * a product of more than [`MAX_REFINE_PAIRS`] pairs is not
-    ///   refined: once both graphs are built, the run stops with
-    ///   [`EngineError::PairCeilingExceeded`].
+    ///   refined: the right build stops with
+    ///   [`EngineError::PairCeilingExceeded`] once it would commit more
+    ///   than ⌊`MAX_REFINE_PAIRS`/n₁⌋ states (n₁ the left graph's), and
+    ///   so does a snapshot whose two complete graphs exceed it.
     ///
     /// Refinement runs on the engine [`crate::refine_auto`] picks for the
     /// product.
@@ -686,13 +700,13 @@ impl<'d> Checker<'d> {
     ) -> Result<(Arc<Graph>, Arc<Graph>, PairRelation), Interrupted<Checkpoint>> {
         let (g1, g2, left_done, right_done, refine_ck) = match ck {
             Checkpoint::BuildLeft { left, right_seed } => {
-                let g1 = self.graph_phase(left, cfg, &|gck| Checkpoint::BuildLeft {
+                let g1 = self.graph_phase(left, self.opts, cfg, &|gck| Checkpoint::BuildLeft {
                     left: gck,
                     right_seed: right_seed.clone(),
                 })?;
                 let left_done = GraphCheckpoint::of_graph(&g1);
                 let right = GraphCheckpoint::seed(&right_seed, &g1.pool);
-                let g2 = self.graph_phase(right, cfg, &|gck| Checkpoint::BuildRight {
+                let g2 = self.right_phase(g1.len(), right, cfg, &|gck| Checkpoint::BuildRight {
                     left: left_done.clone(),
                     right: gck,
                 })?;
@@ -701,7 +715,7 @@ impl<'d> Checker<'d> {
             }
             Checkpoint::BuildRight { left, right } => {
                 let g1 = Arc::new(Graph::from_complete_checkpoint(left.clone()));
-                let g2 = self.graph_phase(right, cfg, &|gck| Checkpoint::BuildRight {
+                let g2 = self.right_phase(g1.len(), right, cfg, &|gck| Checkpoint::BuildRight {
                     left: left.clone(),
                     right: gck,
                 })?;
@@ -778,11 +792,12 @@ impl<'d> Checker<'d> {
         }
     }
 
-    /// Runs (or finishes) one graph build phase, translating its
-    /// snapshots and errors into umbrella checkpoints.
+    /// Runs (or finishes) one graph build phase under `opts`,
+    /// translating its snapshots and errors into umbrella checkpoints.
     fn graph_phase(
         &self,
         ck: GraphCheckpoint,
+        opts: Opts,
         cfg: &CheckpointCfg<Checkpoint>,
         wrap: &dyn Fn(GraphCheckpoint) -> Checkpoint,
     ) -> Result<Graph, Interrupted<Checkpoint>> {
@@ -790,7 +805,34 @@ impl<'d> Checker<'d> {
             return Ok(Graph::from_complete_checkpoint(ck));
         }
         wrapped(cfg, wrap, |inner| {
-            Graph::continue_checkpointed(ck, self.defs, self.opts, &self.budget, inner)
+            Graph::continue_checkpointed(ck, self.defs, opts, &self.budget, inner)
+        })
+    }
+
+    /// The right build, against a left graph of `n1` states: capped at
+    /// ⌊[`MAX_REFINE_PAIRS`]/n₁⌋ states, since a larger graph could not
+    /// be refined, and stopped with [`EngineError::PairCeilingExceeded`]
+    /// when that cap, not the check's own ceiling, is what stops it.
+    fn right_phase(
+        &self,
+        n1: usize,
+        ck: GraphCheckpoint,
+        cfg: &CheckpointCfg<Checkpoint>,
+        wrap: &dyn Fn(GraphCheckpoint) -> Checkpoint,
+    ) -> Result<Graph, Interrupted<Checkpoint>> {
+        let own = self.opts.max_states.min(self.budget.max_states());
+        let pairs = MAX_REFINE_PAIRS / n1.max(1);
+        let opts = Opts {
+            max_states: self.opts.max_states.min(pairs),
+            ..self.opts
+        };
+        self.graph_phase(ck, opts, cfg, wrap).map_err(|mut i| {
+            if pairs < own && matches!(i.error, EngineError::StateBudgetExceeded { .. }) {
+                i.error = EngineError::PairCeilingExceeded {
+                    limit: MAX_REFINE_PAIRS,
+                };
+            }
+            i
         })
     }
 
@@ -858,7 +900,6 @@ impl<'d> Checker<'d> {
 mod tests {
     use super::*;
     use crate::bisim::Verdict;
-    use crate::graph::Opts;
     use bpi_core::builder::*;
     use bpi_core::syntax::Defs;
     use bpi_semantics::Budget;
@@ -929,11 +970,11 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in [
             "",
-            "bpi-graph-checkpoint/v2\npool\t\npending\t",
-            "bpi-graph-checkpoint/v1\npool\t\npending\t0", // pending out of range
+            "bpi-graph-checkpoint/v1\npool\t\npending\t\nstate\t0", // retired version
+            "bpi-graph-checkpoint/v2\npool\t\npending\t1\nnode\tnil\nstate\t0", // pending out of range
             "bpi-refine-checkpoint/v1\nrounds\t1\ndims\t1\t2\nrow\t1",
             "bpi-equiv-checkpoint/v1\nphase\tnonsense",
-            "bpi-equiv-checkpoint/v1\nphase\tbuild_left\n#section left\nbpi-graph-checkpoint/v1\npool\t\npending\t",
+            "bpi-equiv-checkpoint/v1\nphase\tbuild_left\n#section left\nbpi-graph-checkpoint/v2\npool\t\npending\t",
         ] {
             assert!(
                 Checkpoint::from_text(bad).is_err()
@@ -945,7 +986,7 @@ mod tests {
         // Every build holds its root state: a graph section without a
         // `state` record is malformed on its own and inside an umbrella
         // (resuming one indexed the root pair of an empty relation).
-        let stateless = "bpi-graph-checkpoint/v1\npool\t\npending\t\n";
+        let stateless = "bpi-graph-checkpoint/v2\npool\t\npending\t\nnode\tnil\n";
         assert!(GraphCheckpoint::from_text(stateless).is_err());
         for doc in [
             format!("bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\t0\n#section left\n{stateless}"),

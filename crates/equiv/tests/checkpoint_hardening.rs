@@ -3,9 +3,12 @@
 //! typed `Err`, never a panic, and never an absurd allocation. A served
 //! daemon replays persisted checkpoints on restart, so the decode path
 //! is attacker-adjacent: whatever is on disk after a crash gets parsed.
+//! The graph sections' node table is pinned here too: its text is a
+//! function of the checkpoint's value and grows linearly on a ladder.
 
 use bpi_core::builder::*;
 use bpi_core::dist::Dist;
+use bpi_core::parser::{parse_process, MAX_DEPTH};
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
@@ -27,7 +30,9 @@ fn sample_graph_ckpt() -> GraphCheckpoint {
 
 /// One small document per text format and umbrella phase, written by
 /// the codecs before they moved onto the shared `bpi_core::record`
-/// codec (engine snapshots parked mid-run, every fault event kind).
+/// codec (engine snapshots parked mid-run, every fault event kind). The
+/// graph sections were rewritten as `bpi-graph-checkpoint/v2` node
+/// tables from the same states when v1 was retired.
 const FIXTURES: [(&str, &str); 10] = [
     ("graph", include_str!("fixtures/graph.txt")),
     ("refine", include_str!("fixtures/refine.txt")),
@@ -390,5 +395,126 @@ fn run_slice_parks_resumes_and_agrees_with_straight_check() {
     assert!(
         refine_parks > 0 || !default_dispatch,
         "no slice parked inside the partition refiner"
+    );
+}
+
+/// A retired `bpi-graph-checkpoint/v1` section, as a journal written
+/// before the node table holds it, is a typed decode error: the daemon
+/// reruns such a job from scratch.
+#[test]
+fn v1_graph_sections_are_a_typed_error() {
+    let v1 = include_str!("fixtures/equiv-build-left-v1.txt");
+    let err = Checkpoint::from_text(v1).unwrap_err();
+    assert!(err.contains("bpi-graph-checkpoint/v2"), "got {err:?}");
+}
+
+/// A graph section of `body` records after its header, pool and pending
+/// queue.
+fn graph_doc(body: &str) -> String {
+    format!("bpi-graph-checkpoint/v2\npool\t\npending\t\n{body}")
+}
+
+/// `nil` and then `n` τ-nodes, each over the one before it.
+fn tau_nodes(n: usize) -> String {
+    let taus: String = (0..n).map(|i| format!("node\ttau\t{i}\n")).collect();
+    format!("node\tnil\n{taus}")
+}
+
+/// The node table keeps the parser's guarantees: a node names only
+/// earlier nodes, a state names a node, nothing stands taller than
+/// `MAX_DEPTH`, and a recursion variable stays inside its `rec`.
+#[test]
+fn node_table_defects_are_typed_errors() {
+    for (body, defect) in [
+        ("node\ttau\t1\nnode\tnil\nstate\t1\n", "not an earlier node"),
+        ("node\tnil\nnode\ttau\t1\nstate\t1\n", "not an earlier node"),
+        ("node\tnil\nstate\t1\n", "out of range"),
+        ("node\tnil\nnode\tbang\t0\nstate\t1\n", "unknown node kind"),
+        (
+            "node\tnil\nstate\t0\nnode\ttau\t0\n",
+            "after the node table",
+        ),
+        ("node\tnil\tjunk\nstate\t0\n", "no fields"),
+        ("node\tvar\tX\t\nstate\t0\n", "free recursion variable"),
+        (
+            &format!("{}state\t{}\n", tau_nodes(MAX_DEPTH + 1), MAX_DEPTH + 1),
+            "nested deeper",
+        ),
+    ] {
+        let err = GraphCheckpoint::from_text(&graph_doc(body)).unwrap_err();
+        assert!(err.contains(defect), "{defect}: got {err:?}");
+    }
+    // Heights count as `parse_process` counts them: the same chain one
+    // node shorter decodes, to the term the parser reads.
+    let at_cap = format!("{}state\t{MAX_DEPTH}\n", tau_nodes(MAX_DEPTH));
+    let ck = GraphCheckpoint::from_text(&graph_doc(&at_cap)).expect("a MAX_DEPTH chain decodes");
+    let parsed = parse_process(&format!("{}0", "tau.".repeat(MAX_DEPTH))).unwrap();
+    assert_eq!(ck.states, vec![parsed]);
+    // A bound recursion variable is no defect.
+    let rec = "node\tvar\tX\ta\nnode\tout\ta\t\t0\nnode\trec\tX\ta\tb\t1\nstate\t2\n";
+    let ck = GraphCheckpoint::from_text(&graph_doc(rec)).expect("a closed rec decodes");
+    assert_eq!(
+        ck.states,
+        vec![parse_process("rec X(a){ a<>.X<a> }<b>").unwrap()]
+    );
+}
+
+/// The parked checkpoint of a ladder check: `k` τ-prefixes in front of
+/// `a<>` against the same ladder ending in `a<> + a<>`, sliced at `fuel`
+/// until a slice parks in `phase`.
+fn parked_ladder(k: usize, fuel: usize, phase: &str) -> Checkpoint {
+    let d = Defs::new();
+    let [a] = names(["a"]);
+    let p = ladder(k, out_(a, []));
+    let q = ladder(k, sum(out_(a, []), out_(a, [])));
+    let c = Checker::new(&d);
+    let mut from = None;
+    loop {
+        match c
+            .run_slice(Variant::StrongLabelled, &p, &q, from, fuel)
+            .unwrap()
+        {
+            SliceOutcome::Parked(ck) if ck.phase() == phase => return *ck,
+            SliceOutcome::Parked(ck) => from = Some(*ck),
+            SliceOutcome::Done { .. } => panic!("the check finished before parking in {phase}"),
+        }
+    }
+}
+
+/// A build resumed from decoded text holds decoded states beside newly
+/// built ones, equal in value but not in allocation. Its next park must
+/// still encode byte for byte like the same park of a run that never
+/// left memory: nodes are keyed by structure, not by address.
+#[test]
+fn a_resumed_park_encodes_like_the_straight_one() {
+    let d = Defs::new();
+    let [a] = names(["a"]);
+    let (p, q) = (ladder(60, out_(a, [])), out_(a, []));
+    let c = Checker::new(&d);
+    let v = Variant::StrongLabelled;
+    let park = |from: Option<Checkpoint>| match c.run_slice(v, &p, &q, from, 25).unwrap() {
+        SliceOutcome::Parked(ck) => *ck,
+        SliceOutcome::Done { .. } => panic!("fuel 25 parks a 61-state build"),
+    };
+    let first = park(None);
+    assert_eq!(first.phase(), "build_left");
+    let straight = park(Some(first.clone()));
+    assert_eq!(straight.phase(), "build_left");
+    let decoded = Checkpoint::from_text(&first.to_text()).unwrap();
+    assert_eq!(decoded, first);
+    assert_eq!(park(Some(decoded)).to_text(), straight.to_text());
+}
+
+/// A τ-ladder's states nest, each inside the one before: the node table
+/// writes each once, so doubling the ladder about doubles the parked
+/// text (v1's concrete syntax quadrupled it). The park falls in the
+/// right build, so both sections are graphs whatever engine refines.
+#[test]
+fn ladder_checkpoints_grow_linearly() {
+    let size = |k: usize| parked_ladder(k, k + k / 2, "build_right").to_text().len();
+    let (small, big) = (size(900), size(1800));
+    assert!(
+        big as f64 <= 2.2 * small as f64,
+        "1,800-ladder {big} bytes against 900-ladder {small} bytes"
     );
 }

@@ -29,7 +29,7 @@ use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{Gen, GenCfg};
 use bpi_equiv::{
     refine_auto, refine_worklist, shared_pool, Checker, Checkpoint, Graph, Opts, SliceOutcome,
-    Variant,
+    Variant, MAX_REFINE_PAIRS,
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::chaos::{self, ChaosPlan};
@@ -544,5 +544,46 @@ fn chaos_log_replays_deterministically_for_the_same_seed() {
     assert!(
         !first.events.is_empty(),
         "delays at 50% over a sliced pipeline should fire at least once"
+    );
+}
+
+/// The right build stops at the pair ceiling instead of finishing a
+/// graph it could not refine: `a0<> | … | a14<>` has 32,768 states, so
+/// at a 40,000-state ceiling the right build of `a0<> | … | a13<>`
+/// (16,384 states) stops at ⌊`MAX_REFINE_PAIRS`/32,768⌋ = 12,207 with
+/// the typed pair-ceiling error.
+#[test]
+fn right_build_stops_at_the_pair_ceiling() {
+    let _g = lock();
+    let d = Defs::new();
+    let outputs = |n: usize| par_of((0..n).map(|i| out_(Name::new(&format!("a{i}")), [])));
+    let opts = Opts {
+        max_states: 40_000,
+        ..Opts::default()
+    };
+    let stop = Checker::with_opts(&d, opts)
+        .run_with_checkpoint(
+            Variant::StrongLabelled,
+            &outputs(15),
+            &outputs(14),
+            &CheckpointCfg::default(),
+        )
+        .err()
+        .expect("the product is over the pair ceiling");
+    assert_eq!(
+        stop.error,
+        EngineError::PairCeilingExceeded {
+            limit: MAX_REFINE_PAIRS
+        }
+    );
+    let Checkpoint::BuildRight { left, right } = stop.checkpoint else {
+        panic!("stopped in {}", stop.checkpoint.phase());
+    };
+    assert_eq!(left.states.len(), 32_768);
+    assert!(left.complete() && !right.complete());
+    assert!(
+        right.states.len() <= 12_207,
+        "{} right states",
+        right.states.len()
     );
 }

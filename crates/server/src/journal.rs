@@ -64,6 +64,7 @@ impl Journal {
         let line = format!("{rec}\n");
         let mut f = self.file.lock().unwrap();
         f.write_all(line.as_bytes())?;
+        count_bytes(line.len());
         f.sync_data()
     }
 
@@ -103,6 +104,7 @@ impl Journal {
         {
             let mut f = File::create(&tmp)?;
             f.write_all(text.as_bytes())?;
+            count_bytes(text.len());
             f.sync_data()?;
         }
         fs::rename(&tmp, self.ck_path(id))
@@ -166,6 +168,12 @@ impl Journal {
         }
         Ok(out)
     }
+}
+
+/// `server.journal.bytes`: bytes written by appends and checkpoint
+/// saves.
+fn count_bytes(n: usize) {
+    bpi_obs::counter("server.journal.bytes", bpi_obs::Det::Advisory).add(n as u64);
 }
 
 #[cfg(test)]

@@ -260,6 +260,11 @@ impl Scheduler {
             match parse_job(&req, sh) {
                 Ok((prio, cost, deadline, work)) => {
                     let parked = ck_text.as_deref().and_then(|t| decode_park(&work, t));
+                    if ck_text.is_some() && parked.is_none() {
+                        // A checkpoint that no longer decodes (corrupt, or
+                        // a retired format): the job reruns from scratch.
+                        bpi_obs::counter("server.recover.reruns", bpi_obs::Det::Advisory).inc();
+                    }
                     let job = Job {
                         id: id.clone(),
                         prio,

@@ -2,7 +2,7 @@
 //! rejections under overload, deadline enforcement, preemptive slicing
 //! and the stats surface.
 
-use bpi_equiv::MAX_REFINE_PAIRS;
+use bpi_equiv::{Checkpoint, MAX_REFINE_PAIRS};
 use bpi_server::json::Json;
 use bpi_server::{server, Client, SchedCfg, ServerCfg};
 use std::path::PathBuf;
@@ -352,9 +352,12 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
 }
 
 /// Journals a weak-labelled `tau.a<>` vs `a<>` check as admitted with
-/// `checkpoint` as its parked snapshot, starts a daemon on the journal,
-/// and asserts that recovery serves the straight verdict.
-fn recovers_to_the_straight_verdict(tag: &str, checkpoint: &str) {
+/// `checkpoint` as its parked snapshot, which fails to decode with
+/// `defect`, starts a daemon on the journal, and asserts that recovery
+/// reruns the job and serves the straight verdict.
+fn recovers_to_the_straight_verdict(tag: &str, checkpoint: &str, defect: &str) {
+    let err = Checkpoint::from_text(checkpoint).expect_err("a defective checkpoint");
+    assert!(err.contains(defect), "{tag}: got {err:?}");
     let dir = tmpdir(tag);
     {
         let j = bpi_server::Journal::open(&dir).unwrap();
@@ -375,6 +378,13 @@ fn recovers_to_the_straight_verdict(tag: &str, checkpoint: &str) {
     let r = c.wait_result("s-1", Duration::from_secs(30)).unwrap();
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    let s = c.stats().unwrap();
+    let counter = |name: &str| {
+        let counters = s.get("counters").unwrap();
+        counters.get(name).and_then(Json::as_usize).unwrap_or(0)
+    };
+    assert!(counter("server.recover.reruns") >= 1, "{s}");
+    assert!(counter("server.journal.bytes") > 0, "{s}");
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -387,7 +397,8 @@ fn stateless_checkpoint_reruns_cleanly_on_recovery() {
     recovers_to_the_straight_verdict(
         "stateless",
         "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
-         #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t\n",
+         #section left\nbpi-graph-checkpoint/v2\npool\t\npending\t\nnode\tnil\n",
+        "without a state record",
     );
 }
 
@@ -400,9 +411,43 @@ fn hostile_refine_dims_rerun_cleanly_on_recovery() {
     recovers_to_the_straight_verdict(
         "dims",
         "bpi-equiv-checkpoint/v1\nphase\trefine\n\
-         #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t\nstate\ttau.a<>\n\
-         #section right\nbpi-graph-checkpoint/v1\npool\t\npending\t\nstate\ta<>\n\
+         #section left\nbpi-graph-checkpoint/v2\npool\t\npending\t\n\
+         node\tnil\nnode\tout\ta\t\t0\nnode\ttau\t1\nstate\t2\n\
+         #section right\nbpi-graph-checkpoint/v2\npool\t\npending\t\n\
+         node\tnil\nnode\tout\ta\t\t0\nstate\t1\n\
          #section refine\nbpi-refine-checkpoint/v1\nrounds\t0\ndims\t1000000000000\t0\n",
+        "rows",
+    );
+}
+
+/// A graph section whose node table chains 100,000 τ-nodes would build
+/// a term far past `MAX_DEPTH`, which every later pass walks
+/// recursively. The decoder refuses the first node past the cap, so
+/// recovery reruns the job instead of overflowing a stack.
+#[test]
+fn a_hundred_thousand_node_chain_reruns_cleanly_on_recovery() {
+    let taus: String = (0..100_000).map(|i| format!("node\ttau\t{i}\n")).collect();
+    recovers_to_the_straight_verdict(
+        "chain",
+        &format!(
+            "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
+             #section left\nbpi-graph-checkpoint/v2\npool\t\npending\t0\n\
+             node\tnil\n{taus}state\t100000\n"
+        ),
+        "nested deeper",
+    );
+}
+
+/// A checkpoint journaled before graph sections became node tables
+/// (`bpi-graph-checkpoint/v1`) no longer decodes: recovery reruns the
+/// job from scratch, to the same verdict.
+#[test]
+fn v1_checkpoint_reruns_cleanly_on_recovery() {
+    recovers_to_the_straight_verdict(
+        "v1",
+        "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
+         #section left\nbpi-graph-checkpoint/v1\npool\t\npending\t0\nstate\ttau.a<>\n",
+        "not a bpi-graph-checkpoint/v2 document",
     );
 }
 
@@ -410,7 +455,8 @@ fn hostile_refine_dims_rerun_cleanly_on_recovery() {
 /// daemon's `max_max_states`, even above `Opts::default()`'s 20,000,
 /// while the product it refines stays under `MAX_REFINE_PAIRS` whatever
 /// it asks for: `a0<> | … | a14<>` has 32,768 states, and 32,768 ×
-/// 16,384 pairs is over the ceiling. Sent through `roundtrip` because
+/// 16,384 pairs is over the ceiling, so the right build stops at
+/// 12,207 states with the pair-ceiling error. Sent through `roundtrip` because
 /// `Client::check` names no `max_states`; run at the default quantum,
 /// since `small_cfg`'s 8 units would park it thousands of times.
 #[test]
