@@ -37,8 +37,8 @@ use bpi_bench::{
 };
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::{
-    build_composed, refine, refine_partition, refine_worklist, shared_pool, Checker, Checkpoint,
-    Graph, Opts, Variant,
+    build_composed, refine, refine_auto, refine_partition, refine_worklist, shared_pool, Checker,
+    Checkpoint, Graph, Opts, Variant,
 };
 use bpi_semantics::{explore, Budget, CheckpointCfg, ExploreOpts, FaultPlan, ReliabilityEstimate};
 use bpi_server::{json, Client, Json, SchedCfg};
@@ -591,9 +591,10 @@ type Producer = fn(&str) -> Vec<Entry>;
 
 /// In this order: the counter workload resets the metrics registry, and
 /// the store totals cover everything before them.
-const PRODUCERS: [Producer; 11] = [
+const PRODUCERS: [Producer; 12] = [
     ratios,
     partition_ladder,
+    weak_ladder_checks,
     compose_stations,
     compose_shared,
     loss_sweep,
@@ -804,6 +805,115 @@ fn partition_ladder(_tag: &str) -> Vec<Entry> {
         };
         out.push(entry.counters([("states", states as u64)]));
     }
+    out
+}
+
+/// The value of the counter `name` now (0 before its first use).
+fn counter_now(name: &str) -> u64 {
+    bpi_obs::snapshot()
+        .counters
+        .get(name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// B18 — weak checks on τ-ladders: `Checker::check`, which refines over
+/// both graphs' branching quotients, against `refine_auto` on the same
+/// prebuilt graphs, which saturates them. Each sample builds `k`
+/// τ-prefixes in front of `a<>` against `k + 2` of them on fresh names,
+/// through the graph memo, so both sides start from graphs with empty
+/// caches and `Checker::check` finds them there. Each side counts the
+/// entries it materialises into the τ- and step-closure caches; a
+/// check's entries should grow with the states (the gated
+/// `closure-growth` entry, ceiling 1,002 / 302 ≈ 3.3×), while
+/// `refine_auto`'s grow with their square.
+fn weak_ladder_checks(tag: &str) -> Vec<Entry> {
+    const SAMPLES: usize = 5;
+    let defs = Defs::new();
+    let opts = Opts::default();
+    let v = Variant::WeakLabelled;
+    let mut sample_no = 0usize;
+    let mut fresh = |k: usize| {
+        sample_no += 1;
+        let a = bpi_core::Name::intern_raw(&format!("{tag}wl{sample_no}"));
+        let ladder = |n: usize| {
+            use bpi_core::builder::{out_, tau};
+            (0..n).fold(out_(a, []), |acc, _| tau(acc))
+        };
+        let (p, q) = (ladder(k), ladder(k + 2));
+        let pool = shared_pool(&p, &q, opts.fresh_inputs);
+        let build = |t: &P| {
+            Graph::build_cached(t, &defs, &pool, opts, &Budget::unlimited()).expect("ladder fits")
+        };
+        let (g1, g2) = (build(&p), build(&q));
+        (p, q, g1, g2)
+    };
+    let mut out = Vec::new();
+    let mut closures = Vec::new();
+    for k in [300, 1000] {
+        let mut auto_us = Vec::new();
+        let mut auto_entries = 0;
+        let mut check_us = Vec::new();
+        let mut check_entries = 0;
+        let mut states = 0;
+        let mut branching = [0u64; 2];
+        for _ in 0..SAMPLES {
+            let (_, _, g1, g2) = fresh(k);
+            states = g1.len();
+            let c0 = counter_now("equiv.graph.closure_entries");
+            let t = Instant::now();
+            assert!(refine_auto(v, &g1, &g2, 1).holds(0, 0));
+            auto_us.push(t.elapsed().as_secs_f64() * 1e6);
+            auto_entries = counter_now("equiv.graph.closure_entries") - c0;
+
+            let (p, q, _, _) = fresh(k);
+            let c0 = counter_now("equiv.graph.closure_entries");
+            let b0 = ["equiv.branching.states", "equiv.branching.blocks"].map(counter_now);
+            let t = Instant::now();
+            assert!(Checker::new(&defs).check(v, &p, &q).holds());
+            check_us.push(t.elapsed().as_secs_f64() * 1e6);
+            check_entries = counter_now("equiv.graph.closure_entries") - c0;
+            let b1 = ["equiv.branching.states", "equiv.branching.blocks"].map(counter_now);
+            branching = [b1[0] - b0[0], b1[1] - b0[1]];
+        }
+        let id = format!("bisim/check/weak-ladder-{states}/weak-labelled");
+        out.push(
+            Entry::speedup(id, Spread::of(auto_us), Spread::of(check_us))
+                .counters([
+                    ("states", states as u64),
+                    ("refine_auto_closure_entries", auto_entries),
+                    ("check_closure_entries", check_entries),
+                    ("check_branching_states", branching[0]),
+                    ("check_branching_blocks", branching[1]),
+                ])
+                .note("refine_auto saturating the prebuilt graphs vs Checker::check over their branching quotients"),
+        );
+        closures.push((states as u64, check_entries, auto_entries));
+    }
+    let [(s1, c1, a1), (s2, c2, a2)] = closures[..] else {
+        unreachable!("two ladders")
+    };
+    let growth = Entry::new(
+        "bisim/check/weak-ladder/closure-growth",
+        "x",
+        Better::Lower,
+        c2 as f64 / c1 as f64,
+    );
+    out.push(
+        growth
+            .counters([
+                ("states_small", s1),
+                ("states_large", s2),
+                ("check_closure_entries_small", c1),
+                ("check_closure_entries_large", c2),
+                ("refine_auto_closure_entries_small", a1),
+                ("refine_auto_closure_entries_large", a2),
+            ])
+            .note(&format!(
+                "closure entries of Checker::check, 1002- over 302-state ladder; refine_auto \
+                 reads {:.1}x",
+                a2 as f64 / a1 as f64
+            )),
+    );
     out
 }
 

@@ -227,8 +227,9 @@ impl<'a> Reader<'a> {
     ///
     /// The table keeps the parser's guarantees: a node names only
     /// earlier nodes, none stands taller than [`MAX_DEPTH`] (counted as
-    /// [`crate::parse_process`] counts), and a recursion variable occurs
-    /// only inside the `rec` that binds it. Names are read with
+    /// [`crate::parse_process`] counts) or holds more than
+    /// [`MAX_TREE_NODES`] nodes as a tree, and a recursion variable
+    /// occurs only inside the `rec` that binds it. Names are read with
     /// [`Name::intern_raw`]. Equal node indices decode to one shared
     /// allocation.
     pub fn graph(
@@ -321,11 +322,28 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The most nodes a decoded node may hold as a tree. A `par` or `sum`
+/// node may name one child twice, so k records can decode to a term of
+/// 2ᵏ leaves, and every pass that walks a state as a tree (transition
+/// derivation first of all, when a resumed build expands it) pays for
+/// each leaf. The daemon's own builds stay far below this: a state
+/// outgrows the request's terms only as the semantics unfolds
+/// recursion, and the largest state of the benchmark corpus (the root
+/// of its 1,000-rung τ-ladder) holds 1,002 nodes. A recursion that
+/// copies itself on every step could get here, but its build would
+/// first walk predecessors of millions of nodes, at tens of
+/// milliseconds each. A journal that names a bigger state is refused,
+/// and recovery reruns the job from its request, as for any checkpoint
+/// that does not decode: the rerun reaches the same verdict.
+pub const MAX_TREE_NODES: usize = 1 << 22;
+
 /// One decoded `node` record: its term over the earlier nodes' shared
-/// allocations, its height and its free recursion variables.
+/// allocations, its height, its size as a tree (saturating) and its
+/// free recursion variables.
 struct Node {
     term: P,
     height: usize,
+    size: usize,
     open: Vec<Ident>,
 }
 
@@ -413,14 +431,18 @@ impl Node {
         if node.height > MAX_DEPTH {
             return Err(format!("process nested deeper than {MAX_DEPTH} levels"));
         }
+        if node.size > MAX_TREE_NODES {
+            return Err(format!("process tree of more than {MAX_TREE_NODES} nodes"));
+        }
         Ok(node)
     }
 
-    /// A `0`, call or recursion variable: height 0.
+    /// A `0`, call or recursion variable: height 0, one node.
     fn leaf(p: Process) -> Node {
         Node {
             term: p.rc(),
             height: 0,
+            size: 1,
             open: Vec::new(),
         }
     }
@@ -436,6 +458,7 @@ impl Node {
         Node {
             term: p.rc(),
             height: 1 + kids.iter().map(|k| k.height).max().unwrap_or(0),
+            size: kids.iter().fold(1, |n: usize, k| n.saturating_add(k.size)),
             open,
         }
     }

@@ -41,7 +41,9 @@
 //! `BPI_ENGINE` env var overrides the choice. [`Checker::check`] runs
 //! it over the composed products of [`crate::compose`] when that
 //! module's gate accepts, and over the memoized monolithic build
-//! ([`Graph::build_cached`]) otherwise; served checks always refine
+//! ([`Graph::build_cached`]) otherwise, and quotients the graphs of a
+//! weak check by branching bisimilarity first
+//! ([`Graph::branching_quotient`]); served checks always refine
 //! monolithic graphs.
 
 use crate::checkpoint::RefineCheckpoint;
@@ -182,6 +184,53 @@ impl Route {
     }
 }
 
+/// Whether [`Checker::fixpoint`] refined over the branching quotients
+/// of its graphs, and if not, why not: the `prequotient` field of the
+/// `equiv.check` `verdict` event.
+#[derive(Clone, Copy)]
+enum PreQuotient {
+    /// Both graphs' state counts before and after.
+    Sizes([(usize, usize); 2]),
+    Skipped(&'static str),
+}
+
+impl PreQuotient {
+    fn field(self) -> String {
+        match self {
+            PreQuotient::Sizes([(n1, q1), (n2, q2)]) => format!("{n1}->{q1} {n2}->{q2}"),
+            PreQuotient::Skipped(why) => format!("skipped: {why}"),
+        }
+    }
+}
+
+/// The pre-quotient dispatch, decided from the variant and the graphs:
+/// a weak check on a partition-safe pair in which some graph has a τ
+/// edge refines over both graphs' branching quotients
+/// ([`Graph::branching_quotient`]). Branching bisimilarity is finer
+/// than all three weak variants there (DESIGN.md §12), so every verdict
+/// and every pair of the relation read through the quotient maps is
+/// kept. Without a τ edge every weak variant coincides with its strong
+/// twin and the quotient has nothing silent to collapse.
+fn prequotient(
+    v: Variant,
+    g1: Arc<Graph>,
+    g2: Arc<Graph>,
+) -> (Arc<Graph>, Arc<Graph>, PreQuotient) {
+    let has_tau = |g: &Graph| g.csr().label_id(&Action::Tau).is_some();
+    let skip = if !v.is_weak() {
+        "strong variant"
+    } else if !crate::partition::partition_safe(&g1, &g2) {
+        "not partition-safe"
+    } else if !has_tau(&g1) && !has_tau(&g2) {
+        "no tau edge"
+    } else {
+        let (q1, q2) = (g1.branching_quotient(), g2.branching_quotient());
+        let sizes = [(g1.len(), q1.len()), (g2.len(), q2.len())];
+        return (q1, q2, PreQuotient::Sizes(sizes));
+    };
+    (g1, g2, PreQuotient::Skipped(skip))
+}
+
 /// Both graphs of a check and the greatest bisimulation between them.
 type Fixpoint = (Arc<Graph>, Arc<Graph>, PairRelation);
 
@@ -280,19 +329,27 @@ impl<'d> Checker<'d> {
     /// Decides `p ~ᵥ q` with a three-valued [`Verdict`]: resource
     /// exhaustion is reported as [`Verdict::Inconclusive`] instead of a
     /// panic or a silent `false`. The state budget applies to the graphs
-    /// the dispatch of [`Checker::try_fixpoint`] refines over, so a
-    /// composed product can get a definite verdict where its monolithic
-    /// graph is over the cap.
+    /// the dispatch of [`Checker::try_fixpoint`] builds, so a composed
+    /// product can get a definite verdict where its monolithic graph is
+    /// over the cap. A weak check on a partition-safe pair with a τ edge
+    /// then refines over those graphs' branching quotients, which keep
+    /// its verdict: a τ-ladder refines as two states instead of
+    /// saturating n²/2 τ-closure entries.
     ///
     /// The `equiv.check` `verdict` event names those graphs (`graphs`:
     /// `composed` or `monolithic`) and why (`reason`: `accepted`, the
     /// gate's [`crate::compose::Decline`] reason, or `off` under the
     /// `BPI_COMPOSE=off` override). A budget error inside the compose
     /// path reports `composed`/`accepted`: the gate never declined and
-    /// no monolithic graph was built.
+    /// no monolithic graph was built. Its `prequotient` field gives the
+    /// state counts of both graphs before and after the branching
+    /// pre-quotient of a weak check (`302->2 304->2`), or why the
+    /// dispatch skipped it (`skipped: strong variant`, `not
+    /// partition-safe`, `no tau edge`, or `no graphs` when a build
+    /// failed).
     pub fn check(&self, v: Variant, p: &P, q: &P) -> Verdict {
         let _span = bpi_obs::span("equiv.check", "check");
-        let (route, fixpoint) = self.fixpoint(v, p, q);
+        let (route, pre, fixpoint) = self.fixpoint(v, p, q);
         let verdict = match fixpoint {
             Ok((_, _, rel)) => {
                 if rel.holds(0, 0) {
@@ -316,6 +373,7 @@ impl<'d> Checker<'d> {
                 ),
                 ("graphs", Value::from(route.graphs())),
                 ("reason", Value::from(route.reason())),
+                ("prequotient", Value::from(pre.field())),
             ]
         });
         verdict
@@ -323,13 +381,20 @@ impl<'d> Checker<'d> {
 
     /// Computes the greatest bisimulation between the graphs of `p` and
     /// `q` for the chosen variant, with the engine [`refine_auto`] picks
-    /// for the product. The graph side is a dispatch too: when
-    /// [`crate::compose::try_compose_pair`]'s gate accepts, the
-    /// symmetry-reduced products of the minimised components, which are
-    /// strongly labelled-bisimilar to the monolithic graphs; otherwise
-    /// the monolithic graphs. Both come from global memos, so the six
-    /// variants of [`all_variants`] and the congruence/diagnostic layers
-    /// share one build per *(process, pool)*.
+    /// for the product. The graph side is a dispatch in two steps.
+    /// First, when [`crate::compose::try_compose_pair`]'s gate accepts,
+    /// the symmetry-reduced products of the minimised components, which
+    /// are strongly labelled-bisimilar to the monolithic graphs;
+    /// otherwise the monolithic graphs. Both come from global memos, so
+    /// the six variants of [`all_variants`] and the congruence/diagnostic
+    /// layers share one build per *(process, pool)*. Second, a weak
+    /// variant on a partition-safe pair in which some graph has a τ edge
+    /// refines over both graphs' quotients by branching bisimilarity
+    /// ([`Graph::branching_quotient`], cached with each graph), which
+    /// keep the weak relation read through the quotient maps and need no
+    /// τ-closure of the unquotiented graphs. The returned graphs are the
+    /// ones refined over — composed, monolithic or their quotients — and
+    /// the relation is over them; state 0 is always the root.
     ///
     /// `Err` when a graph the dispatch builds exceeds the state budget
     /// (`opts.max_states` ∧ `budget`) or the budget's
@@ -342,13 +407,18 @@ impl<'d> Checker<'d> {
         p: &P,
         q: &P,
     ) -> Result<(Arc<Graph>, Arc<Graph>, PairRelation), EngineError> {
-        self.fixpoint(v, p, q).1
+        self.fixpoint(v, p, q).2
     }
 
-    /// [`Checker::try_fixpoint`], with the route its graph side took:
-    /// the composed pair when the gate accepts, the monolithic pair
-    /// otherwise.
-    fn fixpoint(&self, v: Variant, p: &P, q: &P) -> (Route, Result<Fixpoint, EngineError>) {
+    /// [`Checker::try_fixpoint`], with the route its graph side took
+    /// (the composed pair when the gate accepts, the monolithic pair
+    /// otherwise) and what the pre-quotient did.
+    fn fixpoint(
+        &self,
+        v: Variant,
+        p: &P,
+        q: &P,
+    ) -> (Route, PreQuotient, Result<Fixpoint, EngineError>) {
         let pool = shared_pool(p, q, self.opts.fresh_inputs);
         let (route, composed) = if crate::compose::forced_off() {
             (Route::Forced, None)
@@ -364,11 +434,14 @@ impl<'d> Checker<'d> {
             let build = |t: &P| Graph::build_cached(t, self.defs, &pool, self.opts, &self.budget);
             build(p).and_then(|g1| Ok((g1, build(q)?)))
         });
+        let mut pre = PreQuotient::Skipped("no graphs");
         let fixpoint = graphs.map(|(g1, g2)| {
+            let (g1, g2, done) = prequotient(v, g1, g2);
+            pre = done;
             let rel = refine_auto(v, &g1, &g2, 1);
             (g1, g2, rel)
         });
-        (route, fixpoint)
+        (route, pre, fixpoint)
     }
 
     /// Convenience: strong labelled bisimilarity `p ~ q`.
@@ -554,6 +627,12 @@ pub(crate) fn partition_relation(part: &Partition) -> PairRelation {
 /// channel. All engines return the same relation, so the choice is
 /// invisible to callers; `BPI_ENGINE` overrides it. The checkpointed
 /// pipeline behind [`Checker::run_slice`] dispatches the same way.
+///
+/// It refines the graphs it is given, saturating them in full for a
+/// weak variant. [`Checker::check`] hands it a weak check's branching
+/// quotients instead of the graphs themselves when the pair is
+/// partition-safe and has a τ edge (see [`Checker::try_fixpoint`]);
+/// `run_slice` and direct callers do not.
 ///
 /// `threads` is ignored: every engine is sequential. The argument stays
 /// only so the benchmark harness, which calls `refine_auto(v, g1, g2,

@@ -56,6 +56,11 @@ static MEMO_HITS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.graph.memo.hits", Det::Advisory));
 static MEMO_MISSES: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.graph.memo.misses", Det::Advisory));
+// Entries materialised into the τ- and step-closure caches. Advisory:
+// graphs are memoized and their caches shared, so what a call adds
+// depends on which calls came before it.
+static CLOSURE_ENTRIES: LazyLock<&Counter> =
+    LazyLock::new(|| counter("equiv.graph.closure_entries", Det::Advisory));
 
 /// Records a failed build (fresh or replayed from the memo).
 fn record_build_err(e: &EngineError) {
@@ -383,6 +388,8 @@ struct GraphCaches {
     deps_strong: OnceLock<Arc<Vec<Vec<usize>>>>,
     /// Weak dependency sets: inverse transitive reachability.
     deps_weak: OnceLock<Arc<Vec<Vec<usize>>>>,
+    /// The quotient by branching bisimilarity.
+    branching: OnceLock<Arc<Graph>>,
 }
 
 impl GraphCaches {
@@ -399,6 +406,7 @@ impl GraphCaches {
             arities_on: Keyed::new(chans),
             deps_strong: OnceLock::new(),
             deps_weak: OnceLock::new(),
+            branching: OnceLock::new(),
         }
     }
 }
@@ -891,6 +899,8 @@ impl Graph {
             .clone()
     }
 
+    /// The closure of `i` under the edges whose kind is in `mask`,
+    /// counted into `equiv.graph.closure_entries`.
     fn closure(&self, i: usize, mask: u8) -> BTreeSet<usize> {
         let mut seen = BTreeSet::from([i]);
         let mut work = vec![i];
@@ -904,7 +914,19 @@ impl Graph {
                 }
             }
         }
+        CLOSURE_ENTRIES.add(seen.len() as u64);
         seen
+    }
+
+    /// This graph quotiented by branching bisimilarity
+    /// ([`crate::partition::quotient_branching`]), computed on first use
+    /// and kept with the graph, so every weak check over a memoized
+    /// graph pays for it once.
+    pub fn branching_quotient(&self) -> Arc<Graph> {
+        self.caches
+            .branching
+            .get_or_init(|| Arc::new(crate::partition::quotient_branching(self)))
+            .clone()
     }
 
     /// Strong barbs of state `i`: subjects of its output edges. Cached.

@@ -12,7 +12,9 @@
 //!   kept as the ε = 0 oracle;
 //! * [`partition`] — the coarsest-partition (block/splitter) refiner:
 //!   near-linear equivalence checking over the union graph for all six
-//!   variants, plus [`partition::quotient`] minimization;
+//!   variants, plus [`partition::quotient`] minimization and the
+//!   branching pre-quotient of weak checks
+//!   ([`partition::quotient_branching`]);
 //! * [`congruence`] — `~₊` (Def. 11), the strong congruence `~c`
 //!   (closure under all name identifications, per Lemmas 17–18), and
 //!   their weak counterparts (Defs. 14–15);
@@ -71,8 +73,9 @@ pub use epsilon::{
 pub use graph::{identification_substs, shared_pool, Csr, Graph, Opts, PredCsr};
 pub use logic::{sat, satisfies, try_satisfies, Formula};
 pub use partition::{
-    partition_safe, partition_to_relation, quotient, refine_partition, refine_partition_budgeted,
-    refine_partition_resume, refine_partition_self, Partition,
+    partition_safe, partition_to_relation, quotient, quotient_branching, refine_branching_self,
+    refine_partition, refine_partition_budgeted, refine_partition_resume, refine_partition_self,
+    Partition,
 };
 pub use sensors::{sensor_context, sensors_separate, SensorBarbs};
 pub use testing::{may_equivalent_sampled, may_pass, trace_equivalent, traces, Test};

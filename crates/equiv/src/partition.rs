@@ -71,7 +71,8 @@ use crate::bisim::{PairRelation, Variant};
 use crate::checkpoint::PartitionCheckpoint;
 use crate::graph::Graph;
 use bpi_core::action::Action;
-use bpi_core::name::Name;
+use bpi_core::name::{Name, NameSet};
+use bpi_core::syntax::P;
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::Budget;
 use bpi_semantics::checkpoint::{record_resume, record_snapshot, CheckpointCfg, Interrupted};
@@ -754,6 +755,395 @@ pub fn quotient(v: Variant, g: &Graph) -> Graph {
         })
         .collect();
     let discarding = reps.iter().map(|&r| g.discarding[r].clone()).collect();
+    Graph::from_parts_record(states, edges, discarding, g.pool.clone(), false)
+}
+
+// Branching bisimilarity (Groote & Vaandrager 1990) over a graph's
+// augmented LTS: the pre-quotient of every weak check (DESIGN.md §12).
+// Both counters are functions of the graph alone.
+static BRANCHING_STATES: LazyLock<&Counter> =
+    LazyLock::new(|| counter("equiv.branching.states", Det::Deterministic));
+static BRANCHING_BLOCKS: LazyLock<&Counter> =
+    LazyLock::new(|| counter("equiv.branching.blocks", Det::Deterministic));
+
+/// A branching signature: sorted, deduplicated `(observation, block)`
+/// pairs. An observation is a label id of the graph, or `num_labels +
+/// channel id` for the pseudo-label of a discard on a channel no input
+/// label names.
+type BSig = Vec<(u32, u32)>;
+
+/// Flat per-node lists: `items[offsets[c]..offsets[c + 1]]` is node
+/// `c`'s.
+struct Lists<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Ord> Lists<T> {
+    /// Groups `(node, item)` pairs by node, each list sorted and
+    /// deduplicated.
+    fn group(n: usize, mut pairs: Vec<(u32, T)>) -> Lists<T> {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut offsets = vec![0u32; n + 1];
+        for &(c, _) in &pairs {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..n {
+            offsets[c + 1] += offsets[c];
+        }
+        Lists {
+            offsets,
+            items: pairs.into_iter().map(|(_, x)| x).collect(),
+        }
+    }
+
+    fn of(&self, c: u32) -> &[T] {
+        &self.items[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
+    }
+}
+
+/// The τ-SCCs of `g`, numbered in Tarjan's emission order: an SCC is
+/// numbered after every SCC it reaches by τ, so each τ edge between two
+/// SCCs runs from a higher number to a lower one. Returns the SCC of
+/// each state and the SCC count.
+fn tau_sccs(g: &Graph, tau: u32) -> (Vec<u32>, usize) {
+    let n = g.len();
+    let succ = Lists::group(
+        n,
+        (0..n)
+            .flat_map(|i| {
+                g.edge_ids(i)
+                    .filter(|&(l, _)| l == tau)
+                    .map(move |(_, t)| (i as u32, t as u32))
+            })
+            .collect(),
+    );
+    const UNSEEN: u32 = u32::MAX;
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut comp = vec![0u32; n];
+    let (mut next, mut ncomp) = (0u32, 0u32);
+    let mut stack: Vec<u32> = Vec::new();
+    let mut calls: Vec<(u32, usize)> = Vec::new();
+    for root in 0..n as u32 {
+        if index[root as usize] != UNSEEN {
+            continue;
+        }
+        calls.push((root, 0));
+        index[root as usize] = next;
+        low[root as usize] = next;
+        next += 1;
+        stack.push(root);
+        on_stack[root as usize] = true;
+        while let Some(&mut (v, ref mut cursor)) = calls.last_mut() {
+            let vs = v as usize;
+            if let Some(&w) = succ.of(v).get(*cursor) {
+                *cursor += 1;
+                let ws = w as usize;
+                if index[ws] == UNSEEN {
+                    index[ws] = next;
+                    low[ws] = next;
+                    next += 1;
+                    stack.push(w);
+                    on_stack[ws] = true;
+                    calls.push((w, 0));
+                } else if on_stack[ws] {
+                    low[vs] = low[vs].min(index[ws]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(p, _)) = calls.last() {
+                low[p as usize] = low[p as usize].min(low[vs]);
+            }
+            if low[vs] == index[vs] {
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    on_stack[w as usize] = false;
+                    comp[w as usize] = ncomp;
+                    if w == v {
+                        break;
+                    }
+                }
+                ncomp += 1;
+            }
+        }
+    }
+    (comp, ncomp as usize)
+}
+
+/// Branching signature refinement over the τ-SCC graph of one graph's
+/// augmented LTS. States of one τ-SCC are branching bisimilar (the
+/// relation is divergence-blind, like every weak variant here), so each
+/// SCC is one node, and the τ edges left between nodes form a DAG
+/// numbered bottom-up.
+struct BranchingRefiner {
+    /// τ's label id (`u32::MAX` when the graph has none).
+    tau: u32,
+    /// Per node: its `(observation, target node)` edges, the τ edges
+    /// inside the node dropped.
+    edges: Lists<(u32, u32)>,
+    /// Per node: the observations of its discard self-loops.
+    loops: Lists<u32>,
+    /// Per node: the sources of its incoming edges, and of its incoming
+    /// τ edges.
+    preds: Lists<u32>,
+    tau_preds: Lists<u32>,
+    blk: Vec<u32>,
+    /// Per block: members grouped by stored signature.
+    blocks: Vec<BTreeMap<BSig, BTreeSet<u32>>>,
+    sigs: Vec<Option<BSig>>,
+    dirty: Vec<u32>,
+    in_dirty: Vec<bool>,
+}
+
+impl BranchingRefiner {
+    fn new(g: &Graph, scc: &[u32], nodes: usize) -> BranchingRefiner {
+        let csr = g.csr();
+        let tau = csr.label_id(&Action::Tau).unwrap_or(u32::MAX);
+        let mut edges: Vec<(u32, (u32, u32))> = Vec::new();
+        for (i, &c) in scc.iter().enumerate() {
+            for (l, t) in g.edge_ids(i) {
+                let d = scc[t];
+                if !(l == tau && d == c) {
+                    edges.push((c, (l, d)));
+                }
+            }
+        }
+        // The augmented LTS: a state discarding `a` loops under every
+        // input label of the graph on `a`, or under `a`'s own
+        // pseudo-label when no input label names `a`.
+        let mut inputs: BTreeMap<Name, Vec<u32>> = BTreeMap::new();
+        for (l, act) in csr.labels().iter().enumerate() {
+            if act.is_input() {
+                let a = act.subject().expect("input labels have a subject");
+                inputs.entry(a).or_default().push(l as u32);
+            }
+        }
+        let mut loops: Vec<(u32, u32)> = Vec::new();
+        for (i, &c) in scc.iter().enumerate() {
+            for a in g.discarding[i].iter() {
+                match inputs.get(&a) {
+                    Some(ls) => loops.extend(ls.iter().map(|&l| (c, l))),
+                    None => {
+                        let chan = csr.chan_id(a).expect("discarded channels are in the table");
+                        loops.push((c, (csr.num_labels() as u32) + chan));
+                    }
+                }
+            }
+        }
+        let preds = edges.iter().map(|&(c, (_, d))| (d, c)).collect();
+        let tau_preds = edges
+            .iter()
+            .filter(|&&(_, (l, _))| l == tau)
+            .map(|&(c, (_, d))| (d, c))
+            .collect();
+        BranchingRefiner {
+            tau,
+            edges: Lists::group(nodes, edges),
+            loops: Lists::group(nodes, loops),
+            preds: Lists::group(nodes, preds),
+            tau_preds: Lists::group(nodes, tau_preds),
+            blk: vec![0; nodes],
+            blocks: vec![BTreeMap::new()],
+            sigs: vec![None; nodes],
+            dirty: (0..nodes as u32).collect(),
+            in_dirty: vec![true; nodes],
+        }
+    }
+
+    /// Node `c`'s signature against the current partition: its
+    /// non-inert edges and its discard loops as `(observation, block)`,
+    /// plus the signature of every inert τ-successor (a τ edge inside
+    /// the block), which is already current because it is numbered
+    /// lower.
+    fn signature(&self, c: u32) -> BSig {
+        let b = self.blk[c as usize];
+        let mut sig: BSig = Vec::new();
+        for &(l, d) in self.edges.of(c) {
+            let bd = self.blk[d as usize];
+            if l == self.tau && bd == b {
+                sig.extend_from_slice(self.sigs[d as usize].as_ref().expect("lower nodes first"));
+            } else {
+                sig.push((l, bd));
+            }
+        }
+        sig.extend(self.loops.of(c).iter().map(|&o| (o, b)));
+        sig.sort_unstable();
+        sig.dedup();
+        sig
+    }
+
+    /// One round: recompute the dirty signatures bottom-up, rebucket
+    /// the changed nodes, split every touched block (the largest bucket
+    /// keeps the id), then mark what the moves may have changed.
+    fn round(&mut self) {
+        let mut drained = std::mem::take(&mut self.dirty);
+        drained.sort_unstable();
+        for &c in &drained {
+            self.in_dirty[c as usize] = false;
+        }
+        let mut affected: BTreeSet<u32> = BTreeSet::new();
+        for &c in &drained {
+            let s = self.signature(c);
+            if self.sigs[c as usize].as_ref() == Some(&s) {
+                continue;
+            }
+            let b = self.blk[c as usize] as usize;
+            if let Some(old) = self.sigs[c as usize].take() {
+                if let Some(members) = self.blocks[b].get_mut(&old) {
+                    members.remove(&c);
+                    if members.is_empty() {
+                        self.blocks[b].remove(&old);
+                    }
+                }
+            }
+            self.blocks[b].entry(s.clone()).or_default().insert(c);
+            self.sigs[c as usize] = Some(s);
+            affected.insert(b as u32);
+        }
+        let mut moved: Vec<u32> = Vec::new();
+        for b in affected {
+            self.split(b as usize, &mut moved);
+        }
+        self.mark(&moved);
+    }
+
+    fn split(&mut self, b: usize, moved: &mut Vec<u32>) {
+        if self.blocks[b].len() <= 1 {
+            return;
+        }
+        let keeper = self.blocks[b]
+            .iter()
+            .fold(None::<(&BSig, usize)>, |best, (s, m)| match best {
+                Some((_, n)) if n >= m.len() => best,
+                _ => Some((s, m.len())),
+            })
+            .expect("split of a non-empty block")
+            .0
+            .clone();
+        for (sig, members) in std::mem::take(&mut self.blocks[b]) {
+            if sig == keeper {
+                self.blocks[b].insert(sig, members);
+            } else {
+                let nb = self.blocks.len() as u32;
+                for &m in &members {
+                    self.blk[m as usize] = nb;
+                    moved.push(m);
+                }
+                self.blocks.push(BTreeMap::from([(sig, members)]));
+            }
+        }
+    }
+
+    /// Marks every node whose signature the moves may have changed: the
+    /// moved nodes, their predecessors, and everything that reaches one
+    /// of those by inert τ edges under the new partition.
+    fn mark(&mut self, moved: &[u32]) {
+        let mut work: Vec<u32> = Vec::new();
+        for &m in moved {
+            for &c in std::iter::once(&m).chain(self.preds.of(m)) {
+                if !self.in_dirty[c as usize] {
+                    self.in_dirty[c as usize] = true;
+                    work.push(c);
+                }
+            }
+        }
+        self.dirty.extend_from_slice(&work);
+        while let Some(x) = work.pop() {
+            for &p in self.tau_preds.of(x) {
+                if self.blk[p as usize] == self.blk[x as usize] && !self.in_dirty[p as usize] {
+                    self.in_dirty[p as usize] = true;
+                    self.dirty.push(p);
+                    work.push(p);
+                }
+            }
+        }
+    }
+}
+
+/// The branching bisimilarity classes of `g`'s augmented LTS, as a
+/// canonical self-partition (the root's block is 0). In the augmented
+/// LTS τ is silent, every other label is visible, and a state that
+/// discards channel `a` loops under each of the graph's input labels on
+/// `a`, or under a pseudo-label of `a` when the graph has none: the
+/// input-or-discard clause made a transition. On a partition-safe graph
+/// the result is finer than [`refine_partition_self`] for each weak
+/// variant (`partition_oracle.rs` checks it), and computing it takes no
+/// τ-closure: the signature refinement of Blom & Orzan, with dirty-node
+/// rounds and signatures built bottom-up over each block's inert τ
+/// edges once τ-SCCs are collapsed.
+pub fn refine_branching_self(g: &Graph) -> Partition {
+    let tau = g.csr().label_id(&Action::Tau).unwrap_or(u32::MAX);
+    let (scc, nodes) = tau_sccs(g, tau);
+    let mut r = BranchingRefiner::new(g, &scc, nodes);
+    while !r.dirty.is_empty() {
+        r.round();
+    }
+    let mut renumber = vec![u32::MAX; r.blocks.len()];
+    let mut next = 0u32;
+    let blocks: Vec<u32> = scc
+        .iter()
+        .map(|&c| {
+            let b = r.blk[c as usize] as usize;
+            if renumber[b] == u32::MAX {
+                renumber[b] = next;
+                next += 1;
+            }
+            renumber[b]
+        })
+        .collect();
+    if bpi_obs::metrics_enabled() {
+        BRANCHING_STATES.add(g.len() as u64);
+        BRANCHING_BLOCKS.add(u64::from(next));
+    }
+    Partition {
+        n1: g.len(),
+        n2: 0,
+        blocks,
+        num_blocks: next as usize,
+    }
+}
+
+/// `g` quotiented by [`refine_branching_self`]: state `b` is block `b`
+/// (so the root stays state 0), with the union of its members'
+/// non-inert edges retargeted to blocks and deduplicated (a τ edge
+/// inside a block is inert and dropped) and the union of their discard
+/// sets. A representative's edges alone would not do: the top state of
+/// a τ-ladder has only its inert τ, and the output that only the
+/// ladder's bottom member has would be lost. Every state of `g` is branching
+/// bisimilar to its block, hence bisimilar to it under each weak
+/// variant. Like [`quotient`], it records no `equiv.graph.*` build
+/// counters; [`Graph::branching_quotient`] caches it with its graph.
+pub fn quotient_branching(g: &Graph) -> Graph {
+    let _span = bpi_obs::span("equiv.branching", "quotient");
+    let part = refine_branching_self(g);
+    let tau = g.csr().label_id(&Action::Tau);
+    let nb = part.num_blocks;
+    let mut states: Vec<Option<P>> = vec![None; nb];
+    let mut edges: Vec<Vec<(Action, usize)>> = vec![Vec::new(); nb];
+    let mut discarding: Vec<NameSet> = vec![NameSet::new(); nb];
+    let mut seen: Vec<BTreeSet<(u32, u32)>> = vec![BTreeSet::new(); nb];
+    for (u, &b) in part.blocks.iter().enumerate() {
+        let b = b as usize;
+        states[b].get_or_insert_with(|| g.states[u].clone());
+        for (l, t) in g.edge_ids(u) {
+            let bt = part.blocks[t];
+            if Some(l) == tau && bt as usize == b {
+                continue;
+            }
+            if seen[b].insert((l, bt)) {
+                edges[b].push((g.label(l).clone(), bt as usize));
+            }
+        }
+        discarding[b].extend(&g.discarding[u]);
+    }
+    let states = states
+        .into_iter()
+        .map(|s| s.expect("every block has a member"))
+        .collect();
     Graph::from_parts_record(states, edges, discarding, g.pool.clone(), false)
 }
 

@@ -9,6 +9,7 @@
 use bpi_core::builder::*;
 use bpi_core::dist::Dist;
 use bpi_core::parser::{parse_process, MAX_DEPTH};
+use bpi_core::record::MAX_TREE_NODES;
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
@@ -420,11 +421,21 @@ fn tau_nodes(n: usize) -> String {
     format!("node\tnil\n{taus}")
 }
 
+/// `nil`, `a<>` over it, then 22 `par` nodes each naming the node
+/// before it twice: 24 records whose last node is a tree of
+/// 3 × 2²² − 1 = 12,582,911 nodes.
+fn doubling_nodes() -> String {
+    let pars: String = (1..=22).map(|i| format!("node\tpar\t{i}\t{i}\n")).collect();
+    format!("node\tnil\nnode\tout\ta\t\t0\n{pars}state\t23\n")
+}
+
 /// The node table keeps the parser's guarantees: a node names only
 /// earlier nodes, a state names a node, nothing stands taller than
-/// `MAX_DEPTH`, and a recursion variable stays inside its `rec`.
+/// `MAX_DEPTH` or holds more than `MAX_TREE_NODES` nodes as a tree, and
+/// a recursion variable stays inside its `rec`.
 #[test]
 fn node_table_defects_are_typed_errors() {
+    const { assert!(3 * (1 << 22) - 1 > MAX_TREE_NODES) };
     for (body, defect) in [
         ("node\ttau\t1\nnode\tnil\nstate\t1\n", "not an earlier node"),
         ("node\tnil\nnode\ttau\t1\nstate\t1\n", "not an earlier node"),
@@ -440,6 +451,7 @@ fn node_table_defects_are_typed_errors() {
             &format!("{}state\t{}\n", tau_nodes(MAX_DEPTH + 1), MAX_DEPTH + 1),
             "nested deeper",
         ),
+        (&doubling_nodes(), "process tree of more than"),
     ] {
         let err = GraphCheckpoint::from_text(&graph_doc(body)).unwrap_err();
         assert!(err.contains(defect), "{defect}: got {err:?}");

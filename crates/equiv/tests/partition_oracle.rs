@@ -13,7 +13,12 @@
 //! * interrupting the budgeted partition engine at **every** feasible
 //!   round boundary and resuming through the serialised
 //!   `bpi-partition-checkpoint/v1` codec is invisible: same blocks, same
-//!   canonical numbering, same deterministic counter deltas.
+//!   canonical numbering, same deterministic counter deltas;
+//! * on partition-safe products, each weak variant's relation between
+//!   the branching quotients, read through the quotient maps, is the
+//!   naive relation between the graphs pair for pair, and each graph's
+//!   branching partition is finer than its self-partition for the
+//!   variant: the pre-quotient `Checker::check` runs weak checks over.
 //!
 //! The metrics registry is process-global and every test here records
 //! deterministic counters, so every test serialises on [`LOCK`] — an
@@ -23,9 +28,9 @@ use bpi_core::builder::*;
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{shuffle, Gen, GenCfg};
 use bpi_equiv::{
-    partition_safe, partition_to_relation, refine, refine_auto, refine_partition,
-    refine_partition_budgeted, refine_partition_resume, shared_pool, Graph, Opts, Partition,
-    PartitionCheckpoint, Variant,
+    partition_safe, partition_to_relation, quotient_branching, refine, refine_auto,
+    refine_branching_self, refine_partition, refine_partition_budgeted, refine_partition_resume,
+    refine_partition_self, shared_pool, Graph, Opts, Partition, PartitionCheckpoint, Variant,
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::{Budget, CheckpointCfg, EngineError};
@@ -66,22 +71,70 @@ fn build_pair(p: &P, q: &P) -> (Graph, Graph) {
 /// naive oracle pointwise, for every variant.
 fn assert_partition_matches_oracle(p: &P, q: &P) {
     let (g1, g2) = build_pair(p, q);
-    let safe = partition_safe(&g1, &g2);
+    assert_graphs_match_oracle(&g1, &g2, p, q);
+}
+
+/// [`assert_partition_matches_oracle`] over graphs already built.
+fn assert_graphs_match_oracle(g1: &Graph, g2: &Graph, p: &P, q: &P) {
+    let safe = partition_safe(g1, g2);
     for v in ALL {
-        let want = refine(v, &g1, &g2);
+        let want = refine(v, g1, g2);
         if safe {
-            let part = refine_partition(v, &g1, &g2);
+            let part = refine_partition(v, g1, g2);
             let got = partition_to_relation(&part);
             assert_eq!(
                 got.rel, want.rel,
                 "{v:?}: partition diverged from naive on {p} vs {q}"
             );
         }
-        let auto = refine_auto(v, &g1, &g2, 1);
+        let auto = refine_auto(v, g1, g2, 1);
         assert_eq!(
             auto.rel, want.rel,
             "{v:?}: refine_auto diverged from naive on {p} vs {q} (safe={safe})"
         );
+        if safe && v.is_weak() {
+            assert_prequotient_matches_oracle(v, g1, g2, &want.rel, p, q);
+        }
+    }
+}
+
+/// The pre-quotient differential for weak variant `v` on a
+/// partition-safe product whose naive relation is `want`: the naive
+/// relation between the two branching quotients, read through the
+/// quotient maps, is `want` pair for pair, and each graph's branching
+/// partition is finer than its `v` self-partition.
+fn assert_prequotient_matches_oracle(
+    v: Variant,
+    g1: &Graph,
+    g2: &Graph,
+    want: &[Vec<bool>],
+    p: &P,
+    q: &P,
+) {
+    let (b1, b2) = (refine_branching_self(g1), refine_branching_self(g2));
+    let (q1, q2) = (quotient_branching(g1), quotient_branching(g2));
+    assert_eq!((q1.len(), q2.len()), (b1.num_blocks, b2.num_blocks));
+    let got = refine(v, &q1, &q2);
+    for (i, row) in want.iter().enumerate() {
+        for (j, &related) in row.iter().enumerate() {
+            let (bi, bj) = (b1.blocks[i] as usize, b2.blocks[j] as usize);
+            assert_eq!(
+                got.holds(bi, bj),
+                related,
+                "{v:?}: quotient pair ({bi}, {bj}) disagrees with naive ({i}, {j}) on {p} vs {q}"
+            );
+        }
+    }
+    for (g, branching) in [(g1, &b1), (g2, &b2)] {
+        let coarse = refine_partition_self(v, g);
+        let mut image = vec![None; branching.num_blocks];
+        for (u, &b) in branching.blocks.iter().enumerate() {
+            let to = *image[b as usize].get_or_insert(coarse.blocks[u]);
+            assert_eq!(
+                to, coarse.blocks[u],
+                "{v:?}: branching block {b} straddles two {v:?} blocks on {p} vs {q}"
+            );
+        }
     }
 }
 
@@ -140,12 +193,41 @@ fn partition_matches_oracle_on_parser_corpus_seeds() {
     assert_partition_matches_oracle(&q, &q);
 }
 
+/// A pool with no fresh input name lets a state listen on every
+/// channel, so it has no discard loop that could name its block. Then a
+/// τ step into such a state is observed only as `(τ, block)`: a refiner
+/// that took every τ step as inert would merge `τ.A + X` with `A + X`,
+/// where `A` and `X` listen on both channels, though `A + X` cannot
+/// silently become `A`.
+#[test]
+fn prequotient_matches_oracle_on_a_listener_witness() {
+    let _g = lock();
+    let [a, b, x] = names(["a", "b", "x"]);
+    let listen_a = sum(inp(a, [x], out_(a, [])), inp_(b, [x]));
+    let listen_b = sum(inp(b, [x], out_(b, [])), inp_(a, [x]));
+    let committed = sum(tau(listen_a.clone()), listen_b.clone());
+    let open = sum(listen_a, listen_b);
+    let p = sum(tau(committed.clone()), tau(open));
+    let q = tau(committed);
+    let defs = Defs::new();
+    let opts = Opts {
+        fresh_inputs: 0,
+        ..Opts::default()
+    };
+    let pool = shared_pool(&p, &q, opts.fresh_inputs);
+    let g1 = Graph::build(&p, &defs, &pool, opts).expect("finite test term");
+    let g2 = Graph::build(&q, &defs, &pool, opts).expect("finite test term");
+    assert!(partition_safe(&g1, &g2));
+    assert_graphs_match_oracle(&g1, &g2, &p, &q);
+    assert_eq!(refine_branching_self(&g1).num_blocks, g1.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(240))]
 
     // 240 random pairs × 6 variants: full-relation pointwise agreement
-    // between the partition refiner, the adaptive dispatch and the
-    // naive oracle (the ISSUE acceptance floor).
+    // between the partition refiner, the adaptive dispatch, the weak
+    // variants' branching pre-quotient and the naive oracle.
     #[test]
     fn partition_agrees_with_naive_refine(seed in 0u64..1_000_000) {
         let _g = lock();
@@ -154,15 +236,7 @@ proptest! {
         let (p, q) = gen.related_pair();
         let (g1, g2) = build_pair(&p, &q);
         prop_assert!(partition_safe(&g1, &g2), "monadic corpus must be safe");
-        for v in ALL {
-            let naive = refine(v, &g1, &g2);
-            let part = refine_partition(v, &g1, &g2);
-            let got = partition_to_relation(&part);
-            prop_assert_eq!(
-                &naive.rel, &got.rel,
-                "{:?} diverged on {} vs {}", v, p, q
-            );
-        }
+        assert_partition_matches_oracle(&p, &q);
     }
 }
 

@@ -438,6 +438,24 @@ fn a_hundred_thousand_node_chain_reruns_cleanly_on_recovery() {
     );
 }
 
+/// A graph section whose 24 node records double a term 22 times decodes
+/// to a state of 12,582,911 nodes, which a resumed build would walk as a
+/// tree. The decoder refuses the first node past `MAX_TREE_NODES`, so
+/// recovery reruns the job instead.
+#[test]
+fn a_doubling_node_table_reruns_cleanly_on_recovery() {
+    let pars: String = (1..=22).map(|i| format!("node\tpar\t{i}\t{i}\n")).collect();
+    recovers_to_the_straight_verdict(
+        "doubling",
+        &format!(
+            "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
+             #section left\nbpi-graph-checkpoint/v2\npool\t\npending\t0\n\
+             node\tnil\nnode\tout\ta\t\t0\n{pars}state\t23\n"
+        ),
+        "process tree of more than",
+    );
+}
+
 /// A checkpoint journaled before graph sections became node tables
 /// (`bpi-graph-checkpoint/v1`) no longer decodes: recovery reruns the
 /// job from scratch, to the same verdict.
