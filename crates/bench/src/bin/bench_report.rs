@@ -591,10 +591,11 @@ type Producer = fn(&str) -> Vec<Entry>;
 
 /// In this order: the counter workload resets the metrics registry, and
 /// the store totals cover everything before them.
-const PRODUCERS: [Producer; 12] = [
+const PRODUCERS: [Producer; 13] = [
     ratios,
     partition_ladder,
     weak_ladder_checks,
+    input_derivation,
     compose_stations,
     compose_shared,
     loss_sweep,
@@ -915,6 +916,59 @@ fn weak_ladder_checks(tag: &str) -> Vec<Entry> {
             )),
     );
     out
+}
+
+/// B19 — input derivation on one side of the check corpus's `mixed`
+/// family: a 250-rung τ-ladder ending in `a⟨v,w⟩`, beside `a(x).b⟨x⟩ |
+/// a(x,y).c⟨y⟩`, whose two listeners refuse each other's arity on `a`
+/// in every state. Each sample builds the side cold on fresh names, so
+/// every state misses the input memo. The gated entry counts receive
+/// derivations per state: one per (channel, arity) pair of the
+/// interface `{a: {1, 2}}`, where deriving every tuple of the
+/// six-name pool runs 6 + 6² = 42.
+fn input_derivation(tag: &str) -> Vec<Entry> {
+    use bpi_core::builder::{inp, out_, par_of, tau};
+    const SAMPLES: usize = 5;
+    const COUNTERS: [&str; 2] = ["semantics.input.receives", "semantics.input.blocked"];
+    let defs = Defs::new();
+    let opts = Opts::default();
+    let mut us = Vec::new();
+    let mut counts = [0u64; 3];
+    for k in 0..SAMPLES {
+        let [a, b, c, v, w, x, y] = ["a", "b", "c", "v", "w", "x", "y"]
+            .map(|n| bpi_core::Name::intern_raw(&format!("{tag}in{k}{n}")));
+        let ladder = (0..250).fold(out_(a, [v, w]), |acc, _| tau(acc));
+        let p = par_of([
+            ladder,
+            inp(a, [x], out_(b, [x])),
+            inp(a, [x, y], out_(c, [y])),
+        ]);
+        let pool = shared_pool(&p, &p, opts.fresh_inputs);
+        let c0 = COUNTERS.map(counter_now);
+        let t = Instant::now();
+        let g = Graph::build(&p, &defs, &pool, opts).expect("the mixed side fits");
+        us.push(t.elapsed().as_secs_f64() * 1e6);
+        let c1 = COUNTERS.map(counter_now);
+        counts = [g.len() as u64, c1[0] - c0[0], c1[1] - c0[1]];
+    }
+    let [states, receives, blocked] = counts;
+    let per_state = Entry::new(
+        "semantics/inputs/mixed-250/receives-per-state",
+        "receives",
+        Better::Lower,
+        receives as f64 / states as f64,
+    );
+    vec![
+        per_state
+            .counters([
+                ("states", states),
+                ("receives", receives),
+                ("blocked", blocked),
+            ])
+            .note("receive derivations per state of a cold Graph::build of one mixed/250 side"),
+        Entry::time("semantics/inputs/mixed-250/build", Spread::of(us))
+            .note("cold Graph::build of one mixed/250 side on fresh names"),
+    ]
 }
 
 /// B15 — minimize-then-compose vs the monolithic build, on systems of

@@ -29,7 +29,7 @@ use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
 use bpi_semantics::lts::{tuples, Lts};
-use bpi_semantics::{input_transitions_cached, step_transitions_cached};
+use bpi_semantics::{inputs_cached, step_transitions_cached};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, LazyLock, OnceLock};
@@ -490,8 +490,9 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
 /// One state's expansion in the build loop (`Graph::continue_build`):
 /// its `τ`/output/input successors in derivation order,
 /// each normalised ([`Consed::normal_form`]) and bound outputs renamed
-/// by [`normalize_bound_output`], and the pool channels it discards. A
-/// pure function of the state.
+/// by [`normalize_bound_output`], and the pool channels it discards —
+/// those outside its listening interface, read off the same memoized
+/// walk as its inputs ([`Lts::inputs`]). A pure function of the state.
 fn expand_state(
     lts: &Lts<'_>,
     src: &P,
@@ -514,11 +515,11 @@ fn expand_state(
         let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
         succs.push((act, bpi_core::cons(&cont).normal_form()));
     }
-    for (act, cont) in input_transitions_cached(lts, src, &dyn_pool).iter() {
+    let inputs = inputs_cached(lts, src, &dyn_pool);
+    for (act, cont) in &inputs.transitions {
         succs.push((act.clone(), bpi_core::cons(cont).normal_form()));
     }
-    let disc = NameSet::from_iter(dyn_pool.iter().copied().filter(|&a| lts.discards(src, a)));
-    (succs, disc)
+    (succs, inputs.discards(&dyn_pool))
 }
 
 /// Global memo of completed graph builds, keyed by

@@ -53,6 +53,14 @@
 //! self-loop folds into the per-label signature and the partition is
 //! exact for all six variants.
 //!
+//! A *silent blocker* needs no guard. `a(x).0 | a(x,y).0` listens on
+//! `a` at arities 1 and 2, and each side refuses the other's, so it
+//! neither receives on `a` nor discards it and carries no input label
+//! on `a`. Against a state that discards `a` the pairwise clause fails
+//! (the discard self-loop has nothing to answer it), and the labelled
+//! signatures observe that loop under a pseudo-label of `a` whenever
+//! no input label names `a` and the union holds both kinds of state.
+//!
 //! ## Resumability
 //!
 //! [`refine_partition_budgeted`] polls the [`Budget`] and the
@@ -206,6 +214,11 @@ struct UnionView<'a> {
     /// Joint *input* label ids grouped by subject channel — the labels a
     /// discard self-loop answers.
     inputs_by_chan: BTreeMap<Name, Vec<u32>>,
+    /// Signature keys of the pseudo-labels: a channel no input label
+    /// names, which some union state discards and another does not (a
+    /// silent blocker, listening at arities a sibling refuses). The
+    /// discard self-loop is observed under this key instead.
+    pseudo: BTreeMap<Name, u32>,
 }
 
 impl<'a> UnionView<'a> {
@@ -236,7 +249,7 @@ impl<'a> UnionView<'a> {
         let lmap = |g: &Graph| -> Vec<u32> { g.csr().labels().iter().map(|a| index[a]).collect() };
         let lmap1 = lmap(g1);
         let lmap2 = g2.map(lmap).unwrap_or_default();
-        let chan_ids = names
+        let chan_ids: BTreeMap<Name, u32> = names
             .into_iter()
             .enumerate()
             .map(|(i, a)| (a, i as u32))
@@ -248,6 +261,19 @@ impl<'a> UnionView<'a> {
                 inputs_by_chan.entry(a).or_default().push(jl as u32);
             }
         }
+        // A channel every state discards needs no pseudo-label: the
+        // component would be `{own block}` (strong) or the τ-closure's
+        // blocks (weak), which never tell two states of a block apart.
+        let states = || parts.iter().flat_map(|g| &g.discarding);
+        let pseudo = chan_ids
+            .iter()
+            .filter(|(a, _)| {
+                !inputs_by_chan.contains_key(a)
+                    && states().any(|ds| ds.contains(**a))
+                    && !states().all(|ds| ds.contains(**a))
+            })
+            .map(|(&a, &c)| (a, KEY_LABEL + labels.len() as u32 + c))
+            .collect();
         UnionView {
             g1,
             g2,
@@ -258,6 +284,7 @@ impl<'a> UnionView<'a> {
             lmap2,
             chan_ids,
             inputs_by_chan,
+            pseudo,
         }
     }
 
@@ -399,10 +426,12 @@ impl<'a> Refiner<'a> {
     /// * `StrongLabelled` — τ-successor blocks; per joint label, the
     ///   blocks reachable under that label, with a discarded channel
     ///   contributing `{own block}` to every input label on it (the
-    ///   discard self-loop of the input-or-discard clause).
+    ///   discard self-loop of the input-or-discard clause), or to its
+    ///   pseudo-label when no input label names it.
     /// * `WeakLabelled` — τ-closure blocks; per joint output label the
     ///   `⇒—l→⇒` blocks; per joint input label those plus the weak
-    ///   discard continuations on its channel.
+    ///   discard continuations on its channel; per pseudo-label the weak
+    ///   discard continuations alone.
     fn signature(&self, u: u32) -> Sig {
         let u = u as usize;
         let (g, i, off) = self.view.part(u);
@@ -472,12 +501,18 @@ impl<'a> Refiner<'a> {
                     comps.entry(key).or_default().insert(blk[off + t]);
                 }
                 // A discarded channel answers every input label on it
-                // with the discard self-loop: residual `u` itself.
+                // with the discard self-loop: residual `u` itself. With
+                // no input label on it, the loop is its pseudo-label's.
                 for a in self.view.inputs_by_chan.keys() {
                     if g.state_discards(i, *a) {
                         for &jl in &self.view.inputs_by_chan[a] {
                             comps.entry(KEY_LABEL + jl).or_default().insert(blk[u]);
                         }
+                    }
+                }
+                for (&a, &key) in &self.view.pseudo {
+                    if g.state_discards(i, a) {
+                        comps.entry(key).or_default().insert(blk[u]);
                     }
                 }
                 sig.extend(
@@ -505,6 +540,13 @@ impl<'a> Refiner<'a> {
                     if !set.is_empty() {
                         sig.push((KEY_LABEL + jl as u32, set.into_iter().collect()));
                     }
+                }
+                for (&a, &key) in &self.view.pseudo {
+                    push_blocks(
+                        &mut sig,
+                        key,
+                        g.weak_discard(i, a).iter().map(|&t| blk[off + t]),
+                    );
                 }
             }
         }

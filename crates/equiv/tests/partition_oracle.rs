@@ -18,7 +18,11 @@
 //!   the branching quotients, read through the quotient maps, is the
 //!   naive relation between the graphs pair for pair, and each graph's
 //!   branching partition is finer than its self-partition for the
-//!   variant: the pre-quotient `Checker::check` runs weak checks over.
+//!   variant: the pre-quotient `Checker::check` runs weak checks over;
+//! * a silent blocker (a state listening on a channel at arities its
+//!   siblings refuse, so it neither hears nor discards it) stays apart
+//!   from a state that discards the channel on every path a check takes,
+//!   and the whole differential holds on polyadic pairs.
 //!
 //! The metrics registry is process-global and every test here records
 //! deterministic counters, so every test serialises on [`LOCK`] — an
@@ -30,7 +34,8 @@ use bpi_equiv::arbitrary::{shuffle, Gen, GenCfg};
 use bpi_equiv::{
     partition_safe, partition_to_relation, quotient_branching, refine, refine_auto,
     refine_branching_self, refine_partition, refine_partition_budgeted, refine_partition_resume,
-    refine_partition_self, shared_pool, Graph, Opts, Partition, PartitionCheckpoint, Variant,
+    refine_partition_self, shared_pool, Checker, Graph, Opts, Partition, PartitionCheckpoint,
+    SliceOutcome, Variant,
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::{Budget, CheckpointCfg, EngineError};
@@ -222,6 +227,77 @@ fn prequotient_matches_oracle_on_a_listener_witness() {
     assert_eq!(refine_branching_self(&g1).num_blocks, g1.len());
 }
 
+/// The daemon's slice fuel (`bpi_server::SchedCfg::default().fuel`).
+const DAEMON_FUEL: usize = 2_048;
+
+/// A silent blocker: `a(x).0 | a(x,y).0` listens on `a` at arities 1
+/// and 2 and each side refuses the other's arity, so it neither
+/// receives on `a` nor discards it, and no input label names `a`.
+/// `τ⁴⁰.0` discards `a` in every state, which the labelled variants
+/// observe as an `a(b̃)?` self-loop the blocker cannot answer. The
+/// 41 × 41 product is above the naive cutover, so the partition refiner
+/// decides it on every path: `refine_auto`, `Checker::check`, and
+/// `run_slice` at the daemon's fuel, sliced as a served check is.
+#[test]
+fn partition_matches_oracle_on_a_silent_blocker() {
+    let _g = lock();
+    let [a, x, y] = names(["a", "x", "y"]);
+    let ladder = |end: P| (0..40).fold(end, |p, _| tau(p));
+    let p = ladder(par(inp_(a, [x]), inp_(a, [x, y])));
+    let q = ladder(nil());
+    let (g1, g2) = build_pair(&p, &q);
+    assert!(partition_safe(&g1, &g2) && g1.len() * g2.len() > 1024);
+    assert_graphs_match_oracle(&g1, &g2, &p, &q);
+    let defs = Defs::new();
+    let checker = Checker::new(&defs);
+    for v in ALL {
+        let want = refine(v, &g1, &g2).holds(0, 0);
+        assert_eq!(
+            checker.check(v, &p, &q).holds(),
+            want,
+            "{v:?}: Checker::check diverged from naive on {p} vs {q}"
+        );
+        let mut parked = None;
+        let served = loop {
+            match checker.run_slice(v, &p, &q, parked.take(), DAEMON_FUEL) {
+                Ok(SliceOutcome::Done { holds, .. }) => break holds,
+                Ok(SliceOutcome::Parked(ck)) => parked = Some(*ck),
+                Err(i) => panic!("{v:?}: run_slice stopped: {}", i.error),
+            }
+        };
+        assert_eq!(
+            served, want,
+            "{v:?}: run_slice diverged from naive on {p} vs {q}"
+        );
+    }
+    assert!(!refine(Variant::StrongLabelled, &g1, &g2).holds(0, 0));
+}
+
+/// Polyadic related pairs with a silent blocker beside a discarder, on
+/// which the labelled signatures without a pseudo-label merged the two
+/// (seed 10047: `b(g1,g2).(0 + 0 | 0) | b(g3)` against `0`). Random
+/// polyadic generation reaches such a pair about once per 1,300
+/// partition-safe products, too seldom for the property below to be
+/// sure of one, so these seeds are kept here, paired every way.
+#[test]
+fn partition_matches_oracle_on_polyadic_blocker_seeds() {
+    let _g = lock();
+    for seed in [1252u64, 2127, 10047] {
+        let (p, q) = Gen::new(polyadic(), seed).related_pair();
+        assert_partition_matches_oracle(&p, &q);
+        assert_partition_matches_oracle(&q, &p);
+        assert_partition_matches_oracle(&p, &p);
+    }
+}
+
+/// Polyadic terms over three channels, with restriction and match.
+fn polyadic() -> GenCfg {
+    GenCfg {
+        max_arity: 2,
+        ..GenCfg::finite_monadic(names(["a", "b", "c"]).to_vec())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(240))]
 
@@ -236,6 +312,17 @@ proptest! {
         let (p, q) = gen.related_pair();
         let (g1, g2) = build_pair(&p, &q);
         prop_assert!(partition_safe(&g1, &g2), "monadic corpus must be safe");
+        assert_partition_matches_oracle(&p, &q);
+    }
+
+    // The same differential over polyadic pairs: parallel listeners at
+    // two arities on one channel make silent blockers next to states
+    // that discard the channel, and mixed arities across the pair make
+    // products that are not partition-safe.
+    #[test]
+    fn partition_agrees_with_naive_refine_polyadic(seed in 0u64..1_000_000) {
+        let _g = lock();
+        let (p, q) = Gen::new(polyadic(), seed).related_pair();
         assert_partition_matches_oracle(&p, &q);
     }
 }

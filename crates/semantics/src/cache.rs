@@ -1,10 +1,11 @@
 //! Memoized semantic derivations.
 //!
-//! Transition derivation (`Lts::step_transitions`), pool-instantiated
-//! input derivation, and state normalisation are pure functions of
-//! *(term, definition environment)* — and exploration, weak closures and
-//! bisimulation graphs call them over and over on the same terms. This
-//! module memoizes them globally, keyed by the hash-consed
+//! Transition derivation (`Lts::step_transitions`), the pool-instantiated
+//! input side of a state (`Lts::inputs`: its input transitions and the
+//! channels it listens on), and state normalisation are pure
+//! functions of *(term, definition environment)* — and exploration, weak
+//! closures and bisimulation graphs call them over and over on the same
+//! terms. This module memoizes them globally, keyed by the hash-consed
 //! [`TermId`](bpi_core::TermId) of the term and the
 //! [`Defs::generation`](bpi_core::syntax::Defs::generation) stamp, so a
 //! definition update invalidates exactly the entries it could affect.
@@ -22,7 +23,7 @@
 //! Caches are append-only with a size cap; overflowing clears the map
 //! (correctness never depends on a hit).
 
-use crate::lts::Lts;
+use crate::lts::{Inputs, Lts};
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::P;
@@ -44,34 +45,33 @@ type StepKey = (Consed, u64);
 type InputKey = (Consed, u64, Vec<Name>);
 type NormKey = (Consed, NameSet);
 
-/// A memoized derivation: the successors as the canonical allocations of
-/// their consed classes, and the handles that keep those cells, with the
-/// normal forms cached in them, live for as long as the entry.
-struct Derived {
-    succs: Arc<Vec<(Action, P)>>,
+/// A memoized derivation: its value, whose successors are the canonical
+/// allocations of their consed classes, and the handles that keep those
+/// cells, with the normal forms cached in them, live for as long as the
+/// entry.
+struct Derived<T> {
+    value: Arc<T>,
     _cells: Vec<Consed>,
 }
 
-impl Derived {
-    fn new(succs: Vec<(Action, P)>) -> Derived {
-        let (succs, _cells) = succs
-            .into_iter()
-            .map(|(act, q)| {
-                let c = bpi_core::cons(&q);
-                ((act, c.term().clone()), c)
-            })
-            .unzip();
-        Derived {
-            succs: Arc::new(succs),
-            _cells,
-        }
-    }
+/// Replaces each successor by the canonical allocation of its consed
+/// class, returning the handles that pin those classes.
+fn canonical(succs: Vec<(Action, P)>) -> (Vec<(Action, P)>, Vec<Consed>) {
+    succs
+        .into_iter()
+        .map(|(act, q)| {
+            let c = bpi_core::cons(&q);
+            ((act, c.term().clone()), c)
+        })
+        .unzip()
 }
 
-type TransMemo<K> = RwLock<HashMap<K, Derived>>;
+type TransMemo<K, T> = RwLock<HashMap<K, Derived<T>>>;
 
-static STEP_MEMO: LazyLock<TransMemo<StepKey>> = LazyLock::new(|| RwLock::new(HashMap::new()));
-static INPUT_MEMO: LazyLock<TransMemo<InputKey>> = LazyLock::new(|| RwLock::new(HashMap::new()));
+static STEP_MEMO: LazyLock<TransMemo<StepKey, Vec<(Action, P)>>> =
+    LazyLock::new(|| RwLock::new(HashMap::new()));
+static INPUT_MEMO: LazyLock<TransMemo<InputKey, Inputs>> =
+    LazyLock::new(|| RwLock::new(HashMap::new()));
 static NORM_MEMO: LazyLock<RwLock<HashMap<NormKey, Consed>>> =
     LazyLock::new(|| RwLock::new(HashMap::new()));
 
@@ -98,6 +98,22 @@ fn insert_capped<K: std::hash::Hash + Eq, V>(map: &RwLock<HashMap<K, V>>, k: K, 
     g.insert(k, v);
 }
 
+/// Enters a fresh derivation into its memo and returns the shared value.
+fn fill<K: std::hash::Hash + Eq, T>(
+    memo: &TransMemo<K, T>,
+    key: K,
+    value: T,
+    _cells: Vec<Consed>,
+) -> Arc<T> {
+    let value = Arc::new(value);
+    let d = Derived {
+        value: value.clone(),
+        _cells,
+    };
+    insert_capped(memo, key, d);
+    value
+}
+
 /// `lts.step_transitions(p)`, derived once per (term, defs generation).
 ///
 /// The returned successors are the canonical allocations of their consed
@@ -110,28 +126,28 @@ pub fn step_transitions_cached(lts: &Lts<'_>, p: &P) -> Arc<Vec<(Action, P)>> {
     let key = (bpi_core::cons(p), lts.defs.generation());
     if let Some(d) = STEP_MEMO.read().get(&key) {
         STEP_HITS.inc();
-        return d.succs.clone();
+        return d.value.clone();
     }
     STEP_MISSES.inc();
-    let d = Derived::new(lts.step_transitions(p));
-    let v = d.succs.clone();
-    insert_capped(&STEP_MEMO, key, d);
-    v
+    let (succs, cells) = canonical(lts.step_transitions(p));
+    fill(&STEP_MEMO, key, succs, cells)
 }
 
-/// `lts.input_transitions(p, pool)`, memoized per (term, defs generation,
-/// pool).
-pub fn input_transitions_cached(lts: &Lts<'_>, p: &P, pool: &[Name]) -> Arc<Vec<(Action, P)>> {
+/// `lts.inputs(p, pool)` — the input transitions and the listened
+/// channels, off one walk of the listening interface — memoized per
+/// (term, defs generation, pool). The successors are canonical
+/// allocations, as for [`step_transitions_cached`].
+pub fn inputs_cached(lts: &Lts<'_>, p: &P, pool: &[Name]) -> Arc<Inputs> {
     let key = (bpi_core::cons(p), lts.defs.generation(), pool.to_vec());
     if let Some(d) = INPUT_MEMO.read().get(&key) {
         INPUT_HITS.inc();
-        return d.succs.clone();
+        return d.value.clone();
     }
     INPUT_MISSES.inc();
-    let d = Derived::new(lts.input_transitions(p, pool));
-    let v = d.succs.clone();
-    insert_capped(&INPUT_MEMO, key, d);
-    v
+    let mut inputs = lts.inputs(p, pool);
+    let (transitions, cells) = canonical(std::mem::take(&mut inputs.transitions));
+    inputs.transitions = transitions;
+    fill(&INPUT_MEMO, key, inputs, cells)
 }
 
 /// [`crate::explore::normalize_state`] through the term's consed cell;

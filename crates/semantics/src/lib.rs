@@ -52,7 +52,7 @@ pub mod weak;
 
 pub use analysis::{analyse, reliability, Analysis, Verdict};
 pub use budget::{Budget, EngineError};
-pub use cache::{input_transitions_cached, normalize_state_cached, step_transitions_cached};
+pub use cache::{inputs_cached, normalize_state_cached, step_transitions_cached};
 pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
 pub use checkpoint::{CheckpointCfg, Interrupted};
 pub use discard::{discards, input_arities, listening};
@@ -64,7 +64,7 @@ pub use faults::{
     deafen, lossy_traces, noise, Backoff, FaultError, FaultEvent, FaultLog, FaultPlan,
     FaultySimulator,
 };
-pub use lts::{par_components, tuples, Lts};
+pub use lts::{par_components, tuples, Inputs, Lts};
 pub use prob::{
     convergence_exact, convergence_mc, convergence_mc_resume, sample_seed, step_distribution,
     wilson_ci, ExactOutcome, McCheckpoint, ProbError, ReliabilityEstimate,

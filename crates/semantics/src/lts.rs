@@ -13,7 +13,13 @@
 //!   paper the objects are instantiated eagerly, so the full relation is
 //!   infinite. [`Lts::input_transitions`] instantiates them over a finite
 //!   *name pool*; see `bpi-equiv` for why a pool of the free names plus
-//!   fresh representatives suffices.
+//!   fresh representatives suffices. The listening interface
+//!   ([`input_arities`]) is the one source of a state's input side
+//!   ([`Lts::inputs`]): its (channel, arity) pairs are what gets
+//!   instantiated, each derived once on its first tuple and refused for
+//!   every tuple when that derivation is empty (the rules test only
+//!   subject and arity, never the objects), and the pool channels
+//!   outside it are exactly the ones the state discards.
 //!
 //! Scope extrusion (rule (5)) renames the extruded binder to a globally
 //! fresh name, so the bound names of any action produced here are unique
@@ -23,9 +29,19 @@
 use crate::discard::{discards as discards_rel, input_arities, unfold_guard};
 use bpi_core::action::Action;
 use bpi_core::builder::{new_many, par};
-use bpi_core::name::{fresh_name, Name};
+use bpi_core::name::{fresh_name, Name, NameSet};
 use bpi_core::subst::{unfold_call, unfold_rec, Subst};
 use bpi_core::syntax::{Defs, Prefix, Process, P};
+use bpi_obs::{counter, Counter, Det};
+use std::sync::LazyLock;
+
+// Input-derivation work. Advisory for the reason the input memo's
+// hit/miss counts are: derivations run on memo misses, so what a call
+// adds depends on what ran before it in the process.
+static RECEIVES: LazyLock<&Counter> =
+    LazyLock::new(|| counter("semantics.input.receives", Det::Advisory));
+static BLOCKED: LazyLock<&Counter> =
+    LazyLock::new(|| counter("semantics.input.blocked", Det::Advisory));
 
 /// Transition-derivation engine, parameterised by a definition
 /// environment for resolving `Call`s.
@@ -271,25 +287,61 @@ impl<'d> Lts<'d> {
     }
 
     /// Input transitions of `p` with objects drawn from `pool`: for each
-    /// channel/arity `p` listens on, every tuple over the pool.
+    /// channel/arity `p` listens on, every tuple over the pool, in
+    /// interface order, then arity order, then pool order. The input
+    /// half of [`Lts::inputs`].
     pub fn input_transitions(&self, p: &P, pool: &[Name]) -> Vec<(Action, P)> {
-        let mut out = Vec::new();
-        for (chan, arities) in input_arities(p, self.defs) {
+        self.inputs(p, pool).transitions
+    }
+
+    /// The input side of `p` over `pool`, off one walk of its listening
+    /// interface ([`input_arities`]): the input transitions, and the
+    /// channels `p` listens on, whose complement in the pool is what `p`
+    /// discards (`p —a:→` iff `a ∉ In(p)`; [`Inputs::discards`]).
+    ///
+    /// Each (channel, arity) pair of the interface is derived on its
+    /// first pool tuple. Whether [`Lts::receives`] derives anything never
+    /// depends on the objects: an input prefix compares only subject and
+    /// arity, a match tests names already in the term, a restriction
+    /// whose binder collides is α-renamed, and a parallel composition
+    /// combines its sides through [`Lts::discards`]. So an empty first
+    /// derivation refuses that arity for every tuple (a sibling listening
+    /// at another arity blocks it), and a non-empty one is kept and the
+    /// remaining tuples derived in turn.
+    pub fn inputs(&self, p: &P, pool: &[Name]) -> Inputs {
+        let interface = input_arities(p, self.defs);
+        let listening = NameSet::from_iter(interface.keys().copied());
+        let mut transitions = Vec::new();
+        for (chan, arities) in interface {
             for arity in arities {
-                for tuple in tuples(pool, arity) {
-                    for cont in self.receives(p, chan, &tuple) {
-                        out.push((
-                            Action::Input {
-                                chan,
-                                objects: tuple.clone(),
-                            },
-                            cont,
-                        ));
-                    }
+                // The first tuple in pool order, without enumerating the rest.
+                let head = match pool.first() {
+                    Some(&n) => vec![n; arity],
+                    None if arity == 0 => Vec::new(),
+                    None => continue,
+                };
+                let conts = self.receives_counted(p, chan, &head);
+                if conts.is_empty() {
+                    BLOCKED.inc();
+                    continue;
+                }
+                push_inputs(&mut transitions, chan, &head, conts);
+                for tuple in tuples(pool, arity).iter().skip(1) {
+                    let conts = self.receives_counted(p, chan, tuple);
+                    push_inputs(&mut transitions, chan, tuple, conts);
                 }
             }
         }
-        out
+        Inputs {
+            transitions,
+            listening,
+        }
+    }
+
+    /// [`Lts::receives`], counted into `semantics.input.receives`.
+    fn receives_counted(&self, p: &P, chan: Name, values: &[Name]) -> Vec<P> {
+        RECEIVES.inc();
+        self.receives(p, chan, values)
     }
 
     /// All transitions: step moves plus pool-instantiated inputs.
@@ -297,6 +349,34 @@ impl<'d> Lts<'d> {
         let mut out = self.step_transitions(p);
         out.extend(self.input_transitions(p, pool));
         out
+    }
+}
+
+/// The input side of a state over a name pool ([`Lts::inputs`]).
+#[derive(Clone, Debug)]
+pub struct Inputs {
+    /// `p —a(b̃)→ p'` for each channel `a` and arity of the listening
+    /// interface and each pool tuple `b̃` ([`Lts::input_transitions`]).
+    pub transitions: Vec<(Action, P)>,
+    /// `In(p)`: the channels of the listening interface.
+    pub listening: NameSet,
+}
+
+impl Inputs {
+    /// The channels of `pool` that `p` discards: those outside `In(p)`.
+    pub fn discards(&self, pool: &[Name]) -> NameSet {
+        NameSet::from_iter(
+            pool.iter()
+                .copied()
+                .filter(|&a| !self.listening.contains(a)),
+        )
+    }
+}
+
+fn push_inputs(out: &mut Vec<(Action, P)>, chan: Name, objects: &[Name], conts: Vec<P>) {
+    for cont in conts {
+        let objects = objects.to_vec();
+        out.push((Action::Input { chan, objects }, cont));
     }
 }
 
