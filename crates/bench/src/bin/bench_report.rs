@@ -591,7 +591,7 @@ type Producer = fn(&str) -> Vec<Entry>;
 
 /// In this order: the counter workload resets the metrics registry, and
 /// the store totals cover everything before them.
-const PRODUCERS: [Producer; 13] = [
+const PRODUCERS: [Producer; 14] = [
     ratios,
     partition_ladder,
     weak_ladder_checks,
@@ -604,6 +604,7 @@ const PRODUCERS: [Producer; 13] = [
     glomers_loss_sweep,
     server_phases,
     server_recovery,
+    server_wakeups,
     store,
 ];
 
@@ -1534,6 +1535,57 @@ fn server_recovery(_tag: &str) -> Vec<Entry> {
         Entry::holds("server/kill-restart", got == expected, recovery)
             .counters([("jobs", RECOVERY_JOBS as u64), ("kills", 1)])
             .note("verdicts identical across kill -9 and a restart on the same journal"),
+    ]
+}
+
+/// B20 — when an in-process daemon at `SchedCfg::default()` wakes its
+/// workers. Idle workers wait on the run queue's condvar with no
+/// timeout, so a 200 ms idle window should count no idle wake-up (the
+/// gated entry; a 1 ms poll would count about 400 over two workers).
+/// Then 200 sequential `Normal` checks of `a<>` against itself on one
+/// connection, each timed client-side around its round trip: a job
+/// should start as soon as it is queued, not when a timer fires.
+fn server_wakeups(_tag: &str) -> Vec<Entry> {
+    const IDLE_MS: u64 = 200;
+    const CHECKS: usize = 200;
+    let dir = server_dir("wakeups");
+    let h = bpi_server::start(bpi_server::ServerCfg::new(&dir)).expect("start daemon");
+    let mut c = Client::connect(h.addr).expect("connect");
+    let mut idle_wakeups = || {
+        let s = c.stats().expect("stats");
+        let counters = s.get("counters").expect("stats counters");
+        counters
+            .get("server.idle_wakeups")
+            .and_then(Json::as_usize)
+            .unwrap_or(0) as u64
+    };
+    let before = idle_wakeups();
+    std::thread::sleep(Duration::from_millis(IDLE_MS));
+    let woken = idle_wakeups() - before;
+    let mut us = Vec::new();
+    for i in 0..CHECKS {
+        let (id, v) = (format!("tiny-{i}"), "strong-labelled");
+        let t = Instant::now();
+        let r = c
+            .check(&id, "", v, "a<>", "a<>", "normal", None)
+            .expect("round trip");
+        us.push(t.elapsed().as_secs_f64() * 1e6);
+        assert_eq!(r.get("holds").and_then(Json::as_bool), Some(true), "{r}");
+    }
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    vec![
+        Entry::new(
+            "server/idle/wakeups",
+            "wakeups",
+            Better::Lower,
+            woken as f64,
+        )
+        .counters([("window_ms", IDLE_MS)])
+        .note("server.idle_wakeups over an idle window of a daemon at SchedCfg::default()"),
+        Entry::time("server/sequential/tiny-check", Spread::of(us))
+            .counters([("checks", CHECKS as u64)])
+            .note("client round trip of a Normal strong-labelled a<> vs a<> check, one connection"),
     ]
 }
 

@@ -310,7 +310,7 @@ impl<'d> Lts<'d> {
     /// remaining tuples derived in turn.
     pub fn inputs(&self, p: &P, pool: &[Name]) -> Inputs {
         let interface = input_arities(p, self.defs);
-        let listening = NameSet::from_iter(interface.keys().copied());
+        let listening = interface.keys().copied().collect();
         let mut transitions = Vec::new();
         for (chan, arities) in interface {
             for arity in arities {
@@ -358,8 +358,9 @@ pub struct Inputs {
     /// `p —a(b̃)→ p'` for each channel `a` and arity of the listening
     /// interface and each pool tuple `b̃` ([`Lts::input_transitions`]).
     pub transitions: Vec<(Action, P)>,
-    /// `In(p)`: the channels of the listening interface.
-    pub listening: NameSet,
+    /// `In(p)`: the channels of the listening interface, sorted and
+    /// distinct (they are the interface map's keys).
+    pub listening: Box<[Name]>,
 }
 
 impl Inputs {
@@ -368,7 +369,7 @@ impl Inputs {
         NameSet::from_iter(
             pool.iter()
                 .copied()
-                .filter(|&a| !self.listening.contains(a)),
+                .filter(|a| self.listening.binary_search(a).is_err()),
         )
     }
 }

@@ -35,7 +35,8 @@ use crate::json::Json;
 use bpi_equiv::Variant;
 
 /// Scheduling class of a job. Under overload the daemon sheds `Low`
-/// first, and the worker scan order is `High`, `Normal`, parked, `Low`.
+/// first. Workers scan in declaration order, fresh before parked jobs
+/// within each class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Priority {
     High,

@@ -6,9 +6,9 @@
 //! `explore`, its sample count for `reliability`). Admission is refused
 //! with a typed [`RejectReason`] when:
 //!
-//! * the job's priority queue is full (queues are **bounded** crossbeam
-//!   channels; `try_send` is the admission gate, so queue depth can
-//!   never grow without bound),
+//! * the job's priority has `queue_cap` fresh jobs waiting (the test
+//!   runs under the run queue's lock, so queue depth can never grow
+//!   without bound),
 //! * admitting the cost would push the in-flight total over the
 //!   daemon's state budget, or
 //! * the daemon is above its shed threshold and the job is `Low`
@@ -19,11 +19,18 @@
 //! sync but before the verdict re-admits the job at recovery, and a
 //! crash before the sync loses only a job no client has seen).
 //!
+//! ## The run queue
+//!
+//! Waiting jobs sit in six lanes, a fresh and a parked one per priority,
+//! under one lock. Every push notifies one condvar, on which idle workers
+//! wait with no timeout. A recovered job is queued with its journaled
+//! checkpoint as text, and its first slice decodes it.
+//!
 //! ## Fair scheduling by checkpoint preemption
 //!
 //! Workers run jobs in fuel-bounded slices ([`Checker::run_slice`] for
 //! `check`, a fuelled [`CheckpointCfg`] for `reliability`). A job whose
-//! slice parks goes to the back of its priority's *parked* queue and its
+//! slice parks goes to the back of its priority's *parked* lane and its
 //! checkpoint is persisted; the scan order (fresh before parked within
 //! each priority) means short fresh jobs overtake long parked ones, so
 //! a single huge check can never starve the queue behind it. Because
@@ -33,9 +40,9 @@
 //! ## Isolation
 //!
 //! Each slice runs under `catch_unwind`, the workspace's one panic
-//! isolation: a panic inside an engine produces a typed
-//! `{"status":"error","error":"panic"}` response and the worker moves
-//! on — one poisoned job cannot take the daemon down.
+//! isolation: a panic inside an engine or a checkpoint decoder produces
+//! a typed `{"status":"error","error":"panic"}` response and the worker
+//! moves on — one poisoned job cannot take the daemon down.
 
 use crate::journal::Journal;
 use crate::json::Json;
@@ -45,15 +52,16 @@ use bpi_core::syntax::{Defs, P};
 use bpi_core::Name;
 use bpi_equiv::checkpoint::Checkpoint;
 use bpi_equiv::{Checker, Opts, SliceOutcome, Variant};
+use bpi_obs::{Counter, Histogram};
 use bpi_semantics::{
     convergence_mc_resume, explore_budgeted, Budget, CheckpointCfg, EngineError, ExploreOpts,
     FaultPlan, McCheckpoint,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use std::collections::HashMap;
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Scheduler tuning. All ceilings are hard: exceeding any of them is a
@@ -124,6 +132,8 @@ enum Work {
 enum ParkState {
     Check(Box<Checkpoint>),
     Mc(McCheckpoint),
+    /// A recovered job's journaled checkpoint, decoded by its first slice.
+    Journaled(String),
 }
 
 struct Job {
@@ -148,18 +158,114 @@ pub enum Submit {
     Immediate(Json),
 }
 
-struct Queues {
-    fresh_tx: [Sender<Job>; 3],
-    fresh_rx: [Receiver<Job>; 3],
-    parked_tx: [Sender<Job>; 3],
-    parked_rx: [Receiver<Job>; 3],
+/// Where a push goes within its job's priority: `Fresh` is admission,
+/// refused at `queue_cap`; a `Recovered` job was admitted once already
+/// and overflows into the parked lane.
+#[derive(Clone, Copy, Debug)]
+enum Lane {
+    Fresh,
+    Recovered,
+    Parked,
+}
+
+/// Every waiting job, in six lanes under one lock: fresh then parked
+/// for `High`, `Normal` and `Low`, which is the scan order.
+#[derive(Default)]
+struct Lanes {
+    lanes: [VecDeque<(Instant, Job)>; 6],
+    draining: bool,
+}
+
+/// The run queue: one lock, and one condvar that every push notifies and
+/// idle workers wait on.
+struct RunQueue {
+    state: Mutex<Lanes>,
+    ready: Condvar,
+    /// Capacity of each priority's fresh lane.
+    cap: usize,
+    idle_wakeups: &'static Counter,
+    queue_wait_us: &'static Histogram,
+}
+
+impl RunQueue {
+    fn new(cap: usize) -> RunQueue {
+        RunQueue {
+            state: Mutex::default(),
+            ready: Condvar::new(),
+            cap: cap.max(1),
+            idle_wakeups: bpi_obs::counter("server.idle_wakeups", bpi_obs::Det::Advisory),
+            queue_wait_us: bpi_obs::histogram("server.queue_wait_us"),
+        }
+    }
+
+    fn lanes(&self) -> MutexGuard<'_, Lanes> {
+        self.state
+            .lock()
+            .expect("no code panics under the run queue lock")
+    }
+
+    /// Queues `job` on `lane` of its priority and wakes one idle worker;
+    /// false when a full fresh lane refuses an admission.
+    fn push(&self, job: Job, lane: Lane) -> bool {
+        let mut g = self.lanes();
+        let fresh = 2 * job.prio as usize;
+        let full = g.lanes[fresh].len() >= self.cap;
+        let i = match lane {
+            Lane::Fresh if full => return false,
+            Lane::Fresh => fresh,
+            Lane::Recovered if !full => fresh,
+            Lane::Recovered | Lane::Parked => fresh + 1,
+        };
+        g.lanes[i].push_back((Instant::now(), job));
+        drop(g);
+        bpi_obs::gauge("server.queue_depth").add(1);
+        bpi_semantics::chaos::delay("server.runqueue.push");
+        self.ready.notify_one();
+        true
+    }
+
+    /// The first job in scan order, waiting (untimed) while every lane is
+    /// empty; `None` once the queue drains.
+    fn pop(&self) -> Option<Job> {
+        bpi_semantics::chaos::delay("server.runqueue.pop");
+        let mut g = self.lanes();
+        loop {
+            if g.draining {
+                return None;
+            }
+            if let Some((at, job)) = g.lanes.iter_mut().find_map(VecDeque::pop_front) {
+                drop(g);
+                bpi_obs::gauge("server.queue_depth").add(-1);
+                self.queue_wait_us.record(at.elapsed().as_micros() as u64);
+                return Some(job);
+            }
+            g = self
+                .ready
+                .wait(g)
+                .expect("no code panics under the run queue lock");
+            if !g.draining && g.lanes.iter().all(VecDeque::is_empty) {
+                self.idle_wakeups.inc();
+            }
+        }
+    }
+
+    /// Stops every worker at its next pop: sets the drain flag under the
+    /// lock, then wakes them all. Queued jobs stay queued (and journaled).
+    fn drain(&self) {
+        self.lanes().draining = true;
+        self.ready.notify_all();
+    }
+
+    fn depth(&self) -> usize {
+        self.lanes().lanes.iter().map(VecDeque::len).sum()
+    }
 }
 
 struct Shared {
     cfg: SchedCfg,
     store: Arc<Store>,
     journal: Arc<Journal>,
-    queues: Queues,
+    queue: RunQueue,
     /// Summed cost of admitted-but-unfinished jobs.
     inflight_cost: AtomicUsize,
     /// Ids currently in flight, for duplicate detection. The flag is
@@ -168,7 +274,6 @@ struct Shared {
     inflight_ids: Mutex<HashMap<String, bool>>,
     /// Final responses by id, served by the `result` op byte-identically.
     completed: Mutex<HashMap<String, Json>>,
-    draining: AtomicBool,
 }
 
 pub struct Scheduler {
@@ -176,100 +281,55 @@ pub struct Scheduler {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-fn pidx(p: Priority) -> usize {
-    match p {
-        Priority::High => 0,
-        Priority::Normal => 1,
-        Priority::Low => 2,
-    }
-}
-
 impl Scheduler {
     pub fn new(cfg: SchedCfg, store: Arc<Store>, journal: Arc<Journal>) -> Scheduler {
-        let mk = |cap: Option<usize>| -> (Vec<Sender<Job>>, Vec<Receiver<Job>>) {
-            (0..3)
-                .map(|_| match cap {
-                    Some(c) => bounded::<Job>(c),
-                    None => unbounded::<Job>(),
-                })
-                .unzip()
-        };
-        let (ftx, frx) = mk(Some(cfg.queue_cap.max(1)));
-        let (ptx, prx) = mk(None);
-        let into3 = |mut v: Vec<Sender<Job>>| -> [Sender<Job>; 3] {
-            let c = v.pop().unwrap();
-            let b = v.pop().unwrap();
-            let a = v.pop().unwrap();
-            [a, b, c]
-        };
-        let into3r = |mut v: Vec<Receiver<Job>>| -> [Receiver<Job>; 3] {
-            let c = v.pop().unwrap();
-            let b = v.pop().unwrap();
-            let a = v.pop().unwrap();
-            [a, b, c]
-        };
         let shared = Arc::new(Shared {
+            queue: RunQueue::new(cfg.queue_cap),
             cfg,
             store,
             journal,
-            queues: Queues {
-                fresh_tx: into3(ftx),
-                fresh_rx: into3r(frx),
-                parked_tx: into3(ptx),
-                parked_rx: into3r(prx),
-            },
             inflight_cost: AtomicUsize::new(0),
             inflight_ids: Mutex::new(HashMap::new()),
             completed: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
         });
-        let sched = Scheduler {
-            shared: Arc::clone(&shared),
-            workers: Mutex::new(Vec::new()),
-        };
-        let n = shared.cfg.workers.max(1);
-        let mut g = sched.workers.lock().unwrap();
-        for i in 0..n {
-            let sh = Arc::clone(&shared);
-            g.push(
+        let workers = (0..shared.cfg.workers.max(1))
+            .map(|i| {
+                let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("bpi-worker-{i}"))
-                    .spawn(move || worker_loop(&sh))
-                    .expect("spawn worker"),
-            );
+                    .spawn(move || {
+                        // Take the next job in scan order, run one slice,
+                        // route the outcome; stop once the queue drains.
+                        while let Some(job) = sh.queue.pop() {
+                            run_one_slice(&sh, job);
+                        }
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        Scheduler {
+            shared,
+            workers: Mutex::new(workers),
         }
-        drop(g);
-        sched
     }
 
     /// Replays a recovered journal: definitions first, then completed
-    /// verdicts, then re-admission of in-flight jobs (resuming from
-    /// their persisted checkpoints when those decode).
+    /// verdicts, then re-admission of in-flight jobs, each with its
+    /// persisted checkpoint as text for its first slice to decode.
     pub fn recover(&self, rec: crate::journal::Recovered) {
         let sh = &self.shared;
         for (session, src) in &rec.defs {
             let _ = sh.store.set_defs(session, src);
         }
-        {
-            let mut done = sh.completed.lock().unwrap();
-            for (id, resp) in rec.done {
-                done.insert(id, resp);
-            }
-        }
+        sh.completed.lock().unwrap().extend(rec.done);
         for (id, req, ck_text) in rec.inflight {
             match parse_job(&req, sh) {
                 Ok((prio, cost, deadline, work)) => {
-                    let parked = ck_text.as_deref().and_then(|t| decode_park(&work, t));
-                    if ck_text.is_some() && parked.is_none() {
-                        // A checkpoint that no longer decodes (corrupt, or
-                        // a retired format): the job reruns from scratch.
-                        bpi_obs::counter("server.recover.reruns", bpi_obs::Det::Advisory).inc();
-                    }
                     let job = Job {
                         id: id.clone(),
                         prio,
                         work,
-                        parked,
+                        parked: ck_text.map(ParkState::Journaled),
                         deadline: deadline.map(|d| Instant::now() + d),
                         admitted_at: Instant::now(),
                         cost,
@@ -279,13 +339,14 @@ impl Scheduler {
                     sh.inflight_ids.lock().unwrap().insert(id, true);
                     sh.inflight_cost.fetch_add(cost, Ordering::SeqCst);
                     bpi_obs::counter("server.recovered", bpi_obs::Det::Advisory).inc();
-                    enqueue(sh, job, false);
+                    sh.queue.push(job, Lane::Recovered);
                 }
                 Err(resp) => {
                     // The request can no longer be parsed (e.g. its
                     // session defs record was torn away): complete it
                     // with the typed error rather than dropping it.
-                    complete_recovered(sh, &id, &resp);
+                    let _ = sh.journal.record_done(&id, &resp);
+                    sh.completed.lock().unwrap().insert(id, resp);
                 }
             }
         }
@@ -295,7 +356,7 @@ impl Scheduler {
     /// `result`, `shutdown`) never reach here — only costed jobs do.
     pub fn submit(&self, req: &Json) -> Submit {
         let sh = &self.shared;
-        if sh.draining.load(Ordering::SeqCst) {
+        if sh.queue.lanes().draining {
             return Submit::Immediate(reject(RejectReason::Draining, "daemon is shutting down"));
         }
         let Some(id) = req.str_field("id") else {
@@ -368,32 +429,22 @@ impl Scheduler {
             reply: Some(tx),
         };
         sh.inflight_cost.fetch_add(cost, Ordering::SeqCst);
-        match sh.queues.fresh_tx[pidx(prio)].try_send(job) {
-            Ok(()) => {
-                bpi_obs::counter("server.admitted", bpi_obs::Det::Advisory).inc();
-                bpi_obs::gauge("server.queue_depth").add(1);
-                Submit::Queued(rx)
-            }
-            Err(TrySendError::Full(job)) => {
-                // Roll the reservation back; the journal keeps the
-                // admitted record, so recovery must see the rejection
-                // too — journal it as the job's final response.
-                let resp = reject(RejectReason::QueueFull, "priority queue at capacity");
-                sh.inflight_cost.fetch_sub(job.cost, Ordering::SeqCst);
-                let _ = sh.journal.record_done(id, &resp);
-                sh.completed
-                    .lock()
-                    .unwrap()
-                    .insert(id.to_string(), resp.clone());
-                unreserve();
-                Submit::Immediate(resp)
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                sh.inflight_cost.fetch_sub(job.cost, Ordering::SeqCst);
-                unreserve();
-                Submit::Immediate(reject(RejectReason::Draining, "workers stopped"))
-            }
+        if sh.queue.push(job, Lane::Fresh) {
+            bpi_obs::counter("server.admitted", bpi_obs::Det::Advisory).inc();
+            return Submit::Queued(rx);
         }
+        // Roll the reservation back; the journal keeps the admitted
+        // record, so recovery must see the rejection too — journal it as
+        // the job's final response.
+        let resp = reject(RejectReason::QueueFull, "priority queue at capacity");
+        sh.inflight_cost.fetch_sub(cost, Ordering::SeqCst);
+        let _ = sh.journal.record_done(id, &resp);
+        sh.completed
+            .lock()
+            .unwrap()
+            .insert(id.to_string(), resp.clone());
+        unreserve();
+        Submit::Immediate(resp)
     }
 
     /// Serves `{"op":"result"}`: the journaled final response (byte
@@ -408,14 +459,9 @@ impl Scheduler {
         error("unknown-id", "no such job in this journal")
     }
 
-    /// Current queue depth across all queues (fresh + parked).
+    /// Current queue depth across all lanes (fresh + parked).
     pub fn queue_depth(&self) -> usize {
-        let q = &self.shared.queues;
-        q.fresh_rx
-            .iter()
-            .chain(q.parked_rx.iter())
-            .map(|r| r.len())
-            .sum()
+        self.shared.queue.depth()
     }
 
     pub fn inflight_cost(&self) -> usize {
@@ -428,7 +474,7 @@ impl Scheduler {
     /// resumes them — graceful shutdown and crash recovery share one
     /// path.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.queue.drain();
         let mut g = self.workers.lock().unwrap();
         for h in g.drain(..) {
             let _ = h.join();
@@ -441,18 +487,23 @@ fn reject(reason: RejectReason, detail: &str) -> Json {
     rejected(reason, detail)
 }
 
-/// Decodes a persisted checkpoint against the job's work kind, through
-/// the hardened codecs; any mismatch or corruption restarts the job
-/// from scratch (same verdict, by determinism).
+/// Decodes a recovered job's checkpoint against its work kind, through
+/// the hardened codecs. A checkpoint that no longer decodes (corrupt, or
+/// a retired format) reruns the job from scratch: the same verdict, by
+/// determinism.
 fn decode_park(work: &Work, text: &str) -> Option<ParkState> {
-    match work {
+    let parked = match work {
         Work::Check { .. } => text
             .parse::<Checkpoint>()
             .ok()
             .map(|ck| ParkState::Check(Box::new(ck))),
         Work::Reliability { .. } => text.parse::<McCheckpoint>().ok().map(ParkState::Mc),
         Work::Explore { .. } => None,
+    };
+    if parked.is_none() {
+        bpi_obs::counter("server.recover.reruns", bpi_obs::Det::Advisory).inc();
     }
+    parked
 }
 
 /// Decodes one costed request into its scheduling envelope and payload.
@@ -562,68 +613,6 @@ fn parse_job(req: &Json, sh: &Shared) -> Result<(Priority, usize, Option<Duratio
     }
 }
 
-fn enqueue(sh: &Shared, job: Job, parked: bool) {
-    bpi_obs::gauge("server.queue_depth").add(1);
-    let q = if parked {
-        &sh.queues.parked_tx
-    } else {
-        // Recovered fresh jobs bypass the bounded gate (they were
-        // admitted once already): use the parked queue on overflow.
-        match sh.queues.fresh_tx[pidx(job.prio)].try_send(job) {
-            Ok(()) => return,
-            Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => {
-                return enqueue_parked(sh, j);
-            }
-        }
-    };
-    let i = pidx(job.prio);
-    let _ = q[i].send(job);
-}
-
-fn enqueue_parked(sh: &Shared, job: Job) {
-    let i = pidx(job.prio);
-    let _ = sh.queues.parked_tx[i].send(job);
-}
-
-fn complete_recovered(sh: &Shared, id: &str, resp: &Json) {
-    let _ = sh.journal.record_done(id, resp);
-    sh.completed
-        .lock()
-        .unwrap()
-        .insert(id.to_string(), resp.clone());
-    sh.inflight_ids.lock().unwrap().remove(id);
-}
-
-/// One worker: scan fresh-then-parked within each priority, run one
-/// slice, route the outcome.
-fn worker_loop(sh: &Shared) {
-    loop {
-        if sh.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut got = None;
-        'scan: for i in 0..3 {
-            for q in [&sh.queues.fresh_rx[i], &sh.queues.parked_rx[i]] {
-                if let Ok(job) = q.try_recv() {
-                    got = Some(job);
-                    break 'scan;
-                }
-            }
-        }
-        let Some(job) = got else {
-            // Idle: block briefly on the high-priority queue so an idle
-            // daemon costs a condvar wait, not a spin.
-            if let Ok(job) = sh.queues.fresh_rx[0].recv_timeout(Duration::from_millis(1)) {
-                bpi_obs::gauge("server.queue_depth").add(-1);
-                run_one_slice(sh, job);
-            }
-            continue;
-        };
-        bpi_obs::gauge("server.queue_depth").add(-1);
-        run_one_slice(sh, job);
-    }
-}
-
 fn run_one_slice(sh: &Shared, mut job: Job) {
     // Deadline is checked at every slice boundary *and* inside the
     // engines via the budget — a parked job past its deadline dies here
@@ -641,7 +630,7 @@ fn run_one_slice(sh: &Shared, mut job: Job) {
         Ok(SliceResult::Final(resp)) => finish(sh, job, resp),
         Ok(SliceResult::Parked) => {
             bpi_obs::counter("server.preempted", bpi_obs::Det::Advisory).inc();
-            enqueue(sh, job, true);
+            sh.queue.push(job, Lane::Parked);
         }
         Err(_) => {
             bpi_obs::counter("server.panics", bpi_obs::Det::Advisory).inc();
@@ -672,6 +661,9 @@ fn engine_stop(e: &EngineError) -> Json {
 }
 
 fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
+    if let Some(ParkState::Journaled(text)) = &job.parked {
+        job.parked = decode_park(&job.work, text);
+    }
     let fuel = sh.cfg.fuel.max(1);
     // The budget carries only the job's deadline: a job's `max_states`
     // is its engine's own state ceiling (`Opts`, `ExploreOpts`), set once.
@@ -802,5 +794,146 @@ fn finish(sh: &Shared, job: Job, resp: Json) {
     bpi_obs::histogram("server.slices_per_job").record(u64::from(job.slices));
     if let Some(tx) = job.reply {
         let _ = tx.send(resp);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Long enough for any wake-up, short enough that a lost one fails
+    /// the test instead of hanging it.
+    const WATCHDOG: Duration = Duration::from_secs(5);
+
+    fn job(id: &str, prio: Priority) -> Job {
+        Job {
+            id: id.to_string(),
+            prio,
+            work: Work::Explore {
+                p: bpi_core::builder::nil(),
+                defs: Defs::new(),
+                max_states: 1,
+            },
+            parked: None,
+            deadline: None,
+            admitted_at: Instant::now(),
+            cost: 0,
+            slices: 0,
+            reply: None,
+        }
+    }
+
+    /// One `pop` on its own thread; its answer arrives on the receiver.
+    fn popper(q: &Arc<RunQueue>) -> mpsc::Receiver<Option<String>> {
+        let (tx, rx) = mpsc::channel();
+        let q = Arc::clone(q);
+        std::thread::spawn(move || {
+            let _ = tx.send(q.pop().map(|j| j.id));
+        });
+        rx
+    }
+
+    /// Waits out a popper that must still be blocked, so the next push
+    /// or drain has to wake it.
+    fn assert_blocked(rx: &mpsc::Receiver<Option<String>>) {
+        let early = rx.recv_timeout(Duration::from_millis(30));
+        assert!(early.is_err(), "pop returned {early:?} from empty lanes");
+    }
+
+    fn pop_within(q: &Arc<RunQueue>) -> Option<String> {
+        popper(q)
+            .recv_timeout(WATCHDOG)
+            .expect("pop never returned")
+    }
+
+    const PRIOS: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
+
+    #[test]
+    fn a_blocked_pop_returns_the_job_pushed_on_each_lane() {
+        let q = Arc::new(RunQueue::new(4));
+        for prio in PRIOS {
+            for lane in [Lane::Fresh, Lane::Parked] {
+                let id = format!("{prio:?}-{lane:?}");
+                let rx = popper(&q);
+                assert_blocked(&rx);
+                assert!(q.push(job(&id, prio), lane));
+                let got = rx.recv_timeout(WATCHDOG);
+                assert_eq!(got, Ok(Some(id.clone())), "lost wake-up on {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn pops_follow_priority_then_fresh_before_parked() {
+        let q = Arc::new(RunQueue::new(4));
+        let mut expected = Vec::new();
+        for prio in PRIOS {
+            for lane in [Lane::Fresh, Lane::Parked] {
+                for k in 0..2 {
+                    expected.push(format!("{prio:?}-{lane:?}-{k}"));
+                }
+            }
+        }
+        // Pushed in reverse scan order; each lane is FIFO.
+        for prio in PRIOS.into_iter().rev() {
+            for lane in [Lane::Parked, Lane::Fresh] {
+                for k in 0..2 {
+                    let id = format!("{prio:?}-{lane:?}-{k}");
+                    assert!(q.push(job(&id, prio), lane));
+                }
+            }
+        }
+        assert_eq!(q.depth(), expected.len());
+        let got: Vec<String> = expected.iter().filter_map(|_| pop_within(&q)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn a_full_fresh_lane_refuses_and_recovery_overflows_into_parked() {
+        let q = Arc::new(RunQueue::new(2));
+        let (normal, low) = (Priority::Normal, Priority::Low);
+        for k in 0..2 {
+            assert!(q.push(job(&format!("fresh-{k}"), normal), Lane::Fresh));
+        }
+        assert!(!q.push(job("refused", normal), Lane::Fresh));
+        // The cap is per priority, and parked lanes take any number.
+        assert!(q.push(job("high", Priority::High), Lane::Fresh));
+        for k in 0..10 {
+            assert!(q.push(job(&format!("parked-{k}"), normal), Lane::Parked));
+        }
+        // A recovered job overflows the full fresh lane into parked, and
+        // takes the fresh lane when it has room.
+        assert!(q.push(job("recovered", normal), Lane::Recovered));
+        assert!(q.push(job("low-parked", low), Lane::Parked));
+        assert!(q.push(job("low-recovered", low), Lane::Recovered));
+        let mut expected = vec!["high", "fresh-0", "fresh-1"];
+        let parked: Vec<String> = (0..10).map(|k| format!("parked-{k}")).collect();
+        expected.extend(parked.iter().map(String::as_str));
+        expected.extend(["recovered", "low-recovered", "low-parked"]);
+        let got: Vec<String> = expected.iter().filter_map(|_| pop_within(&q)).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn draining_wakes_every_blocked_worker() {
+        let q = Arc::new(RunQueue::new(4));
+        let waiting: Vec<_> = (0..4).map(|_| popper(&q)).collect();
+        for rx in &waiting {
+            assert_blocked(rx);
+        }
+        q.drain();
+        for rx in &waiting {
+            assert_eq!(
+                rx.recv_timeout(WATCHDOG),
+                Ok(None),
+                "a worker slept through the drain"
+            );
+        }
+        // A drained queue keeps what it holds and hands out nothing.
+        assert!(q.push(job("late", Priority::High), Lane::Fresh));
+        assert_eq!(pop_within(&q), None);
+        assert_eq!(q.depth(), 1);
     }
 }

@@ -1,5 +1,8 @@
 //! The daemon proper: a `TcpListener` accept loop over the scheduler.
 //!
+//! The accept thread blocks in `accept`: a shutdown sets the stop flag
+//! and wakes it with one connection to the bound port.
+//!
 //! Connections speak strict request/response: one JSON object per line,
 //! one response line per request, in order. Cheap control ops (`defs`,
 //! `parse`, `result`, `stats`, `shutdown`) are answered inline on the
@@ -13,7 +16,7 @@ use crate::protocol::error;
 use crate::scheduler::{SchedCfg, Scheduler, Submit};
 use crate::store::Store;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,12 +43,31 @@ impl ServerCfg {
     }
 }
 
+/// What the daemon's threads share: the scheduler, the term store, the
+/// journal, and the stop flag with the address at which one connection
+/// wakes the accept thread to read it.
+struct Daemon {
+    sched: Scheduler,
+    store: Arc<Store>,
+    journal: Arc<Journal>,
+    stopping: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Daemon {
+    /// Sets the stop flag, then wakes the accept thread out of `accept`
+    /// (at 127.0.0.1 when the daemon is bound to a wildcard address).
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake);
+    }
+}
+
 /// A running daemon. Dropping the handle does *not* stop it; call
 /// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     pub addr: SocketAddr,
-    scheduler: Arc<Scheduler>,
-    stop: Arc<AtomicBool>,
+    daemon: Arc<Daemon>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -54,8 +76,8 @@ impl ServerHandle {
     /// requests, stop workers after their current slice. In-flight jobs
     /// remain journaled for the next start on the same directory.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.scheduler.shutdown();
+        self.daemon.stop();
+        self.daemon.sched.shutdown();
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
@@ -66,7 +88,7 @@ impl ServerHandle {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        self.scheduler.shutdown();
+        self.daemon.sched.shutdown();
     }
 }
 
@@ -77,79 +99,60 @@ pub fn start(cfg: ServerCfg) -> std::io::Result<ServerHandle> {
     let recovered = Journal::recover(&cfg.journal_dir)?;
     let journal = Arc::new(Journal::open(&cfg.journal_dir)?);
     let store = Arc::new(Store::new());
-    let scheduler = Arc::new(Scheduler::new(
-        cfg.sched.clone(),
-        Arc::clone(&store),
-        journal.clone(),
-    ));
-    scheduler.recover(recovered);
+    let sched = Scheduler::new(cfg.sched.clone(), Arc::clone(&store), journal.clone());
+    sched.recover(recovered);
 
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let t_stop = Arc::clone(&stop);
-    let t_sched = Arc::clone(&scheduler);
-    let t_store = Arc::clone(&store);
-    let t_journal = Arc::clone(&journal);
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(Ipv4Addr::LOCALHOST.into());
+    }
+    let daemon = Arc::new(Daemon {
+        sched,
+        store,
+        journal,
+        stopping: AtomicBool::new(false),
+        wake,
+    });
+    let d = Arc::clone(&daemon);
     let accept_thread = std::thread::Builder::new()
         .name("bpi-accept".into())
-        .spawn(move || {
-            accept_loop(listener, t_stop, t_sched, t_store, t_journal);
-        })?;
+        .spawn(move || accept_loop(listener, d))?;
 
     Ok(ServerHandle {
         addr,
-        scheduler,
-        stop,
+        daemon,
         accept_thread: Some(accept_thread),
     })
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    scheduler: Arc<Scheduler>,
-    store: Arc<Store>,
-    journal: Arc<Journal>,
-) {
+fn accept_loop(listener: TcpListener, daemon: Arc<Daemon>) {
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let sched = Arc::clone(&scheduler);
-                let store = Arc::clone(&store);
-                let journal = Arc::clone(&journal);
-                let stop = Arc::clone(&stop);
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("bpi-conn".into())
-                        .spawn(move || {
-                            let _ = serve_conn(stream, &sched, &store, &journal, &stop);
-                        })
-                        .expect("spawn connection thread"),
-                );
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        // A shutdown path's wake-up connection, or a client that came
+        // after it: either way, stop accepting.
+        if daemon.stopping.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        let d = Arc::clone(&daemon);
+        conns.push(
+            std::thread::Builder::new()
+                .name("bpi-conn".into())
+                .spawn(move || {
+                    let _ = serve_conn(stream, &d);
+                })
+                .expect("spawn connection thread"),
+        );
+        conns.retain(|h| !h.is_finished());
     }
     for h in conns {
         let _ = h.join();
     }
 }
 
-fn serve_conn(
-    stream: TcpStream,
-    sched: &Scheduler,
-    store: &Store,
-    journal: &Journal,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
+fn serve_conn(stream: TcpStream, daemon: &Daemon) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     // A read timeout so an idle connection notices daemon shutdown:
     // lines are accumulated manually (never `read_line`) so a timeout
@@ -174,13 +177,13 @@ fn serve_conn(
             }
             let resp = match json::parse(text) {
                 Err(e) => error("bad-json", &e),
-                Ok(req) => dispatch(&req, sched, store, journal, stop),
+                Ok(req) => dispatch(&req, daemon),
             };
             out.write_all(format!("{resp}\n").as_bytes())?;
             out.flush()?;
         }
         scanned = acc.len();
-        if stop.load(Ordering::SeqCst) {
+        if daemon.stopping.load(Ordering::SeqCst) {
             return Ok(());
         }
         match input.read(&mut chunk) {
@@ -202,24 +205,18 @@ fn serve_conn(
     }
 }
 
-fn dispatch(
-    req: &Json,
-    sched: &Scheduler,
-    store: &Store,
-    journal: &Journal,
-    stop: &AtomicBool,
-) -> Json {
+fn dispatch(req: &Json, daemon: &Daemon) -> Json {
     match req.str_field("op") {
         Some("defs") => {
             let session = req.str_field("session").unwrap_or("");
             let Some(src) = req.str_field("src") else {
                 return error("bad-request", "missing field \"src\"");
             };
-            match store.set_defs(session, src) {
+            match daemon.store.set_defs(session, src) {
                 Ok(n) => {
                     // Journal *after* the store accepts it, so recovery
                     // replays only well-formed environments.
-                    if let Err(e) = journal.record_defs(session, src) {
+                    if let Err(e) = daemon.journal.record_defs(session, src) {
                         return error("journal", &e.to_string());
                     }
                     crate::protocol::ok(vec![
@@ -235,7 +232,7 @@ fn dispatch(
             let Some(src) = req.str_field("src") else {
                 return error("bad-request", "missing field \"src\"");
             };
-            match store.parse(session, src) {
+            match daemon.store.parse(session, src) {
                 Ok(p) => crate::protocol::ok(vec![
                     ("op", Json::str("parse")),
                     ("pretty", Json::str(p.to_string())),
@@ -245,15 +242,15 @@ fn dispatch(
             }
         }
         Some("result") => match req.str_field("id") {
-            Some(id) => sched.result_of(id),
+            Some(id) => daemon.sched.result_of(id),
             None => error("bad-request", "missing field \"id\""),
         },
-        Some("stats") => stats_response(sched),
+        Some("stats") => stats_response(&daemon.sched),
         Some("shutdown") => {
-            stop.store(true, Ordering::SeqCst);
+            daemon.stop();
             crate::protocol::ok(vec![("op", Json::str("shutdown"))])
         }
-        Some("check") | Some("explore") | Some("reliability") => match sched.submit(req) {
+        Some("check") | Some("explore") | Some("reliability") => match daemon.sched.submit(req) {
             Submit::Immediate(resp) => resp,
             Submit::Queued(rx) => {
                 // Wait for the verdict; wake periodically so a daemon
@@ -262,7 +259,7 @@ fn dispatch(
                     match rx.recv_timeout(Duration::from_millis(100)) {
                         Ok(resp) => return resp,
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            if stop.load(Ordering::SeqCst) {
+                            if daemon.stopping.load(Ordering::SeqCst) {
                                 return error("draining", "daemon stopped before the verdict");
                             }
                         }
@@ -303,7 +300,8 @@ fn stats_response(sched: &Scheduler) -> Json {
                     Json::obj(vec![
                         ("count", Json::num(h.count as f64)),
                         ("sum", Json::num(h.sum as f64)),
-                        ("p99_upper_bound", Json::num(bucket_p99_upper(h) as f64)),
+                        ("p50_upper_bound", Json::num(bucket_upper(h, 0.5) as f64)),
+                        ("p99_upper_bound", Json::num(bucket_upper(h, 0.99) as f64)),
                     ]),
                 )
             })
@@ -319,13 +317,13 @@ fn stats_response(sched: &Scheduler) -> Json {
     ])
 }
 
-/// Upper bound of the log₂ bucket holding the 99th percentile sample
+/// Upper bound of the log₂ bucket holding the `q` quantile sample
 /// (bucket `i` covers `[2^(i-1), 2^i)`, bucket 0 is exactly 0).
-fn bucket_p99_upper(h: &bpi_obs::HistogramSnapshot) -> u64 {
+fn bucket_upper(h: &bpi_obs::HistogramSnapshot, q: f64) -> u64 {
     if h.count == 0 {
         return 0;
     }
-    let target = (h.count as f64 * 0.99).ceil() as u64;
+    let target = (h.count as f64 * q).ceil() as u64;
     let mut seen = 0u64;
     for (idx, n) in &h.buckets {
         seen += n;

@@ -590,3 +590,50 @@ fn engine_panic_is_a_typed_error_and_the_daemon_keeps_serving() {
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Starts a daemon bound to `bind`, opens a connection that never sends
+/// a request, stops the daemon through `stop` on a separate thread, and
+/// asserts that it returns within a watchdog bound and that the port
+/// then refuses connections. The accept thread blocks in `accept`, so a
+/// shutdown path that failed to wake it would hang here without the
+/// watchdog.
+fn stops_promptly_with_an_idle_connection(bind: &str, stop: fn(server::ServerHandle)) {
+    let dir = tmpdir(&format!("stop-{}", bind.replace([':', '.'], "-")));
+    let mut cfg = small_cfg(&dir);
+    cfg.addr = bind.to_string();
+    let h = server::start(cfg).unwrap();
+    let local = std::net::SocketAddr::from(([127, 0, 0, 1], h.addr.port()));
+    let idle = std::net::TcpStream::connect(local).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop(h);
+        let _ = tx.send(());
+    });
+    let stopped = rx.recv_timeout(Duration::from_secs(10));
+    assert!(stopped.is_ok(), "the daemon on {bind} did not stop");
+    assert!(
+        std::net::TcpStream::connect(local).is_err(),
+        "{local} still accepts"
+    );
+    drop(idle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn handle_shutdown_returns_promptly_with_an_idle_connection() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        stops_promptly_with_an_idle_connection(bind, server::ServerHandle::shutdown);
+    }
+}
+
+#[test]
+fn shutdown_op_returns_promptly_with_an_idle_connection() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        stops_promptly_with_an_idle_connection(bind, |h| {
+            let local = std::net::SocketAddr::from(([127, 0, 0, 1], h.addr.port()));
+            let r = Client::connect(local).unwrap().shutdown().unwrap();
+            assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+            h.wait();
+        });
+    }
+}
