@@ -591,10 +591,11 @@ type Producer = fn(&str) -> Vec<Entry>;
 
 /// In this order: the counter workload resets the metrics registry, and
 /// the store totals cover everything before them.
-const PRODUCERS: [Producer; 14] = [
+const PRODUCERS: [Producer; 15] = [
     ratios,
     partition_ladder,
     weak_ladder_checks,
+    structural_checks,
     input_derivation,
     compose_stations,
     compose_shared,
@@ -916,6 +917,85 @@ fn weak_ladder_checks(tag: &str) -> Vec<Entry> {
                 a2 as f64 / a1 as f64
             )),
     );
+    out
+}
+
+/// B21 — structurally equal pairs: `Checker::check`, which settles them
+/// by their structural normal forms before any graph is built, against
+/// `try_fixpoint` (the graph route) on the same pair. The corpus's
+/// `relay/3/eq` (three `Fwd` relays in reverse order, composed products
+/// on the graph route) and `ladder/300/sum` (a 300-rung τ-ladder ending
+/// in `a<> + a<>`), fresh names per sample. The counters give each
+/// side's graph and compose builds; the check's must read 0, which the
+/// work ledger (`crates/equiv/tests/work_ledger.rs`) pins.
+fn structural_checks(tag: &str) -> Vec<Entry> {
+    const SAMPLES: usize = 5;
+    let defs = bpi_core::parse_defs("Fwd(a,b) = a(x).b<x>.Fwd<a,b>;").expect("Fwd parses");
+    let v = Variant::StrongLabelled;
+    let mut sample_no = 0usize;
+    let mut fresh = |shape: &str| {
+        sample_no += 1;
+        let x = format!("{tag}st{sample_no}x");
+        let (left, right) = match shape {
+            "relay-3-eq" => {
+                let relays: Vec<String> = (0..3)
+                    .map(|i| format!("Fwd<{x}{i},{x}{}>", i + 1))
+                    .collect();
+                let mut reversed = relays.clone();
+                reversed.reverse();
+                let value = format!("{x}0<{x}v>");
+                (
+                    format!("{} | {value}", relays.join(" | ")),
+                    format!("{} | {value}", reversed.join(" | ")),
+                )
+            }
+            _ => {
+                let rungs = "tau.".repeat(300);
+                (
+                    format!("{rungs}{x}a<>"),
+                    format!("{rungs}({x}a<> + {x}a<>)"),
+                )
+            }
+        };
+        let parse = |t: &str| bpi_core::parse_process(t).expect("corpus shape parses");
+        (parse(&left), parse(&right))
+    };
+    let builds = || ["equiv.graph.builds", "equiv.compose.builds"].map(counter_now);
+    let mut out = Vec::new();
+    for shape in ["relay-3-eq", "ladder-300-sum"] {
+        let checker = Checker::new(&defs);
+        let (mut graph_us, mut check_us) = (Vec::new(), Vec::new());
+        let (mut graph_builds, mut check_builds) = ([0; 2], [0; 2]);
+        for _ in 0..SAMPLES {
+            let (p, q) = fresh(shape);
+            let b0 = builds();
+            let t = Instant::now();
+            let (_, _, rel) = checker.try_fixpoint(v, &p, &q).expect("the pair fits");
+            graph_us.push(t.elapsed().as_secs_f64() * 1e6);
+            assert!(rel.holds(0, 0));
+            let b1 = builds();
+            graph_builds = [b1[0] - b0[0], b1[1] - b0[1]];
+
+            let (p, q) = fresh(shape);
+            let b0 = builds();
+            let t = Instant::now();
+            assert!(checker.check(v, &p, &q).holds());
+            check_us.push(t.elapsed().as_secs_f64() * 1e6);
+            let b1 = builds();
+            check_builds = [b1[0] - b0[0], b1[1] - b0[1]];
+        }
+        let id = format!("bisim/check/structural/{shape}/strong-labelled");
+        out.push(
+            Entry::speedup(id, Spread::of(graph_us), Spread::of(check_us))
+                .counters([
+                    ("try_fixpoint_graph_builds", graph_builds[0]),
+                    ("try_fixpoint_compose_builds", graph_builds[1]),
+                    ("check_graph_builds", check_builds[0]),
+                    ("check_compose_builds", check_builds[1]),
+                ])
+                .note("try_fixpoint (graphs) vs Checker::check (structural normal forms), fresh names per sample"),
+        );
+    }
     out
 }
 

@@ -14,6 +14,9 @@
 //!   broadcast-specific *discard* label;
 //! * [`subst`] — capture-avoiding substitution and recursion unfolding;
 //! * [`canon`](mod@canon) — α-canonical forms and α-equivalence;
+//! * [`snf`](mod@snf) — structural normal forms: α-canonical, with the
+//!   `~c` laws of nil, `+` and `‖` applied, so that equal forms are
+//!   congruent before any semantics runs;
 //! * [`builder`] — ergonomic term constructors;
 //! * [`dist`] — finite weighted outcome distributions, the value type of
 //!   the probabilistic fault layer;
@@ -36,6 +39,7 @@ pub mod pretty;
 pub mod record;
 pub mod serde_impls;
 pub mod simplify;
+pub mod snf;
 pub mod store;
 pub mod subst;
 pub mod syntax;
@@ -47,6 +51,7 @@ pub use encode::{decode, encode};
 pub use name::{fresh_name, fresh_names, Name, NameSet};
 pub use parser::{parse_defs, parse_process, ParseError};
 pub use simplify::prune;
+pub use snf::snf;
 pub use store::{cached_canon, cached_free_names, cons, term_id, Consed, TermId};
 pub use subst::{unfold_call, unfold_rec, Subst};
 pub use syntax::{Def, Defs, Ident, Prefix, Process, RecDef, P};

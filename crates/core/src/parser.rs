@@ -57,7 +57,8 @@ impl std::error::Error for ParseError {}
 /// parser's own recursion (a parenthesised process, a match branch, a
 /// `rec` body, the process after a run of prefixes) nests at most this
 /// deep too, since parentheses build no node. A term at the cap parses,
-/// conses, canonicalises, prints and drops within a 2 MiB thread stack,
+/// conses, canonicalises, normalises ([`snf`](fn@crate::snf)), prints and drops
+/// within a 2 MiB thread stack,
 /// the stack of the daemon's connection threads.
 pub const MAX_DEPTH: usize = 4096;
 
@@ -760,6 +761,7 @@ mod tests {
                 assert!(alpha_eq(&crate::canon::canon(&p), &p));
                 assert!(!p.to_string().is_empty());
                 drop(crate::cons(&p));
+                assert_eq!(crate::snf(&p), crate::snf(&p));
             }
             // A `|` chain with a deep first operand, nested as the first
             // operand of further long chains: each nesting would add

@@ -255,16 +255,20 @@ mod tests {
 
     #[test]
     fn shuffle_preserves_bisimilarity() {
-        use crate::bisim::strong_bisimilar;
+        use crate::bisim::{decide, Checker, Variant};
         use bpi_core::syntax::Defs;
         let defs = Defs::new();
+        let c = Checker::new(&defs);
         let cfg = GenCfg::finite_monadic(names(["a", "b"]).to_vec());
         let mut g = Gen::new(cfg, 9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         for _ in 0..10 {
             let p = g.process();
             let q = shuffle(&p, &mut rng);
-            assert!(strong_bisimilar(&p, &q, &defs), "shuffle broke {p} vs {q}");
+            assert!(
+                decide(&c, Variant::StrongLabelled, &p, &q),
+                "shuffle broke {p} vs {q}"
+            );
         }
     }
 }

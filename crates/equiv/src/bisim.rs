@@ -38,13 +38,15 @@
 //! One dispatch picks between them by pair count and partition safety,
 //! for [`refine_auto`] and for the checkpointed pipeline behind
 //! [`Checker::run_slice`] (and so every served check) alike; the
-//! `BPI_ENGINE` env var overrides the choice. [`Checker::check`] runs
-//! it over the composed products of [`crate::compose`] when that
-//! module's gate accepts, and over the memoized monolithic build
-//! ([`Graph::build_cached`]) otherwise, and quotients the graphs of a
-//! weak check by branching bisimilarity first
-//! ([`Graph::branching_quotient`]); served checks always refine
-//! monolithic graphs.
+//! `BPI_ENGINE` env var overrides the choice. [`Checker::check`] first
+//! settles structurally equal pairs without any graph (equal
+//! [`snf`](fn@bpi_core::snf) normal forms are `~c`-congruent, so every variant
+//! holds); otherwise it runs the dispatch over the composed products of
+//! [`crate::compose`] when that module's gate accepts, and over the
+//! memoized monolithic build ([`Graph::build_cached`]) otherwise, and
+//! quotients the graphs of a weak check by branching bisimilarity first
+//! ([`Graph::branching_quotient`]). [`Checker::try_fixpoint`] is that
+//! graph route alone; served checks always refine monolithic graphs.
 
 use crate::checkpoint::RefineCheckpoint;
 use crate::compose::Decline;
@@ -78,6 +80,8 @@ static NAIVE_SWEEPS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.naive.sweeps", Det::Advisory));
 static BUDGETED_ROUNDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.budgeted.rounds", Det::Advisory));
+static CHECK_STRUCTURAL: LazyLock<&Counter> =
+    LazyLock::new(|| counter("equiv.check.structural", Det::Deterministic));
 
 /// Exit bookkeeping shared by the three engines: exactly one call per
 /// public engine invocation (the small-product cutovers delegate before
@@ -159,6 +163,9 @@ impl Verdict {
 /// and `reason` fields of its `verdict` event.
 #[derive(Clone, Copy)]
 enum Route {
+    /// The structural test settled the check (or its budget poll
+    /// stopped it): no graphs.
+    Structural,
     /// The gate accepted: the composed products.
     Composed,
     /// The gate declined: the monolithic graphs.
@@ -170,6 +177,7 @@ enum Route {
 impl Route {
     fn graphs(self) -> &'static str {
         match self {
+            Route::Structural => "none",
             Route::Composed => "composed",
             Route::Declined(_) | Route::Forced => "monolithic",
         }
@@ -177,6 +185,7 @@ impl Route {
 
     fn reason(self) -> &'static str {
         match self {
+            Route::Structural => "structural",
             Route::Composed => "accepted",
             Route::Declined(d) => d.as_str(),
             Route::Forced => "off",
@@ -328,8 +337,23 @@ impl<'d> Checker<'d> {
 
     /// Decides `p ~ᵥ q` with a three-valued [`Verdict`]: resource
     /// exhaustion is reported as [`Verdict::Inconclusive`] instead of a
-    /// panic or a silent `false`. The state budget applies to the graphs
-    /// the dispatch of [`Checker::try_fixpoint`] builds, so a composed
+    /// panic or a silent `false`.
+    ///
+    /// **Structural route.** The check first polls the budget's
+    /// cancellation flag and deadline once, then compares the
+    /// structural normal forms of both sides ([`snf`](fn@bpi_core::snf)). Equal
+    /// forms are `~c`-congruent, and `~c` implies all six variants, so
+    /// the check answers [`Verdict::Holds`] before any pool, compose
+    /// gate or graph build (counted in `equiv.check.structural`). A
+    /// structural difference proves nothing, and the check goes on to
+    /// the graphs. So a raised cancellation flag or a passed deadline
+    /// still answers [`Verdict::Inconclusive`] on a structurally equal
+    /// pair, while a state ceiling smaller than either graph does not
+    /// matter to one: no graph is built. [`Checker::try_fixpoint`]
+    /// never takes this route.
+    ///
+    /// **Graph route.** The state budget applies to the graphs the
+    /// dispatch of [`Checker::try_fixpoint`] builds, so a composed
     /// product can get a definite verdict where its monolithic graph is
     /// over the cap. A weak check on a partition-safe pair with a τ edge
     /// then refines over those graphs' branching quotients, which keep
@@ -337,28 +361,38 @@ impl<'d> Checker<'d> {
     /// saturating n²/2 τ-closure entries.
     ///
     /// The `equiv.check` `verdict` event names those graphs (`graphs`:
-    /// `composed` or `monolithic`) and why (`reason`: `accepted`, the
-    /// gate's [`crate::compose::Decline`] reason, or `off` under the
+    /// `none`, `composed` or `monolithic`) and why (`reason`:
+    /// `structural`, `accepted`, the gate's
+    /// [`crate::compose::Decline`] reason, or `off` under the
     /// `BPI_COMPOSE=off` override). A budget error inside the compose
     /// path reports `composed`/`accepted`: the gate never declined and
     /// no monolithic graph was built. Its `prequotient` field gives the
     /// state counts of both graphs before and after the branching
     /// pre-quotient of a weak check (`302->2 304->2`), or why the
-    /// dispatch skipped it (`skipped: strong variant`, `not
-    /// partition-safe`, `no tau edge`, or `no graphs` when a build
+    /// dispatch skipped it (`skipped: structural`, `strong variant`,
+    /// `not partition-safe`, `no tau edge`, or `no graphs` when a build
     /// failed).
     pub fn check(&self, v: Variant, p: &P, q: &P) -> Verdict {
         let _span = bpi_obs::span("equiv.check", "check");
-        let (route, pre, fixpoint) = self.fixpoint(v, p, q);
-        let verdict = match fixpoint {
-            Ok((_, _, rel)) => {
-                if rel.holds(0, 0) {
-                    Verdict::Holds
-                } else {
-                    Verdict::Fails(format!("{v:?} fails at the root pair"))
-                }
+        let (route, pre, verdict) = match self.structural(p, q) {
+            Ok(false) => {
+                let (route, pre, fixpoint) = self.fixpoint(v, p, q);
+                let verdict = match fixpoint {
+                    Ok((_, _, rel)) if rel.holds(0, 0) => Verdict::Holds,
+                    Ok(_) => Verdict::Fails(format!("{v:?} fails at the root pair")),
+                    Err(e) => Verdict::Inconclusive(e),
+                };
+                (route, pre, verdict)
             }
-            Err(e) => Verdict::Inconclusive(e),
+            Ok(true) => {
+                CHECK_STRUCTURAL.inc();
+                let pre = PreQuotient::Skipped("structural");
+                (Route::Structural, pre, Verdict::Holds)
+            }
+            Err(e) => {
+                let pre = PreQuotient::Skipped("structural");
+                (Route::Structural, pre, Verdict::Inconclusive(e))
+            }
         };
         bpi_obs::emit("equiv.check", "verdict", || {
             vec![
@@ -379,9 +413,20 @@ impl<'d> Checker<'d> {
         verdict
     }
 
+    /// The structural test of [`Checker::check`]: one poll of the
+    /// budget's cancellation and deadline, then `snf(p) == snf(q)`.
+    fn structural(&self, p: &P, q: &P) -> Result<bool, EngineError> {
+        let _span = bpi_obs::span("equiv.check", "structural");
+        self.budget.check(0)?;
+        Ok(bpi_core::snf(p) == bpi_core::snf(q))
+    }
+
     /// Computes the greatest bisimulation between the graphs of `p` and
     /// `q` for the chosen variant, with the engine [`refine_auto`] picks
-    /// for the product. The graph side is a dispatch in two steps.
+    /// for the product. This is the graph route alone: unlike
+    /// [`Checker::check`] it never settles a pair by structural
+    /// congruence, so tests whose subject is the semantics or an engine
+    /// decide their pairs here. The graph side is a dispatch in two steps.
     /// First, when [`crate::compose::try_compose_pair`]'s gate accepts,
     /// the symmetry-reduced products of the minimised components, which
     /// are strongly labelled-bisimilar to the monolithic graphs;
@@ -472,6 +517,7 @@ impl<'d> Checker<'d> {
 /// to the same greatest fixpoint of the monotone transfer operator; the
 /// proptests in this crate check the agreement on random pairs).
 pub fn refine(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
+    let _span = bpi_obs::span("equiv.refine", "naive");
     let (n1, n2) = (g1.len(), g2.len());
     let mut pr = PairRelation::full(n1, n2);
     NAIVE_SWEEPS.add(sweep(&mut pr, |i, j, rel| violates(v, g1, i, g2, j, rel)));
@@ -615,6 +661,7 @@ pub(crate) fn engine_for(g1: &Graph, g2: &Graph) -> Engine {
 /// The cross-pair relation of a finished partition, recorded like every
 /// other engine's exit.
 pub(crate) fn partition_relation(part: &Partition) -> PairRelation {
+    let _span = bpi_obs::span("equiv.partition", "expand");
     let pr = crate::partition::partition_to_relation(part);
     record_refine("partition", &pr, part.n1, part.n2);
     pr
@@ -711,6 +758,7 @@ fn refine_rounds(
     cfg: &CheckpointCfg<RefineCheckpoint>,
     start: RefineCheckpoint,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
+    let _span = bpi_obs::span("equiv.refine", "rounds");
     let (pr, rounds) = run_rounds(v, g1, g2, budget, cfg, start, |i, j, rel| {
         violates(v, g1, i, g2, j, rel)
     })?;
@@ -1038,6 +1086,25 @@ pub fn graph_channels(g: &Graph) -> Vec<Name> {
     s.to_vec()
 }
 
+/// The graph route for unit tests whose subject is the semantics or an
+/// engine: `p ~ᵥ q` from [`Checker::try_fixpoint`], which never settles
+/// a pair structurally, after asserting that [`Checker::check`] agrees.
+#[cfg(test)]
+pub(crate) fn decide(c: &Checker, v: Variant, p: &P, q: &P) -> bool {
+    let graph = c
+        .try_fixpoint(v, p, q)
+        .expect("a test pair fits")
+        .2
+        .holds(0, 0);
+    let checked = c.check(v, p, q);
+    assert_eq!(
+        checked.holds(),
+        graph,
+        "{v:?}: check disagrees on {p} vs {q}: {checked:?}"
+    );
+    graph
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1052,8 +1119,19 @@ mod tests {
         let d = defs();
         let [a, b, x] = names(["a", "b", "x"]);
         let p = sum(out(a, [b], inp_(a, [x])), tau(out_(b, [])));
-        for (v, r) in all_variants(&p, &p.clone(), &d) {
-            assert!(r, "{v:?} failed on identical processes");
+        let c = Checker::new(&d);
+        for v in [
+            Variant::StrongBarbed,
+            Variant::WeakBarbed,
+            Variant::StrongStep,
+            Variant::WeakStep,
+            Variant::StrongLabelled,
+            Variant::WeakLabelled,
+        ] {
+            assert!(
+                decide(&c, v, &p, &p.clone()),
+                "{v:?} failed on identical processes"
+            );
         }
     }
 
@@ -1170,7 +1248,7 @@ mod tests {
         // But two bound outputs of fresh names coincide regardless of the
         // binder's spelling.
         let r = new(b, out_(a, [b]));
-        assert!(strong_bisimilar(&p, &r, &d));
+        assert!(decide(&Checker::new(&d), Variant::StrongLabelled, &p, &r));
     }
 
     #[test]
@@ -1236,6 +1314,37 @@ mod tests {
         // Conclusive answers on small systems are unaffected by a budget.
         let c4 = Checker::new(&d).with_budget(Budget::states(1000));
         assert!(c4.check(Variant::StrongLabelled, &nil(), &nil()).holds());
+    }
+
+    #[test]
+    fn structural_route_polls_the_budget_and_ignores_the_state_ceiling() {
+        // a(x).x̄ ‖ b(y).ȳ against its mirror: equal structural normal
+        // forms, and graphs of more than one state each.
+        let d = defs();
+        let [a, b, x, y] = names(["a", "b", "x", "y"]);
+        let p = par(inp(a, [x], out_(x, [])), inp(b, [y], out_(y, [])));
+        let q = par(inp(b, [y], out_(y, [])), inp(a, [x], out_(x, [])));
+        let tiny = Checker::new(&d).with_budget(Budget::states(1));
+        assert_eq!(
+            tiny.try_fixpoint(Variant::StrongLabelled, &p, &q).err(),
+            Some(EngineError::StateBudgetExceeded { limit: 1 })
+        );
+        for v in [Variant::StrongLabelled, Variant::WeakBarbed] {
+            assert_eq!(tiny.check(v, &p, &q), Verdict::Holds, "{v:?}");
+        }
+        // The one poll still answers a raised flag or a passed deadline.
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let cancelled = Checker::new(&d).with_budget(Budget::unlimited().with_cancel_flag(flag));
+        assert_eq!(
+            cancelled.check(Variant::StrongLabelled, &p, &q),
+            Verdict::Inconclusive(EngineError::Cancelled)
+        );
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let late = Checker::new(&d).with_budget(Budget::unlimited().with_deadline_at(past));
+        assert_eq!(
+            late.check(Variant::WeakLabelled, &p, &q),
+            Verdict::Inconclusive(EngineError::DeadlineExceeded)
+        );
     }
 
     #[test]

@@ -415,7 +415,7 @@ mod tests {
                 Variant::StrongLabelled,
                 Variant::WeakLabelled,
             ] {
-                let bis = checker.bisimilar(v, &p, &q);
+                let bis = crate::bisim::decide(&checker, v, &p, &q);
                 let exp = explain(v, &p, &q, &defs, Opts::default());
                 assert_eq!(bis, exp.is_none(), "{v:?} on {p} vs {q}: {exp:?}");
             }

@@ -705,7 +705,9 @@ impl<'a> Refiner<'a> {
 /// [`partition_to_relation`] (or just [`crate::bisim::refine_auto`],
 /// which dispatches here on partition-safe products).
 pub fn refine_partition(v: Variant, g1: &Graph, g2: &Graph) -> Partition {
-    refine_partition_budgeted(v, g1, g2, &Budget::unlimited(), &CheckpointCfg::default())
+    let _span = bpi_obs::span("equiv.partition", "refine");
+    let r = Refiner::new(v, g1, Some(g2));
+    run_to_partition(r, &Budget::unlimited(), &CheckpointCfg::default())
         .expect("inert config and unlimited budget cannot interrupt")
 }
 
@@ -729,9 +731,8 @@ pub fn refine_partition_budgeted(
     budget: &Budget,
     cfg: &CheckpointCfg<PartitionCheckpoint>,
 ) -> Result<Partition, Interrupted<PartitionCheckpoint>> {
-    let mut r = Refiner::new(v, g1, Some(g2));
-    r.run(budget, cfg)?;
-    Ok(r.finish())
+    let _span = bpi_obs::span("equiv.partition", "refine_budgeted");
+    run_to_partition(Refiner::new(v, g1, Some(g2)), budget, cfg)
 }
 
 /// Continues [`refine_partition_budgeted`] from a snapshot. The final
@@ -746,8 +747,17 @@ pub fn refine_partition_resume(
     cfg: &CheckpointCfg<PartitionCheckpoint>,
     ckpt: PartitionCheckpoint,
 ) -> Result<Partition, Interrupted<PartitionCheckpoint>> {
+    let _span = bpi_obs::span("equiv.partition", "refine_budgeted");
     record_resume("partition");
-    let mut r = Refiner::restore(v, g1, Some(g2), ckpt);
+    run_to_partition(Refiner::restore(v, g1, Some(g2), ckpt), budget, cfg)
+}
+
+/// Runs a pair refiner to its stable partition, or to an interruption.
+fn run_to_partition(
+    mut r: Refiner<'_>,
+    budget: &Budget,
+    cfg: &CheckpointCfg<PartitionCheckpoint>,
+) -> Result<Partition, Interrupted<PartitionCheckpoint>> {
     r.run(budget, cfg)?;
     Ok(r.finish())
 }

@@ -285,7 +285,13 @@ mod tests {
         let [a, b, x] = names(["a", "b", "x"]);
         let p = sum(out(a, [b], inp_(a, [x])), tau(out_(b, [])));
         let q = par(p.clone(), nil());
-        assert!(strong_bisimilar(&p, &q, &defs));
+        let c = crate::bisim::Checker::new(&defs);
+        assert!(crate::bisim::decide(
+            &c,
+            crate::bisim::Variant::StrongLabelled,
+            &p,
+            &q
+        ));
         assert!(trace_equivalent(&p, &q, &defs, 4));
         assert!(may_equivalent_sampled(&p, &q, &defs, 25, 5).is_ok());
     }

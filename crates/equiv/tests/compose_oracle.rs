@@ -344,9 +344,11 @@ fn field<'e>(ev: &'e TraceEvent, key: &str) -> &'e Value {
 
 /// The corpus's `relay` pairs (n = 1–3, recursive `Fwd`) and `stations`
 /// pairs (n = 2–5), `eq` and `ne`, across all six variants (the strong
-/// three at relay n = 3, as in the corpus): `Checker::check` composes
-/// every one of them and agrees with the pairwise reference on the
-/// monolithic graphs.
+/// three at relay n = 3, as in the corpus): 78 checks. The graph route
+/// (`try_fixpoint`) composes every one of them and agrees with the
+/// pairwise reference on the monolithic graphs. `Checker::check` agrees
+/// too: it settles exactly the 15 `relay/*/eq` checks structurally (the
+/// components in reverse order) and composes the other 63.
 #[test]
 fn checker_composes_corpus_shapes_and_matches_the_reference() {
     let _g = lock();
@@ -371,38 +373,80 @@ fn checker_composes_corpus_shapes_and_matches_the_reference() {
     }
     let checker = Checker::new(&defs);
     let opts = Opts::default();
-    let mut checks = 0u64;
-    let mut events = Vec::new();
-    let delta = det_delta(|| {
-        for (family, n, pert, vs) in cases {
-            let (p, q) = corpus_pair(family, n, pert);
-            let pool = shared_pool(&p, &q, opts.fresh_inputs);
-            let g1 = Graph::build(&p, &defs, &pool, opts).expect("finite corpus term");
-            let g2 = Graph::build(&q, &defs, &pool, opts).expect("finite corpus term");
-            for &v in vs {
-                let mut got = None;
-                events.extend(verdict_events(|| got = Some(checker.check(v, &p, &q))));
-                let got = got.expect("check ran");
-                assert!(!got.is_inconclusive(), "{family}/{n}/{pert} {v:?}: {got:?}");
+    let (mut checks, mut accepted, mut structural) = (0u64, 0u64, 0u64);
+    for (family, n, pert, vs) in cases {
+        let (p, q) = corpus_pair(family, n, pert);
+        let pool = shared_pool(&p, &q, opts.fresh_inputs);
+        let g1 = Graph::build(&p, &defs, &pool, opts).expect("finite corpus term");
+        let g2 = Graph::build(&q, &defs, &pool, opts).expect("finite corpus term");
+        let settles = family == "relay" && pert == "eq";
+        for &v in vs {
+            let want = reference(v, &g1, &g2);
+            let gate = det_delta(|| {
+                let (_, _, rel) = checker
+                    .try_fixpoint(v, &p, &q)
+                    .expect("the composed products fit the cap");
                 assert_eq!(
-                    got.holds(),
-                    reference(v, &g1, &g2),
-                    "{family}/{n}/{pert} {v:?}: default dispatch diverged from the reference"
+                    rel.holds(0, 0),
+                    want,
+                    "{family}/{n}/{pert} {v:?}: the graph route diverged from the reference"
                 );
-                checks += 1;
+            });
+            accepted += gate.get("equiv.compose.accepted").copied().unwrap_or(0);
+
+            let mut got = None;
+            let mut events = Vec::new();
+            let settled = det_delta(|| {
+                events = verdict_events(|| got = Some(checker.check(v, &p, &q)));
+            });
+            let got = got.expect("check ran");
+            assert!(!got.is_inconclusive(), "{family}/{n}/{pert} {v:?}: {got:?}");
+            assert_eq!(
+                got.holds(),
+                want,
+                "{family}/{n}/{pert} {v:?}: check diverged from the reference"
+            );
+            let [ev] = &events[..] else {
+                panic!("expected one verdict event, got {events:?}");
+            };
+            let (graphs, reason) = if settles {
+                ("none", "structural")
+            } else {
+                ("composed", "accepted")
+            };
+            assert_eq!(
+                field(ev, "graphs"),
+                &Value::from(graphs),
+                "{family}/{n}/{pert}"
+            );
+            assert_eq!(
+                field(ev, "reason"),
+                &Value::from(reason),
+                "{family}/{n}/{pert}"
+            );
+            if settles {
+                let skipped = Value::from("skipped: structural");
+                assert_eq!(field(ev, "prequotient"), &skipped, "{family}/{n}/{pert}");
             }
+            let by_structure = settled.get("equiv.check.structural").copied();
+            assert_eq!(
+                by_structure,
+                settles.then_some(1),
+                "{family}/{n}/{pert} {v:?}"
+            );
+            structural += by_structure.unwrap_or(0);
+            checks += 1;
         }
-    });
-    assert_eq!(
-        delta.get("equiv.compose.accepted").copied(),
-        Some(checks),
-        "every corpus compose shape must pass the gate: {delta:?}"
-    );
-    assert_eq!(events.len() as u64, checks);
-    for ev in &events {
-        assert_eq!(field(ev, "graphs"), &Value::from("composed"));
-        assert_eq!(field(ev, "reason"), &Value::from("accepted"));
     }
+    assert_eq!(checks, 78);
+    assert_eq!(
+        accepted, checks,
+        "every corpus compose shape must pass the gate"
+    );
+    assert_eq!(
+        structural, 15,
+        "exactly the relay eq checks settle structurally"
+    );
 }
 
 /// The corpus's `mixed` n = 10 pair, the decline case: its roots listen

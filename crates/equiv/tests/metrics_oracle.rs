@@ -14,13 +14,16 @@
 //! The registry is process-global, so every test serialises on [`LOCK`].
 
 use bpi_core::builder::*;
+use bpi_core::parser::{parse_defs, parse_process};
 use bpi_core::syntax::{Defs, Ident, P};
 use bpi_equiv::{
     refine, refine_budgeted, refine_worklist, shared_pool, Checker, Graph, Opts, Variant,
 };
 use bpi_obs::{CounterDelta, MemorySink};
 use bpi_semantics::{Budget, CheckpointCfg, EngineError};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
+use std::time::Instant;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -39,9 +42,10 @@ const ALL: [Variant; 6] = [
 
 /// Six structurally distinct process pairs covering output, input, sum,
 /// parallel, restriction and matching (the same shapes the hnf and
-/// oracle suites use).
+/// oracle suites use), and a seventh whose sides are structurally equal
+/// (the last: `Checker::check` settles it without graphs).
 fn variants() -> Vec<(P, P)> {
-    let [a, b, c, x] = names(["a", "b", "c", "x"]);
+    let [a, b, c, x, y] = names(["a", "b", "c", "x", "y"]);
     vec![
         (out(a, [b], nil()), out(a, [c], nil())),
         (
@@ -58,6 +62,10 @@ fn variants() -> Vec<(P, P)> {
             mat(a, c, out_(a, []), out_(c, [])),
         ),
         (tau(tau(out_(a, []))), tau(out_(a, []))),
+        (
+            par(inp(a, [x], out_(x, [])), sum(out_(b, []), out_(b, []))),
+            par(out_(b, []), inp(a, [y], out_(y, []))),
+        ),
     ]
 }
 
@@ -259,4 +267,133 @@ fn disabled_metrics_record_nothing() {
     });
     bpi_obs::set_metrics_enabled(true);
     assert!(delta.is_empty(), "metrics leaked while disabled: {delta:?}");
+}
+
+/// `equiv.check.structural` counts the checks `Checker::check` settles
+/// by structural normal forms: the last pair of [`variants`], once per
+/// check, whatever `BPI_ENGINE` picks and with `BPI_COMPOSE=off`, since
+/// the test runs before either is read. The environment is restored.
+#[test]
+fn structural_counter_is_the_same_under_every_dispatch() {
+    let _g = lock();
+    let defs = Defs::new();
+    let saved = ["BPI_ENGINE", "BPI_COMPOSE"].map(|k| std::env::var(k).ok());
+    let pairs = variants();
+    let settled = pairs.len() - 1;
+    for engine in [None, Some("naive"), Some("worklist"), Some("partition")] {
+        for compose in [None, Some("off")] {
+            for (key, value) in [("BPI_ENGINE", engine), ("BPI_COMPOSE", compose)] {
+                match value {
+                    Some(v) => std::env::set_var(key, v),
+                    None => std::env::remove_var(key),
+                }
+            }
+            for (k, (p, q)) in pairs.iter().enumerate() {
+                for v in ALL {
+                    let delta = det_delta(|| {
+                        Checker::new(&defs).check(v, p, q);
+                    });
+                    let want = (k == settled).then_some(&1);
+                    assert_eq!(
+                        delta.get("equiv.check.structural"),
+                        want,
+                        "{v:?} on {p} vs {q} under {engine:?}/{compose:?}"
+                    );
+                }
+            }
+        }
+    }
+    for (key, value) in ["BPI_ENGINE", "BPI_COMPOSE"].iter().zip(saved) {
+        match value {
+            Some(v) => std::env::set_var(key, v),
+            None => std::env::remove_var(key),
+        }
+    }
+}
+
+/// Count and µs sum of every span histogram that `f` recorded into.
+fn span_delta(f: impl FnOnce()) -> BTreeMap<&'static str, (u64, u64)> {
+    let before = bpi_obs::snapshot().histograms;
+    f();
+    let after = bpi_obs::snapshot().histograms;
+    after
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".us"))
+        .filter_map(|(name, h)| {
+            let (c0, s0) = before.get(name).map_or((0, 0), |b| (b.count, b.sum));
+            (h.count > c0).then_some((name, (h.count - c0, h.sum - s0)))
+        })
+        .collect()
+}
+
+/// The refinement layers `Checker::check` runs under their own spans.
+const LAYERS: [&str; 6] = [
+    "equiv.check.structural.us",
+    "equiv.partition.refine.us",
+    "equiv.partition.refine_budgeted.us",
+    "equiv.partition.expand.us",
+    "equiv.refine.naive.us",
+    "equiv.refine.rounds.us",
+];
+
+/// One `Checker::check` of the corpus's costliest shape,
+/// `relay/3/ne/strong-labelled`, with metrics on: it records the
+/// structural test and exactly one refinement engine, each once (the
+/// partition refiner with its expansion into the pair relation under the
+/// default dispatch), and no layer twice. A structurally settled check
+/// records only the structural span inside its own. `--nocapture`
+/// prints the span split against the wall clock.
+#[test]
+fn check_spans_each_refinement_layer_once() {
+    let _g = lock();
+    let defs = parse_defs("Fwd(a,b) = a(x).b<x>.Fwd<a,b>;").expect("Fwd parses");
+    let relay = |order: [usize; 3], value: &str| {
+        let mut parts: Vec<String> = order
+            .iter()
+            .map(|i| format!("Fwd<msx{i},msx{}>", i + 1))
+            .collect();
+        parts.push(format!("msx0<{value}>"));
+        parse_process(&parts.join(" | ")).expect("relay parses")
+    };
+    let c = Checker::new(&defs);
+
+    let (p, q) = (relay([0, 1, 2], "msv"), relay([0, 1, 2], "msw"));
+    let start = Instant::now();
+    let spans = span_delta(|| {
+        assert!(!c.check(Variant::StrongLabelled, &p, &q).holds());
+    });
+    let wall = start.elapsed().as_micros();
+    println!("relay/3/ne/strong-labelled: {wall} us wall clock");
+    for (name, (count, us)) in &spans {
+        println!("  {name}: {count} x, {us} us");
+    }
+    let count = |name: &str| spans.get(name).map_or(0, |&(n, _)| n);
+    for layer in LAYERS {
+        assert!(count(layer) <= 1, "{layer} recorded twice: {spans:?}");
+    }
+    assert_eq!(count("equiv.check.structural.us"), 1);
+    let engines = [
+        "equiv.partition.refine.us",
+        "equiv.refine.naive.us",
+        "equiv.refine.rounds.us",
+    ];
+    assert_eq!(
+        engines.iter().filter(|e| count(e) == 1).count(),
+        1,
+        "{spans:?}"
+    );
+    assert_eq!(
+        count("equiv.partition.refine.us"),
+        count("equiv.partition.expand.us")
+    );
+    if std::env::var("BPI_ENGINE").map_or(true, |e| e.is_empty() || e == "auto") {
+        assert_eq!(count("equiv.partition.refine.us"), 1, "{spans:?}");
+    }
+
+    let (p, q) = (relay([0, 1, 2], "msu"), relay([2, 1, 0], "msu"));
+    let spans = span_delta(|| {
+        assert!(c.check(Variant::StrongLabelled, &p, &q).holds());
+    });
+    let names: Vec<&str> = spans.keys().copied().collect();
+    assert_eq!(names, ["equiv.check.check.us", "equiv.check.structural.us"]);
 }

@@ -18,6 +18,9 @@ use bpi::equiv::{congruent_strong, congruent_weak, sim_plus, Checker, Opts, Vari
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+mod common;
+use common::{decide, strong, weak};
+
 type CtxFn = Box<dyn Fn(&P) -> P>;
 
 fn defs() -> Defs {
@@ -39,7 +42,7 @@ fn remark4_strict_inclusion_chain() {
     let q = par(p.clone(), nil());
     assert!(congruent_strong(&p, &q, &d, opts()));
     assert!(sim_plus(&p, &q, &d, opts()));
-    assert!(checker.strong(&p, &q));
+    assert!(strong(&checker, &p, &q));
 
     // Strictness of ~c ⊊ ~₊ : the match witness.
     let m = mat_(x, y, out_(c, []));
@@ -49,7 +52,7 @@ fn remark4_strict_inclusion_chain() {
     // Strictness of ~₊ ⊊ ~ : bare input prefixes.
     let pa = inp_(a, [v]);
     let pb = inp_(b, [v]);
-    assert!(checker.strong(&pa, &pb));
+    assert!(strong(&checker, &pa, &pb));
     assert!(!sim_plus(&pa, &pb, &d, opts()));
 }
 
@@ -113,7 +116,7 @@ fn theorem3_c1_context_separates_non_congruent_pairs() {
     // substitution merges x and y.
     let p = mat_(x, y, out_(c, []));
     let q = nil();
-    assert!(Checker::new(&d).strong(&p, &q));
+    assert!(strong(&Checker::new(&d), &p, &q));
     assert!(!congruent_strong(&p, &q, &d, opts()));
 
     // Find the separating identification, then realise it with C₁.
@@ -134,7 +137,7 @@ fn theorem3_c1_context_separates_non_congruent_pairs() {
     let cq = feed_c1(&plug(&q), u, &values);
     let checker = Checker::new(&d);
     assert!(
-        !checker.bisimilar(Variant::WeakBarbed, &cp, &cq),
+        !decide(&checker, Variant::WeakBarbed, &cp, &cq),
         "C₁ plus the feeder must separate the non-congruent pair"
     );
 }
@@ -159,7 +162,7 @@ fn theorem3_c1_context_preserves_congruent_pairs() {
         let cp = feed_c1(&plug(&p), u, &perm);
         let cq = feed_c1(&plug(&q), u, &perm);
         assert!(
-            checker.bisimilar(Variant::WeakBarbed, &cp, &cq),
+            decide(&checker, Variant::WeakBarbed, &cp, &cq),
             "C₁ separated a congruent pair when fed {perm:?}"
         );
     }
@@ -188,5 +191,5 @@ fn weak_congruence_mirrors_strong_shape() {
     let pt = tau(out_(a, []));
     let qt = out_(a, []);
     assert!(!congruent_weak(&pt, &qt, &d, opts()));
-    assert!(Checker::new(&d).weak(&pt, &qt));
+    assert!(weak(&Checker::new(&d), &pt, &qt));
 }

@@ -11,12 +11,14 @@
 use bpi::core::builder::*;
 use bpi::core::syntax::Defs;
 use bpi::equiv::arbitrary::{shuffle, Gen, GenCfg};
-use bpi::equiv::bisim::all_variants;
 use bpi::semantics::{FaultLog, FaultPlan, FaultySimulator};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use serde::de::value::StrDeserializer;
 use serde::de::IntoDeserializer;
+
+mod common;
+use common::all_variants;
 
 /// The workspace has no general-purpose serde format vendored, so the
 /// round trip goes through the codec the impls delegate to: `Serialize`

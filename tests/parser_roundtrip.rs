@@ -6,6 +6,9 @@ use bpi::core::{canon, parse_process};
 use bpi::equiv::arbitrary::{Gen, GenCfg};
 use proptest::prelude::*;
 
+mod common;
+use common::strong;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -53,7 +56,7 @@ proptest! {
         let pruned = bpi::core::prune(&p);
         let defs = bpi::core::syntax::Defs::new();
         prop_assert!(
-            bpi::equiv::strong_bisimilar(&p, &pruned, &defs),
+            strong(&bpi::equiv::Checker::new(&defs), &p, &pruned),
             "prune broke {} into {}", p, pruned
         );
     }

@@ -11,8 +11,11 @@ use bpi::core::name::Name;
 use bpi::core::subst::Subst;
 use bpi::core::syntax::{Defs, P};
 use bpi::equiv::arbitrary::{Gen, GenCfg};
-use bpi::equiv::{all_variants, Checker, Variant};
+use bpi::equiv::{Checker, Variant};
 use proptest::prelude::*;
+
+mod common;
+use common::{all_variants, decide, strong};
 
 fn assert_all_strong(p: &P, q: &P, what: &str) {
     let defs = Defs::new();
@@ -22,7 +25,7 @@ fn assert_all_strong(p: &P, q: &P, what: &str) {
         Variant::StrongStep,
         Variant::StrongLabelled,
     ] {
-        assert!(c.bisimilar(v, p, q), "{what} failed for {v:?}: {p} vs {q}");
+        assert!(decide(&c, v, p, q), "{what} failed for {v:?}: {p} vs {q}");
     }
 }
 
@@ -123,11 +126,11 @@ proptest! {
         }
         for v in [Variant::StrongLabelled, Variant::WeakLabelled] {
             prop_assert!(
-                c.bisimilar(v, &par(p.clone(), q.clone()), &par(q.clone(), p.clone())),
+                decide(&c, v, &par(p.clone(), q.clone()), &par(q.clone(), p.clone())),
                 "(c) failed for {:?}", v
             );
             prop_assert!(
-                c.bisimilar(
+                decide(&c,
                     v,
                     &sum(sum(p.clone(), q.clone()), r.clone()),
                     &sum(p.clone(), sum(q.clone(), r.clone()))
@@ -138,7 +141,7 @@ proptest! {
         // (h) with a name fresh for p.
         let u = Name::intern_raw("#hfresh");
         prop_assert!(!p.free_names().contains(u));
-        prop_assert!(c.strong(&new(u, p.clone()), &p), "(h) failed on {}", p);
+        prop_assert!(strong(&c, &new(u, p.clone()), &p), "(h) failed on {}", p);
     }
 
     #[test]

@@ -24,20 +24,28 @@ use bpi::equiv::contexts::{lemma5_tester, StaticContext};
 use bpi::equiv::{Checker, Variant};
 use rand::SeedableRng;
 
+mod common;
+use common::{decide, strong, weak};
+
 /// Tries to separate `p` and `q` under barbed or step bisimilarity
 /// using: the empty context, the Lemma 5 tester, and `samples` random
 /// static contexts.
 fn find_separation(p: &P, q: &P, defs: &Defs, samples: usize, seed: u64) -> bool {
     let c = Checker::new(defs);
     for v in [Variant::StrongBarbed, Variant::StrongStep] {
-        if !c.bisimilar(v, p, q) {
+        if !decide(&c, v, p, q) {
             return true;
         }
     }
     let fns = p.free_names().union(&q.free_names());
     let (t, _, _) = lemma5_tester(&fns);
     for v in [Variant::StrongBarbed, Variant::WeakBarbed] {
-        if !c.bisimilar(v, &par(p.clone(), t.clone()), &par(q.clone(), t.clone())) {
+        if !decide(
+            &c,
+            v,
+            &par(p.clone(), t.clone()),
+            &par(q.clone(), t.clone()),
+        ) {
             return true;
         }
     }
@@ -45,8 +53,8 @@ fn find_separation(p: &P, q: &P, defs: &Defs, samples: usize, seed: u64) -> bool
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for _ in 0..samples {
         let ctx = StaticContext::random(&mut rng, &pool, 2);
-        if !c.bisimilar(Variant::StrongBarbed, &ctx.apply(p), &ctx.apply(q))
-            || !c.bisimilar(Variant::StrongStep, &ctx.apply(p), &ctx.apply(q))
+        if !decide(&c, Variant::StrongBarbed, &ctx.apply(p), &ctx.apply(q))
+            || !decide(&c, Variant::StrongStep, &ctx.apply(p), &ctx.apply(q))
         {
             return true;
         }
@@ -90,7 +98,7 @@ fn coincidence_on_curated_family() {
     ];
     let checker = Checker::new(&defs);
     for (p, q, equivalent) in pairs {
-        let labelled = checker.strong(&p, &q);
+        let labelled = strong(&checker, &p, &q);
         assert_eq!(
             labelled, equivalent,
             "labelled verdict wrong for {p} vs {q}"
@@ -125,7 +133,7 @@ fn agreement_matrix_on_random_pairs() {
             (g.process(), g.process())
         };
         total += 1;
-        let labelled = checker.strong(&p, &q);
+        let labelled = strong(&checker, &p, &q);
         let separated = find_separation(&p, &q, &defs, 40, seed ^ 0xbeef);
         if labelled {
             // Sound direction must never fail.
@@ -154,7 +162,7 @@ fn weak_coincidence_spot_checks() {
     let p = tau(out(a, [b], tau(nil())));
     let q = out_(a, [b]);
     let c = Checker::new(&defs);
-    assert!(c.weak(&p, &q));
+    assert!(weak(&c, &p, &q));
     assert!(!find_separation_weak(&p, &q, &defs, 60, 5));
 }
 
@@ -164,8 +172,8 @@ fn find_separation_weak(p: &P, q: &P, defs: &Defs, samples: usize, seed: u64) ->
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for _ in 0..samples {
         let ctx = StaticContext::random(&mut rng, &pool, 2);
-        if !c.bisimilar(Variant::WeakBarbed, &ctx.apply(p), &ctx.apply(q))
-            || !c.bisimilar(Variant::WeakStep, &ctx.apply(p), &ctx.apply(q))
+        if !decide(&c, Variant::WeakBarbed, &ctx.apply(p), &ctx.apply(q))
+            || !decide(&c, Variant::WeakStep, &ctx.apply(p), &ctx.apply(q))
         {
             return true;
         }
