@@ -591,11 +591,12 @@ type Producer = fn(&str) -> Vec<Entry>;
 
 /// In this order: the counter workload resets the metrics registry, and
 /// the store totals cover everything before them.
-const PRODUCERS: [Producer; 15] = [
+const PRODUCERS: [Producer; 16] = [
     ratios,
     partition_ladder,
     weak_ladder_checks,
     structural_checks,
+    onthefly_checks,
     input_derivation,
     compose_stations,
     compose_shared,
@@ -994,6 +995,91 @@ fn structural_checks(tag: &str) -> Vec<Entry> {
                     ("check_compose_builds", check_builds[1]),
                 ])
                 .note("try_fixpoint (graphs) vs Checker::check (structural normal forms), fresh names per sample"),
+        );
+    }
+    out
+}
+
+/// B22 — strong checks on the fly: `Checker::check`, which decides the
+/// strong variants from the root pair outward over states derived on
+/// demand, against `try_fixpoint` (the graph route) on the same pair,
+/// fresh names per sample. The corpus's `relay/3/ne` (three `Fwd`
+/// relays fed different values; composed products on the graph route),
+/// labelled (refuted by the roots' first broadcast) and step, and
+/// `ladder/1000/ne` barbed (a 1,000-rung τ-ladder ending in `a<>` against
+/// one ending in `b<>`, refuted at depth 1,000). The counters give the
+/// pairs and states the search derived and the states the graph route
+/// built; the work ledger (`crates/equiv/tests/work_ledger.rs`) pins the
+/// search's counts on the relay.
+fn onthefly_checks(tag: &str) -> Vec<Entry> {
+    const SAMPLES: usize = 5;
+    let defs = bpi_core::parse_defs("Fwd(a,b) = a(x).b<x>.Fwd<a,b>;").expect("Fwd parses");
+    let mut sample_no = 0usize;
+    let mut fresh = |shape: &str| {
+        sample_no += 1;
+        let x = format!("{tag}of{sample_no}x");
+        let (left, right) = if shape.starts_with("relay") {
+            let relays: Vec<String> = (0..3)
+                .map(|i| format!("Fwd<{x}{i},{x}{}>", i + 1))
+                .collect();
+            let relays = relays.join(" | ");
+            (
+                format!("{relays} | {x}0<{x}v>"),
+                format!("{relays} | {x}0<{x}w>"),
+            )
+        } else {
+            let rungs = "tau.".repeat(1000);
+            (format!("{rungs}{x}a<>"), format!("{rungs}{x}b<>"))
+        };
+        let parse = |t: &str| bpi_core::parse_process(t).expect("corpus shape parses");
+        (parse(&left), parse(&right))
+    };
+    let work = || {
+        [
+            "equiv.onthefly.pairs",
+            "equiv.onthefly.states",
+            "equiv.graph.states",
+            "equiv.compose.states",
+        ]
+        .map(counter_now)
+    };
+    let mut out = Vec::new();
+    for (shape, v) in [
+        ("relay-3-ne/strong-labelled", Variant::StrongLabelled),
+        ("relay-3-ne/strong-step", Variant::StrongStep),
+        ("ladder-1000-ne/strong-barbed", Variant::StrongBarbed),
+    ] {
+        let checker = Checker::new(&defs);
+        let (mut graph_us, mut check_us) = (Vec::new(), Vec::new());
+        let (mut graph_work, mut check_work) = ([0; 4], [0; 4]);
+        for _ in 0..SAMPLES {
+            let (p, q) = fresh(shape);
+            let w0 = work();
+            let t = Instant::now();
+            let (_, _, rel) = checker.try_fixpoint(v, &p, &q).expect("the pair fits");
+            graph_us.push(t.elapsed().as_secs_f64() * 1e6);
+            let w1 = work();
+            graph_work = std::array::from_fn(|k| w1[k] - w0[k]);
+
+            let (p, q) = fresh(shape);
+            let w0 = work();
+            let t = Instant::now();
+            assert_eq!(checker.check(v, &p, &q).holds(), rel.holds(0, 0));
+            check_us.push(t.elapsed().as_secs_f64() * 1e6);
+            let w1 = work();
+            check_work = std::array::from_fn(|k| w1[k] - w0[k]);
+        }
+        let id = format!("bisim/check/onthefly/{shape}");
+        out.push(
+            Entry::speedup(id, Spread::of(graph_us), Spread::of(check_us))
+                .counters([
+                    ("check_pairs", check_work[0]),
+                    ("check_states", check_work[1]),
+                    ("check_graph_states", check_work[2]),
+                    ("try_fixpoint_graph_states", graph_work[2]),
+                    ("try_fixpoint_compose_states", graph_work[3]),
+                ])
+                .note("try_fixpoint (graphs) vs Checker::check (on the fly from the root pair), fresh names per sample"),
         );
     }
     out

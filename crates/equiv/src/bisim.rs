@@ -15,9 +15,11 @@
 //! refinement over the two finite [`Graph`]s: start from the full
 //! relation and delete pairs violating the transfer conditions until
 //! stable. Each variant's transfer property is written once, as one
-//! walk over its obligations: [`direction`] scores it exactly (the
-//! first unmatched obligation fails the pair), and
-//! [`crate::epsilon::defect`] scores it by counting. Three engines
+//! walk over its obligations, each handed over as its candidate pairs:
+//! [`direction`] scores it exactly (the first obligation with no related
+//! candidate fails the pair), [`crate::epsilon::defect`] scores it by
+//! counting, and the on-the-fly search ([`crate::onthefly`]) keeps a
+//! count of live candidates per obligation. Three engines
 //! compute that fixpoint — all chaotic iterations of the same monotone
 //! transfer operator, hence the same greatest fixpoint:
 //!
@@ -41,16 +43,20 @@
 //! `BPI_ENGINE` env var overrides the choice. [`Checker::check`] first
 //! settles structurally equal pairs without any graph (equal
 //! [`snf`](fn@bpi_core::snf) normal forms are `~c`-congruent, so every variant
-//! holds); otherwise it runs the dispatch over the composed products of
-//! [`crate::compose`] when that module's gate accepts, and over the
-//! memoized monolithic build ([`Graph::build_cached`]) otherwise, and
-//! quotients the graphs of a weak check by branching bisimilarity first
+//! holds), then decides a strong variant from the root pair outward
+//! over states derived on demand ([`crate::onthefly`]), which reads the
+//! same transfer walk; a check neither settles runs the dispatch over
+//! the composed products of [`crate::compose`] when that module's gate
+//! accepts, and over the memoized monolithic build
+//! ([`Graph::build_cached`]) otherwise, and quotients the graphs of a
+//! weak check by branching bisimilarity first
 //! ([`Graph::branching_quotient`]). [`Checker::try_fixpoint`] is that
 //! graph route alone; served checks always refine monolithic graphs.
 
 use crate::checkpoint::RefineCheckpoint;
 use crate::compose::Decline;
 use crate::graph::{shared_pool, Graph, Opts};
+use crate::onthefly::Outcome;
 use crate::partition::Partition;
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
@@ -82,6 +88,8 @@ static BUDGETED_ROUNDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.budgeted.rounds", Det::Advisory));
 static CHECK_STRUCTURAL: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.check.structural", Det::Deterministic));
+static CHECK_ONTHEFLY: LazyLock<&Counter> =
+    LazyLock::new(|| counter("equiv.check.onthefly", Det::Deterministic));
 
 /// Exit bookkeeping shared by the three engines: exactly one call per
 /// public engine invocation (the small-product cutovers delegate before
@@ -166,6 +174,8 @@ enum Route {
     /// The structural test settled the check (or its budget poll
     /// stopped it): no graphs.
     Structural,
+    /// The on-the-fly search settled the check: no graphs.
+    OnTheFly,
     /// The gate accepted: the composed products.
     Composed,
     /// The gate declined: the monolithic graphs.
@@ -177,7 +187,7 @@ enum Route {
 impl Route {
     fn graphs(self) -> &'static str {
         match self {
-            Route::Structural => "none",
+            Route::Structural | Route::OnTheFly => "none",
             Route::Composed => "composed",
             Route::Declined(_) | Route::Forced => "monolithic",
         }
@@ -186,6 +196,7 @@ impl Route {
     fn reason(self) -> &'static str {
         match self {
             Route::Structural => "structural",
+            Route::OnTheFly => "on-the-fly",
             Route::Composed => "accepted",
             Route::Declined(d) => d.as_str(),
             Route::Forced => "off",
@@ -339,18 +350,28 @@ impl<'d> Checker<'d> {
     /// exhaustion is reported as [`Verdict::Inconclusive`] instead of a
     /// panic or a silent `false`.
     ///
-    /// **Structural route.** The check first polls the budget's
-    /// cancellation flag and deadline once, then compares the
-    /// structural normal forms of both sides ([`snf`](fn@bpi_core::snf)). Equal
-    /// forms are `~c`-congruent, and `~c` implies all six variants, so
-    /// the check answers [`Verdict::Holds`] before any pool, compose
-    /// gate or graph build (counted in `equiv.check.structural`). A
-    /// structural difference proves nothing, and the check goes on to
-    /// the graphs. So a raised cancellation flag or a passed deadline
-    /// still answers [`Verdict::Inconclusive`] on a structurally equal
-    /// pair, while a state ceiling smaller than either graph does not
-    /// matter to one: no graph is built. [`Checker::try_fixpoint`]
-    /// never takes this route.
+    /// **Structural route.** The check first compares the structural
+    /// normal forms of both sides ([`snf`](fn@bpi_core::snf)), then polls
+    /// the budget's cancellation flag and deadline once. Equal forms are
+    /// `~c`-congruent, and `~c` implies all six variants, so the check
+    /// answers [`Verdict::Holds`] before any pool, compose gate or graph
+    /// build (counted in `equiv.check.structural`). A structural
+    /// difference proves nothing, and the check goes on. So a raised
+    /// cancellation flag or a passed deadline still answers
+    /// [`Verdict::Inconclusive`] on a structurally equal pair, while a
+    /// state ceiling smaller than either graph does not matter to one:
+    /// no graph is built.
+    ///
+    /// **On-the-fly route.** A strong variant is then decided from the
+    /// root pair outward ([`crate::onthefly`]), over states derived only
+    /// when a pair needs them (counted in `equiv.check.onthefly`, with
+    /// the work in `equiv.onthefly.{pairs,states}`). It answers
+    /// [`Verdict::Fails`] as soon as the root pair is refuted, so a pair
+    /// whose graphs exceed the state ceiling, or are infinite, can still
+    /// get a definite verdict when a difference lies near the roots. The
+    /// search hands the check to the graph route, from scratch, when its
+    /// pair table outgrows the states it has derived, or when a side
+    /// passes the state ceiling (counted in `equiv.onthefly.fallbacks`).
     ///
     /// **Graph route.** The state budget applies to the graphs the
     /// dispatch of [`Checker::try_fixpoint`] builds, so a composed
@@ -358,44 +379,72 @@ impl<'d> Checker<'d> {
     /// over the cap. A weak check on a partition-safe pair with a τ edge
     /// then refines over those graphs' branching quotients, which keep
     /// its verdict: a τ-ladder refines as two states instead of
-    /// saturating n²/2 τ-closure entries.
+    /// saturating n²/2 τ-closure entries. [`Checker::try_fixpoint`] is
+    /// this route alone.
     ///
     /// The `equiv.check` `verdict` event names those graphs (`graphs`:
     /// `none`, `composed` or `monolithic`) and why (`reason`:
-    /// `structural`, `accepted`, the gate's
+    /// `structural`, `on-the-fly`, `accepted`, the gate's
     /// [`crate::compose::Decline`] reason, or `off` under the
     /// `BPI_COMPOSE=off` override). A budget error inside the compose
     /// path reports `composed`/`accepted`: the gate never declined and
     /// no monolithic graph was built. Its `prequotient` field gives the
     /// state counts of both graphs before and after the branching
     /// pre-quotient of a weak check (`302->2 304->2`), or why the
-    /// dispatch skipped it (`skipped: structural`, `strong variant`,
-    /// `not partition-safe`, `no tau edge`, or `no graphs` when a build
-    /// failed).
+    /// dispatch skipped it (`skipped: structural`, `on-the-fly`,
+    /// `strong variant`, `not partition-safe`, `no tau edge`, or `no
+    /// graphs` when a build failed). After a fallback the event also
+    /// carries `onthefly: fallback pairs` or `onthefly: fallback states`.
     pub fn check(&self, v: Variant, p: &P, q: &P) -> Verdict {
         let _span = bpi_obs::span("equiv.check", "check");
-        let (route, pre, verdict) = match self.structural(p, q) {
-            Ok(false) => {
-                let (route, pre, fixpoint) = self.fixpoint(v, p, q);
-                let verdict = match fixpoint {
-                    Ok((_, _, rel)) if rel.holds(0, 0) => Verdict::Holds,
-                    Ok(_) => Verdict::Fails(format!("{v:?} fails at the root pair")),
-                    Err(e) => Verdict::Inconclusive(e),
-                };
-                (route, pre, verdict)
-            }
-            Ok(true) => {
-                CHECK_STRUCTURAL.inc();
-                let pre = PreQuotient::Skipped("structural");
-                (Route::Structural, pre, Verdict::Holds)
-            }
+        let same = self.structural(p, q);
+        self.check_after(v, p, q, same)
+    }
+
+    /// The structural test of [`Checker::check`]: `snf(p) == snf(q)`.
+    fn structural(&self, p: &P, q: &P) -> bool {
+        let _span = bpi_obs::span("equiv.check", "structural");
+        bpi_core::snf(p) == bpi_core::snf(q)
+    }
+
+    /// [`Checker::check`] once the structural test has answered `same`:
+    /// one budget poll, then the structural, on-the-fly and graph routes.
+    fn check_after(&self, v: Variant, p: &P, q: &P, same: bool) -> Verdict {
+        let mut fallback = None;
+        let (route, pre, verdict) = match self.budget.check(0) {
             Err(e) => {
                 let pre = PreQuotient::Skipped("structural");
                 (Route::Structural, pre, Verdict::Inconclusive(e))
             }
+            Ok(()) if same => {
+                CHECK_STRUCTURAL.inc();
+                let pre = PreQuotient::Skipped("structural");
+                (Route::Structural, pre, Verdict::Holds)
+            }
+            Ok(()) => match (!v.is_weak()).then(|| crate::onthefly::decide(self, v, p, q)) {
+                Some(Outcome::Settled(verdict)) => {
+                    if !verdict.is_inconclusive() {
+                        CHECK_ONTHEFLY.inc();
+                    }
+                    let pre = PreQuotient::Skipped("on-the-fly");
+                    (Route::OnTheFly, pre, verdict)
+                }
+                searched => {
+                    if let Some(Outcome::Fallback(why)) = searched {
+                        fallback = Some(why);
+                    }
+                    let (route, pre, fixpoint) = self.fixpoint(v, p, q);
+                    let verdict = match fixpoint {
+                        Ok((_, _, rel)) if rel.holds(0, 0) => Verdict::Holds,
+                        Ok(_) => Verdict::Fails(format!("{v:?} fails at the root pair")),
+                        Err(e) => Verdict::Inconclusive(e),
+                    };
+                    (route, pre, verdict)
+                }
+            },
         };
         bpi_obs::emit("equiv.check", "verdict", || {
-            vec![
+            let mut fields = vec![
                 ("variant", Value::from(format!("{v:?}"))),
                 (
                     "verdict",
@@ -408,26 +457,22 @@ impl<'d> Checker<'d> {
                 ("graphs", Value::from(route.graphs())),
                 ("reason", Value::from(route.reason())),
                 ("prequotient", Value::from(pre.field())),
-            ]
+            ];
+            if let Some(why) = fallback {
+                fields.push(("onthefly", Value::from(format!("fallback {why}"))));
+            }
+            fields
         });
         verdict
-    }
-
-    /// The structural test of [`Checker::check`]: one poll of the
-    /// budget's cancellation and deadline, then `snf(p) == snf(q)`.
-    fn structural(&self, p: &P, q: &P) -> Result<bool, EngineError> {
-        let _span = bpi_obs::span("equiv.check", "structural");
-        self.budget.check(0)?;
-        Ok(bpi_core::snf(p) == bpi_core::snf(q))
     }
 
     /// Computes the greatest bisimulation between the graphs of `p` and
     /// `q` for the chosen variant, with the engine [`refine_auto`] picks
     /// for the product. This is the graph route alone: unlike
     /// [`Checker::check`] it never settles a pair by structural
-    /// congruence, so tests whose subject is the semantics or an engine
-    /// decide their pairs here. The graph side is a dispatch in two steps.
-    /// First, when [`crate::compose::try_compose_pair`]'s gate accepts,
+    /// congruence or from the root pair outward, so tests whose subject
+    /// is the semantics or an engine decide their pairs here. The graph
+    /// side is a dispatch in two steps. First, when [`crate::compose::try_compose_pair`]'s gate accepts,
     /// the symmetry-reduced products of the minimised components, which
     /// are strongly labelled-bisimilar to the monolithic graphs;
     /// otherwise the monolithic graphs. Both come from global memos, so
@@ -850,67 +895,164 @@ pub(crate) fn run_rounds(
 /// step each way into the bisimilarity fixpoint").
 ///
 /// This is the transfer walk (`transfer`) scored exactly: the first
-/// unmatched obligation ends the walk.
-pub fn direction(v: Variant, ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> bool {
-    transfer(v, ga, i, gb, j, rel, &mut |matched| {
-        if matched {
+/// obligation with no candidate pair in `rel` ends the walk.
+pub fn direction(
+    v: Variant,
+    ga: &Graph,
+    i: usize,
+    gb: &Graph,
+    j: usize,
+    mut rel: RelView<'_>,
+) -> bool {
+    transfer(v, ga, i, gb, j, &mut rel).is_continue()
+}
+
+/// How a walk of [`transfer`] scores its obligations. Each obligation (a
+/// move to match, a discard to mirror) is handed over as its candidate
+/// pairs: the residual pairs `(i', j')` of the answers the other side
+/// has, the walking side's state first. `Break` ends the walk.
+pub(crate) trait Note {
+    fn note(&mut self, candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()>;
+}
+
+/// The exact score of [`direction`]: an obligation is met when one of
+/// its candidate pairs is related.
+impl Note for RelView<'_> {
+    fn note(&mut self, mut candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()> {
+        if candidates.any(|(i2, j2)| self.holds(i2, j2)) {
             Continue(())
         } else {
             Break(())
         }
-    })
-    .is_continue()
+    }
+}
+
+/// The states the strong arms of [`transfer`] read: a built [`Graph`],
+/// or the states the on-the-fly search derives on demand
+/// ([`crate::onthefly`]). The arms read the moves of the pair's own two
+/// states only, never those of a successor.
+pub(crate) trait Moves {
+    /// State `i`'s `τ`/output/input edges as `(label id, target)`.
+    fn edges(&self, i: usize) -> impl Iterator<Item = (u32, usize)> + '_;
+    /// The label with id `lid`.
+    fn label(&self, lid: u32) -> &Action;
+    /// The id of `label`, if some edge here carries it.
+    fn label_id(&self, label: &Action) -> Option<u32>;
+    /// Strong barbs of `i`: the subjects of its outputs.
+    fn barbs(&self, i: usize) -> NameSet;
+    /// The pool channels `i` discards.
+    fn discarding(&self, i: usize) -> &NameSet;
+
+    /// `τ`-successors of `i`.
+    fn tau_succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.edges(i)
+            .filter(|&(l, _)| matches!(self.label(l), Action::Tau))
+            .map(|(_, t)| t)
+    }
+
+    /// Step successors (`τ` or output) of `i`.
+    fn step_succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.edges(i)
+            .filter(|&(l, _)| matches!(self.label(l), Action::Tau | Action::Output { .. }))
+            .map(|(_, t)| t)
+    }
+}
+
+impl Moves for Graph {
+    fn edges(&self, i: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.edge_ids(i)
+    }
+
+    fn label(&self, lid: u32) -> &Action {
+        Graph::label(self, lid)
+    }
+
+    fn label_id(&self, label: &Action) -> Option<u32> {
+        self.csr().label_id(label)
+    }
+
+    fn barbs(&self, i: usize) -> NameSet {
+        self.strong_barbs(i)
+    }
+
+    fn discarding(&self, i: usize) -> &NameSet {
+        &self.discarding[i]
+    }
+
+    fn tau_succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        Graph::tau_succs(self, i)
+    }
+
+    fn step_succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.step_edges(i).map(|(_, t)| t)
+    }
 }
 
 /// Walks one direction of `v`'s transfer property, the one definition
-/// of Definitions 3, 5 and 7–8 that [`direction`] and
-/// [`crate::epsilon::defect`] score in their own ways. Each obligation
-/// of `(ga, i)` (a move to match, a discard to mirror) is answered by
-/// `(gb, j)` into `rel` or not, and `note` scores the answer; `Break`
-/// from `note` ends the walk. A barb `i` exposes and `j` lacks ends it
-/// outright with `Break`: a missing observable is not an obligation
-/// that a match could answer.
+/// of Definitions 3, 5 and 7–8 that [`direction`],
+/// [`crate::epsilon::defect`] and the on-the-fly search score in their
+/// own ways. Each obligation of `(ga, i)` (a move to match, a discard to
+/// mirror) goes to `note` as the pairs of `(gb, j)`'s answers. A barb
+/// `i` exposes and `j` lacks ends the walk outright with `Break`: a
+/// missing observable is not an obligation that a match could answer.
 pub(crate) fn transfer(
     v: Variant,
     ga: &Graph,
     i: usize,
     gb: &Graph,
     j: usize,
-    rel: RelView<'_>,
-    note: &mut impl FnMut(bool) -> ControlFlow<()>,
+    note: &mut impl Note,
 ) -> ControlFlow<()> {
     match v {
-        Variant::StrongBarbed => {
-            // Barbs: p ↓a ⇒ q ↓a.
-            barbs_within(&ga.strong_barbs(i), &gb.strong_barbs(j))?;
-            // τ moves matched by single τ moves.
-            for i2 in ga.tau_succs(i) {
-                note(gb.tau_succs(j).any(|j2| rel.holds(i2, j2)))?;
-            }
-        }
         Variant::WeakBarbed => {
             barbs_within(&ga.weak_barbs(i), &gb.weak_barbs(j))?;
+            let closure = gb.tau_closure(j);
             for i2 in ga.tau_succs(i) {
-                note(gb.tau_closure(j).iter().any(|&j2| rel.holds(i2, j2)))?;
-            }
-        }
-        Variant::StrongStep => {
-            // ↓ₐ^φ = immediate output subject.
-            barbs_within(&ga.strong_barbs(i), &gb.strong_barbs(j))?;
-            // Any step move matched by any single step move (labels are
-            // abstracted away — the essence of Definition 5).
-            for (_, i2) in ga.step_edges(i) {
-                note(gb.step_edges(j).any(|(_, j2)| rel.holds(i2, j2)))?;
+                note.note(closure.iter().map(|&j2| (i2, j2)))?;
             }
         }
         Variant::WeakStep => {
             barbs_within(&ga.weak_step_barbs(i), &gb.weak_step_barbs(j))?;
+            let closure = gb.step_closure(j);
             for (_, i2) in ga.step_edges(i) {
-                note(gb.step_closure(j).iter().any(|&j2| rel.holds(i2, j2)))?;
+                note.note(closure.iter().map(|&j2| (i2, j2)))?;
             }
         }
-        Variant::StrongLabelled => strong_labelled(ga, i, gb, j, rel, note)?,
-        Variant::WeakLabelled => weak_labelled(ga, i, gb, j, rel, note)?,
+        Variant::WeakLabelled => weak_labelled(ga, i, gb, j, note)?,
+        _ => strong_transfer(v, ga, i, gb, j, note)?,
+    }
+    Continue(())
+}
+
+/// The strong arms of [`transfer`], over any [`Moves`].
+pub(crate) fn strong_transfer<S: Moves>(
+    v: Variant,
+    ga: &S,
+    i: usize,
+    gb: &S,
+    j: usize,
+    note: &mut impl Note,
+) -> ControlFlow<()> {
+    match v {
+        Variant::StrongBarbed => {
+            // Barbs: p ↓a ⇒ q ↓a.
+            barbs_within(&ga.barbs(i), &gb.barbs(j))?;
+            // τ moves matched by single τ moves.
+            for i2 in ga.tau_succs(i) {
+                note.note(gb.tau_succs(j).map(|j2| (i2, j2)))?;
+            }
+        }
+        Variant::StrongStep => {
+            // ↓ₐ^φ = immediate output subject.
+            barbs_within(&ga.barbs(i), &gb.barbs(j))?;
+            // Any step move matched by any single step move (labels are
+            // abstracted away — the essence of Definition 5).
+            for i2 in ga.step_succs(i) {
+                note.note(gb.step_succs(j).map(|j2| (i2, j2)))?;
+            }
+        }
+        Variant::StrongLabelled => strong_labelled(ga, i, gb, j, note)?,
+        _ => unreachable!("{v:?} is a weak variant"),
     }
     Continue(())
 }
@@ -924,51 +1066,46 @@ fn barbs_within(ba: &NameSet, bb: &NameSet) -> ControlFlow<()> {
     }
 }
 
-fn strong_labelled(
-    ga: &Graph,
+fn strong_labelled<S: Moves>(
+    ga: &S,
     i: usize,
-    gb: &Graph,
+    gb: &S,
     j: usize,
-    rel: RelView<'_>,
-    note: &mut impl FnMut(bool) -> ControlFlow<()>,
+    note: &mut impl Note,
 ) -> ControlFlow<()> {
-    // 1–3: explicit moves of i. Labels are interned per graph, so
-    // cross-graph matching translates i's label into j's id space once
+    // 1–3: explicit moves of i. Labels are interned per state space, so
+    // cross-space matching translates i's label into j's id space once
     // and then compares dense ids instead of structural `Action`s.
-    for (lid, i2) in ga.edge_ids(i) {
+    for (lid, i2) in ga.edges(i) {
         let act = ga.label(lid);
-        let blid = gb.csr().label_id(act);
-        let matched = match act {
-            Action::Tau => gb.tau_succs(j).any(|j2| rel.holds(i2, j2)),
-            Action::Output { .. } => match blid {
-                Some(bl) => gb.edge_ids(j).any(|(l, j2)| l == bl && rel.holds(i2, j2)),
-                None => false,
-            },
+        let blid = gb.label_id(act);
+        let same = |&(l, _): &(u32, usize)| Some(l) == blid;
+        match act {
+            Action::Tau => note.note(gb.tau_succs(j).map(|j2| (i2, j2)))?,
+            Action::Output { .. } => note.note(gb.edges(j).filter(same).map(|(_, j2)| (i2, j2)))?,
             Action::Input { chan, .. } => {
                 // a(b)? moves of j: real inputs with this label, or j
                 // itself when j discards the channel.
-                let real = match blid {
-                    Some(bl) => gb.edge_ids(j).any(|(l, j2)| l == bl && rel.holds(i2, j2)),
-                    None => false,
-                };
-                real || (gb.state_discards(j, *chan) && rel.holds(i2, j))
+                let discard = gb.discarding(j).contains(*chan).then_some((i2, j));
+                let real = gb.edges(j).filter(same).map(|(_, j2)| (i2, j2));
+                note.note(real.chain(discard))?
             }
-            Action::Discard { .. } => true, // not stored as edges
-        };
-        note(matched)?;
+            Action::Discard { .. } => {} // not stored as edges
+        }
     }
     // 4: discard self-loops of i: i —a(b)?→ i for every a it discards.
-    for a in &ga.discarding[i] {
-        if gb.state_discards(j, a) {
-            // j self-loops too; (i, j) is the current pair.
-            note(true)?;
+    for a in ga.discarding(i) {
+        if gb.discarding(j).contains(a) {
+            // j self-loops too: the residual pair is (i, j) itself, which
+            // every engine only examines while it is related.
+            note.note(std::iter::once((i, j)))?;
             continue;
         }
         // j is listening on a: each of its concrete a(b̃) inputs is an
         // a(b̃)?-move candidate; for every tuple (all pool tuples appear
         // as labels) some receipt of j must stay related to i.
         let mut labels: BTreeSet<u32> = BTreeSet::new();
-        for (lid, _) in gb.edge_ids(j) {
+        for (lid, _) in gb.edges(j) {
             let act = gb.label(lid);
             if act.is_input() && act.subject() == Some(a) {
                 labels.insert(lid);
@@ -977,10 +1114,14 @@ fn strong_labelled(
         if labels.is_empty() {
             // j neither discards nor receives on a within the pool
             // (arity anomaly): cannot match i's discard move.
-            note(false)?;
+            note.note(std::iter::empty())?;
         }
         for lab in labels {
-            note(gb.edge_ids(j).any(|(l, j2)| l == lab && rel.holds(i, j2)))?;
+            note.note(
+                gb.edges(j)
+                    .filter(|&(l, _)| l == lab)
+                    .map(|(_, j2)| (i, j2)),
+            )?;
         }
     }
     Continue(())
@@ -991,35 +1132,30 @@ fn weak_labelled(
     i: usize,
     gb: &Graph,
     j: usize,
-    rel: RelView<'_>,
-    note: &mut impl FnMut(bool) -> ControlFlow<()>,
+    note: &mut impl Note,
 ) -> ControlFlow<()> {
     for (lid, i2) in ga.edge_ids(i) {
         let act = ga.label(lid);
-        let matched = match act {
-            Action::Tau => gb.tau_closure(j).iter().any(|&j2| rel.holds(i2, j2)),
-            Action::Output { .. } => gb.weak_label(j, act).iter().any(|&j2| rel.holds(i2, j2)),
+        match act {
+            Action::Tau => note.note(gb.tau_closure(j).iter().map(|&j2| (i2, j2)))?,
+            Action::Output { .. } => note.note(gb.weak_label(j, act).iter().map(|&j2| (i2, j2)))?,
             Action::Input { chan, .. } => {
                 // Candidates are the weak same-label moves plus the weak
-                // discards; checked in sequence so the cached sets stay
-                // shared instead of being merged into a scratch set.
-                gb.weak_label(j, act).iter().any(|&j2| rel.holds(i2, j2))
-                    || gb
-                        .weak_discard(j, *chan)
-                        .iter()
-                        .any(|&j2| rel.holds(i2, j2))
+                // discards.
+                let weak = gb.weak_label(j, act);
+                let discards = lazily(|| gb.weak_discard(j, *chan));
+                note.note(weak.iter().copied().chain(discards).map(|j2| (i2, j2)))?
             }
-            Action::Discard { .. } => true,
-        };
-        note(matched)?;
+            Action::Discard { .. } => {}
+        }
     }
     for a in &ga.discarding[i] {
         // i —a(b̃)?→ i for every tuple b̃; j must weakly match each.
         let labels = gb.weak_input_labels(j, a);
         let wdisc = gb.weak_discard(j, a);
-        let wdisc_related = wdisc.iter().any(|&j2| rel.holds(i, j2));
         for lab in labels.iter() {
-            note(wdisc_related || gb.weak_label(j, lab).iter().any(|&j2| rel.holds(i, j2)))?;
+            let weak = lazily(|| gb.weak_label(j, lab));
+            note.note(wdisc.iter().copied().chain(weak).map(|j2| (i, j2)))?;
         }
         // Tuples at arities nobody receives at are matched only through a
         // weak discard.
@@ -1029,10 +1165,17 @@ fn weak_labelled(
         let uncovered = (ar_a.is_empty() && ar_b.is_empty())
             || ar_a.iter().chain(ar_b.iter()).any(|n| !ar_cov.contains(n));
         if uncovered {
-            note(wdisc_related)?;
+            note.note(wdisc.iter().map(|&j2| (i, j2)))?;
         }
     }
     Continue(())
+}
+
+/// The states of a cached set, derived only if a walk reaches them: an
+/// obligation's earlier candidates usually answer it first, as they did
+/// when the weak arms scored a bool.
+fn lazily(set: impl FnOnce() -> Arc<BTreeSet<usize>>) -> impl Iterator<Item = usize> {
+    std::iter::once_with(set).flat_map(|set| set.iter().copied().collect::<Vec<_>>())
 }
 
 /// Convenience free functions mirroring the paper's notation.
@@ -1061,9 +1204,11 @@ pub fn weak_step_bisimilar(p: &P, q: &P, defs: &Defs) -> bool {
 }
 
 /// Checks all six variants at once (used by the Theorem 1 agreement
-/// experiment).
+/// experiment): [`Checker::check`] for each, with one structural test
+/// for all six, while each check still polls its own budget.
 pub fn all_variants(p: &P, q: &P, defs: &Defs) -> [(Variant, bool); 6] {
     let c = Checker::new(defs);
+    let same = c.structural(p, q);
     [
         Variant::StrongBarbed,
         Variant::WeakBarbed,
@@ -1072,7 +1217,10 @@ pub fn all_variants(p: &P, q: &P, defs: &Defs) -> [(Variant, bool); 6] {
         Variant::StrongLabelled,
         Variant::WeakLabelled,
     ]
-    .map(|v| (v, c.bisimilar(v, p, q)))
+    .map(|v| {
+        let _span = bpi_obs::span("equiv.check", "check");
+        (v, c.check_after(v, p, q, same).holds())
+    })
 }
 
 /// The subset of the pool a state graph mentions; useful in diagnostics.
@@ -1278,7 +1426,8 @@ mod tests {
     #[test]
     fn exhaustion_is_inconclusive_not_a_panic() {
         // BPump(a) = τ.(ā ‖ BPump⟨a⟩) has an unbounded state graph; a
-        // tiny state budget must yield Inconclusive, never abort.
+        // tiny state budget must yield Inconclusive on the graph route,
+        // never abort.
         let d = defs();
         let [a] = names(["a"]);
         let x = bpi_core::syntax::Ident::new("BPump");
@@ -1290,11 +1439,14 @@ mod tests {
                 fresh_inputs: 1,
             },
         );
-        let v = c.check(Variant::StrongLabelled, &p, &nil());
         assert_eq!(
-            v,
-            Verdict::Inconclusive(EngineError::StateBudgetExceeded { limit: 8 })
+            c.try_fixpoint(Variant::StrongLabelled, &p, &nil()).err(),
+            Some(EngineError::StateBudgetExceeded { limit: 8 })
         );
+        // `check` refutes the pair at the roots, where BPump's τ has no
+        // answer, before the ceiling matters.
+        let v = c.check(Variant::StrongLabelled, &p, &nil());
+        assert!(matches!(v, Verdict::Fails(_)), "{v:?}");
         assert!(!v.holds());
         // The bool API degrades to false rather than panicking.
         assert!(!c.bisimilar(Variant::StrongLabelled, &p, &nil()));

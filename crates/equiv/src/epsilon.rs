@@ -33,14 +33,16 @@
 //! `ε` (to a tolerance) at which the roots stay related — `0` exactly
 //! on bisimilar pairs, `1` when an observable separates them.
 
-use crate::bisim::{run_rounds, sweep, transfer, PairRelation, RelView, Variant, NAIVE_MAX_PAIRS};
+use crate::bisim::{
+    run_rounds, sweep, transfer, Note, PairRelation, RelView, Variant, NAIVE_MAX_PAIRS,
+};
 use crate::checkpoint::RefineCheckpoint;
 use crate::graph::{shared_pool, Graph, Opts};
 use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::CheckpointCfg;
-use std::ops::ControlFlow::Continue;
+use std::ops::ControlFlow::{self, Continue};
 use std::sync::LazyLock;
 
 // Result-derived metrics are deterministic (every schedule reaches the
@@ -86,19 +88,34 @@ fn record_epsilon(engine: &'static str, pr: &PairRelation, n1: usize, n2: usize,
 /// against the same `rel`. An obligation-free state scores `0.0` (a
 /// terminal state trivially satisfies the transfer property).
 pub fn defect(v: Variant, ga: &Graph, i: usize, gb: &Graph, j: usize, rel: RelView<'_>) -> f64 {
-    let (mut total, mut failed) = (0usize, 0usize);
-    let walk = transfer(v, ga, i, gb, j, rel, &mut |matched| {
-        total += 1;
-        failed += usize::from(!matched);
-        Continue(())
-    });
-    if walk.is_break() {
+    let mut count = Count {
+        rel,
+        total: 0,
+        failed: 0,
+    };
+    if transfer(v, ga, i, gb, j, &mut count).is_break() {
         // Only a missing barb ends a counting walk.
         1.0
-    } else if total == 0 {
+    } else if count.total == 0 {
         0.0
     } else {
-        failed as f64 / total as f64
+        count.failed as f64 / count.total as f64
+    }
+}
+
+/// The counting score of [`defect`]: every obligation, and those with no
+/// candidate pair in `rel`.
+struct Count<'a> {
+    rel: RelView<'a>,
+    total: usize,
+    failed: usize,
+}
+
+impl Note for Count<'_> {
+    fn note(&mut self, mut candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()> {
+        self.total += 1;
+        self.failed += usize::from(!candidates.any(|(i2, j2)| self.rel.holds(i2, j2)));
+        Continue(())
     }
 }
 

@@ -488,37 +488,66 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
 }
 
 /// One state's expansion in the build loop (`Graph::continue_build`):
-/// its `τ`/output/input successors in derivation order,
-/// each normalised ([`Consed::normal_form`]) and bound outputs renamed
-/// by [`normalize_bound_output`], and the pool channels it discards —
-/// those outside its listening interface, read off the same memoized
-/// walk as its inputs ([`Lts::inputs`]). A pure function of the state.
+/// its `τ`/output successors ([`expand_steps`]) and then its input
+/// successors and discards ([`expand_inputs`]). A pure function of the
+/// state.
 fn expand_state(
     lts: &Lts<'_>,
     src: &P,
     pool: &[Name],
     pool_set: &NameSet,
 ) -> (Vec<(Action, Consed)>, NameSet) {
-    let consed = bpi_core::cons(src);
-    let src_free = consed.free_names();
+    let src = bpi_core::cons(src);
+    let mut succs = expand_steps(lts, &src, pool_set);
+    let (inputs, discards) = expand_inputs(lts, &src, pool, pool_set);
+    succs.extend(inputs);
+    (succs, discards)
+}
+
+/// The `τ`/output half of [`expand_state`]: the step successors in
+/// derivation order, bound outputs renamed by [`normalize_bound_output`]
+/// and each successor normalised ([`Consed::normal_form`]). The on-the-fly
+/// search of the barbed and step variants ([`crate::onthefly`]) derives
+/// only this half: their transfer never reads an input or a discard.
+pub(crate) fn expand_steps(
+    lts: &Lts<'_>,
+    src: &Consed,
+    pool_set: &NameSet,
+) -> Vec<(Action, Consed)> {
+    let avoid = src.free_names().union(pool_set);
+    step_transitions_cached(lts, src.term())
+        .iter()
+        .map(|(act, cont)| {
+            let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
+            (act, bpi_core::cons(&cont).normal_form())
+        })
+        .collect()
+}
+
+/// The input half of [`expand_state`]: the input successors, normalised,
+/// and the pool channels the state discards — those outside its
+/// listening interface, read off the same memoized walk as its inputs
+/// ([`Lts::inputs`]).
+pub(crate) fn expand_inputs(
+    lts: &Lts<'_>,
+    src: &Consed,
+    pool: &[Name],
+    pool_set: &NameSet,
+) -> (Vec<(Action, Consed)>, NameSet) {
     // Dynamic pool: global pool plus extruded representatives that
     // became free in this state (so later inputs can mention them).
     let mut dyn_pool = pool.to_vec();
     dyn_pool.extend(
-        src_free
+        src.free_names()
             .iter()
             .filter(|&n| !pool_set.contains(n) && n.spelling().starts_with("#b")),
     );
-    let avoid = src_free.union(pool_set);
-    let mut succs = Vec::new();
-    for (act, cont) in step_transitions_cached(lts, src).iter() {
-        let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-        succs.push((act, bpi_core::cons(&cont).normal_form()));
-    }
-    let inputs = inputs_cached(lts, src, &dyn_pool);
-    for (act, cont) in &inputs.transitions {
-        succs.push((act.clone(), bpi_core::cons(cont).normal_form()));
-    }
+    let inputs = inputs_cached(lts, src.term(), &dyn_pool);
+    let succs = inputs
+        .transitions
+        .iter()
+        .map(|(act, cont)| (act.clone(), bpi_core::cons(cont).normal_form()))
+        .collect();
     (succs, inputs.discards(&dyn_pool))
 }
 

@@ -10,6 +10,9 @@
 //!   distances: the quantitative relaxation of all six relations used
 //!   alongside the probabilistic fault model, with the exact engines
 //!   kept as the ε = 0 oracle;
+//! * [`onthefly`] — the strong variants decided from the root pair
+//!   outward over states derived on demand, the first route of
+//!   [`Checker::check`] after the structural test;
 //! * [`partition`] — the coarsest-partition (block/splitter) refiner:
 //!   near-linear equivalence checking over the union graph for all six
 //!   variants, plus [`partition::quotient`] minimization and the
@@ -45,6 +48,7 @@ pub mod distinguish;
 pub mod epsilon;
 pub mod graph;
 pub mod logic;
+pub mod onthefly;
 pub mod partition;
 pub mod sensors;
 pub mod testing;

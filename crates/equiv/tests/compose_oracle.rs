@@ -17,10 +17,11 @@
 //!   the 45352/9724 parser-corner terms — the latter decline the gate
 //!   via mixed arities and scope extrusion, pinning the fallback);
 //! * the deterministic compose counters depend only on the term's structure;
-//! * the benchmark corpus's own shapes, recursion included: `Checker::check`
-//!   under the default dispatch composes every `relay` and `stations`
-//!   pair and matches the pairwise reference, and the `mixed` pairs
-//!   decline on their roots' arities before any component graph is built.
+//! * the benchmark corpus's own shapes, recursion included: the graph
+//!   route under the default dispatch composes every `relay` and
+//!   `stations` pair and matches the pairwise reference, and the `mixed`
+//!   pairs decline on their roots' arities before any component graph is
+//!   built; `Checker::check` agrees on every one.
 //!
 //! The metrics registry is process-global and every test here records
 //! deterministic counters, so every test serialises on [`LOCK`] — an
@@ -348,7 +349,10 @@ fn field<'e>(ev: &'e TraceEvent, key: &str) -> &'e Value {
 /// (`try_fixpoint`) composes every one of them and agrees with the
 /// pairwise reference on the monolithic graphs. `Checker::check` agrees
 /// too: it settles exactly the 15 `relay/*/eq` checks structurally (the
-/// components in reverse order) and composes the other 63.
+/// components in reverse order), searches the other 33 strong checks from
+/// the root pair, where 19 settle and 14 fall back to the composed
+/// products with `onthefly: fallback pairs`, and composes the 30 weak
+/// ones.
 #[test]
 fn checker_composes_corpus_shapes_and_matches_the_reference() {
     let _g = lock();
@@ -373,7 +377,7 @@ fn checker_composes_corpus_shapes_and_matches_the_reference() {
     }
     let checker = Checker::new(&defs);
     let opts = Opts::default();
-    let (mut checks, mut accepted, mut structural) = (0u64, 0u64, 0u64);
+    let (mut checks, mut accepted, mut structural, mut on_the_fly) = (0u64, 0u64, 0u64, 0u64);
     for (family, n, pert, vs) in cases {
         let (p, q) = corpus_pair(family, n, pert);
         let pool = shared_pool(&p, &q, opts.fresh_inputs);
@@ -409,8 +413,12 @@ fn checker_composes_corpus_shapes_and_matches_the_reference() {
             let [ev] = &events[..] else {
                 panic!("expected one verdict event, got {events:?}");
             };
+            let searched = settled.get("equiv.check.onthefly").copied();
+            let fell_back = settled.get("equiv.onthefly.fallbacks").copied();
             let (graphs, reason) = if settles {
                 ("none", "structural")
+            } else if searched.is_some() {
+                ("none", "on-the-fly")
             } else {
                 ("composed", "accepted")
             };
@@ -428,6 +436,27 @@ fn checker_composes_corpus_shapes_and_matches_the_reference() {
                 let skipped = Value::from("skipped: structural");
                 assert_eq!(field(ev, "prequotient"), &skipped, "{family}/{n}/{pert}");
             }
+            // Every strong check the structural test leaves is searched
+            // from the root pair first, and either settles there or falls
+            // back to the composed products.
+            if settles || v.is_weak() {
+                assert_eq!(
+                    (searched, fell_back),
+                    (None, None),
+                    "{family}/{n}/{pert} {v:?}"
+                );
+                assert!(ev.field("onthefly").is_none(), "{ev:?}");
+            } else if fell_back.is_some() {
+                assert_eq!((searched, fell_back), (None, Some(1)));
+                assert_eq!(field(ev, "onthefly"), &Value::from("fallback pairs"));
+            } else {
+                assert_eq!(searched, Some(1), "{family}/{n}/{pert} {v:?}");
+                let skipped = Value::from("skipped: on-the-fly");
+                assert_eq!(field(ev, "prequotient"), &skipped, "{family}/{n}/{pert}");
+                assert_eq!(settled.get("equiv.compose.builds"), None);
+                assert_eq!(settled.get("equiv.graph.builds"), None);
+            }
+            on_the_fly += searched.unwrap_or(0);
             let by_structure = settled.get("equiv.check.structural").copied();
             assert_eq!(
                 by_structure,
@@ -447,12 +476,15 @@ fn checker_composes_corpus_shapes_and_matches_the_reference() {
         structural, 15,
         "exactly the relay eq checks settle structurally"
     );
+    assert_eq!(on_the_fly, 19, "checks settled on the fly");
 }
 
 /// The corpus's `mixed` n = 10 pair, the decline case: its roots listen
 /// on one channel at arities 1 and 2, so the gate declines with `arity`
-/// before building any component graph — the only graphs built are the
-/// two monolithic ones — and the verdict still matches the reference.
+/// before building any component graph — the only graphs the graph route
+/// builds are the two monolithic ones — and the verdict still matches
+/// the reference. `Checker::check` declines the same way on the weak
+/// variants and settles the strong ones on the fly, before the gate.
 #[test]
 fn mixed_arity_roots_decline_before_any_component_build() {
     let _g = lock();
@@ -470,26 +502,44 @@ fn mixed_arity_roots_decline_before_any_component_build() {
     let components = bpi_obs::histogram("equiv.compose.components.us");
     let spans_before = components.count();
     for v in ALL {
-        let mut got = None;
-        let mut events = Vec::new();
-        let delta = det_delta(|| {
-            events = verdict_events(|| got = Some(Checker::new(&defs).check(v, &p, &q)));
+        let want = reference(v, &g1, &g2);
+        let graph = det_delta(|| {
+            let (_, _, rel) = Checker::new(&defs)
+                .try_fixpoint(v, &p, &q)
+                .expect("the pair fits");
+            assert_eq!(rel.holds(0, 0), want, "{v:?} diverged");
         });
-        let got = got.expect("check ran");
-        assert_eq!(got.holds(), reference(v, &g1, &g2), "{v:?} diverged");
-        assert_eq!(delta.get("equiv.compose.declined.arity"), Some(&1));
-        assert_eq!(delta.get("equiv.compose.accepted"), None);
+        assert_eq!(graph.get("equiv.compose.declined.arity"), Some(&1));
+        assert_eq!(graph.get("equiv.compose.accepted"), None);
         let want_builds = if v == ALL[0] { Some(&2) } else { None };
         assert_eq!(
-            delta.get("equiv.graph.builds"),
+            graph.get("equiv.graph.builds"),
             want_builds,
-            "{v:?}: only the two monolithic graphs may be built, once: {delta:?}"
+            "{v:?}: only the two monolithic graphs may be built, once: {graph:?}"
         );
+
+        // `check` settles the strong variants from the root pair, before
+        // the gate; the weak ones take the graph route above.
+        let mut got = None;
+        let mut events = Vec::new();
+        let checked = det_delta(|| {
+            events = verdict_events(|| got = Some(Checker::new(&defs).check(v, &p, &q)));
+        });
+        assert_eq!(got.expect("check ran").holds(), want, "{v:?} diverged");
+        assert_eq!(checked.get("equiv.graph.builds"), None, "{checked:?}");
         let [ev] = &events[..] else {
             panic!("expected one verdict event, got {events:?}");
         };
-        assert_eq!(field(ev, "graphs"), &Value::from("monolithic"));
-        assert_eq!(field(ev, "reason"), &Value::from("arity"));
+        if v.is_weak() {
+            assert_eq!(checked.get("equiv.compose.declined.arity"), Some(&1));
+            assert_eq!(field(ev, "graphs"), &Value::from("monolithic"));
+            assert_eq!(field(ev, "reason"), &Value::from("arity"));
+        } else {
+            assert_eq!(checked.get("equiv.check.onthefly"), Some(&1), "{v:?}");
+            assert_eq!(checked.get("equiv.compose.declined.arity"), None);
+            assert_eq!(field(ev, "graphs"), &Value::from("none"));
+            assert_eq!(field(ev, "reason"), &Value::from("on-the-fly"));
+        }
     }
     assert_eq!(
         components.count(),

@@ -269,10 +269,21 @@ fn disabled_metrics_record_nothing() {
     assert!(delta.is_empty(), "metrics leaked while disabled: {delta:?}");
 }
 
+/// The counters of the routes that run before any dispatch.
+const ROUTE_COUNTERS: [&str; 5] = [
+    "equiv.check.structural",
+    "equiv.check.onthefly",
+    "equiv.onthefly.pairs",
+    "equiv.onthefly.states",
+    "equiv.onthefly.fallbacks",
+];
+
 /// `equiv.check.structural` counts the checks `Checker::check` settles
 /// by structural normal forms: the last pair of [`variants`], once per
 /// check, whatever `BPI_ENGINE` picks and with `BPI_COMPOSE=off`, since
-/// the test runs before either is read. The environment is restored.
+/// the test runs before either is read. The on-the-fly search runs before
+/// them too, so its counters read the same under every setting. The
+/// environment is restored.
 #[test]
 fn structural_counter_is_the_same_under_every_dispatch() {
     let _g = lock();
@@ -280,6 +291,7 @@ fn structural_counter_is_the_same_under_every_dispatch() {
     let saved = ["BPI_ENGINE", "BPI_COMPOSE"].map(|k| std::env::var(k).ok());
     let pairs = variants();
     let settled = pairs.len() - 1;
+    let mut routes: BTreeMap<(usize, String), Vec<Option<u64>>> = BTreeMap::new();
     for engine in [None, Some("naive"), Some("worklist"), Some("partition")] {
         for compose in [None, Some("off")] {
             for (key, value) in [("BPI_ENGINE", engine), ("BPI_COMPOSE", compose)] {
@@ -299,6 +311,15 @@ fn structural_counter_is_the_same_under_every_dispatch() {
                         want,
                         "{v:?} on {p} vs {q} under {engine:?}/{compose:?}"
                     );
+                    let route = ROUTE_COUNTERS.map(|c| delta.get(c).copied()).to_vec();
+                    let first = routes.entry((k, format!("{v:?}"))).or_insert(route.clone());
+                    assert_eq!(
+                        *first, route,
+                        "{v:?} on {p} vs {q} under {engine:?}/{compose:?}"
+                    );
+                    if v.is_weak() || k == settled {
+                        assert!(route[1..].iter().all(Option::is_none), "{v:?}: {route:?}");
+                    }
                 }
             }
         }
@@ -327,8 +348,9 @@ fn span_delta(f: impl FnOnce()) -> BTreeMap<&'static str, (u64, u64)> {
 }
 
 /// The refinement layers `Checker::check` runs under their own spans.
-const LAYERS: [&str; 6] = [
+const LAYERS: [&str; 7] = [
     "equiv.check.structural.us",
+    "equiv.check.onthefly.us",
     "equiv.partition.refine.us",
     "equiv.partition.refine_budgeted.us",
     "equiv.partition.expand.us",
@@ -336,13 +358,15 @@ const LAYERS: [&str; 6] = [
     "equiv.refine.rounds.us",
 ];
 
-/// One `Checker::check` of the corpus's costliest shape,
-/// `relay/3/ne/strong-labelled`, with metrics on: it records the
-/// structural test and exactly one refinement engine, each once (the
+/// The corpus's costliest shape on the graph route,
+/// `relay/3/ne/strong-labelled`, with metrics on. The graph route
+/// (`try_fixpoint`) records exactly one refinement engine, once (the
 /// partition refiner with its expansion into the pair relation under the
-/// default dispatch), and no layer twice. A structurally settled check
-/// records only the structural span inside its own. `--nocapture`
-/// prints the span split against the wall clock.
+/// default dispatch), and no layer twice. `Checker::check` records the
+/// structural test and the on-the-fly search, which refutes the roots'
+/// first broadcast, and no engine. A structurally settled check records
+/// only the structural span inside its own. `--nocapture` prints the
+/// span splits against the wall clock.
 #[test]
 fn check_spans_each_refinement_layer_once() {
     let _g = lock();
@@ -360,10 +384,13 @@ fn check_spans_each_refinement_layer_once() {
     let (p, q) = (relay([0, 1, 2], "msv"), relay([0, 1, 2], "msw"));
     let start = Instant::now();
     let spans = span_delta(|| {
-        assert!(!c.check(Variant::StrongLabelled, &p, &q).holds());
+        let (_, _, rel) = c
+            .try_fixpoint(Variant::StrongLabelled, &p, &q)
+            .expect("the products fit");
+        assert!(!rel.holds(0, 0));
     });
     let wall = start.elapsed().as_micros();
-    println!("relay/3/ne/strong-labelled: {wall} us wall clock");
+    println!("relay/3/ne/strong-labelled, try_fixpoint: {wall} us wall clock");
     for (name, (count, us)) in &spans {
         println!("  {name}: {count} x, {us} us");
     }
@@ -371,7 +398,8 @@ fn check_spans_each_refinement_layer_once() {
     for layer in LAYERS {
         assert!(count(layer) <= 1, "{layer} recorded twice: {spans:?}");
     }
-    assert_eq!(count("equiv.check.structural.us"), 1);
+    assert_eq!(count("equiv.check.structural.us"), 0);
+    assert_eq!(count("equiv.check.onthefly.us"), 0);
     let engines = [
         "equiv.partition.refine.us",
         "equiv.refine.naive.us",
@@ -390,10 +418,50 @@ fn check_spans_each_refinement_layer_once() {
         assert_eq!(count("equiv.partition.refine.us"), 1, "{spans:?}");
     }
 
+    let (p, q) = (relay([0, 1, 2], "msx"), relay([0, 1, 2], "msy"));
+    let start = Instant::now();
+    let spans = span_delta(|| {
+        assert!(!c.check(Variant::StrongLabelled, &p, &q).holds());
+    });
+    let wall = start.elapsed().as_micros();
+    println!("relay/3/ne/strong-labelled, check: {wall} us wall clock");
+    for (name, (count, us)) in &spans {
+        println!("  {name}: {count} x, {us} us");
+    }
+    let names: Vec<&str> = spans.keys().copied().collect();
+    assert_eq!(
+        names,
+        [
+            "equiv.check.check.us",
+            "equiv.check.onthefly.us",
+            "equiv.check.structural.us"
+        ]
+    );
+
     let (p, q) = (relay([0, 1, 2], "msu"), relay([2, 1, 0], "msu"));
     let spans = span_delta(|| {
         assert!(c.check(Variant::StrongLabelled, &p, &q).holds());
     });
     let names: Vec<&str> = spans.keys().copied().collect();
     assert_eq!(names, ["equiv.check.check.us", "equiv.check.structural.us"]);
+}
+
+/// `all_variants` runs the structural test, and so `snf` on each side,
+/// once for its six checks, each of which records its own check span.
+#[test]
+fn all_variants_runs_one_structural_test() {
+    let _g = lock();
+    let defs = Defs::new();
+    for (p, q) in variants() {
+        let spans = span_delta(|| {
+            bpi_equiv::all_variants(&p, &q, &defs);
+        });
+        let count = |name: &str| spans.get(name).map_or(0, |&(n, _)| n);
+        assert_eq!(
+            count("equiv.check.structural.us"),
+            1,
+            "{p} vs {q}: {spans:?}"
+        );
+        assert_eq!(count("equiv.check.check.us"), 6, "{p} vs {q}: {spans:?}");
+    }
 }

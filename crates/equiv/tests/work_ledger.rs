@@ -10,7 +10,10 @@
 //! at n = 3 strong only) on names of its own, so no memo serves it.
 //! Counters are deterministic by contract (`metrics_oracle.rs`), so the
 //! ledger reads the same on any host, and a change that multiplies work
-//! fails here. Structurally equal shapes pin zero builds.
+//! fails here. Structurally equal shapes pin zero builds, and so do the
+//! strong checks settled on the fly, which pin the pairs and states the
+//! search derived instead; a strong check the search hands back pins
+//! both its search and the graph route's work.
 //!
 //! There is no switch to regenerate the fixture. On a mismatch the test
 //! prints the whole new ledger; a change that means to move it replaces
@@ -24,7 +27,7 @@ use bpi_core::parser::{parse_defs, parse_process};
 use bpi_equiv::{Checker, Variant};
 use std::fmt::Write;
 
-const COUNTERS: [&str; 16] = [
+const COUNTERS: [&str; 20] = [
     "equiv.graph.builds",
     "equiv.graph.states",
     "equiv.graph.edges",
@@ -41,6 +44,10 @@ const COUNTERS: [&str; 16] = [
     "equiv.branching.states",
     "equiv.branching.blocks",
     "equiv.check.structural",
+    "equiv.check.onthefly",
+    "equiv.onthefly.pairs",
+    "equiv.onthefly.states",
+    "equiv.onthefly.fallbacks",
 ];
 
 /// The corpus families, as `perfbench/src/gen.rs` writes them, with `@`
