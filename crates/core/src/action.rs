@@ -164,8 +164,8 @@ impl fmt::Display for Action {
 
 /// Parses the [`Display`](fmt::Display) rendering back into an
 /// [`Action`] — `tau`, `a(x,y)`, `a<x,y>`, `new x a<b,x>`, `a:`. The
-/// round-trip through text is what lets checkpoints and serde formats
-/// carry labels without exposing interner ids; any name spelling the
+/// round-trip through text is what lets checkpoints carry labels
+/// without exposing interner ids; any name spelling the
 /// interner accepts (including pool names like `#b0`) parses back to
 /// the same interned [`Name`].
 impl std::str::FromStr for Action {

@@ -12,9 +12,7 @@
 //! header line followed by one `o\t<weight>\t<value>` record per
 //! outcome, with the value rendered through `Display` and recovered
 //! through `FromStr`. Weights use Rust's shortest-round-trip `f64`
-//! formatting, so decode∘encode is the identity bit-for-bit. The serde
-//! impls carry the same text, like every other record type in the
-//! workspace.
+//! formatting, so decode∘encode is the identity bit-for-bit.
 
 use crate::record::{fields, parse, Reader, Writer};
 use std::collections::BTreeMap;
@@ -184,8 +182,6 @@ impl<T: FromStr<Err: fmt::Display>> FromStr for Dist<T> {
     }
 }
 
-crate::text_serde!(<T> Dist<T>, "a bpi-dist/v1 text blob");
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,20 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        use serde::de::value::{Error as ValueError, StrDeserializer};
-        use serde::de::IntoDeserializer;
-        use serde::Deserialize;
-        // Serde serialises through `collect_str(self)`, i.e. exactly the
-        // Display text, so deserialising that text must reproduce the value.
+    fn numeric_outcomes_round_trip() {
         let mut d = Dist::new();
         d.push(7u64, 0.125);
         d.push(9u64, 0.875);
-        let text = d.to_string();
-        let de: StrDeserializer<'_, ValueError> = text.as_str().into_deserializer();
-        let back = Dist::<u64>::deserialize(de).expect("deserialize");
+        let back: Dist<u64> = d.to_string().parse().expect("decode");
         assert_eq!(back, d);
-        let bad: StrDeserializer<'_, ValueError> = "junk".into_deserializer();
-        assert!(Dist::<u64>::deserialize(bad).is_err());
+        assert!("junk".parse::<Dist<u64>>().is_err());
     }
 }

@@ -22,7 +22,9 @@
 //!   the probabilistic fault layer;
 //! * [`parser`] / [`pretty`] — a concrete syntax;
 //! * [`record`] — the line-record codec every versioned text format
-//!   (checkpoints, fault logs, distributions) is written in.
+//!   (checkpoints, fault logs, distributions) is written in;
+//! * [`text`] — `FromStr` for names, identifiers, processes and
+//!   definition files, the parsing half of their text forms.
 //!
 //! The operational semantics lives in `bpi-semantics`, behavioural
 //! equivalences in `bpi-equiv`, and the Section-5 axiomatisation in
@@ -32,22 +34,20 @@ pub mod action;
 pub mod builder;
 pub mod canon;
 pub mod dist;
-pub mod encode;
 pub mod name;
 pub mod parser;
 pub mod pretty;
 pub mod record;
-pub mod serde_impls;
 pub mod simplify;
 pub mod snf;
 pub mod store;
 pub mod subst;
 pub mod syntax;
+pub mod text;
 
 pub use action::Action;
 pub use canon::{alpha_eq, canon};
 pub use dist::Dist;
-pub use encode::{decode, encode};
 pub use name::{fresh_name, fresh_names, Name, NameSet};
 pub use parser::{parse_defs, parse_process, ParseError};
 pub use simplify::prune;

@@ -16,8 +16,7 @@
 //! sizes every allocation from the records it has actually read, never
 //! from a count the document declares, and range-checks every node and
 //! state index, so a truncated or corrupted document decodes to a
-//! typed `Err`. [`text_serde!`](crate::text_serde) derives serde impls
-//! that carry the same text.
+//! typed `Err`.
 
 use crate::action::Action;
 use crate::name::Name;
@@ -26,11 +25,7 @@ use crate::store::{cons, Consed};
 use crate::syntax::{Ident, Prefix, Process, RecDef, P};
 use std::collections::HashMap;
 use std::fmt::{self, Display, Write};
-use std::marker::PhantomData;
 use std::str::FromStr;
-
-#[doc(hidden)]
-pub use serde;
 
 /// Outgoing `(label, target)` edges per state, in recording order.
 pub type Edges = Vec<Vec<(Action, usize)>>;
@@ -520,65 +515,6 @@ pub fn list<T: FromStr<Err: Display>>(s: &str, what: &str) -> Result<Vec<T>, Str
         return Ok(Vec::new());
     }
     s.split(',').map(|x| parse(x, what)).collect()
-}
-
-/// The serde visitor of [`text_serde!`](crate::text_serde): any type
-/// that parses from its text.
-#[doc(hidden)]
-pub struct TextVisitor<T>(pub &'static str, pub PhantomData<T>);
-
-impl<T: FromStr<Err: Display>> serde::de::Visitor<'_> for TextVisitor<T> {
-    type Value = T;
-
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.0)
-    }
-
-    fn visit_str<E: serde::de::Error>(self, v: &str) -> Result<T, E> {
-        v.parse().map_err(E::custom)
-    }
-}
-
-/// Serde impls that carry a type's text: `Serialize` writes its
-/// `Display`, `Deserialize` reads a string through its `FromStr`.
-/// Generic types list their parameters first:
-/// `text_serde!(<T> Dist<T>, "a bpi-dist/v1 document")`.
-#[macro_export]
-macro_rules! text_serde {
-    (@impl [$($g:ident),*] $ty:ty, $expecting:literal) => {
-        impl<$($g),*> $crate::record::serde::Serialize for $ty
-        where
-            $ty: ::std::fmt::Display,
-        {
-            fn serialize<S: $crate::record::serde::Serializer>(
-                &self,
-                s: S,
-            ) -> ::std::result::Result<S::Ok, S::Error> {
-                s.collect_str(self)
-            }
-        }
-
-        impl<'de, $($g),*> $crate::record::serde::Deserialize<'de> for $ty
-        where
-            $ty: ::std::str::FromStr,
-            <$ty as ::std::str::FromStr>::Err: ::std::fmt::Display,
-        {
-            fn deserialize<D: $crate::record::serde::de::Deserializer<'de>>(
-                d: D,
-            ) -> ::std::result::Result<Self, D::Error> {
-                d.deserialize_str($crate::record::TextVisitor(
-                    $expecting,
-                    ::std::marker::PhantomData,
-                ))
-            }
-        }
-    };
-    (<$($g:ident),+> $ty:ty, $expecting:literal) => {
-        $crate::text_serde!(@impl [$($g),+] $ty, $expecting);
-    };
-    ($ty:ty, $expecting:literal) => {
-        $crate::text_serde!(@impl [] $ty, $expecting);
-    };
 }
 
 #[cfg(test)]

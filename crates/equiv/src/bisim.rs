@@ -15,13 +15,15 @@
 //! refinement over the two finite [`Graph`]s: start from the full
 //! relation and delete pairs violating the transfer conditions until
 //! stable. Each variant's transfer property is written once, as one
-//! walk over its obligations, each handed over as its candidate pairs:
-//! [`direction`] scores it exactly (the first obligation with no related
-//! candidate fails the pair), [`crate::epsilon::defect`] scores it by
-//! counting, and the on-the-fly search ([`crate::onthefly`]) keeps a
-//! count of live candidates per obligation. Three engines
-//! compute that fixpoint — all chaotic iterations of the same monotone
-//! transfer operator, hence the same greatest fixpoint:
+//! walk over its obligations, each handed over with its label as its
+//! candidate pairs: [`direction`] scores it exactly (the first
+//! obligation with no related candidate fails the pair),
+//! [`crate::epsilon::defect`] scores it by counting, the on-the-fly
+//! search ([`crate::onthefly`]) keeps a count of live candidates per
+//! obligation, [`crate::distinguish`] keeps the first unmet obligation
+//! to explain, and [`crate::upto`] matches candidates up to `~S~`.
+//! Three engines compute that fixpoint — all chaotic iterations of the
+//! same monotone transfer operator, hence the same greatest fixpoint:
 //!
 //! * the naive global sweep [`refine`] (the reference oracle, and the
 //!   fastest choice on small products — no index construction);
@@ -752,8 +754,8 @@ pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRe
 /// **Why a checkpoint is just the relation.** All engines here are
 /// chaotic iterations of the same monotone transfer operator, so every
 /// intermediate relation is a superset of the greatest fixpoint.
-/// [`refine_resume`] therefore only needs the relation snapshot: it
-/// re-seeds the dirty set with *all* surviving pairs and iterates on.
+/// [`refine_resume`] therefore only needs the relation snapshot: its
+/// first round re-checks *all* surviving pairs, and it iterates on.
 ///
 /// Deterministic refinement metrics (`equiv.refine.*`) are recorded
 /// exactly once, on completion — an interrupted run records nothing, so
@@ -830,16 +832,19 @@ pub(crate) fn run_rounds(
     let (n1, n2) = (g1.len(), g2.len());
     let RefineCheckpoint { rel, mut rounds } = start;
     let mut pr = PairRelation { rel };
-    // Seed the dirty set with every surviving pair (for a fresh run, all
-    // of them): a superset of the pairs any engine would re-examine, so
-    // the chaotic iteration still converges to the same fixpoint.
-    let mut dirty: Vec<(u32, u32)> = (0..n1 as u32)
-        .flat_map(|i| (0..n2 as u32).map(move |j| (i, j)))
-        .filter(|&(i, j)| pr.rel[i as usize][j as usize])
-        .collect();
+    // The first round re-checks every surviving pair (for a fresh run,
+    // all of them): a superset of the pairs any engine would re-examine,
+    // so the chaotic iteration still converges to the same fixpoint. It
+    // is one Jacobi sweep, read off the relation row by row; each later
+    // round re-checks the listed dependents of the last round's kills.
+    let mut sweep = pr.rel.iter().any(|row| row.contains(&true));
+    let mut dirty: Vec<(u32, u32)> = Vec::new();
     let mut deps = None;
+    // One byte a pair beside the relation's: a round's kills until they
+    // apply, then the pairs queued for the next round. A kill is no
+    // longer related and a queued pair still is, so the two never mix.
     let mut queued = vec![false; n1 * n2];
-    while !dirty.is_empty() {
+    while sweep || !dirty.is_empty() {
         if let Err(error) = cfg.poll(budget, 0) {
             record_snapshot("interrupt");
             return Err(Interrupted {
@@ -850,36 +855,39 @@ pub(crate) fn run_rounds(
                 },
             });
         }
-        // The round's kill set: the dirty pairs still related that now
-        // violate the transfer property against this round's relation.
-        let kills: Vec<(u32, u32)> = dirty
-            .iter()
-            .copied()
-            .filter(|&(i, j)| {
-                let (i, j) = (i as usize, j as usize);
-                pr.rel[i][j] && kill(i, j, &pr.rel)
-            })
-            .collect();
+        let swept = std::mem::take(&mut sweep);
+        // The round's kill set: the re-checked pairs still related that
+        // now violate the transfer property against this round's relation.
+        let mut killed = false;
+        each_pair(swept, n1, n2, &dirty, |i, j| {
+            if pr.rel[i][j] && kill(i, j, &pr.rel) {
+                (queued[i * n2 + j], killed) = (true, true);
+            }
+        });
         rounds += 1;
-        if kills.is_empty() {
+        if !killed {
             break;
         }
-        for &(i, j) in &kills {
-            pr.rel[i as usize][j as usize] = false;
-        }
+        each_pair(swept, n1, n2, &dirty, |i, j| {
+            pr.rel[i][j] &= !queued[i * n2 + j]
+        });
         let (dep1, dep2) =
             deps.get_or_insert_with(|| (g1.dependents(v.is_weak()), g2.dependents(v.is_weak())));
         let mut next: Vec<(u32, u32)> = Vec::new();
-        for &(i, j) in &kills {
-            for &pi in &dep1[i as usize] {
-                for &pj in &dep2[j as usize] {
+        each_pair(swept, n1, n2, &dirty, |i, j| {
+            if !queued[i * n2 + j] || pr.rel[i][j] {
+                return;
+            }
+            queued[i * n2 + j] = false;
+            for &pi in &dep1[i] {
+                for &pj in &dep2[j] {
                     if pr.rel[pi][pj] && !queued[pi * n2 + pj] {
                         queued[pi * n2 + pj] = true;
                         next.push((pi as u32, pj as u32));
                     }
                 }
             }
-        }
+        });
         for &(i, j) in &next {
             queued[i as usize * n2 + j as usize] = false;
         }
@@ -887,6 +895,22 @@ pub(crate) fn run_rounds(
         dirty = next;
     }
     Ok((pr, rounds))
+}
+
+/// Calls `f` on the pairs a round of [`run_rounds`] re-checks: every
+/// pair row by row on a sweep, the `dirty` list otherwise.
+fn each_pair(
+    sweep: bool,
+    n1: usize,
+    n2: usize,
+    dirty: &[(u32, u32)],
+    mut f: impl FnMut(usize, usize),
+) {
+    if sweep {
+        (0..n1).for_each(|i| (0..n2).for_each(|j| f(i, j)));
+    } else {
+        dirty.iter().for_each(|&(i, j)| f(i as usize, j as usize));
+    }
 }
 
 /// One direction of the transfer property: every move of `(ga, i)` is
@@ -908,17 +932,36 @@ pub fn direction(
 }
 
 /// How a walk of [`transfer`] scores its obligations. Each obligation (a
-/// move to match, a discard to mirror) is handed over as its candidate
-/// pairs: the residual pairs `(i', j')` of the answers the other side
-/// has, the walking side's state first. `Break` ends the walk.
+/// move to match, a discard to mirror) is handed over with its label and
+/// as its candidate pairs: the residual pairs `(i', j')` of the answers
+/// the other side has, the walking side's state first. A move's label is
+/// its own; a discard's is the receipt label of the tuple to mirror, or
+/// `a:` when the other side neither receives nor discards on `a`. `Break`
+/// ends the walk.
 pub(crate) trait Note {
-    fn note(&mut self, candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()>;
+    fn note(
+        &mut self,
+        label: &Action,
+        candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> ControlFlow<()>;
+
+    /// A barb the walking side exposes and the other side lacks. By
+    /// default it ends the walk: a missing observable is not an
+    /// obligation that a match could answer.
+    fn barb(&mut self, chan: Name) -> ControlFlow<()> {
+        let _ = chan;
+        Break(())
+    }
 }
 
 /// The exact score of [`direction`]: an obligation is met when one of
 /// its candidate pairs is related.
 impl Note for RelView<'_> {
-    fn note(&mut self, mut candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()> {
+    fn note(
+        &mut self,
+        _: &Action,
+        mut candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> ControlFlow<()> {
         if candidates.any(|(i2, j2)| self.holds(i2, j2)) {
             Continue(())
         } else {
@@ -950,11 +993,11 @@ pub(crate) trait Moves {
             .map(|(_, t)| t)
     }
 
-    /// Step successors (`τ` or output) of `i`.
-    fn step_succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    /// Step moves (`τ` or output) of `i`, with their labels.
+    fn step_edges(&self, i: usize) -> impl Iterator<Item = (&Action, usize)> + '_ {
         self.edges(i)
-            .filter(|&(l, _)| matches!(self.label(l), Action::Tau | Action::Output { .. }))
-            .map(|(_, t)| t)
+            .map(|(l, t)| (self.label(l), t))
+            .filter(|(act, _)| matches!(act, Action::Tau | Action::Output { .. }))
     }
 }
 
@@ -983,18 +1026,18 @@ impl Moves for Graph {
         Graph::tau_succs(self, i)
     }
 
-    fn step_succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.step_edges(i).map(|(_, t)| t)
+    fn step_edges(&self, i: usize) -> impl Iterator<Item = (&Action, usize)> + '_ {
+        Graph::step_edges(self, i)
     }
 }
 
 /// Walks one direction of `v`'s transfer property, the one definition
 /// of Definitions 3, 5 and 7–8 that [`direction`],
-/// [`crate::epsilon::defect`] and the on-the-fly search score in their
-/// own ways. Each obligation of `(ga, i)` (a move to match, a discard to
-/// mirror) goes to `note` as the pairs of `(gb, j)`'s answers. A barb
-/// `i` exposes and `j` lacks ends the walk outright with `Break`: a
-/// missing observable is not an obligation that a match could answer.
+/// [`crate::epsilon::defect`], the on-the-fly search, the explainer and
+/// the up-to check score in their own ways. Each obligation of `(ga, i)`
+/// (a move to match, a discard to mirror) goes to `note` with its label,
+/// as the pairs of `(gb, j)`'s answers; a barb `i` exposes and `j` lacks
+/// goes to [`Note::barb`].
 pub(crate) fn transfer(
     v: Variant,
     ga: &Graph,
@@ -1005,17 +1048,17 @@ pub(crate) fn transfer(
 ) -> ControlFlow<()> {
     match v {
         Variant::WeakBarbed => {
-            barbs_within(&ga.weak_barbs(i), &gb.weak_barbs(j))?;
+            barbs_within(&ga.weak_barbs(i), &gb.weak_barbs(j), note)?;
             let closure = gb.tau_closure(j);
             for i2 in ga.tau_succs(i) {
-                note.note(closure.iter().map(|&j2| (i2, j2)))?;
+                note.note(&Action::Tau, closure.iter().map(|&j2| (i2, j2)))?;
             }
         }
         Variant::WeakStep => {
-            barbs_within(&ga.weak_step_barbs(i), &gb.weak_step_barbs(j))?;
+            barbs_within(&ga.weak_step_barbs(i), &gb.weak_step_barbs(j), note)?;
             let closure = gb.step_closure(j);
-            for (_, i2) in ga.step_edges(i) {
-                note.note(closure.iter().map(|&j2| (i2, j2)))?;
+            for (act, i2) in ga.step_edges(i) {
+                note.note(act, closure.iter().map(|&j2| (i2, j2)))?;
             }
         }
         Variant::WeakLabelled => weak_labelled(ga, i, gb, j, note)?,
@@ -1036,19 +1079,19 @@ pub(crate) fn strong_transfer<S: Moves>(
     match v {
         Variant::StrongBarbed => {
             // Barbs: p ↓a ⇒ q ↓a.
-            barbs_within(&ga.barbs(i), &gb.barbs(j))?;
+            barbs_within(&ga.barbs(i), &gb.barbs(j), note)?;
             // τ moves matched by single τ moves.
             for i2 in ga.tau_succs(i) {
-                note.note(gb.tau_succs(j).map(|j2| (i2, j2)))?;
+                note.note(&Action::Tau, gb.tau_succs(j).map(|j2| (i2, j2)))?;
             }
         }
         Variant::StrongStep => {
             // ↓ₐ^φ = immediate output subject.
-            barbs_within(&ga.barbs(i), &gb.barbs(j))?;
+            barbs_within(&ga.barbs(i), &gb.barbs(j), note)?;
             // Any step move matched by any single step move (labels are
             // abstracted away — the essence of Definition 5).
-            for i2 in ga.step_succs(i) {
-                note.note(gb.step_succs(j).map(|j2| (i2, j2)))?;
+            for (act, i2) in ga.step_edges(i) {
+                note.note(act, gb.step_edges(j).map(|(_, j2)| (i2, j2)))?;
             }
         }
         Variant::StrongLabelled => strong_labelled(ga, i, gb, j, note)?,
@@ -1057,13 +1100,14 @@ pub(crate) fn strong_transfer<S: Moves>(
     Continue(())
 }
 
-/// `Break` when `ba` holds a barb `bb` lacks.
-fn barbs_within(ba: &NameSet, bb: &NameSet) -> ControlFlow<()> {
-    if ba.iter().all(|a| bb.contains(a)) {
-        Continue(())
-    } else {
-        Break(())
+/// Hands `note` each barb of `ba` that `bb` lacks.
+fn barbs_within(ba: &NameSet, bb: &NameSet, note: &mut impl Note) -> ControlFlow<()> {
+    for a in ba {
+        if !bb.contains(a) {
+            note.barb(a)?;
+        }
     }
+    Continue(())
 }
 
 fn strong_labelled<S: Moves>(
@@ -1081,24 +1125,27 @@ fn strong_labelled<S: Moves>(
         let blid = gb.label_id(act);
         let same = |&(l, _): &(u32, usize)| Some(l) == blid;
         match act {
-            Action::Tau => note.note(gb.tau_succs(j).map(|j2| (i2, j2)))?,
-            Action::Output { .. } => note.note(gb.edges(j).filter(same).map(|(_, j2)| (i2, j2)))?,
+            Action::Tau => note.note(act, gb.tau_succs(j).map(|j2| (i2, j2)))?,
+            Action::Output { .. } => {
+                note.note(act, gb.edges(j).filter(same).map(|(_, j2)| (i2, j2)))?
+            }
             Action::Input { chan, .. } => {
                 // a(b)? moves of j: real inputs with this label, or j
                 // itself when j discards the channel.
                 let discard = gb.discarding(j).contains(*chan).then_some((i2, j));
                 let real = gb.edges(j).filter(same).map(|(_, j2)| (i2, j2));
-                note.note(real.chain(discard))?
+                note.note(act, real.chain(discard))?
             }
             Action::Discard { .. } => {} // not stored as edges
         }
     }
     // 4: discard self-loops of i: i —a(b)?→ i for every a it discards.
     for a in ga.discarding(i) {
+        let discard = Action::Discard { chan: a };
         if gb.discarding(j).contains(a) {
             // j self-loops too: the residual pair is (i, j) itself, which
             // every engine only examines while it is related.
-            note.note(std::iter::once((i, j)))?;
+            note.note(&discard, std::iter::once((i, j)))?;
             continue;
         }
         // j is listening on a: each of its concrete a(b̃) inputs is an
@@ -1114,10 +1161,11 @@ fn strong_labelled<S: Moves>(
         if labels.is_empty() {
             // j neither discards nor receives on a within the pool
             // (arity anomaly): cannot match i's discard move.
-            note.note(std::iter::empty())?;
+            note.note(&discard, std::iter::empty())?;
         }
         for lab in labels {
             note.note(
+                gb.label(lab),
                 gb.edges(j)
                     .filter(|&(l, _)| l == lab)
                     .map(|(_, j2)| (i, j2)),
@@ -1137,14 +1185,16 @@ fn weak_labelled(
     for (lid, i2) in ga.edge_ids(i) {
         let act = ga.label(lid);
         match act {
-            Action::Tau => note.note(gb.tau_closure(j).iter().map(|&j2| (i2, j2)))?,
-            Action::Output { .. } => note.note(gb.weak_label(j, act).iter().map(|&j2| (i2, j2)))?,
+            Action::Tau => note.note(act, gb.tau_closure(j).iter().map(|&j2| (i2, j2)))?,
+            Action::Output { .. } => {
+                note.note(act, gb.weak_label(j, act).iter().map(|&j2| (i2, j2)))?
+            }
             Action::Input { chan, .. } => {
                 // Candidates are the weak same-label moves plus the weak
-                // discards.
+                // discards that are not among them.
                 let weak = gb.weak_label(j, act);
-                let discards = lazily(|| gb.weak_discard(j, *chan));
-                note.note(weak.iter().copied().chain(discards).map(|j2| (i2, j2)))?
+                let discards = lazily(|| gb.weak_discard(j, *chan)).filter(|j2| !weak.contains(j2));
+                note.note(act, weak.iter().copied().chain(discards).map(|j2| (i2, j2)))?
             }
             Action::Discard { .. } => {}
         }
@@ -1154,8 +1204,8 @@ fn weak_labelled(
         let labels = gb.weak_input_labels(j, a);
         let wdisc = gb.weak_discard(j, a);
         for lab in labels.iter() {
-            let weak = lazily(|| gb.weak_label(j, lab));
-            note.note(wdisc.iter().copied().chain(weak).map(|j2| (i, j2)))?;
+            let weak = lazily(|| gb.weak_label(j, lab)).filter(|j2| !wdisc.contains(j2));
+            note.note(lab, wdisc.iter().copied().chain(weak).map(|j2| (i, j2)))?;
         }
         // Tuples at arities nobody receives at are matched only through a
         // weak discard.
@@ -1165,7 +1215,10 @@ fn weak_labelled(
         let uncovered = (ar_a.is_empty() && ar_b.is_empty())
             || ar_a.iter().chain(ar_b.iter()).any(|n| !ar_cov.contains(n));
         if uncovered {
-            note.note(wdisc.iter().map(|&j2| (i, j2)))?;
+            note.note(
+                &Action::Discard { chan: a },
+                wdisc.iter().map(|&j2| (i, j2)),
+            )?;
         }
     }
     Continue(())

@@ -27,9 +27,8 @@
 //!   prefix embedded, so [`Checker::resume_from`] is self-contained given
 //!   the same defs/options/variant.
 //!
-//! All of them serialise as `bpi_core::record` documents (and through
-//! serde, which carries the same text), so checkpoints survive process
-//! restarts and interner re-seeding.
+//! All of them serialise as `bpi_core::record` documents, so
+//! checkpoints survive process restarts and interner re-seeding.
 //!
 //! [`Checker::run_slice`] closes the loop: it runs the pipeline on a
 //! fuel tank and parks the checkpoint when the tank runs dry. The
@@ -573,14 +572,6 @@ impl std::str::FromStr for Checkpoint {
     }
 }
 
-bpi_core::text_serde!(GraphCheckpoint, "a bpi-graph-checkpoint/v2 document");
-bpi_core::text_serde!(RefineCheckpoint, "a bpi-refine-checkpoint/v1 document");
-bpi_core::text_serde!(
-    PartitionCheckpoint,
-    "a bpi-partition-checkpoint/v1 document"
-);
-bpi_core::text_serde!(Checkpoint, "a bpi-equiv-checkpoint/v1 document");
-
 /// Runs one resumable phase engine on `cfg`'s fuel tank (the *same*
 /// shared cell: fuel counts pipeline units, not per-phase units),
 /// wrapping an interruption's snapshot into an umbrella [`Checkpoint`].
@@ -915,17 +906,10 @@ mod tests {
 
     #[test]
     fn graph_checkpoint_text_roundtrip() {
-        use serde::de::value::{Error as ValueError, StrDeserializer};
-        use serde::de::{Deserialize, IntoDeserializer};
         let ck = sample_graph_ckpt();
-        let text = ck.to_text();
-        let back = GraphCheckpoint::from_text(&text).unwrap();
+        let back = GraphCheckpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(ck, back);
         assert!(back.complete());
-        // Serde serialises through `collect_str(self)`, i.e. exactly the
-        // text format; deserialise the text back through serde too.
-        let d: StrDeserializer<'_, ValueError> = text.as_str().into_deserializer();
-        assert_eq!(GraphCheckpoint::deserialize(d).unwrap(), ck);
     }
 
     #[test]

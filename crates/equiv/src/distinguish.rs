@@ -11,18 +11,21 @@
 //! * `↓a` — "has a strong barb on a" (for the barbed variants);
 //! * `↓ₐ^φ` / step moves for the step variants.
 //!
-//! The extraction replays the pair-refinement fixpoint: a pair died
-//! because some move of one side had no matching move with surviving
-//! residuals; recursing on the best witness yields a finite experiment,
-//! whose depth is bounded by the number of refinement rounds.
+//! The extraction replays the pair-refinement fixpoint as one more
+//! scorer of the transfer walk (`bisim::transfer`): a pair died because
+//! one side shows a barb the other lacks, or has an obligation (a move
+//! to match, a discard to mirror) with no answer whose residuals
+//! survived; recursing on that obligation's candidates yields a finite
+//! experiment, whose depth is bounded by a budget of n₁·n₂ + 2 pairs.
 
-use crate::bisim::{refine_auto, Variant};
+use crate::bisim::{refine_auto, transfer, Note, RelView, Variant};
 use crate::graph::{shared_pool, Graph, Opts};
 use bpi_core::action::Action;
 use bpi_core::name::Name;
 use bpi_core::syntax::{Defs, P};
 use bpi_semantics::budget::Budget;
 use std::fmt;
+use std::ops::ControlFlow::{self, Break, Continue};
 
 /// A distinguishing experiment: evidence that the *left* process can do
 /// something the right cannot match (or vice versa — see [`Side`]).
@@ -31,7 +34,10 @@ pub enum Experiment {
     /// The distinguishing observation is a barb the other side lacks.
     Barb { chan: Name, weak: bool },
     /// A move with the given label such that *every* answer of the other
-    /// side leads to residuals distinguished by the nested experiment.
+    /// side leads to residuals distinguished by the nested experiment. A
+    /// discard to mirror reads as the move `a(b̃)?` of the tuple's receipt
+    /// label, or as `a:` when the other side neither receives nor
+    /// discards on `a`.
     Move {
         label: Action,
         /// For each answer the opponent has (empty when it has none): a
@@ -144,7 +150,7 @@ pub fn explain_fixpoint(
     }
     let initial_budget = g1.len() * g2.len() + 2;
     let mut depth_budget = initial_budget;
-    let d = explain_pair(v, g1, 0, g2, 0, rel, &mut depth_budget);
+    let d = explain_pair(v, g1, 0, g2, 0, rel, &mut depth_budget)?;
     // The experiment is a function of the fixpoint relation, which is
     // engine-independent — so the count and search depth
     // replay deterministically.
@@ -160,10 +166,12 @@ pub fn explain_fixpoint(
     Some(d)
 }
 
-fn related(rel: &[Vec<bool>], i: usize, j: usize) -> bool {
-    rel[i][j]
-}
-
+/// Explains why `(i, j)` is not in `rel`: the first unmet obligation of
+/// the left side's transfer walk, else of the right side's, recursing on
+/// its candidates while the depth budget lasts. `None` only when `rel`
+/// is not `v`'s greatest fixpoint: a refuted pair has an unmet obligation
+/// even with the pair itself counted as related, or adding it would give
+/// a larger bisimulation.
 fn explain_pair(
     v: Variant,
     g1: &Graph,
@@ -172,164 +180,97 @@ fn explain_pair(
     j: usize,
     rel: &[Vec<bool>],
     budget: &mut usize,
-) -> Distinction {
-    if *budget > 0 {
-        *budget -= 1;
-    }
-    // Try the left side's moves first, then the right's.
-    if let Some(exp) = dir_explain(v, g1, i, g2, j, rel, false, budget) {
-        return Distinction {
-            side: Side::Left,
-            experiment: exp,
-        };
-    }
-    if let Some(exp) = dir_explain(v, g2, j, g1, i, rel, true, budget) {
-        return Distinction {
-            side: Side::Right,
-            experiment: exp,
-        };
-    }
-    // The pair died in the fixpoint, so one direction must fail; if the
-    // budget ran dry, fall back to a generic barb report.
-    Distinction {
-        side: Side::Left,
-        experiment: Experiment::Barb {
-            chan: Name::intern_raw("#unknown"),
-            weak: false,
+) -> Option<Distinction> {
+    *budget = budget.saturating_sub(1);
+    let (side, unmet) = [Side::Left, Side::Right]
+        .into_iter()
+        .find_map(|side| Some((side, first_unmet(v, g1, i, g2, j, rel, side)?)))?;
+    let experiment = match unmet {
+        Unmet::Barb(chan) => Experiment::Barb {
+            chan,
+            weak: v.is_weak(),
         },
-    }
-}
-
-/// If `(ga, i)` has an unmatched observation against `(gb, j)`, return
-/// the experiment witnessing it.
-#[allow(clippy::too_many_arguments)]
-fn dir_explain(
-    v: Variant,
-    ga: &Graph,
-    i: usize,
-    gb: &Graph,
-    j: usize,
-    rel: &[Vec<bool>],
-    transposed: bool,
-    budget: &mut usize,
-) -> Option<Experiment> {
-    let rl = |x: usize, y: usize| {
-        if transposed {
-            related(rel, y, x)
-        } else {
-            related(rel, x, y)
+        Unmet::Move(label, _) if *budget == 0 => Experiment::Move {
+            label,
+            answers: Vec::new(),
+        },
+        Unmet::Move(label, candidates) => {
+            let answers = candidates
+                .into_iter()
+                .map(|(a, b)| {
+                    let (i2, j2) = if side == Side::Left { (a, b) } else { (b, a) };
+                    let d = explain_pair(v, g1, i2, g2, j2, rel, budget)?;
+                    // Whether the mover's residual is the satisfying side.
+                    Some((d.side == side, d.experiment))
+                })
+                .collect::<Option<_>>()?;
+            Experiment::Move { label, answers }
         }
     };
-    // Barb mismatch (barbed/step variants).
-    if matches!(
-        v,
-        Variant::StrongBarbed | Variant::WeakBarbed | Variant::StrongStep | Variant::WeakStep
-    ) {
-        let (ba, bb) = match v {
-            Variant::StrongBarbed | Variant::StrongStep => (ga.strong_barbs(i), gb.strong_barbs(j)),
-            Variant::WeakBarbed => (ga.weak_barbs(i), gb.weak_barbs(j)),
-            _ => (ga.weak_step_barbs(i), gb.weak_step_barbs(j)),
-        };
-        for chan in &ba {
-            if !bb.contains(chan) {
-                return Some(Experiment::Barb {
-                    chan,
-                    weak: matches!(v, Variant::WeakBarbed | Variant::WeakStep),
-                });
-            }
-        }
-    }
-    // Move mismatch.
-    for (lid, i2) in ga.edge_ids(i) {
-        let act = ga.label(lid);
-        let considered = match v {
-            Variant::StrongBarbed | Variant::WeakBarbed => matches!(act, Action::Tau),
-            Variant::StrongStep | Variant::WeakStep => act.is_step_move(),
-            _ => true,
-        };
-        if !considered {
-            continue;
-        }
-        // The opponent's candidate answers for this label.
-        let answers: Vec<usize> = opponent_answers(v, gb, j, act);
-        if answers.iter().any(|&j2| rl(i2, j2)) {
-            continue; // matched
-        }
-        // Unmatched: recurse into each answer to explain why its
-        // residual pair is distinguished.
-        if *budget == 0 {
-            return Some(Experiment::Move {
-                label: act.clone(),
-                answers: Vec::new(),
-            });
-        }
-        let sub: Vec<(bool, Experiment)> = answers
-            .iter()
-            .map(|&j2| {
-                let d = if transposed {
-                    explain_pair(v, gb, j2, ga, i2, rel, budget)
-                } else {
-                    explain_pair(v, ga, i2, gb, j2, rel, budget)
-                };
-                // Whether the mover's residual is the satisfying side:
-                // in the non-transposed call the residual is the first
-                // argument (Side::Left); transposed, the second.
-                let mine = (d.side == Side::Left) != transposed;
-                (mine, d.experiment)
-            })
-            .collect();
-        return Some(Experiment::Move {
-            label: act.clone(),
-            answers: sub,
-        });
-    }
-    None
+    Some(Distinction { side, experiment })
 }
 
-/// The opponent's possible responses to a move with the given label.
-fn opponent_answers(v: Variant, gb: &Graph, j: usize, act: &Action) -> Vec<usize> {
-    match v {
-        Variant::StrongBarbed => gb.tau_succs(j).collect(),
-        Variant::WeakBarbed => gb.tau_closure(j).iter().copied().collect(),
-        Variant::StrongStep => gb.step_edges(j).map(|(_, k)| k).collect(),
-        Variant::WeakStep => gb.step_closure(j).iter().copied().collect(),
-        Variant::StrongLabelled => {
-            // Same-label answers compare interned ids after translating
-            // the mover's label into the opponent's id space.
-            let same = |gb: &Graph| -> Vec<usize> {
-                match gb.csr().label_id(act) {
-                    Some(bl) => gb
-                        .edge_ids(j)
-                        .filter(|&(l, _)| l == bl)
-                        .map(|(_, k)| k)
-                        .collect(),
-                    None => Vec::new(),
-                }
-            };
-            match act {
-                Action::Tau => gb.tau_succs(j).collect(),
-                Action::Output { .. } => same(gb),
-                Action::Input { chan, .. } => {
-                    let mut out = same(gb);
-                    if gb.state_discards(j, *chan) {
-                        out.push(j);
-                    }
-                    out
-                }
-                Action::Discard { .. } => vec![j],
-            }
+/// The first unmet obligation of `side`'s walk of the pair `(i, j)`.
+fn first_unmet(
+    v: Variant,
+    g1: &Graph,
+    i: usize,
+    g2: &Graph,
+    j: usize,
+    rel: &[Vec<bool>],
+    side: Side,
+) -> Option<Unmet> {
+    let transposed = side == Side::Right;
+    let mut first = FirstUnmet {
+        rel: RelView::new(rel, transposed),
+        pair: if transposed { (j, i) } else { (i, j) },
+        unmet: None,
+    };
+    let _ = if transposed {
+        transfer(v, g2, j, g1, i, &mut first)
+    } else {
+        transfer(v, g1, i, g2, j, &mut first)
+    };
+    first.unmet
+}
+
+/// An unmet obligation: a barb the other side lacks, or an obligation's
+/// label with its candidate pairs in the walk's order and multiplicity.
+enum Unmet {
+    Barb(Name),
+    Move(Action, Vec<(usize, usize)>),
+}
+
+/// The explainer's score of a transfer walk: it stops at the first
+/// unmet obligation and keeps it. The pair being explained counts as
+/// related, so a discard both sides share, whose only candidate is that
+/// pair, is met.
+struct FirstUnmet<'a> {
+    rel: RelView<'a>,
+    pair: (usize, usize),
+    unmet: Option<Unmet>,
+}
+
+impl Note for FirstUnmet<'_> {
+    fn note(
+        &mut self,
+        label: &Action,
+        candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> ControlFlow<()> {
+        let candidates: Vec<_> = candidates.collect();
+        if candidates
+            .iter()
+            .any(|&(a, b)| (a, b) == self.pair || self.rel.holds(a, b))
+        {
+            return Continue(());
         }
-        Variant::WeakLabelled => match act {
-            Action::Tau => gb.tau_closure(j).iter().copied().collect(),
-            Action::Output { .. } => gb.weak_label(j, act).iter().copied().collect(),
-            Action::Input { chan, .. } => {
-                let mut s: std::collections::BTreeSet<usize> =
-                    gb.weak_label(j, act).iter().copied().collect();
-                s.extend(gb.weak_discard(j, *chan).iter().copied());
-                s.into_iter().collect()
-            }
-            Action::Discard { .. } => vec![j],
-        },
+        self.unmet = Some(Unmet::Move(label.clone(), candidates));
+        Break(())
+    }
+
+    fn barb(&mut self, chan: Name) -> ControlFlow<()> {
+        self.unmet = Some(Unmet::Barb(chan));
+        Break(())
     }
 }
 

@@ -38,6 +38,7 @@ use crate::bisim::{
 };
 use crate::checkpoint::RefineCheckpoint;
 use crate::graph::{shared_pool, Graph, Opts};
+use bpi_core::action::Action;
 use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
@@ -112,7 +113,11 @@ struct Count<'a> {
 }
 
 impl Note for Count<'_> {
-    fn note(&mut self, mut candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()> {
+    fn note(
+        &mut self,
+        _: &Action,
+        mut candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> ControlFlow<()> {
         self.total += 1;
         self.failed += usize::from(!candidates.any(|(i2, j2)| self.rel.holds(i2, j2)));
         Continue(())

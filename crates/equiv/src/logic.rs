@@ -23,7 +23,7 @@
 use crate::distinguish::{Distinction, Experiment, Side};
 use crate::graph::{Graph, Opts};
 use bpi_core::action::Action;
-use bpi_core::name::Name;
+use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::{Defs, P};
 use std::fmt;
 
@@ -124,7 +124,7 @@ fn successors(g: &Graph, i: usize, act: &Action) -> Vec<usize> {
 }
 
 /// Decides whether a closed process satisfies a formula, building its
-/// graph over the formula's names plus the process's own.
+/// graph over the formula's free names plus the process's own.
 ///
 /// If the graph exceeds `opts.max_states` the answer degrades to `false`
 /// (satisfaction could not be certified); [`try_satisfies`] exposes the
@@ -142,7 +142,7 @@ pub fn try_satisfies(
 ) -> Result<bool, bpi_semantics::EngineError> {
     // The pool must cover the names the formula mentions.
     let mut fns = p.free_names();
-    collect_formula_names(f, &mut fns);
+    fns.extend(&formula_names(f));
     let mut dummy = fns.clone();
     let pool = {
         let fresh = crate::graph::fresh_pool_names(opts.fresh_inputs, &dummy);
@@ -157,22 +157,29 @@ pub fn try_satisfies(
     Ok(sat(&g, 0, f))
 }
 
-fn collect_formula_names(f: &Formula, out: &mut bpi_core::name::NameSet) {
+/// The names `f` mentions free. A name an output diamond extrudes is
+/// bound beneath it: pooling it would change the name the graph extrudes.
+fn formula_names(f: &Formula) -> NameSet {
+    let mut out = NameSet::new();
     match f {
         Formula::True => {}
         Formula::Barb(a) => {
             out.insert(*a);
         }
-        Formula::Not(x) => collect_formula_names(x, out),
+        Formula::Not(x) => out = formula_names(x),
         Formula::And(a, b) => {
-            collect_formula_names(a, out);
-            collect_formula_names(b, out);
+            out = formula_names(a);
+            out.extend(&formula_names(b));
         }
         Formula::Diamond(act, x) => {
+            out = formula_names(x);
+            for &b in act.bound_names() {
+                out.remove(b);
+            }
             out.extend(&act.free_names());
-            collect_formula_names(x, out);
         }
     }
+    out
 }
 
 impl Experiment {
@@ -275,9 +282,14 @@ mod tests {
     fn extracted_formulas_audit_the_checker() {
         // For each inequivalent pair: extract the distinguishing
         // experiment, convert to a formula, and verify semantically that
-        // exactly one side satisfies it.
+        // exactly one side satisfies it. Pairs five to eight differ in
+        // what they discard: a silent blocker (a(x).0 | a(x,y).0 neither
+        // receives nor discards on a) against a discarder, and nil, which
+        // discards a, against a listener. The last formula names the name
+        // its first move extrudes.
         let defs = d();
         let [a, b, c, x] = names(["a", "b", "c", "x"]);
+        let parse = |s: &str| bpi_core::parse_process(s).unwrap();
         let pairs: Vec<(bpi_core::syntax::P, bpi_core::syntax::P)> = vec![
             (out_(a, [b]), out_(a, [c])),
             (
@@ -286,6 +298,11 @@ mod tests {
             ),
             (inp(a, [x], out_(x, [])), nil()),
             (tau(out_(a, [])), out_(a, [])),
+            (parse("a(x).0 | a(x,y).0"), parse("0")),
+            (parse("tau.tau.(a(x).0 | a(x,y).0)"), parse("tau.tau.0")),
+            (parse("b<> | (a(x).0 | a(x,y).0)"), parse("b<>")),
+            (parse("0"), parse("a(x).x<>")),
+            (parse("new x. b<x>.b<x,a>"), parse("new x. b<x>.b<x,b>")),
         ];
         for (p, q) in pairs {
             let dist = explain(Variant::StrongLabelled, &p, &q, &defs, Opts::default())

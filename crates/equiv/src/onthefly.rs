@@ -301,7 +301,11 @@ struct Obligations<'t> {
 }
 
 impl Note for Obligations<'_> {
-    fn note(&mut self, candidates: impl Iterator<Item = (usize, usize)>) -> ControlFlow<()> {
+    fn note(
+        &mut self,
+        _: &Action,
+        candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> ControlFlow<()> {
         let ob = self.table.live.len() as u32;
         let mut live = 0;
         for (a, b) in candidates {

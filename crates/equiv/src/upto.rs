@@ -14,11 +14,12 @@
 //! property once. The tests replay several of the paper's own
 //! relations (`S²`, `S³`, `S⁵`, `S⁸`).
 
-use crate::bisim::Checker;
+use crate::bisim::{transfer, Checker, Note, Variant};
 use crate::graph::{shared_pool, Graph, Opts};
 use bpi_core::action::Action;
 use bpi_core::syntax::{Defs, P};
 use bpi_semantics::budget::EngineError;
+use std::ops::ControlFlow::{self, Break, Continue};
 
 /// The verdict of an up-to check, with the offending pair and move on
 /// failure.
@@ -26,7 +27,8 @@ use bpi_semantics::budget::EngineError;
 pub enum UptoVerdict {
     /// The relation satisfies the Definition 9 transfer property.
     Valid,
-    /// A move of `pair.0` (or symmetric) could not be matched into
+    /// An obligation of `pair.0` — a move, or a discard to mirror (see
+    /// `bisim::transfer` for its label) — could not be matched into
     /// `~S~`.
     Fails {
         pair: (P, P),
@@ -48,14 +50,15 @@ impl UptoVerdict {
 /// bisimulation up-to `~` (Definition 9, strong reading): every move of
 /// one component is matched by the other with residuals in `~ S ~`.
 ///
-/// Residual membership in `~S~` is decided by: for some pair
-/// `(u, v) ∈ S` (or a flank of it), `p' ~ u` and `v ~ q'` — each flank
-/// checked with the full bisimilarity checker. This is expensive but
-/// faithful; the point of the technique is that `S` itself is tiny.
+/// Each pair's obligations are those of the `StrongLabelled` transfer
+/// walk at its two roots. A candidate meets one when its residuals are in
+/// `~S~`, decided by: for some pair `(u, v) ∈ S` (or a flank of it),
+/// `p' ~ u` and `v ~ q'` — each flank checked with the full bisimilarity
+/// checker. This is expensive but faithful; the point of the technique
+/// is that `S` itself is tiny.
 pub fn check_bisimulation_upto(pairs: &[(P, P)], defs: &Defs, opts: Opts) -> UptoVerdict {
     let checker = Checker::with_opts(defs, opts);
     for (p, q) in pairs {
-        // Build both graphs over the shared pool, inspect one step.
         let pool = shared_pool(p, q, opts.fresh_inputs);
         let budget = bpi_semantics::Budget::unlimited();
         let gp = match Graph::build_cached(p, defs, &pool, opts, &budget) {
@@ -66,92 +69,62 @@ pub fn check_bisimulation_upto(pairs: &[(P, P)], defs: &Defs, opts: Opts) -> Upt
             Ok(g) => g,
             Err(e) => return UptoVerdict::Inconclusive(e),
         };
-        for (left_moved, (ga, gb, a_proc, b_proc)) in
-            [(true, (&gp, &gq, p, q)), (false, (&gq, &gp, q, p))]
-        {
-            let _ = b_proc;
-            for (act, i2) in &ga.edges[0] {
-                let answers = answers_for(gb, act);
-                let residual_a = &ga.states[*i2];
-                let matched = answers.iter().any(|j2| {
-                    let residual_b = &gb.states[*j2];
-                    in_up_to_closure(residual_a, residual_b, left_moved, pairs, &checker)
-                });
-                if !matched {
-                    return UptoVerdict::Fails {
-                        pair: (a_proc.clone(), b_proc.clone()),
-                        label: act.clone(),
-                        left_moved,
-                    };
-                }
-            }
-            // Discard moves: matched by the opponent's discard (both
-            // self-loops, current pair trivially in S) or by real inputs
-            // landing back in the closure.
-            for ch in &ga.discarding[0] {
-                if gb.state_discards(0, ch) {
-                    continue;
-                }
-                let labels: Vec<Action> = gb
-                    .input_edges(0)
-                    .filter(|(l, _)| l.subject() == Some(ch))
-                    .map(|(l, _)| l.clone())
-                    .collect();
-                if labels.is_empty() {
-                    return UptoVerdict::Fails {
-                        pair: (a_proc.clone(), b_proc.clone()),
-                        label: Action::Discard { chan: ch },
-                        left_moved,
-                    };
-                }
-                for lab in labels {
-                    let ok = gb.edges[0]
-                        .iter()
-                        .filter(|(l, _)| *l == lab)
-                        .any(|(_, j2)| {
-                            in_up_to_closure(
-                                &ga.states[0],
-                                &gb.states[*j2],
-                                left_moved,
-                                pairs,
-                                &checker,
-                            )
-                        });
-                    if !ok {
-                        return UptoVerdict::Fails {
-                            pair: (a_proc.clone(), b_proc.clone()),
-                            label: lab,
-                            left_moved,
-                        };
-                    }
-                }
+        for (left_moved, ga, gb, a, b) in [(true, &gp, &gq, p, q), (false, &gq, &gp, q, p)] {
+            let mut upto = UpTo {
+                ga,
+                gb,
+                left_moved,
+                pairs,
+                checker: &checker,
+                unmet: None,
+            };
+            let _ = transfer(Variant::StrongLabelled, ga, 0, gb, 0, &mut upto);
+            if let Some(label) = upto.unmet {
+                return UptoVerdict::Fails {
+                    pair: (a.clone(), b.clone()),
+                    label,
+                    left_moved,
+                };
             }
         }
     }
     UptoVerdict::Valid
 }
 
-/// Opponent answers for a strong labelled move.
-fn answers_for(gb: &Graph, act: &Action) -> Vec<usize> {
-    match act {
-        Action::Tau => gb.tau_succs(0).collect(),
-        Action::Output { .. } => gb.edges[0]
-            .iter()
-            .filter(|(b, _)| b == act)
-            .map(|(_, k)| *k)
-            .collect(),
-        Action::Input { chan, .. } => {
-            let mut out: Vec<usize> = gb.edges[0]
-                .iter()
-                .filter(|(b, _)| b == act)
-                .map(|(_, k)| *k)
-                .collect();
-            if gb.state_discards(0, *chan) {
-                out.push(0);
-            }
-            out
+/// The up-to score of a transfer walk from the roots of `ga` and `gb`:
+/// an obligation is met by a candidate whose residuals are in `~S~`, the
+/// root pair itself counting as in `S`. The walk stops at the first unmet
+/// obligation and keeps its label.
+struct UpTo<'a> {
+    ga: &'a Graph,
+    gb: &'a Graph,
+    left_moved: bool,
+    pairs: &'a [(P, P)],
+    checker: &'a Checker<'a>,
+    unmet: Option<Action>,
+}
+
+impl Note for UpTo<'_> {
+    fn note(
+        &mut self,
+        label: &Action,
+        mut candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> ControlFlow<()> {
+        let matched = candidates.any(|(i2, j2)| {
+            (i2, j2) == (0, 0)
+                || in_up_to_closure(
+                    &self.ga.states[i2],
+                    &self.gb.states[j2],
+                    self.left_moved,
+                    self.pairs,
+                    self.checker,
+                )
+        });
+        if matched {
+            return Continue(());
         }
-        Action::Discard { .. } => vec![0],
+        self.unmet = Some(label.clone());
+        Break(())
     }
 }
 
@@ -241,6 +214,24 @@ mod tests {
         match check_bisimulation_upto(&pairs, &d(), Opts::default()) {
             UptoVerdict::Fails { label, .. } => {
                 assert_eq!(label.subject(), Some(a));
+            }
+            other => panic!("must reject, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unmirrored_discard_is_reported_with_its_label() {
+        // {(nil, a(x).nil | a(x,y).nil)}: neither side moves, and the one
+        // unmet obligation is nil's discard on a, which the blocker can
+        // neither mirror nor answer with a receipt.
+        let parse = |s: &str| bpi_core::parse_process(s).unwrap();
+        let pairs = vec![(parse("0"), parse("a(x).0 | a(x,y).0"))];
+        match check_bisimulation_upto(&pairs, &d(), Opts::default()) {
+            UptoVerdict::Fails {
+                label, left_moved, ..
+            } => {
+                assert_eq!(label.to_string(), "a:");
+                assert!(left_moved);
             }
             other => panic!("must reject, got {other:?}"),
         }

@@ -1,8 +1,7 @@
 //! The workspace's one JSON codec: a value, a depth-capped parser and a
 //! writer.
 //!
-//! The vendored `serde` is a trait skeleton with no data format behind
-//! it, so the format lives here, hand-rolled and dependency-free. The
+//! The format lives here, hand-rolled and dependency-free. The
 //! daemon's wire protocol and journal, the JSON-lines trace sink, the
 //! bench reports and their `--check` readers all go through it.
 //! Objects preserve insertion order, which makes every encoding

@@ -146,8 +146,8 @@ pub enum FaultEvent {
 /// with its plan is a complete replay recipe.
 ///
 /// Logs serialise through the versioned `bpi-fault-log/v1` text codec
-/// (one tab-separated record per event), with serde impls wrapping the
-/// same text, so a persisted log replays bit-for-bit after a round trip.
+/// (one tab-separated record per event), so a persisted log replays
+/// bit-for-bit after a round trip.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultLog {
     pub events: Vec<FaultEvent>,
@@ -257,8 +257,6 @@ impl FromStr for FaultLog {
         decode().map_err(FaultLogParseError)
     }
 }
-
-bpi_core::text_serde!(FaultLog, "a bpi-fault-log/v1 text blob");
 
 /// Rejected [`FaultPlan`] configuration. Probabilities outside `[0, 1]`
 /// (or NaN) used to be silently clamped; they are now surfaced at

@@ -31,7 +31,7 @@
 //! Long Monte-Carlo runs are first-class engine runs: they take a
 //! [`Budget`], burn [`CheckpointCfg`] fuel once per sample, and stop
 //! with [`Interrupted`]-carrying [`McCheckpoint`]s (versioned text codec
-//! `bpi-mc-checkpoint/v1`, serde on top) that [`convergence_mc_resume`]
+//! `bpi-mc-checkpoint/v1`) that [`convergence_mc_resume`]
 //! continues without redoing completed samples. Deterministic
 //! `semantics.prob.*` counters record once, at completion, so an
 //! interrupted-and-resumed estimate leaves the same trail as a quiet
@@ -427,8 +427,6 @@ impl FromStr for McCheckpoint {
         Ok(McCheckpoint { done, successes })
     }
 }
-
-bpi_core::text_serde!(McCheckpoint, "a bpi-mc-checkpoint/v1 text blob");
 
 /// Monte-Carlo estimate of the probability that the faulty walk from
 /// `p` broadcasts on `watch` within `max_steps` steps.

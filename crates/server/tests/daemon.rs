@@ -74,6 +74,26 @@ fn protocol_roundtrip_check_explore_reliability() {
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(false));
     assert!(r.str_field("explanation").is_some());
 
+    // ...one that differs only in what it discards: the blocker neither
+    // receives nor discards on a, and nil discards it...
+    let r = c
+        .check(
+            "c-discards",
+            "s1",
+            "strong-labelled",
+            "a(x).0 | a(x,y).0",
+            "0",
+            "normal",
+            None,
+        )
+        .unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(false), "{r}");
+    assert_eq!(
+        r.str_field("explanation"),
+        Some("StrongLabelled fails at the root pair: [right satisfies] ⟨a:⟩(no answer)"),
+        "{r}"
+    );
+
     // ...and one through the session's recursive definitions.
     let r = c
         .check(

@@ -7,7 +7,7 @@
 //!
 //! The JSON goes through the workspace's one JSON codec
 //! (`bpi::obs::json`); process terms inside it use the concrete syntax,
-//! the same renderer the serde impls serialize through.
+//! the same renderer the record codec writes them through.
 
 use bpi::axioms::{Axiom, Blocks, Prover, ALL_AXIOMS};
 use bpi::core::builder::*;

@@ -4,25 +4,14 @@
 //! G-counter, the kafka leader) through `FaultPlan`s mixing message
 //! loss, node crashes and partition windows. This file property-tests
 //! the evidence trail of those sweeps, mirroring `fault_log_serde.rs`:
-//! the `FaultLog` of a faulty Glomers run must survive its text and
-//! serde codecs unchanged, and replaying the identical plan must
+//! the `FaultLog` of a faulty Glomers run must survive its text codec
+//! unchanged, and replaying the identical plan must
 //! reproduce the identical log *and* the identical verdict — fault
 //! injection is seeded pseudo-randomness, not nondeterminism.
 
 use bpi::encodings::glomers::{broadcast, gcounter, kafka};
 use bpi::semantics::{FaultLog, FaultPlan, FaultySimulator};
 use proptest::prelude::*;
-use serde::de::value::StrDeserializer;
-use serde::de::IntoDeserializer;
-
-/// Serialize → deserialize through serde's string deserializer (the
-/// workspace vendors no general-purpose format; the impls delegate to
-/// the `Display`/`FromStr` codec, so this is the full round trip).
-fn serde_round_trip(log: &FaultLog) -> FaultLog {
-    let text = log.to_string();
-    let de: StrDeserializer<'_, serde::de::value::Error> = text.as_str().into_deserializer();
-    serde::de::Deserialize::deserialize(de).expect("serialized log must deserialize")
-}
 
 /// A loss × crash × partition plan drawn from `seed`, over a system of
 /// `nodes` top-level components.
@@ -44,8 +33,6 @@ fn mixed_plan(seed: u64, nodes: usize) -> FaultPlan {
 fn assert_log_round_trips(log: &FaultLog) {
     let reparsed: FaultLog = log.to_string().parse().expect("codec must reparse");
     assert_eq!(&reparsed, log, "text round trip changed the log");
-    let revived = serde_round_trip(log);
-    assert_eq!(&revived, log, "serde round trip changed the log");
 }
 
 proptest! {

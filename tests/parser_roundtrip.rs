@@ -41,14 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn encode_decode_roundtrip(seed in 0u64..50_000) {
-        let cfg = GenCfg::finite_monadic(names(["a", "b", "c"]).to_vec());
-        let p = Gen::new(cfg, seed).process();
-        let bytes = bpi::core::encode(&p);
-        prop_assert_eq!(bpi::core::decode(&bytes), p);
-    }
-
-    #[test]
     fn prune_preserves_bisimilarity(seed in 0u64..3_000) {
         // The structural GC used by every explorer: `prune(p) ~ p`.
         let cfg = GenCfg::finite_monadic(names(["a", "b"]).to_vec());
