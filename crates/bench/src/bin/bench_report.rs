@@ -1,11 +1,13 @@
-//! The pinned-size performance report and its regression gate.
+//! The workspace's one measurement harness and its regression gate.
 //!
-//! Criterion gives the full statistical story (`cargo bench`); this bin
-//! runs a fixed set of measurements with `std::time::Instant` and writes
-//! them as one `bpi-bench/v2` document, so the perf trajectory diffs line
-//! by line across changes. Every measured number is an `Entry`: an id,
-//! a unit, which direction is better, the one `value` gates read, the
-//! timing spread and exact work counters behind it, and its gates.
+//! This bin runs a fixed set of measurements, work counts and
+//! `std::time::Instant` timings, and writes them as one `bpi-bench/v2`
+//! document, so the perf trajectory diffs line by line across changes.
+//! Every measured number is an `Entry`: an id, a unit, which direction is
+//! better, the one `value` gates read, the timing spread and exact work
+//! counters behind it, and its gates. The paper-facing shapes
+//! (EXPERIMENTS.md B1–B4, B6, B7) are gated on counts where the code
+//! produces one, and on a log-log slope of timing medians elsewhere.
 //!
 //! Usage, from the repository root:
 //! ```text
@@ -32,8 +34,8 @@
 //! history, and nothing reads them.
 
 use bpi_bench::{
-    deep_term, identical_stations_tagged, independent_components_tagged, scaled_pair,
-    shared_components_tagged, tau_chain,
+    deep_term, fanout_system, identical_stations_tagged, independent_components_tagged,
+    p2p_emulation, scaled_pair, shared_components_tagged, tau_chain,
 };
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::{
@@ -591,7 +593,7 @@ type Producer = fn(&str) -> Vec<Entry>;
 
 /// In this order: the counter workload resets the metrics registry, and
 /// the store totals cover everything before them.
-const PRODUCERS: [Producer; 16] = [
+const PRODUCERS: [Producer; 22] = [
     ratios,
     partition_ladder,
     weak_ladder_checks,
@@ -607,6 +609,12 @@ const PRODUCERS: [Producer; 16] = [
     server_phases,
     server_recovery,
     server_wakeups,
+    lts_shapes,
+    bisim_shapes,
+    normalize_shapes,
+    fanout_shapes,
+    example_shapes,
+    fault_shapes,
     store,
 ];
 
@@ -618,6 +626,14 @@ const EXPLORE_N: usize = 8;
 const TERM_DEPTH: usize = 12;
 /// Samples per side of a ratio entry.
 const REPEATS: usize = 9;
+const ALL_VARIANTS: [Variant; 6] = [
+    Variant::StrongBarbed,
+    Variant::StrongStep,
+    Variant::StrongLabelled,
+    Variant::WeakBarbed,
+    Variant::WeakStep,
+    Variant::WeakLabelled,
+];
 
 fn refine_pair(id: &str, p: &P, q: &P, v: Variant, note: &str) -> Entry {
     let defs = Defs::new();
@@ -1260,11 +1276,7 @@ fn loss_sweep(_tag: &str) -> Vec<Entry> {
     const STEPS: usize = 60;
     let mut out = Vec::new();
     for size in [2usize, 3] {
-        let ring = cycle::Graph {
-            edges: (0..size)
-                .map(|k| (format!("v{k}"), format!("v{}", (k + 1) % size)))
-                .collect(),
-        };
+        let ring = ring(size);
         let id = format!("reliability/cycle-ring/n{size}");
         out.extend(sweep(&id, 0xB13_0000 + size as u64 * 16, &LOSSES, |plan| {
             cycle::convergence_probability(&ring, plan, STEPS, SAMPLES)
@@ -1290,14 +1302,6 @@ fn loss_sweep(_tag: &str) -> Vec<Entry> {
 /// values are engine-independent (the `metrics_oracle` suite pins
 /// that), so a change that moves them changes semantics, not speed.
 fn counters(_tag: &str) -> Vec<Entry> {
-    const ALL: [Variant; 6] = [
-        Variant::StrongBarbed,
-        Variant::StrongStep,
-        Variant::StrongLabelled,
-        Variant::WeakBarbed,
-        Variant::WeakStep,
-        Variant::WeakLabelled,
-    ];
     let defs = Defs::new();
     let opts = Opts::default();
     bpi_obs::reset_for_tests();
@@ -1305,7 +1309,7 @@ fn counters(_tag: &str) -> Vec<Entry> {
         for sys in [tau_chain(LADDER_N / 4), scaled_pair(SCALED_N).0] {
             let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
             let g = Graph::build(&sys, &defs, &pool, opts).expect("pinned instance fits");
-            for v in ALL {
+            for v in ALL_VARIANTS {
                 black_box(refine_worklist(v, &g, &g));
             }
         }
@@ -1377,6 +1381,342 @@ fn glomers_loss_sweep(_tag: &str) -> Vec<Entry> {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// B1–B4, B6, B7 — the paper-facing shapes. Each is gated on a count the
+// code produces, or on a ratio of counts between two sizes, at factor 1
+// of the recorded value where the count is exact; a log-log slope of
+// timing medians stands in only where no count exists.
+
+/// The log-log slope of `f`'s median time between two sizes, each with
+/// its prebuilt input: 1 reads linear, 2 quadratic. Each sample times
+/// `calls` calls.
+fn slope<T>(
+    id: &str,
+    [(n0, x0), (n1, x1)]: [(usize, T); 2],
+    calls: usize,
+    f: impl Fn(&T),
+) -> Entry {
+    let [t0, t1] = [&x0, &x1].map(|x| time_us(REPEATS, || (0..calls).for_each(|_| f(x))));
+    let value = (t1.median / t0.median).ln() / (n1 as f64 / n0 as f64).ln();
+    let sizes = [
+        ("n_small", n0),
+        ("n_large", n1),
+        ("calls_per_sample", calls),
+    ];
+    Entry::new(id, "slope", Better::Lower, value)
+        .with("small", Json::Obj(t0.fields()))
+        .with("large", Json::Obj(t1.fields()))
+        .counters(sizes.map(|(k, v)| (k, v as u64)))
+}
+
+/// B1 — transition derivation (Table 3). One output reaches every
+/// listener of `fanout_system` in one transition (rules (12)–(13)), whose
+/// successor holds N outputs on `v`; N independent τ-chains make N
+/// transitions. No counter follows the derivation's walk, so its cost
+/// is a slope of medians.
+fn lts_shapes(_tag: &str) -> Vec<Entry> {
+    use bpi_core::builder::{inp, names, out_, par_of, sum_of, tau, tau_};
+    use bpi_semantics::Lts;
+    let defs = Defs::new();
+    let lts = Lts::new(&defs);
+    let [a, b, x] = names(["a", "b", "x"]);
+    let (mut fanout, mut most) = (Vec::new(), 0);
+    for n in [1, 4, 16, 64] {
+        let ts = lts.step_transitions(&fanout_system(n));
+        let outputs: usize = ts.iter().map(|(_, s)| lts.step_transitions(s).len()).sum();
+        most = most.max(ts.len());
+        fanout.push((format!("transitions_n{n}"), ts.len() as u64));
+        fanout.push((format!("successor_outputs_n{n}"), outputs as u64));
+    }
+    let interleave = |n: usize| par_of((0..n).map(|_| tau(tau_())));
+    let [t2, t32] = [2, 32].map(|n| lts.step_transitions(&interleave(n)).len() as u64);
+    let wide_sum = |n: usize| sum_of((0..n).map(|_| inp(b, [x], out_(x, []))));
+    vec![
+        Entry::new("lts/step-fanout/transitions", "transitions", Better::Lower, most as f64)
+            .counters(fanout)
+            .note("most step transitions of fanout_system over N = 1, 4, 16, 64; the successor of the one transition holds N outputs on v"),
+        slope("lts/step-fanout/slope", [4, 64].map(|n| (n, fanout_system(n))), 50, |p| {
+            black_box(lts.step_transitions(p));
+        })
+        .note("log-log slope of step_transitions time on fanout_system, N = 4 -> 64: linear reads 1, gated at 1.5"),
+        Entry::new("lts/step-interleave/transitions-ratio", "x", Better::Lower, t32 as f64 / t2 as f64)
+            .counters([("transitions_n2", t2), ("transitions_n32", t32)])
+            .note("step transitions of N independent tau.tau chains, N = 32 over N = 2: one per component"),
+        slope("lts/step-interleave/slope", [4, 32].map(|n| (n, interleave(n))), 50, |p| {
+            black_box(lts.step_transitions(p));
+        })
+        .note("log-log slope of step_transitions time on N tau.tau chains, N = 4 -> 32: each move rebuilds the par spine, so quadratic reads 2; gated at 2.5"),
+        slope("lts/discard-width/slope", [4, 128].map(|n| (n, wide_sum(n))), 200, |p| {
+            black_box(bpi_semantics::discards(p, a, &defs));
+        })
+        .note("log-log slope of the Table 2 discard test on a sum of N inputs on another channel, N = 4 -> 128: linear reads 1, gated at 1.5"),
+    ]
+}
+
+/// B2 — bisimilarity checking through `Checker::check`. The paper's two
+/// counterexample pairs are refuted by the on-the-fly route within a few
+/// pairs of the root; the commuted sums are equal structural normal
+/// forms, settled under every variant with no graph; and the ∀σ
+/// congruence layer checks one instance per identification substitution
+/// of the free names, Bell(n) of them.
+fn bisim_shapes(_tag: &str) -> Vec<Entry> {
+    use bpi_core::builder::{names, nil, out, out_, par, par_of, sum};
+    let defs = Defs::new();
+    let checker = Checker::new(&defs);
+    let [a, b, c] = names(["a", "b", "c"]);
+    let negatives = [
+        (out_(a, [b]), out_(a, [c])),
+        (
+            out(a, [], sum(out_(b, []), out_(c, []))),
+            sum(out(a, [], out_(b, [])), out(a, [], out_(c, []))),
+        ),
+    ];
+    let pairs = counter_now("equiv.onthefly.pairs");
+    for (p, q) in &negatives {
+        assert!(!checker.check(Variant::StrongLabelled, p, q).holds());
+    }
+    let pairs = counter_now("equiv.onthefly.pairs") - pairs;
+    let work = || ["equiv.check.structural", "equiv.graph.builds"].map(counter_now);
+    let before = work();
+    let mut checks = 0;
+    for n in [2, 4, 6] {
+        let (p, q) = scaled_pair(n);
+        for v in ALL_VARIANTS {
+            assert!(checker.check(v, &p, &q).holds());
+            checks += 1;
+        }
+    }
+    let after = work();
+    let instances = [1, 3].map(|n| {
+        let chans = (0..n).map(|i| bpi_core::Name::intern_raw(&format!("cg{i}")));
+        let p = par_of(chans.map(|ch| out_(ch, [])));
+        let q = par(p.clone(), nil());
+        assert!(bpi_equiv::congruent_strong(&p, &q, &defs, Opts::default()));
+        bpi_equiv::identification_substs(&p.free_names().union(&q.free_names())).len() as u64
+    });
+    vec![
+        Entry::new("bisim/check/negatives/pairs", "pairs", Better::Lower, pairs as f64)
+            .note("on-the-fly pairs visited to refute a<b> vs a<c> and a.(b+c) vs a.b+a.c, strong-labelled"),
+        Entry::new("bisim/check/scaled-sums/structural", "checks", Better::Higher, (after[0] - before[0]) as f64)
+            .counters([("checks", checks), ("graph_builds", after[1] - before[1])])
+            .note("checks of the commuted scaled sums (n = 2, 4, 6, all six variants) settled on structural normal forms"),
+        Entry::new("bisim/congruence/instances-ratio", "x", Better::Lower, instances[1] as f64 / instances[0] as f64)
+            .counters([("instances_n1", instances[0]), ("instances_n3", instances[1])])
+            .note("identification substitutions the congruence layer checks, 3 free names over 1: Bell(3)/Bell(1)"),
+    ]
+}
+
+/// B3 — the Section 5 machinery. `hnf` builds one group per partition of
+/// `V` (Bell many), and the Table 8 expansion of two k-way sums on one
+/// channel has a summand per pair of operands that synchronise.
+fn normalize_shapes(_tag: &str) -> Vec<Entry> {
+    use bpi_core::builder::{inp, names, out, out_, sum_of, summands, tau_};
+    let hnf_case = |n: usize| {
+        let chans = (0..n).map(|i| bpi_core::Name::intern_raw(&format!("hn{i}")));
+        let p = sum_of(chans.map(|ch| out(ch, [], tau_())));
+        let v = p.free_names();
+        (p, v)
+    };
+    let groups = [1, 4].map(|n| {
+        let (p, v) = hnf_case(n);
+        bpi_axioms::hnf(&p, &v).groups.len() as u64
+    });
+    let [a, x] = names(["a", "x"]);
+    let expansion = [2, 8].map(|k| {
+        let l = sum_of((0..k).map(|_| out(a, [], tau_())));
+        let r = sum_of((0..k).map(|_| inp(a, [x], out_(x, []))));
+        let e = bpi_axioms::expand_symbolic(&l, &r).expect("guarded sums expand");
+        summands(&e).len() as u64
+    });
+    vec![
+        Entry::new(
+            "normalize/hnf/groups-ratio",
+            "x",
+            Better::Lower,
+            groups[1] as f64 / groups[0] as f64,
+        )
+        .counters([("groups_n1", groups[0]), ("groups_n4", groups[1])])
+        .note("hnf groups over 4 free names over 1: Bell(4)/Bell(1)"),
+        slope(
+            "normalize/hnf/slope-in-groups",
+            [1, 4].map(|n| (groups[(n > 1) as usize] as usize, hnf_case(n))),
+            20,
+            |(p, v)| {
+                black_box(bpi_axioms::hnf(p, v));
+            },
+        )
+        .note(
+            "log-log slope of hnf time against its group count, 1 -> 15 groups (1 -> 4 free names)",
+        ),
+        Entry::new(
+            "normalize/expansion/summands-ratio",
+            "x",
+            Better::Lower,
+            expansion[1] as f64 / expansion[0] as f64,
+        )
+        .counters([("summands_k2", expansion[0]), ("summands_k8", expansion[1])])
+        .note(
+            "summands of the symbolic expansion of two k-way sums on one channel, k = 8 over k = 2",
+        ),
+    ]
+}
+
+/// B4 — the headline asymmetry, on seeded `Simulator` runs of
+/// `fanout_system` and of its point-to-point emulation `p2p_emulation`
+/// (N = 1, 2, 4, 8, five seeds each). A run serves every receiver when it
+/// terminates with one output on `v` per receiver; its delivery steps are
+/// the steps that are not those outputs: broadcasts and claims.
+fn fanout_shapes(_tag: &str) -> Vec<Entry> {
+    use bpi_core::builder::names;
+    use bpi_semantics::Simulator;
+    const SEEDS: [u64; 5] = [1, 2, 3, 4, 7];
+    let defs = Defs::new();
+    let [a, v] = names(["a", "v"]);
+    let mut served = [0u64; 2];
+    let mut delivery = [[0u64; 4]; 2];
+    let mut counters = Vec::new();
+    for (k, n) in [1, 2, 4, 8].into_iter().enumerate() {
+        for (side, (name, sys)) in [("broadcast", fanout_system(n)), ("p2p", p2p_emulation(n))]
+            .into_iter()
+            .enumerate()
+        {
+            let (mut steps, mut offers) = (0, 0);
+            for seed in SEEDS {
+                let t = Simulator::new(&defs, seed).run(&sys, 10_000);
+                let outs = t.count_outputs_on(v);
+                served[side] += u64::from(t.terminated && outs == n);
+                steps += t.actions.len() as u64;
+                offers += t.count_outputs_on(a) as u64;
+                delivery[side][k] += (t.actions.len() - outs) as u64;
+            }
+            counters.push((format!("{name}_steps_n{n}"), steps));
+            counters.push((format!("{name}_outputs_on_a_n{n}"), offers));
+        }
+    }
+    let runs = 4 * SEEDS.len() as u64;
+    let ratio = |k: usize| delivery[1][k] as f64 / delivery[0][k] as f64;
+    vec![
+        Entry::new("fanout/broadcast/served-runs", "runs", Better::Higher, served[0] as f64)
+            .counters([("runs", runs)])
+            .note("seeded runs of fanout_system that terminate with one output on v per receiver"),
+        Entry::new("fanout/p2p-emulation/served-runs", "runs", Better::Higher, served[1] as f64)
+            .counters([("runs", runs)])
+            .note("seeded runs of p2p_emulation that terminate with one output on v per receiver"),
+        Entry::new("fanout/delivery-steps/emulation-over-broadcast-n8", "x", Better::Higher, ratio(3))
+            .counters(counters)
+            .with("ratio_n2", fixed(ratio(1), 4))
+            .note("delivery steps (all but the outputs on v) of the emulation over native broadcast at N = 8; counters summed over five seeds"),
+    ]
+}
+
+/// A directed ring `v0 → v1 → … → v{n-1} → v0`: the detector's token must
+/// survive `n` hops to come home.
+fn ring(n: usize) -> bpi_encodings::cycle::Graph {
+    bpi_encodings::cycle::Graph {
+        edges: (0..n)
+            .map(|k| (format!("v{k}"), format!("v{}", (k + 1) % n)))
+            .collect(),
+    }
+}
+
+/// B6 — the paper's worked examples against their direct baselines. The
+/// calculus decides a graph's cycle question over the reachable states
+/// of its edge managers, where a depth-first search visits each vertex
+/// and edge once. The RAM encoding runs `r0 := r0 + r1` as a broadcast
+/// system whose registers hold their values as chains of cells.
+fn example_shapes(_tag: &str) -> Vec<Entry> {
+    use bpi_encodings::cycle::{edge_managers_system, has_cycle_dfs, Graph as Digraph};
+    use bpi_encodings::ram::{program_add, run_ram};
+    let opts = ExploreOpts {
+        max_states: 500_000,
+        normalize_extruded: true,
+    };
+    let cases: [(&str, &[(&str, &str)]); 3] = [
+        ("chain3", &[("a", "b"), ("b", "c")]),
+        ("triangle", &[("a", "b"), ("b", "c"), ("c", "a")]),
+        ("diamond", &[("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+    ];
+    let mut counters = Vec::new();
+    let mut ratio = 0.0;
+    for (name, edges) in cases {
+        let g = Digraph::new(edges);
+        assert_eq!(has_cycle_dfs(&g), name == "triangle");
+        let (sys, defs, _) = edge_managers_system(&g);
+        let states = explore(&sys, &defs, opts).len();
+        let visits = g.vertices().len() + g.edges.len();
+        ratio = states as f64 / visits as f64;
+        counters.push((format!("{name}_states"), states as u64));
+        counters.push((format!("{name}_dfs_visits"), visits as u64));
+    }
+    let triangle = Digraph::new(cases[1].1);
+    let (sys, defs, _) = edge_managers_system(&triangle);
+    let calculus = time_us(REPEATS, || {
+        black_box(explore(&sys, &defs, opts));
+    });
+    let dfs = time_us(REPEATS, || {
+        black_box(has_cycle_dfs(&triangle));
+    });
+    let add = |n: usize| (n, [n as u64; 2]);
+    vec![
+        Entry::new("examples/cycle-detection/diamond/states-per-dfs-visit", "x", Better::Higher, ratio)
+            .counters(counters)
+            .note("reachable states of the diamond's edge managers per vertex-or-edge visit of the DFS baseline"),
+        Entry::speedup("examples/cycle-detection/triangle/calculus-vs-dfs", calculus, dfs)
+            .note("explore of the triangle's edge managers (warm memos) vs has_cycle_dfs on the triangle"),
+        slope("examples/ram-add/encoded/slope", [2, 6].map(add), 1, |regs: &[u64; 2]| {
+            assert_eq!(run_ram(&program_add(), regs, 0, 60_000), Some(2 * regs[0]));
+        })
+        .note("log-log slope of the encoded r0 := r0 + r1 run time in n = r0 = r1, 2 -> 6: linearly many steps over terms linear in n read 2, gated at 2.5"),
+    ]
+}
+
+/// B7 — the resilient cycle detector under message loss, on seeded
+/// `FaultySimulator` runs (seeds 17–24, at most 2,000 steps each): steps
+/// to the decision summed over the seeds, per ring size and loss rate.
+fn fault_shapes(_tag: &str) -> Vec<Entry> {
+    use bpi_encodings::cycle::resilient_edge_managers_system;
+    use bpi_semantics::FaultySimulator;
+    const SEEDS: std::ops::Range<u64> = 17..25;
+    let defs = Defs::new();
+    let mut counters = Vec::new();
+    // Steps to the decision, by ring size 2, 3, 4 and loss 0, 0.1, 0.5.
+    let mut steps = [[0.0; 3]; 3];
+    for (i, n) in [2, 3, 4].into_iter().enumerate() {
+        let (sys, _, o) = resilient_edge_managers_system(&ring(n));
+        for (j, loss) in [0.0, 0.1, 0.5].into_iter().enumerate() {
+            let (mut total, mut decided) = (0, 0);
+            for seed in SEEDS {
+                let plan = FaultPlan::new(seed)
+                    .with_default_loss(loss)
+                    .expect("pinned probability");
+                let (trace, _) = FaultySimulator::new(&defs, plan).run_until_output(&sys, o, 2_000);
+                total += trace.actions.len() as u64;
+                decided += u64::from(trace.saw_output_on(o));
+            }
+            counters.push((format!("ring{n}_loss{loss}_steps"), total));
+            counters.push((format!("ring{n}_loss{loss}_decided"), decided));
+            steps[i][j] = total as f64;
+        }
+    }
+    vec![
+        Entry::new(
+            "faults/detect-cycle/ring3/loss-ratio",
+            "x",
+            Better::Higher,
+            steps[1][2] / steps[1][0],
+        )
+        .counters(counters)
+        .note("steps to the decision at loss 0.5 over loss 0, ring 3, summed over eight seeds"),
+        Entry::new(
+            "faults/detect-cycle/loss-0.5/hop-ratio",
+            "x",
+            Better::Higher,
+            steps[2][2] / steps[0][2],
+        )
+        .note("steps to the decision on ring 4 over ring 2 at loss 0.5, summed over eight seeds"),
+    ]
 }
 
 // ---------------------------------------------------------------------------

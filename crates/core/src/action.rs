@@ -123,6 +123,31 @@ impl Action {
     pub fn is_input(&self) -> bool {
         matches!(self, Action::Input { .. })
     }
+
+    /// An output label as a trace element at position `pos`: its
+    /// extruded names become positional `%pos.k` markers, so the traces
+    /// of α-variant runs coincide.
+    ///
+    /// # Panics
+    /// Panics on a label that is not an output.
+    pub fn normalise_label(&self, pos: usize) -> String {
+        let Action::Output {
+            chan,
+            objects,
+            bound,
+        } = self
+        else {
+            panic!("only output labels enter a trace, not {self}")
+        };
+        let objs: Vec<String> = objects
+            .iter()
+            .map(|o| match bound.iter().position(|b| b == o) {
+                Some(k) => format!("%{pos}.{k}"),
+                None => o.to_string(),
+            })
+            .collect();
+        format!("{chan}<{}>", objs.join(","))
+    }
 }
 
 impl fmt::Display for Action {

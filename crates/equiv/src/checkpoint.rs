@@ -91,7 +91,13 @@ impl GraphCheckpoint {
     pub fn of_graph(g: &Graph) -> GraphCheckpoint {
         GraphCheckpoint {
             states: g.states.clone(),
-            edges: g.edges.clone(),
+            edges: (0..g.len())
+                .map(|i| {
+                    g.edge_ids(i)
+                        .map(|(l, j)| (g.label(l).clone(), j))
+                        .collect()
+                })
+                .collect(),
             discarding: g.discarding.clone(),
             pending: VecDeque::new(),
             pool: g.pool.clone(),

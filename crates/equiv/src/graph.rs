@@ -99,18 +99,14 @@ pub struct Graph {
     /// α-canonical state representatives; index 0 is the seed, and the
     /// numbering is breadth-first discovery order.
     pub states: Vec<P>,
-    /// Outgoing `τ`/output/input edges (no discard edges; see
-    /// [`Graph::state_discards`]), in derivation order. The checkers read
-    /// the flattened [`Csr`] mirror instead; this nested form is kept as
-    /// the construction-order source of truth for display, tests, and
-    /// the congruence layer.
-    pub edges: Vec<Vec<(Action, usize)>>,
     /// Per state, the pool channels it discards.
     pub discarding: Vec<NameSet>,
     /// The global input pool used during construction.
     pub pool: Vec<Name>,
-    /// Flattened compressed-sparse-row mirror of `edges` with interned
-    /// label ids; built once at construction.
+    /// The outgoing `τ`/output/input edges (no discard edges; see
+    /// [`Graph::state_discards`]) in compressed-sparse-row form with
+    /// interned label ids, each state's in derivation order: read them
+    /// through [`Graph::edge_ids`] and [`Graph::label`].
     csr: Csr,
     /// Lazily filled per-state query caches (closures, barbs, weak move
     /// sets); the fixpoint checkers hit the same states thousands of
@@ -722,8 +718,8 @@ impl Graph {
         Graph::from_parts_record(ck.states, ck.edges, ck.discarding, ck.pool, false)
     }
 
-    /// Assembles a graph from its construction output: builds the CSR
-    /// mirror and the (empty) query caches.
+    /// Assembles a graph from its construction output: freezes the edges
+    /// into the CSR and builds the (empty) query caches.
     fn from_parts(
         states: Vec<P>,
         edges: Vec<Vec<(Action, usize)>>,
@@ -752,7 +748,6 @@ impl Graph {
         let caches = GraphCaches::new(states.len(), csr.num_labels(), csr.num_chans());
         let g = Graph {
             states,
-            edges,
             discarding,
             pool,
             csr,
@@ -831,7 +826,7 @@ impl Graph {
         self.states.is_empty()
     }
 
-    /// The CSR mirror of the transition structure (interned labels, flat
+    /// The transition structure in CSR form (interned labels, flat
     /// offset/target arrays, lazy predecessor index).
     pub fn csr(&self) -> &Csr {
         &self.csr
@@ -1288,21 +1283,39 @@ mod tests {
     }
 
     #[test]
-    fn csr_mirrors_nested_edges() {
+    fn csr_mirrors_the_build_loops_edges() {
         let defs = Defs::new();
         let [a, x] = names(["a", "x"]);
         let p = par(inp(a, [x], out_(x, [])), out_(a, [a]));
         let pool = shared_pool(&p, &nil(), 1);
         let g = Graph::build(&p, &defs, &pool, Opts::default()).unwrap();
         let csr = g.csr();
-        assert_eq!(csr.num_edges(), g.edges.iter().map(Vec::len).sum::<usize>());
-        for i in 0..g.len() {
-            let flat: Vec<(Action, usize)> = g
-                .edge_ids(i)
+        let flat = |i: usize| -> Vec<(Action, usize)> {
+            g.edge_ids(i)
                 .map(|(l, j)| (g.label(l).clone(), j))
-                .collect();
-            assert_eq!(flat, g.edges[i], "state {i} flat/nested mismatch");
+                .collect()
+        };
+        // Stopped after each expansion, the build loop hands back its
+        // committed edges; the frozen graph must list the same ones.
+        // Every state but the last is committed at some stop: the last
+        // one's expansion completes the build.
+        let mut checked = BTreeSet::new();
+        for fuel in 0.. {
+            let cfg = CheckpointCfg::fuelled(fuel);
+            let seed = GraphCheckpoint::seed(&p, &pool);
+            let unlimited = Budget::unlimited();
+            let Err(stop) =
+                Graph::continue_checkpointed(seed, &defs, Opts::default(), &unlimited, &cfg)
+            else {
+                break;
+            };
+            let ck = stop.checkpoint;
+            for i in (0..ck.states.len()).filter(|i| !ck.pending.contains(i)) {
+                assert_eq!(flat(i), ck.edges[i], "state {i} after {fuel} expansions");
+                checked.insert(i);
+            }
         }
+        assert_eq!(checked.len(), g.len() - 1);
         // Predecessor index inverts the edge relation exactly.
         let mut from_preds: Vec<(usize, Action, usize)> = Vec::new();
         for t in 0..g.len() {
@@ -1311,11 +1324,12 @@ mod tests {
             }
         }
         let mut from_edges: Vec<(usize, Action, usize)> = Vec::new();
-        for (i, es) in g.edges.iter().enumerate() {
-            for (act, j) in es {
-                from_edges.push((i, act.clone(), *j));
+        for i in 0..g.len() {
+            for (act, j) in flat(i) {
+                from_edges.push((i, act, j));
             }
         }
+        assert_eq!(csr.num_edges(), from_edges.len());
         from_preds.sort();
         from_edges.sort();
         assert_eq!(from_preds, from_edges);

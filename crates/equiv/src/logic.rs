@@ -96,18 +96,17 @@ pub fn sat(g: &Graph, i: usize, f: &Formula) -> bool {
 /// The α-successors of a state, with inputs read as `a(b)?`
 /// (input-or-discard).
 fn successors(g: &Graph, i: usize, act: &Action) -> Vec<usize> {
+    let labelled = || {
+        let lid = g.csr().label_id(act);
+        g.edge_ids(i)
+            .filter(|&(l, _)| Some(l) == lid)
+            .map(|(_, j)| j)
+            .collect()
+    };
     match act {
-        Action::Tau | Action::Output { .. } => g.edges[i]
-            .iter()
-            .filter(|(b, _)| b == act)
-            .map(|(_, j)| *j)
-            .collect(),
+        Action::Tau | Action::Output { .. } => labelled(),
         Action::Input { chan, .. } => {
-            let mut out: Vec<usize> = g.edges[i]
-                .iter()
-                .filter(|(b, _)| b == act)
-                .map(|(_, j)| *j)
-                .collect();
+            let mut out: Vec<usize> = labelled();
             if g.state_discards(i, *chan) {
                 out.push(i);
             }

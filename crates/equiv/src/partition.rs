@@ -797,8 +797,8 @@ pub fn quotient(v: Variant, g: &Graph) -> Graph {
         .map(|&r| {
             let mut seen: BTreeSet<(Action, usize)> = BTreeSet::new();
             let mut es: Vec<(Action, usize)> = Vec::new();
-            for (act, t) in &g.edges[r] {
-                let nt = part.blocks[*t] as usize;
+            for (lid, t) in g.edge_ids(r) {
+                let (act, nt) = (g.label(lid), part.blocks[t] as usize);
                 if seen.insert((act.clone(), nt)) {
                     es.push((act.clone(), nt));
                 }

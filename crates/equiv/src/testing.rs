@@ -50,7 +50,7 @@ pub fn traces(p: &P, defs: &Defs, depth: usize) -> BTreeSet<Vec<String>> {
             match &act {
                 Action::Tau => go(lts, &cont, depth - 1, prefix, out),
                 Action::Output { .. } => {
-                    prefix.push(normalise_label(&act, prefix.len()));
+                    prefix.push(act.normalise_label(prefix.len()));
                     go(lts, &cont, depth - 1, prefix, out);
                     prefix.pop();
                 }
@@ -60,27 +60,6 @@ pub fn traces(p: &P, defs: &Defs, depth: usize) -> BTreeSet<Vec<String>> {
     }
     go(&lts, p, depth, &mut Vec::new(), &mut out);
     out
-}
-
-/// Renders an output label with extruded names replaced by positional
-/// markers, so traces of α-equivalent runs coincide.
-fn normalise_label(act: &Action, pos: usize) -> String {
-    let Action::Output {
-        chan,
-        objects,
-        bound,
-    } = act
-    else {
-        unreachable!()
-    };
-    let objs: Vec<String> = objects
-        .iter()
-        .map(|o| match bound.iter().position(|b| b == o) {
-            Some(k) => format!("%{pos}.{k}"),
-            None => o.to_string(),
-        })
-        .collect();
-    format!("{chan}<{}>", objs.join(","))
 }
 
 /// Bounded trace equivalence.

@@ -751,7 +751,7 @@ fn traces_with_loss(
                             }
                             options.push(opts);
                         }
-                        let label = normalise_label(&act, prefix.len());
+                        let label = act.normalise_label(prefix.len());
                         for combo in cartesian(&options) {
                             prefix.push(label.clone());
                             go(lts, &combo, lossy, depth - 1, prefix, out);
@@ -780,27 +780,6 @@ fn cartesian(options: &[Vec<P>]) -> Vec<Vec<P>> {
         acc = next;
     }
     acc
-}
-
-/// Renders an output label exactly like `bpi_equiv::testing`: extruded
-/// names become positional `%pos.k` markers so α-variant runs coincide.
-fn normalise_label(act: &Action, pos: usize) -> String {
-    let Action::Output {
-        chan,
-        objects,
-        bound,
-    } = act
-    else {
-        unreachable!()
-    };
-    let objs: Vec<String> = objects
-        .iter()
-        .map(|o| match bound.iter().position(|b| b == o) {
-            Some(k) => format!("%{pos}.{k}"),
-            None => o.to_string(),
-        })
-        .collect();
-    format!("{chan}<{}>", objs.join(","))
 }
 
 #[cfg(test)]

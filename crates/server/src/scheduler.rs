@@ -268,12 +268,21 @@ struct Shared {
     queue: RunQueue,
     /// Summed cost of admitted-but-unfinished jobs.
     inflight_cost: AtomicUsize,
-    /// Ids currently in flight, for duplicate detection. The flag is
-    /// set once the admission is journaled: only then does `result`
-    /// answer `pending`, so a client never sees a job a crash can lose.
-    inflight_ids: Mutex<HashMap<String, bool>>,
-    /// Final responses by id, served by the `result` op byte-identically.
-    completed: Mutex<HashMap<String, Json>>,
+    /// Every job id of the journal's lifetime and where it stands, under
+    /// one lock, so that `result` reads one state and duplicate detection
+    /// sees in-flight and finished ids alike.
+    jobs: Mutex<HashMap<String, JobState>>,
+}
+
+/// Where a job stands, as `result` reports it.
+enum JobState {
+    /// Admission under way and not yet journaled: `result` answers
+    /// `unknown-id`, so a client never sees a job a crash can lose.
+    Reserved,
+    /// Journaled and in flight: `result` answers `pending`.
+    Pending,
+    /// The final response, served byte-identically.
+    Done(Json),
 }
 
 pub struct Scheduler {
@@ -289,8 +298,7 @@ impl Scheduler {
             store,
             journal,
             inflight_cost: AtomicUsize::new(0),
-            inflight_ids: Mutex::new(HashMap::new()),
-            completed: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(HashMap::new()),
         });
         let workers = (0..shared.cfg.workers.max(1))
             .map(|i| {
@@ -321,7 +329,11 @@ impl Scheduler {
         for (session, src) in &rec.defs {
             let _ = sh.store.set_defs(session, src);
         }
-        sh.completed.lock().unwrap().extend(rec.done);
+        let done = rec
+            .done
+            .into_iter()
+            .map(|(id, resp)| (id, JobState::Done(resp)));
+        sh.jobs.lock().unwrap().extend(done);
         for (id, req, ck_text) in rec.inflight {
             match parse_job(&req, sh) {
                 Ok((prio, cost, deadline, work)) => {
@@ -336,7 +348,7 @@ impl Scheduler {
                         slices: 0,
                         reply: None,
                     };
-                    sh.inflight_ids.lock().unwrap().insert(id, true);
+                    sh.jobs.lock().unwrap().insert(id, JobState::Pending);
                     sh.inflight_cost.fetch_add(cost, Ordering::SeqCst);
                     bpi_obs::counter("server.recovered", bpi_obs::Det::Advisory).inc();
                     sh.queue.push(job, Lane::Recovered);
@@ -346,7 +358,7 @@ impl Scheduler {
                     // session defs record was torn away): complete it
                     // with the typed error rather than dropping it.
                     let _ = sh.journal.record_done(&id, &resp);
-                    sh.completed.lock().unwrap().insert(id, resp);
+                    sh.jobs.lock().unwrap().insert(id, JobState::Done(resp));
                 }
             }
         }
@@ -372,22 +384,20 @@ impl Scheduler {
             Ok(x) => x,
             Err(resp) => return Submit::Immediate(resp),
         };
-        // Duplicate detection across the journal lifetime.
+        // Duplicate detection across the journal lifetime; the id is
+        // reserved under the same lock.
         {
-            let done = sh.completed.lock().unwrap();
-            let mut live = sh.inflight_ids.lock().unwrap();
-            if done.contains_key(id) || live.contains_key(id) {
+            let mut jobs = sh.jobs.lock().unwrap();
+            if jobs.contains_key(id) {
                 return Submit::Immediate(reject(
                     RejectReason::DuplicateId,
                     "a job with this id already exists",
                 ));
             }
-            // Reserve the id while still holding the lock, unpublished:
-            // `result` does not report it until it is journaled.
-            live.insert(id.to_string(), false);
+            jobs.insert(id.to_string(), JobState::Reserved);
         }
         let unreserve = || {
-            sh.inflight_ids.lock().unwrap().remove(id);
+            sh.jobs.lock().unwrap().remove(id);
         };
         // Cost-budget admission (overload degrades before it degrades
         // anyone else: Low is shed above the threshold).
@@ -413,9 +423,10 @@ impl Scheduler {
             unreserve();
             return Submit::Immediate(error("journal", &e.to_string()));
         }
-        if let Some(published) = sh.inflight_ids.lock().unwrap().get_mut(id) {
-            *published = true;
-        }
+        sh.jobs
+            .lock()
+            .unwrap()
+            .insert(id.to_string(), JobState::Pending);
         let (tx, rx) = bounded::<Json>(1);
         let job = Job {
             id: id.to_string(),
@@ -439,24 +450,19 @@ impl Scheduler {
         let resp = reject(RejectReason::QueueFull, "priority queue at capacity");
         sh.inflight_cost.fetch_sub(cost, Ordering::SeqCst);
         let _ = sh.journal.record_done(id, &resp);
-        sh.completed
-            .lock()
-            .unwrap()
-            .insert(id.to_string(), resp.clone());
-        unreserve();
+        let done = JobState::Done(resp.clone());
+        sh.jobs.lock().unwrap().insert(id.to_string(), done);
         Submit::Immediate(resp)
     }
 
     /// Serves `{"op":"result"}`: the journaled final response (byte
     /// identical across restarts), `pending` while in flight.
     pub fn result_of(&self, id: &str) -> Json {
-        if let Some(resp) = self.shared.completed.lock().unwrap().get(id) {
-            return resp.clone();
+        match self.shared.jobs.lock().unwrap().get(id) {
+            Some(JobState::Done(resp)) => resp.clone(),
+            Some(JobState::Pending) => Json::obj(vec![("status", Json::str("pending"))]),
+            Some(JobState::Reserved) | None => error("unknown-id", "no such job in this journal"),
         }
-        if self.shared.inflight_ids.lock().unwrap().get(id) == Some(&true) {
-            return Json::obj(vec![("status", Json::str("pending"))]);
-        }
-        error("unknown-id", "no such job in this journal")
     }
 
     /// Current queue depth across all lanes (fresh + parked).
@@ -783,11 +789,8 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
 fn finish(sh: &Shared, job: Job, resp: Json) {
     let _ = sh.journal.record_done(&job.id, &resp);
     sh.journal.remove_checkpoint(&job.id);
-    sh.completed
-        .lock()
-        .unwrap()
-        .insert(job.id.clone(), resp.clone());
-    sh.inflight_ids.lock().unwrap().remove(&job.id);
+    let done = JobState::Done(resp.clone());
+    sh.jobs.lock().unwrap().insert(job.id.clone(), done);
     sh.inflight_cost.fetch_sub(job.cost, Ordering::SeqCst);
     bpi_obs::counter("server.completed", bpi_obs::Det::Advisory).inc();
     bpi_obs::histogram("server.latency_ms").record(job.admitted_at.elapsed().as_millis() as u64);
@@ -914,6 +917,68 @@ mod tests {
         expected.extend(["recovered", "low-recovered", "low-parked"]);
         let got: Vec<String> = expected.iter().filter_map(|_| pop_within(&q)).collect();
         assert_eq!(got, expected);
+    }
+
+    /// A journaled job's `result` reads `pending` until it reads the final
+    /// response, never `unknown-id`, even when a poll races the worker
+    /// that finishes the job.
+    #[test]
+    fn result_polls_see_pending_or_the_final_response() {
+        const JOBS: usize = 400;
+        let dir = std::env::temp_dir().join(format!("bpi-result-poll-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Arc::new(Journal::open(&dir).expect("open journal"));
+        let cfg = SchedCfg {
+            queue_cap: JOBS,
+            state_budget: usize::MAX,
+            ..SchedCfg::default()
+        };
+        let sched = Arc::new(Scheduler::new(cfg, Arc::new(Store::new()), journal));
+        let admitted = Arc::new(AtomicUsize::new(0));
+        let id = |k: usize| format!("tiny-{k}");
+        let poller = {
+            let (sched, admitted) = (Arc::clone(&sched), Arc::clone(&admitted));
+            std::thread::spawn(move || {
+                let mut finals: Vec<Option<String>> = vec![None; JOBS];
+                while finals.iter().any(Option::is_none) {
+                    for (k, last) in finals.iter_mut().enumerate() {
+                        if last.is_some() || k >= admitted.load(Ordering::SeqCst) {
+                            continue;
+                        }
+                        let r = sched.result_of(&id(k));
+                        match r.str_field("status") {
+                            Some("pending") => {}
+                            Some("ok") => *last = Some(r.to_string()),
+                            _ => panic!("job {k} is admitted, yet result answered {r}"),
+                        }
+                    }
+                }
+                finals
+            })
+        };
+        let replies: Vec<Receiver<Json>> = (0..JOBS)
+            .map(|k| {
+                let req = Json::obj(vec![
+                    ("op", Json::str("check")),
+                    ("id", Json::str(id(k))),
+                    ("variant", Json::str("strong-labelled")),
+                    ("left", Json::str("a<>")),
+                    ("right", Json::str("a<>")),
+                ]);
+                let Submit::Queued(rx) = sched.submit(&req) else {
+                    panic!("job {k} was not admitted");
+                };
+                admitted.store(k + 1, Ordering::SeqCst);
+                rx
+            })
+            .collect();
+        let finals = poller.join().expect("every poll answers pending or final");
+        for (k, (rx, last)) in replies.iter().zip(finals).enumerate() {
+            let reply = rx.recv_timeout(WATCHDOG).expect("every job replies");
+            assert_eq!(last, Some(reply.to_string()), "job {k}");
+        }
+        sched.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
