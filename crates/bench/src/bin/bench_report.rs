@@ -1631,7 +1631,6 @@ fn example_shapes(_tag: &str) -> Vec<Entry> {
     use bpi_encodings::ram::{program_add, run_ram};
     let opts = ExploreOpts {
         max_states: 500_000,
-        normalize_extruded: true,
     };
     let cases: [(&str, &[(&str, &str)]); 3] = [
         ("chain3", &[("a", "b"), ("b", "c")]),

@@ -19,14 +19,7 @@ fn main() {
         let g = random_graph(seed, 3, 3);
         let (sys, defs, _o) = edge_managers_system(&g);
         let start = std::time::Instant::now();
-        let graph = explore(
-            &sys,
-            &defs,
-            ExploreOpts {
-                max_states: 50_000,
-                normalize_extruded: true,
-            },
-        );
+        let graph = explore(&sys, &defs, ExploreOpts { max_states: 50_000 });
         println!(
             "seed {seed}: {:?} -> {} states trunc={} in {:?}",
             g.edges,

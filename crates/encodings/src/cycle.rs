@@ -224,10 +224,7 @@ pub enum Verdict {
 /// negative/unknown verdicts (positives exit before building it).
 pub fn detect_by_exploration(g: &Graph, max_states: usize) -> (Verdict, StateGraph) {
     let (sys, defs, o) = edge_managers_system(g);
-    let opts = ExploreOpts {
-        max_states,
-        normalize_extruded: true,
-    };
+    let opts = ExploreOpts { max_states };
     match bpi_semantics::output_reachable(&sys, &defs, o, opts) {
         Some(true) => (
             Verdict::Cycle,

@@ -81,16 +81,7 @@ pub fn election_system(n: usize) -> (P, Defs, Channels) {
 /// run exists, `None` on budget exhaustion.
 pub fn safe(n: usize, max_states: usize) -> Option<bool> {
     let (sys, defs, ch) = election_system(n);
-    output_reachable(
-        &sys,
-        &defs,
-        ch.err,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
-    .map(|reachable| !reachable)
+    output_reachable(&sys, &defs, ch.err, ExploreOpts { max_states }).map(|reachable| !reachable)
 }
 
 /// Liveness over the full space: every deadlocked (terminal) state has
@@ -98,14 +89,7 @@ pub fn safe(n: usize, max_states: usize) -> Option<bool> {
 /// verifying every maximal path contains one `led` output.
 pub fn every_run_elects(n: usize, max_states: usize) -> bool {
     let (sys, defs, ch) = election_system(n);
-    let g = explore(
-        &sys,
-        &defs,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    );
+    let g = explore(&sys, &defs, ExploreOpts { max_states });
     assert!(!g.truncated, "state budget too small");
     // Walk all maximal paths counting `led` outputs; the graph is a DAG
     // here (every transition consumes a prefix), so DFS terminates.

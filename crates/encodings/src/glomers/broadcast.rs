@@ -184,14 +184,7 @@ pub fn flood_converges(n: usize) -> bool {
 /// contains exactly `n` deliveries.
 pub fn every_run_delivers(n: usize, max_states: usize) -> bool {
     let (sys, defs, ch) = flood_system(n, false);
-    let g = explore(
-        &sys,
-        &defs,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    );
+    let g = explore(&sys, &defs, ExploreOpts { max_states });
     assert!(!g.truncated, "state budget too small");
     all_maximal_runs_output_exactly(&g, ch.deliver, n)
 }

@@ -140,14 +140,7 @@ pub fn merge_commutative(n: usize) -> bool {
 pub fn every_run_converges(n: usize, max_states: usize) -> bool {
     let order: Vec<usize> = (0..n).collect();
     let (sys, defs, ch) = assemble(n, &order);
-    let g = explore(
-        &sys,
-        &defs,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    );
+    let g = explore(&sys, &defs, ExploreOpts { max_states });
     assert!(!g.truncated, "state budget too small");
     super::broadcast::all_maximal_runs_output_exactly(&g, ch.conv, 1)
 }

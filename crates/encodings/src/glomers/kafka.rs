@@ -136,16 +136,7 @@ pub fn monitored_system(monotone: bool) -> (P, Defs, Channels) {
 /// can never fire.
 pub fn first_assign_is_first_offset(max_states: usize) -> Option<bool> {
     let (sys, defs, ch) = monitored_system(true);
-    output_reachable(
-        &sys,
-        &defs,
-        ch.err,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
-    .map(|reachable| !reachable)
+    output_reachable(&sys, &defs, ch.err, ExploreOpts { max_states }).map(|reachable| !reachable)
 }
 
 /// One seeded faulty run of the monitored system: returns whether the
@@ -189,7 +180,6 @@ mod tests {
             ch.err,
             ExploreOpts {
                 max_states: 100_000,
-                normalize_extruded: true,
             },
         );
         assert_eq!(reach, Some(true));

@@ -140,16 +140,7 @@ pub const ABORTER: usize = 3;
 /// interleaving ever surfaces the uncommitted value.
 pub fn read_committed(max_states: usize) -> Option<bool> {
     let (sys, defs, ch) = system(aborter());
-    output_reachable(
-        &sys,
-        &defs,
-        ch.err,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
-    .map(|reachable| !reachable)
+    output_reachable(&sys, &defs, ch.err, ExploreOpts { max_states }).map(|reachable| !reachable)
 }
 
 /// Negative control: with a writer that commits `v_bad`, the dirty
@@ -157,15 +148,7 @@ pub fn read_committed(max_states: usize) -> Option<bool> {
 pub fn dirty_write_detected(max_states: usize) -> Option<bool> {
     let ch = channels();
     let (sys, defs, ch2) = system(dirty_writer(&ch));
-    output_reachable(
-        &sys,
-        &defs,
-        ch2.err,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
+    output_reachable(&sys, &defs, ch2.err, ExploreOpts { max_states })
 }
 
 /// The serial scenario as equivalence: a single client that commits

@@ -113,31 +113,14 @@ pub fn colliding_system(k: usize) -> (P, Defs, Channels) {
 /// repeats an id (the detector's `err` is unreachable).
 pub fn unique(n: usize, k: usize, max_states: usize) -> Option<bool> {
     let (sys, defs, ch) = system(n, k);
-    output_reachable(
-        &sys,
-        &defs,
-        ch.err,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
-    .map(|reachable| !reachable)
+    output_reachable(&sys, &defs, ch.err, ExploreOpts { max_states }).map(|reachable| !reachable)
 }
 
 /// Negative control: `Some(true)` iff the detector *does* fire on the
 /// colliding cluster.
 pub fn collision(k: usize, max_states: usize) -> Option<bool> {
     let (sys, defs, ch) = colliding_system(k);
-    output_reachable(
-        &sys,
-        &defs,
-        ch.err,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
+    output_reachable(&sys, &defs, ch.err, ExploreOpts { max_states })
 }
 
 #[cfg(test)]

@@ -304,14 +304,7 @@ pub fn observed_values(
 /// state budget; `None` = budget exceeded without finding one).
 pub fn reachable_observation(sys: &System, chan: Name, max_states: usize) -> Option<bool> {
     let (p, defs) = encode_system(sys);
-    let g = explore(
-        &p,
-        &defs,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    );
+    let g = explore(&p, &defs, ExploreOpts { max_states });
     if g.can_output_on(chan) {
         Some(true)
     } else if g.truncated {

@@ -85,15 +85,7 @@ pub fn may_pass(p: &P, t: &Test, defs: &Defs, max_states: usize) -> Option<bool>
         .filter(|n| *n != t.success)
         .collect();
     let sys = new_many(shared, par(p.clone(), t.observer.clone()));
-    output_reachable(
-        &sys,
-        defs,
-        t.success,
-        ExploreOpts {
-            max_states,
-            normalize_extruded: true,
-        },
-    )
+    output_reachable(&sys, defs, t.success, ExploreOpts { max_states })
 }
 
 /// Generates `count` random observer tests over the given names: random

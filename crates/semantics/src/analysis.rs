@@ -12,78 +12,11 @@
 //! * terminal states split into proper deadlocks (no transitions at
 //!   all) vs input-waiting states;
 //! * per-channel broadcast counts, for at-a-glance traffic profiles.
-//!
-//! The quantitative fault model (PR 6) adds [`reliability`]: the
-//! probability, under a lossy [`FaultPlan`], that the system reaches a
-//! goal barb — a [`Verdict::Quantitative`] with a confidence interval
-//! instead of a pass/fail boolean.
 
-use crate::budget::Budget;
-use crate::checkpoint::{CheckpointCfg, Interrupted};
 use crate::explore::StateGraph;
-use crate::faults::FaultPlan;
-use crate::prob::{convergence_mc, McCheckpoint};
 use bpi_core::action::Action;
 use bpi_core::name::Name;
-use bpi_core::syntax::{Defs, P};
 use std::collections::BTreeMap;
-
-/// A quantitative analysis verdict. Where the equivalence engines
-/// answer `Holds`/`Fails`/`Inconclusive`, a reliability analysis
-/// answers with a *number* and the uncertainty around it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Verdict {
-    /// Estimated probability of reaching the goal, with its Wilson 95%
-    /// confidence interval.
-    Quantitative { probability: f64, ci: (f64, f64) },
-}
-
-impl Verdict {
-    /// The point estimate carried by the verdict.
-    pub fn probability(&self) -> f64 {
-        match self {
-            Verdict::Quantitative { probability, .. } => *probability,
-        }
-    }
-}
-
-impl std::fmt::Display for Verdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Verdict::Quantitative { probability, ci } => {
-                write!(
-                    f,
-                    "P = {probability:.4} (95% CI [{:.4}, {:.4}])",
-                    ci.0, ci.1
-                )
-            }
-        }
-    }
-}
-
-/// The probability that the faulty walk from `p` under `plan`
-/// broadcasts on `watch` within `max_steps` steps, estimated from
-/// `samples` seeded Monte-Carlo trajectories
-/// ([`crate::prob::convergence_mc`]). Budgeted and checkpointable like
-/// every other long-running analysis: an interrupted estimation comes
-/// back as [`Interrupted`] with a resumable [`McCheckpoint`].
-#[allow(clippy::too_many_arguments)]
-pub fn reliability(
-    p: &P,
-    defs: &Defs,
-    plan: &FaultPlan,
-    watch: Name,
-    max_steps: usize,
-    samples: usize,
-    budget: &Budget,
-    cfg: &CheckpointCfg<McCheckpoint>,
-) -> Result<Verdict, Interrupted<McCheckpoint>> {
-    let est = convergence_mc(p, defs, plan, watch, max_steps, samples, budget, cfg)?;
-    Ok(Verdict::Quantitative {
-        probability: est.probability,
-        ci: est.ci,
-    })
-}
 
 /// The result of [`analyse`].
 #[derive(Clone, Debug)]
@@ -287,29 +220,6 @@ mod tests {
         let an = analyse(&g);
         assert!(!an.may_diverge());
         assert_eq!(an.traffic[&a], 1);
-    }
-
-    #[test]
-    fn reliability_verdict_is_quantitative() {
-        let defs = Defs::new();
-        let [a, c] = names(["a", "c"]);
-        let p = par(out_(a, []), inp(a, [], out_(c, [])));
-        let plan = FaultPlan::new(5).with_channel_loss(a, 0.25).unwrap();
-        let v = reliability(
-            &p,
-            &defs,
-            &plan,
-            c,
-            6,
-            1_500,
-            &Budget::unlimited(),
-            &CheckpointCfg::default(),
-        )
-        .unwrap();
-        let Verdict::Quantitative { probability, ci } = &v;
-        assert!(ci.0 <= 0.75 && 0.75 <= ci.1, "true value 0.75 inside CI");
-        assert!((probability - 0.75).abs() < 0.05);
-        assert!(v.to_string().starts_with("P = 0.7"), "{v}");
     }
 
     #[test]

@@ -151,8 +151,7 @@ pub fn inputs_cached(lts: &Lts<'_>, p: &P, pool: &[Name]) -> Arc<Inputs> {
 }
 
 /// [`crate::explore::normalize_state`] through the term's consed cell;
-/// `protected = None` is the plain `canon ∘ prune` normalisation used
-/// when extruded-name folding is off.
+/// `protected = None` is the plain `canon ∘ prune` normalisation.
 ///
 /// The cell serves `canon ∘ prune` itself ([`Consed::normal_form`]): an
 /// already-normal term comes back as it is, and otherwise only the nodes

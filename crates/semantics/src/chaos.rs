@@ -2,9 +2,9 @@
 //!
 //! PR 1's [`crate::faults`] injects faults into the *modelled* broadcast
 //! systems; this module injects them into the analysis engines:
-//! scheduling delays in the memo caches, the weak closures and the
-//! daemon's submit path, which the daemon's workers share. Like a
-//! [`crate::FaultPlan`], a [`ChaosPlan`] is **seeded and replayable**:
+//! scheduling delays in the memo caches and the daemon's submit path,
+//! which the daemon's workers share. Like a [`crate::FaultPlan`], a
+//! [`ChaosPlan`] is **seeded and replayable**:
 //! every injection decision is a pure function of `(seed, site,
 //! per-site call ordinal)`, and the injections actually fired are
 //! recorded in a [`ChaosLog`].
@@ -229,8 +229,8 @@ impl ChaosState {
 }
 
 /// A chaos site that may inject a sub-millisecond scheduling delay —
-/// safe anywhere, used in memo caches and weak-closure computation to
-/// shake out ordering assumptions.
+/// safe anywhere, used in memo caches to shake out ordering
+/// assumptions.
 pub fn delay(site: &'static str) {
     let Some(s) = active() else { return };
     let (u, ordinal) = s.draw(site);

@@ -65,16 +65,12 @@ pub struct ExploreOpts {
     /// Stop after this many distinct states (the graph is then marked
     /// [`StateGraph::truncated`]).
     pub max_states: usize,
-    /// Rename extruded/free names outside the initial free-name set to a
-    /// canonical sequence, folding renaming-equivalent states together.
-    pub normalize_extruded: bool,
 }
 
 impl Default for ExploreOpts {
     fn default() -> ExploreOpts {
         ExploreOpts {
             max_states: 100_000,
-            normalize_extruded: true,
         }
     }
 }
@@ -284,8 +280,7 @@ pub fn explore_budgeted(p: &P, defs: &Defs, opts: ExploreOpts, budget: &Budget) 
     let _span = bpi_obs::span("semantics.explore", "sequential");
     let lts = Lts::new(defs);
     let protected = p.free_names();
-    let prot = opts.normalize_extruded.then_some(&protected);
-    let norm = |q: &P| crate::cache::normalize_state_cached(q, prot);
+    let norm = |q: &P| crate::cache::normalize_state_cached(q, Some(&protected));
     let cap = opts.max_states.min(budget.max_states());
     // Keys are hash-consed term ids of the normalised states: hashing and
     // equality become O(1) id comparisons instead of tree walks, and
@@ -362,8 +357,7 @@ pub fn output_reachable_budgeted(
 ) -> Result<bool, EngineError> {
     let lts = Lts::new(defs);
     let protected = p.free_names();
-    let prot = opts.normalize_extruded.then_some(&protected);
-    let norm = |q: &P| crate::cache::normalize_state_cached(q, prot);
+    let norm = |q: &P| crate::cache::normalize_state_cached(q, Some(&protected));
     let cap = opts.max_states.min(budget.max_states());
     // Consed hashes by class id; its interior OnceLocks never feed Hash/Eq.
     #[allow(clippy::mutable_key_type)]
@@ -440,14 +434,7 @@ mod tests {
         let b = bpi_core::Name::new("b");
         let xid = bpi_core::syntax::Ident::new("Grow");
         let p = rec(xid, [b], tau(par(var(xid, [b]), out_(b, []))), [b]);
-        let g = explore(
-            &p,
-            &defs,
-            ExploreOpts {
-                max_states: 16,
-                normalize_extruded: true,
-            },
-        );
+        let g = explore(&p, &defs, ExploreOpts { max_states: 16 });
         assert!(g.truncated);
         assert!(g.len() <= 16);
     }
@@ -482,14 +469,7 @@ mod tests {
     #[test]
     fn truncation_records_typed_reason() {
         let defs = Defs::new();
-        let g = explore(
-            &grow_pump(),
-            &defs,
-            ExploreOpts {
-                max_states: 16,
-                normalize_extruded: true,
-            },
-        );
+        let g = explore(&grow_pump(), &defs, ExploreOpts { max_states: 16 });
         assert!(g.truncated);
         assert!(!g.is_complete());
         assert_eq!(
@@ -517,10 +497,7 @@ mod tests {
         let defs = Defs::new();
         let b = bpi_core::Name::new("b");
         let zzz = bpi_core::Name::new("zzz");
-        let opts = ExploreOpts {
-            max_states: 8,
-            normalize_extruded: true,
-        };
+        let opts = ExploreOpts { max_states: 8 };
         // Reachable output found even under a tiny budget.
         assert_eq!(
             output_reachable_budgeted(&grow_pump(), &defs, b, opts, &Budget::unlimited()),

@@ -37,7 +37,8 @@
 //! fragment of every run a genuine LTS execution: each recorded action is
 //! a real transition of the respective component, and a lost delivery is
 //! exactly a component that behaved as if it were the noise process for
-//! that one broadcast.
+//! that one broadcast. A broadcast that a node blocks (it listens on
+//! the channel at another arity only) is no step, faulty or not.
 
 use crate::lts::Lts;
 use crate::sim::Trace;
@@ -45,6 +46,7 @@ use bpi_core::action::Action;
 use bpi_core::builder::{components, inp, par_of, rec, var};
 use bpi_core::name::Name;
 use bpi_core::record::{fields, parse, Reader, Writer};
+use bpi_core::subst::{unfold_call, unfold_rec};
 use bpi_core::syntax::{Defs, Ident, Prefix, Process, RecDef, P};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -523,15 +525,7 @@ impl<'d> FaultySimulator<'d> {
         let mut noise_left = self.plan.max_noise;
         let mut log = FaultLog::default();
         let mut actions = Vec::new();
-
-        let reassemble = |comps: &[P], frozen: &[Option<P>]| {
-            par_of(
-                comps
-                    .iter()
-                    .zip(frozen)
-                    .map(|(c, f)| f.clone().unwrap_or_else(|| c.clone())),
-            )
-        };
+        let mut terminated = false;
 
         for step in 0..max_steps {
             // Scheduled node faults fire at the start of their step;
@@ -557,37 +551,16 @@ impl<'d> FaultySimulator<'d> {
                 }
             }
 
-            // Candidate autonomous moves across all live nodes.
-            let mut cands: Vec<(usize, Action, P)> = Vec::new();
-            for (i, c) in comps.iter().enumerate() {
-                for (act, next) in self.lts.step_transitions(c) {
-                    cands.push((i, act, next));
-                }
-            }
-            if cands.is_empty() {
-                let trace = Trace {
-                    actions,
-                    last: reassemble(&comps, &frozen),
-                    terminated: true,
-                };
-                record_faulty_run(&trace, &log);
-                return (trace, log);
-            }
-            let (i, act, next) = cands[self.rng.gen_range(0..cands.len())].clone();
-            comps[i] = next;
+            let Some((mv, listeners)) = self.draw(&comps) else {
+                terminated = true;
+                break;
+            };
+            comps[mv.node] = mv.next;
 
-            if let Action::Output { chan, objects, .. } = &act {
-                // Faulty broadcast: each *other* live node that is
-                // listening receives unless the plan drops or refuses the
-                // delivery; non-listeners discard naturally (rule (14)).
-                for j in 0..comps.len() {
-                    if j == i || frozen[j].is_some() {
-                        continue;
-                    }
-                    let rs = self.lts.receives(&comps[j], *chan, objects);
-                    if rs.is_empty() {
-                        continue;
-                    }
+            if let Action::Output { chan, .. } = &mv.act {
+                // Faulty broadcast: each listener receives unless the
+                // plan drops or refuses the delivery.
+                for (j, rs) in listeners {
                     if self.rng.gen_bool(self.plan.loss_rate(*chan)) {
                         log.events.push(FaultEvent::MessageLost {
                             step,
@@ -612,20 +585,127 @@ impl<'d> FaultySimulator<'d> {
                 }
             }
 
-            let hit = watch.is_some_and(|w| act.is_output() && act.subject() == Some(w));
-            actions.push(act);
+            let hit = watch.is_some_and(|w| mv.act.is_output() && mv.act.subject() == Some(w));
+            actions.push(mv.act);
             if hit {
                 break;
             }
         }
+        let nodes = comps.into_iter().zip(frozen).map(|(c, f)| f.unwrap_or(c));
         let trace = Trace {
             actions,
-            last: reassemble(&comps, &frozen),
-            terminated: false,
+            last: par_of(nodes),
+            terminated,
         };
         record_faulty_run(&trace, &log);
         (trace, log)
     }
+
+    /// Draws one enabled move of `comps` uniformly: a blocked broadcast
+    /// is dropped and the draw repeated over the rest, so a run with none
+    /// blocked makes the draws of one uniform draw over all moves.
+    fn draw(&mut self, comps: &[P]) -> Option<(Move, Listeners)> {
+        let mut cands = moves(&self.lts, comps);
+        while !cands.is_empty() {
+            let k = self.rng.gen_range(0..cands.len());
+            if let Some(listeners) = deliveries(&self.lts, comps, &cands[k]) {
+                return Some((cands.swap_remove(k), listeners));
+            }
+            cands.remove(k);
+        }
+        None
+    }
+}
+
+/// A step transition `comps[node] —act→ next` of one node alone.
+pub(crate) struct Move {
+    node: usize,
+    pub(crate) act: Action,
+    next: P,
+}
+
+/// The listeners of a broadcast with their receive-derivatives.
+pub(crate) type Listeners = Vec<(usize, Vec<P>)>;
+
+/// The node-granular step, read by [`FaultySimulator`], by `prob`'s
+/// exact chain and by [`lossy_traces`]: every node's step transitions,
+/// by node. Only those that [`deliveries`] enables are system steps.
+fn moves(lts: &Lts<'_>, comps: &[P]) -> Vec<Move> {
+    let mut out = Vec::new();
+    for (node, c) in comps.iter().enumerate() {
+        for (act, next) in lts.step_transitions(c) {
+            out.push(Move { node, act, next });
+        }
+    }
+    out
+}
+
+/// Rules (12)–(14) across nodes: every other node takes a broadcast in
+/// the same step, discarding it if it does not listen on the channel
+/// and otherwise receiving it. A listening node with no
+/// receive-derivative (it listens at another arity) blocks the
+/// broadcast: `None`. Stopped and crashed nodes hold nil and never
+/// block. The listeners come in node order; a τ move has none.
+fn deliveries(lts: &Lts<'_>, comps: &[P], mv: &Move) -> Option<Listeners> {
+    let Action::Output { chan, objects, .. } = &mv.act else {
+        return Some(Vec::new());
+    };
+    let mut out = Vec::new();
+    for (j, other) in comps.iter().enumerate() {
+        if j == mv.node {
+            continue;
+        }
+        // Both tests below unfold a recursive node: unfold it once.
+        let other = &match &**other {
+            Process::Call(id, args) => unfold_call(lts.defs, *id, args).unwrap_or(other.clone()),
+            Process::Rec(def, args) => unfold_rec(def, args),
+            _ => other.clone(),
+        };
+        if lts.discards(other, *chan) {
+            continue;
+        }
+        let rs = lts.receives(other, *chan, objects);
+        if rs.is_empty() {
+            return None;
+        }
+        out.push((j, rs));
+    }
+    Some(out)
+}
+
+/// The enabled moves of `comps`, in [`moves`] order, with their listeners.
+pub(crate) fn enabled(lts: &Lts<'_>, comps: &[P]) -> Vec<(Move, Listeners)> {
+    let with = |mv: Move| deliveries(lts, comps, &mv).map(|ls| (mv, ls));
+    moves(lts, comps).into_iter().filter_map(with).collect()
+}
+
+/// Every outcome of the enabled move `mv`: `comps` after it with each
+/// listener `j` on one of the weighted options `opts(&comps[j], its
+/// receive-derivatives)`, weighted `w` times the chosen options' weights
+/// in node order. The weights sum to `w` times the product of each
+/// listener's option total (`sum_folded_product`).
+pub(crate) fn outcomes(
+    comps: &[P],
+    (mv, listeners): (Move, Listeners),
+    w: f64,
+    opts: impl Fn(&P, Vec<P>) -> Vec<(f64, P)>,
+) -> Vec<(f64, Vec<P>)> {
+    let mut base = comps.to_vec();
+    base[mv.node] = mv.next;
+    let mut acc = vec![(w, base)];
+    for (j, rs) in listeners {
+        let opts = opts(&comps[j], rs);
+        let mut next = Vec::with_capacity(acc.len() * opts.len());
+        for (w, state) in &acc {
+            for (ow, op) in &opts {
+                let mut s2 = state.clone();
+                s2[j] = op.clone();
+                next.push((w * ow, s2));
+            }
+        }
+        acc = next;
+    }
+    acc
 }
 
 /// Exit bookkeeping for a faulty run. The [`FaultLog`] is a pure
@@ -705,11 +785,9 @@ fn traces_with_loss(
     lossy_chan: Option<Name>,
     depth: usize,
 ) -> BTreeSet<Vec<String>> {
-    let lts = Lts::new(defs);
-    let comps = components(p);
+    let (lts, comps) = (Lts::new(defs), components(p));
     let mut out = BTreeSet::new();
-    let mut prefix = Vec::new();
-    go(&lts, &comps, lossy_chan, depth, &mut prefix, &mut out);
+    go(&lts, &comps, lossy_chan, depth, &[], &mut out);
     return out;
 
     fn go(
@@ -717,69 +795,31 @@ fn traces_with_loss(
         comps: &[P],
         lossy: Option<Name>,
         depth: usize,
-        prefix: &mut Vec<String>,
+        prefix: &[String],
         out: &mut BTreeSet<Vec<String>>,
     ) {
-        out.insert(prefix.clone());
+        out.insert(prefix.to_vec());
         if depth == 0 {
             return;
         }
-        for (i, c) in comps.iter().enumerate() {
-            for (act, next) in lts.step_transitions(c) {
-                match &act {
-                    Action::Tau => {
-                        let mut c2 = comps.to_vec();
-                        c2[i] = next;
-                        go(lts, &c2, lossy, depth - 1, prefix, out);
-                    }
-                    Action::Output { chan, objects, .. } => {
-                        // Per-node delivery options, mirroring rules
-                        // (12)–(14) at node granularity, plus — on the
-                        // lossy channel — the injected "missed it" option.
-                        let mut options: Vec<Vec<P>> = Vec::with_capacity(comps.len());
-                        for (j, other) in comps.iter().enumerate() {
-                            if j == i {
-                                options.push(vec![next.clone()]);
-                                continue;
-                            }
-                            let mut opts = lts.receives(other, *chan, objects);
-                            let may_stay = opts.is_empty()
-                                || lts.discards(other, *chan)
-                                || lossy == Some(*chan);
-                            if may_stay {
-                                opts.push(other.clone());
-                            }
-                            options.push(opts);
-                        }
-                        let label = act.normalise_label(prefix.len());
-                        for combo in cartesian(&options) {
-                            prefix.push(label.clone());
-                            go(lts, &combo, lossy, depth - 1, prefix, out);
-                            prefix.pop();
-                        }
-                    }
-                    _ => unreachable!("step transitions carry only τ/output labels"),
-                }
+        for (mv, listeners) in enabled(lts, comps) {
+            // On the lossy channel a listener may also miss the delivery.
+            let miss = lossy.is_some() && mv.act.subject() == lossy;
+            let opts = |stay: &P, rs: Vec<P>| {
+                let rs = rs.into_iter().chain(miss.then(|| stay.clone()));
+                rs.map(|r| (1.0, r)).collect()
+            };
+            // τ is elided from the trace but consumes depth.
+            let label = mv
+                .act
+                .is_output()
+                .then(|| mv.act.normalise_label(prefix.len()));
+            let longer: Vec<String> = prefix.iter().cloned().chain(label).collect();
+            for (_, next) in outcomes(comps, (mv, listeners), 1.0, opts) {
+                go(lts, &next, lossy, depth - 1, &longer, out);
             }
         }
     }
-}
-
-/// All ways of picking one element per slot.
-fn cartesian(options: &[Vec<P>]) -> Vec<Vec<P>> {
-    let mut acc: Vec<Vec<P>> = vec![Vec::new()];
-    for slot in options {
-        let mut next = Vec::with_capacity(acc.len() * slot.len());
-        for partial in &acc {
-            for choice in slot {
-                let mut p2 = partial.clone();
-                p2.push(choice.clone());
-                next.push(p2);
-            }
-        }
-        acc = next;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -949,6 +989,49 @@ mod tests {
             reliable_traces(&sys, &defs, 4),
             "loss on a is invisible once a's only listener is noise"
         );
+    }
+
+    /// `a<v>.b<> | a(x,y).0` and `a<v>.b<> | (a(x).0 | a(x,y).0)`: a
+    /// listener at arity 2 blocks the only broadcast, so neither system
+    /// has a step.
+    fn blocked_broadcasts() -> Vec<(P, Name)> {
+        let [a, b, v, x, y] = names(["a", "b", "v", "x", "y"]);
+        let sender = out(a, [v], out_(b, []));
+        vec![
+            (par(sender.clone(), inp_(a, [x, y])), a),
+            (par(sender, par(inp_(a, [x]), inp_(a, [x, y]))), a),
+        ]
+    }
+
+    #[test]
+    fn a_blocked_broadcast_is_not_a_move() {
+        let defs = d();
+        for (p, a) in blocked_broadcasts() {
+            assert!(Lts::new(&defs).step_transitions(&p).is_empty());
+            assert_eq!(lossy_traces(&p, &defs, a, 3), BTreeSet::from([vec![]]));
+            assert_eq!(reliable_traces(&p, &defs, 3), BTreeSet::from([vec![]]));
+            for seed in 0..8 {
+                for loss in [0.0, 0.3, 1.0] {
+                    let plan = FaultPlan::new(seed).with_channel_loss(a, loss).unwrap();
+                    let (tr, log) = FaultySimulator::new(&defs, plan).run(&p, 10);
+                    assert!(tr.actions.is_empty(), "seed {seed}, loss {loss}: {tr:?}");
+                    assert!(tr.terminated && log.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_sampler_skips_a_blocked_broadcast_for_an_enabled_move() {
+        // `a<v>` is blocked by `a(x,y)`; `c<>` is not. Every seed must
+        // emit `c<>` and never `a<v>`.
+        let defs = d();
+        let [a, c, v, x, y] = names(["a", "c", "v", "x", "y"]);
+        let p = par_of([out_(a, [v]), inp_(a, [x, y]), out_(c, [])]);
+        for seed in 0..16 {
+            let (tr, _) = FaultySimulator::new(&defs, FaultPlan::new(seed)).run(&p, 10);
+            assert!(tr.saw_output_on(c) && !tr.saw_output_on(a), "{tr:?}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod prob;
 pub mod sim;
 pub mod weak;
 
-pub use analysis::{analyse, reliability, Analysis, Verdict};
+pub use analysis::{analyse, Analysis};
 pub use budget::{Budget, EngineError};
 pub use cache::{inputs_cached, normalize_state_cached, step_transitions_cached};
 pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
@@ -70,4 +70,4 @@ pub use prob::{
     wilson_ci, ExactOutcome, McCheckpoint, ProbError, ReliabilityEstimate,
 };
 pub use sim::{Simulator, Trace};
-pub use weak::{TauSaturation, Weak};
+pub use weak::Weak;

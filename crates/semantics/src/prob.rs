@@ -11,7 +11,7 @@
 //! * [`convergence_exact`] — bounded-depth outcome enumeration. The
 //!   faulty walk of [`FaultySimulator::run_until_output`] induces a
 //!   finite-horizon DTMC: at every state the scheduler picks one of the
-//!   autonomous moves uniformly, and a broadcast then splits into
+//!   enabled moves uniformly, and a broadcast then splits into
 //!   weighted delivery outcomes (each listener independently misses the
 //!   message with its channel's loss rate, and picks uniformly among
 //!   its receive-derivatives otherwise). The enumerator builds exactly
@@ -47,7 +47,7 @@
 
 use crate::budget::{Budget, EngineError};
 use crate::checkpoint::{CheckpointCfg, Interrupted};
-use crate::faults::{FaultPlan, FaultySimulator};
+use crate::faults::{self, FaultPlan, FaultySimulator};
 use crate::lts::Lts;
 use bpi_core::action::Action;
 use bpi_core::builder::{components, par_of};
@@ -162,80 +162,36 @@ pub fn step_distribution(p: &P, defs: &Defs, plan: &FaultPlan) -> Result<Dist<P>
     let lts = Lts::new(defs);
     let comps = components(p);
     let mut out = Dist::new();
-    for (w, next) in successors(&lts, &comps, plan) {
-        out.push(par_of(next.0), w);
+    for (w, next, _) in successors(&lts, &comps, plan) {
+        out.push(par_of(next), w);
     }
     Ok(out)
 }
 
-/// One weighted successor: the component vector after the step, plus
-/// whether the step was an output on the watched channel (decided by
-/// the caller via the action, see `successors`).
-struct Succ(Vec<P>, Action);
-
-/// Enumerates the weighted successors of `comps` under the faulty-step
-/// semantics: uniform choice among all autonomous moves, then an
-/// independent per-listener loss/receive split for broadcasts. Mirrors
-/// `FaultySimulator::run_internal` move for move.
-fn successors(lts: &Lts<'_>, comps: &[P], plan: &FaultPlan) -> Vec<(f64, Succ)> {
-    let mut cands: Vec<(usize, Action, P)> = Vec::new();
-    for (i, c) in comps.iter().enumerate() {
-        for (act, next) in lts.step_transitions(c) {
-            cands.push((i, act, next));
-        }
-    }
-    if cands.is_empty() {
-        return Vec::new();
-    }
-    let cand_w = 1.0 / cands.len() as f64;
+/// The node-granular step ([`faults::enabled`]) weighted as
+/// `FaultySimulator` draws it: uniform over the enabled moves, then per
+/// listener a miss at the channel's loss rate or else a uniform pick of
+/// its receive-derivatives. Successors carry the step's action.
+fn successors(lts: &Lts<'_>, comps: &[P], plan: &FaultPlan) -> Vec<(f64, Vec<P>, Action)> {
+    let enabled = faults::enabled(lts, comps);
+    let cand_w = 1.0 / enabled.len() as f64;
     let mut out = Vec::new();
-    for (i, act, next) in cands {
-        let mut base = comps.to_vec();
-        base[i] = next;
-        if let Action::Output { chan, objects, .. } = &act {
-            // Per-listener delivery options with their probabilities:
-            // miss with the channel's loss rate, else land uniformly on
-            // one receive-derivative. Non-listeners discard (rule (14)).
-            let loss = plan.loss_rate(*chan);
-            let mut slots: Vec<(usize, Vec<(f64, P)>)> = Vec::new();
-            for (j, other) in base.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let rs = lts.receives(other, *chan, objects);
-                if rs.is_empty() {
-                    continue;
-                }
-                let mut opts = Vec::with_capacity(rs.len() + 1);
-                if loss > 0.0 {
-                    opts.push((loss, other.clone()));
-                }
-                if loss < 1.0 {
-                    let each = (1.0 - loss) / rs.len() as f64;
-                    for r in rs {
-                        opts.push((each, r));
-                    }
-                }
-                slots.push((j, opts));
+    for (mv, listeners) in enabled {
+        let act = mv.act.clone();
+        let loss = act.subject().map_or(0.0, |a| plan.loss_rate(a));
+        let split = |stay: &P, rs: Vec<P>| {
+            let mut opts = Vec::with_capacity(rs.len() + 1);
+            if loss > 0.0 {
+                opts.push((loss, stay.clone()));
             }
-            // Cartesian product over the independent listener splits.
-            let mut acc: Vec<(f64, Vec<P>)> = vec![(cand_w, base)];
-            for (j, opts) in slots {
-                let mut nxt = Vec::with_capacity(acc.len() * opts.len());
-                for (w, state) in &acc {
-                    for (ow, op) in &opts {
-                        let mut s2 = state.clone();
-                        s2[j] = op.clone();
-                        nxt.push((w * ow, s2));
-                    }
-                }
-                acc = nxt;
+            if loss < 1.0 {
+                let each = (1.0 - loss) / rs.len() as f64;
+                opts.extend(rs.into_iter().map(|r| (each, r)));
             }
-            for (w, state) in acc {
-                out.push((w, Succ(state, act.clone())));
-            }
-        } else {
-            out.push((cand_w, Succ(base, act)));
+            opts
+        };
+        for (w, state) in faults::outcomes(comps, (mv, listeners), cand_w, split) {
+            out.push((w, state, act.clone()));
         }
     }
     out
@@ -301,7 +257,7 @@ pub fn convergence_exact(
         }
         let mut lo = 0.0;
         let mut hi = 0.0;
-        for (w, Succ(state, act)) in succs {
+        for (w, state, act) in succs {
             *branches += 1;
             if act.is_output() && act.subject() == Some(watch) {
                 // The watched broadcast fired: success on this branch
@@ -578,6 +534,38 @@ mod tests {
         assert!((dist.total_mass() - 1.0).abs() < 1e-12);
         let nil_dist = step_distribution(&nil(), &defs, &plan).unwrap();
         assert!(nil_dist.is_empty(), "terminal state has no successors");
+    }
+
+    #[test]
+    fn a_blocked_broadcast_has_probability_zero() {
+        // A listener at arity 2 blocks `a<v>`: the system has no step,
+        // so the watched `a` never fires under any loss rate.
+        let defs = d();
+        let [a, b, v, x, y] = names(["a", "b", "v", "x", "y"]);
+        let sender = out(a, [v], out_(b, []));
+        for p in [
+            par(sender.clone(), inp_(a, [x, y])),
+            par(sender, par(inp_(a, [x]), inp_(a, [x, y]))),
+        ] {
+            for loss in [0.0, 0.3, 1.0] {
+                let plan = FaultPlan::new(5).with_channel_loss(a, loss).unwrap();
+                assert!(step_distribution(&p, &defs, &plan).unwrap().is_empty());
+                let o = convergence_exact(&p, &defs, &plan, a, 6, &Budget::unlimited()).unwrap();
+                assert_eq!((o.p_lo, o.p_hi), (0.0, 0.0), "loss {loss}");
+                let est = convergence_mc(
+                    &p,
+                    &defs,
+                    &plan,
+                    a,
+                    16,
+                    200,
+                    &Budget::unlimited(),
+                    &CheckpointCfg::default(),
+                )
+                .unwrap();
+                assert_eq!(est.successes, 0, "loss {loss}");
+            }
+        }
     }
 
     #[test]

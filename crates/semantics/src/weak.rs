@@ -14,67 +14,29 @@
 //! as `Err(EngineError)` rather than a panic, so equivalence engines can
 //! answer "inconclusive" instead of aborting.
 //!
-//! Closures are computed once per root as a [`TauSaturation`] — the
-//! reachable sub-graph together with each state's strong barbs — and
-//! memoized globally per (root term id, defs generation, move kind), so
-//! repeated weak queries against the same state (the common shape inside
-//! bisimulation refinement) stop re-running per-state searches.
+//! Each query saturates its root afresh by one budgeted search. The
+//! equivalence checkers do not come through here; they saturate over
+//! their graphs' cached closures.
 
 use crate::budget::{Budget, EngineError};
 use crate::cache::step_transitions_cached;
 use crate::lts::Lts;
 use bpi_core::action::Action;
+use bpi_core::cached_canon;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::P;
-use bpi_core::{cached_canon, cons, Consed};
-use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, LazyLock};
+use std::collections::HashSet;
 
 /// Default bound on the number of distinct states a weak closure may
 /// visit before giving up.
 pub const DEFAULT_CLOSURE_BUDGET: usize = 65_536;
 
-/// The saturation of one root state: every state reachable by the chosen
-/// move kind (τ only, or τ-and-output "step moves"), with each state's
-/// strong barbs precomputed.
-pub struct TauSaturation {
-    /// Reachable states (the root included), deduplicated up to
-    /// α-equivalence.
-    pub states: Vec<P>,
-    /// `barbs[i]` — strong barbs of `states[i]`.
-    pub barbs: Vec<NameSet>,
-}
-
-impl TauSaturation {
-    /// Union of the strong barbs over all saturated states.
-    pub fn all_barbs(&self) -> NameSet {
-        let mut s = NameSet::new();
-        for b in &self.barbs {
-            s.extend(b);
-        }
-        s
-    }
-}
-
 /// Which transitions a saturation follows.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 enum MoveKind {
     Tau,
     Step,
 }
-
-/// Global saturation memo: (root term, defs generation, move kind) →
-/// saturated sub-graph. Sound because the saturation is a pure function
-/// of the key; budget differences between callers are replayed on hit by
-/// re-checking the budget against the saturation's state count. Keys hold
-/// the `Consed` handle so the class id stays live while the entry does.
-type SaturationKey = (Consed, u64, MoveKind);
-static SATURATIONS: LazyLock<RwLock<HashMap<SaturationKey, Arc<TauSaturation>>>> =
-    LazyLock::new(|| RwLock::new(HashMap::new()));
-
-/// Entries kept before the saturation memo is wholesale cleared.
-const SATURATION_CAP: usize = 1 << 18;
 
 /// Weak-transition engine layered over [`Lts`].
 #[derive(Clone)]
@@ -109,38 +71,19 @@ impl<'d> Weak<'d> {
     /// itself), deduplicated up to α-equivalence. `Err` when the budget
     /// runs out first.
     pub fn tau_closure(&self, p: &P) -> Result<Vec<P>, EngineError> {
-        Ok(self.saturation(p, MoveKind::Tau)?.states.clone())
+        self.saturation(p, MoveKind::Tau)
     }
 
     /// `{p' | p =α̂⇒ p'}` — all states reachable by *step moves*
     /// (`τ` or any output), including `p` itself.
     pub fn step_closure(&self, p: &P) -> Result<Vec<P>, EngineError> {
-        Ok(self.saturation(p, MoveKind::Step)?.states.clone())
+        self.saturation(p, MoveKind::Step)
     }
 
-    /// The memoized saturation of `p`: computed by one budgeted search on
-    /// first demand, replayed from the global memo afterwards. A hit
-    /// still re-checks the *caller's* budget against the saturation size,
-    /// so a tighter budget sees the same typed exhaustion it would have
-    /// hit searching.
-    fn saturation(&self, p: &P, kind: MoveKind) -> Result<Arc<TauSaturation>, EngineError> {
-        static HITS: LazyLock<&bpi_obs::Counter> = LazyLock::new(|| {
-            bpi_obs::counter("semantics.weak.saturation.hits", bpi_obs::Det::Advisory)
-        });
-        static MISSES: LazyLock<&bpi_obs::Counter> = LazyLock::new(|| {
-            bpi_obs::counter("semantics.weak.saturation.misses", bpi_obs::Det::Advisory)
-        });
+    /// Every state reachable from `p` by moves of `kind`, `p` included,
+    /// deduplicated up to α-equivalence, by one budgeted search.
+    fn saturation(&self, p: &P, kind: MoveKind) -> Result<Vec<P>, EngineError> {
         self.budget.check(0)?;
-        // Chaos delay site: the saturation memo is probed concurrently by
-        // refinement workers; a stall here must not change any closure.
-        crate::chaos::delay("semantics.weak.saturation");
-        let key = (cons(p), self.lts.defs.generation(), kind);
-        if let Some(sat) = SATURATIONS.read().get(&key) {
-            HITS.inc();
-            self.budget.check(sat.states.len())?;
-            return Ok(sat.clone());
-        }
-        MISSES.inc();
         let keep = |act: &Action| match kind {
             MoveKind::Tau => matches!(act, Action::Tau),
             MoveKind::Step => act.is_step_move(),
@@ -158,15 +101,18 @@ impl<'d> Weak<'d> {
             }
             out.push(q);
         }
-        let barbs = out.iter().map(|q| self.strong_barbs(q)).collect();
         bpi_obs::histogram("semantics.weak.saturation.states").record(out.len() as u64);
-        let sat = Arc::new(TauSaturation { states: out, barbs });
-        let mut g = SATURATIONS.write();
-        if g.len() >= SATURATION_CAP {
-            g.clear();
+        Ok(out)
+    }
+
+    /// The strong barbs of every state reachable from `p` by moves of
+    /// `kind`.
+    fn saturated_barbs(&self, p: &P, kind: MoveKind) -> Result<NameSet, EngineError> {
+        let mut s = NameSet::new();
+        for q in self.saturation(p, kind)? {
+            s.extend(&self.strong_barbs(&q));
         }
-        g.insert(key, sat.clone());
-        Ok(sat)
+        Ok(s)
     }
 
     /// Strong barbs `{a | p ↓a}`: subjects of immediately available
@@ -186,14 +132,7 @@ impl<'d> Weak<'d> {
     /// Weak barbs `{a | p ⇓a}`: subjects of outputs reachable through `τ`
     /// steps.
     pub fn weak_barbs(&self, p: &P) -> Result<NameSet, EngineError> {
-        Ok(self.saturation(p, MoveKind::Tau)?.all_barbs())
-    }
-
-    /// Strong step-barbs `{a | p ↓ₐ^φ}` — identical to strong barbs (an
-    /// immediate output with subject `a`); kept separate for symmetry with
-    /// the paper's notation.
-    pub fn strong_step_barbs(&self, p: &P) -> NameSet {
-        self.strong_barbs(p)
+        self.saturated_barbs(p, MoveKind::Tau)
     }
 
     /// Weak step-barbs `{a | p ⇓ₐ^φ}`: a sequence of step moves ending in
@@ -202,36 +141,7 @@ impl<'d> Weak<'d> {
     /// `τ`s, which is exactly what distinguishes step- from barbed
     /// observation (Remark 2.3).
     pub fn weak_step_barbs(&self, p: &P) -> Result<NameSet, EngineError> {
-        Ok(self.saturation(p, MoveKind::Step)?.all_barbs())
-    }
-
-    /// Weak τ-moves followed by one transition satisfying `pred`, followed
-    /// by τ-moves: `{p' | p ⇒ —α→ ⇒ p', pred(α)}` together with the
-    /// labels used.
-    pub fn weak_then(
-        &self,
-        p: &P,
-        pred: impl Fn(&Action) -> bool,
-    ) -> Result<Vec<(Action, P)>, EngineError> {
-        let mut out = Vec::new();
-        let mut seen: HashSet<(Action, P)> = HashSet::new();
-        for q in &self.saturation(p, MoveKind::Tau)?.states {
-            for (act, q2) in step_transitions_cached(&self.lts, q).iter() {
-                if pred(act) {
-                    for q3 in &self.saturation(q2, MoveKind::Tau)?.states {
-                        if seen.insert((act.clone(), cached_canon(q3))) {
-                            out.push((act.clone(), q3.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Whether `a` is a strong barb of `p`.
-    pub fn has_strong_barb(&self, p: &P, a: Name) -> bool {
-        self.strong_barbs(p).contains(a)
+        self.saturated_barbs(p, MoveKind::Step)
     }
 
     /// Whether `a` is a weak barb of `p`. `Err` when the search exceeds
@@ -289,7 +199,6 @@ mod tests {
         assert_eq!(w.strong_barbs(&p).to_vec(), vec![b]);
         assert_eq!(w.weak_barbs(&p).unwrap().to_vec(), vec![a, b]);
         assert!(w.has_weak_barb(&p, a).unwrap());
-        assert!(!w.has_strong_barb(&p, a));
     }
 
     #[test]
@@ -313,19 +222,6 @@ mod tests {
         let w = weak(&defs);
         assert!(w.strong_barbs(&p).is_empty());
         assert!(w.weak_barbs(&p).unwrap().is_empty());
-    }
-
-    #[test]
-    fn weak_then_composes() {
-        let defs = Defs::new();
-        let [a, b] = names(["a", "b"]);
-        // τ.ā.τ.b̄ : weak output on a reaches both τ.b̄ and b̄.
-        let p = tau(out(a, [], tau(out_(b, []))));
-        let w = weak(&defs);
-        let outs = w
-            .weak_then(&p, |act| act.is_output() && act.subject() == Some(a))
-            .unwrap();
-        assert_eq!(outs.len(), 2);
     }
 
     #[test]

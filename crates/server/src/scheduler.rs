@@ -719,7 +719,6 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
         } => {
             let opts = ExploreOpts {
                 max_states: *max_states,
-                ..ExploreOpts::default()
             };
             // Exploration is cost-bounded by `max_states`, so it runs in
             // one slice; `explore_budgeted` never panics and reports

@@ -214,6 +214,23 @@ fn protocol_roundtrip_check_explore_reliability() {
 }
 
 #[test]
+fn a_blocked_broadcast_is_served_probability_zero() {
+    // `a(x,y)` listens on `a` at arity 2, so it blocks the 1-ary
+    // broadcast `a<v>`: the system has no step and never outputs on `a`.
+    let dir = tmpdir("blocked");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let r = c
+        .reliability("blocked", "s1", "a<v>.b<> | a(x,y).0", "a", 0.3, 7, 16, 200)
+        .unwrap();
+    assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+    assert_eq!(r.get("probability").unwrap().as_f64(), Some(0.0), "{r}");
+    assert_eq!(r.get("successes").unwrap().as_usize(), Some(0), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deadline_zero_is_a_typed_deadline_error() {
     let dir = tmpdir("deadline");
     let h = server::start(small_cfg(&dir)).unwrap();

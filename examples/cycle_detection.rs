@@ -55,14 +55,7 @@ fn report(name: &str, g: &Graph) {
         // Re-explore within a modest budget to extract a witness trace.
         let (sys, defs, o) = edge_managers_system(g);
         let defs: Defs = defs;
-        let small = explore(
-            &sys,
-            &defs,
-            ExploreOpts {
-                max_states: 20_000,
-                normalize_extruded: true,
-            },
-        );
+        let small = explore(&sys, &defs, ExploreOpts { max_states: 20_000 });
         if let Some(trace) = small.trace_to_output(o) {
             println!(
                 "  witness trace ({} steps): {}",

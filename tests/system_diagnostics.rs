@@ -15,12 +15,8 @@ fn capped_explorer_is_a_prefix_of_the_full_graph_on_election() {
     let (sys, defs, _ch) = election_system(4);
     let full = explore(&sys, &defs, ExploreOpts::default());
     assert!(full.is_complete() && full.len() > 8);
-    let capped = |max_states| ExploreOpts {
-        max_states,
-        ..ExploreOpts::default()
-    };
     for cap in [1, 7, full.len() / 2, full.len() - 1] {
-        let part = explore(&sys, &defs, capped(cap));
+        let part = explore(&sys, &defs, ExploreOpts { max_states: cap });
         let limit = EngineError::StateBudgetExceeded { limit: cap };
         assert_eq!(part.interrupted, Some(limit), "cap {cap}");
         assert!(part.truncated);
@@ -71,14 +67,7 @@ fn truncation_budget_is_respected_exactly() {
     let xid = bpi::core::syntax::Ident::new("DgGrow");
     let p = rec(xid, [b], tau(par(var(xid, [b]), out_(b, []))), [b]);
     for budget in [1usize, 5, 17] {
-        let g = explore(
-            &p,
-            &defs,
-            ExploreOpts {
-                max_states: budget,
-                normalize_extruded: true,
-            },
-        );
+        let g = explore(&p, &defs, ExploreOpts { max_states: budget });
         assert!(g.truncated);
         assert!(g.len() <= budget, "budget {budget} exceeded: {}", g.len());
     }
