@@ -352,9 +352,10 @@ impl<'d> Checker<'d> {
     /// exhaustion is reported as [`Verdict::Inconclusive`] instead of a
     /// panic or a silent `false`.
     ///
-    /// **Structural route.** The check first compares the structural
-    /// normal forms of both sides ([`snf`](fn@bpi_core::snf)), then polls
-    /// the budget's cancellation flag and deadline once. Equal forms are
+    /// **Structural route** ([`Checker::try_structural`]). The check
+    /// first compares the structural normal forms of both sides
+    /// ([`snf`](fn@bpi_core::snf)), then polls the budget's cancellation
+    /// flag and deadline once. Equal forms are
     /// `~c`-congruent, and `~c` implies all six variants, so the check
     /// answers [`Verdict::Holds`] before any pool, compose gate or graph
     /// build (counted in `equiv.check.structural`). A structural
@@ -399,72 +400,71 @@ impl<'d> Checker<'d> {
     /// carries `onthefly: fallback pairs` or `onthefly: fallback states`.
     pub fn check(&self, v: Variant, p: &P, q: &P) -> Verdict {
         let _span = bpi_obs::span("equiv.check", "check");
-        let same = self.structural(p, q);
-        self.check_after(v, p, q, same)
+        self.try_structural(v, p, q)
+            .unwrap_or_else(|| self.check_unsettled(v, p, q))
     }
 
-    /// The structural test of [`Checker::check`]: `snf(p) == snf(q)`.
-    fn structural(&self, p: &P, q: &P) -> bool {
+    /// The structural route of [`Checker::check`] on its own: compares
+    /// the structural normal forms of `p` and `q`, then polls the budget
+    /// once. `Some(Holds)` on equal forms (counted in
+    /// `equiv.check.structural`), `Some(Inconclusive)` when the poll
+    /// stops the check, each reported by the `equiv.check` `verdict`
+    /// event with `reason: structural`; `None` when the forms differ,
+    /// which proves nothing. The daemon calls it before the first slice
+    /// of a fresh served check.
+    pub fn try_structural(&self, v: Variant, p: &P, q: &P) -> Option<Verdict> {
+        self.structural_after(v, self.same_snf(p, q))
+    }
+
+    /// The structural test: `snf(p) == snf(q)`.
+    fn same_snf(&self, p: &P, q: &P) -> bool {
         let _span = bpi_obs::span("equiv.check", "structural");
         bpi_core::snf(p) == bpi_core::snf(q)
     }
 
-    /// [`Checker::check`] once the structural test has answered `same`:
-    /// one budget poll, then the structural, on-the-fly and graph routes.
-    fn check_after(&self, v: Variant, p: &P, q: &P, same: bool) -> Verdict {
-        let mut fallback = None;
-        let (route, pre, verdict) = match self.budget.check(0) {
-            Err(e) => {
-                let pre = PreQuotient::Skipped("structural");
-                (Route::Structural, pre, Verdict::Inconclusive(e))
-            }
+    /// [`Checker::try_structural`] once the structural test has answered
+    /// `same`.
+    fn structural_after(&self, v: Variant, same: bool) -> Option<Verdict> {
+        let verdict = match self.budget.check(0) {
+            Err(e) => Verdict::Inconclusive(e),
             Ok(()) if same => {
                 CHECK_STRUCTURAL.inc();
-                let pre = PreQuotient::Skipped("structural");
-                (Route::Structural, pre, Verdict::Holds)
+                Verdict::Holds
             }
-            Ok(()) => match (!v.is_weak()).then(|| crate::onthefly::decide(self, v, p, q)) {
-                Some(Outcome::Settled(verdict)) => {
-                    if !verdict.is_inconclusive() {
-                        CHECK_ONTHEFLY.inc();
-                    }
-                    let pre = PreQuotient::Skipped("on-the-fly");
-                    (Route::OnTheFly, pre, verdict)
-                }
-                searched => {
-                    if let Some(Outcome::Fallback(why)) = searched {
-                        fallback = Some(why);
-                    }
-                    let (route, pre, fixpoint) = self.fixpoint(v, p, q);
-                    let verdict = match fixpoint {
-                        Ok((_, _, rel)) if rel.holds(0, 0) => Verdict::Holds,
-                        Ok(_) => Verdict::Fails(format!("{v:?} fails at the root pair")),
-                        Err(e) => Verdict::Inconclusive(e),
-                    };
-                    (route, pre, verdict)
-                }
-            },
+            Ok(()) => return None,
         };
-        bpi_obs::emit("equiv.check", "verdict", || {
-            let mut fields = vec![
-                ("variant", Value::from(format!("{v:?}"))),
-                (
-                    "verdict",
-                    Value::from(match &verdict {
-                        Verdict::Holds => "holds".to_string(),
-                        Verdict::Fails(_) => "fails".to_string(),
-                        Verdict::Inconclusive(e) => format!("inconclusive: {e}"),
-                    }),
-                ),
-                ("graphs", Value::from(route.graphs())),
-                ("reason", Value::from(route.reason())),
-                ("prequotient", Value::from(pre.field())),
-            ];
-            if let Some(why) = fallback {
-                fields.push(("onthefly", Value::from(format!("fallback {why}"))));
+        let pre = PreQuotient::Skipped("structural");
+        emit_verdict(v, &verdict, Route::Structural, pre, None);
+        Some(verdict)
+    }
+
+    /// [`Checker::check`] past a structural route that did not settle:
+    /// the on-the-fly route for a strong variant, then the graph route.
+    fn check_unsettled(&self, v: Variant, p: &P, q: &P) -> Verdict {
+        let mut fallback = None;
+        let searched = (!v.is_weak()).then(|| crate::onthefly::decide(self, v, p, q));
+        let (route, pre, verdict) = match searched {
+            Some(Outcome::Settled(verdict)) => {
+                if !verdict.is_inconclusive() {
+                    CHECK_ONTHEFLY.inc();
+                }
+                let pre = PreQuotient::Skipped("on-the-fly");
+                (Route::OnTheFly, pre, verdict)
             }
-            fields
-        });
+            searched => {
+                if let Some(Outcome::Fallback(why)) = searched {
+                    fallback = Some(why);
+                }
+                let (route, pre, fixpoint) = self.fixpoint(v, p, q);
+                let verdict = match fixpoint {
+                    Ok((_, _, rel)) if rel.holds(0, 0) => Verdict::Holds,
+                    Ok(_) => Verdict::Fails(format!("{v:?} fails at the root pair")),
+                    Err(e) => Verdict::Inconclusive(e),
+                };
+                (route, pre, verdict)
+            }
+        };
+        emit_verdict(v, &verdict, route, pre, fallback);
         verdict
     }
 
@@ -555,6 +555,36 @@ impl<'d> Checker<'d> {
     pub fn weak(&self, p: &P, q: &P) -> bool {
         self.bisimilar(Variant::WeakLabelled, p, q)
     }
+}
+
+/// The `equiv.check` `verdict` event of one check.
+fn emit_verdict(
+    v: Variant,
+    verdict: &Verdict,
+    route: Route,
+    pre: PreQuotient,
+    fallback: Option<&str>,
+) {
+    bpi_obs::emit("equiv.check", "verdict", || {
+        let mut fields = vec![
+            ("variant", Value::from(format!("{v:?}"))),
+            (
+                "verdict",
+                Value::from(match verdict {
+                    Verdict::Holds => "holds".to_string(),
+                    Verdict::Fails(_) => "fails".to_string(),
+                    Verdict::Inconclusive(e) => format!("inconclusive: {e}"),
+                }),
+            ),
+            ("graphs", Value::from(route.graphs())),
+            ("reason", Value::from(route.reason())),
+            ("prequotient", Value::from(pre.field())),
+        ];
+        if let Some(why) = fallback {
+            fields.push(("onthefly", Value::from(format!("fallback {why}"))));
+        }
+        fields
+    });
 }
 
 /// Runs the naive pair-refinement fixpoint: sweep the full relation,
@@ -1261,7 +1291,7 @@ pub fn weak_step_bisimilar(p: &P, q: &P, defs: &Defs) -> bool {
 /// for all six, while each check still polls its own budget.
 pub fn all_variants(p: &P, q: &P, defs: &Defs) -> [(Variant, bool); 6] {
     let c = Checker::new(defs);
-    let same = c.structural(p, q);
+    let same = c.same_snf(p, q);
     [
         Variant::StrongBarbed,
         Variant::WeakBarbed,
@@ -1272,7 +1302,9 @@ pub fn all_variants(p: &P, q: &P, defs: &Defs) -> [(Variant, bool); 6] {
     ]
     .map(|v| {
         let _span = bpi_obs::span("equiv.check", "check");
-        (v, c.check_after(v, p, q, same).holds())
+        let verdict = c.structural_after(v, same);
+        let verdict = verdict.unwrap_or_else(|| c.check_unsettled(v, p, q));
+        (v, verdict.holds())
     })
 }
 
@@ -1536,7 +1568,11 @@ mod tests {
         );
         for v in [Variant::StrongLabelled, Variant::WeakBarbed] {
             assert_eq!(tiny.check(v, &p, &q), Verdict::Holds, "{v:?}");
+            assert_eq!(tiny.try_structural(v, &p, &q), Some(Verdict::Holds));
         }
+        // Unequal forms prove nothing: τ.ā and ā are weakly bisimilar.
+        let (ta, oa) = (tau(out_(a, [])), out_(a, []));
+        assert_eq!(tiny.try_structural(Variant::WeakBarbed, &ta, &oa), None);
         // The one poll still answers a raised flag or a passed deadline.
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let cancelled = Checker::new(&d).with_budget(Budget::unlimited().with_cancel_flag(flag));

@@ -19,6 +19,7 @@
 //! the first injection-site query), or programmatically via [`install`] /
 //! [`clear`], which override the environment for the rest of the process.
 
+use crate::faults::splitmix64;
 use bpi_obs::{counter, Counter, Det, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -176,14 +177,6 @@ fn active() -> Option<Arc<ChaosState>> {
     STATE.lock().clone()
 }
 
-/// splitmix64 — the same deterministic mixing the term store uses.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 fn site_hash(site: &str) -> u64 {
     // FNV-1a over the site name.
     let mut h = 0xcbf29ce484222325u64;
@@ -213,7 +206,7 @@ impl ChaosState {
             *slot += 1;
             o
         };
-        let bits = mix(self.plan.seed ^ site_hash(site) ^ ordinal.wrapping_mul(0x9e37));
+        let bits = splitmix64(self.plan.seed ^ site_hash(site) ^ ordinal.wrapping_mul(0x9e37));
         ((bits >> 11) as f64 / (1u64 << 53) as f64, ordinal)
     }
 

@@ -367,10 +367,12 @@ impl Backoff {
     }
 }
 
-/// SplitMix64 — the standard seed-scrambling finaliser; keeps the
-/// jitter decorrelated across neighbouring seeds and attempts without
+/// SplitMix64 — the standard seed-scrambling finaliser, and the crate's
+/// one copy of it: it decorrelates the retry jitter here, the
+/// Monte-Carlo sample seeds (`prob::sample_seed`) and the chaos
+/// harness's per-site draws, each a pure function of its seed, without
 /// dragging in an RNG object.
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -47,7 +47,7 @@
 
 use crate::budget::{Budget, EngineError};
 use crate::checkpoint::{CheckpointCfg, Interrupted};
-use crate::faults::{self, FaultPlan, FaultySimulator};
+use crate::faults::{self, splitmix64, FaultPlan, FaultySimulator};
 use crate::lts::Lts;
 use bpi_core::action::Action;
 use bpi_core::builder::{components, par_of};
@@ -99,21 +99,11 @@ impl From<EngineError> for ProbError {
     }
 }
 
-/// splitmix64 — the per-sample seed derivation. Identical constants to
-/// the chaos harness's site mixer; duplicated here because the point is
-/// the *function*, not shared state: sample seeds must be a pure,
-/// stable function of `(plan seed, sample index)` so resumed runs
-/// replay the exact trajectories the interrupted run would have taken.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The seed driving Monte-Carlo sample `i` of a plan.
+/// The seed driving Monte-Carlo sample `i` of a plan: a pure, stable
+/// function of `(plan seed, sample index)`, so resumed runs replay the
+/// exact trajectories the interrupted run would have taken.
 pub fn sample_seed(plan_seed: u64, i: u64) -> u64 {
-    mix(plan_seed ^ mix(i.wrapping_add(1)))
+    splitmix64(plan_seed ^ splitmix64(i.wrapping_add(1)))
 }
 
 // ---------------------------------------------------------------------

@@ -35,7 +35,10 @@
 //! each priority) means short fresh jobs overtake long parked ones, so
 //! a single huge check can never starve the queue behind it. Because
 //! the engines park and resume only at unit boundaries, the sliced
-//! verdict is bit-identical to an uninterrupted run.
+//! verdict is bit-identical to an uninterrupted run. A check with no
+//! checkpoint to resume first takes [`Checker::try_structural`]: a pair
+//! with equal structural normal forms is served `Holds` in that slice,
+//! with no graph and no park.
 //!
 //! ## Isolation
 //!
@@ -51,7 +54,7 @@ use crate::store::Store;
 use bpi_core::syntax::{Defs, P};
 use bpi_core::Name;
 use bpi_equiv::checkpoint::Checkpoint;
-use bpi_equiv::{Checker, Opts, SliceOutcome, Variant};
+use bpi_equiv::{Checker, Opts, SliceOutcome, Variant, Verdict};
 use bpi_obs::{Counter, Histogram};
 use bpi_semantics::{
     convergence_mc_resume, explore_budgeted, Budget, CheckpointCfg, EngineError, ExploreOpts,
@@ -690,11 +693,20 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
                 ..Opts::default()
             };
             let checker = Checker::with_opts(defs, opts).with_budget(budget);
-            let from = match job.parked.take() {
-                Some(ParkState::Check(ck)) => Some(*ck),
-                _ => None,
+            // A fresh check first takes `check`'s structural route; a
+            // resumed one stays in the checkpointed pipeline.
+            let slice = match job.parked.take() {
+                Some(ParkState::Check(ck)) => checker.run_slice(*v, left, right, Some(*ck), fuel),
+                _ => match checker.try_structural(*v, left, right) {
+                    Some(Verdict::Holds) => Ok(SliceOutcome::Done {
+                        holds: true,
+                        explanation: None,
+                    }),
+                    Some(Verdict::Inconclusive(e)) => return SliceResult::Final(engine_stop(&e)),
+                    _ => checker.run_slice(*v, left, right, None, fuel),
+                },
             };
-            match checker.run_slice(*v, left, right, from, fuel) {
+            match slice {
                 Ok(SliceOutcome::Done { holds, explanation }) => SliceResult::Final(ok(vec![
                     ("op", Json::str("check")),
                     ("variant", Json::str(protocol::variant_to_str(*v))),

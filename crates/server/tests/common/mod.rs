@@ -159,23 +159,36 @@ pub fn collect(addr: SocketAddr, ids: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// Runs the workload start-to-finish with no crash and returns the
-/// verdict vector.
-pub fn run_baseline(ids_specs: &[(String, JobSpec)]) -> Vec<String> {
+/// The daemon's `server.preempted` count: slices that parked.
+fn preempted(c: &mut Client) -> usize {
+    let s = c.stats().expect("stats");
+    let counters = s.get("counters").expect("counters");
+    counters
+        .get("server.preempted")
+        .and_then(Json::as_usize)
+        .unwrap_or(0)
+}
+
+/// Runs the workload start-to-finish with no crash, one job at a time,
+/// and returns the verdict vector and how many times each job parked.
+pub fn run_baseline(ids_specs: &[(String, JobSpec)]) -> (Vec<String>, Vec<usize>) {
     let dir = tmpdir("baseline");
     let d = Daemon::spawn(&dir);
     let mut c = Client::connect(d.addr).expect("connect baseline");
     let r = c.defs("s", FWD_DEFS).expect("defs");
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+    let mut parks = Vec::new();
     for (id, spec) in ids_specs {
+        let before = preempted(&mut c);
         let r = submit(&mut c, id, spec).expect("baseline submit");
         assert!(is_settled(&r), "baseline job {id}: {r}");
+        parks.push(preempted(&mut c) - before);
     }
     let ids: Vec<String> = ids_specs.iter().map(|(i, _)| i.clone()).collect();
     let out = collect(d.addr, &ids);
     d.graceful();
     let _ = std::fs::remove_dir_all(&dir);
-    out
+    (out, parks)
 }
 
 /// Submits the whole workload concurrently and blocks until every job

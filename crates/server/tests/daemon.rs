@@ -6,7 +6,29 @@ use bpi_equiv::{Checkpoint, MAX_REFINE_PAIRS};
 use bpi_server::json::Json;
 use bpi_server::{server, Client, SchedCfg, ServerCfg};
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
+
+/// The daemons of this file share one process, so their `stats`
+/// counters are one set, and the tests run in parallel. A test that
+/// asserts how much a counter changes takes this lock for writing;
+/// every other test that starts a daemon takes it for reading.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn shared_counters() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn own_counters() -> RwLockWriteGuard<'static, ()> {
+    COUNTERS.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The value of counter `name` in a `stats` response, 0 before its
+/// first use.
+fn counter(stats: &Json, name: &str) -> usize {
+    let counters = stats.get("counters").unwrap();
+    counters.get(name).and_then(Json::as_usize).unwrap_or(0)
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -36,6 +58,7 @@ const FWD_DEFS: &str = "Fwd(a,b) = a(x).b<x>.Fwd<a,b>;";
 
 #[test]
 fn protocol_roundtrip_check_explore_reliability() {
+    let _counters = shared_counters();
     let dir = tmpdir("roundtrip");
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
@@ -193,7 +216,8 @@ fn protocol_roundtrip_check_explore_reliability() {
     let counters = s.get("counters").unwrap();
     assert!(counters.get("server.admitted").unwrap().as_usize().unwrap() >= 5);
     assert!(counters.get("server.completed").is_some());
-    // fuel=8 on multi-state graphs: preemption must actually happen.
+    // fuel=8: the 60-sample reliability runs park (`c-rec`, a pair with
+    // equal structural normal forms, is served in one slice).
     assert!(
         counters
             .get("server.preempted")
@@ -215,6 +239,7 @@ fn protocol_roundtrip_check_explore_reliability() {
 
 #[test]
 fn a_blocked_broadcast_is_served_probability_zero() {
+    let _counters = shared_counters();
     // `a(x,y)` listens on `a` at arity 2, so it blocks the 1-ary
     // broadcast `a<v>`: the system has no step and never outputs on `a`.
     let dir = tmpdir("blocked");
@@ -232,6 +257,7 @@ fn a_blocked_broadcast_is_served_probability_zero() {
 
 #[test]
 fn deadline_zero_is_a_typed_deadline_error() {
+    let _counters = shared_counters();
     let dir = tmpdir("deadline");
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
@@ -254,6 +280,7 @@ fn deadline_zero_is_a_typed_deadline_error() {
 
 #[test]
 fn overload_rejects_typed_and_bounded_never_hangs() {
+    let _counters = shared_counters();
     let dir = tmpdir("overload");
     let mut cfg = small_cfg(&dir);
     // A daemon sized to overload quickly: one worker, a 2-deep queue,
@@ -337,14 +364,18 @@ fn overload_rejects_typed_and_bounded_never_hangs() {
 
 #[test]
 fn preemption_lets_short_jobs_overtake_long_ones() {
+    let _counters = own_counters();
     let dir = tmpdir("preempt");
     let mut cfg = small_cfg(&dir);
     cfg.sched.workers = 1; // one worker: overtaking is *only* possible via parking
     cfg.sched.fuel = 4;
     let h = server::start(cfg).unwrap();
     let addr = h.addr;
+    let mut c = Client::connect(addr).unwrap();
+    let preempted = counter(&c.stats().unwrap(), "server.preempted");
 
-    // A long-running check (bigger graph) at normal priority…
+    // A long-running check (bigger graph) at normal priority, whose sides
+    // differ in the relayed value, so it builds graphs and parks…
     let long = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
         c.defs("s", FWD_DEFS).unwrap();
@@ -353,7 +384,7 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
             "s",
             "strong-labelled",
             "Fwd<a,b> | Fwd<b,c> | a<v>",
-            "Fwd<a,b> | Fwd<b,c> | a<v>",
+            "Fwd<a,b> | Fwd<b,c> | a<w>",
             "normal",
             None,
         )
@@ -361,7 +392,6 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
     });
     std::thread::sleep(Duration::from_millis(30));
     // …must not block a short check submitted afterwards.
-    let mut c = Client::connect(addr).unwrap();
     let t0 = std::time::Instant::now();
     let r = c
         .check(
@@ -378,12 +408,101 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
     let short_latency = t0.elapsed();
     let r = long.join().unwrap();
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(false), "{r}");
     // Generous bound: the short job's wait is a few slices, not the
     // long job's whole runtime.
     assert!(
         short_latency < Duration::from_secs(10),
         "short job waited {short_latency:?}"
     );
+    let s = c.stats().unwrap();
+    assert!(counter(&s, "server.preempted") > preempted, "{s}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tau.` repeated `n` times in front of `end`: the perfbench `ladder`
+/// shape.
+fn ladder(n: usize, end: &str) -> String {
+    format!("{}{end}", "tau.".repeat(n))
+}
+
+/// A fresh check whose sides have equal structural normal forms is
+/// served `Holds` in its first slice, with no graph and no park, even at
+/// `small_cfg`'s 8 units, which park a graph of 701 states dozens of
+/// times; `stats` counts it in `equiv.check.structural`.
+#[test]
+fn structurally_equal_check_is_served_in_one_slice() {
+    let _counters = own_counters();
+    let dir = tmpdir("structural");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let before = c.stats().unwrap();
+    let (p, q) = (ladder(700, "a<>"), ladder(700, "(a<> + a<>)"));
+    let r = c
+        .check("sum", "", "strong-labelled", &p, &q, "normal", None)
+        .unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    assert_eq!(r.get("explanation"), Some(&Json::Null), "{r}");
+    let after = c.stats().unwrap();
+    let delta = |name| counter(&after, name) - counter(&before, name);
+    assert_eq!(delta("server.preempted"), 0, "{after}");
+    assert_eq!(delta("equiv.check.structural"), 1, "{after}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A structurally equal pair builds no graph, so a `max_states` below
+/// its graphs' size does not stop it: it is served `Holds`, as
+/// `Checker::check` answers in-process.
+#[test]
+fn structurally_equal_check_ignores_the_state_ceiling() {
+    let _counters = shared_counters();
+    let dir = tmpdir("structural-ceiling");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let r = c
+        .roundtrip(&Json::obj(vec![
+            ("op", Json::str("check")),
+            ("id", Json::str("tiny")),
+            ("variant", Json::str("weak-barbed")),
+            ("left", Json::str(ladder(50, "a<>"))),
+            ("right", Json::str(ladder(50, "(a<> + a<>)"))),
+            ("max_states", Json::num(4.0)),
+        ]))
+        .unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A structurally equal pair 4,000 input prefixes deep, close to the
+/// parser's height cap, is served `Holds` on a worker thread's default
+/// stack, and the daemon goes on serving.
+#[test]
+fn deep_structurally_equal_check_is_served() {
+    let _counters = shared_counters();
+    let dir = tmpdir("structural-deep");
+    let h = server::start(small_cfg(&dir)).unwrap();
+    let mut c = Client::connect(h.addr).unwrap();
+    let p = format!("{}x<>", "a(x).".repeat(4_000));
+    let q = format!("{}(y<> + y<>)", "a(y).".repeat(4_000));
+    let r = c
+        .check("deep", "", "strong-labelled", &p, &q, "normal", None)
+        .unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
+    let r = c
+        .check(
+            "next",
+            "",
+            "weak-labelled",
+            "tau.a<>",
+            "a<>",
+            "normal",
+            None,
+        )
+        .unwrap();
+    assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -416,12 +535,8 @@ fn recovers_to_the_straight_verdict(tag: &str, checkpoint: &str, defect: &str) {
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(true), "{r}");
     let s = c.stats().unwrap();
-    let counter = |name: &str| {
-        let counters = s.get("counters").unwrap();
-        counters.get(name).and_then(Json::as_usize).unwrap_or(0)
-    };
-    assert!(counter("server.recover.reruns") >= 1, "{s}");
-    assert!(counter("server.journal.bytes") > 0, "{s}");
+    assert!(counter(&s, "server.recover.reruns") >= 1, "{s}");
+    assert!(counter(&s, "server.journal.bytes") > 0, "{s}");
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -431,6 +546,7 @@ fn recovers_to_the_straight_verdict(tag: &str, checkpoint: &str, defect: &str) {
 /// from scratch and serve the straight verdict, not a journaled panic.
 #[test]
 fn stateless_checkpoint_reruns_cleanly_on_recovery() {
+    let _counters = shared_counters();
     recovers_to_the_straight_verdict(
         "stateless",
         "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
@@ -445,6 +561,7 @@ fn stateless_checkpoint_reruns_cleanly_on_recovery() {
 /// section is a typed decode error and recovery reruns the job.
 #[test]
 fn hostile_refine_dims_rerun_cleanly_on_recovery() {
+    let _counters = shared_counters();
     recovers_to_the_straight_verdict(
         "dims",
         "bpi-equiv-checkpoint/v1\nphase\trefine\n\
@@ -463,6 +580,7 @@ fn hostile_refine_dims_rerun_cleanly_on_recovery() {
 /// recovery reruns the job instead of overflowing a stack.
 #[test]
 fn a_hundred_thousand_node_chain_reruns_cleanly_on_recovery() {
+    let _counters = shared_counters();
     let taus: String = (0..100_000).map(|i| format!("node\ttau\t{i}\n")).collect();
     recovers_to_the_straight_verdict(
         "chain",
@@ -481,6 +599,7 @@ fn a_hundred_thousand_node_chain_reruns_cleanly_on_recovery() {
 /// recovery reruns the job instead.
 #[test]
 fn a_doubling_node_table_reruns_cleanly_on_recovery() {
+    let _counters = shared_counters();
     let pars: String = (1..=22).map(|i| format!("node\tpar\t{i}\t{i}\n")).collect();
     recovers_to_the_straight_verdict(
         "doubling",
@@ -498,6 +617,7 @@ fn a_doubling_node_table_reruns_cleanly_on_recovery() {
 /// job from scratch, to the same verdict.
 #[test]
 fn v1_checkpoint_reruns_cleanly_on_recovery() {
+    let _counters = shared_counters();
     recovers_to_the_straight_verdict(
         "v1",
         "bpi-equiv-checkpoint/v1\nphase\tbuild_left\nright_seed\ta<>\n\
@@ -516,6 +636,7 @@ fn v1_checkpoint_reruns_cleanly_on_recovery() {
 /// since `small_cfg`'s 8 units would park it thousands of times.
 #[test]
 fn served_check_honours_max_states_and_bounds_its_pairs() {
+    let _counters = shared_counters();
     let dir = tmpdir("check-ceiling");
     let h = server::start(ServerCfg::new(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
@@ -553,6 +674,7 @@ fn served_check_honours_max_states_and_bounds_its_pairs() {
 /// line per character (27.6 s for 1 MiB).
 #[test]
 fn four_mib_request_line_is_served_promptly() {
+    let _counters = shared_counters();
     let dir = tmpdir("big-line");
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
@@ -580,6 +702,7 @@ fn four_mib_request_line_is_served_promptly() {
 /// aborted the whole daemon; the same connection then goes on serving.
 #[test]
 fn deeply_nested_term_is_a_typed_parse_error() {
+    let _counters = shared_counters();
     let dir = tmpdir("deep-term");
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
@@ -609,6 +732,7 @@ fn deeply_nested_term_is_a_typed_parse_error() {
 /// isolation in the workspace.
 #[test]
 fn engine_panic_is_a_typed_error_and_the_daemon_keeps_serving() {
+    let _counters = shared_counters();
     let dir = tmpdir("panic");
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
@@ -658,6 +782,7 @@ fn stops_promptly_with_an_idle_connection(bind: &str, stop: fn(server::ServerHan
 
 #[test]
 fn handle_shutdown_returns_promptly_with_an_idle_connection() {
+    let _counters = shared_counters();
     for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
         stops_promptly_with_an_idle_connection(bind, server::ServerHandle::shutdown);
     }
@@ -665,6 +790,7 @@ fn handle_shutdown_returns_promptly_with_an_idle_connection() {
 
 #[test]
 fn shutdown_op_returns_promptly_with_an_idle_connection() {
+    let _counters = shared_counters();
     for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
         stops_promptly_with_an_idle_connection(bind, |h| {
             let local = std::net::SocketAddr::from(([127, 0, 0, 1], h.addr.port()));

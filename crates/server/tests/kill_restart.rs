@@ -13,9 +13,15 @@ mod common;
 use common::{collect, count_done, run_baseline, submit_all_visible, tmpdir, Daemon, JobSpec};
 use std::time::{Duration, Instant};
 
+/// The index in [`workload`] of a check that parks at the suite's fuel.
+const PARKING_CHECK: usize = 3;
+
 /// A deterministic mixed workload: holds/fails checks across variants,
 /// seeded reliability estimates, explorations. Everything here must be
-/// reproducible from the journal alone.
+/// reproducible from the journal alone. Pairs with equal structural
+/// normal forms (the sum, the identical relays) are served in their
+/// first slice; the relay pair that differs in the relayed value builds
+/// graphs, parks and resumes.
 fn workload() -> Vec<(String, JobSpec)> {
     let specs = vec![
         JobSpec::Check {
@@ -32,6 +38,11 @@ fn workload() -> Vec<(String, JobSpec)> {
             variant: "strong-labelled",
             left: "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<v>",
             right: "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<v>",
+        },
+        JobSpec::Check {
+            variant: "strong-labelled",
+            left: "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<v>",
+            right: "Fwd<a,b> | Fwd<b,c> | Fwd<c,d> | a<w>",
         },
         JobSpec::Check {
             variant: "weak-labelled",
@@ -65,7 +76,11 @@ fn workload() -> Vec<(String, JobSpec)> {
 fn kill9_at_every_job_boundary_preserves_verdicts() {
     let ids_specs = workload();
     let ids: Vec<String> = ids_specs.iter().map(|(i, _)| i.clone()).collect();
-    let expected = run_baseline(&ids_specs);
+    let (expected, parks) = run_baseline(&ids_specs);
+    assert!(
+        parks[PARKING_CHECK] >= 1,
+        "job-{PARKING_CHECK} must park at the suite's fuel: {parks:?}"
+    );
 
     let dir = tmpdir("chaos");
     let deadline = Instant::now() + Duration::from_secs(120);

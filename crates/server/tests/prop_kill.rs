@@ -103,7 +103,7 @@ proptest! {
             .collect();
         let boundary = (splitmix(&mut s) as usize) % len;
 
-        let expected = run_baseline(&ids_specs);
+        let (expected, _) = run_baseline(&ids_specs);
         let got = run_with_kill(&ids_specs, boundary);
         prop_assert_eq!(got, expected);
     }
