@@ -683,7 +683,7 @@ fn ratios(tag: &str) -> Vec<Entry> {
 
     // B8 — exploration: the cold first run derives every transition and
     // conses every state; warm re-runs are served by the
-    // (consed term, defs generation) successor memos.
+    // (consed term, defs generation) step memo.
     let defs = Defs::new();
     let sys = independent_components_tagged(EXPLORE_N, tag);
     let opts = ExploreOpts::default();
@@ -755,9 +755,9 @@ fn ratios(tag: &str) -> Vec<Entry> {
     // builds plus refinement rounds), interrupt a fuelled run at half
     // that, then compare re-running the whole pipeline from scratch
     // against resuming from the checkpoint carried inside the typed
-    // error. The checkpointed path bypasses the graph memo, so both
-    // sides redo real construction work; the probe warms the semantic
-    // successor caches for both sides equally.
+    // error. The checkpointed path bypasses the graph memo, and a build
+    // derives its states through no memo, so both sides redo real
+    // construction work and the probe warms nothing that either reads.
     let checker = Checker::new(&defs);
     let tank = Arc::new(AtomicUsize::new(1 << 30));
     let probe: CheckpointCfg<Checkpoint> = CheckpointCfg::default().with_fuel(tank.clone());
@@ -1104,11 +1104,11 @@ fn onthefly_checks(tag: &str) -> Vec<Entry> {
 /// B19 — input derivation on one side of the check corpus's `mixed`
 /// family: a 250-rung τ-ladder ending in `a⟨v,w⟩`, beside `a(x).b⟨x⟩ |
 /// a(x,y).c⟨y⟩`, whose two listeners refuse each other's arity on `a`
-/// in every state. Each sample builds the side cold on fresh names, so
-/// every state misses the input memo. The gated entry counts receive
-/// derivations per state: one per (channel, arity) pair of the
-/// interface `{a: {1, 2}}`, where deriving every tuple of the
-/// six-name pool runs 6 + 6² = 42.
+/// in every state. Each sample builds the side on fresh names, and a
+/// build derives every state's inputs once, through no memo. The gated
+/// entry counts receive derivations per state: one per (channel, arity)
+/// pair of the interface `{a: {1, 2}}`, where deriving every tuple of
+/// the six-name pool runs 6 + 6² = 42.
 fn input_derivation(tag: &str) -> Vec<Entry> {
     use bpi_core::builder::{inp, out_, par_of, tau};
     const SAMPLES: usize = 5;

@@ -66,7 +66,7 @@ pub fn scaled_pair(n: usize) -> (bpi_core::syntax::P, bpi_core::syntax::P) {
 
 /// `Πᴺ (āᵢ.b̄ᵢ)`, 3^N reachable states, with `tag`-prefixed channel
 /// names: a fresh tag per measurement yields structurally fresh terms,
-/// defeating the cross-run successor memos so each sample pays genuinely
+/// defeating the cross-run step memo so each sample pays genuinely
 /// cold construction (cold-exploration measurements need this — a memo
 /// hit does none of the work being timed).
 pub fn independent_components_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {

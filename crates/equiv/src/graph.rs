@@ -29,8 +29,8 @@ use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
 use bpi_semantics::lts::{tuples, Lts};
-use bpi_semantics::{inputs_cached, step_transitions_cached};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, LazyLock, OnceLock};
 
@@ -501,20 +501,27 @@ fn expand_state(
 }
 
 /// The `τ`/output half of [`expand_state`]: the step successors in
-/// derivation order, bound outputs renamed by [`normalize_bound_output`]
-/// and each successor normalised ([`Consed::normal_form`]). The on-the-fly
-/// search of the barbed and step variants ([`crate::onthefly`]) derives
-/// only this half: their transfer never reads an input or a discard.
+/// derivation order ([`Lts::step_transitions`], derived afresh: a build
+/// or search meets each state once), bound outputs renamed by
+/// [`normalize_bound_output`] and each successor normalised
+/// ([`Consed::normal_form`]). The on-the-fly search of the barbed and
+/// step variants ([`crate::onthefly`]) derives only this half: their
+/// transfer never reads an input or a discard.
 pub(crate) fn expand_steps(
     lts: &Lts<'_>,
     src: &Consed,
     pool_set: &NameSet,
 ) -> Vec<(Action, Consed)> {
-    let avoid = src.free_names().union(pool_set);
-    step_transitions_cached(lts, src.term())
-        .iter()
+    let mut avoid = None;
+    lts.step_transitions(src.term())
+        .into_iter()
         .map(|(act, cont)| {
-            let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
+            let (act, cont) = if act.bound_names().is_empty() {
+                (act, cont)
+            } else {
+                let avoid = avoid.get_or_insert_with(|| src.free_names().union(pool_set));
+                normalize_bound_output(act, cont, avoid)
+            };
             (act, bpi_core::cons(&cont).normal_form())
         })
         .collect()
@@ -522,7 +529,7 @@ pub(crate) fn expand_steps(
 
 /// The input half of [`expand_state`]: the input successors, normalised,
 /// and the pool channels the state discards — those outside its
-/// listening interface, read off the same memoized walk as its inputs
+/// listening interface, read off the same walk as its inputs
 /// ([`Lts::inputs`]).
 pub(crate) fn expand_inputs(
     lts: &Lts<'_>,
@@ -531,20 +538,22 @@ pub(crate) fn expand_inputs(
     pool_set: &NameSet,
 ) -> (Vec<(Action, Consed)>, NameSet) {
     // Dynamic pool: global pool plus extruded representatives that
-    // became free in this state (so later inputs can mention them).
-    let mut dyn_pool = pool.to_vec();
-    dyn_pool.extend(
-        src.free_names()
-            .iter()
-            .filter(|&n| !pool_set.contains(n) && n.spelling().starts_with("#b")),
-    );
-    let inputs = inputs_cached(lts, src.term(), &dyn_pool);
+    // became free in this state (so later inputs can mention them),
+    // copied only when there are any.
+    let mut dyn_pool = Cow::Borrowed(pool);
+    for n in src.free_names().iter() {
+        if !pool_set.contains(n) && n.spelling().starts_with("#b") {
+            dyn_pool.to_mut().push(n);
+        }
+    }
+    let inputs = lts.inputs(src.term(), &dyn_pool);
+    let discards = inputs.discards(&dyn_pool);
     let succs = inputs
         .transitions
-        .iter()
-        .map(|(act, cont)| (act.clone(), bpi_core::cons(cont).normal_form()))
+        .into_iter()
+        .map(|(act, cont)| (act, bpi_core::cons(&cont).normal_form()))
         .collect();
-    (succs, inputs.discards(&dyn_pool))
+    (succs, discards)
 }
 
 /// Global memo of completed graph builds, keyed by

@@ -17,9 +17,10 @@ use bpi_core::builder::*;
 use bpi_core::parser::{parse_defs, parse_process};
 use bpi_core::syntax::{Defs, Ident, P};
 use bpi_equiv::{
-    refine, refine_budgeted, refine_worklist, shared_pool, Checker, Graph, Opts, Variant,
+    refine, refine_budgeted, refine_worklist, shared_pool, Checker, Graph, Opts, SliceOutcome,
+    Variant,
 };
-use bpi_obs::{CounterDelta, MemorySink};
+use bpi_obs::{CounterDelta, MemorySink, Value};
 use bpi_semantics::{Budget, CheckpointCfg, EngineError};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -464,4 +465,155 @@ fn all_variants_runs_one_structural_test() {
         );
         assert_eq!(count("equiv.check.check.us"), 6, "{p} vs {q}: {spans:?}");
     }
+}
+
+/// The lookups of the explorer's step memo and the normal-form renaming
+/// memo, hits and misses.
+const MEMO_COUNTERS: [&str; 4] = [
+    "semantics.memo.step.hits",
+    "semantics.memo.step.misses",
+    "semantics.memo.norm.hits",
+    "semantics.memo.norm.misses",
+];
+
+/// How far `f` moved each of [`MEMO_COUNTERS`], the unmoved ones left
+/// out.
+fn memo_delta(f: impl FnOnce()) -> BTreeMap<&'static str, u64> {
+    let read = || {
+        let counters = bpi_obs::snapshot().counters;
+        MEMO_COUNTERS.map(|c| counters.get(c).map_or(0, |&(_, n)| n))
+    };
+    let before = read();
+    f();
+    MEMO_COUNTERS
+        .into_iter()
+        .zip(read().into_iter().zip(before))
+        .filter(|(_, (after, before))| after != before)
+        .map(|(c, (after, before))| (c, after - before))
+        .collect()
+}
+
+/// The check path holds no process-global derivation state: graph builds
+/// and the on-the-fly search derive each state once, from the LTS
+/// directly, so no route of `Checker::check`, no `all_variants`, ε-distance,
+/// plain build or parked-and-resumed slice looks up a semantic memo. The
+/// route each check takes is read off its `verdict` event. `explore` of
+/// the same terms still moves the step memo's counters, so they are live.
+#[test]
+fn the_check_path_fills_no_semantic_memo() {
+    let _g = lock();
+    let defs = parse_defs("Fwd(a,b) = a(x).b<x>.Fwd<a,b>;").expect("Fwd parses");
+    let relay = |value: &str| {
+        parse_process(&format!("Fwd<smx0,smx1> | Fwd<smx1,smx2> | smx0<{value}>"))
+            .expect("relay parses")
+    };
+    let [a, b] = names(["sma", "smb"]);
+    let ladder = |n: usize| (0..n).fold(out_(a, []), |p, _| tau(p));
+    let c = Checker::new(&defs);
+    // `BPI_COMPOSE=off` sends the composed pair to the monolithic graphs.
+    let compose_off = std::env::var("BPI_COMPOSE")
+        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0"));
+    let (composed, accepted) = if compose_off {
+        ("monolithic", "off")
+    } else {
+        ("composed", "accepted")
+    };
+
+    // (variant, p, q, graphs, reason when pinned, whether the
+    // pre-quotient ran)
+    let routes = [
+        (
+            Variant::StrongLabelled,
+            par(out_(a, []), out_(b, [])),
+            par(out_(b, []), out_(a, [])),
+            "none",
+            Some("structural"),
+            false,
+        ),
+        (
+            Variant::StrongBarbed,
+            ladder(3),
+            ladder(2),
+            "none",
+            Some("on-the-fly"),
+            false,
+        ),
+        (
+            Variant::WeakBarbed,
+            ladder(3),
+            tau(out_(b, [])),
+            "monolithic",
+            None,
+            true,
+        ),
+        (
+            Variant::WeakLabelled,
+            relay("smv"),
+            relay("smw"),
+            composed,
+            Some(accepted),
+            false,
+        ),
+    ];
+    for (v, p, q, graphs, reason, quotiented) in routes {
+        let sink = MemorySink::new();
+        bpi_obs::install_sink(sink.clone());
+        let moved = memo_delta(|| {
+            c.check(v, &p, &q);
+        });
+        bpi_obs::clear_sink();
+        assert!(moved.is_empty(), "{v:?} on {p} vs {q}: {moved:?}");
+        let events = sink.take();
+        let verdict = events
+            .iter()
+            .find(|e| e.target == "equiv.check" && e.name == "verdict")
+            .expect("every check reports its verdict");
+        let field = |k: &str| verdict.field(k).cloned();
+        assert_eq!(field("graphs"), Some(Value::from(graphs)), "{verdict:?}");
+        if let Some(reason) = reason {
+            assert_eq!(field("reason"), Some(Value::from(reason)), "{verdict:?}");
+        }
+        let Some(Value::Str(pre)) = verdict.field("prequotient") else {
+            panic!("the verdict names the pre-quotient: {verdict:?}");
+        };
+        assert_eq!(!pre.starts_with("skipped"), quotiented, "{verdict:?}");
+    }
+
+    let (p, q) = (relay("smu"), relay("smy"));
+    let mut graphs = None;
+    let moved = memo_delta(|| {
+        bpi_equiv::all_variants(&p, &q, &defs);
+        bpi_equiv::try_bisimulation_distance(Variant::StrongLabelled, &p, &q, &defs, 1e-6)
+            .expect("the graphs fit");
+        graphs = Some(build_pair(&p, &q, &defs));
+    });
+    assert!(moved.is_empty(), "all_variants, distance, build: {moved:?}");
+    let (g1, _) = graphs.expect("built");
+
+    let (p, q) = (ladder(40), ladder(41));
+    let mut parks = 0;
+    let moved = memo_delta(|| {
+        let mut from = None;
+        loop {
+            match c.run_slice(Variant::StrongLabelled, &p, &q, from, 8) {
+                Ok(SliceOutcome::Parked(ck)) => {
+                    parks += 1;
+                    from = Some(*ck);
+                }
+                Ok(SliceOutcome::Done { holds, .. }) => break assert!(!holds),
+                Err(e) => panic!("the ladder check stopped: {}", e.error),
+            }
+        }
+    });
+    assert!(parks > 1, "the slices must park and resume: {parks}");
+    assert!(moved.is_empty(), "run_slice: {moved:?}");
+
+    let explored = memo_delta(|| {
+        bpi_semantics::explore(&g1.states[0], &defs, Default::default());
+    });
+    assert!(
+        explored.contains_key("semantics.memo.step.misses")
+            || explored.contains_key("semantics.memo.step.hits"),
+        "explore no longer reaches the step memo: {explored:?}"
+    );
 }

@@ -1,14 +1,20 @@
-//! Memoized semantic derivations.
+//! Memoized semantic derivations for the term-level engines.
 //!
-//! Transition derivation (`Lts::step_transitions`), the pool-instantiated
-//! input side of a state (`Lts::inputs`: its input transitions and the
-//! channels it listens on), and state normalisation are pure
-//! functions of *(term, definition environment)* — and exploration, weak
-//! closures and bisimulation graphs call them over and over on the same
-//! terms. This module memoizes them globally, keyed by the hash-consed
-//! [`TermId`](bpi_core::TermId) of the term and the
+//! Transition derivation (`Lts::step_transitions`) and state
+//! normalisation are pure functions of *(term, definition environment)*,
+//! and exploration (`explore`, `output_reachable`) and the term-level
+//! weak queries ([`crate::Weak`]) call them over and over on the same
+//! terms, within a run and across exact re-runs. This module memoizes
+//! them globally, keyed by the hash-consed [`TermId`](bpi_core::TermId)
+//! of the term and the
 //! [`Defs::generation`](bpi_core::syntax::Defs::generation) stamp, so a
 //! definition update invalidates exactly the entries it could affect.
+//!
+//! The graph builds and the on-the-fly search of `bpi-equiv` do not come
+//! here. They derive each state once per build or search, through their
+//! own index of states, and `bpi-equiv`'s graph memo shares whole graphs,
+//! so an entry here would only pin the cells of successors that nothing
+//! reads again.
 //!
 //! **Soundness of replaying fresh names.** Scope extrusion (rule (5) of
 //! Table 3) mints a globally fresh name per derivation. A memoized entry
@@ -23,9 +29,9 @@
 //! Caches are append-only with a size cap; overflowing clears the map
 //! (correctness never depends on a hit).
 
-use crate::lts::{Inputs, Lts};
+use crate::lts::Lts;
 use bpi_core::action::Action;
-use bpi_core::name::{Name, NameSet};
+use bpi_core::name::NameSet;
 use bpi_core::syntax::P;
 use bpi_core::Consed;
 use bpi_obs::{counter, Counter, Det};
@@ -42,35 +48,17 @@ const CACHE_CAP: usize = 1 << 20;
 // cons of an equal term would mint a fresh id, turning every lookup into
 // a miss).
 type StepKey = (Consed, u64);
-type InputKey = (Consed, u64, Vec<Name>);
 type NormKey = (Consed, NameSet);
 
-/// A memoized derivation: its value, whose successors are the canonical
-/// allocations of their consed classes, and the handles that keep those
-/// cells, with the normal forms cached in them, live for as long as the
-/// entry.
-struct Derived<T> {
-    value: Arc<T>,
+/// A memoized derivation: the successors, each the canonical allocation
+/// of its consed class, and the handles that keep those cells, with the
+/// normal forms cached in them, live for as long as the entry.
+struct Steps {
+    succs: Arc<Vec<(Action, P)>>,
     _cells: Vec<Consed>,
 }
 
-/// Replaces each successor by the canonical allocation of its consed
-/// class, returning the handles that pin those classes.
-fn canonical(succs: Vec<(Action, P)>) -> (Vec<(Action, P)>, Vec<Consed>) {
-    succs
-        .into_iter()
-        .map(|(act, q)| {
-            let c = bpi_core::cons(&q);
-            ((act, c.term().clone()), c)
-        })
-        .unzip()
-}
-
-type TransMemo<K, T> = RwLock<HashMap<K, Derived<T>>>;
-
-static STEP_MEMO: LazyLock<TransMemo<StepKey, Vec<(Action, P)>>> =
-    LazyLock::new(|| RwLock::new(HashMap::new()));
-static INPUT_MEMO: LazyLock<TransMemo<InputKey, Inputs>> =
+static STEP_MEMO: LazyLock<RwLock<HashMap<StepKey, Steps>>> =
     LazyLock::new(|| RwLock::new(HashMap::new()));
 static NORM_MEMO: LazyLock<RwLock<HashMap<NormKey, Consed>>> =
     LazyLock::new(|| RwLock::new(HashMap::new()));
@@ -81,10 +69,6 @@ static STEP_HITS: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.memo.step.hits", Det::Advisory));
 static STEP_MISSES: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.memo.step.misses", Det::Advisory));
-static INPUT_HITS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("semantics.memo.input.hits", Det::Advisory));
-static INPUT_MISSES: LazyLock<&Counter> =
-    LazyLock::new(|| counter("semantics.memo.input.misses", Det::Advisory));
 static NORM_HITS: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.memo.norm.hits", Det::Advisory));
 static NORM_MISSES: LazyLock<&Counter> =
@@ -96,22 +80,6 @@ fn insert_capped<K: std::hash::Hash + Eq, V>(map: &RwLock<HashMap<K, V>>, k: K, 
         g.clear();
     }
     g.insert(k, v);
-}
-
-/// Enters a fresh derivation into its memo and returns the shared value.
-fn fill<K: std::hash::Hash + Eq, T>(
-    memo: &TransMemo<K, T>,
-    key: K,
-    value: T,
-    _cells: Vec<Consed>,
-) -> Arc<T> {
-    let value = Arc::new(value);
-    let d = Derived {
-        value: value.clone(),
-        _cells,
-    };
-    insert_capped(memo, key, d);
-    value
 }
 
 /// `lts.step_transitions(p)`, derived once per (term, defs generation).
@@ -126,28 +94,24 @@ pub fn step_transitions_cached(lts: &Lts<'_>, p: &P) -> Arc<Vec<(Action, P)>> {
     let key = (bpi_core::cons(p), lts.defs.generation());
     if let Some(d) = STEP_MEMO.read().get(&key) {
         STEP_HITS.inc();
-        return d.value.clone();
+        return d.succs.clone();
     }
     STEP_MISSES.inc();
-    let (succs, cells) = canonical(lts.step_transitions(p));
-    fill(&STEP_MEMO, key, succs, cells)
-}
-
-/// `lts.inputs(p, pool)` — the input transitions and the listened
-/// channels, off one walk of the listening interface — memoized per
-/// (term, defs generation, pool). The successors are canonical
-/// allocations, as for [`step_transitions_cached`].
-pub fn inputs_cached(lts: &Lts<'_>, p: &P, pool: &[Name]) -> Arc<Inputs> {
-    let key = (bpi_core::cons(p), lts.defs.generation(), pool.to_vec());
-    if let Some(d) = INPUT_MEMO.read().get(&key) {
-        INPUT_HITS.inc();
-        return d.value.clone();
-    }
-    INPUT_MISSES.inc();
-    let mut inputs = lts.inputs(p, pool);
-    let (transitions, cells) = canonical(std::mem::take(&mut inputs.transitions));
-    inputs.transitions = transitions;
-    fill(&INPUT_MEMO, key, inputs, cells)
+    let (succs, _cells): (Vec<_>, Vec<_>) = lts
+        .step_transitions(p)
+        .into_iter()
+        .map(|(act, q)| {
+            let c = bpi_core::cons(&q);
+            ((act, c.term().clone()), c)
+        })
+        .unzip();
+    let succs = Arc::new(succs);
+    let entry = Steps {
+        succs: succs.clone(),
+        _cells,
+    };
+    insert_capped(&STEP_MEMO, key, entry);
+    succs
 }
 
 /// [`crate::explore::normalize_state`] through the term's consed cell;

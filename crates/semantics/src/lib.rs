@@ -12,8 +12,9 @@
 //! * [`explore`](mod@explore) — reachable state graphs, quotiented by
 //!   α-equivalence and extruded-name renaming, built by one loop
 //!   ([`explore_budgeted`]);
-//! * [`cache`] — memoized transition/normalisation derivations keyed by
-//!   hash-consed term ids and the defs generation stamp;
+//! * [`cache`] — memoized step/normalisation derivations for
+//!   exploration and the weak queries, keyed by hash-consed term ids and
+//!   the defs generation stamp;
 //! * [`sim`] — seeded random execution for large closed systems;
 //! * [`budget`] — resource envelopes ([`Budget`]) and typed exhaustion
 //!   ([`EngineError`]) shared by every engine, so running out of states,
@@ -52,7 +53,7 @@ pub mod weak;
 
 pub use analysis::{analyse, Analysis};
 pub use budget::{Budget, EngineError};
-pub use cache::{inputs_cached, normalize_state_cached, step_transitions_cached};
+pub use cache::{normalize_state_cached, step_transitions_cached};
 pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
 pub use checkpoint::{CheckpointCfg, Interrupted};
 pub use discard::{discards, input_arities, listening};

@@ -35,9 +35,9 @@ use bpi_core::syntax::{Defs, Prefix, Process, P};
 use bpi_obs::{counter, Counter, Det};
 use std::sync::LazyLock;
 
-// Input-derivation work. Advisory for the reason the input memo's
-// hit/miss counts are: derivations run on memo misses, so what a call
-// adds depends on what ran before it in the process.
+// Input-derivation work. Advisory: graph builds derive inputs, and a
+// build the graph memo serves derives none, so what a call adds depends
+// on what ran before it in the process.
 static RECEIVES: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.input.receives", Det::Advisory));
 static BLOCKED: LazyLock<&Counter> =
